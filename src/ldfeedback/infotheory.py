@@ -171,34 +171,31 @@ class MiEvaluator:
         return 1.0 - second
 
 
-def block_mi(realization, qset, rho, nt, evaluator):
-    """Per-block mutual information sum_k I(rho/Nt * Tr(H Q_k H^H)) in nats.
+def block_mi(h, qsets, rho, nt, evaluator):
+    """Per-block mutual information sum_k I(rho/Nt * Tr(H_n Q_nk H_n^H)) in nats, shape (n,).
 
-    Exact only when the underlying dispersion set satisfies the orthogonality
-    constraint; callers pass covariances of verified sets or codebook
-    covariances.
+    h is an (n, Nr, Nt) stack of channels and qsets an (n, K, Nt, Nt) stack
+    of per-symbol covariances. Exact only when the underlying dispersion set
+    satisfies the orthogonality constraint; callers pass covariances of
+    verified sets or codebook covariances.
     """
-    h = realization.h
-    total = 0.0
-    args = []
-    for q in qset:
-        q = np.asarray(q, dtype=np.complex128)
-        if q.shape != (nt, nt):
-            raise PreconditionError(f"covariance shape {q.shape} != ({nt}, {nt})")
-        wmin = float(np.linalg.eigvalsh((q + q.conj().T) / 2.0)[0])
+    qsets = np.asarray(qsets, dtype=np.complex128)
+    if qsets.ndim != 4 or qsets.shape[-2:] != (nt, nt):
+        raise PreconditionError(f"covariance stack shape {qsets.shape} is not (n, K, {nt}, {nt})")
+    if qsets.shape[1]:
+        wmin = float(np.linalg.eigvalsh((qsets + np.swapaxes(qsets, -1, -2).conj()) / 2.0)[..., 0].min())
         if wmin < -1e-10:
             raise PreconditionError(f"covariance has eigenvalue {wmin:.3e} < -1e-10")
-        val = float(np.einsum("ij,jk,ik->", h, q, h.conj()).real)
-        args.append(max(val, 0.0) * rho / nt)
-    if args:
-        total = float(np.sum(evaluator.mi(np.array(args))))
-    return total
+    args = np.einsum("nij,nkjl,nil->nk", h, qsets, h.conj()).real
+    return evaluator.mi(np.maximum(args, 0.0) * rho / nt).sum(axis=-1)
 
 
-def perfect_csi_mi(realization, rho, k, nc, evaluator):
-    """Best achievable block mutual information with K symbols: K*I(rho*Nc/K * lmax)."""
+def perfect_csi_mi(lam_max, rho, k, nc, evaluator):
+    """Best achievable block mutual information with K symbols: K*I(rho*Nc/K * lmax).
+
+    lam_max holds the largest eigenvalue of H^H H per trial, for instance a
+    trial batch's eigvals[:, 0].
+    """
     if k > 2 * nc:
         raise InfeasibleError(f"K = {k} exceeds the feasibility bound K <= 2*Nc = {2 * nc}")
-    h = realization.h
-    lam_max = max(float(np.linalg.eigvalsh(h.conj().T @ h)[-1]), 0.0)
     return k * evaluator.mi(rho * nc / k * lam_max)

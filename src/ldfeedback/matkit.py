@@ -1,8 +1,8 @@
 """Minimal dense complex matrix kit.
 
-Hermitian eigendecomposition with a fixed ordering/phase convention,
-Haar-distributed random unitaries, complex Gaussian sampling, and a
-deterministic streaming RNG that the Monte Carlo layers build on.
+Stacked Hermitian eigendecomposition with a fixed ordering/phase
+convention, Haar-distributed random unitaries, complex Gaussian matrices,
+and a deterministic streaming RNG that the Monte Carlo layers build on.
 """
 
 import math
@@ -30,56 +30,50 @@ class Rng:
         key = np.array([self.seed, self.stream], dtype=np.uint64)
         self.gen = np.random.Generator(np.random.Philox(key=key))
 
-    def substream(self, index):
-        """Fresh stream (seed, index), independent of this one's position."""
-        return Rng(self.seed, index)
-
     def __repr__(self):
         return f"Rng(seed={self.seed}, stream={self.stream})"
 
 
 @dataclass
 class EigSystem:
-    """Eigendecomposition of a Hermitian matrix.
+    """Eigendecompositions of a stack of Hermitian matrices.
 
-    values are real and sorted non-increasing; column i of vectors pairs
-    with values[i]. In each eigenvector the entry of largest magnitude is
-    real and non-negative (ties broken by lowest index).
+    values (..., n) are real and sorted non-increasing; column i of
+    vectors[...] pairs with values[..., i]. In each eigenvector the entry of
+    largest magnitude is real and non-negative (ties broken by lowest index).
     """
 
     values: np.ndarray
     vectors: np.ndarray
 
-    def reconstruct(self):
-        return (self.vectors * self.values) @ self.vectors.conj().T
-
 
 def hermitian_eig(m):
-    """Eigendecomposition of a Hermitian matrix (n <= 8 in practice).
+    """Eigendecomposition of each Hermitian matrix in a (..., n, n) stack (n <= 8 in practice).
 
-    The input is symmetrized before factoring; inputs further than
-    1e-9 * ||M||_F from Hermitian are rejected.
+    Every matrix is symmetrized before factoring; a matrix further than
+    1e-9 * ||M||_F from Hermitian is rejected. Each matrix is factored on
+    its own, so entry t of a stacked call equals the call on matrix t alone.
     """
     m = np.asarray(m, dtype=np.complex128)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise PreconditionError(f"hermitian_eig needs a square matrix, got shape {m.shape}")
-    scale = np.linalg.norm(m)
-    herm_resid = np.linalg.norm(m - m.conj().T)
-    if herm_resid > HERMITIAN_TOL * max(scale, 1e-300):
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
+        raise PreconditionError(f"hermitian_eig needs square matrices, got shape {m.shape}")
+    mh = np.swapaxes(m, -1, -2).conj()
+    scale = np.linalg.norm(m, axis=(-2, -1))
+    herm_resid = np.linalg.norm(m - mh, axis=(-2, -1))
+    bad = herm_resid > HERMITIAN_TOL * np.maximum(scale, 1e-300)
+    if bad.any():
+        idx = np.unravel_index(np.argmax(bad), bad.shape)
         raise PreconditionError(
-            f"matrix is not Hermitian: ||M - M^H|| = {herm_resid:.3e} vs ||M|| = {scale:.3e}"
+            f"matrix is not Hermitian: ||M - M^H|| = {herm_resid[idx]:.3e} vs ||M|| = {scale[idx]:.3e}"
         )
-    sym = (m + m.conj().T) / 2.0
-    w, v = np.linalg.eigh(sym)
-    w = w[::-1].copy()
-    v = v[:, ::-1].copy()
+    w, v = np.linalg.eigh((m + mh) / 2.0)
+    w = w[..., ::-1].copy()
+    v = v[..., ::-1].copy()
     # phase convention: largest-magnitude entry of each column real non-negative
-    for j in range(v.shape[1]):
-        idx = int(np.argmax(np.abs(v[:, j])))
-        piv = v[idx, j]
-        mag = abs(piv)
-        if mag > 0:
-            v[:, j] *= piv.conjugate() / mag
+    piv = np.take_along_axis(v, np.abs(v).argmax(axis=-2)[..., None, :], axis=-2)
+    mag = np.abs(piv)
+    nonzero = mag > 0
+    v *= np.where(nonzero, piv.conj() / np.where(nonzero, mag, 1.0), 1.0)
     return EigSystem(values=w, vectors=v)
 
 
@@ -96,17 +90,6 @@ def haar_unitary(n, rng):
     d = np.diagonal(r)
     q = q * (d / np.abs(d))
     return q
-
-
-def complex_gaussian(rng, variance):
-    """One draw of a circularly-symmetric complex Gaussian CN(0, variance)."""
-    if not (variance >= 0.0) or not math.isfinite(variance):
-        raise PreconditionError(f"variance must be finite and >= 0, got {variance}")
-    if variance == 0.0:
-        return 0j
-    s = math.sqrt(variance / 2.0)
-    re, im = rng.gen.standard_normal(2)
-    return complex(s * re, s * im)
 
 
 def complex_gaussian_matrix(rng, variances):

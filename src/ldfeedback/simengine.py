@@ -1,4 +1,4 @@
-"""Monte Carlo estimation of average mutual information and received SNR.
+"""Monte Carlo estimation of average mutual information.
 
 Trials are drawn once per configuration with one RNG substream per trial
 index, then every scheme is evaluated on the same draws (common random
@@ -8,20 +8,24 @@ bit-identical regardless of how trials would be scheduled.
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .channel import sample
-from .codebook import QuantizedCodebook, random_rank_two_lambdas
+from .codebook import QuantizedCodebook, random_rank_two_lambdas, s_matrix, select_mi
 from .errors import InfeasibleError, PreconditionError
-from .infotheory import LN2, MiEvaluator
+from .infotheory import LN2, MiEvaluator, perfect_csi_mi
 from .matkit import Rng, hermitian_eig, haar_unitary
 
 # Flat stream-index namespace: trials take 0..trials-1, internal draws sit high.
 STREAM_CODEBOOK = 1 << 48
 STREAM_OPT = (1 << 48) + 1
 STREAM_TOURNAMENT = (1 << 48) + 2
+STATISTICAL_SCHEMES = ("statistical", "statistical-beamforming")
+MIN_OPT_SAMPLES = 100
+# trials per stacked eigendecomposition in draw_trials; bounds its scratch memory
+EIG_CHUNK = 4096
 
 
 def rho_from_db(snr_db):
@@ -52,6 +56,11 @@ class SimConfig:
             raise PreconditionError("scheme list must be non-empty")
         if self.k < 1 or self.k > 2 * self.nc:
             raise InfeasibleError(f"K = {self.k} violates 1 <= K <= 2*Nc = {2 * self.nc}")
+        if self.opt_samples < MIN_OPT_SAMPLES and any(s in STATISTICAL_SCHEMES for s in self.schemes):
+            raise PreconditionError(
+                f"opt_samples = {self.opt_samples}: the statistical optimizer needs at least "
+                f"{MIN_OPT_SAMPLES} samples"
+            )
 
 
 @dataclass
@@ -75,53 +84,35 @@ class LambdaStat:
 
 
 @dataclass
-class SnrPoint:
-    snr_db: float
-    mean_received_snr: float
-    mean_delta_snr: float
-    trials: int
-
-
-@dataclass
 class TrialBatch:
     """Channel draws shared by every scheme of one experiment."""
 
     h: np.ndarray  # (n, nr, nt)
     hind: np.ndarray  # (n, nr, nt)
-    eigvals: np.ndarray  # (n, nt) of H^H H, descending
-    top_vec: np.ndarray  # (n, nt) dominant eigenvector
+    eigvals: np.ndarray  # (n, nt) of H^H H, descending, clipped at 0
     ind_col_power: np.ndarray  # (n, nt) squared column norms of hind
-    _s_cache: dict = field(default_factory=dict, repr=False)
 
     @property
     def trials(self):
         return self.h.shape[0]
 
-    def s_tensor(self, unitaries):
-        """Per-mode received powers for a unitary family, shape (n, N1, Nt)."""
-        key = tuple(id(u) for u in unitaries)
-        if key not in self._s_cache:
-            smat = np.stack([(np.abs(self.h @ u) ** 2).sum(axis=1) for u in unitaries], axis=1)
-            self._s_cache[key] = smat
-        return self._s_cache[key]
 
-
-def draw_trials(model, trials, seed):
-    """Sample `trials` channels, one substream per trial index."""
+def draw_trials(model, trials, seed, first_stream=0):
+    """Sample `trials` channels, trial i from substream first_stream + i."""
     n = int(trials)
     h = np.empty((n, model.nr, model.nt), dtype=np.complex128)
     hind = np.empty_like(h)
-    eigvals = np.empty((n, model.nt))
-    top_vec = np.empty((n, model.nt), dtype=np.complex128)
     for i in range(n):
-        real = sample(model, Rng(seed, i))
+        real = sample(model, Rng(seed, first_stream + i))
         h[i] = real.h
         hind[i] = real.hind
-        eig = hermitian_eig(real.h.conj().T @ real.h)
-        eigvals[i] = np.maximum(eig.values, 0.0)
-        top_vec[i] = eig.vectors[:, 0]
+    eigvals = np.empty((n, model.nt))
+    for lo in range(0, n, EIG_CHUNK):
+        chunk = h[lo : lo + EIG_CHUNK]
+        eig = hermitian_eig(np.swapaxes(chunk.conj(), -1, -2) @ chunk)
+        eigvals[lo : lo + EIG_CHUNK] = np.maximum(eig.values, 0.0)
     ind_col_power = (np.abs(hind) ** 2).sum(axis=1)
-    return TrialBatch(h=h, hind=hind, eigvals=eigvals, top_vec=top_vec, ind_col_power=ind_col_power)
+    return TrialBatch(h=h, hind=hind, eigvals=eigvals, ind_col_power=ind_col_power)
 
 
 def project_scaled_simplex(v, total):
@@ -135,16 +126,20 @@ def project_scaled_simplex(v, total):
     return np.maximum(v - theta, 0.0)
 
 
-def _draw_ind_column_powers(model, samples, rng):
+def draw_ind_column_powers(model, samples, rng):
+    """Squared column norms of `samples` draws of Hind, shape (samples, Nt): the optimizer's inputs."""
     z = rng.gen.standard_normal((2, samples, model.nr, model.nt))
     hind = (z[0] + 1j * z[1]) * np.sqrt(model.vmask / 2.0)
     return (np.abs(hind) ** 2).sum(axis=1)
 
 
-def _optimize_lambda(cols, rho, nt, k, nc, evaluator, max_iter=500, tol=1e-6):
-    """Projected gradient ascent of mean I(rho/Nt * cols @ lam) over the scaled simplex.
+def optimize_lambda(cols, rho, nt, k, nc, evaluator, max_iter=500, tol=1e-6):
+    """Statistical-CSI power allocation by sample-average approximation.
 
-    Gradient components come from the derivative relation dI/da = mmse(a).
+    Projected gradient ascent of the sample mean of I(rho/Nt * cols @ lam)
+    over non-negative diagonals of trace Nt*Nc/K, where row s of cols holds
+    the squared column norms of Hind for sample s. Gradient components come
+    from the derivative relation dI/da = mmse(a).
     """
     total = nt * nc / k
 
@@ -186,18 +181,6 @@ def _optimize_lambda(cols, rho, nt, k, nc, evaluator, max_iter=500, tol=1e-6):
     return LambdaStat(diag=best_lam, converged=converged, iterations=iterations)
 
 
-def optimize_lambda_stat(model, rho, k, nc, evaluator, samples, rng):
-    """Statistical-CSI power allocation by sample-average approximation.
-
-    Maximizes the sample mean of I(rho/Nt * Tr(Hind diag(lam) Hind^H)) over
-    non-negative diagonals of trace Nt*Nc/K, on a fixed set of draws from rng.
-    """
-    if samples < 100:
-        raise PreconditionError("optimizer needs at least 100 samples")
-    cols = _draw_ind_column_powers(model, int(samples), rng)
-    return _optimize_lambda(cols, rho, model.nt, k, nc, evaluator)
-
-
 def _best_single_mode(cols, rho, nt, k, nc, evaluator):
     """Mode index whose full-budget allocation maximizes the sample-mean MI."""
     total = nt * nc / k
@@ -205,12 +188,13 @@ def _best_single_mode(cols, rho, nt, k, nc, evaluator):
     return int(np.argmax(means))
 
 
-def scheme_block_mi(config, scheme, batch, opt_cols=None):
+def scheme_block_mi(config, scheme, batch, opt_cols=None, smat=None):
     """Per-trial block MI in nats for one scheme, shape (n_snr, trials).
 
     The perfect scheme uses the K = 2*Nc benchmark; all other schemes use
     config.k. String schemes: perfect, statistical, statistical-beamforming.
-    Quantized schemes come as ("quantized", label, codebook).
+    Quantized schemes come as ("quantized", label, codebook); smat, when
+    given, is s_matrix(batch.h, codebook.unitaries).
     """
     evaluator = MiEvaluator(config.constellation)
     grid = list(config.snr_grid_db)
@@ -220,25 +204,22 @@ def scheme_block_mi(config, scheme, batch, opt_cols=None):
         kind, _, cb = scheme
         if kind != "quantized":
             raise PreconditionError(f"unknown scheme tuple kind {kind!r}")
-        smat = batch.s_tensor(cb.unitaries)
-        args = np.einsum("nim,jm->nij", smat, cb.lambda_matrix())
-        rows = []
-        for rho in rhos:
-            vals = k * evaluator.mi(np.maximum(args, 0.0) * rho / nt)
-            rows.append(vals.reshape(batch.trials, -1).max(axis=1))
-        return np.vstack(rows)
+        if smat is None:
+            smat = s_matrix(batch.h, cb.unitaries)
+        lambdas = cb.lambda_matrix()
+        return np.vstack([select_mi(smat, lambdas, rho, k, nt, evaluator)[0] for rho in rhos])
     if scheme == "perfect":
-        kp = 2 * nc
-        return np.vstack([kp * evaluator.mi(rho * nc / kp * batch.eigvals[:, 0]) for rho in rhos])
-    if scheme in ("statistical", "statistical-beamforming"):
+        return np.vstack([perfect_csi_mi(batch.eigvals[:, 0], rho, 2 * nc, nc, evaluator)
+                          for rho in rhos])
+    if scheme in STATISTICAL_SCHEMES:
         if opt_cols is None:
-            opt_cols = _draw_ind_column_powers(
+            opt_cols = draw_ind_column_powers(
                 config.model, config.opt_samples, Rng(config.seed, STREAM_OPT)
             )
         rows = []
         for rho in rhos:
             if scheme == "statistical":
-                lam = _optimize_lambda(opt_cols, rho, nt, k, nc, evaluator).diag
+                lam = optimize_lambda(opt_cols, rho, nt, k, nc, evaluator).diag
             else:
                 mode = _best_single_mode(opt_cols, rho, nt, k, nc, evaluator)
                 lam = np.zeros(nt)
@@ -272,8 +253,8 @@ def run(config, batch=None):
     if batch is None:
         batch = draw_trials(config.model, config.trials, config.seed)
     opt_cols = None
-    if any(s in ("statistical", "statistical-beamforming") for s in config.schemes if isinstance(s, str)):
-        opt_cols = _draw_ind_column_powers(
+    if any(s in STATISTICAL_SCHEMES for s in config.schemes):
+        opt_cols = draw_ind_column_powers(
             config.model, config.opt_samples, Rng(config.seed, STREAM_OPT)
         )
     curves = []
@@ -312,6 +293,7 @@ def best_rank_one_codebook(config, b, n1, n2, unitaries=None, batch=None, label=
     if batch is None:
         batch = draw_trials(config.model, config.trials, config.seed)
     budget = nt * config.nc / config.k
+    smat = s_matrix(batch.h, unitaries)
     best = None
     for modes in candidates:
         lambdas = []
@@ -323,7 +305,7 @@ def best_rank_one_codebook(config, b, n1, n2, unitaries=None, batch=None, label=
             b=b, n1=n1, n2=n2, unitaries=unitaries, lambdas=lambdas,
             k=config.k, nc=config.nc, nt=nt,
         )
-        rows = scheme_block_mi(config, ("quantized", label, cb), batch)
+        rows = scheme_block_mi(config, ("quantized", label, cb), batch, smat=smat)
         score = float(rows.mean(axis=1).sum())
         if best is None or score > best[0]:
             best = (score, cb, rows)
@@ -348,6 +330,7 @@ def rank_two_tournament(config, b, n1, n2, count, unitaries=None, batch=None,
         batch = draw_trials(config.model, config.trials, config.seed)
     rng = Rng(config.seed, STREAM_TOURNAMENT)
     lamsets = random_rank_two_lambdas(count, n2, nt, config.nc, config.k, rng)
+    smat = s_matrix(batch.h, unitaries)
     all_curves = []
     per_point = []  # (n_codebooks, n_snr) means
     for idx, lambdas in enumerate(lamsets):
@@ -357,7 +340,7 @@ def rank_two_tournament(config, b, n1, n2, count, unitaries=None, batch=None,
         )
         points = _curve_points(
             config, f"quantized-rank2-{idx:02d}",
-            scheme_block_mi(config, ("quantized", "", cb), batch),
+            scheme_block_mi(config, ("quantized", "", cb), batch, smat=smat),
         )
         all_curves.append(points)
         per_point.append([p.mi_bits_per_use for p in points])
@@ -371,25 +354,3 @@ def rank_two_tournament(config, b, n1, n2, count, unitaries=None, batch=None,
                        stderr=src.stderr, trials=src.trials)
         )
     return best_points, [p for curve in all_curves for p in curve]
-
-
-def avg_received_snr(config, cb, batch=None):
-    """Monte Carlo mean of the snr-rule objective scaled by rho*Nc/K, plus mean gap."""
-    config.validate()
-    if batch is None:
-        batch = draw_trials(config.model, config.trials, config.seed)
-    smat = batch.s_tensor(cb.unitaries)
-    obj = np.einsum("nim,jm->nij", smat, cb.alpha_matrix()).reshape(batch.trials, -1).max(axis=1)
-    points = []
-    for snr in config.snr_grid_db:
-        rho = rho_from_db(snr)
-        scale = rho * config.nc / config.k
-        points.append(
-            SnrPoint(
-                snr_db=float(snr),
-                mean_received_snr=float((scale * obj).mean()),
-                mean_delta_snr=float((scale * (batch.eigvals[:, 0] - obj)).mean()),
-                trials=batch.trials,
-            )
-        )
-    return points

@@ -14,6 +14,7 @@ from . import channel, codebook, dispersion
 from .errors import InfeasibleError
 from .infotheory import Constellation, MiEvaluator, block_mi, perfect_csi_mi
 from .matkit import Rng, haar_unitary, hermitian_eig
+from .simengine import draw_trials
 
 DEFAULT_SEED = 20180417
 
@@ -41,6 +42,11 @@ def _random_psd(n, rng, trace):
     a = rng.gen.standard_normal((n, n)) + 1j * rng.gen.standard_normal((n, n))
     q = a @ a.conj().T
     return q * (trace / q.trace().real)
+
+
+def _uniform_codeword(qs):
+    """Each (K, Nt, Nt) covariance set replaced by K copies of its mean."""
+    return np.broadcast_to(qs.mean(axis=1, keepdims=True), qs.shape)
 
 
 def suite_prop1(seed=DEFAULT_SEED):
@@ -85,16 +91,12 @@ def suite_thm1(seed=DEFAULT_SEED):
     ]
     # uniform symbol power never loses: sum_k I(a_k) <= K * I(mean a_k)
     ev = MiEvaluator(Constellation.gaussian())
-    model = channel.v4_model()
-    worst = -np.inf
-    for t in range(100):
-        real = channel.sample(model, Rng(seed, 100 + t))
-        traces = np.array([4.0, 6.0, 3.0, 3.0])  # per-symbol traces, sum = Nt*Nc budget
-        qs = [_random_psd(4, rng, tr) for tr in traces]
-        qhat = sum(qs) / len(qs)
-        split = block_mi(real, qs, 1.0, 4, ev)
-        uniform = block_mi(real, [qhat] * len(qs), 1.0, 4, ev)
-        worst = max(worst, split - uniform)
+    batch = draw_trials(channel.v4_model(), 100, seed, first_stream=100)
+    traces = np.array([4.0, 6.0, 3.0, 3.0])  # per-symbol traces, sum = Nt*Nc budget
+    qs = np.array([[_random_psd(4, rng, tr) for tr in traces] for _ in range(batch.trials)])
+    split = block_mi(batch.h, qs, 1.0, 4, ev)
+    uniform = block_mi(batch.h, _uniform_codeword(qs), 1.0, 4, ev)
+    worst = float((split - uniform).max())
     results.append(CheckResult("thm1", "uniform-power-optimal", worst <= 1e-9, worst,
                                "100 channels x random splits"))
     return results
@@ -103,22 +105,18 @@ def suite_thm1(seed=DEFAULT_SEED):
 def suite_thm2(seed=DEFAULT_SEED, channels=100, qsets=20):
     """Per-realization MI bound K*I(rho*Nc/K*lmax) and its achievability."""
     rng = Rng(seed, 21)
-    model = channel.iid_model(4, 4)
     ev = MiEvaluator(Constellation.gaussian())
     k, nc, rho = 4, 4, 2.0
     trace = 4 * nc / k
-    worst_bound = -np.inf
-    worst_achieve = 0.0
-    for t in range(channels):
-        real = channel.sample(model, Rng(seed, 200 + t))
-        best = perfect_csi_mi(real, rho, k, nc, ev)
-        for _ in range(qsets):
-            q = _random_psd(4, rng, trace)
-            worst_bound = max(worst_bound, block_mi(real, [q] * k, rho, 4, ev) - best)
-        eig = hermitian_eig(real.h.conj().T @ real.h)
-        dset = dispersion.rank_one_set(eig.vectors[:, 0], k, nc)
-        achieved = block_mi(real, dset.covariances(), rho, 4, ev)
-        worst_achieve = max(worst_achieve, abs(achieved - best))
+    batch = draw_trials(channel.iid_model(4, 4), channels, seed, first_stream=200)
+    best = perfect_csi_mi(batch.eigvals[:, 0], rho, k, nc, ev)
+    qs = np.array([_random_psd(4, rng, trace) for _ in range(channels * qsets)])
+    uniform = block_mi(np.repeat(batch.h, qsets, axis=0),
+                       np.broadcast_to(qs[:, None], (qs.shape[0], k, 4, 4)), rho, 4, ev)
+    worst_bound = float((uniform - np.repeat(best, qsets)).max())
+    eig = hermitian_eig(np.swapaxes(batch.h.conj(), -1, -2) @ batch.h)
+    beams = np.array([dispersion.rank_one_set(v, k, nc).covariances() for v in eig.vectors[:, :, 0]])
+    worst_achieve = float(np.abs(block_mi(batch.h, beams, rho, 4, ev) - best).max())
     return [
         CheckResult("thm2", "upper-bound", worst_bound <= 1e-9, worst_bound,
                     f"{channels} channels x {qsets} uniform-Q sets"),
@@ -129,18 +127,14 @@ def suite_thm2(seed=DEFAULT_SEED, channels=100, qsets=20):
 
 def suite_thm3(seed=DEFAULT_SEED, draws=1000):
     """Per-realization monotonicity of K*I(rho*Nc/K*lmax) in K, K = 1..2*Nc."""
-    model = channel.iid_model(4, 4)
     nc = 4
-    lam_max = np.empty(draws)
-    for t in range(draws):
-        real = channel.sample(model, Rng(seed, 300 + t))
-        lam_max[t] = np.linalg.eigvalsh(real.h.conj().T @ real.h)[-1]
+    lam_max = draw_trials(channel.iid_model(4, 4), draws, seed, first_stream=300).eigvals[:, 0]
     results = []
     for const in (Constellation.gaussian(), Constellation.bpsk()):
         ev = MiEvaluator(const)
         worst = -np.inf
         for rho in (1.0, 10.0):
-            vals = np.stack([k * ev.mi(rho * nc / k * lam_max) for k in range(1, 2 * nc + 1)])
+            vals = np.stack([perfect_csi_mi(lam_max, rho, k, nc, ev) for k in range(1, 2 * nc + 1)])
             worst = max(worst, float((vals[:-1] - vals[1:]).max()))
         results.append(CheckResult("thm3", f"monotone-in-k-{const.kind}", worst <= 1e-8, worst,
                                    f"{draws} draws, K = 1..{2 * nc}"))
@@ -149,58 +143,43 @@ def suite_thm3(seed=DEFAULT_SEED, draws=1000):
 
 def suite_thm4(seed=DEFAULT_SEED, realizations=1000, competitors=20):
     """Rank-one codebooks with all Nt single modes beat any same-unitary codebook."""
-    model = channel.iid_model(4, 4)
     ev = MiEvaluator(Constellation.gaussian())
     nt, nc, k, rho = 4, 4, 4, 2.0
-    b, n1, n2 = 4, 4, 4
+    n1, n2 = 4, 4
     rng = Rng(seed, 41)
     unitaries = [haar_unitary(nt, rng) for _ in range(n1)]
     budget = nt * nc / k
-    rank_one = codebook.QuantizedCodebook(
-        b=b, n1=n1, n2=n2, unitaries=unitaries,
-        lambdas=[budget * np.eye(nt)[m] for m in range(nt)], k=k, nc=nc, nt=nt,
-    )
-    worst = -np.inf
+    batch = draw_trials(channel.iid_model(4, 4), realizations, seed, first_stream=400)
+    comp = np.empty((realizations, competitors, n2, nt))
     for t in range(realizations):
-        real = channel.sample(model, Rng(seed, 400 + t))
-        ref = codebook.select_mi(rank_one, real, rho, ev).value
-        for _ in range(competitors):
+        for c in range(competitors):
             w = rng.gen.uniform(size=(n2, nt))
             w /= w.sum(axis=1, keepdims=True)
             scale = rng.gen.uniform(0.5, 1.0, size=(n2, 1))
-            comp = codebook.QuantizedCodebook(
-                b=b, n1=n1, n2=n2, unitaries=unitaries,
-                lambdas=list(budget * scale * w), k=k, nc=nc, nt=nt,
-            )
-            worst = max(worst, codebook.select_mi(comp, real, rho, ev).value - ref)
+            comp[t, c] = budget * scale * w
+    smat = codebook.s_matrix(batch.h, unitaries)
+    ref = codebook.select_mi(smat, budget * np.eye(nt), rho, k, nt, ev)[0]
+    got = codebook.select_mi(smat[:, None], comp, rho, k, nt, ev)[0]
+    worst = float((got - ref[:, None]).max())
     return [CheckResult("thm4", "rank-one-strongly-optimal", worst <= 1e-9, worst,
                         f"{realizations} realizations x {competitors} competitors")]
 
 
 def suite_thm5(seed=DEFAULT_SEED, realizations=500):
     """snr-rule objective is capped by max_im s_im and rank-one codebooks reach the cap."""
-    model = channel.v4_model()
     nt, nc, k = 4, 4, 4
     rng = Rng(seed, 51)
     unitaries = [haar_unitary(nt, rng) for _ in range(4)]
     budget = nt * nc / k
-    full_modes = codebook.QuantizedCodebook(
-        b=4, n1=4, n2=4, unitaries=unitaries,
-        lambdas=[budget * np.eye(nt)[m] for m in range(nt)], k=k, nc=nc, nt=nt,
-    )
-    worst_cap = -np.inf
-    worst_achieve = 0.0
-    for t in range(realizations):
-        real = channel.sample(model, Rng(seed, 500 + t))
-        smax = max(float(codebook.s_matrix(real, u).max()) for u in unitaries)
-        lamsets = codebook.random_rank_two_lambdas(3, 4, nt, nc, k, rng)
-        for lambdas in lamsets:
-            comp = codebook.QuantizedCodebook(
-                b=4, n1=4, n2=4, unitaries=unitaries, lambdas=lambdas, k=k, nc=nc, nt=nt,
-            )
-            worst_cap = max(worst_cap, codebook.select_snr(comp, real).value - smax)
-        worst_achieve = max(worst_achieve,
-                            abs(codebook.select_snr(full_modes, real).value - smax))
+    batch = draw_trials(channel.v4_model(), realizations, seed, first_stream=500)
+    lamsets = np.array([codebook.random_rank_two_lambdas(3, 4, nt, nc, k, rng)
+                        for _ in range(realizations)])
+    smat = codebook.s_matrix(batch.h, unitaries)
+    smax = smat.max(axis=(1, 2))
+    comp = codebook.select_snr(smat[:, None], lamsets, k, nt, nc)[0]
+    worst_cap = float((comp - smax[:, None]).max())
+    full_modes = codebook.select_snr(smat, budget * np.eye(nt), k, nt, nc)[0]
+    worst_achieve = float(np.abs(full_modes - smax).max())
     return [
         CheckResult("thm5", "snr-cap", worst_cap <= 1e-9, worst_cap,
                     f"{realizations} realizations x 3 rank-two codebooks"),
@@ -210,19 +189,17 @@ def suite_thm5(seed=DEFAULT_SEED, realizations=500):
 
 def suite_prop2(seed=DEFAULT_SEED, realizations=200):
     """Averaging a per-symbol-varying codeword never decreases the block MI."""
-    model = channel.iid_model(4, 4)
     ev = MiEvaluator(Constellation.gaussian())
     rng = Rng(seed, 61)
     k, nc, rho = 4, 4, 1.5
-    worst = -np.inf
+    batch = draw_trials(channel.iid_model(4, 4), realizations, seed, first_stream=600)
+    qs = np.empty((realizations, k, 4, 4), dtype=np.complex128)
     for t in range(realizations):
-        real = channel.sample(model, Rng(seed, 600 + t))
         shares = rng.gen.uniform(size=k)
         shares = shares / shares.sum() * (4 * nc)
-        qs = [_random_psd(4, rng, tr) for tr in shares]
-        qhat = sum(qs) / k
-        worst = max(worst,
-                    block_mi(real, qs, rho, 4, ev) - block_mi(real, [qhat] * k, rho, 4, ev))
+        qs[t] = [_random_psd(4, rng, tr) for tr in shares]
+    gaps = block_mi(batch.h, qs, rho, 4, ev) - block_mi(batch.h, _uniform_codeword(qs), rho, 4, ev)
+    worst = float(gaps.max())
     return [CheckResult("prop2", "uniform-codeword-dominates", worst <= 1e-9, worst,
                         f"{realizations} realizations")]
 
@@ -259,7 +236,6 @@ def suite_prop3(seed=DEFAULT_SEED, instances=1000):
 
 def suite_lemma1(seed=DEFAULT_SEED, realizations=10000):
     """Per-realization mutual-information gap never exceeds the received-SNR gap."""
-    model = channel.v4_model()
     ev = MiEvaluator(Constellation.gaussian())
     nt, nc, k = 4, 4, 4
     rng = Rng(seed, 81)
@@ -267,13 +243,9 @@ def suite_lemma1(seed=DEFAULT_SEED, realizations=10000):
     lambdas = codebook.random_rank_two_lambdas(1, 1, nt, nc, k, rng)[0]
     cb = codebook.QuantizedCodebook(b=2, n1=4, n2=1, unitaries=unitaries, lambdas=lambdas,
                                     k=k, nc=nc, nt=nt)
-    worst = -np.inf
-    for t in range(realizations):
-        real = channel.sample(model, Rng(seed, 800 + t))
-        for rho in (1.0, 10.0):
-            gap_mi = codebook.delta_mi(cb, real, rho, ev)
-            gap_snr = codebook.delta_snr(cb, real, rho)
-            worst = max(worst, gap_mi - gap_snr)
+    batch = draw_trials(channel.v4_model(), realizations, seed, first_stream=800)
+    worst = max(float((codebook.delta_mi(cb, batch, rho, ev) - codebook.delta_snr(cb, batch, rho)).max())
+                for rho in (1.0, 10.0))
     return [CheckResult("lemma1", "mi-gap-below-snr-gap", worst <= 1e-9, worst,
                         f"{realizations} V4 realizations, rho in {{1, 10}}")]
 

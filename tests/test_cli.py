@@ -129,6 +129,16 @@ class TestSimulate:
         cfg = write(tmp_path, "exp.cfg", SMALL_CFG.replace("trials = 20", "trials = 1"))
         assert cli.main(["simulate", cfg, "-o", str(tmp_path / "no" / "dir.csv")]) == 2
 
+    @pytest.mark.parametrize("samples", [0, 1])
+    def test_too_few_optimizer_samples_exit_2(self, tmp_path, capsys, samples):
+        text = SMALL_CFG.replace("schemes = perfect,statistical,statistical-beamforming,"
+                                 "quantized-rank1-best,quantized-rank2-best", "schemes = statistical")
+        cfg = write(tmp_path, "exp.cfg", text.replace("opt_samples = 500", f"opt_samples = {samples}"))
+        out = tmp_path / "x.csv"
+        assert cli.main(["simulate", cfg, "-o", str(out)]) == 2
+        assert "opt_samples" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_seed_override_changes_output(self, tmp_path):
         cfg = write(tmp_path, "exp.cfg", SMALL_CFG.replace("trials = 20", "trials = 2"))
         out1, out2 = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")

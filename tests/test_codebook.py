@@ -1,14 +1,13 @@
 import numpy as np
 import pytest
 
-from ldfeedback.channel import ChannelRealization, iid_model, sample, v4_model
+from ldfeedback.channel import iid_model, v4_model
 from ldfeedback.codebook import (
     QuantizedCodebook,
     delta_mi,
     delta_snr,
     from_text,
     random_rank_two_lambdas,
-    rvq_codebook,
     s_matrix,
     select_mi,
     select_snr,
@@ -17,6 +16,7 @@ from ldfeedback.codebook import (
 from ldfeedback.errors import PreconditionError
 from ldfeedback.infotheory import Constellation, MiEvaluator, block_mi
 from ldfeedback.matkit import Rng, haar_unitary, hermitian_eig
+from ldfeedback.simengine import draw_trials
 from ldfeedback.verify import prop3_gap
 
 
@@ -25,42 +25,70 @@ def gaussian_eval():
 
 
 def realization(stream, nt=4, nr=4, seed=313):
-    return sample(iid_model(nt, nr), Rng(seed, stream))
+    """One i.i.d. channel draw as a one-trial batch (the n = 1 stack)."""
+    return draw_trials(iid_model(nt, nr), 1, seed, first_stream=stream)
 
 
-def codebook_with_eigenbasis(real, nt=4, nc=4, k=4, extra=3, seed=99):
+def haar_unitaries(n1, rng, nt=4):
+    return [haar_unitary(nt, rng) for _ in range(n1)]
+
+
+def mode_diagonals(modes, nt=4, budget=4.0):
+    """Full-budget rank-one diagonals budget * e_m, one per mode index."""
+    return [budget * np.eye(nt)[m] for m in modes]
+
+
+def codebook_with_eigenbasis(batch, nt=4, nc=4, k=4, extra=3, seed=99):
     """Codebook whose first unitary is the channel's own eigenbasis, mode-1 diagonal."""
-    eig = hermitian_eig(real.h.conj().T @ real.h)
+    h = batch.h[0]
+    eig = hermitian_eig(h.conj().T @ h)
     rng = Rng(seed, 0)
-    unitaries = [eig.vectors] + [haar_unitary(nt, rng) for _ in range(extra)]
+    unitaries = [eig.vectors] + haar_unitaries(extra, rng, nt)
     lam = np.zeros(nt)
     lam[0] = nt * nc / k
     return QuantizedCodebook(b=2, n1=1 + extra, n2=1, unitaries=unitaries, lambdas=[lam],
                              k=k, nc=nc, nt=nt)
 
 
+def mi_rule(cb, batch, rho, ev):
+    """MI-rule (values, i, j) of a codebook on every trial of a batch."""
+    return select_mi(s_matrix(batch.h, cb.unitaries), cb.lambda_matrix(), rho, cb.k, cb.nt, ev)
+
+
+def snr_rule(cb, batch):
+    """SNR-rule (values, i, j) of a codebook on every trial of a batch."""
+    return select_snr(s_matrix(batch.h, cb.unitaries), cb.lambda_matrix(), cb.k, cb.nt, cb.nc)
+
+
 class TestRvqCodebook:
+    """Random-vector-quantization codebooks: Haar i.i.d. unitaries with given diagonals."""
+
     def test_single_mode_split(self):
-        cb = rvq_codebook(2, 4, 1, [0], k=4, nc=4, nt=4, rng=Rng(1, 0))
+        cb = QuantizedCodebook(b=2, n1=4, n2=1, unitaries=haar_unitaries(4, Rng(1, 0)),
+                               lambdas=mode_diagonals([0]), k=4, nc=4, nt=4)
         assert len(cb.unitaries) == 4 and len(cb.lambdas) == 1
-        assert np.array_equal(cb.lambdas[0], [4.0, 0.0, 0.0, 0.0])
+        assert np.array_equal(cb.lambda_matrix(), [[4.0, 0.0, 0.0, 0.0]])
 
     def test_two_by_two_split(self):
-        cb = rvq_codebook(2, 2, 2, [0, 2], k=4, nc=4, nt=4, rng=Rng(1, 1))
+        cb = QuantizedCodebook(b=2, n1=2, n2=2, unitaries=haar_unitaries(2, Rng(1, 1)),
+                               lambdas=mode_diagonals([0, 2]), k=4, nc=4, nt=4)
         assert cb.n1 * cb.n2 == 4
-        assert np.array_equal(cb.lambdas[1], [0.0, 0.0, 4.0, 0.0])
+        assert np.array_equal(cb.lambda_matrix()[1], [0.0, 0.0, 4.0, 0.0])
 
     def test_all_mode_set(self):
-        cb = rvq_codebook(4, 4, 4, list(range(4)), k=4, nc=4, nt=4, rng=Rng(1, 2))
-        assert np.allclose(np.stack(cb.lambdas), 4.0 * np.eye(4))
+        cb = QuantizedCodebook(b=4, n1=4, n2=4, unitaries=haar_unitaries(4, Rng(1, 2)),
+                               lambdas=mode_diagonals(range(4)), k=4, nc=4, nt=4)
+        assert np.allclose(cb.lambda_matrix(), 4.0 * np.eye(4))
 
     def test_rejects_split_mismatch(self):
         with pytest.raises(PreconditionError):
-            rvq_codebook(2, 3, 1, [0], k=4, nc=4, nt=4, rng=Rng(1, 3))
+            QuantizedCodebook(b=2, n1=3, n2=1, unitaries=haar_unitaries(3, Rng(1, 3)),
+                              lambdas=mode_diagonals([0]), k=4, nc=4, nt=4)
 
     def test_rejects_trace_violation(self):
         with pytest.raises(PreconditionError):
-            rvq_codebook(2, 4, 1, [np.full(4, 2.0)], k=4, nc=4, nt=4, rng=Rng(1, 4))
+            QuantizedCodebook(b=2, n1=4, n2=1, unitaries=haar_unitaries(4, Rng(1, 4)),
+                              lambdas=[np.full(4, 2.0)], k=4, nc=4, nt=4)
 
 
 class TestRandomRankTwo:
@@ -90,139 +118,140 @@ class TestRandomRankTwo:
 
 class TestSMatrix:
     def test_eigenbasis_gives_eigenvalues(self):
-        real = realization(0)
-        eig = hermitian_eig(real.h.conj().T @ real.h)
-        s = s_matrix(real, eig.vectors)
-        assert np.allclose(s, eig.values, atol=1e-10)
+        batch = realization(0)
+        eig = hermitian_eig(batch.h[0].conj().T @ batch.h[0])
+        s = s_matrix(batch.h, [eig.vectors])
+        assert s.shape == (1, 1, 4)
+        assert np.allclose(s[0, 0], eig.values, atol=1e-10)
 
     def test_sum_is_channel_power(self):
-        real = realization(1)
-        u = haar_unitary(4, Rng(3, 0))
-        s = s_matrix(real, u)
-        assert abs(s.sum() - np.vdot(real.h, real.h).real) <= 1e-10
-        assert s.max() <= hermitian_eig(real.h.conj().T @ real.h).values[0] + 1e-10
+        batch = realization(1)
+        s = s_matrix(batch.h, [haar_unitary(4, Rng(3, 0))])[0, 0]
+        assert abs(s.sum() - np.vdot(batch.h, batch.h).real) <= 1e-10
+        assert s.max() <= batch.eigvals[0, 0] + 1e-10
 
     def test_matches_definition_through_eigen_factor(self):
         # oracle: squared column norms of Lh^(1/2) Uh^H U
-        real = realization(2)
-        eig = hermitian_eig(real.h.conj().T @ real.h)
+        batch = realization(2)
+        eig = hermitian_eig(batch.h[0].conj().T @ batch.h[0])
         u = haar_unitary(4, Rng(3, 1))
         factor = np.diag(np.sqrt(eig.values)) @ eig.vectors.conj().T @ u
         expect = (np.abs(factor) ** 2).sum(axis=0)
-        assert np.allclose(s_matrix(real, u), expect, atol=1e-10)
+        assert np.allclose(s_matrix(batch.h, [u])[0, 0], expect, atol=1e-10)
 
     def test_zero_channel(self):
-        real = ChannelRealization(h=np.zeros((4, 4), dtype=complex),
-                                  hind=np.zeros((4, 4), dtype=complex))
-        assert np.array_equal(s_matrix(real, np.eye(4, dtype=complex)), np.zeros(4))
+        s = s_matrix(np.zeros((1, 4, 4), dtype=complex), [np.eye(4, dtype=complex)])
+        assert np.array_equal(s, np.zeros((1, 1, 4)))
 
     def test_rejects_non_unitary(self):
         with pytest.raises(PreconditionError):
-            s_matrix(realization(3), np.ones((4, 4), dtype=complex))
+            s_matrix(realization(3).h, [np.ones((4, 4), dtype=complex)])
 
 
 class TestSelectMi:
     def test_exact_eigenbasis_codeword_wins(self):
         ev = gaussian_eval()
         for stream in range(10):
-            real = realization(stream)
-            cb = codebook_with_eigenbasis(real)
-            eig = hermitian_eig(real.h.conj().T @ real.h)
-            sel = select_mi(cb, real, 2.0, ev)
-            assert sel.i == 0 and sel.j == 0
-            expect = cb.k * ev.mi(2.0 * cb.nc / cb.k * eig.values[0])
-            assert sel.value == pytest.approx(expect, rel=1e-12)
+            batch = realization(stream)
+            cb = codebook_with_eigenbasis(batch)
+            value, i, j = mi_rule(cb, batch, 2.0, ev)
+            assert i[0] == 0 and j[0] == 0
+            expect = cb.k * ev.mi(2.0 * cb.nc / cb.k * batch.eigvals[0, 0])
+            assert value[0] == pytest.approx(expect, rel=1e-12)
 
     def test_zero_snr_tie_break(self):
-        real = realization(0)
-        cb = rvq_codebook(2, 2, 2, [0, 1], k=4, nc=4, nt=4, rng=Rng(4, 0))
-        sel = select_mi(cb, real, 0.0, gaussian_eval())
-        assert (sel.i, sel.j) == (0, 0)
-        assert sel.value == 0.0
+        cb = QuantizedCodebook(b=2, n1=2, n2=2, unitaries=haar_unitaries(2, Rng(4, 0)),
+                               lambdas=mode_diagonals([0, 1]), k=4, nc=4, nt=4)
+        value, i, j = mi_rule(cb, realization(0), 0.0, gaussian_eval())
+        assert (i[0], j[0]) == (0, 0)
+        assert value[0] == 0.0
 
     def test_argmax_against_recomputation(self):
         ev = gaussian_eval()
-        real = realization(4)
-        cb = rvq_codebook(2, 2, 2, [1, 3], k=4, nc=4, nt=4, rng=Rng(4, 1))
-        sel = select_mi(cb, real, 1.5, ev)
-        for i in range(cb.n1):
-            for j in range(cb.n2):
-                q = cb.covariance(i, j)
-                val = cb.k * ev.mi(1.5 / cb.nt * np.einsum("ij,jk,ik->", real.h, q, real.h.conj()).real)
-                assert sel.value >= val - 1e-12
+        batch = realization(4)
+        h = batch.h[0]
+        cb = QuantizedCodebook(b=2, n1=2, n2=2, unitaries=haar_unitaries(2, Rng(4, 1)),
+                               lambdas=mode_diagonals([1, 3]), k=4, nc=4, nt=4)
+        value = mi_rule(cb, batch, 1.5, ev)[0][0]
+        for u in cb.unitaries:
+            for lam in cb.lambdas:
+                q = (u * lam) @ u.conj().T
+                val = cb.k * ev.mi(1.5 / cb.nt * np.einsum("ij,jk,ik->", h, q, h.conj()).real)
+                assert value >= val - 1e-12
 
     def test_determinism(self):
         ev = gaussian_eval()
-        real = realization(5)
-        cb = rvq_codebook(2, 4, 1, [2], k=4, nc=4, nt=4, rng=Rng(4, 2))
-        a = select_mi(cb, real, 2.0, ev)
-        b = select_mi(cb, real, 2.0, ev)
-        assert (a.i, a.j, a.value) == (b.i, b.j, b.value)
+        batch = realization(5)
+        cb = QuantizedCodebook(b=2, n1=4, n2=1, unitaries=haar_unitaries(4, Rng(4, 2)),
+                               lambdas=mode_diagonals([2]), k=4, nc=4, nt=4)
+        a = mi_rule(cb, batch, 2.0, ev)
+        b = mi_rule(cb, batch, 2.0, ev)
+        assert all(np.array_equal(x, y) for x, y in zip(a, b))
 
 
 class TestSelectSnr:
     def test_rank_one_codebook_reduces_to_best_mode_power(self):
-        real = realization(6)
-        cb = rvq_codebook(3, 2, 4, list(range(4)), k=4, nc=4, nt=4, rng=Rng(5, 0))
-        sel = select_snr(cb, real)
-        smax = max(s_matrix(real, u).max() for u in cb.unitaries)
-        assert sel.value == pytest.approx(smax, abs=1e-12)
+        batch = realization(6)
+        cb = QuantizedCodebook(b=3, n1=2, n2=4, unitaries=haar_unitaries(2, Rng(5, 0)),
+                               lambdas=mode_diagonals(range(4)), k=4, nc=4, nt=4)
+        value = snr_rule(cb, batch)[0][0]
+        smax = s_matrix(batch.h, cb.unitaries).max()
+        assert value == pytest.approx(smax, abs=1e-12)
 
     def test_agrees_with_mi_rule_for_gaussian(self):
         ev = gaussian_eval()
         rng = Rng(5, 1)
         for stream in range(200):
-            real = realization(stream, seed=551)
+            batch = realization(stream, seed=551)
             lamsets = random_rank_two_lambdas(1, 2, 4, 4, 4, rng)[0]
-            cb = QuantizedCodebook(b=2, n1=2, n2=2,
-                                   unitaries=[haar_unitary(4, rng) for _ in range(2)],
+            cb = QuantizedCodebook(b=2, n1=2, n2=2, unitaries=haar_unitaries(2, rng),
                                    lambdas=lamsets, k=4, nc=4, nt=4)
-            mi_sel = select_mi(cb, real, 1.3, ev)
-            snr_sel = select_snr(cb, real)
-            assert (mi_sel.i, mi_sel.j) == (snr_sel.i, snr_sel.j)
+            _, mi_i, mi_j = mi_rule(cb, batch, 1.3, ev)
+            _, snr_i, snr_j = snr_rule(cb, batch)
+            assert (mi_i[0], mi_j[0]) == (snr_i[0], snr_j[0])
 
     def test_zero_channel_tie_break(self):
-        real = ChannelRealization(h=np.zeros((4, 4), dtype=complex),
-                                  hind=np.zeros((4, 4), dtype=complex))
-        cb = rvq_codebook(2, 4, 1, [0], k=4, nc=4, nt=4, rng=Rng(5, 2))
-        sel = select_snr(cb, real)
-        assert (sel.i, sel.j) == (0, 0) and sel.value == 0.0
+        cb = QuantizedCodebook(b=2, n1=4, n2=1, unitaries=haar_unitaries(4, Rng(5, 2)),
+                               lambdas=mode_diagonals([0]), k=4, nc=4, nt=4)
+        smat = s_matrix(np.zeros((1, 4, 4), dtype=complex), cb.unitaries)
+        value, i, j = select_snr(smat, cb.lambda_matrix(), cb.k, cb.nt, cb.nc)
+        assert (i[0], j[0]) == (0, 0) and value[0] == 0.0
 
 
 class TestGaps:
     def test_exact_codeword_gives_zero_gaps(self):
         ev = gaussian_eval()
-        real = realization(7)
-        cb = codebook_with_eigenbasis(real)
-        assert abs(delta_snr(cb, real, 2.0)) <= 1e-10
-        assert abs(delta_mi(cb, real, 2.0, ev)) <= 1e-9
+        batch = realization(7)
+        cb = codebook_with_eigenbasis(batch)
+        assert abs(delta_snr(cb, batch, 2.0)[0]) <= 1e-10
+        assert abs(delta_mi(cb, batch, 2.0, ev)[0]) <= 1e-9
 
     def test_zero_snr_zero_mi_gap(self):
-        real = realization(8)
-        cb = rvq_codebook(2, 4, 1, [1], k=4, nc=4, nt=4, rng=Rng(6, 0))
-        assert delta_mi(cb, real, 0.0, gaussian_eval()) == 0.0
+        cb = QuantizedCodebook(b=2, n1=4, n2=1, unitaries=haar_unitaries(4, Rng(6, 0)),
+                               lambdas=mode_diagonals([1]), k=4, nc=4, nt=4)
+        assert delta_mi(cb, realization(8), 0.0, gaussian_eval())[0] == 0.0
 
     def test_snr_gap_nonnegative(self):
         rng = Rng(6, 1)
         for stream in range(100):
-            real = realization(stream, seed=661)
-            cb = rvq_codebook(2, 4, 1, [int(rng.gen.integers(4))], k=4, nc=4, nt=4, rng=rng)
-            assert delta_snr(cb, real, 1.0) >= -1e-12
+            batch = realization(stream, seed=661)
+            lambdas = mode_diagonals([int(rng.gen.integers(4))])
+            cb = QuantizedCodebook(b=2, n1=4, n2=1, unitaries=haar_unitaries(4, rng),
+                                   lambdas=lambdas, k=4, nc=4, nt=4)
+            assert delta_snr(cb, batch, 1.0)[0] >= -1e-12
 
     def test_mi_gap_below_snr_gap(self):
         # per-realization Lemma-1 form at a smaller scale; the full-size run
         # lives in the acceptance suite
         ev = gaussian_eval()
-        model = v4_model()
         rng = Rng(6, 2)
-        unitaries = [haar_unitary(4, rng) for _ in range(4)]
+        unitaries = haar_unitaries(4, rng)
         lambdas = random_rank_two_lambdas(1, 1, 4, 4, 4, rng)[0]
         cb = QuantizedCodebook(b=2, n1=4, n2=1, unitaries=unitaries, lambdas=lambdas,
                                k=4, nc=4, nt=4)
-        for stream in range(1000):
-            real = sample(model, Rng(662, stream))
-            for rho in (1.0, 10.0):
-                assert delta_mi(cb, real, rho, ev) <= delta_snr(cb, real, rho) + 1e-12
+        batch = draw_trials(v4_model(), 1000, 662)
+        for rho in (1.0, 10.0):
+            assert (delta_mi(cb, batch, rho, ev) <= delta_snr(cb, batch, rho) + 1e-12).all()
 
 
 class TestRankOneStrongOptimality:
@@ -230,19 +259,17 @@ class TestRankOneStrongOptimality:
         ev = gaussian_eval()
         nt, nc, k = 4, 4, 4
         rng = Rng(7, 0)
-        unitaries = [haar_unitary(nt, rng) for _ in range(4)]
+        unitaries = haar_unitaries(4, rng)
         rank_one = QuantizedCodebook(b=4, n1=4, n2=4, unitaries=unitaries,
-                                     lambdas=[4.0 * np.eye(nt)[m] for m in range(nt)],
-                                     k=k, nc=nc, nt=nt)
-        for stream in range(100):
-            real = realization(stream, seed=771)
-            ref = select_mi(rank_one, real, 2.0, ev).value
-            for _ in range(5):
-                w = rng.gen.uniform(size=(4, nt))
-                w /= w.sum(axis=1, keepdims=True)
-                comp = QuantizedCodebook(b=4, n1=4, n2=4, unitaries=unitaries,
-                                         lambdas=list(4.0 * w), k=k, nc=nc, nt=nt)
-                assert select_mi(comp, real, 2.0, ev).value <= ref + 1e-9
+                                     lambdas=mode_diagonals(range(nt)), k=k, nc=nc, nt=nt)
+        batch = draw_trials(iid_model(4, 4), 100, 771)
+        ref = mi_rule(rank_one, batch, 2.0, ev)[0]
+        smat = s_matrix(batch.h, unitaries)
+        for _ in range(5):
+            w = rng.gen.uniform(size=(batch.trials, 4, nt))
+            w /= w.sum(axis=-1, keepdims=True)
+            got = select_mi(smat, 4.0 * w, 2.0, k, nt, ev)[0]
+            assert (got <= ref + 1e-9).all()
 
 
 class TestProp2CodebookLevel:
@@ -250,17 +277,17 @@ class TestProp2CodebookLevel:
         ev = gaussian_eval()
         rng = Rng(8, 0)
         k = 4
-        for stream in range(50):
-            real = realization(stream, seed=881)
-            qs = []
+        batch = draw_trials(iid_model(4, 4), 50, 881)
+        qs = np.empty((batch.trials, k, 4, 4), dtype=complex)
+        for t in range(batch.trials):
             shares = rng.gen.uniform(size=k)
             shares = shares / shares.sum() * 16.0
-            for tr in shares:
+            for idx, tr in enumerate(shares):
                 a = rng.gen.standard_normal((4, 4)) + 1j * rng.gen.standard_normal((4, 4))
                 q = a @ a.conj().T
-                qs.append(q * (tr / q.trace().real))
-            qhat = sum(qs) / k
-            assert block_mi(real, qs, 1.0, 4, ev) <= block_mi(real, [qhat] * k, 1.0, 4, ev) + 1e-9
+                qs[t, idx] = q * (tr / q.trace().real)
+        qhat = np.broadcast_to(qs.mean(axis=1, keepdims=True), qs.shape)
+        assert (block_mi(batch.h, qs, 1.0, 4, ev) <= block_mi(batch.h, qhat, 1.0, 4, ev) + 1e-9).all()
 
 
 class TestProp3:
@@ -282,8 +309,9 @@ class TestProp3:
 
 class TestSerialization:
     def test_round_trip_bit_exact(self):
-        cb = rvq_codebook(2, 2, 2, [0, np.array([1.0, 2.0, 1.0, 0.0])],
-                          k=4, nc=4, nt=4, rng=Rng(10, 0))
+        cb = QuantizedCodebook(b=2, n1=2, n2=2, unitaries=haar_unitaries(2, Rng(10, 0)),
+                               lambdas=[4.0 * np.eye(4)[0], np.array([1.0, 2.0, 1.0, 0.0])],
+                               k=4, nc=4, nt=4)
         back = from_text(to_text(cb))
         assert (back.b, back.n1, back.n2, back.nt, back.nc, back.k) == (2, 2, 2, 4, 4, 4)
         for u, v in zip(cb.unitaries, back.unitaries):
@@ -292,7 +320,8 @@ class TestSerialization:
             assert np.array_equal(a, b)
 
     def test_rejects_truncated_text(self):
-        cb = rvq_codebook(2, 4, 1, [0], k=4, nc=4, nt=4, rng=Rng(10, 1))
+        cb = QuantizedCodebook(b=2, n1=4, n2=1, unitaries=haar_unitaries(4, Rng(10, 1)),
+                               lambdas=mode_diagonals([0]), k=4, nc=4, nt=4)
         text = to_text(cb)
         with pytest.raises(ValueError):
             from_text("\n".join(text.splitlines()[:-2]))

@@ -23,6 +23,11 @@ def random_realization(nt, nr, stream, seed=77):
     return sample(iid_model(nt, nr), Rng(seed, stream))
 
 
+def one_block_mi(real, qs, rho, nt, ev):
+    """block_mi of one realization, evaluated as the n = 1 stack."""
+    return block_mi(real.h[None], np.asarray(qs)[None], rho, nt, ev)[0]
+
+
 class TestCheckGoc:
     def test_single_matrix_vacuous(self):
         dset = DispersionSet(nt=2, nc=2, k=1, mats=[np.eye(2)])
@@ -111,7 +116,7 @@ class TestRankOneSet:
         dset = rank_one_set(u, k=2 * nc, nc=nc)
         for stream in range(10):
             real = random_realization(nt, 3, stream)
-            via_set = block_mi(real, dset.covariances(), rho, nt, ev)
+            via_set = one_block_mi(real, dset.covariances(), rho, nt, ev)
             gain = float(np.linalg.norm(real.h @ u) ** 2)
             assert abs(via_set - nc * math.log(1.0 + rho * gain)) <= 1e-9
 
@@ -156,8 +161,8 @@ class TestStatisticalSet:
             assert np.linalg.norm(q_stat - q_beam) <= 1e-10
         for stream in range(5):
             real = random_realization(nt, nt, stream)
-            a = block_mi(real, stat.covariances(), 2.0, nt, ev)
-            b = block_mi(real, beam.covariances(), 2.0, nt, ev)
+            a = one_block_mi(real, stat.covariances(), 2.0, nt, ev)
+            b = one_block_mi(real, beam.covariances(), 2.0, nt, ev)
             assert abs(a - b) <= 1e-9
 
 

@@ -174,11 +174,20 @@ class TestDerivativeAndShape:
                     assert ev.mi(a) >= a * ev.mmse(a) - 1e-9
 
 
+def one_block_mi(real, qs, rho, nt, ev):
+    """block_mi of one realization, evaluated as the n = 1 stack."""
+    return block_mi(real.h[None], np.asarray(qs)[None], rho, nt, ev)[0]
+
+
+def lam_max(real):
+    return hermitian_eig(real.h.conj().T @ real.h).values[0]
+
+
 class TestBlockMi:
     def test_zero_covariances(self):
         ev = make_eval("gaussian")
         real = sample(iid_model(2, 2), Rng(1, 0))
-        assert block_mi(real, [np.zeros((2, 2))] * 3, 2.0, 2, ev) == 0.0
+        assert one_block_mi(real, [np.zeros((2, 2))] * 3, 2.0, 2, ev) == 0.0
 
     def test_top_eigenvector_single_symbol(self):
         ev = make_eval("gaussian")
@@ -187,7 +196,7 @@ class TestBlockMi:
         u = eig.vectors[:, 0]
         nc = 4
         q = (4.0 * nc) * np.outer(u, u.conj())
-        got = block_mi(real, [q], 2.0, 4, ev)
+        got = one_block_mi(real, [q], 2.0, 4, ev)
         assert got == pytest.approx(ev.mi(2.0 * nc * eig.values[0]), rel=1e-12)
 
     def test_concavity_uniform_beats_split(self):
@@ -201,13 +210,26 @@ class TestBlockMi:
                 q = a @ a.conj().T
                 qs.append(q * (tr / q.trace().real))
             qhat = sum(qs) / len(qs)
-            assert block_mi(real, qs, 1.0, 4, ev) <= block_mi(real, [qhat] * 4, 1.0, 4, ev) + 1e-9
+            assert one_block_mi(real, qs, 1.0, 4, ev) <= one_block_mi(real, [qhat] * 4, 1.0, 4, ev) + 1e-9
 
     def test_rejects_indefinite_covariance(self):
         ev = make_eval("gaussian")
         real = sample(iid_model(2, 2), Rng(5, 0))
         with pytest.raises(PreconditionError):
-            block_mi(real, [np.diag([1.0, -0.5])], 1.0, 2, ev)
+            one_block_mi(real, [np.diag([1.0, -0.5])], 1.0, 2, ev)
+
+    def test_stack_rows_match_single_realizations(self):
+        ev = make_eval("gaussian")
+        rng = Rng(13, 0)
+        reals = [sample(iid_model(3, 2), Rng(14, stream)) for stream in range(5)]
+        qsets = []
+        for _ in reals:
+            a = rng.gen.standard_normal((2, 3, 3)) + 1j * rng.gen.standard_normal((2, 3, 3))
+            qsets.append(a @ np.swapaxes(a.conj(), -1, -2))
+        rows = block_mi(np.stack([r.h for r in reals]), np.stack(qsets), 1.5, 3, ev)
+        assert rows.shape == (5,)
+        for row, real, qs in zip(rows, reals, qsets):
+            assert row == one_block_mi(real, qs, 1.5, 3, ev)
 
 
 class TestPerfectCsiMi:
@@ -216,31 +238,29 @@ class TestPerfectCsiMi:
         ev = make_eval("gaussian")
         nc, rho = 4, 3.0
         for stream in range(10):
-            real = sample(iid_model(4, 4), Rng(6, stream))
-            lam = hermitian_eig(real.h.conj().T @ real.h).values[0]
-            assert perfect_csi_mi(real, rho, 2 * nc, nc, ev) == pytest.approx(
+            lam = lam_max(sample(iid_model(4, 4), Rng(6, stream)))
+            assert perfect_csi_mi(lam, rho, 2 * nc, nc, ev) == pytest.approx(
                 nc * math.log(1.0 + rho * lam), rel=1e-12
             )
 
     def test_zero_snr(self):
         ev = make_eval("gaussian")
-        real = sample(iid_model(2, 2), Rng(7, 0))
-        assert perfect_csi_mi(real, 0.0, 4, 2, ev) == 0.0
+        lam = lam_max(sample(iid_model(2, 2), Rng(7, 0)))
+        assert perfect_csi_mi(lam, 0.0, 4, 2, ev) == 0.0
 
     @pytest.mark.parametrize("kind", ["gaussian", "bpsk"])
     def test_monotone_in_k(self, kind):
         ev = make_eval(kind)
         nc = 2
-        for stream in range(30):
-            real = sample(iid_model(2, 2), Rng(8, stream))
-            vals = [perfect_csi_mi(real, 2.0, k, nc, ev) for k in range(1, 2 * nc + 1)]
-            assert (np.diff(vals) >= -1e-8).all()
+        lams = np.array([lam_max(sample(iid_model(2, 2), Rng(8, stream))) for stream in range(30)])
+        vals = np.stack([perfect_csi_mi(lams, 2.0, k, nc, ev) for k in range(1, 2 * nc + 1)])
+        assert (np.diff(vals, axis=0) >= -1e-8).all()
 
     def test_infeasible_k(self):
         ev = make_eval("gaussian")
-        real = sample(iid_model(2, 2), Rng(9, 0))
+        lam = lam_max(sample(iid_model(2, 2), Rng(9, 0)))
         with pytest.raises(InfeasibleError):
-            perfect_csi_mi(real, 1.0, 5, 2, ev)
+            perfect_csi_mi(lam, 1.0, 5, 2, ev)
 
 
 def test_eq8_bound_random_covariances():
@@ -250,12 +270,12 @@ def test_eq8_bound_random_covariances():
     k, nc = 4, 4
     for stream in range(100):
         real = sample(iid_model(4, 4), Rng(11, stream))
-        best = perfect_csi_mi(real, 2.0, k, nc, ev)
+        best = perfect_csi_mi(lam_max(real), 2.0, k, nc, ev)
         for _ in range(20):
             a = rng.gen.standard_normal((4, 4)) + 1j * rng.gen.standard_normal((4, 4))
             q = a @ a.conj().T
             q *= (4 * nc / k) / q.trace().real
-            assert block_mi(real, [q] * k, 2.0, 4, ev) <= best + 1e-9
+            assert one_block_mi(real, [q] * k, 2.0, 4, ev) <= best + 1e-9
 
 
 def test_beamforming_set_achieves_benchmark():
@@ -265,5 +285,5 @@ def test_beamforming_set_achieves_benchmark():
         real = sample(iid_model(4, 4), Rng(12, stream))
         eig = hermitian_eig(real.h.conj().T @ real.h)
         dset = rank_one_set(eig.vectors[:, 0], k, nc)
-        got = block_mi(real, dset.covariances(), 2.0, 4, ev)
-        assert got == pytest.approx(perfect_csi_mi(real, 2.0, k, nc, ev), abs=1e-9)
+        got = one_block_mi(real, dset.covariances(), 2.0, 4, ev)
+        assert got == pytest.approx(perfect_csi_mi(eig.values[0], 2.0, k, nc, ev), abs=1e-9)

@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 from ldfeedback.errors import PreconditionError
 from ldfeedback.matkit import (
     Rng,
-    complex_gaussian,
     complex_gaussian_matrix,
     format_complex,
     haar_unitary,
@@ -21,6 +20,11 @@ from ldfeedback.matkit import (
 def random_hermitian(n, rng):
     a = rng.gen.standard_normal((n, n)) + 1j * rng.gen.standard_normal((n, n))
     return (a + a.conj().T) / 2
+
+
+def reconstruct(es):
+    """V diag(w) V^H for every matrix of the stack."""
+    return (es.vectors * es.values[..., None, :]) @ np.swapaxes(es.vectors.conj(), -1, -2)
 
 
 class TestHermitianEig:
@@ -46,7 +50,7 @@ class TestHermitianEig:
         for stream in range(20):
             m = random_hermitian(n, Rng(101, stream))
             es = hermitian_eig(m)
-            assert np.linalg.norm(m - es.reconstruct()) <= 1e-10 * np.linalg.norm(m)
+            assert np.linalg.norm(m - reconstruct(es)) <= 1e-10 * np.linalg.norm(m)
             # unitary eigenvectors
             v = es.vectors
             assert np.linalg.norm(v.conj().T @ v - np.eye(n)) <= 1e-12
@@ -56,7 +60,7 @@ class TestHermitianEig:
     def test_refactoring_keeps_eigenvalues(self):
         m = random_hermitian(5, Rng(7, 0))
         es = hermitian_eig(m)
-        again = hermitian_eig(es.reconstruct())
+        again = hermitian_eig(reconstruct(es))
         assert np.allclose(es.values, again.values, atol=1e-9)
 
     def test_rotation_invariance(self):
@@ -81,6 +85,19 @@ class TestHermitianEig:
     def test_rejects_non_hermitian(self):
         with pytest.raises(PreconditionError):
             hermitian_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+    def test_stack_reconstructs_each_matrix(self):
+        ms = np.stack([random_hermitian(4, Rng(102, stream)) for stream in range(6)])
+        es = hermitian_eig(ms)
+        assert es.values.shape == (6, 4) and es.vectors.shape == (6, 4, 4)
+        for m, back in zip(ms, reconstruct(es)):
+            assert np.linalg.norm(m - back) <= 1e-10 * np.linalg.norm(m)
+
+    def test_stack_rejects_one_non_hermitian_matrix(self):
+        ms = np.stack([random_hermitian(3, Rng(103, stream)) for stream in range(4)])
+        ms[2, 0, 1] += 1.0
+        with pytest.raises(PreconditionError):
+            hermitian_eig(ms)
 
 
 class TestHaarUnitary:
@@ -110,16 +127,15 @@ class TestHaarUnitary:
 
 class TestComplexGaussian:
     def test_zero_variance_exact_zero(self):
-        assert complex_gaussian(Rng(1, 0), 0.0) == 0j
+        assert np.array_equal(complex_gaussian_matrix(Rng(1, 0), np.zeros((2, 3))), np.zeros((2, 3)))
 
     def test_rejects_negative_variance(self):
         with pytest.raises(PreconditionError):
-            complex_gaussian(Rng(1, 0), -1.0)
+            complex_gaussian_matrix(Rng(1, 0), np.array([[1.0, -1.0]]))
 
     def test_moments(self):
-        rng = Rng(5, 0)
         draws = 100_000
-        z = np.array([complex_gaussian(rng, 1.0) for _ in range(draws)])
+        z = complex_gaussian_matrix(Rng(5, 0), np.ones(draws))
         power = np.abs(z) ** 2
         assert abs(power.mean() - 1.0) <= 3 * power.std(ddof=1) / math.sqrt(draws)
         se_component = math.sqrt(0.5 / draws)
@@ -145,11 +161,6 @@ class TestRng:
         shuffled = {i: Rng(99, i).gen.standard_normal(16) for i in reversed(range(8))}
         for i in range(8):
             assert np.array_equal(serial[i], shuffled[i])
-
-    def test_substream_matches_direct_construction(self):
-        a = Rng(5, 0).substream(3).gen.standard_normal(4)
-        b = Rng(5, 3).gen.standard_normal(4)
-        assert np.array_equal(a, b)
 
     def test_streams_differ(self):
         assert not np.array_equal(

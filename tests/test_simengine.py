@@ -3,18 +3,27 @@ import math
 import numpy as np
 import pytest
 
-from ldfeedback.channel import iid_model, sample, v4_model
-from ldfeedback.codebook import QuantizedCodebook, select_snr
+from ldfeedback import simengine
+from ldfeedback.channel import iid_model, v4_model
+from ldfeedback.codebook import (
+    QuantizedCodebook,
+    delta_mi,
+    delta_snr,
+    random_rank_two_lambdas,
+    s_matrix,
+    select_mi,
+    select_snr,
+)
 from ldfeedback.errors import InfeasibleError, PreconditionError
 from ldfeedback.infotheory import LN2, Constellation, MiEvaluator
-from ldfeedback.matkit import Rng, hermitian_eig
+from ldfeedback.matkit import Rng, haar_unitary, hermitian_eig
 from ldfeedback.simengine import (
     SimConfig,
-    avg_received_snr,
     best_rank_one_codebook,
+    draw_ind_column_powers,
     draw_trials,
     default_unitaries,
-    optimize_lambda_stat,
+    optimize_lambda,
     project_scaled_simplex,
     rank_one_candidates,
     rank_two_tournament,
@@ -41,6 +50,12 @@ def make_config(model=None, schemes=("perfect",), trials=50, k=None, nc=None, se
     )
 
 
+def snr_rule_values(cb, batch):
+    """SNR-rule objective of the selected codeword on every trial."""
+    smat = s_matrix(batch.h, cb.unitaries)
+    return select_snr(smat, cb.lambda_matrix(), cb.k, cb.nt, cb.nc)[0]
+
+
 class TestProjection:
     def test_already_feasible(self):
         v = np.array([1.0, 2.0, 1.0])
@@ -63,7 +78,8 @@ class TestProjection:
 class TestOptimizer:
     def test_trace_pinned(self):
         ev = MiEvaluator(Constellation.gaussian())
-        res = optimize_lambda_stat(iid_model(4, 4), 10.0, 4, 4, ev, 500, Rng(2, 0))
+        cols = draw_ind_column_powers(iid_model(4, 4), 500, Rng(2, 0))
+        res = optimize_lambda(cols, 10.0, 4, 4, 4, ev)
         assert abs(res.diag.sum() - 4.0) <= 1e-9
         assert (res.diag >= 0).all()
 
@@ -72,19 +88,26 @@ class TestOptimizer:
         # deviation measures ~0.1, and the acceptance suite runs the tight
         # 1e-2-of-trace check at 2e5 samples
         ev = MiEvaluator(Constellation.gaussian())
-        res = optimize_lambda_stat(iid_model(4, 4), 10.0, 4, 4, ev, 10_000, Rng(2, 1))
+        cols = draw_ind_column_powers(iid_model(4, 4), 10_000, Rng(2, 1))
+        res = optimize_lambda(cols, 10.0, 4, 4, 4, ev)
         assert np.abs(res.diag - 1.0).max() <= 0.15
 
     def test_v4_low_snr_concentrates_on_strongest_column(self):
         ev = MiEvaluator(Constellation.gaussian())
-        res = optimize_lambda_stat(v4_model(), 0.1, 4, 4, ev, 5_000, Rng(2, 2))
+        cols = draw_ind_column_powers(v4_model(), 5_000, Rng(2, 2))
+        res = optimize_lambda(cols, 0.1, 4, 4, 4, ev)
         # column 2 (0-based) holds raw variance 1.6 of 2.6
         assert res.diag[2] >= 0.9 * res.diag.sum()
 
     def test_rejects_tiny_sample_count(self):
-        ev = MiEvaluator(Constellation.gaussian())
-        with pytest.raises(PreconditionError):
-            optimize_lambda_stat(iid_model(2, 2), 1.0, 2, 2, ev, 50, Rng(2, 3))
+        for scheme in ("statistical", "statistical-beamforming"):
+            with pytest.raises(PreconditionError):
+                make_config(schemes=(scheme,), opt_samples=50).validate()
+            with pytest.raises(PreconditionError):
+                run(make_config(schemes=("perfect", scheme), opt_samples=0))
+        # the sample count only matters when a statistical scheme runs
+        make_config(schemes=("perfect",), opt_samples=0).validate()
+        make_config(schemes=("statistical",), opt_samples=100).validate()
 
 
 class TestRun:
@@ -193,41 +216,103 @@ class TestRankTwoTournament:
             assert p.mi_bits_per_use <= perfect[p.snr_db] + 1e-9
 
 
-class TestEngineMatchesOps:
-    def test_vectorized_quantized_rows_match_select_mi(self):
-        # the tournament's einsum path and the per-realization selection op
-        # must produce identical per-trial values
-        from ldfeedback.channel import sample
-        from ldfeedback.codebook import select_mi
-        from ldfeedback.infotheory import Constellation as C
+class TestStackedMatchesSingle:
+    """Row t of a stacked evaluation equals the n = 1 evaluation of trial t, bit for bit.
 
-        config = make_config(model=iid_model(4, 4), trials=40)
+    The eigendecomposition runs in chunks of 7 here, so 25 trials leave a
+    partial last chunk. The Gaussian kernel is elementwise; a discrete
+    alphabet picks its quadrature order per call, so it is only close.
+    """
+
+    TRIALS = 25
+
+    @pytest.fixture
+    def trials(self, monkeypatch):
+        monkeypatch.setattr(simengine, "EIG_CHUNK", 7)
+        model = v4_model()
+        batch = draw_trials(model, self.TRIALS, 4242)
+        singles = [draw_trials(model, 1, 4242, first_stream=t) for t in range(self.TRIALS)]
+        rng = Rng(4242, 1)
+        cb = QuantizedCodebook(b=2, n1=2, n2=2, unitaries=[haar_unitary(4, rng) for _ in range(2)],
+                               lambdas=random_rank_two_lambdas(1, 2, 4, 4, 4, rng)[0],
+                               k=4, nc=4, nt=4)
+        return batch, singles, cb
+
+    def test_hermitian_eig(self, trials, monkeypatch):
+        batch, singles, _ = trials
+        grams = np.swapaxes(batch.h.conj(), -1, -2) @ batch.h
+        stacked = hermitian_eig(grams)
+        for t, one in enumerate(singles):
+            assert np.array_equal(batch.h[t], one.h[0])
+            assert np.array_equal(batch.eigvals[t], one.eigvals[0])
+            alone = hermitian_eig(grams[t])
+            assert np.array_equal(stacked.values[t], alone.values)
+            assert np.array_equal(stacked.vectors[t], alone.vectors)
+        monkeypatch.setattr(simengine, "EIG_CHUNK", 4096)
+        assert np.array_equal(draw_trials(v4_model(), self.TRIALS, 4242).eigvals, batch.eigvals)
+
+    def test_mi_rule(self, trials):
+        batch, singles, cb = trials
+        ev = MiEvaluator(Constellation.gaussian())
+        for rho in (0.5, 10.0):
+            stacked = select_mi(s_matrix(batch.h, cb.unitaries), cb.lambda_matrix(), rho, 4, 4, ev)
+            for t, one in enumerate(singles):
+                alone = select_mi(s_matrix(one.h, cb.unitaries), cb.lambda_matrix(), rho, 4, 4, ev)
+                assert [x[t] for x in stacked] == [x[0] for x in alone]
+
+    def test_snr_rule(self, trials):
+        batch, singles, cb = trials
+        stacked = select_snr(s_matrix(batch.h, cb.unitaries), cb.lambda_matrix(), 4, 4, 4)
+        for t, one in enumerate(singles):
+            alone = select_snr(s_matrix(one.h, cb.unitaries), cb.lambda_matrix(), 4, 4, 4)
+            assert [x[t] for x in stacked] == [x[0] for x in alone]
+
+    def test_gaps(self, trials):
+        batch, singles, cb = trials
+        ev = MiEvaluator(Constellation.gaussian())
+        for rho in (1.0, 10.0):
+            gap_mi = delta_mi(cb, batch, rho, ev)
+            gap_snr = delta_snr(cb, batch, rho)
+            for t, one in enumerate(singles):
+                assert gap_mi[t] == delta_mi(cb, one, rho, ev)[0]
+                assert gap_snr[t] == delta_snr(cb, one, rho)[0]
+
+
+class TestNoStaleReceivedPowers:
+    def test_one_batch_many_fresh_unitary_families(self):
+        # received powers must follow the codebook passed in, even when
+        # earlier unitary families were freed and their memory reused
+        config = make_config(model=iid_model(4, 4), trials=20, snr=(10.0,))
         batch = draw_trials(config.model, config.trials, config.seed)
-        cb, _ = best_rank_one_codebook(config, 2, 4, 1, batch=batch)
-        rows = scheme_block_mi(config, ("quantized", "q", cb), batch)
-        ev = MiEvaluator(C.gaussian())
-        for t in range(config.trials):
-            real = sample(config.model, Rng(config.seed, t))
-            for idx, snr in enumerate(config.snr_grid_db):
-                rho = 10.0 ** (snr / 10.0)
-                sel = select_mi(cb, real, rho, ev)
-                assert abs(rows[idx, t] - sel.value) <= 1e-12 * max(1.0, sel.value)
+        ev = MiEvaluator(Constellation.gaussian())
+        rng = Rng(97, 0)
+        for _ in range(200):
+            cb = QuantizedCodebook(b=2, n1=4, n2=1, unitaries=[haar_unitary(4, rng) for _ in range(4)],
+                                   lambdas=[4.0 * np.eye(4)[0]], k=4, nc=4, nt=4)
+            rows = scheme_block_mi(config, ("quantized", "q", cb), batch)
+            # definition: max over codewords of K * I(rho/Nt * Tr(H Q H^H))
+            covs = np.stack([(u * lam) @ u.conj().T for u in cb.unitaries for lam in cb.lambdas])
+            traces = np.einsum("nab,cbd,nad->nc", batch.h, covs, batch.h.conj()).real
+            expect = (config.k * ev.mi(10.0 / 4 * traces)).max(axis=1)
+            assert np.allclose(rows[0], expect, rtol=1e-12, atol=0.0)
 
 
 class TestAvgReceivedSnr:
+    """Mean received SNR rho*Nc/K * (snr-rule objective) and its gap to lmax."""
+
     def test_oracle_codebook_zero_gap(self):
         # a codebook holding the channel's own eigenbasis and every mode hits
         # lmax exactly, so the gap vanishes realization by realization
         config = make_config(model=iid_model(4, 4), trials=1)
         for stream in range(25):
-            real = sample(config.model, Rng(7, stream))
-            eig = hermitian_eig(real.h.conj().T @ real.h)
+            batch = draw_trials(config.model, 1, 7, first_stream=stream)
+            eig = hermitian_eig(batch.h[0].conj().T @ batch.h[0])
             cb = QuantizedCodebook(
                 b=2, n1=1, n2=4, unitaries=[eig.vectors],
                 lambdas=[4.0 * np.eye(4)[m] for m in range(4)], k=4, nc=4, nt=4,
             )
-            sel = select_snr(cb, real)
-            assert sel.value == pytest.approx(eig.values[0], abs=1e-10)
+            assert snr_rule_values(cb, batch)[0] == pytest.approx(eig.values[0], abs=1e-10)
+            assert delta_snr(cb, batch, 1.0)[0] == pytest.approx(0.0, abs=1e-10)
 
     def test_best_rank_one_dominates_mixed_codebooks_in_mean(self):
         # the weighted-max chain holds for the empirical measure too, so the
@@ -235,17 +320,15 @@ class TestAvgReceivedSnr:
         # beats every mixed codebook sharing the unitaries, exactly
         from itertools import combinations
 
-        from ldfeedback.codebook import random_rank_two_lambdas
-        from ldfeedback.matkit import haar_unitary
-
         config = make_config(model=v4_model(), trials=300, snr=(10.0,))
         batch = draw_trials(config.model, config.trials, config.seed)
         rng = Rng(41, 0)
         unitaries = [haar_unitary(4, rng) for _ in range(2)]
         n2 = 2
+        scale = 10.0 * config.nc / config.k
 
         def mean_received(cb):
-            return avg_received_snr(config, cb, batch=batch)[0].mean_received_snr
+            return float((scale * snr_rule_values(cb, batch)).mean())
 
         best = -np.inf
         for modes in combinations(range(4), n2):
@@ -262,10 +345,12 @@ class TestAvgReceivedSnr:
         config = make_config(model=v4_model(), trials=200, snr=(0.0, 10.0))
         batch = draw_trials(config.model, config.trials, config.seed)
         cb, _ = best_rank_one_codebook(config, 2, 4, 1, batch=batch)
-        points = avg_received_snr(config, cb, batch=batch)
-        for p in points:
-            rho = 10.0 ** (p.snr_db / 10.0)
-            cap = rho * config.nc / config.k * batch.eigvals[:, 0].mean()
-            assert p.mean_received_snr <= cap + 1e-9
-            assert p.mean_delta_snr >= -1e-12
-            assert p.mean_received_snr + p.mean_delta_snr == pytest.approx(cap, rel=1e-12)
+        for snr in config.snr_grid_db:
+            rho = 10.0 ** (snr / 10.0)
+            scale = rho * config.nc / config.k
+            received = float((scale * snr_rule_values(cb, batch)).mean())
+            gap = float(delta_snr(cb, batch, rho).mean())
+            cap = scale * batch.eigvals[:, 0].mean()
+            assert received <= cap + 1e-9
+            assert gap >= -1e-12
+            assert received + gap == pytest.approx(cap, rel=1e-12)
