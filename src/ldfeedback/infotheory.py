@@ -2,9 +2,13 @@
 
 The noise n is real zero-mean Gaussian of variance 1/2, so for a Gaussian
 input I(a) = 0.5*ln(1+2a) and mmse(a) = 1/(1+2a), and the derivative
-relation dI/da = mmse(a) holds for every unit-variance input. Discrete
-alphabets are handled by Gauss-Hermite quadrature of the output-density
-mixture, with the order doubled until two successive evaluations agree.
+relation dI/da = mmse(a) holds for every unit-variance input. A discrete
+alphabet is served from a table: I on knots uniform in u = ln a, with node
+slopes dI/du = a*mmse(a), interpolated by cubic Hermite polynomials in u;
+mmse is the interpolant's derivative divided by a. The node values come
+from Gauss-Hermite quadrature of the output-density mixture, with the order
+doubled until two successive evaluations agree, and that quadrature stays
+available as the reference the table is tested against.
 """
 
 import math
@@ -16,11 +20,24 @@ from .errors import InfeasibleError, PreconditionError
 NOISE_ENTROPY = 0.5 * math.log(math.pi * math.e)  # h(n) for variance-1/2 real noise
 LN2 = math.log(2.0)
 
+_QUAD_START = 64
 # numpy's hermgauss overflows past order ~320; 256 already gives <= 2e-10
 # absolute error on the mixtures handled here
 _QUAD_CAP = 256
 _QUAD_AGREEMENT = 1e-9
+# doubles in one (S, chunk, S, Q) quadrature work array
+_QUAD_WORK = 1 << 19
 _gh_cache = {}
+
+# Interpolation table: knot spacing in ln a (the cubic's error scales with its
+# fourth power), the first knot (below it I = a - a^2 and mmse = 1 - 2a, off
+# by O(a^3) and O(a^2)) and a*d_min^2 at the last knot (above it the symbols
+# are told apart with error probability ~exp(-a*d_min^2/4), so I = ln M and
+# mmse = 0).
+_TABLE_SPACING = 1.0 / 90.0
+_TABLE_A_MIN = 1e-6
+_TABLE_SATURATION = 200.0
+_table_cache = {}
 
 
 def _gh_nodes(order):
@@ -29,6 +46,49 @@ def _gh_nodes(order):
         t, w = np.polynomial.hermite.hermgauss(order)
         _gh_cache[order] = (t, w / math.sqrt(math.pi))
     return _gh_cache[order]
+
+
+def _gaussian_mi(a):
+    return 0.5 * np.log1p(2.0 * a)
+
+
+def _gaussian_mmse(a):
+    return 1.0 / (1.0 + 2.0 * a)
+
+
+class _Table:
+    """Cubic Hermite interpolant of I(a) in u = ln a, exact at the knots."""
+
+    def __init__(self, knots, mi, mmse, ln_m):
+        self.knots = knots
+        self.u = np.log(knots)
+        self.mi_knots = mi
+        self.mmse_knots = mmse
+        self.ln_m = ln_m
+        # I(u_i + s) = mi_i + s*(slope_i + s*(c2_i + s*c3_i)); the zero entry after the
+        # last knot makes that knot an interval of its own, so it is exact too
+        self.slope = knots * mmse
+        h = np.diff(self.u)
+        delta = np.diff(mi) / h
+        self.c2 = np.append((3.0 * delta - 2.0 * self.slope[:-1] - self.slope[1:]) / h, 0.0)
+        self.c3 = np.append((self.slope[:-1] + self.slope[1:] - 2.0 * delta) / (h * h), 0.0)
+
+    def _locate(self, a):
+        """Interval index, a clipped to the first knot, and s = ln a - u_i."""
+        i = np.clip(np.searchsorted(self.knots, a, side="right") - 1, 0, self.knots.size - 1)
+        x = np.maximum(a, self.knots[0])
+        return i, x, np.log(x) - self.u[i]
+
+    def mi(self, a):
+        i, _, s = self._locate(a)
+        inner = self.mi_knots[i] + s * (self.slope[i] + s * (self.c2[i] + s * self.c3[i]))
+        return np.where(a < self.knots[0], a - a * a, np.where(a > self.knots[-1], self.ln_m, inner))
+
+    def mmse(self, a):
+        # dI/du / a, written so that a knot returns its own mmse value exactly
+        i, x, s = self._locate(a)
+        inner = self.mmse_knots[i] * (self.knots[i] / x) + s * (2.0 * self.c2[i] + 3.0 * s * self.c3[i]) / x
+        return np.where(a < self.knots[0], 1.0 - 2.0 * a, np.where(a > self.knots[-1], 0.0, inner))
 
 
 class Constellation:
@@ -46,6 +106,8 @@ class Constellation:
             raise PreconditionError(
                 f"alphabet must be zero mean unit variance, got mean {mean}, E[x^2] {meansq}"
             )
+        if (np.diff(np.sort(points)) == 0).any():
+            raise PreconditionError("alphabet points must be distinct")
         self.points = points
 
     @classmethod
@@ -83,39 +145,52 @@ class MiEvaluator:
     """Mutual information I(a) and MMSE(a) for one constellation.
 
     Immutable after construction; mi/mmse accept scalars or arrays of
-    SNR-like arguments a >= 0 and evaluate elementwise.
+    SNR-like arguments a >= 0 and evaluate elementwise. A discrete alphabet
+    builds its table on the first call; every evaluator of the same points
+    shares it.
     """
 
-    def __init__(self, constellation, quad_order=64):
+    def __init__(self, constellation):
         self.constellation = constellation
-        self.quad_order = int(quad_order)
-        if not 2 <= self.quad_order <= _QUAD_CAP:
-            raise PreconditionError(f"quadrature order must be in [2, {_QUAD_CAP}]")
 
     def mi(self, a):
-        flat, shape = self._check_arg(a)
-        if self.constellation.kind == "gaussian":
-            out = 0.5 * np.log1p(2.0 * flat)
-        else:
-            out = self._discrete(flat, self._mi_at_order)
-        return float(out[0]) if shape is None else out.reshape(shape)
+        """I(a) in nats: closed form for Gaussian input, the alphabet's table otherwise."""
+        return self._apply(a, _gaussian_mi, lambda x: self._table().mi(x))
 
     def mmse(self, a):
-        flat, shape = self._check_arg(a)
-        if self.constellation.kind == "gaussian":
-            out = 1.0 / (1.0 + 2.0 * flat)
-        else:
-            out = self._discrete(flat, self._mmse_at_order)
-        return float(out[0]) if shape is None else out.reshape(shape)
+        """mmse(a) = dI/da: closed form for Gaussian input, the table's derivative otherwise."""
+        return self._apply(a, _gaussian_mmse, lambda x: self._table().mmse(x))
 
-    def _check_arg(self, a):
+    def reference_mi(self, a):
+        """I(a) without the table: for a discrete alphabet, the quadrature the table is built from."""
+        return self._apply(a, _gaussian_mi, lambda x: self._discrete(x, self._mi_at_order))
+
+    def reference_mmse(self, a):
+        """mmse(a) without the table, as reference_mi."""
+        return self._apply(a, _gaussian_mmse, lambda x: self._discrete(x, self._mmse_at_order))
+
+    def _apply(self, a, gaussian, discrete):
         arr = np.asarray(a, dtype=float)
         if not np.isfinite(arr).all() or (arr < 0).any():
             raise PreconditionError("mi/mmse need finite arguments a >= 0")
-        return arr.reshape(-1), (None if arr.ndim == 0 else arr.shape)
+        flat = arr.reshape(-1)
+        out = gaussian(flat) if self.constellation.kind == "gaussian" else discrete(flat)
+        return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
+
+    def _table(self):
+        """The alphabet's interpolation table, built from the quadrature on first use."""
+        pts = self.constellation.points
+        key = pts.tobytes()
+        if key not in _table_cache:
+            a_max = _TABLE_SATURATION / float(np.diff(np.sort(pts)).min()) ** 2
+            count = math.ceil(math.log(a_max / _TABLE_A_MIN) / _TABLE_SPACING) + 1
+            knots = np.exp(np.linspace(math.log(_TABLE_A_MIN), math.log(a_max), count))
+            _table_cache[key] = _Table(knots, self._discrete(knots, self._mi_at_order),
+                                       self._discrete(knots, self._mmse_at_order), math.log(pts.size))
+        return _table_cache[key]
 
     def _discrete(self, a, fn):
-        order = self.quad_order
+        order = _QUAD_START
         prev = fn(a, order)
         while order < _QUAD_CAP:
             order *= 2
@@ -133,8 +208,7 @@ class MiEvaluator:
 
     def _quad_chunked(self, a, order, chunk_fn):
         pts = self.constellation.points
-        # keep the (chunk, S, Q, S) work array around 2^22 doubles
-        chunk = max(1, (1 << 22) // (pts.size * pts.size * order))
+        chunk = max(1, _QUAD_WORK // (pts.size * pts.size * order))
         out = np.empty_like(a)
         for lo in range(0, a.size, chunk):
             out[lo : lo + chunk] = chunk_fn(a[lo : lo + chunk], order)
@@ -143,30 +217,30 @@ class MiEvaluator:
     def _mixture_logits(self, a, order):
         """Log of prior * component density at the per-component quadrature nodes.
 
-        Shapes: y is (A, S, Q); returned logits are (A, S, Q, S') over the
-        mixture components S'. Densities are N(mu_s, 1/2) so
+        Shapes: y is (A, S, Q); returned logits are (S', A, S, Q) over the
+        mixture components S', leading so that reductions over them are
+        elementwise across whole slabs. Densities are N(mu_s, 1/2) so
         ln p(y) = logsumexp(logits) - 0.5*ln(pi).
         """
         pts = self.constellation.points
         t, w = _gh_nodes(order)
         mu = np.sqrt(a)[:, None] * pts[None, :]  # (A, S)
         y = mu[:, :, None] + t[None, None, :]  # (A, S, Q)
-        diff = y[:, :, :, None] - mu[:, None, None, :]  # (A, S, Q, S')
+        diff = y[None] - mu.T[:, :, None, None]  # (S', A, S, Q)
         return -(diff * diff) - math.log(pts.size), w
 
     def _mi_chunk(self, a, order):
         logits, w = self._mixture_logits(a, order)
-        peak = logits.max(axis=-1)
-        lnp = peak + np.log(np.exp(logits - peak[..., None]).sum(axis=-1)) - 0.5 * math.log(math.pi)
+        peak = logits.max(axis=0)
+        lnp = peak + np.log(np.exp(logits - peak).sum(axis=0)) - 0.5 * math.log(math.pi)
         h_y_comp = -(w[None, None, :] * lnp).sum(axis=-1)  # (A, S)
         return h_y_comp.mean(axis=-1) - NOISE_ENTROPY  # uniform priors
 
     def _mmse_chunk(self, a, order):
         pts = self.constellation.points
         logits, w = self._mixture_logits(a, order)
-        peak = logits.max(axis=-1, keepdims=True)
-        unnorm = np.exp(logits - peak)
-        post_mean = (unnorm * pts).sum(axis=-1) / unnorm.sum(axis=-1)  # (A, S, Q)
+        unnorm = np.exp(logits - logits.max(axis=0))
+        post_mean = (unnorm * pts[:, None, None, None]).sum(axis=0) / unnorm.sum(axis=0)  # (A, S, Q)
         second = (w[None, None, :] * post_mean**2).sum(axis=-1).mean(axis=-1)
         return 1.0 - second
 

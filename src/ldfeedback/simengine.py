@@ -8,6 +8,7 @@ bit-identical regardless of how trials would be scheduled.
 
 import itertools
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -217,9 +218,14 @@ def scheme_block_mi(config, scheme, batch, opt_cols=None, smat=None):
                 config.model, config.opt_samples, Rng(config.seed, STREAM_OPT)
             )
         rows = []
-        for rho in rhos:
+        for snr_db, rho in zip(grid, rhos):
             if scheme == "statistical":
-                lam = optimize_lambda(opt_cols, rho, nt, k, nc, evaluator).diag
+                stat = optimize_lambda(opt_cols, rho, nt, k, nc, evaluator)
+                if not stat.converged:
+                    warnings.warn(f"{scheme} power optimizer did not converge at {snr_db} dB after "
+                                  f"{stat.iterations} iterations; using its best iterate",
+                                  RuntimeWarning, stacklevel=2)
+                lam = stat.diag
             else:
                 mode = _best_single_mode(opt_cols, rho, nt, k, nc, evaluator)
                 lam = np.zeros(nt)

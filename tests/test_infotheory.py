@@ -9,6 +9,7 @@ from ldfeedback.channel import iid_model, sample
 from ldfeedback.dispersion import rank_one_set
 from ldfeedback.errors import InfeasibleError, PreconditionError
 from ldfeedback.infotheory import (
+    _QUAD_CAP,
     NOISE_ENTROPY,
     Constellation,
     MiEvaluator,
@@ -16,6 +17,7 @@ from ldfeedback.infotheory import (
     perfect_csi_mi,
 )
 from ldfeedback.matkit import Rng, hermitian_eig
+from ldfeedback.simengine import SimConfig, rank_two_tournament, run
 
 # Frozen values from the adaptive-quadrature oracle below (epsabs 1e-13).
 ORACLE_MI = {
@@ -76,6 +78,10 @@ class TestConstellation:
     def test_rejects_biased_alphabet(self):
         with pytest.raises(PreconditionError):
             Constellation("bad", np.array([0.0, 1.0]))
+
+    def test_rejects_repeated_points(self):
+        with pytest.raises(PreconditionError):
+            Constellation("bad", np.array([-1.0, -1.0, 1.0, 1.0]))
 
 
 class TestFrozenOracleValues:
@@ -172,6 +178,67 @@ class TestDerivativeAndShape:
                 for k in range(1, 9):
                     a = z / k
                     assert ev.mi(a) >= a * ev.mmse(a) - 1e-9
+
+
+TABLE_KINDS = ["bpsk", "pam4", "pam8"]
+
+
+class TestTable:
+    """The interpolation table of a discrete alphabet against the quadrature it is built from."""
+
+    @pytest.mark.parametrize("kind", TABLE_KINDS)
+    def test_matches_quadrature(self, kind):
+        ev = make_eval(kind)
+        a = np.exp(Rng(15, 0).gen.uniform(math.log(1e-8), math.log(1e4), 20_000))
+        # the quadrature at its cap order, the value its order doubling converges to
+        assert np.abs(ev.mi(a) - ev._mi_at_order(a, _QUAD_CAP)).max() <= 5e-10
+        assert np.abs(ev.mmse(a) - ev._mmse_at_order(a, _QUAD_CAP)).max() <= 1e-7
+
+    @pytest.mark.parametrize("kind", TABLE_KINDS)
+    def test_knots_hold_the_quadrature_values(self, kind):
+        ev = make_eval(kind)
+        knots = ev._table().knots
+        assert np.array_equal(ev.mi(knots), ev.reference_mi(knots))
+        assert np.array_equal(ev.mmse(knots), ev.reference_mmse(knots))
+
+    @pytest.mark.parametrize("kind", TABLE_KINDS)
+    def test_zero_and_continuity_at_the_grid_ends(self, kind):
+        ev = make_eval(kind)
+        assert ev.mi(0.0) == 0.0 and ev.mmse(0.0) == 1.0
+        knots = ev._table().knots
+        for edge in (knots[0], knots[-1]):
+            below, above = np.nextafter(edge, 0.0), np.nextafter(edge, np.inf)
+            assert abs(ev.mi(above) - ev.mi(below)) <= 1e-15
+            assert abs(ev.mmse(above) - ev.mmse(below)) <= 1e-11
+
+    def test_one_table_per_alphabet(self):
+        first, second = Constellation.pam(4), Constellation.pam(4)
+        assert first is not second
+        assert MiEvaluator(first)._table() is MiEvaluator(second)._table()
+        # PAM2 has the BPSK points, so it is the same alphabet
+        assert MiEvaluator(Constellation.pam(2))._table() is make_eval("bpsk")._table()
+        assert make_eval("pam8")._table() is not make_eval("bpsk")._table()
+
+    @pytest.mark.parametrize("kind", ["bpsk", "pam4"])
+    def test_simulation_matches_quadrature_run(self, kind, monkeypatch):
+        config = SimConfig(model=iid_model(2, 2), snr_grid_db=[0.0, 10.0], trials=20, seed=31,
+                           constellation=Constellation.from_name(kind), k=2, nc=2,
+                           schemes=["perfect", "statistical", "statistical-beamforming"],
+                           opt_samples=100)
+
+        def points():
+            best, every = rank_two_tournament(config, b=2, n1=4, n2=1, count=3)
+            return run(config) + best + every
+
+        tabled = points()
+        monkeypatch.setattr(MiEvaluator, "mi", MiEvaluator.reference_mi)
+        monkeypatch.setattr(MiEvaluator, "mmse", MiEvaluator.reference_mmse)
+        quadrature = points()
+        assert len(tabled) == len(quadrature) == 6 + 2 + 6
+        for got, want in zip(tabled, quadrature):
+            assert (got.scheme, got.snr_db, got.trials) == (want.scheme, want.snr_db, want.trials)
+            assert abs(got.mi_bits_per_use - want.mi_bits_per_use) <= 1e-9
+            assert abs(got.stderr - want.stderr) <= 1e-9
 
 
 def one_block_mi(real, qs, rho, nt, ev):

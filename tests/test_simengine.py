@@ -15,7 +15,7 @@ from ldfeedback.codebook import (
     select_snr,
 )
 from ldfeedback.errors import InfeasibleError, PreconditionError
-from ldfeedback.infotheory import LN2, Constellation, MiEvaluator
+from ldfeedback.infotheory import LN2, Constellation, MiEvaluator, block_mi
 from ldfeedback.matkit import Rng, haar_unitary, hermitian_eig
 from ldfeedback.simengine import (
     SimConfig,
@@ -108,6 +108,25 @@ class TestOptimizer:
         # the sample count only matters when a statistical scheme runs
         make_config(schemes=("perfect",), opt_samples=0).validate()
         make_config(schemes=("statistical",), opt_samples=100).validate()
+
+    def test_no_convergence_warns_and_keeps_the_curve(self, monkeypatch):
+        config = make_config(model=v4_model(), schemes=("statistical",), trials=20, snr=(0.0, 10.0))
+        expect = run(config)
+        iterations = []
+
+        def stalled(*args, **kwargs):
+            res = optimize_lambda(*args, **kwargs)
+            iterations.append(res.iterations)
+            return simengine.LambdaStat(diag=res.diag, converged=False, iterations=res.iterations)
+
+        monkeypatch.setattr(simengine, "optimize_lambda", stalled)
+        with pytest.warns(RuntimeWarning) as caught:
+            got = run(config)
+        assert got == expect
+        assert [str(w.message) for w in caught] == [
+            f"statistical power optimizer did not converge at {snr} dB after {n} iterations; "
+            "using its best iterate" for snr, n in zip(config.snr_grid_db, iterations)
+        ]
 
 
 class TestRun:
@@ -220,8 +239,8 @@ class TestStackedMatchesSingle:
     """Row t of a stacked evaluation equals the n = 1 evaluation of trial t, bit for bit.
 
     The eigendecomposition runs in chunks of 7 here, so 25 trials leave a
-    partial last chunk. The Gaussian kernel is elementwise; a discrete
-    alphabet picks its quadrature order per call, so it is only close.
+    partial last chunk. Both the Gaussian kernel and the BPSK table are
+    elementwise.
     """
 
     TRIALS = 25
@@ -253,12 +272,13 @@ class TestStackedMatchesSingle:
 
     def test_mi_rule(self, trials):
         batch, singles, cb = trials
-        ev = MiEvaluator(Constellation.gaussian())
-        for rho in (0.5, 10.0):
-            stacked = select_mi(s_matrix(batch.h, cb.unitaries), cb.lambda_matrix(), rho, 4, 4, ev)
-            for t, one in enumerate(singles):
-                alone = select_mi(s_matrix(one.h, cb.unitaries), cb.lambda_matrix(), rho, 4, 4, ev)
-                assert [x[t] for x in stacked] == [x[0] for x in alone]
+        for kind in ("gaussian", "bpsk"):
+            ev = MiEvaluator(Constellation.from_name(kind))
+            for rho in (0.5, 10.0):
+                stacked = select_mi(s_matrix(batch.h, cb.unitaries), cb.lambda_matrix(), rho, 4, 4, ev)
+                for t, one in enumerate(singles):
+                    alone = select_mi(s_matrix(one.h, cb.unitaries), cb.lambda_matrix(), rho, 4, 4, ev)
+                    assert [x[t] for x in stacked] == [x[0] for x in alone]
 
     def test_snr_rule(self, trials):
         batch, singles, cb = trials
@@ -269,13 +289,25 @@ class TestStackedMatchesSingle:
 
     def test_gaps(self, trials):
         batch, singles, cb = trials
-        ev = MiEvaluator(Constellation.gaussian())
         for rho in (1.0, 10.0):
-            gap_mi = delta_mi(cb, batch, rho, ev)
             gap_snr = delta_snr(cb, batch, rho)
             for t, one in enumerate(singles):
-                assert gap_mi[t] == delta_mi(cb, one, rho, ev)[0]
                 assert gap_snr[t] == delta_snr(cb, one, rho)[0]
+            for kind in ("gaussian", "bpsk"):
+                ev = MiEvaluator(Constellation.from_name(kind))
+                gap_mi = delta_mi(cb, batch, rho, ev)
+                for t, one in enumerate(singles):
+                    assert gap_mi[t] == delta_mi(cb, one, rho, ev)[0]
+
+    def test_bpsk_block_mi(self, trials):
+        batch, singles, cb = trials
+        ev = MiEvaluator(Constellation.bpsk())
+        covs = np.stack([(u * lam) @ u.conj().T for u in cb.unitaries for lam in cb.lambdas])
+        qsets = np.broadcast_to(covs, (self.TRIALS,) + covs.shape)
+        for rho in (0.5, 10.0):
+            stacked = block_mi(batch.h, qsets, rho, 4, ev)
+            for t, one in enumerate(singles):
+                assert stacked[t] == block_mi(one.h, covs[None], rho, 4, ev)[0]
 
 
 class TestNoStaleReceivedPowers:
