@@ -165,7 +165,6 @@ def simulate_curves(config, split):
                 unitaries=unitaries, batch=batch,
             )
             curves.extend(best)
-    curves.sort(key=lambda p: (p.scheme, p.snr_db))
     return curves
 
 

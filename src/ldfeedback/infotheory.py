@@ -6,11 +6,12 @@ relation dI/da = mmse(a) holds for every unit-variance input. A discrete
 alphabet is served from a table: I on knots uniform in u = ln a, with node
 slopes dI/du = a*mmse(a), interpolated by cubic Hermite polynomials in u;
 mmse is the interpolant's derivative divided by a. The node values come
-from Gauss-Hermite quadrature of the output-density mixture, with the order
-doubled until two successive evaluations agree, and that quadrature stays
-available as the reference the table is tested against.
+from one fixed-order Gauss-Hermite quadrature of the output-density
+mixture, which yields I and mmse from the same mixture logits; that
+quadrature stays available as the reference the table is tested against.
 """
 
+import functools
 import math
 
 import numpy as np
@@ -20,14 +21,14 @@ from .errors import InfeasibleError, PreconditionError
 NOISE_ENTROPY = 0.5 * math.log(math.pi * math.e)  # h(n) for variance-1/2 real noise
 LN2 = math.log(2.0)
 
-_QUAD_START = 64
-# numpy's hermgauss overflows past order ~320; 256 already gives <= 2e-10
-# absolute error on the mixtures handled here
-_QUAD_CAP = 256
-_QUAD_AGREEMENT = 1e-9
-# doubles in one (S, chunk, S, Q) quadrature work array
-_QUAD_WORK = 1 << 19
-_gh_cache = {}
+# numpy's hermgauss overflows past order ~320. On the table knots, order 256 is
+# within 2.5e-10 / 3.7e-10 / 4.3e-10 of adaptive quadrature in mi (BPSK at
+# a ~ 7.16, PAM4 at a ~ 35.8, PAM8 at a ~ 150) and within 1.9e-8 in mmse (BPSK
+# at a ~ 6.06); order 128 differs from it by up to 4.4e-8 in mi, 1.2e-6 in mmse.
+_QUAD_ORDER = 256
+# doubles in one (S', A, S, Q) quadrature work array; the joint I/mmse pass
+# holds several of them at once
+_QUAD_WORK = 1 << 17
 
 # Interpolation table: knot spacing in ln a (the cubic's error scales with its
 # fourth power), the first knot (below it I = a - a^2 and mmse = 1 - 2a, off
@@ -40,12 +41,11 @@ _TABLE_SATURATION = 200.0
 _table_cache = {}
 
 
-def _gh_nodes(order):
+@functools.cache
+def _gh_nodes():
     """Gauss-Hermite nodes/weights normalized so E[g(mu + t)] = sum(w * g)."""
-    if order not in _gh_cache:
-        t, w = np.polynomial.hermite.hermgauss(order)
-        _gh_cache[order] = (t, w / math.sqrt(math.pi))
-    return _gh_cache[order]
+    t, w = np.polynomial.hermite.hermgauss(_QUAD_ORDER)
+    return t, w / math.sqrt(math.pi)
 
 
 def _gaussian_mi(a):
@@ -163,11 +163,11 @@ class MiEvaluator:
 
     def reference_mi(self, a):
         """I(a) without the table: for a discrete alphabet, the quadrature the table is built from."""
-        return self._apply(a, _gaussian_mi, lambda x: self._discrete(x, self._mi_at_order))
+        return self._apply(a, _gaussian_mi, lambda x: self._quadrature(x)[0])
 
     def reference_mmse(self, a):
         """mmse(a) without the table, as reference_mi."""
-        return self._apply(a, _gaussian_mmse, lambda x: self._discrete(x, self._mmse_at_order))
+        return self._apply(a, _gaussian_mmse, lambda x: self._quadrature(x)[1])
 
     def _apply(self, a, gaussian, discrete):
         arr = np.asarray(a, dtype=float)
@@ -185,64 +185,37 @@ class MiEvaluator:
             a_max = _TABLE_SATURATION / float(np.diff(np.sort(pts)).min()) ** 2
             count = math.ceil(math.log(a_max / _TABLE_A_MIN) / _TABLE_SPACING) + 1
             knots = np.exp(np.linspace(math.log(_TABLE_A_MIN), math.log(a_max), count))
-            _table_cache[key] = _Table(knots, self._discrete(knots, self._mi_at_order),
-                                       self._discrete(knots, self._mmse_at_order), math.log(pts.size))
+            _table_cache[key] = _Table(knots, *self._quadrature(knots), math.log(pts.size))
         return _table_cache[key]
 
-    def _discrete(self, a, fn):
-        order = _QUAD_START
-        prev = fn(a, order)
-        while order < _QUAD_CAP:
-            order *= 2
-            cur = fn(a, order)
-            if np.max(np.abs(cur - prev)) <= _QUAD_AGREEMENT:
-                return cur
-            prev = cur
-        return prev
+    def _quadrature(self, a):
+        """(I(a), mmse(a)) of the discrete alphabet by Gauss-Hermite quadrature.
 
-    def _mi_at_order(self, a, order):
-        return self._quad_chunked(a, order, self._mi_chunk)
-
-    def _mmse_at_order(self, a, order):
-        return self._quad_chunked(a, order, self._mmse_chunk)
-
-    def _quad_chunked(self, a, order, chunk_fn):
-        pts = self.constellation.points
-        chunk = max(1, _QUAD_WORK // (pts.size * pts.size * order))
-        out = np.empty_like(a)
-        for lo in range(0, a.size, chunk):
-            out[lo : lo + chunk] = chunk_fn(a[lo : lo + chunk], order)
-        return out
-
-    def _mixture_logits(self, a, order):
-        """Log of prior * component density at the per-component quadrature nodes.
-
-        Shapes: y is (A, S, Q); returned logits are (S', A, S, Q) over the
-        mixture components S', leading so that reductions over them are
-        elementwise across whole slabs. Densities are N(mu_s, 1/2) so
+        Each chunk takes one pass over the logits ln(prior * component density)
+        at the per-component nodes, shaped (S', A, S, Q) with the mixture
+        components S' leading so that reductions over them are elementwise
+        across whole slabs. Densities are N(mu_s, 1/2), so
         ln p(y) = logsumexp(logits) - 0.5*ln(pi).
         """
         pts = self.constellation.points
-        t, w = _gh_nodes(order)
-        mu = np.sqrt(a)[:, None] * pts[None, :]  # (A, S)
-        y = mu[:, :, None] + t[None, None, :]  # (A, S, Q)
-        diff = y[None] - mu.T[:, :, None, None]  # (S', A, S, Q)
-        return -(diff * diff) - math.log(pts.size), w
-
-    def _mi_chunk(self, a, order):
-        logits, w = self._mixture_logits(a, order)
-        peak = logits.max(axis=0)
-        lnp = peak + np.log(np.exp(logits - peak).sum(axis=0)) - 0.5 * math.log(math.pi)
-        h_y_comp = -(w[None, None, :] * lnp).sum(axis=-1)  # (A, S)
-        return h_y_comp.mean(axis=-1) - NOISE_ENTROPY  # uniform priors
-
-    def _mmse_chunk(self, a, order):
-        pts = self.constellation.points
-        logits, w = self._mixture_logits(a, order)
-        unnorm = np.exp(logits - logits.max(axis=0))
-        post_mean = (unnorm * pts[:, None, None, None]).sum(axis=0) / unnorm.sum(axis=0)  # (A, S, Q)
-        second = (w[None, None, :] * post_mean**2).sum(axis=-1).mean(axis=-1)
-        return 1.0 - second
+        t, w = _gh_nodes()
+        chunk = max(1, _QUAD_WORK // (pts.size * pts.size * t.size))
+        mi, mmse = np.empty_like(a), np.empty_like(a)
+        for lo in range(0, a.size, chunk):
+            part = slice(lo, lo + chunk)
+            mu = np.sqrt(a[part])[:, None] * pts[None, :]  # (A, S)
+            y = mu[:, :, None] + t[None, None, :]  # (A, S, Q)
+            diff = y[None] - mu.T[:, :, None, None]  # (S', A, S, Q)
+            logits = -(diff * diff) - math.log(pts.size)
+            peak = logits.max(axis=0)
+            unnorm = np.exp(logits - peak)
+            total = unnorm.sum(axis=0)
+            lnp = peak + np.log(total) - 0.5 * math.log(math.pi)
+            h_y_comp = -(w[None, None, :] * lnp).sum(axis=-1)  # (A, S)
+            mi[part] = h_y_comp.mean(axis=-1) - NOISE_ENTROPY  # uniform priors
+            post_mean = (unnorm * pts[:, None, None, None]).sum(axis=0) / total  # (A, S, Q)
+            mmse[part] = 1.0 - (w[None, None, :] * post_mean**2).sum(axis=-1).mean(axis=-1)
+        return mi, mmse
 
 
 def block_mi(h, qsets, rho, nt, evaluator):

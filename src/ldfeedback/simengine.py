@@ -51,12 +51,14 @@ class SimConfig:
         if self.trials < 1:
             raise PreconditionError("trials must be >= 1")
         grid = list(self.snr_grid_db)
-        if not grid or any(b <= a for a, b in zip(grid, grid[1:])):
-            raise PreconditionError("snr grid must be non-empty and strictly increasing")
+        if not grid or not all(map(math.isfinite, grid)) or any(b <= a for a, b in zip(grid, grid[1:])):
+            raise PreconditionError(f"snr grid must be non-empty, finite and strictly increasing, got {grid}")
         if not self.schemes:
             raise PreconditionError("scheme list must be non-empty")
-        if self.k < 1 or self.k > 2 * self.nc:
-            raise InfeasibleError(f"K = {self.k} violates 1 <= K <= 2*Nc = {2 * self.nc}")
+        if self.k < 1 or self.nc < 1:
+            raise PreconditionError(f"K = {self.k} and Nc = {self.nc} must both be >= 1")
+        if self.k > 2 * self.nc:
+            raise InfeasibleError(f"K = {self.k} violates K <= 2*Nc = {2 * self.nc}")
         if self.opt_samples < MIN_OPT_SAMPLES and any(s in STATISTICAL_SCHEMES for s in self.schemes):
             raise PreconditionError(
                 f"opt_samples = {self.opt_samples}: the statistical optimizer needs at least "
@@ -283,7 +285,7 @@ def default_unitaries(config, n1):
     return [haar_unitary(config.model.nt, rng) for _ in range(n1)]
 
 
-def best_rank_one_codebook(config, b, n1, n2, unitaries=None, batch=None, label="quantized-rank1-best"):
+def best_rank_one_codebook(config, b, n1, n2, unitaries=None, batch=None):
     """Pick the rank-one mode assignment maximizing mean MI summed over the grid.
 
     All candidates are scored on the same trials; ties keep the first
@@ -311,16 +313,15 @@ def best_rank_one_codebook(config, b, n1, n2, unitaries=None, batch=None, label=
             b=b, n1=n1, n2=n2, unitaries=unitaries, lambdas=lambdas,
             k=config.k, nc=config.nc, nt=nt,
         )
-        rows = scheme_block_mi(config, ("quantized", label, cb), batch, smat=smat)
+        rows = scheme_block_mi(config, ("quantized", "quantized-rank1-best", cb), batch, smat=smat)
         score = float(rows.mean(axis=1).sum())
         if best is None or score > best[0]:
             best = (score, cb, rows)
     _, cb, rows = best
-    return cb, _curve_points(config, label, rows)
+    return cb, _curve_points(config, "quantized-rank1-best", rows)
 
 
-def rank_two_tournament(config, b, n1, n2, count, unitaries=None, batch=None,
-                        label="quantized-rank2-best"):
+def rank_two_tournament(config, b, n1, n2, count, unitaries=None, batch=None):
     """Evaluate `count` random rank-two codebooks sharing the run's unitaries.
 
     Returns (best_curve, all_curves) where the best curve takes the
@@ -356,7 +357,7 @@ def rank_two_tournament(config, b, n1, n2, count, unitaries=None, batch=None,
         winner = int(np.argmax(per_point[:, s_idx]))
         src = all_curves[winner][s_idx]
         best_points.append(
-            CurvePoint(snr_db=float(snr), scheme=label, mi_bits_per_use=src.mi_bits_per_use,
+            CurvePoint(snr_db=float(snr), scheme="quantized-rank2-best", mi_bits_per_use=src.mi_bits_per_use,
                        stderr=src.stderr, trials=src.trials)
         )
     return best_points, [p for curve in all_curves for p in curve]

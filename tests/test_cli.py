@@ -139,6 +139,21 @@ class TestSimulate:
         assert "opt_samples" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("line,bad,message", [
+        ("k = 2", "k = 0", "K = 0"),
+        ("nc = 2", "nc = 0", "Nc = 0"),
+        ("snr_db = 0,10,20", "snr_db = 0,nan,20", "snr grid"),
+        ("snr_db = 0,10,20", "snr_db = 0,10,inf", "snr grid"),
+        ("snr_db = 0,10,20", "snr_db = -inf,0", "snr grid"),
+    ], ids=["k-0", "nc-0", "snr-nan", "snr-inf", "snr-minus-inf"])
+    def test_bad_value_exit_2(self, tmp_path, capsys, line, bad, message):
+        text = SMALL_CFG.replace("trials = 20", "trials = 1")
+        cfg = write(tmp_path, "exp.cfg", text.replace(line, bad))
+        out = tmp_path / "x.csv"
+        assert cli.main(["simulate", cfg, "-o", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     def test_seed_override_changes_output(self, tmp_path):
         cfg = write(tmp_path, "exp.cfg", SMALL_CFG.replace("trials = 20", "trials = 2"))
         out1, out2 = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")

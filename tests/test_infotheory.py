@@ -9,7 +9,6 @@ from ldfeedback.channel import iid_model, sample
 from ldfeedback.dispersion import rank_one_set
 from ldfeedback.errors import InfeasibleError, PreconditionError
 from ldfeedback.infotheory import (
-    _QUAD_CAP,
     NOISE_ENTROPY,
     Constellation,
     MiEvaluator,
@@ -36,6 +35,12 @@ ORACLE_MMSE = {
     ("bpsk", 2.0): 0.068597408790739,
     ("pam4", 0.5): 0.483372951591222,
     ("pam4", 1.0): 0.308434594142401,
+}
+# Frozen oracle (I, mmse) where the order-256 quadrature is farthest from it.
+ORACLE_WORST = {
+    ("bpsk", 7.16): (0.6929207772883337, 0.0002388074993970868),
+    ("pam4", 35.8): (1.3859547562124739, 7.164224981903722e-05),
+    ("pam8", 150.0): (2.0790381062000862, 2.0265791433993208e-05),
 }
 
 
@@ -190,9 +195,16 @@ class TestTable:
     def test_matches_quadrature(self, kind):
         ev = make_eval(kind)
         a = np.exp(Rng(15, 0).gen.uniform(math.log(1e-8), math.log(1e4), 20_000))
-        # the quadrature at its cap order, the value its order doubling converges to
-        assert np.abs(ev.mi(a) - ev._mi_at_order(a, _QUAD_CAP)).max() <= 5e-10
-        assert np.abs(ev.mmse(a) - ev._mmse_at_order(a, _QUAD_CAP)).max() <= 1e-7
+        assert np.abs(ev.mi(a) - ev.reference_mi(a)).max() <= 5e-10
+        assert np.abs(ev.mmse(a) - ev.reference_mmse(a)).max() <= 1e-7
+
+    @pytest.mark.parametrize("kind,a", sorted(ORACLE_WORST))
+    def test_quadrature_against_oracle_at_its_worst(self, kind, a):
+        # order 128 misses these by 7e-9 to 1.1e-8 in mi and up to 4.2e-7 in mmse
+        ev = make_eval(kind)
+        want_mi, want_mmse = ORACLE_WORST[(kind, a)]
+        assert abs(ev.reference_mi(a) - want_mi) <= 1e-9
+        assert abs(ev.reference_mmse(a) - want_mmse) <= 5e-8
 
     @pytest.mark.parametrize("kind", TABLE_KINDS)
     def test_knots_hold_the_quadrature_values(self, kind):
