@@ -3,7 +3,8 @@
 The channel decomposes as H = Ur @ Hind @ Ut^H where Hind has independent
 zero-mean complex Gaussian entries with per-entry variances given by a mask.
 Total channel power E[Tr(H H^H)] is normalized to Nt * Nr, so the mask
-entries must sum to Nt * Nr.
+entries must sum to Nt * Nr. Draws are built as stacks along a leading
+trial axis; one realization is the n = 1 stack.
 """
 
 from dataclasses import dataclass
@@ -11,7 +12,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PreconditionError
-from .matkit import complex_gaussian_matrix
 
 UNITARY_TOL = 1e-12
 POWER_TOL = 1e-9
@@ -32,6 +32,9 @@ class CorrelationModel:
             raise PreconditionError("antenna counts must be >= 1")
         if self.ut.shape != (self.nt, self.nt) or self.ur.shape != (self.nr, self.nr):
             raise PreconditionError("eigenbasis dimensions do not match antenna counts")
+        for name, m in (("ut", self.ut), ("ur", self.ur), ("vmask", self.vmask)):
+            if not np.isfinite(m).all():
+                raise PreconditionError(f"{name} entries must be finite")
         for name, u in (("ut", self.ut), ("ur", self.ur)):
             resid = np.linalg.norm(u.conj().T @ u - np.eye(u.shape[0]))
             if resid > UNITARY_TOL:
@@ -108,11 +111,20 @@ def custom_model(vmask, ut=None, ur=None):
     return CorrelationModel(nt=nt, nr=nr, ut=np.asarray(ut), ur=np.asarray(ur), vmask=vmask)
 
 
-def sample(model, rng):
-    """Draw one channel realization from the model."""
-    hind = complex_gaussian_matrix(rng, model.vmask)
+def from_normals(model, z):
+    """Channel stack from standard normals z of shape (n, 2, Nr, Nt); returns (h, hind).
+
+    hind = (z[:, 0] + i z[:, 1]) * sqrt(vmask / 2) has independent
+    CN(0, vmask) entries (zero-variance entries come out exactly zero) and
+    h = Ur @ hind @ Ut^H; with identity eigenbases h is hind itself.
+    """
+    hind = (z[:, 0] + 1j * z[:, 1]) * np.sqrt(model.vmask / 2.0)
     if model.identity_bases:
-        h = hind
-    else:
-        h = model.ur @ hind @ model.ut.conj().T
-    return ChannelRealization(h=h, hind=hind)
+        return hind, hind
+    return model.ur @ hind @ model.ut.conj().T, hind
+
+
+def sample(model, rng):
+    """Draw one channel realization from the model: the n = 1 call of from_normals."""
+    h, hind = from_normals(model, rng.gen.standard_normal((1, 2, model.nr, model.nt)))
+    return ChannelRealization(h=h[0], hind=hind[0])

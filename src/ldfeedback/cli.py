@@ -149,9 +149,7 @@ def simulate_curves(config, split):
     """Run all configured schemes on one shared trial batch."""
     config.validate()
     batch = simengine.draw_trials(config.model, config.trials, config.seed)
-    curves = []
-    if config.schemes:
-        curves.extend(simengine.run(config, batch=batch))
+    curves = simengine.run(config, batch=batch)
     if split["rank1"] or split["rank2"]:
         unitaries = simengine.default_unitaries(config, split["n1"])
         if split["rank1"]:

@@ -122,10 +122,30 @@ def select_mi(smat, lambdas, rho, k, nt, evaluator):
     smat (..., N1, Nt) comes from s_matrix and lambdas (..., N2, Nt) holds
     the power diagonals; leading axes broadcast, so a codebook shared by all
     trials passes its (N2, Nt) lambda_matrix(). Tr(H Q^{i,j} H^H) is
-    sum_m s[i, m] * lambda_j[m]. Returns (values, i, j) over the leading axes.
+    sum_m s[i, m] * lambda_j[m]. rho is a scalar or a 1-D array of SNR
+    points; an array puts a leading SNR axis on the results. Returns
+    (values, i, j) over the SNR and leading axes.
+
+    I is strictly increasing and t -> max(t, 0) * rho/Nt is non-decreasing
+    for rho > 0, so a codeword of largest trace maximizes K * I at every
+    positive SNR: the traces and their argmax are computed once, and K * I
+    only at the selected trace. Ties go to the smallest i, then j. At
+    rho = 0 every codeword gives I(0) = 0, and that full tie returns (0, 0).
+    The Gaussian I is non-decreasing in floating point too, so the values
+    equal the per-codeword maximum exactly. A discrete alphabet's table is
+    non-decreasing only up to ripples of at most two ulps where
+    a * d_min^2 > 140 (there I is within 1e-16 of ln M), so a value whose
+    codewords reach that range can sit up to two ulps of K ln M below the
+    per-codeword maximum.
     """
-    traces = np.einsum("...im,...jm->...ij", smat, lambdas)
-    return _best_codeword(k * evaluator.mi(np.maximum(traces, 0.0) * rho / nt))
+    traces, i, j = _best_codeword(np.einsum("...im,...jm->...ij", smat, lambdas))
+    rho = np.asarray(rho, dtype=float)
+    if rho.ndim > 1:
+        raise PreconditionError(f"rho must be a scalar or a 1-D array, got shape {rho.shape}")
+    rho = rho.reshape(rho.shape + (1,) * traces.ndim)
+    values = k * evaluator.mi(np.maximum(traces, 0.0) * rho / nt)
+    zero = rho == 0
+    return values, np.where(zero, 0, i), np.where(zero, 0, j)
 
 
 def select_snr(smat, lambdas, k, nt, nc):

@@ -7,6 +7,7 @@ from scipy.stats import ks_2samp
 from ldfeedback.channel import CorrelationModel, custom_model, iid_model, sample, v4_model
 from ldfeedback.errors import PreconditionError
 from ldfeedback.matkit import Rng, haar_unitary
+from ldfeedback.simengine import draw_trials
 
 
 @pytest.mark.parametrize("nt,nr", [(2, 2), (4, 4), (1, 1)])
@@ -53,6 +54,15 @@ class TestModelValidation:
         # sums to nt*nr = 4 but carries a negative entry
         with pytest.raises(PreconditionError):
             custom_model(np.array([[2.0, 2.0], [2.0, -2.0]]))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize("field", ["vmask", "ut", "ur"])
+    def test_rejects_non_finite_entries(self, field, bad):
+        args = {"vmask": np.ones((2, 2)), "ut": np.eye(2, dtype=complex), "ur": np.eye(2, dtype=complex)}
+        args[field] = args[field].copy()
+        args[field][0, 0] = bad
+        with pytest.raises(PreconditionError, match=f"{field} entries must be finite"):
+            custom_model(**args)
 
 
 class TestSampling:
@@ -111,3 +121,30 @@ class TestSampling:
         assert ks_2samp(lam_a, lam_b).pvalue > 1e-3
         pooled_se = math.sqrt(lam_a.var(ddof=1) / draws + lam_b.var(ddof=1) / draws)
         assert abs(lam_a.mean() - lam_b.mean()) <= 3 * pooled_se
+
+
+def haar_model():
+    """3 tx, 2 rx, uneven mask summing to 6, Haar eigenbases on both sides."""
+    vmask = np.array([[2.0, 1.0, 0.0], [0.5, 1.5, 1.0]])
+    return custom_model(vmask, ut=haar_unitary(3, Rng(43, 0)), ur=haar_unitary(2, Rng(43, 1)))
+
+
+BATCH_MODELS = {"iid2x2": lambda: iid_model(2, 2), "v4": v4_model, "haar": haar_model}
+
+
+@pytest.mark.parametrize("name", list(BATCH_MODELS))
+class TestBatchedDraw:
+    def test_rows_equal_single_draws(self, name):
+        model = BATCH_MODELS[name]()
+        batch = draw_trials(model, 12, 47, first_stream=3)
+        for i in range(12):
+            real = sample(model, Rng(47, 3 + i))
+            assert np.array_equal(batch.h[i], real.h)
+            assert np.array_equal(batch.hind[i], real.hind)
+
+    def test_window_equals_rows_of_longer_draw(self, name):
+        model = BATCH_MODELS[name]()
+        full = draw_trials(model, 20, 53)
+        window = draw_trials(model, 15, 53, first_stream=5)
+        for field in ("h", "hind", "eigvals", "ind_col_power"):
+            assert np.array_equal(getattr(window, field), getattr(full, field)[5:])

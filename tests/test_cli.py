@@ -9,6 +9,7 @@ from ldfeedback.dispersion import from_text
 from ldfeedback.errors import ConfigError
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+DATA_DIR = Path(__file__).resolve().parent / "data"
 
 SMALL_CFG = """
 model = iid
@@ -145,7 +146,9 @@ class TestSimulate:
         ("snr_db = 0,10,20", "snr_db = 0,nan,20", "snr grid"),
         ("snr_db = 0,10,20", "snr_db = 0,10,inf", "snr grid"),
         ("snr_db = 0,10,20", "snr_db = -inf,0", "snr grid"),
-    ], ids=["k-0", "nc-0", "snr-nan", "snr-inf", "snr-minus-inf"])
+        ("model = iid", "vmask = nan,1,1,1", "vmask"),
+        ("model = iid", "vmask = inf,1,1,1", "vmask"),
+    ], ids=["k-0", "nc-0", "snr-nan", "snr-inf", "snr-minus-inf", "vmask-nan", "vmask-inf"])
     def test_bad_value_exit_2(self, tmp_path, capsys, line, bad, message):
         text = SMALL_CFG.replace("trials = 20", "trials = 1")
         cfg = write(tmp_path, "exp.cfg", text.replace(line, bad))
@@ -153,6 +156,26 @@ class TestSimulate:
         assert cli.main(["simulate", cfg, "-o", str(out)]) == 2
         assert message in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("schemes", [
+        "quantized-rank1-best", "quantized-rank2-best", "quantized-rank1-best,quantized-rank2-best",
+    ])
+    def test_quantized_only_schemes(self, tmp_path, schemes):
+        text = SMALL_CFG.replace("schemes = perfect,statistical,statistical-beamforming,"
+                                 "quantized-rank1-best,quantized-rank2-best", f"schemes = {schemes}")
+        cfg = write(tmp_path, "exp.cfg", text)
+        out = tmp_path / "x.csv"
+        assert cli.main(["simulate", cfg, "-o", str(out)]) == 0
+        rows = out.read_text().splitlines()[1:]
+        assert {r.split(",")[1] for r in rows} == set(schemes.split(","))
+        assert len(rows) == 3 * len(schemes.split(","))
+
+    def test_demo_csv_pinned(self, tmp_path):
+        # tests/data/demo.csv was written by an earlier revision: a Gaussian
+        # simulate CSV depends only on the config and seed, byte for byte
+        out = tmp_path / "demo.csv"
+        assert cli.main(["simulate", str(CONFIG_DIR / "demo.cfg"), "-o", str(out)]) == 0
+        assert out.read_bytes() == (DATA_DIR / "demo.csv").read_bytes()
 
     def test_seed_override_changes_output(self, tmp_path):
         cfg = write(tmp_path, "exp.cfg", SMALL_CFG.replace("trials = 20", "trials = 2"))

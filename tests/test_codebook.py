@@ -179,6 +179,12 @@ class TestSelectMi:
                 val = cb.k * ev.mi(1.5 / cb.nt * np.einsum("ij,jk,ik->", h, q, h.conj()).real)
                 assert value >= val - 1e-12
 
+    def test_rejects_matrix_rho(self):
+        cb = QuantizedCodebook(b=2, n1=4, n2=1, unitaries=haar_unitaries(4, Rng(4, 3)),
+                               lambdas=mode_diagonals([0]), k=4, nc=4, nt=4)
+        with pytest.raises(PreconditionError, match="1-D"):
+            mi_rule(cb, realization(1), np.ones((2, 2)), gaussian_eval())
+
     def test_determinism(self):
         ev = gaussian_eval()
         batch = realization(5)
@@ -187,6 +193,80 @@ class TestSelectMi:
         a = mi_rule(cb, batch, 2.0, ev)
         b = mi_rule(cb, batch, 2.0, ev)
         assert all(np.array_equal(x, y) for x, y in zip(a, b))
+
+
+def mi_rule_definition(smat, lambdas, rho, k, nt, ev):
+    """The MI rule by its definition: K * I of every codeword, then the maximum.
+
+    Returns (values, i, j) with ties to the first codeword in (i, j) order,
+    plus the per-codeword arguments and objectives flattened over (N1, N2).
+    """
+    args = np.maximum(np.einsum("...im,...jm->...ij", smat, lambdas), 0.0) * rho / nt
+    obj = (k * ev.mi(args)).reshape(args.shape[:-2] + (-1,))
+    i, j = np.divmod(obj.argmax(axis=-1), args.shape[-1])
+    return obj.max(axis=-1), i, j, args.reshape(obj.shape), obj
+
+
+ALPHABETS = {"gaussian": Constellation.gaussian, "bpsk": Constellation.bpsk,
+             "pam4": lambda: Constellation.pam(4)}
+# up to 1e6: past every table's last knot for most codewords of most trials
+TRACE_RHOS = np.array([0.0, 0.3, 2.0, 8.0, 40.0, 1e3, 1e6])
+
+
+@pytest.mark.parametrize("name", list(ALPHABETS))
+class TestTraceSelection:
+    """select_mi picks the largest trace once; that must be the MI rule's codeword.
+
+    A discrete table is non-decreasing only up to two-ulp ripples of K*ln M
+    where a * d_min^2 > 140, so a row with an argument in that band, unless
+    all its arguments are past the table's last knot (where I = ln M), is
+    held to two ulps; every other row must match exactly.
+    """
+
+    def _inputs(self, per_trial):
+        batch = draw_trials(iid_model(4, 4), 300, 61)
+        rng = Rng(61, 1)
+        smat = s_matrix(batch.h, haar_unitaries(4, rng))
+        if per_trial:
+            # per-trial competitor diagonals, as in verify thm4: leading axes (trials, competitors)
+            w = rng.gen.uniform(size=(300, 5, 3, 4))
+            return smat[:, None], 4.0 * w / w.sum(axis=-1, keepdims=True)
+        w = rng.gen.uniform(size=(2, 4))
+        return smat, 4.0 * w / w.sum(axis=-1, keepdims=True)
+
+    def _check(self, name, per_trial):
+        ev = MiEvaluator(ALPHABETS[name]())
+        smat, lambdas = self._inputs(per_trial)
+        values, i, j = select_mi(smat, lambdas, TRACE_RHOS, 4, 4, ev)
+        assert values.shape == i.shape == j.shape == (TRACE_RHOS.size,) + np.broadcast_shapes(smat.shape[:-2], lambdas.shape[:-2])
+        saturated_rows = 0
+        for s, rho in enumerate(TRACE_RHOS):
+            scalar = select_mi(smat, lambdas, rho, 4, 4, ev)
+            assert all(np.array_equal(a, b) for a, b in zip(scalar, (values[s], i[s], j[s])))
+            want, want_i, want_j, args, obj = mi_rule_definition(smat, lambdas, rho, 4, 4, ev)
+            exact = np.ones(want.shape, dtype=bool)
+            if name != "gaussian":
+                table = ev._table()
+                ripple = table.knots[-1] * 140.0 / 200.0  # the last knot sits at a * d_min^2 = 200
+                saturated = args.min(axis=-1) > table.knots[-1]
+                saturated_rows += saturated.sum()
+                exact = (args.max(axis=-1) <= ripple) | saturated
+                assert (np.abs(values[s] - want) <= 2 * np.spacing(4 * table.ln_m)).all()
+            assert np.array_equal(values[s][exact], want[exact])
+            top2 = np.sort(obj, axis=-1)[..., -2:]
+            untied = exact & (top2[..., 1] > top2[..., 0])
+            assert np.array_equal(i[s][untied], want_i[untied])
+            assert np.array_equal(j[s][untied], want_j[untied])
+        zero = TRACE_RHOS == 0
+        assert (values[zero] == 0).all() and (i[zero] == 0).all() and (j[zero] == 0).all()
+        if name != "gaussian":
+            assert saturated_rows > 0
+
+    def test_shared_codebook(self, name):
+        self._check(name, per_trial=False)
+
+    def test_per_trial_lambdas(self, name):
+        self._check(name, per_trial=True)
 
 
 class TestSelectSnr:
