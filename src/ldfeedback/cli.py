@@ -12,7 +12,7 @@ import sys
 
 import numpy as np
 
-from . import codebook, dispersion, simengine, verify
+from . import dispersion, simengine, verify
 from .channel import custom_model, iid_model, v4_model
 from .errors import ConfigError, InfeasibleError, PreconditionError
 from .infotheory import Constellation
@@ -25,11 +25,6 @@ KNOWN_KEYS = {
     "model", "nt", "nr", "nc", "k", "b", "n1", "n2", "vmask",
     "snr_db", "trials", "seed", "constellation", "schemes",
     "rank_two_sets", "opt_samples",
-}
-
-SCHEME_LABELS = {
-    "perfect", "statistical", "statistical-beamforming",
-    "quantized-rank1-best", "quantized-rank2-best",
 }
 
 
@@ -92,12 +87,14 @@ def resolve_seed(config_values, cli_seed):
 
 
 def build_experiment(values, cli_seed=None):
-    """Turn parsed config values into a SimConfig plus codebook split settings."""
+    """Turn parsed config values into the SimConfig of one experiment."""
     nt = _get_int(values, "nt")
     nr = _get_int(values, "nr")
     nc = _get_int(values, "nc")
     k = _get_int(values, "k", default=nc)
     preset = values.get("model", "iid")
+    if "vmask" in values and "model" in values:
+        raise ConfigError("give either model or vmask, not both")
     if "vmask" in values:
         flat = _get_float_list(values, "vmask")
         if len(flat) != nt * nr:
@@ -114,14 +111,16 @@ def build_experiment(values, cli_seed=None):
     schemes = [s.strip() for s in values.get("schemes", "").split(",") if s.strip()]
     if not schemes:
         raise ConfigError("schemes must name at least one scheme")
-    for s in schemes:
-        if s not in SCHEME_LABELS:
+    for idx, s in enumerate(schemes):
+        if s not in simengine.SCHEMES:
             raise ConfigError(f"unknown scheme {s!r}")
+        if s in schemes[:idx]:
+            raise ConfigError(f"repeated scheme {s!r}")
     try:
         constellation = Constellation.from_name(values.get("constellation", "gaussian"))
     except (PreconditionError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
-    config = simengine.SimConfig(
+    return simengine.SimConfig(
         model=model,
         snr_grid_db=_get_float_list(values, "snr_db"),
         trials=_get_int(values, "trials"),
@@ -129,41 +128,13 @@ def build_experiment(values, cli_seed=None):
         constellation=constellation,
         k=k,
         nc=nc,
-        schemes=[s for s in schemes if s in ("perfect", "statistical", "statistical-beamforming")],
+        schemes=schemes,
         opt_samples=_get_int(values, "opt_samples", default=5000),
+        b=_get_int(values, "b", default=2),
+        n1=_get_int(values, "n1", default=4),
+        n2=_get_int(values, "n2", default=1),
+        rank_two_sets=_get_int(values, "rank_two_sets", default=50),
     )
-    split = {
-        "b": _get_int(values, "b", default=2),
-        "n1": _get_int(values, "n1", default=4),
-        "n2": _get_int(values, "n2", default=1),
-        "rank_two_sets": _get_int(values, "rank_two_sets", default=50),
-        "rank1": "quantized-rank1-best" in schemes,
-        "rank2": "quantized-rank2-best" in schemes,
-    }
-    if split["n1"] * split["n2"] != 2 ** split["b"]:
-        raise ConfigError(f"n1*n2 = {split['n1'] * split['n2']} must equal 2^b = {2 ** split['b']}")
-    return config, split
-
-
-def simulate_curves(config, split):
-    """Run all configured schemes on one shared trial batch."""
-    config.validate()
-    batch = simengine.draw_trials(config.model, config.trials, config.seed)
-    curves = simengine.run(config, batch=batch)
-    if split["rank1"] or split["rank2"]:
-        unitaries = simengine.default_unitaries(config, split["n1"])
-        if split["rank1"]:
-            _, points = simengine.best_rank_one_codebook(
-                config, split["b"], split["n1"], split["n2"], unitaries=unitaries, batch=batch
-            )
-            curves.extend(points)
-        if split["rank2"]:
-            best, _ = simengine.rank_two_tournament(
-                config, split["b"], split["n1"], split["n2"], split["rank_two_sets"],
-                unitaries=unitaries, batch=batch,
-            )
-            curves.extend(best)
-    return curves
 
 
 def curves_to_csv(curves):
@@ -265,8 +236,7 @@ def cmd_simulate(args):
     try:
         with open(args.config) as f:
             values = parse_config_text(f.read(), path=args.config)
-        config, split = build_experiment(values, cli_seed=args.seed)
-        curves = simulate_curves(config, split)
+        curves = simengine.run(build_experiment(values, cli_seed=args.seed))
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

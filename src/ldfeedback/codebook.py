@@ -15,7 +15,6 @@ import numpy as np
 
 from .errors import PreconditionError
 from .infotheory import perfect_csi_mi
-from .matkit import matrix_from_lines, matrix_to_lines
 # unused here, but bench/tests/test_bench.py checks that the span tracer patches
 # this call-site binding, so the name stays bound in this module
 from .matkit import hermitian_eig  # noqa: F401
@@ -179,33 +178,3 @@ def delta_mi(cb, batch, rho, evaluator):
     smat = s_matrix(batch.h, cb.unitaries)
     return (best - select_mi(smat, cb.lambda_matrix(), rho, cb.k, cb.nt, evaluator)[0]) / cb.k
 
-
-def to_text(cb):
-    """Header 'b n1 n2 nt nc k', N1 unitary blocks of Nt lines, then N2 diagonal lines."""
-    lines = [f"{cb.b} {cb.n1} {cb.n2} {cb.nt} {cb.nc} {cb.k}"]
-    for u in cb.unitaries:
-        lines.extend(matrix_to_lines(u))
-    for lam in cb.lambdas:
-        lines.extend(matrix_to_lines(lam[None, :].astype(complex)))
-    return "\n".join(lines) + "\n"
-
-
-def from_text(text):
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines:
-        raise ValueError("empty codebook text")
-    try:
-        b, n1, n2, nt, nc, k = (int(t) for t in lines[0].split())
-    except ValueError as exc:
-        raise ValueError(f"bad header line {lines[0]!r}") from exc
-    body = lines[1:]
-    if len(body) != n1 * nt + n2:
-        raise ValueError(f"expected {n1 * nt + n2} body lines, got {len(body)}")
-    unitaries = [matrix_from_lines(body[i * nt : (i + 1) * nt], nt, nt) for i in range(n1)]
-    lambdas = []
-    for j in range(n2):
-        row = matrix_from_lines([body[n1 * nt + j]], 1, nt)[0]
-        if np.abs(row.imag).max(initial=0.0) != 0.0:
-            raise ValueError("power diagonals must be real")
-        lambdas.append(row.real)
-    return QuantizedCodebook(b=b, n1=n1, n2=n2, unitaries=unitaries, lambdas=lambdas, k=k, nc=nc, nt=nt)

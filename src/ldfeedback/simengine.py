@@ -27,6 +27,8 @@ STREAM_CODEBOOK = 1 << 48
 STREAM_OPT = (1 << 48) + 1
 STREAM_TOURNAMENT = (1 << 48) + 2
 STATISTICAL_SCHEMES = ("statistical", "statistical-beamforming")
+QUANTIZED_SCHEMES = ("quantized-rank1-best", "quantized-rank2-best")
+SCHEMES = ("perfect",) + STATISTICAL_SCHEMES + QUANTIZED_SCHEMES
 MIN_OPT_SAMPLES = 100
 # trials per stacked eigendecomposition in draw_trials; bounds its scratch memory
 EIG_CHUNK = 4096
@@ -38,10 +40,12 @@ def rho_from_db(snr_db):
 
 @dataclass
 class SimConfig:
-    """One Monte Carlo experiment: channel law, grid, schemes, and seed.
+    """One Monte Carlo experiment: channel law, grid, schemes, seed and codebook split.
 
-    schemes lists what run evaluates; it is empty when only the codebook
-    searches (best_rank_one_codebook, rank_two_tournament) are wanted.
+    schemes lists the SCHEMES labels that run evaluates. The quantized
+    schemes share one B-bit codebook split: n1 unitaries times n2 power
+    diagonals with n1*n2 = 2^b; the rank-two tournament draws
+    rank_two_sets codebooks.
     """
 
     model: object
@@ -53,6 +57,10 @@ class SimConfig:
     nc: int
     schemes: list
     opt_samples: int = 5000
+    b: int = 2
+    n1: int = 4
+    n2: int = 1
+    rank_two_sets: int = 50
 
     def validate(self):
         if self.trials < 1:
@@ -69,6 +77,10 @@ class SimConfig:
                 f"opt_samples = {self.opt_samples}: the statistical optimizer needs at least "
                 f"{MIN_OPT_SAMPLES} samples"
             )
+        if min(self.n1, self.n2) < 1 or self.n1 * self.n2 != 2**self.b:
+            raise PreconditionError(f"n1*n2 = {self.n1 * self.n2} must equal 2^b = {2 ** self.b}")
+        if self.rank_two_sets < 1 and "quantized-rank2-best" in self.schemes:
+            raise PreconditionError("rank_two_sets must be >= 1")
 
 
 @dataclass
@@ -264,7 +276,13 @@ def _curve_points(config, label, block_mi_rows):
 
 
 def run(config, batch=None):
-    """Estimate the mean per-channel-use MI of every configured scheme."""
+    """Estimate the mean per-channel-use MI of every configured scheme.
+
+    The config is validated once and every scheme sees the same batch,
+    drawn here unless given. The statistical schemes share one optimizer
+    sample; the quantized schemes share one unitary family and one
+    s_matrix.
+    """
     config.validate()
     if batch is None:
         batch = draw_trials(config.model, config.trials, config.seed)
@@ -273,11 +291,18 @@ def run(config, batch=None):
         opt_cols = draw_ind_column_powers(
             config.model, config.opt_samples, Rng(config.seed, STREAM_OPT)
         )
+    if any(s in QUANTIZED_SCHEMES for s in config.schemes):
+        unitaries = default_unitaries(config)
+        smat = s_matrix(batch.h, unitaries)
     curves = []
     for scheme in config.schemes:
-        label = scheme[1] if isinstance(scheme, tuple) else scheme
-        rows = scheme_block_mi(config, scheme, batch, opt_cols=opt_cols)
-        curves.extend(_curve_points(config, label, rows))
+        if scheme == "quantized-rank1-best":
+            curves.extend(best_rank_one_codebook(config, batch, unitaries, smat)[1])
+        elif scheme == "quantized-rank2-best":
+            curves.extend(rank_two_tournament(config, batch, unitaries, smat)[0])
+        else:
+            curves.extend(_curve_points(config, scheme,
+                                        scheme_block_mi(config, scheme, batch, opt_cols=opt_cols)))
     curves.sort(key=lambda p: (p.scheme, p.snr_db))
     return curves
 
@@ -287,29 +312,24 @@ def rank_one_candidates(nt, n2):
     return list(itertools.combinations(range(nt), n2))
 
 
-def default_unitaries(config, n1):
-    """The experiment's RVQ unitary family, drawn once from the run seed."""
+def default_unitaries(config):
+    """The experiment's config.n1 RVQ unitaries, drawn from the run seed."""
     rng = Rng(config.seed, STREAM_CODEBOOK)
-    return [haar_unitary(config.model.nt, rng) for _ in range(n1)]
+    return [haar_unitary(config.model.nt, rng) for _ in range(config.n1)]
 
 
-def best_rank_one_codebook(config, b, n1, n2, unitaries=None, batch=None):
+def best_rank_one_codebook(config, batch, unitaries, smat):
     """Pick the rank-one mode assignment maximizing mean MI summed over the grid.
 
-    All candidates are scored on the same trials; ties keep the first
-    candidate. Returns (codebook, its curve).
+    The codebook split comes from config; smat is s_matrix(batch.h,
+    unitaries). All candidates are scored on the same trials; ties keep
+    the first candidate. Returns (codebook, its curve).
     """
-    config.validate()
     nt = config.model.nt
-    candidates = rank_one_candidates(nt, n2)
+    candidates = rank_one_candidates(nt, config.n2)
     if not candidates:
-        raise PreconditionError(f"no rank-one candidates for Nt = {nt}, N2 = {n2}")
-    if unitaries is None:
-        unitaries = default_unitaries(config, n1)
-    if batch is None:
-        batch = draw_trials(config.model, config.trials, config.seed)
+        raise PreconditionError(f"no rank-one candidates for Nt = {nt}, N2 = {config.n2}")
     budget = nt * config.nc / config.k
-    smat = s_matrix(batch.h, unitaries)
     best = None
     for modes in candidates:
         lambdas = []
@@ -318,7 +338,7 @@ def best_rank_one_codebook(config, b, n1, n2, unitaries=None, batch=None):
             lam[mode] = budget
             lambdas.append(lam)
         cb = QuantizedCodebook(
-            b=b, n1=n1, n2=n2, unitaries=unitaries, lambdas=lambdas,
+            b=config.b, n1=config.n1, n2=config.n2, unitaries=unitaries, lambdas=lambdas,
             k=config.k, nc=config.nc, nt=nt,
         )
         rows = scheme_block_mi(config, ("quantized", "quantized-rank1-best", cb), batch, smat=smat)
@@ -329,28 +349,21 @@ def best_rank_one_codebook(config, b, n1, n2, unitaries=None, batch=None):
     return cb, _curve_points(config, "quantized-rank1-best", rows)
 
 
-def rank_two_tournament(config, b, n1, n2, count, unitaries=None, batch=None):
-    """Evaluate `count` random rank-two codebooks sharing the run's unitaries.
+def rank_two_tournament(config, batch, unitaries, smat):
+    """Evaluate config.rank_two_sets random rank-two codebooks sharing the run's unitaries.
 
-    Returns (best_curve, all_curves) where the best curve takes the
-    per-SNR-point maximum of the mean MI across the codebooks.
+    The codebook split comes from config; smat is s_matrix(batch.h,
+    unitaries). Returns (best_curve, all_curves) where the best curve takes
+    the per-SNR-point maximum of the mean MI across the codebooks.
     """
-    config.validate()
-    if count < 1:
-        raise PreconditionError("tournament needs count >= 1")
     nt = config.model.nt
-    if unitaries is None:
-        unitaries = default_unitaries(config, n1)
-    if batch is None:
-        batch = draw_trials(config.model, config.trials, config.seed)
     rng = Rng(config.seed, STREAM_TOURNAMENT)
-    lamsets = random_rank_two_lambdas(count, n2, nt, config.nc, config.k, rng)
-    smat = s_matrix(batch.h, unitaries)
+    lamsets = random_rank_two_lambdas(config.rank_two_sets, config.n2, nt, config.nc, config.k, rng)
     all_curves = []
     per_point = []  # (n_codebooks, n_snr) means
     for idx, lambdas in enumerate(lamsets):
         cb = QuantizedCodebook(
-            b=b, n1=n1, n2=n2, unitaries=unitaries, lambdas=lambdas,
+            b=config.b, n1=config.n1, n2=config.n2, unitaries=unitaries, lambdas=lambdas,
             k=config.k, nc=config.nc, nt=nt,
         )
         points = _curve_points(

@@ -6,6 +6,7 @@ random numbers.
 """
 
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +14,7 @@ import pytest
 
 from ldfeedback import cli, verify
 from ldfeedback.channel import iid_model, v4_model
+from ldfeedback.codebook import s_matrix
 from ldfeedback.dispersion import rank_one_set
 from ldfeedback.infotheory import LN2, Constellation, MiEvaluator, block_mi
 from ldfeedback.matkit import Rng, hermitian_eig
@@ -68,11 +70,11 @@ def experiments():
         perfect = scheme_block_mi(config, "perfect", batch)
         entry = {"config": config, "batch": batch, "perfect": perfect, "splits": {}}
         for n1, n2 in ((4, 1), (2, 2)):
-            unitaries = default_unitaries(config, n1)
-            cb, rank1 = best_rank_one_codebook(config, 2, n1, n2,
-                                               unitaries=unitaries, batch=batch)
-            rank2, _ = rank_two_tournament(config, 2, n1, n2, 50,
-                                           unitaries=unitaries, batch=batch)
+            split = replace(config, b=2, n1=n1, n2=n2, rank_two_sets=50)
+            unitaries = default_unitaries(split)
+            smat = s_matrix(batch.h, unitaries)
+            cb, rank1 = best_rank_one_codebook(split, batch, unitaries, smat)
+            rank2, _ = rank_two_tournament(split, batch, unitaries, smat)
             quant_rows = scheme_block_mi(config, ("quantized", "q", cb), batch)
             entry["splits"][(n1, n2)] = {
                 "rank1": rank1, "rank2": rank2, "rank1_rows": quant_rows,

@@ -71,7 +71,7 @@ class TestConfigParsing:
             "nt = 2\nnr = 2\nnc = 2\nvmask = 0.5,0.5,1.5,1.5\nsnr_db = 0\ntrials = 1\n"
             "schemes = perfect\nseed = 1\n"
         )
-        config, _ = cli.build_experiment(values)
+        config = cli.build_experiment(values)
         assert np.array_equal(config.model.vmask, [[0.5, 0.5], [1.5, 1.5]])
 
 
@@ -148,7 +148,10 @@ class TestSimulate:
         ("snr_db = 0,10,20", "snr_db = -inf,0", "snr grid"),
         ("model = iid", "vmask = nan,1,1,1", "vmask"),
         ("model = iid", "vmask = inf,1,1,1", "vmask"),
-    ], ids=["k-0", "nc-0", "snr-nan", "snr-inf", "snr-minus-inf", "vmask-nan", "vmask-inf"])
+        ("schemes = perfect,", "schemes = perfect,perfect,", "repeated scheme 'perfect'"),
+        ("model = iid", "model = bogus\nvmask = 1,1,1,1", "not both"),
+    ], ids=["k-0", "nc-0", "snr-nan", "snr-inf", "snr-minus-inf", "vmask-nan", "vmask-inf",
+            "repeated-scheme", "model-and-vmask"])
     def test_bad_value_exit_2(self, tmp_path, capsys, line, bad, message):
         text = SMALL_CFG.replace("trials = 20", "trials = 1")
         cfg = write(tmp_path, "exp.cfg", text.replace(line, bad))
@@ -242,6 +245,12 @@ class TestVerifyCommand:
         for name in SUITES:
             assert f" {name}/" in out
 
+    def test_verify_all_pinned(self, capsys):
+        # tests/data/verify_all.txt was written by an earlier revision: the
+        # certificates' metrics depend only on the default seed, byte for byte
+        assert cli.main(["verify", "all"]) == 0
+        assert capsys.readouterr().out == (DATA_DIR / "verify_all.txt").read_text()
+
     def test_unknown_suite_exit_2(self, capsys):
         assert cli.main(["verify", "nonsense"]) == 2
 
@@ -313,6 +322,6 @@ def test_round_trip_full_size_configs(tmp_path, name):
 def test_shipped_configs_parse():
     for name in ("iid2x2.cfg", "iid4x4.cfg", "v4.cfg", "demo.cfg"):
         values = cli.parse_config_text((CONFIG_DIR / name).read_text(), path=name)
-        config, split = cli.build_experiment(values)
+        config = cli.build_experiment(values)
         config.validate()
-        assert split["n1"] * split["n2"] == 2 ** split["b"]
+        assert config.n1 * config.n2 == 2 ** config.b

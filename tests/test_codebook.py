@@ -6,12 +6,10 @@ from ldfeedback.codebook import (
     QuantizedCodebook,
     delta_mi,
     delta_snr,
-    from_text,
     random_rank_two_lambdas,
     s_matrix,
     select_mi,
     select_snr,
-    to_text,
 )
 from ldfeedback.errors import PreconditionError
 from ldfeedback.infotheory import Constellation, MiEvaluator, block_mi
@@ -386,22 +384,3 @@ class TestProp3:
         y = np.array([[1.0, -2.0]])
         assert prop3_gap(a, y) == pytest.approx(0.0, abs=1e-15)
 
-
-class TestSerialization:
-    def test_round_trip_bit_exact(self):
-        cb = QuantizedCodebook(b=2, n1=2, n2=2, unitaries=haar_unitaries(2, Rng(10, 0)),
-                               lambdas=[4.0 * np.eye(4)[0], np.array([1.0, 2.0, 1.0, 0.0])],
-                               k=4, nc=4, nt=4)
-        back = from_text(to_text(cb))
-        assert (back.b, back.n1, back.n2, back.nt, back.nc, back.k) == (2, 2, 2, 4, 4, 4)
-        for u, v in zip(cb.unitaries, back.unitaries):
-            assert np.array_equal(u, v)
-        for a, b in zip(cb.lambdas, back.lambdas):
-            assert np.array_equal(a, b)
-
-    def test_rejects_truncated_text(self):
-        cb = QuantizedCodebook(b=2, n1=4, n2=1, unitaries=haar_unitaries(4, Rng(10, 1)),
-                               lambdas=mode_diagonals([0]), k=4, nc=4, nt=4)
-        text = to_text(cb)
-        with pytest.raises(ValueError):
-            from_text("\n".join(text.splitlines()[:-2]))

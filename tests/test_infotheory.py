@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
 from ldfeedback.channel import iid_model, sample
+from ldfeedback.codebook import s_matrix
 from ldfeedback.dispersion import rank_one_set
 from ldfeedback.errors import InfeasibleError, PreconditionError
 from ldfeedback.infotheory import (
@@ -16,7 +17,7 @@ from ldfeedback.infotheory import (
     perfect_csi_mi,
 )
 from ldfeedback.matkit import Rng, hermitian_eig
-from ldfeedback.simengine import SimConfig, rank_two_tournament, run
+from ldfeedback.simengine import SimConfig, default_unitaries, draw_trials, rank_two_tournament, run
 
 # Frozen values from the adaptive-quadrature oracle below (epsabs 1e-13).
 ORACLE_MI = {
@@ -236,10 +237,12 @@ class TestTable:
         config = SimConfig(model=iid_model(2, 2), snr_grid_db=[0.0, 10.0], trials=20, seed=31,
                            constellation=Constellation.from_name(kind), k=2, nc=2,
                            schemes=["perfect", "statistical", "statistical-beamforming"],
-                           opt_samples=100)
+                           opt_samples=100, b=2, n1=4, n2=1, rank_two_sets=3)
 
         def points():
-            best, every = rank_two_tournament(config, b=2, n1=4, n2=1, count=3)
+            batch = draw_trials(config.model, config.trials, config.seed)
+            unitaries = default_unitaries(config)
+            best, every = rank_two_tournament(config, batch, unitaries, s_matrix(batch.h, unitaries))
             return run(config) + best + every
 
         tabled = points()

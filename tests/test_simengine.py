@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -48,6 +49,14 @@ def make_config(model=None, schemes=("perfect",), trials=50, k=None, nc=None, se
         schemes=list(schemes),
         opt_samples=opt_samples,
     )
+
+
+def quantized_inputs(config, batch=None):
+    """The batch, unitaries and s_matrix that run shares between the two codebook searches."""
+    if batch is None:
+        batch = draw_trials(config.model, config.trials, config.seed)
+    unitaries = default_unitaries(config)
+    return batch, unitaries, s_matrix(batch.h, unitaries)
 
 
 def snr_rule_values(cb, batch):
@@ -171,10 +180,57 @@ class TestRun:
     def test_quantized_below_perfect_per_trial(self):
         config = make_config(model=iid_model(4, 4), trials=60)
         batch = draw_trials(config.model, config.trials, config.seed)
-        cb, _ = best_rank_one_codebook(config, 2, 4, 1, batch=batch)
+        cb, _ = best_rank_one_codebook(config, *quantized_inputs(config, batch))
         quant = scheme_block_mi(config, ("quantized", "q", cb), batch)
         perfect = scheme_block_mi(config, "perfect", batch)
         assert (quant <= perfect + 1e-9).all()
+
+    def test_all_five_schemes_match_the_searches(self):
+        config = make_config(model=iid_model(4, 4), schemes=simengine.SCHEMES, trials=30)
+        config = replace(config, rank_two_sets=5)
+        got = run(config)
+        assert sorted({p.scheme for p in got}) == sorted(simengine.SCHEMES)
+        inputs = quantized_inputs(config)
+        _, rank1 = best_rank_one_codebook(config, *inputs)
+        rank2, _ = rank_two_tournament(config, *inputs)
+        for label, want in (("quantized-rank1-best", rank1), ("quantized-rank2-best", rank2)):
+            assert [p for p in got if p.scheme == label] == want
+
+    @pytest.mark.parametrize("schemes", [
+        ("quantized-rank1-best",), ("quantized-rank2-best",),
+        ("quantized-rank2-best", "quantized-rank1-best"),
+    ])
+    def test_quantized_only(self, schemes):
+        config = replace(make_config(model=iid_model(4, 4), schemes=schemes, trials=10),
+                         rank_two_sets=3)
+        got = run(config)
+        assert {p.scheme for p in got} == set(schemes)
+        assert len(got) == len(schemes) * len(config.snr_grid_db)
+
+    def test_one_draw_and_one_s_matrix_per_run(self, monkeypatch):
+        calls = []
+
+        def counted(fn):
+            def wrapper(*args, **kwargs):
+                calls.append(fn.__name__)
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(simengine, "draw_trials", counted(draw_trials))
+        monkeypatch.setattr(simengine, "s_matrix", counted(s_matrix))
+        config = make_config(model=iid_model(4, 4), schemes=simengine.SCHEMES, trials=10)
+        run(replace(config, rank_two_sets=3))
+        assert sorted(calls) == ["draw_trials", "s_matrix"]
+
+    def test_rejects_bad_split(self):
+        for split in ({"n1": 2}, {"n1": 0, "n2": 4}, {"n1": -1, "n2": -4}, {"b": 3}):
+            with pytest.raises(PreconditionError, match="must equal 2"):
+                run(replace(make_config(), **split))
+        config = make_config(schemes=("perfect", "quantized-rank2-best"))
+        with pytest.raises(PreconditionError, match="rank_two_sets"):
+            run(replace(config, rank_two_sets=0))
+        # the tournament size only matters when the tournament runs
+        replace(make_config(), rank_two_sets=0).validate()
 
     def test_statistical_below_perfect_per_trial(self):
         config = make_config(model=v4_model(), schemes=("statistical",), trials=40)
@@ -192,7 +248,7 @@ class TestBestRankOne:
 
     def test_returns_single_mode_codebook(self):
         config = make_config(model=iid_model(4, 4), trials=30)
-        cb, points = best_rank_one_codebook(config, 2, 4, 1, batch=None)
+        cb, points = best_rank_one_codebook(config, *quantized_inputs(config))
         assert cb.n1 == 4 and cb.n2 == 1
         assert (np.stack(cb.lambdas) > 0).sum() == 1
         assert len(points) == len(config.snr_grid_db)
@@ -201,7 +257,7 @@ class TestBestRankOne:
     def test_iid_candidates_statistically_indistinguishable(self):
         config = make_config(model=iid_model(4, 4), trials=400, snr=(10.0,))
         batch = draw_trials(config.model, config.trials, config.seed)
-        unitaries = default_unitaries(config, 4)
+        unitaries = default_unitaries(config)
         means, errs = [], []
         for modes in rank_one_candidates(4, 1):
             lam = np.zeros(4)
@@ -218,7 +274,7 @@ class TestBestRankOne:
 class TestRankTwoTournament:
     def test_single_entry_is_its_own_best(self):
         config = make_config(model=iid_model(4, 4), trials=25)
-        best, table = rank_two_tournament(config, 2, 4, 1, count=1)
+        best, table = rank_two_tournament(replace(config, rank_two_sets=1), *quantized_inputs(config))
         assert len(table) == len(config.snr_grid_db)
         for b, t in zip(best, table):
             assert b.mi_bits_per_use == t.mi_bits_per_use
@@ -230,7 +286,8 @@ class TestRankTwoTournament:
             p.snr_db: p.mi_bits_per_use
             for p in run(make_config(model=iid_model(4, 4), trials=40), batch=batch)
         }
-        _, table = rank_two_tournament(config, 2, 4, 1, count=10, batch=batch)
+        _, table = rank_two_tournament(replace(config, rank_two_sets=10),
+                                       *quantized_inputs(config, batch))
         for p in table:
             assert p.mi_bits_per_use <= perfect[p.snr_db] + 1e-9
 
@@ -376,7 +433,7 @@ class TestAvgReceivedSnr:
     def test_mean_bounded_by_lambda_max(self):
         config = make_config(model=v4_model(), trials=200, snr=(0.0, 10.0))
         batch = draw_trials(config.model, config.trials, config.seed)
-        cb, _ = best_rank_one_codebook(config, 2, 4, 1, batch=batch)
+        cb, _ = best_rank_one_codebook(config, *quantized_inputs(config, batch))
         for snr in config.snr_grid_db:
             rho = 10.0 ** (snr / 10.0)
             scale = rho * config.nc / config.k
