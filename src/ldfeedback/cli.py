@@ -111,12 +111,8 @@ def build_experiment(values, cli_seed=None):
     schemes = [s.strip() for s in values.get("schemes", "").split(",") if s.strip()]
     if not schemes:
         raise ConfigError("schemes must name at least one scheme")
-    for idx, s in enumerate(schemes):
-        if s not in simengine.SCHEMES:
-            raise ConfigError(f"unknown scheme {s!r}")
-        if s in schemes[:idx]:
-            raise ConfigError(f"repeated scheme {s!r}")
     try:
+        simengine.check_schemes(schemes)
         constellation = Constellation.from_name(values.get("constellation", "gaussian"))
     except (PreconditionError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
@@ -232,26 +228,19 @@ def render_svg(rows, xmin=None, xmax=None, ymin=None, ymax=None):
     return "\n".join(parts) + "\n"
 
 
+def _write(path, text):
+    try:
+        with open(path, "w") as f:
+            f.write(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc}") from exc
+
+
 def cmd_simulate(args):
-    try:
-        with open(args.config) as f:
-            values = parse_config_text(f.read(), path=args.config)
-        curves = simengine.run(build_experiment(values, cli_seed=args.seed))
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ConfigError, PreconditionError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except InfeasibleError as exc:
-        print(f"infeasible: {exc}", file=sys.stderr)
-        return 3
-    try:
-        with open(args.output, "w") as f:
-            f.write(curves_to_csv(curves))
-    except OSError as exc:
-        print(f"error: cannot write {args.output}: {exc}", file=sys.stderr)
-        return 2
+    with open(args.config) as f:
+        values = parse_config_text(f.read(), path=args.config)
+    curves = simengine.run(build_experiment(values, cli_seed=args.seed))
+    _write(args.output, curves_to_csv(curves))
     return 0
 
 
@@ -261,9 +250,7 @@ def cmd_verify(args):
     elif args.suite in verify.SUITES:
         names = [args.suite]
     else:
-        print(f"error: unknown suite {args.suite!r}; known: all, {', '.join(verify.SUITES)}",
-              file=sys.stderr)
-        return 2
+        raise ConfigError(f"unknown suite {args.suite!r}; known: all, {', '.join(verify.SUITES)}")
     seed = verify.DEFAULT_SEED if args.seed is None else args.seed
     results = verify.run_suites(names, seed=seed, mutate=args.mutate)
     for r in results:
@@ -273,32 +260,23 @@ def cmd_verify(args):
 
 def cmd_construct(args):
     rng = Rng(1 if args.seed is None else args.seed, 0)
-    try:
-        if args.kind == "rank-one":
-            u = np.zeros(args.nt, dtype=complex)
-            if not 0 <= args.mode < args.nt:
-                raise PreconditionError(f"mode {args.mode} out of range for nt = {args.nt}")
-            u[args.mode] = 1.0
-            dset = dispersion.rank_one_set(u, args.k, args.nc)
-        else:
-            if args.lambdas is None:
-                raise PreconditionError("statistical kind needs --lambdas")
+    if args.kind == "rank-one":
+        u = np.zeros(args.nt, dtype=complex)
+        if not 0 <= args.mode < args.nt:
+            raise PreconditionError(f"mode {args.mode} out of range for nt = {args.nt}")
+        u[args.mode] = 1.0
+        dset = dispersion.rank_one_set(u, args.k, args.nc)
+    else:
+        if args.lambdas is None:
+            raise PreconditionError("statistical kind needs --lambdas")
+        try:
             lam = np.array([float(t) for t in args.lambdas.split(",")])
-            if lam.size != args.nt:
-                raise PreconditionError(f"--lambdas needs {args.nt} entries")
-            dset = dispersion.statistical_set(lam, args.k, args.nc, rng)
-    except InfeasibleError as exc:
-        print(f"infeasible: {exc}", file=sys.stderr)
-        return 3
-    except PreconditionError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        with open(args.output, "w") as f:
-            f.write(dispersion.to_text(dset))
-    except OSError as exc:
-        print(f"error: cannot write {args.output}: {exc}", file=sys.stderr)
-        return 2
+        except ValueError as exc:
+            raise ConfigError(f"--lambdas must be comma-separated numbers, got {args.lambdas!r}") from exc
+        if lam.size != args.nt:
+            raise PreconditionError(f"--lambdas needs {args.nt} entries")
+        dset = dispersion.statistical_set(lam, args.k, args.nc, rng)
+    _write(args.output, dispersion.to_text(dset))
     _, resid = dispersion.check_goc(dset)
     print(f"goc_residual = {resid:.6e}")
     print(f"total_power = {dset.total_power():.12g}")
@@ -306,22 +284,10 @@ def cmd_construct(args):
 
 
 def cmd_plot(args):
-    try:
-        with open(args.csv) as f:
-            rows = parse_csv(f.read())
-        svg = render_svg(rows, xmin=args.xmin, xmax=args.xmax, ymin=args.ymin, ymax=args.ymax)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        with open(args.output, "w") as f:
-            f.write(svg)
-    except OSError as exc:
-        print(f"error: cannot write {args.output}: {exc}", file=sys.stderr)
-        return 2
+    with open(args.csv) as f:
+        rows = parse_csv(f.read())
+    svg = render_svg(rows, xmin=args.xmin, xmax=args.xmax, ymin=args.ymin, ymax=args.ymax)
+    _write(args.output, svg)
     return 0
 
 
@@ -372,7 +338,14 @@ def main(argv=None):
     except SystemExit as exc:
         # argparse exits 2 on usage errors already
         return int(exc.code or 0)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except (OSError, ConfigError, PreconditionError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except InfeasibleError as exc:
+        print(f"infeasible: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -70,7 +70,7 @@ class QuantizedCodebook:
 
 
 def random_rank_two_lambdas(count, n2, nt, nc, k, rng):
-    """count random sets of N2 rank-two diagonals.
+    """count random sets of N2 rank-two diagonals, as a (count, N2, Nt) array.
 
     Each diagonal excites a uniformly chosen pair of modes with a uniform
     power split (w, 1-w) scaled to the full Nt*Nc/K budget.
@@ -81,17 +81,12 @@ def random_rank_two_lambdas(count, n2, nt, nc, k, rng):
         raise PreconditionError("rank-two allocations need Nt >= 2")
     budget = nt * nc / k
     pairs = list(itertools.combinations(range(nt), 2))
-    sets = []
-    for _ in range(count):
-        diags = []
-        for _ in range(n2):
-            p0, p1 = pairs[int(rng.gen.integers(len(pairs)))]
-            w = float(rng.gen.uniform())
-            lam = np.zeros(nt)
-            lam[p0] = w * budget
-            lam[p1] = (1.0 - w) * budget
-            diags.append(lam)
-        sets.append(diags)
+    sets = np.zeros((count, n2, nt))
+    for lam in sets.reshape(-1, nt):
+        p0, p1 = pairs[int(rng.gen.integers(len(pairs)))]
+        w = float(rng.gen.uniform())
+        lam[p0] = w * budget
+        lam[p1] = (1.0 - w) * budget
     return sets
 
 

@@ -144,6 +144,8 @@ def statistical_set(lambda_diag, k, nc, rng):
     """
     lam = np.asarray(lambda_diag, dtype=float).reshape(-1)
     nt = lam.size
+    if not np.isfinite(lam).all():
+        raise PreconditionError(f"lambda diagonal must be finite, got {lam}")
     if (lam < 0).any():
         raise PreconditionError("lambda diagonal must be non-negative")
     if abs(lam.sum() - nt * nc / k) > POWER_TOL:

@@ -9,7 +9,7 @@ bit-identical regardless of how trials would be scheduled.
 import itertools
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -32,6 +32,15 @@ SCHEMES = ("perfect",) + STATISTICAL_SCHEMES + QUANTIZED_SCHEMES
 MIN_OPT_SAMPLES = 100
 # trials per stacked eigendecomposition in draw_trials; bounds its scratch memory
 EIG_CHUNK = 4096
+
+
+def check_schemes(schemes):
+    """Reject a label that is not in SCHEMES or that appears twice."""
+    for idx, scheme in enumerate(schemes):
+        if scheme not in SCHEMES:
+            raise PreconditionError(f"unknown scheme {scheme!r}")
+        if scheme in schemes[:idx]:
+            raise PreconditionError(f"repeated scheme {scheme!r}")
 
 
 def rho_from_db(snr_db):
@@ -63,6 +72,7 @@ class SimConfig:
     rank_two_sets: int = 50
 
     def validate(self):
+        check_schemes(self.schemes)
         if self.trials < 1:
             raise PreconditionError("trials must be >= 1")
         grid = list(self.snr_grid_db)
@@ -212,33 +222,23 @@ def _best_single_mode(cols, rho, nt, k, nc, evaluator):
     return int(np.argmax(means))
 
 
-def scheme_block_mi(config, scheme, batch, opt_cols=None, smat=None):
-    """Per-trial block MI in nats for one scheme, shape (n_snr, trials).
+def scheme_block_mi(config, scheme, batch):
+    """Per-trial block MI in nats of perfect or a statistical scheme, shape (n_snr, trials).
 
-    The perfect scheme uses the K = 2*Nc benchmark; all other schemes use
-    config.k. String schemes: perfect, statistical, statistical-beamforming.
-    Quantized schemes come as ("quantized", label, codebook); smat, when
-    given, is s_matrix(batch.h, codebook.unitaries).
+    perfect uses the K = 2*Nc benchmark. statistical and
+    statistical-beamforming use config.k and choose their power diagonal on
+    config.opt_samples draws of Hind from the STREAM_OPT substream. The
+    quantized schemes are scored by codebook_block_mi.
     """
     evaluator = MiEvaluator(config.constellation)
     grid = list(config.snr_grid_db)
     rhos = [rho_from_db(s) for s in grid]
     nt, k, nc = config.model.nt, config.k, config.nc
-    if isinstance(scheme, tuple):
-        kind, _, cb = scheme
-        if kind != "quantized":
-            raise PreconditionError(f"unknown scheme tuple kind {kind!r}")
-        if smat is None:
-            smat = s_matrix(batch.h, cb.unitaries)
-        return select_mi(smat, cb.lambda_matrix(), np.array(rhos), k, nt, evaluator)[0]
     if scheme == "perfect":
         return np.vstack([perfect_csi_mi(batch.eigvals[:, 0], rho, 2 * nc, nc, evaluator)
                           for rho in rhos])
     if scheme in STATISTICAL_SCHEMES:
-        if opt_cols is None:
-            opt_cols = draw_ind_column_powers(
-                config.model, config.opt_samples, Rng(config.seed, STREAM_OPT)
-            )
+        opt_cols = draw_ind_column_powers(config.model, config.opt_samples, Rng(config.seed, STREAM_OPT))
         rows = []
         for snr_db, rho in zip(grid, rhos):
             if scheme == "statistical":
@@ -254,7 +254,17 @@ def scheme_block_mi(config, scheme, batch, opt_cols=None, smat=None):
                 lam[mode] = nt * nc / k
             rows.append(k * evaluator.mi(rho / nt * (batch.ind_col_power @ lam)))
         return np.vstack(rows)
-    raise PreconditionError(f"unknown scheme {scheme!r}")
+    raise PreconditionError(f"scheme_block_mi does not evaluate {scheme!r}")
+
+
+def codebook_block_mi(config, smat, lambdas):
+    """Per-trial MI-rule block MI in nats of one codebook, shape (n_snr, trials).
+
+    smat is s_matrix(h, unitaries) of the codebook's unitaries and
+    lambdas its (N2, Nt) power diagonals; the receiver selects with config.k.
+    """
+    rhos = np.array([rho_from_db(s) for s in config.snr_grid_db])
+    return select_mi(smat, lambdas, rhos, config.k, config.model.nt, MiEvaluator(config.constellation))[0]
 
 
 def _curve_points(config, label, block_mi_rows):
@@ -278,31 +288,25 @@ def _curve_points(config, label, block_mi_rows):
 def run(config, batch=None):
     """Estimate the mean per-channel-use MI of every configured scheme.
 
-    The config is validated once and every scheme sees the same batch,
-    drawn here unless given. The statistical schemes share one optimizer
-    sample; the quantized schemes share one unitary family and one
-    s_matrix.
+    The config, scheme labels included, is validated before anything is
+    drawn, and every scheme sees the same batch, drawn here unless given.
+    The statistical schemes draw the same optimizer sample; the quantized
+    schemes share one unitary family and one s_matrix.
     """
     config.validate()
     if batch is None:
         batch = draw_trials(config.model, config.trials, config.seed)
-    opt_cols = None
-    if any(s in STATISTICAL_SCHEMES for s in config.schemes):
-        opt_cols = draw_ind_column_powers(
-            config.model, config.opt_samples, Rng(config.seed, STREAM_OPT)
-        )
     if any(s in QUANTIZED_SCHEMES for s in config.schemes):
         unitaries = default_unitaries(config)
         smat = s_matrix(batch.h, unitaries)
     curves = []
     for scheme in config.schemes:
         if scheme == "quantized-rank1-best":
-            curves.extend(best_rank_one_codebook(config, batch, unitaries, smat)[1])
+            curves.extend(best_rank_one_codebook(config, unitaries, smat)[1])
         elif scheme == "quantized-rank2-best":
-            curves.extend(rank_two_tournament(config, batch, unitaries, smat)[0])
+            curves.extend(rank_two_tournament(config, unitaries, smat)[0])
         else:
-            curves.extend(_curve_points(config, scheme,
-                                        scheme_block_mi(config, scheme, batch, opt_cols=opt_cols)))
+            curves.extend(_curve_points(config, scheme, scheme_block_mi(config, scheme, batch)))
     curves.sort(key=lambda p: (p.scheme, p.snr_db))
     return curves
 
@@ -318,11 +322,11 @@ def default_unitaries(config):
     return [haar_unitary(config.model.nt, rng) for _ in range(config.n1)]
 
 
-def best_rank_one_codebook(config, batch, unitaries, smat):
+def best_rank_one_codebook(config, unitaries, smat):
     """Pick the rank-one mode assignment maximizing mean MI summed over the grid.
 
-    The codebook split comes from config; smat is s_matrix(batch.h,
-    unitaries). All candidates are scored on the same trials; ties keep
+    The codebook split comes from config; smat is s_matrix(h, unitaries)
+    of the trials to score on. All candidates are scored on the same trials; ties keep
     the first candidate. Returns (codebook, its curve).
     """
     nt = config.model.nt
@@ -332,53 +336,32 @@ def best_rank_one_codebook(config, batch, unitaries, smat):
     budget = nt * config.nc / config.k
     best = None
     for modes in candidates:
-        lambdas = []
-        for mode in modes:
-            lam = np.zeros(nt)
-            lam[mode] = budget
-            lambdas.append(lam)
-        cb = QuantizedCodebook(
-            b=config.b, n1=config.n1, n2=config.n2, unitaries=unitaries, lambdas=lambdas,
-            k=config.k, nc=config.nc, nt=nt,
-        )
-        rows = scheme_block_mi(config, ("quantized", "quantized-rank1-best", cb), batch, smat=smat)
+        lambdas = budget * np.eye(nt)[list(modes)]
+        rows = codebook_block_mi(config, smat, lambdas)
         score = float(rows.mean(axis=1).sum())
         if best is None or score > best[0]:
-            best = (score, cb, rows)
-    _, cb, rows = best
+            best = (score, lambdas, rows)
+    _, lambdas, rows = best
+    cb = QuantizedCodebook(b=config.b, n1=config.n1, n2=config.n2, unitaries=unitaries,
+                           lambdas=lambdas, k=config.k, nc=config.nc, nt=nt)
     return cb, _curve_points(config, "quantized-rank1-best", rows)
 
 
-def rank_two_tournament(config, batch, unitaries, smat):
+def rank_two_tournament(config, unitaries, smat):
     """Evaluate config.rank_two_sets random rank-two codebooks sharing the run's unitaries.
 
-    The codebook split comes from config; smat is s_matrix(batch.h,
-    unitaries). Returns (best_curve, all_curves) where the best curve takes
-    the per-SNR-point maximum of the mean MI across the codebooks.
+    The codebook split comes from config; smat is s_matrix(h, unitaries)
+    of the trials to score on. Returns (best_curve, all_curves) where the best curve takes
+    the per-SNR-point maximum of the mean MI across the codebooks; ties go
+    to the first codebook.
     """
-    nt = config.model.nt
     rng = Rng(config.seed, STREAM_TOURNAMENT)
-    lamsets = random_rank_two_lambdas(config.rank_two_sets, config.n2, nt, config.nc, config.k, rng)
-    all_curves = []
-    per_point = []  # (n_codebooks, n_snr) means
-    for idx, lambdas in enumerate(lamsets):
-        cb = QuantizedCodebook(
-            b=config.b, n1=config.n1, n2=config.n2, unitaries=unitaries, lambdas=lambdas,
-            k=config.k, nc=config.nc, nt=nt,
-        )
-        points = _curve_points(
-            config, f"quantized-rank2-{idx:02d}",
-            scheme_block_mi(config, ("quantized", "", cb), batch, smat=smat),
-        )
-        all_curves.append(points)
-        per_point.append([p.mi_bits_per_use for p in points])
-    per_point = np.array(per_point)
-    best_points = []
-    for s_idx, snr in enumerate(config.snr_grid_db):
-        winner = int(np.argmax(per_point[:, s_idx]))
-        src = all_curves[winner][s_idx]
-        best_points.append(
-            CurvePoint(snr_db=float(snr), scheme="quantized-rank2-best", mi_bits_per_use=src.mi_bits_per_use,
-                       stderr=src.stderr, trials=src.trials)
-        )
+    lamsets = random_rank_two_lambdas(config.rank_two_sets, config.n2, config.model.nt,
+                                      config.nc, config.k, rng)
+    all_curves = [_curve_points(config, f"quantized-rank2-{idx:02d}",
+                                codebook_block_mi(config, smat, lambdas))
+                  for idx, lambdas in enumerate(lamsets)]
+    means = np.array([[p.mi_bits_per_use for p in curve] for curve in all_curves])
+    best_points = [replace(all_curves[winner][s_idx], scheme="quantized-rank2-best")
+                   for s_idx, winner in enumerate(means.argmax(axis=0))]
     return best_points, [p for curve in all_curves for p in curve]

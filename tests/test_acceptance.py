@@ -21,6 +21,7 @@ from ldfeedback.matkit import Rng, hermitian_eig
 from ldfeedback.simengine import (
     SimConfig,
     best_rank_one_codebook,
+    codebook_block_mi,
     draw_ind_column_powers,
     draw_trials,
     default_unitaries,
@@ -73,9 +74,9 @@ def experiments():
             split = replace(config, b=2, n1=n1, n2=n2, rank_two_sets=50)
             unitaries = default_unitaries(split)
             smat = s_matrix(batch.h, unitaries)
-            cb, rank1 = best_rank_one_codebook(split, batch, unitaries, smat)
-            rank2, _ = rank_two_tournament(split, batch, unitaries, smat)
-            quant_rows = scheme_block_mi(config, ("quantized", "q", cb), batch)
+            cb, rank1 = best_rank_one_codebook(split, unitaries, smat)
+            rank2, _ = rank_two_tournament(split, unitaries, smat)
+            quant_rows = codebook_block_mi(config, s_matrix(batch.h, cb.unitaries), cb.lambda_matrix())
             entry["splits"][(n1, n2)] = {
                 "rank1": rank1, "rank2": rank2, "rank1_rows": quant_rows,
             }

@@ -221,6 +221,18 @@ class TestConstruct:
         dset = from_text(Path(out).read_text())
         assert dset.k == 2
 
+    @pytest.mark.parametrize("lambdas, message", [
+        ("10,x,0,0", "--lambdas"),
+        ("nan,16,0,0", "finite"),
+    ], ids=["not-a-number", "nan"])
+    def test_bad_lambdas_exit_2(self, tmp_path, capsys, lambdas, message):
+        out = tmp_path / "set.txt"
+        code = cli.main(["construct", "--kind", "statistical", "--k", "2", "--nc", "8",
+                         "--nt", "4", "--lambdas", lambdas, "-o", str(out)])
+        assert code == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     def test_same_seed_same_artifact(self, tmp_path):
         args = ["construct", "--kind", "statistical", "--k", "2", "--nc", "8",
                 "--nt", "4", "--lambdas", "10,6,0,0", "--seed", "11"]

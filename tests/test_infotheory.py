@@ -242,7 +242,7 @@ class TestTable:
         def points():
             batch = draw_trials(config.model, config.trials, config.seed)
             unitaries = default_unitaries(config)
-            best, every = rank_two_tournament(config, batch, unitaries, s_matrix(batch.h, unitaries))
+            best, every = rank_two_tournament(config, unitaries, s_matrix(batch.h, unitaries))
             return run(config) + best + every
 
         tabled = points()

@@ -21,6 +21,7 @@ from ldfeedback.matkit import Rng, haar_unitary, hermitian_eig
 from ldfeedback.simengine import (
     SimConfig,
     best_rank_one_codebook,
+    codebook_block_mi,
     draw_ind_column_powers,
     draw_trials,
     default_unitaries,
@@ -52,11 +53,11 @@ def make_config(model=None, schemes=("perfect",), trials=50, k=None, nc=None, se
 
 
 def quantized_inputs(config, batch=None):
-    """The batch, unitaries and s_matrix that run shares between the two codebook searches."""
+    """The unitaries and s_matrix that run shares between the two codebook searches."""
     if batch is None:
         batch = draw_trials(config.model, config.trials, config.seed)
     unitaries = default_unitaries(config)
-    return batch, unitaries, s_matrix(batch.h, unitaries)
+    return unitaries, s_matrix(batch.h, unitaries)
 
 
 def snr_rule_values(cb, batch):
@@ -181,7 +182,7 @@ class TestRun:
         config = make_config(model=iid_model(4, 4), trials=60)
         batch = draw_trials(config.model, config.trials, config.seed)
         cb, _ = best_rank_one_codebook(config, *quantized_inputs(config, batch))
-        quant = scheme_block_mi(config, ("quantized", "q", cb), batch)
+        quant = codebook_block_mi(config, s_matrix(batch.h, cb.unitaries), cb.lambda_matrix())
         perfect = scheme_block_mi(config, "perfect", batch)
         assert (quant <= perfect + 1e-9).all()
 
@@ -222,6 +223,21 @@ class TestRun:
         run(replace(config, rank_two_sets=3))
         assert sorted(calls) == ["draw_trials", "s_matrix"]
 
+    def test_rejects_bad_labels_before_drawing(self, monkeypatch):
+        draws = []
+
+        def counted(*args, **kwargs):
+            draws.append(1)
+            return draw_trials(*args, **kwargs)
+
+        monkeypatch.setattr(simengine, "draw_trials", counted)
+        repeated = ["perfect", "perfect", "quantized-rank1-best", "quantized-rank1-best"]
+        with pytest.raises(PreconditionError, match="repeated scheme 'perfect'"):
+            run(make_config(model=iid_model(4, 4), schemes=repeated))
+        with pytest.raises(PreconditionError, match="unknown scheme 'x'"):
+            run(make_config(schemes=("perfect", "x")))
+        assert draws == []
+
     def test_rejects_bad_split(self):
         for split in ({"n1": 2}, {"n1": 0, "n2": 4}, {"n1": -1, "n2": -4}, {"b": 3}):
             with pytest.raises(PreconditionError, match="must equal 2"):
@@ -254,6 +270,14 @@ class TestBestRankOne:
         assert len(points) == len(config.snr_grid_db)
         assert all(p.scheme == "quantized-rank1-best" for p in points)
 
+    def test_ties_keep_the_first_candidate(self):
+        # every mode receives the same power on every trial, so all four
+        # single-mode candidates score the same
+        config = make_config(model=iid_model(4, 4), trials=10)
+        unitaries, smat = quantized_inputs(config)
+        cb, _ = best_rank_one_codebook(config, unitaries, np.ones_like(smat))
+        assert np.flatnonzero(cb.lambda_matrix()).tolist() == [0]
+
     def test_iid_candidates_statistically_indistinguishable(self):
         config = make_config(model=iid_model(4, 4), trials=400, snr=(10.0,))
         batch = draw_trials(config.model, config.trials, config.seed)
@@ -264,7 +288,8 @@ class TestBestRankOne:
             lam[modes[0]] = 4.0
             cb = QuantizedCodebook(b=2, n1=4, n2=1, unitaries=unitaries, lambdas=[lam],
                                    k=4, nc=4, nt=4)
-            rows = scheme_block_mi(config, ("quantized", "c", cb), batch) / (4 * LN2)
+            rows = codebook_block_mi(config, s_matrix(batch.h, cb.unitaries), cb.lambda_matrix())
+            rows = rows / (4 * LN2)
             means.append(rows[0].mean())
             errs.append(rows[0].std(ddof=1) / math.sqrt(config.trials))
         spread = max(means) - min(means)
@@ -378,7 +403,7 @@ class TestNoStaleReceivedPowers:
         for _ in range(200):
             cb = QuantizedCodebook(b=2, n1=4, n2=1, unitaries=[haar_unitary(4, rng) for _ in range(4)],
                                    lambdas=[4.0 * np.eye(4)[0]], k=4, nc=4, nt=4)
-            rows = scheme_block_mi(config, ("quantized", "q", cb), batch)
+            rows = codebook_block_mi(config, s_matrix(batch.h, cb.unitaries), cb.lambda_matrix())
             # definition: max over codewords of K * I(rho/Nt * Tr(H Q H^H))
             covs = np.stack([(u * lam) @ u.conj().T for u in cb.unitaries for lam in cb.lambdas])
             traces = np.einsum("nab,cbd,nad->nc", batch.h, covs, batch.h.conj()).real
