@@ -116,7 +116,8 @@ def from_normals(model, z):
 
     hind = (z[:, 0] + i z[:, 1]) * sqrt(vmask / 2) has independent
     CN(0, vmask) entries (zero-variance entries come out exactly zero) and
-    h = Ur @ hind @ Ut^H; with identity eigenbases h is hind itself.
+    h = Ur @ hind @ Ut^H; with identity eigenbases h is hind itself. z may
+    be a view, such as a (2, n, Nr, Nt) block with its first two axes swapped.
     """
     hind = (z[:, 0] + 1j * z[:, 1]) * np.sqrt(model.vmask / 2.0)
     if model.identity_bases:
@@ -125,6 +126,6 @@ def from_normals(model, z):
 
 
 def sample(model, rng):
-    """Draw one channel realization from the model: the n = 1 call of from_normals."""
+    """One channel realization, the n = 1 call of from_normals (the library draws with draw_trials)."""
     h, hind = from_normals(model, rng.gen.standard_normal((1, 2, model.nr, model.nt)))
     return ChannelRealization(h=h[0], hind=hind[0])

@@ -21,10 +21,12 @@ from .matkit import Rng
 SEED_ENV_VAR = "LDFEEDBACK_SEED"
 CSV_HEADER = "snr_db,scheme,mi_bits_per_use,stderr,trials"
 
+# keys whose defaults SimConfig owns; a config file may set any of them
+OPTIONAL_INT_KEYS = ("opt_samples", "b", "n1", "n2", "rank_two_sets")
 KNOWN_KEYS = {
-    "model", "nt", "nr", "nc", "k", "b", "n1", "n2", "vmask",
+    "model", "nt", "nr", "nc", "k", "vmask",
     "snr_db", "trials", "seed", "constellation", "schemes",
-    "rank_two_sets", "opt_samples",
+    *OPTIONAL_INT_KEYS,
 }
 
 
@@ -125,17 +127,14 @@ def build_experiment(values, cli_seed=None):
         k=k,
         nc=nc,
         schemes=schemes,
-        opt_samples=_get_int(values, "opt_samples", default=5000),
-        b=_get_int(values, "b", default=2),
-        n1=_get_int(values, "n1", default=4),
-        n2=_get_int(values, "n2", default=1),
-        rank_two_sets=_get_int(values, "rank_two_sets", default=50),
+        **{key: _get_int(values, key) for key in OPTIONAL_INT_KEYS if key in values},
     )
 
 
 def curves_to_csv(curves):
+    """CSV text with one row per point, in the order given (run sorts by scheme, then SNR)."""
     lines = [CSV_HEADER]
-    for p in sorted(curves, key=lambda p: (p.scheme, p.snr_db)):
+    for p in curves:
         lines.append(f"{_fmt(p.snr_db)},{p.scheme},{_fmt(p.mi_bits_per_use)},{_fmt(p.stderr)},{p.trials}")
     return "\n".join(lines) + "\n"
 

@@ -34,11 +34,13 @@ def _check_unitaries(unitaries, nt):
 
 @dataclass
 class QuantizedCodebook:
+    """A validated B-bit codebook; lambdas holds its N2 power diagonals as one (N2, Nt) array."""
+
     b: int
     n1: int
     n2: int
     unitaries: list
-    lambdas: list
+    lambdas: np.ndarray
     k: int
     nc: int
     nt: int
@@ -51,10 +53,10 @@ class QuantizedCodebook:
         if len(self.unitaries) != self.n1 or len(self.lambdas) != self.n2:
             raise PreconditionError("unitary/diagonal counts must match the split")
         self.unitaries = [np.asarray(u, dtype=np.complex128) for u in self.unitaries]
-        self.lambdas = [np.asarray(l, dtype=float).reshape(-1) for l in self.lambdas]
+        rows = [np.asarray(l, dtype=float).reshape(-1) for l in self.lambdas]
         _check_unitaries(self.unitaries, self.nt)
         budget = self.nt * self.nc / self.k
-        for lam in self.lambdas:
+        for lam in rows:
             if lam.size != self.nt:
                 raise PreconditionError("power diagonals must have length Nt")
             if (lam < 0).any():
@@ -63,10 +65,7 @@ class QuantizedCodebook:
                 raise PreconditionError(
                     f"Tr(lambda) = {lam.sum()!r} exceeds the Nt*Nc/K = {budget!r} budget"
                 )
-
-    def lambda_matrix(self):
-        """All diagonals stacked as an (N2, Nt) array."""
-        return np.stack(self.lambdas)
+        self.lambdas = np.stack(rows)
 
 
 def random_rank_two_lambdas(count, n2, nt, nc, k, rng):
@@ -115,7 +114,7 @@ def select_mi(smat, lambdas, rho, k, nt, evaluator):
 
     smat (..., N1, Nt) comes from s_matrix and lambdas (..., N2, Nt) holds
     the power diagonals; leading axes broadcast, so a codebook shared by all
-    trials passes its (N2, Nt) lambda_matrix(). Tr(H Q^{i,j} H^H) is
+    trials passes its (N2, Nt) lambdas. Tr(H Q^{i,j} H^H) is
     sum_m s[i, m] * lambda_j[m]. rho is a scalar or a 1-D array of SNR
     points; an array puts a leading SNR axis on the results. Returns
     (values, i, j) over the SNR and leading axes.
@@ -151,25 +150,26 @@ def select_snr(smat, lambdas, k, nt, nc):
     return _best_codeword(np.einsum("...im,...jm->...ij", smat, lambdas * (k / (nt * nc))))
 
 
-def delta_snr(cb, batch, rho):
-    """Per-symbol received-SNR gap rho*Nc/K * (lmax - selected weighted power), shape (n,).
+def delta_snr(cb, smat, lam_max, rho):
+    """Per-symbol received-SNR gap rho*Nc/K * (lam_max - selected weighted power), shape (n,).
 
-    Uses the snr-rule selection and lmax = batch.eigvals[:, 0]; non-negative
-    because lmax dominates every convex combination of the per-mode powers.
+    smat (n, N1, Nt) is s_matrix(h, cb.unitaries) and lam_max (n,) the
+    largest eigenvalue of each H^H H. Uses the snr-rule selection;
+    non-negative because lam_max dominates every convex combination of the
+    per-mode powers.
     """
-    value = select_snr(s_matrix(batch.h, cb.unitaries), cb.lambda_matrix(), cb.k, cb.nt, cb.nc)[0]
-    return rho * cb.nc / cb.k * (batch.eigvals[:, 0] - value)
+    value = select_snr(smat, cb.lambdas, cb.k, cb.nt, cb.nc)[0]
+    return rho * cb.nc / cb.k * (lam_max - value)
 
 
-def delta_mi(cb, batch, rho, evaluator):
+def delta_mi(cb, smat, lam_max, rho, evaluator):
     """Per-symbol mutual-information gap against the perfect-CSI benchmark, shape (n,).
 
-    Uses the mi-rule selection. Normalizing the block gap by K puts this on
-    the same per-symbol scale as delta_snr, which is what makes the bound
-    delta_mi <= delta_snr hold for every realization (the MMSE never
-    exceeds the unit prior variance).
+    smat and lam_max are as in delta_snr. Uses the mi-rule selection.
+    Normalizing the block gap by K puts this on the same per-symbol scale as
+    delta_snr, which is what makes the bound delta_mi <= delta_snr hold for
+    every realization (the MMSE never exceeds the unit prior variance).
     """
-    best = perfect_csi_mi(batch.eigvals[:, 0], rho, cb.k, cb.nc, evaluator)
-    smat = s_matrix(batch.h, cb.unitaries)
-    return (best - select_mi(smat, cb.lambda_matrix(), rho, cb.k, cb.nt, evaluator)[0]) / cb.k
+    best = perfect_csi_mi(lam_max, rho, cb.k, cb.nc, evaluator)
+    return (best - select_mi(smat, cb.lambdas, rho, cb.k, cb.nt, evaluator)[0]) / cb.k
 

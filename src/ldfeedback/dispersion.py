@@ -91,6 +91,11 @@ def check_goc(dset, tol=GOC_TOL):
     return worst <= tol, worst
 
 
+def _check_sizes(k, nc):
+    if k < 1 or nc < 1:
+        raise PreconditionError(f"K = {k} and Nc = {nc} must both be >= 1")
+
+
 def build_v_matrix(k, nc):
     """Unit-norm rows satisfying V V^H = I + i*X with X real skew-symmetric.
 
@@ -99,8 +104,7 @@ def build_v_matrix(k, nc):
     truncated to k rows satisfies the condition, and a feasible V exists if
     and only if K <= 2*Nc.
     """
-    if k < 1:
-        raise PreconditionError("need k >= 1")
+    _check_sizes(k, nc)
     if k > 2 * nc:
         raise InfeasibleError(f"K = {k} exceeds the feasibility bound K <= 2*Nc = {2 * nc}")
     rows = np.zeros((k, nc), dtype=np.complex128)
@@ -142,6 +146,7 @@ def statistical_set(lambda_diag, k, nc, rng):
     constraint). Feasibility in the wider Nc < r*K <= 2*Nc range is not
     constructed here.
     """
+    _check_sizes(k, nc)
     lam = np.asarray(lambda_diag, dtype=float).reshape(-1)
     nt = lam.size
     if not np.isfinite(lam).all():
@@ -168,13 +173,12 @@ def statistical_set(lambda_diag, k, nc, rng):
     return DispersionSet(nt=nt, nc=nc, k=k, mats=mats, goc_verified=True)
 
 
-def decoupling_residual(realization, dset):
-    """Worst pairwise overlap of the received waveforms H A_k.
+def decoupling_residual(h, dset):
+    """Worst pairwise overlap of the received waveforms H A_k for one Nr x Nt channel h.
 
     Returns max over k != j of |Re Tr(H A_k A_j^H H^H)|, which is zero for
     every H exactly when the orthogonality constraint holds.
     """
-    h = realization.h
     if h.shape[1] != dset.nt:
         raise PreconditionError(f"channel has {h.shape[1]} tx antennas, set has {dset.nt}")
     waves = [h @ a for a in dset.mats]

@@ -1,8 +1,9 @@
 """Minimal dense complex matrix kit.
 
 Stacked Hermitian eigendecomposition with a fixed ordering/phase
-convention, Haar-distributed random unitaries, complex Gaussian matrices,
-and a deterministic streaming RNG that the Monte Carlo layers build on.
+convention, Haar-distributed random unitaries, and a deterministic
+streaming RNG that the Monte Carlo layers build on. Channel entries are
+made from standard normals by channel.from_normals.
 """
 
 import math
@@ -90,18 +91,6 @@ def haar_unitary(n, rng):
     d = np.diagonal(r)
     q = q * (d / np.abs(d))
     return q
-
-
-def complex_gaussian_matrix(rng, variances):
-    """Matrix with independent CN(0, variances[i, j]) entries.
-
-    Zero-variance positions come out exactly zero.
-    """
-    variances = np.asarray(variances, dtype=float)
-    if (variances < 0).any() or not np.isfinite(variances).all():
-        raise PreconditionError("variances must be finite and >= 0")
-    z = rng.gen.standard_normal((2,) + variances.shape)
-    return (z[0] + 1j * z[1]) * np.sqrt(variances / 2.0)
 
 
 def format_complex(z):

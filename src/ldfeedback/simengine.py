@@ -20,7 +20,7 @@ from .channel import sample  # noqa: F401
 from .codebook import QuantizedCodebook, random_rank_two_lambdas, s_matrix, select_mi
 from .errors import InfeasibleError, PreconditionError
 from .infotheory import LN2, MiEvaluator, perfect_csi_mi
-from .matkit import Rng, complex_gaussian_matrix, hermitian_eig, haar_unitary
+from .matkit import Rng, hermitian_eig, haar_unitary
 
 # Flat stream-index namespace: trials take 0..trials-1, internal draws sit high.
 STREAM_CODEBOOK = 1 << 48
@@ -118,13 +118,17 @@ class TrialBatch:
     """Channel draws shared by every scheme of one experiment."""
 
     h: np.ndarray  # (n, nr, nt)
-    hind: np.ndarray  # (n, nr, nt)
     eigvals: np.ndarray  # (n, nt) of H^H H, descending, clipped at 0
-    ind_col_power: np.ndarray  # (n, nt) squared column norms of hind
+    ind_col_power: np.ndarray  # (n, nt) squared column norms of Hind
 
     @property
     def trials(self):
         return self.h.shape[0]
+
+
+def _column_powers(hind):
+    """Squared column norms of each matrix of an (n, Nr, Nt) Hind stack, shape (n, Nt)."""
+    return (np.abs(hind) ** 2).sum(axis=1)
 
 
 def draw_trials(model, trials, seed, first_stream=0):
@@ -146,8 +150,7 @@ def draw_trials(model, trials, seed, first_stream=0):
         chunk = h[lo : lo + EIG_CHUNK]
         eig = hermitian_eig(np.swapaxes(chunk.conj(), -1, -2) @ chunk)
         eigvals[lo : lo + EIG_CHUNK] = np.maximum(eig.values, 0.0)
-    ind_col_power = (np.abs(hind) ** 2).sum(axis=1)
-    return TrialBatch(h=h, hind=hind, eigvals=eigvals, ind_col_power=ind_col_power)
+    return TrialBatch(h=h, eigvals=eigvals, ind_col_power=_column_powers(hind))
 
 
 def project_scaled_simplex(v, total):
@@ -163,8 +166,8 @@ def project_scaled_simplex(v, total):
 
 def draw_ind_column_powers(model, samples, rng):
     """Squared column norms of `samples` draws of Hind, shape (samples, Nt): the optimizer's inputs."""
-    hind = complex_gaussian_matrix(rng, np.broadcast_to(model.vmask, (samples, model.nr, model.nt)))
-    return (np.abs(hind) ** 2).sum(axis=1)
+    z = rng.gen.standard_normal((2, samples, model.nr, model.nt))
+    return _column_powers(from_normals(model, z.swapaxes(0, 1))[1])
 
 
 def optimize_lambda(cols, rho, nt, k, nc, evaluator, max_iter=500, tol=1e-6):

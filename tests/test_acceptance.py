@@ -76,7 +76,7 @@ def experiments():
             smat = s_matrix(batch.h, unitaries)
             cb, rank1 = best_rank_one_codebook(split, unitaries, smat)
             rank2, _ = rank_two_tournament(split, unitaries, smat)
-            quant_rows = codebook_block_mi(config, s_matrix(batch.h, cb.unitaries), cb.lambda_matrix())
+            quant_rows = codebook_block_mi(config, s_matrix(batch.h, cb.unitaries), cb.lambdas)
             entry["splits"][(n1, n2)] = {
                 "rank1": rank1, "rank2": rank2, "rank1_rows": quant_rows,
             }
@@ -150,19 +150,19 @@ def test_criterion_03_envelope(experiments, envelope_2x2):
 
 
 def test_criterion_04_rank_one_strong_optimality():
-    results = verify.suite_thm4(realizations=1000, competitors=20)
+    results = verify.suite_thm4()
     ok = all(r.passed for r in results)
     _report(4, ok, "; ".join(r.line() for r in results))
 
 
 def test_criterion_05_mi_gap_below_snr_gap():
-    results = verify.suite_lemma1(realizations=10000)
+    results = verify.suite_lemma1()
     ok = all(r.passed for r in results)
     _report(5, ok, "; ".join(r.line() for r in results))
 
 
 def test_criterion_06_prop3_brute_force():
-    results = verify.suite_prop3(instances=1000)
+    results = verify.suite_prop3()
     ok = all(r.passed for r in results)
     _report(6, ok, "; ".join(r.line() for r in results))
 
@@ -180,13 +180,13 @@ def test_criterion_08_immse_and_concavity():
 
 
 def test_criterion_09_monotone_in_k():
-    results = verify.suite_thm3(draws=1000)
+    results = verify.suite_thm3()
     ok = all(r.passed for r in results)
     _report(9, ok, "; ".join(r.line() for r in results))
 
 
 def test_criterion_10_eq8_bound():
-    results = verify.suite_thm2(channels=100, qsets=20)
+    results = verify.suite_thm2()
     ok = all(r.passed for r in results)
     _report(10, ok, "; ".join(r.line() for r in results))
 

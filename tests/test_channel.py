@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.stats import ks_2samp
 
-from ldfeedback.channel import CorrelationModel, custom_model, iid_model, sample, v4_model
+from ldfeedback.channel import CorrelationModel, custom_model, from_normals, iid_model, sample, v4_model
 from ldfeedback.errors import PreconditionError
 from ldfeedback.matkit import Rng, haar_unitary
 from ldfeedback.simengine import draw_trials
@@ -33,6 +33,8 @@ class TestV4:
         for _ in range(5):
             real = sample(m, Rng(3, 0))
             assert real.hind[0, 1] == 0
+            # and only those: every positive-variance entry is drawn
+            assert np.array_equal(real.hind != 0, m.vmask > 0)
 
     def test_scaled_entry(self):
         assert abs(v4_model().vmask[0, 2] - 16.0 * 0.4 / 2.6) <= 1e-12
@@ -84,6 +86,14 @@ class TestSampling:
             traces[i] = np.vdot(real.h, real.h).real
         se = traces.std(ddof=1) / math.sqrt(draws)
         assert abs(traces.mean() - 4.0) <= 3 * se
+
+    def test_components_zero_mean(self):
+        draws = 100_000
+        z = Rng(5, 0).gen.standard_normal((2, draws, 1, 1))
+        hind = from_normals(iid_model(1, 1), z.swapaxes(0, 1))[1]
+        se_component = math.sqrt(0.5 / draws)
+        assert abs(hind.real.mean()) <= 3 * se_component
+        assert abs(hind.imag.mean()) <= 3 * se_component
 
     def test_entry_variances_match_mask(self):
         model = v4_model()
@@ -140,11 +150,11 @@ class TestBatchedDraw:
         for i in range(12):
             real = sample(model, Rng(47, 3 + i))
             assert np.array_equal(batch.h[i], real.h)
-            assert np.array_equal(batch.hind[i], real.hind)
+            assert np.array_equal(batch.ind_col_power[i], (np.abs(real.hind) ** 2).sum(axis=0))
 
     def test_window_equals_rows_of_longer_draw(self, name):
         model = BATCH_MODELS[name]()
         full = draw_trials(model, 20, 53)
         window = draw_trials(model, 15, 53, first_stream=5)
-        for field in ("h", "hind", "eigvals", "ind_col_power"):
+        for field in ("h", "eigvals", "ind_col_power"):
             assert np.array_equal(getattr(window, field), getattr(full, field)[5:])

@@ -28,6 +28,8 @@ schemes = perfect,statistical,statistical-beamforming,quantized-rank1-best,quant
 rank_two_sets = 5
 opt_samples = 500
 """
+# the same five schemes on the 4x4 V4 channel, whose mask has zero entries
+V4_CFG = SMALL_CFG.replace("model = iid\nnt = 2\nnr = 2\n", "model = v4\nnt = 4\nnr = 4\n")
 
 
 def write(tmp_path, name, text):
@@ -73,6 +75,9 @@ class TestConfigParsing:
         )
         config = cli.build_experiment(values)
         assert np.array_equal(config.model.vmask, [[0.5, 0.5], [1.5, 1.5]])
+        # the omitted optional keys take SimConfig's defaults
+        assert (config.opt_samples, config.b, config.n1, config.n2, config.rank_two_sets) == (
+            5000, 2, 4, 1, 50)
 
 
 class TestSeedResolution:
@@ -180,6 +185,14 @@ class TestSimulate:
         assert cli.main(["simulate", str(CONFIG_DIR / "demo.cfg"), "-o", str(out)]) == 0
         assert out.read_bytes() == (DATA_DIR / "demo.csv").read_bytes()
 
+    def test_v4_five_schemes_csv_pinned(self, tmp_path):
+        # tests/data/v4_five_schemes.csv was written by an earlier revision;
+        # it sends zero-variance mask entries through the optimizer sample
+        cfg = write(tmp_path, "v4.cfg", V4_CFG)
+        out = tmp_path / "v4.csv"
+        assert cli.main(["simulate", cfg, "-o", str(out)]) == 0
+        assert out.read_bytes() == (DATA_DIR / "v4_five_schemes.csv").read_bytes()
+
     def test_seed_override_changes_output(self, tmp_path):
         cfg = write(tmp_path, "exp.cfg", SMALL_CFG.replace("trials = 20", "trials = 2"))
         out1, out2 = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
@@ -233,6 +246,17 @@ class TestConstruct:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("args", [
+        ["--kind", "rank-one", "--k", "2", "--nt", "2", "--nc", "0"],
+        ["--kind", "rank-one", "--k", "2", "--nt", "2", "--nc", "-1"],
+        ["--kind", "statistical", "--k", "0", "--nc", "2", "--nt", "4", "--lambdas", "1,1,0,0"],
+    ], ids=["rank-one-nc-0", "rank-one-nc-minus-1", "statistical-k-0"])
+    def test_bad_sizes_exit_2(self, tmp_path, capsys, args):
+        out = tmp_path / "set.txt"
+        assert cli.main(["construct", *args, "-o", str(out)]) == 2
+        assert "must both be >= 1" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_same_seed_same_artifact(self, tmp_path):
         args = ["construct", "--kind", "statistical", "--k", "2", "--nc", "8",
                 "--nt", "4", "--lambdas", "10,6,0,0", "--seed", "11"]
@@ -271,6 +295,8 @@ class TestVerifyCommand:
         out = capsys.readouterr().out
         assert "FAIL goc/rank-one-constraint" in out
         assert "metric=" in out
+        # tests/data/verify_goc_mutate.txt was written by an earlier revision
+        assert out == (DATA_DIR / "verify_goc_mutate.txt").read_text()
 
 
 class TestPlot:

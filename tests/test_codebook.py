@@ -50,12 +50,22 @@ def codebook_with_eigenbasis(batch, nt=4, nc=4, k=4, extra=3, seed=99):
 
 def mi_rule(cb, batch, rho, ev):
     """MI-rule (values, i, j) of a codebook on every trial of a batch."""
-    return select_mi(s_matrix(batch.h, cb.unitaries), cb.lambda_matrix(), rho, cb.k, cb.nt, ev)
+    return select_mi(s_matrix(batch.h, cb.unitaries), cb.lambdas, rho, cb.k, cb.nt, ev)
 
 
 def snr_rule(cb, batch):
     """SNR-rule (values, i, j) of a codebook on every trial of a batch."""
-    return select_snr(s_matrix(batch.h, cb.unitaries), cb.lambda_matrix(), cb.k, cb.nt, cb.nc)
+    return select_snr(s_matrix(batch.h, cb.unitaries), cb.lambdas, cb.k, cb.nt, cb.nc)
+
+
+def snr_gap(cb, batch, rho):
+    """delta_snr of a codebook on every trial of a batch."""
+    return delta_snr(cb, s_matrix(batch.h, cb.unitaries), batch.eigvals[:, 0], rho)
+
+
+def mi_gap(cb, batch, rho, ev):
+    """delta_mi of a codebook on every trial of a batch."""
+    return delta_mi(cb, s_matrix(batch.h, cb.unitaries), batch.eigvals[:, 0], rho, ev)
 
 
 class TestRvqCodebook:
@@ -65,18 +75,18 @@ class TestRvqCodebook:
         cb = QuantizedCodebook(b=2, n1=4, n2=1, unitaries=haar_unitaries(4, Rng(1, 0)),
                                lambdas=mode_diagonals([0]), k=4, nc=4, nt=4)
         assert len(cb.unitaries) == 4 and len(cb.lambdas) == 1
-        assert np.array_equal(cb.lambda_matrix(), [[4.0, 0.0, 0.0, 0.0]])
+        assert np.array_equal(cb.lambdas, [[4.0, 0.0, 0.0, 0.0]])
 
     def test_two_by_two_split(self):
         cb = QuantizedCodebook(b=2, n1=2, n2=2, unitaries=haar_unitaries(2, Rng(1, 1)),
                                lambdas=mode_diagonals([0, 2]), k=4, nc=4, nt=4)
         assert cb.n1 * cb.n2 == 4
-        assert np.array_equal(cb.lambda_matrix()[1], [0.0, 0.0, 4.0, 0.0])
+        assert np.array_equal(cb.lambdas[1], [0.0, 0.0, 4.0, 0.0])
 
     def test_all_mode_set(self):
         cb = QuantizedCodebook(b=4, n1=4, n2=4, unitaries=haar_unitaries(4, Rng(1, 2)),
                                lambdas=mode_diagonals(range(4)), k=4, nc=4, nt=4)
-        assert np.allclose(cb.lambda_matrix(), 4.0 * np.eye(4))
+        assert np.allclose(cb.lambdas, 4.0 * np.eye(4))
 
     def test_rejects_split_mismatch(self):
         with pytest.raises(PreconditionError):
@@ -292,7 +302,7 @@ class TestSelectSnr:
         cb = QuantizedCodebook(b=2, n1=4, n2=1, unitaries=haar_unitaries(4, Rng(5, 2)),
                                lambdas=mode_diagonals([0]), k=4, nc=4, nt=4)
         smat = s_matrix(np.zeros((1, 4, 4), dtype=complex), cb.unitaries)
-        value, i, j = select_snr(smat, cb.lambda_matrix(), cb.k, cb.nt, cb.nc)
+        value, i, j = select_snr(smat, cb.lambdas, cb.k, cb.nt, cb.nc)
         assert (i[0], j[0]) == (0, 0) and value[0] == 0.0
 
 
@@ -301,13 +311,13 @@ class TestGaps:
         ev = gaussian_eval()
         batch = realization(7)
         cb = codebook_with_eigenbasis(batch)
-        assert abs(delta_snr(cb, batch, 2.0)[0]) <= 1e-10
-        assert abs(delta_mi(cb, batch, 2.0, ev)[0]) <= 1e-9
+        assert abs(snr_gap(cb, batch, 2.0)[0]) <= 1e-10
+        assert abs(mi_gap(cb, batch, 2.0, ev)[0]) <= 1e-9
 
     def test_zero_snr_zero_mi_gap(self):
         cb = QuantizedCodebook(b=2, n1=4, n2=1, unitaries=haar_unitaries(4, Rng(6, 0)),
                                lambdas=mode_diagonals([1]), k=4, nc=4, nt=4)
-        assert delta_mi(cb, realization(8), 0.0, gaussian_eval())[0] == 0.0
+        assert mi_gap(cb, realization(8), 0.0, gaussian_eval())[0] == 0.0
 
     def test_snr_gap_nonnegative(self):
         rng = Rng(6, 1)
@@ -316,7 +326,7 @@ class TestGaps:
             lambdas = mode_diagonals([int(rng.gen.integers(4))])
             cb = QuantizedCodebook(b=2, n1=4, n2=1, unitaries=haar_unitaries(4, rng),
                                    lambdas=lambdas, k=4, nc=4, nt=4)
-            assert delta_snr(cb, batch, 1.0)[0] >= -1e-12
+            assert snr_gap(cb, batch, 1.0)[0] >= -1e-12
 
     def test_mi_gap_below_snr_gap(self):
         # per-realization Lemma-1 form at a smaller scale; the full-size run
@@ -329,7 +339,7 @@ class TestGaps:
                                k=4, nc=4, nt=4)
         batch = draw_trials(v4_model(), 1000, 662)
         for rho in (1.0, 10.0):
-            assert (delta_mi(cb, batch, rho, ev) <= delta_snr(cb, batch, rho) + 1e-12).all()
+            assert (mi_gap(cb, batch, rho, ev) <= snr_gap(cb, batch, rho) + 1e-12).all()
 
 
 class TestRankOneStrongOptimality:

@@ -171,22 +171,22 @@ class TestDecoupling:
         dset = rank_one_set(np.array([1.0, 0.0, 0.0, 0.0]), k=8, nc=4)
         for stream in range(100):
             real = random_realization(4, 4, stream)
-            assert decoupling_residual(real, dset) <= 1e-10
+            assert decoupling_residual(real.h, dset) <= 1e-10
 
     def test_violating_set_has_positive_residual(self):
         a = np.eye(2) / math.sqrt(2)
         dset = DispersionSet(nt=2, nc=2, k=2, mats=[a, a])
         real = random_realization(2, 2, 0)
-        assert decoupling_residual(real, dset) > 1e-3
+        assert decoupling_residual(real.h, dset) > 1e-3
 
     def test_single_symbol_zero_by_convention(self):
         dset = DispersionSet(nt=2, nc=2, k=1, mats=[np.eye(2)])
-        assert decoupling_residual(random_realization(2, 2, 1), dset) == 0.0
+        assert decoupling_residual(random_realization(2, 2, 1).h, dset) == 0.0
 
     def test_dimension_mismatch(self):
         dset = DispersionSet(nt=3, nc=2, k=1, mats=[np.zeros((3, 2))])
         with pytest.raises(PreconditionError):
-            decoupling_residual(random_realization(2, 2, 2), dset)
+            decoupling_residual(random_realization(2, 2, 2).h, dset)
 
 
 class TestTextFormat:

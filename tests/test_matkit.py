@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 from ldfeedback.errors import PreconditionError
 from ldfeedback.matkit import (
     Rng,
-    complex_gaussian_matrix,
     format_complex,
     haar_unitary,
     hermitian_eig,
@@ -123,30 +122,6 @@ class TestHaarUnitary:
             vals[i] = abs(haar_unitary(n, rng)[0, 0]) ** 2
         se = math.sqrt((n - 1) / (n**2 * (n + 1)) / draws)
         assert abs(vals.mean() - 1.0 / n) <= 3 * se
-
-
-class TestComplexGaussian:
-    def test_zero_variance_exact_zero(self):
-        assert np.array_equal(complex_gaussian_matrix(Rng(1, 0), np.zeros((2, 3))), np.zeros((2, 3)))
-
-    def test_rejects_negative_variance(self):
-        with pytest.raises(PreconditionError):
-            complex_gaussian_matrix(Rng(1, 0), np.array([[1.0, -1.0]]))
-
-    def test_moments(self):
-        draws = 100_000
-        z = complex_gaussian_matrix(Rng(5, 0), np.ones(draws))
-        power = np.abs(z) ** 2
-        assert abs(power.mean() - 1.0) <= 3 * power.std(ddof=1) / math.sqrt(draws)
-        se_component = math.sqrt(0.5 / draws)
-        assert abs(z.real.mean()) <= 3 * se_component
-        assert abs(z.imag.mean()) <= 3 * se_component
-
-    def test_matrix_zero_mask_entries(self):
-        vmask = np.array([[1.0, 0.0], [0.0, 2.0]])
-        m = complex_gaussian_matrix(Rng(3, 0), vmask)
-        assert m[0, 1] == 0 and m[1, 0] == 0
-        assert m[0, 0] != 0 and m[1, 1] != 0
 
 
 class TestRng:

@@ -63,7 +63,17 @@ def quantized_inputs(config, batch=None):
 def snr_rule_values(cb, batch):
     """SNR-rule objective of the selected codeword on every trial."""
     smat = s_matrix(batch.h, cb.unitaries)
-    return select_snr(smat, cb.lambda_matrix(), cb.k, cb.nt, cb.nc)[0]
+    return select_snr(smat, cb.lambdas, cb.k, cb.nt, cb.nc)[0]
+
+
+def snr_gap(cb, batch, rho):
+    """delta_snr of a codebook on every trial of a batch."""
+    return delta_snr(cb, s_matrix(batch.h, cb.unitaries), batch.eigvals[:, 0], rho)
+
+
+def mi_gap(cb, batch, rho, ev):
+    """delta_mi of a codebook on every trial of a batch."""
+    return delta_mi(cb, s_matrix(batch.h, cb.unitaries), batch.eigvals[:, 0], rho, ev)
 
 
 class TestProjection:
@@ -182,7 +192,7 @@ class TestRun:
         config = make_config(model=iid_model(4, 4), trials=60)
         batch = draw_trials(config.model, config.trials, config.seed)
         cb, _ = best_rank_one_codebook(config, *quantized_inputs(config, batch))
-        quant = codebook_block_mi(config, s_matrix(batch.h, cb.unitaries), cb.lambda_matrix())
+        quant = codebook_block_mi(config, s_matrix(batch.h, cb.unitaries), cb.lambdas)
         perfect = scheme_block_mi(config, "perfect", batch)
         assert (quant <= perfect + 1e-9).all()
 
@@ -276,7 +286,7 @@ class TestBestRankOne:
         config = make_config(model=iid_model(4, 4), trials=10)
         unitaries, smat = quantized_inputs(config)
         cb, _ = best_rank_one_codebook(config, unitaries, np.ones_like(smat))
-        assert np.flatnonzero(cb.lambda_matrix()).tolist() == [0]
+        assert np.flatnonzero(cb.lambdas).tolist() == [0]
 
     def test_iid_candidates_statistically_indistinguishable(self):
         config = make_config(model=iid_model(4, 4), trials=400, snr=(10.0,))
@@ -288,7 +298,7 @@ class TestBestRankOne:
             lam[modes[0]] = 4.0
             cb = QuantizedCodebook(b=2, n1=4, n2=1, unitaries=unitaries, lambdas=[lam],
                                    k=4, nc=4, nt=4)
-            rows = codebook_block_mi(config, s_matrix(batch.h, cb.unitaries), cb.lambda_matrix())
+            rows = codebook_block_mi(config, s_matrix(batch.h, cb.unitaries), cb.lambdas)
             rows = rows / (4 * LN2)
             means.append(rows[0].mean())
             errs.append(rows[0].std(ddof=1) / math.sqrt(config.trials))
@@ -357,29 +367,29 @@ class TestStackedMatchesSingle:
         for kind in ("gaussian", "bpsk"):
             ev = MiEvaluator(Constellation.from_name(kind))
             for rho in (0.5, 10.0):
-                stacked = select_mi(s_matrix(batch.h, cb.unitaries), cb.lambda_matrix(), rho, 4, 4, ev)
+                stacked = select_mi(s_matrix(batch.h, cb.unitaries), cb.lambdas, rho, 4, 4, ev)
                 for t, one in enumerate(singles):
-                    alone = select_mi(s_matrix(one.h, cb.unitaries), cb.lambda_matrix(), rho, 4, 4, ev)
+                    alone = select_mi(s_matrix(one.h, cb.unitaries), cb.lambdas, rho, 4, 4, ev)
                     assert [x[t] for x in stacked] == [x[0] for x in alone]
 
     def test_snr_rule(self, trials):
         batch, singles, cb = trials
-        stacked = select_snr(s_matrix(batch.h, cb.unitaries), cb.lambda_matrix(), 4, 4, 4)
+        stacked = select_snr(s_matrix(batch.h, cb.unitaries), cb.lambdas, 4, 4, 4)
         for t, one in enumerate(singles):
-            alone = select_snr(s_matrix(one.h, cb.unitaries), cb.lambda_matrix(), 4, 4, 4)
+            alone = select_snr(s_matrix(one.h, cb.unitaries), cb.lambdas, 4, 4, 4)
             assert [x[t] for x in stacked] == [x[0] for x in alone]
 
     def test_gaps(self, trials):
         batch, singles, cb = trials
         for rho in (1.0, 10.0):
-            gap_snr = delta_snr(cb, batch, rho)
+            gap_snr = snr_gap(cb, batch, rho)
             for t, one in enumerate(singles):
-                assert gap_snr[t] == delta_snr(cb, one, rho)[0]
+                assert gap_snr[t] == snr_gap(cb, one, rho)[0]
             for kind in ("gaussian", "bpsk"):
                 ev = MiEvaluator(Constellation.from_name(kind))
-                gap_mi = delta_mi(cb, batch, rho, ev)
+                gap_mi = mi_gap(cb, batch, rho, ev)
                 for t, one in enumerate(singles):
-                    assert gap_mi[t] == delta_mi(cb, one, rho, ev)[0]
+                    assert gap_mi[t] == mi_gap(cb, one, rho, ev)[0]
 
     def test_bpsk_block_mi(self, trials):
         batch, singles, cb = trials
@@ -403,7 +413,7 @@ class TestNoStaleReceivedPowers:
         for _ in range(200):
             cb = QuantizedCodebook(b=2, n1=4, n2=1, unitaries=[haar_unitary(4, rng) for _ in range(4)],
                                    lambdas=[4.0 * np.eye(4)[0]], k=4, nc=4, nt=4)
-            rows = codebook_block_mi(config, s_matrix(batch.h, cb.unitaries), cb.lambda_matrix())
+            rows = codebook_block_mi(config, s_matrix(batch.h, cb.unitaries), cb.lambdas)
             # definition: max over codewords of K * I(rho/Nt * Tr(H Q H^H))
             covs = np.stack([(u * lam) @ u.conj().T for u in cb.unitaries for lam in cb.lambdas])
             traces = np.einsum("nab,cbd,nad->nc", batch.h, covs, batch.h.conj()).real
@@ -426,7 +436,7 @@ class TestAvgReceivedSnr:
                 lambdas=[4.0 * np.eye(4)[m] for m in range(4)], k=4, nc=4, nt=4,
             )
             assert snr_rule_values(cb, batch)[0] == pytest.approx(eig.values[0], abs=1e-10)
-            assert delta_snr(cb, batch, 1.0)[0] == pytest.approx(0.0, abs=1e-10)
+            assert snr_gap(cb, batch, 1.0)[0] == pytest.approx(0.0, abs=1e-10)
 
     def test_best_rank_one_dominates_mixed_codebooks_in_mean(self):
         # the weighted-max chain holds for the empirical measure too, so the
@@ -463,7 +473,7 @@ class TestAvgReceivedSnr:
             rho = 10.0 ** (snr / 10.0)
             scale = rho * config.nc / config.k
             received = float((scale * snr_rule_values(cb, batch)).mean())
-            gap = float(delta_snr(cb, batch, rho).mean())
+            gap = float(snr_gap(cb, batch, rho).mean())
             cap = scale * batch.eigvals[:, 0].mean()
             assert received <= cap + 1e-9
             assert gap >= -1e-12
