@@ -95,6 +95,12 @@ class TestSampling:
         assert abs(hind.real.mean()) <= 3 * se_component
         assert abs(hind.imag.mean()) <= 3 * se_component
 
+    def test_zero_mask_entries(self):
+        model = custom_model(np.array([[2.0, 0.0], [0.0, 2.0]]))
+        hind = from_normals(model, Rng(3, 0).gen.standard_normal((1, 2, 2, 2)))[1][0]
+        assert hind[0, 1] == 0 and hind[1, 0] == 0
+        assert hind[0, 0] != 0 and hind[1, 1] != 0
+
     def test_entry_variances_match_mask(self):
         model = v4_model()
         rng = Rng(23, 0)
