@@ -12,8 +12,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PreconditionError
+from .matkit import check_unitary
 
-UNITARY_TOL = 1e-12
 POWER_TOL = 1e-9
 
 
@@ -30,15 +30,11 @@ class CorrelationModel:
     def __post_init__(self):
         if self.nt < 1 or self.nr < 1:
             raise PreconditionError("antenna counts must be >= 1")
-        if self.ut.shape != (self.nt, self.nt) or self.ur.shape != (self.nr, self.nr):
-            raise PreconditionError("eigenbasis dimensions do not match antenna counts")
         for name, m in (("ut", self.ut), ("ur", self.ur), ("vmask", self.vmask)):
             if not np.isfinite(m).all():
                 raise PreconditionError(f"{name} entries must be finite")
-        for name, u in (("ut", self.ut), ("ur", self.ur)):
-            resid = np.linalg.norm(u.conj().T @ u - np.eye(u.shape[0]))
-            if resid > UNITARY_TOL:
-                raise PreconditionError(f"{name} is not unitary (residual {resid:.3e})")
+        check_unitary(self.ut, self.nt, "ut")
+        check_unitary(self.ur, self.nr, "ur")
         if self.vmask.shape != (self.nr, self.nt):
             raise PreconditionError("vmask must be Nr x Nt")
         if (self.vmask < 0).any():

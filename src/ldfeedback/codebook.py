@@ -13,23 +13,27 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dispersion import check_symbols
 from .errors import PreconditionError
 from .infotheory import perfect_csi_mi
+from .matkit import check_unitary
 # unused here, but bench/tests/test_bench.py checks that the span tracer patches
 # this call-site binding, so the name stays bound in this module
 from .matkit import hermitian_eig  # noqa: F401
 
-UNITARY_TOL = 1e-12
 TRACE_TOL = 1e-9
 
 
-def _check_unitaries(unitaries, nt):
-    for u in unitaries:
-        if u.shape != (nt, nt):
-            raise PreconditionError(f"unitaries must be {nt} x {nt}, got shape {u.shape}")
-        resid = np.linalg.norm(u.conj().T @ u - np.eye(nt))
-        if resid > UNITARY_TOL:
-            raise PreconditionError(f"matrix is not unitary (residual {resid:.3e})")
+def check_split(b, n1, n2):
+    """Reject a B-bit split unless n1, n2 >= 1 and n1 * n2 = 2^B."""
+    if min(n1, n2) < 1 or n1 * n2 != 2**b:
+        raise PreconditionError(f"n1*n2 = {n1 * n2} must equal 2^B = {2 ** b}")
+
+
+def check_rank_two(nt):
+    """Reject Nt < 2: a rank-two allocation needs a pair of modes."""
+    if nt < 2:
+        raise PreconditionError("rank-two allocations need Nt >= 2")
 
 
 @dataclass
@@ -46,15 +50,14 @@ class QuantizedCodebook:
     nt: int
 
     def __post_init__(self):
-        if self.n1 < 1 or self.n2 < 1:
-            raise PreconditionError("codebook needs n1, n2 >= 1")
-        if self.n1 * self.n2 != 2**self.b:
-            raise PreconditionError(f"n1*n2 = {self.n1 * self.n2} must equal 2^B = {2 ** self.b}")
+        check_split(self.b, self.n1, self.n2)
+        check_symbols(self.k, self.nc)
         if len(self.unitaries) != self.n1 or len(self.lambdas) != self.n2:
             raise PreconditionError("unitary/diagonal counts must match the split")
         self.unitaries = [np.asarray(u, dtype=np.complex128) for u in self.unitaries]
         rows = [np.asarray(l, dtype=float).reshape(-1) for l in self.lambdas]
-        _check_unitaries(self.unitaries, self.nt)
+        for i, u in enumerate(self.unitaries):
+            check_unitary(u, self.nt, f"unitaries[{i}]")
         budget = self.nt * self.nc / self.k
         for lam in rows:
             if lam.size != self.nt:
@@ -76,8 +79,8 @@ def random_rank_two_lambdas(count, n2, nt, nc, k, rng):
     """
     if count < 1 or n2 < 1:
         raise PreconditionError("counts must be >= 1")
-    if nt < 2:
-        raise PreconditionError("rank-two allocations need Nt >= 2")
+    check_rank_two(nt)
+    check_symbols(k, nc)
     budget = nt * nc / k
     pairs = list(itertools.combinations(range(nt), 2))
     sets = np.zeros((count, n2, nt))
@@ -97,7 +100,8 @@ def s_matrix(h, unitaries):
     H_n^H H_n = Uh Lh Uh^H; it sums to Tr(H_n^H H_n) and never exceeds the
     largest eigenvalue.
     """
-    _check_unitaries(unitaries, h.shape[-1])
+    for i, u in enumerate(unitaries):
+        check_unitary(u, h.shape[-1], f"unitaries[{i}]")
     return np.stack([(np.abs(h @ u) ** 2).sum(axis=1) for u in unitaries], axis=1)
 
 

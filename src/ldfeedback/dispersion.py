@@ -6,7 +6,7 @@ A_k A_j^H + A_j A_k^H = 0 (k != j) is what makes joint ML decoding factor
 into per-symbol decoding; constructions here verify it numerically.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -15,7 +15,6 @@ from .matkit import haar_unitary, matrix_from_lines, matrix_to_lines
 
 GOC_TOL = 1e-10
 POWER_TOL = 1e-9
-VMATRIX_TOL = 1e-12
 
 
 @dataclass
@@ -26,7 +25,6 @@ class DispersionSet:
     nc: int
     k: int
     mats: list
-    goc_verified: bool = field(default=False)
 
     def __post_init__(self):
         if len(self.mats) != self.k:
@@ -42,10 +40,6 @@ class DispersionSet:
             raise PreconditionError(
                 f"total power {power!r} exceeds the Nt*Nc = {self.nt * self.nc} budget"
             )
-        if self.goc_verified:
-            ok, worst = check_goc(self, GOC_TOL)
-            if not ok:
-                raise PreconditionError(f"goc_verified set violates the GOC (residual {worst:.3e})")
 
     def total_power(self):
         return float(sum(np.vdot(a, a).real for a in self.mats))
@@ -55,32 +49,12 @@ class DispersionSet:
         return [a @ a.conj().T for a in self.mats]
 
 
-@dataclass
-class VMatrix:
-    """K unit-norm rows v_k of length Nc with V V^H = I + i*X, X real skew-symmetric."""
-
-    k: int
-    nc: int
-    rows: np.ndarray
-
-    def __post_init__(self):
-        self.rows = np.asarray(self.rows, dtype=np.complex128)
-        if self.rows.shape != (self.k, self.nc):
-            raise PreconditionError("V must be K x Nc")
-        gram = self.rows @ self.rows.conj().T
-        resid = max(
-            np.linalg.norm(gram.real - np.eye(self.k)),
-            np.linalg.norm(gram.imag + gram.imag.T),
-        )
-        if resid > VMATRIX_TOL:
-            raise PreconditionError(f"V V^H is not I + i*skew (residual {resid:.3e})")
-
-
-def check_goc(dset, tol=GOC_TOL):
+def check_goc(dset):
     """Report on the orthogonality constraint.
 
     Returns (ok, worst) where worst = max over pairs k != j of
-    ||A_k A_j^H + A_j A_k^H||_F. Vacuously true for K = 1.
+    ||A_k A_j^H + A_j A_k^H||_F and ok is worst <= GOC_TOL. Vacuously true
+    for K = 1.
     """
     worst = 0.0
     for a_idx in range(dset.k):
@@ -88,25 +62,44 @@ def check_goc(dset, tol=GOC_TOL):
             a, b = dset.mats[a_idx], dset.mats[b_idx]
             cross = a @ b.conj().T
             worst = max(worst, float(np.linalg.norm(cross + cross.conj().T)))
-    return worst <= tol, worst
+    return worst <= GOC_TOL, worst
 
 
-def _check_sizes(k, nc):
+def _verified(dset):
+    """dset itself, once check_goc confirms the orthogonality its construction guarantees."""
+    ok, worst = check_goc(dset)
+    if not ok:
+        raise PreconditionError(f"construction violates the GOC (residual {worst:.3e})")
+    return dset
+
+
+def check_symbols(k, nc):
+    """Reject K or Nc below 1, and K above the feasibility bound K <= 2*Nc of Proposition 1."""
     if k < 1 or nc < 1:
         raise PreconditionError(f"K = {k} and Nc = {nc} must both be >= 1")
+    if k > 2 * nc:
+        raise InfeasibleError(f"K = {k} exceeds the feasibility bound K <= 2*Nc = {2 * nc}")
+
+
+def v_residual(rows):
+    """Distance of V V^H from I + i*X, X real skew-symmetric, for the (K, Nc) rows of V.
+
+    V V^H is Hermitian, so its imaginary part is always skew-symmetric and
+    the distance is ||Re(V V^H) - I||_F.
+    """
+    return np.linalg.norm((rows @ rows.conj().T).real - np.eye(len(rows)))
 
 
 def build_v_matrix(k, nc):
-    """Unit-norm rows satisfying V V^H = I + i*X with X real skew-symmetric.
+    """The (K, Nc) unit-norm rows of a V with V V^H = I + i*X, X real skew-symmetric.
 
     For k <= nc the rows are k distinct standard basis vectors, so V V^H = I
     exactly. Above that the doubled pattern e_1, i*e_1, e_2, i*e_2, ...
     truncated to k rows satisfies the condition, and a feasible V exists if
-    and only if K <= 2*Nc.
+    and only if K <= 2*Nc. Every entry is 0, 1 or i, so v_residual is
+    exactly 0.
     """
-    _check_sizes(k, nc)
-    if k > 2 * nc:
-        raise InfeasibleError(f"K = {k} exceeds the feasibility bound K <= 2*Nc = {2 * nc}")
+    check_symbols(k, nc)
     rows = np.zeros((k, nc), dtype=np.complex128)
     if k <= nc:
         rows[np.arange(k), np.arange(k)] = 1.0
@@ -117,7 +110,7 @@ def build_v_matrix(k, nc):
                 rows[r, (kk + 1) // 2 - 1] = 1.0
             else:
                 rows[r, kk // 2 - 1] = 1j
-    return VMatrix(k=k, nc=nc, rows=rows)
+    return rows
 
 
 def rank_one_set(u, k, nc):
@@ -133,8 +126,8 @@ def rank_one_set(u, k, nc):
         raise PreconditionError("beamforming vector must be unit norm")
     v = build_v_matrix(k, nc)
     scale = np.sqrt(nt * nc / k)
-    mats = [scale * np.outer(u, v.rows[i]) for i in range(k)]
-    return DispersionSet(nt=nt, nc=nc, k=k, mats=mats, goc_verified=True)
+    mats = [scale * np.outer(u, v[i]) for i in range(k)]
+    return _verified(DispersionSet(nt=nt, nc=nc, k=k, mats=mats))
 
 
 def statistical_set(lambda_diag, k, nc, rng):
@@ -146,7 +139,7 @@ def statistical_set(lambda_diag, k, nc, rng):
     constraint). Feasibility in the wider Nc < r*K <= 2*Nc range is not
     constructed here.
     """
-    _check_sizes(k, nc)
+    check_symbols(k, nc)
     lam = np.asarray(lambda_diag, dtype=float).reshape(-1)
     nt = lam.size
     if not np.isfinite(lam).all():
@@ -170,7 +163,7 @@ def statistical_set(lambda_diag, k, nc, rng):
         a = np.zeros((nt, nc), dtype=np.complex128)
         a[modes, :] = np.sqrt(lam[modes])[:, None] * cols.conj().T
         mats.append(a)
-    return DispersionSet(nt=nt, nc=nc, k=k, mats=mats, goc_verified=True)
+    return _verified(DispersionSet(nt=nt, nc=nc, k=k, mats=mats))
 
 
 def decoupling_residual(h, dset):

@@ -16,7 +16,8 @@ import math
 
 import numpy as np
 
-from .errors import InfeasibleError, PreconditionError
+from .dispersion import check_symbols
+from .errors import PreconditionError
 
 NOISE_ENTROPY = 0.5 * math.log(math.pi * math.e)  # h(n) for variance-1/2 real noise
 LN2 = math.log(2.0)
@@ -243,6 +244,5 @@ def perfect_csi_mi(lam_max, rho, k, nc, evaluator):
     lam_max holds the largest eigenvalue of H^H H per trial, for instance a
     trial batch's eigvals[:, 0].
     """
-    if k > 2 * nc:
-        raise InfeasibleError(f"K = {k} exceeds the feasibility bound K <= 2*Nc = {2 * nc}")
+    check_symbols(k, nc)
     return k * evaluator.mi(rho * nc / k * lam_max)

@@ -1,9 +1,9 @@
 """Minimal dense complex matrix kit.
 
 Stacked Hermitian eigendecomposition with a fixed ordering/phase
-convention, Haar-distributed random unitaries, and a deterministic
-streaming RNG that the Monte Carlo layers build on. Channel entries are
-made from standard normals by channel.from_normals.
+convention, Haar-distributed random unitaries, the one unitarity check,
+and a deterministic streaming RNG that the Monte Carlo layers build on.
+Channel entries are made from standard normals by channel.from_normals.
 """
 
 import math
@@ -14,6 +14,7 @@ import numpy as np
 from .errors import PreconditionError
 
 HERMITIAN_TOL = 1e-9
+UNITARY_TOL = 1e-12
 
 
 class Rng:
@@ -76,6 +77,15 @@ def hermitian_eig(m):
     nonzero = mag > 0
     v *= np.where(nonzero, piv.conj() / np.where(nonzero, mag, 1.0), 1.0)
     return EigSystem(values=w, vectors=v)
+
+
+def check_unitary(u, n, name):
+    """Reject u unless it is n x n with ||U^H U - I||_F <= UNITARY_TOL (a NaN residual fails too)."""
+    if u.shape != (n, n):
+        raise PreconditionError(f"{name} must be {n} x {n}, got shape {u.shape}")
+    resid = np.linalg.norm(u.conj().T @ u - np.eye(n))
+    if not resid <= UNITARY_TOL:
+        raise PreconditionError(f"{name} is not unitary (residual {resid:.3e})")
 
 
 def haar_unitary(n, rng):

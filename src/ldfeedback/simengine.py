@@ -17,8 +17,10 @@ from .channel import from_normals
 # unused here, but bench/tests/test_bench.py checks that the span tracer patches
 # this call-site binding, so the name stays bound in this module
 from .channel import sample  # noqa: F401
-from .codebook import QuantizedCodebook, random_rank_two_lambdas, s_matrix, select_mi
-from .errors import InfeasibleError, PreconditionError
+from .codebook import (QuantizedCodebook, check_rank_two, check_split, random_rank_two_lambdas,
+                       s_matrix, select_mi)
+from .dispersion import check_symbols
+from .errors import PreconditionError
 from .infotheory import LN2, MiEvaluator, perfect_csi_mi
 from .matkit import Rng, hermitian_eig, haar_unitary
 
@@ -78,19 +80,19 @@ class SimConfig:
         grid = list(self.snr_grid_db)
         if not grid or not all(map(math.isfinite, grid)) or any(b <= a for a, b in zip(grid, grid[1:])):
             raise PreconditionError(f"snr grid must be non-empty, finite and strictly increasing, got {grid}")
-        if self.k < 1 or self.nc < 1:
-            raise PreconditionError(f"K = {self.k} and Nc = {self.nc} must both be >= 1")
-        if self.k > 2 * self.nc:
-            raise InfeasibleError(f"K = {self.k} violates K <= 2*Nc = {2 * self.nc}")
+        check_symbols(self.k, self.nc)
         if self.opt_samples < MIN_OPT_SAMPLES and any(s in STATISTICAL_SCHEMES for s in self.schemes):
             raise PreconditionError(
                 f"opt_samples = {self.opt_samples}: the statistical optimizer needs at least "
                 f"{MIN_OPT_SAMPLES} samples"
             )
-        if min(self.n1, self.n2) < 1 or self.n1 * self.n2 != 2**self.b:
-            raise PreconditionError(f"n1*n2 = {self.n1 * self.n2} must equal 2^b = {2 ** self.b}")
-        if self.rank_two_sets < 1 and "quantized-rank2-best" in self.schemes:
-            raise PreconditionError("rank_two_sets must be >= 1")
+        check_split(self.b, self.n1, self.n2)
+        if "quantized-rank1-best" in self.schemes and self.n2 > self.model.nt:
+            raise PreconditionError(f"no rank-one candidates for Nt = {self.model.nt}, N2 = {self.n2}")
+        if "quantized-rank2-best" in self.schemes:
+            if self.rank_two_sets < 1:
+                raise PreconditionError("rank_two_sets must be >= 1")
+            check_rank_two(self.model.nt)
 
 
 @dataclass
@@ -189,7 +191,6 @@ def optimize_lambda(cols, rho, nt, k, nc, evaluator, max_iter=500, tol=1e-6):
 
     lam = np.full(nt, total / nt)
     f_cur = objective(lam)
-    best_lam, best_f = lam.copy(), f_cur
     converged = False
     step = 1.0
     iterations = 0
@@ -213,9 +214,7 @@ def optimize_lambda(cols, rho, nt, k, nc, evaluator, max_iter=500, tol=1e-6):
             # no ascent direction survives backtracking: numerically stationary
             converged = np.linalg.norm(pg) <= 10 * tol
             break
-        if f_cur > best_f:
-            best_lam, best_f = lam.copy(), f_cur
-    return LambdaStat(diag=best_lam, converged=converged, iterations=iterations)
+    return LambdaStat(diag=lam, converged=converged, iterations=iterations)
 
 
 def _best_single_mode(cols, rho, nt, k, nc, evaluator):
@@ -288,17 +287,16 @@ def _curve_points(config, label, block_mi_rows):
     return points
 
 
-def run(config, batch=None):
+def run(config):
     """Estimate the mean per-channel-use MI of every configured scheme.
 
-    The config, scheme labels included, is validated before anything is
-    drawn, and every scheme sees the same batch, drawn here unless given.
-    The statistical schemes draw the same optimizer sample; the quantized
+    The config, scheme labels and codebook split included, is validated
+    before anything is drawn, and every scheme sees the same batch. The
+    statistical schemes draw the same optimizer sample; the quantized
     schemes share one unitary family and one s_matrix.
     """
     config.validate()
-    if batch is None:
-        batch = draw_trials(config.model, config.trials, config.seed)
+    batch = draw_trials(config.model, config.trials, config.seed)
     if any(s in QUANTIZED_SCHEMES for s in config.schemes):
         unitaries = default_unitaries(config)
         smat = s_matrix(batch.h, unitaries)
@@ -328,17 +326,15 @@ def default_unitaries(config):
 def best_rank_one_codebook(config, unitaries, smat):
     """Pick the rank-one mode assignment maximizing mean MI summed over the grid.
 
-    The codebook split comes from config; smat is s_matrix(h, unitaries)
-    of the trials to score on. All candidates are scored on the same trials; ties keep
-    the first candidate. Returns (codebook, its curve).
+    The codebook split comes from config, which SimConfig.validate has
+    passed (so N2 <= Nt); smat is s_matrix(h, unitaries) of the trials to
+    score on. All candidates are scored on the same trials; ties keep the
+    first candidate. Returns (codebook, its curve).
     """
     nt = config.model.nt
-    candidates = rank_one_candidates(nt, config.n2)
-    if not candidates:
-        raise PreconditionError(f"no rank-one candidates for Nt = {nt}, N2 = {config.n2}")
     budget = nt * config.nc / config.k
     best = None
-    for modes in candidates:
+    for modes in rank_one_candidates(nt, config.n2):
         lambdas = budget * np.eye(nt)[list(modes)]
         rows = codebook_block_mi(config, smat, lambdas)
         score = float(rows.mean(axis=1).sum())

@@ -46,10 +46,15 @@ class TestModelValidation:
             custom_model(np.ones((2, 2)) * 0.5)
 
     def test_rejects_non_unitary_basis(self):
-        with pytest.raises(PreconditionError):
+        with pytest.raises(PreconditionError, match="ut is not unitary"):
             CorrelationModel(
                 nt=2, nr=2, ut=np.ones((2, 2), dtype=complex),
                 ur=np.eye(2, dtype=complex), vmask=np.ones((2, 2)),
+            )
+        with pytest.raises(PreconditionError, match="ur must be 2 x 2, got shape \\(3, 3\\)"):
+            CorrelationModel(
+                nt=2, nr=2, ut=np.eye(2, dtype=complex),
+                ur=np.eye(3, dtype=complex), vmask=np.ones((2, 2)),
             )
 
     def test_rejects_negative_variance(self):

@@ -257,6 +257,18 @@ class TestConstruct:
         assert "must both be >= 1" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("name, args", [
+        ("construct_rank_one", ["--kind", "rank-one", "--k", "4", "--nc", "2", "--nt", "2", "--mode", "0"]),
+        ("construct_statistical", ["--kind", "statistical", "--k", "2", "--nc", "8", "--nt", "4",
+                                   "--lambdas", "10,6,0,0"]),
+    ])
+    def test_readme_commands_pinned(self, tmp_path, capsys, name, args):
+        # tests/data/<name>.txt and .stdout were written by an earlier revision
+        out = tmp_path / "set.txt"
+        assert cli.main(["construct", *args, "-o", str(out)]) == 0
+        assert out.read_bytes() == (DATA_DIR / f"{name}.txt").read_bytes()
+        assert capsys.readouterr().out == (DATA_DIR / f"{name}.stdout").read_text()
+
     def test_same_seed_same_artifact(self, tmp_path):
         args = ["construct", "--kind", "statistical", "--k", "2", "--nc", "8",
                 "--nt", "4", "--lambdas", "10,6,0,0", "--seed", "11"]

@@ -152,8 +152,10 @@ class TestSMatrix:
         assert np.array_equal(s, np.zeros((1, 1, 4)))
 
     def test_rejects_non_unitary(self):
-        with pytest.raises(PreconditionError):
-            s_matrix(realization(3).h, [np.ones((4, 4), dtype=complex)])
+        # a NaN matrix has a NaN residual, which must not pass the tolerance test
+        for bad in (np.ones((4, 4), dtype=complex), np.full((4, 4), np.nan + 0j)):
+            with pytest.raises(PreconditionError, match="is not unitary"):
+                s_matrix(realization(3).h, [bad])
 
 
 class TestSelectMi:

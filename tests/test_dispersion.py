@@ -4,18 +4,21 @@ import numpy as np
 import pytest
 
 from ldfeedback.channel import iid_model, sample
+from ldfeedback.codebook import QuantizedCodebook, random_rank_two_lambdas
 from ldfeedback.dispersion import (
     DispersionSet,
     build_v_matrix,
     check_goc,
+    check_symbols,
     decoupling_residual,
     from_text,
     rank_one_set,
     statistical_set,
     to_text,
+    v_residual,
 )
 from ldfeedback.errors import InfeasibleError, PreconditionError
-from ldfeedback.infotheory import Constellation, MiEvaluator, block_mi
+from ldfeedback.infotheory import Constellation, MiEvaluator, block_mi, perfect_csi_mi
 from ldfeedback.matkit import Rng
 
 
@@ -47,14 +50,37 @@ class TestCheckGoc:
         assert abs(worst - 2 * math.sqrt(2)) <= 1e-12  # ||2 I||_F
 
 
+class TestCheckSymbols:
+    # every library entry point that takes K and Nc rejects bad counts through check_symbols
+    ENTRY_POINTS = {
+        "check_symbols": check_symbols,
+        "perfect_csi_mi": lambda k, nc: perfect_csi_mi(
+            np.ones(3), 1.0, k, nc, MiEvaluator(Constellation.gaussian())),
+        "QuantizedCodebook": lambda k, nc: QuantizedCodebook(
+            b=0, n1=1, n2=1, unitaries=[np.eye(2)], lambdas=[[1.0, 0.0]], k=k, nc=nc, nt=2),
+        "random_rank_two_lambdas": lambda k, nc: random_rank_two_lambdas(1, 1, 2, nc, k, Rng(0, 0)),
+    }
+
+    @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+    @pytest.mark.parametrize("k, nc, error, message", [
+        (0, 2, PreconditionError, "K = 0 and Nc = 2 must both be >= 1"),
+        (-1, 2, PreconditionError, "K = -1 and Nc = 2 must both be >= 1"),
+        (2, 0, PreconditionError, "K = 2 and Nc = 0 must both be >= 1"),
+        (5, 2, InfeasibleError, "K = 5 exceeds the feasibility bound K <= 2\\*Nc = 4"),
+    ], ids=["k-0", "k-minus-1", "nc-0", "k-above-2nc"])
+    def test_rejects_bad_counts(self, entry, k, nc, error, message):
+        with pytest.raises(error, match=message):
+            self.ENTRY_POINTS[entry](k, nc)
+
+
 class TestVMatrix:
     def test_full_rate_pattern(self):
         v = build_v_matrix(4, 2)
         expect = np.array(
             [[1, 0], [1j, 0], [0, 1], [0, 1j]], dtype=complex
         )
-        assert np.array_equal(v.rows, expect)
-        gram = v.rows @ v.rows.conj().T
+        assert np.array_equal(v, expect)
+        gram = v @ v.conj().T
         skew = gram.imag
         assert np.allclose(gram.real, np.eye(4))
         assert skew[0, 1] == -1 and skew[1, 0] == 1
@@ -64,17 +90,22 @@ class TestVMatrix:
         for nc in (2, 4, 5):
             for k in range(1, nc + 1):
                 v = build_v_matrix(k, nc)
-                assert np.array_equal(v.rows @ v.rows.conj().T, np.eye(k))
+                assert np.array_equal(v @ v.conj().T, np.eye(k))
 
     def test_all_feasible_sizes_exact(self):
         for nc in range(1, 9):
             for k in range(1, 2 * nc + 1):
                 v = build_v_matrix(k, nc)
-                gram = v.rows @ v.rows.conj().T
-                assert np.linalg.norm(gram.real - np.eye(k)) == 0.0
-                assert np.linalg.norm(gram.imag + gram.imag.T) == 0.0
+                assert v.shape == (k, nc)
+                assert v_residual(v) == 0.0
                 # entries restricted to {0, 1, i}
-                assert set(np.unique(v.rows)) <= {0, 1, 1j}
+                assert set(np.unique(v)) <= {0, 1, 1j}
+
+    def test_residual_detects_violations(self):
+        # a repeated row puts 1 off the diagonal of Re(V V^H): ||[[0, 1], [1, 0]]||_F
+        assert v_residual(np.array([[1, 0], [1, 0]], dtype=complex)) == math.sqrt(2)
+        # a row of norm 2 puts 4 on the diagonal
+        assert v_residual(np.array([[2j, 0]])) == 3.0
 
     def test_infeasible_above_two_nc(self):
         with pytest.raises(InfeasibleError):
@@ -90,7 +121,7 @@ class TestRankOneSet:
     def test_construction_guarantees(self):
         u = np.array([0.6, 0.8j])
         dset = rank_one_set(u, k=3, nc=2)
-        ok, worst = check_goc(dset, tol=1e-10)
+        ok, worst = check_goc(dset)
         assert ok
         assert abs(dset.total_power() - 2 * 2) <= 1e-9
         for q in dset.covariances():
@@ -127,7 +158,7 @@ class TestStatisticalSet:
         dset = statistical_set(lam, k=2, nc=8, rng=Rng(4, 0))
         for q in dset.covariances():
             assert np.linalg.norm(q - np.diag(lam)) <= 1e-10
-        ok, worst = check_goc(dset, tol=1e-10)
+        ok, worst = check_goc(dset)
         assert ok
         assert abs(dset.total_power() - 4 * 8) <= 1e-9
 

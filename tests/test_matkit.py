@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from ldfeedback.errors import PreconditionError
 from ldfeedback.matkit import (
     Rng,
+    check_unitary,
     format_complex,
     haar_unitary,
     hermitian_eig,
@@ -122,6 +123,20 @@ class TestHaarUnitary:
             vals[i] = abs(haar_unitary(n, rng)[0, 0]) ** 2
         se = math.sqrt((n - 1) / (n**2 * (n + 1)) / draws)
         assert abs(vals.mean() - 1.0 / n) <= 3 * se
+
+
+class TestCheckUnitary:
+    def test_accepts_haar_unitary(self):
+        check_unitary(haar_unitary(4, Rng(3, 0)), 4, "u")
+
+    @pytest.mark.parametrize("u, message", [
+        (np.eye(3), "u must be 4 x 4, got shape \\(3, 3\\)"),
+        (2 * np.eye(4), "u is not unitary \\(residual 6.000e\\+00\\)"),
+        (np.full((4, 4), np.nan), "u is not unitary \\(residual nan\\)"),
+    ], ids=["shape", "scaled", "nan"])
+    def test_rejects(self, u, message):
+        with pytest.raises(PreconditionError, match=message):
+            check_unitary(u, 4, "u")
 
 
 class TestRng:

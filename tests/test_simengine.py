@@ -248,15 +248,34 @@ class TestRun:
             run(make_config(schemes=("perfect", "x")))
         assert draws == []
 
-    def test_rejects_bad_split(self):
+    def test_rejects_bad_split(self, monkeypatch):
+        draws = []
+
+        def counted(*args, **kwargs):
+            draws.append(1)
+            return draw_trials(*args, **kwargs)
+
+        monkeypatch.setattr(simengine, "draw_trials", counted)
         for split in ({"n1": 2}, {"n1": 0, "n2": 4}, {"n1": -1, "n2": -4}, {"b": 3}):
             with pytest.raises(PreconditionError, match="must equal 2"):
                 run(replace(make_config(), **split))
         config = make_config(schemes=("perfect", "quantized-rank2-best"))
         with pytest.raises(PreconditionError, match="rank_two_sets"):
             run(replace(config, rank_two_sets=0))
-        # the tournament size only matters when the tournament runs
+        # N2 = 4 modes out of Nt = 2 leaves no rank-one candidate
+        rank_one = make_config(schemes=("quantized-rank1-best",))
+        with pytest.raises(PreconditionError, match="no rank-one candidates for Nt = 2, N2 = 4"):
+            run(replace(rank_one, n1=1, n2=4))
+        # one transmit antenna has no mode pair for a rank-two allocation
+        single = make_config(model=iid_model(1, 2), schemes=("quantized-rank2-best",), nc=1)
+        with pytest.raises(PreconditionError, match="rank-two allocations need Nt >= 2"):
+            run(single)
+        assert draws == []
+        # the tournament size only matters when the tournament runs, and
+        # the mode counts only when their search runs
         replace(make_config(), rank_two_sets=0).validate()
+        replace(make_config(), n1=1, n2=4).validate()
+        replace(single, schemes=["perfect"]).validate()
 
     def test_statistical_below_perfect_per_trial(self):
         config = make_config(model=v4_model(), schemes=("statistical",), trials=40)
@@ -316,13 +335,8 @@ class TestRankTwoTournament:
 
     def test_every_entry_below_perfect(self):
         config = make_config(model=iid_model(4, 4), trials=40)
-        batch = draw_trials(config.model, config.trials, config.seed)
-        perfect = {
-            p.snr_db: p.mi_bits_per_use
-            for p in run(make_config(model=iid_model(4, 4), trials=40), batch=batch)
-        }
-        _, table = rank_two_tournament(replace(config, rank_two_sets=10),
-                                       *quantized_inputs(config, batch))
+        perfect = {p.snr_db: p.mi_bits_per_use for p in run(config)}
+        _, table = rank_two_tournament(replace(config, rank_two_sets=10), *quantized_inputs(config))
         for p in table:
             assert p.mi_bits_per_use <= perfect[p.snr_db] + 1e-9
 
