@@ -17,6 +17,12 @@ from .matkit import check_unitary
 POWER_TOL = 1e-9
 
 
+def check_antennas(nt, nr):
+    """Reject an antenna count below 1."""
+    if nt < 1 or nr < 1:
+        raise PreconditionError(f"antenna counts must be >= 1, got Nt = {nt}, Nr = {nr}")
+
+
 @dataclass(frozen=True)
 class CorrelationModel:
     """Channel law: dimensions, eigenbases, and the per-entry variance mask."""
@@ -28,8 +34,7 @@ class CorrelationModel:
     vmask: np.ndarray
 
     def __post_init__(self):
-        if self.nt < 1 or self.nr < 1:
-            raise PreconditionError("antenna counts must be >= 1")
+        check_antennas(self.nt, self.nr)
         for name, m in (("ut", self.ut), ("ur", self.ur), ("vmask", self.vmask)):
             if not np.isfinite(m).all():
                 raise PreconditionError(f"{name} entries must be finite")
@@ -62,8 +67,7 @@ class ChannelRealization:
 
 def iid_model(nt, nr):
     """The i.i.d. CN(0,1)-entries model (identity eigenbases, all-ones mask)."""
-    if nt < 1 or nr < 1:
-        raise PreconditionError("antenna counts must be >= 1")
+    check_antennas(nt, nr)
     return CorrelationModel(
         nt=nt,
         nr=nr,

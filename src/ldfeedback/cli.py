@@ -13,7 +13,7 @@ import sys
 import numpy as np
 
 from . import dispersion, simengine, verify
-from .channel import custom_model, iid_model, v4_model
+from .channel import check_antennas, custom_model, iid_model, v4_model
 from .errors import ConfigError, InfeasibleError, PreconditionError
 from .infotheory import Constellation
 from .matkit import Rng
@@ -99,6 +99,7 @@ def build_experiment(values, cli_seed=None):
         raise ConfigError("give either model or vmask, not both")
     if "vmask" in values:
         flat = _get_float_list(values, "vmask")
+        check_antennas(nt, nr)
         if len(flat) != nt * nr:
             raise ConfigError(f"vmask needs {nt * nr} entries, got {len(flat)}")
         model = custom_model(np.array(flat).reshape(nr, nt))
@@ -260,9 +261,9 @@ def cmd_verify(args):
 def cmd_construct(args):
     rng = Rng(1 if args.seed is None else args.seed, 0)
     if args.kind == "rank-one":
-        u = np.zeros(args.nt, dtype=complex)
         if not 0 <= args.mode < args.nt:
             raise PreconditionError(f"mode {args.mode} out of range for nt = {args.nt}")
+        u = np.zeros(args.nt, dtype=complex)
         u[args.mode] = 1.0
         dset = dispersion.rank_one_set(u, args.k, args.nc)
     else:

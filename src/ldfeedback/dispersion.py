@@ -4,6 +4,7 @@ A code set holds K dispersion matrices A_k of shape Nt x Nc spreading K real
 symbols over a coherence block. The orthogonality constraint
 A_k A_j^H + A_j A_k^H = 0 (k != j) is what makes joint ML decoding factor
 into per-symbol decoding; constructions here verify it numerically.
+to_text writes a set in the plain-text form that `construct` emits.
 """
 
 from dataclasses import dataclass
@@ -11,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InfeasibleError, PreconditionError
-from .matkit import haar_unitary, matrix_from_lines, matrix_to_lines
+from .matkit import haar_unitary
 
 GOC_TOL = 1e-10
 POWER_TOL = 1e-9
@@ -183,28 +184,23 @@ def decoupling_residual(h, dset):
     return worst
 
 
+def format_complex(z):
+    """Render one complex entry as a+bi with 17 significant digits (round-trips float64)."""
+    z = complex(z)
+    return f"{z.real:.17g}{z.imag:+.17g}i"
+
+
+def matrix_to_lines(m):
+    return [" ".join(format_complex(z) for z in row) for row in np.asarray(m)]
+
+
 def to_text(dset):
     """Plain-text form: header 'nt nc k', then K blocks of Nt lines.
 
-    Entries render as a+bi with 17 significant digits, so the round trip is
-    bit-exact.
+    Entries render as a+bi with 17 significant digits, enough to read every
+    float64 back exactly.
     """
     lines = [f"{dset.nt} {dset.nc} {dset.k}"]
     for a in dset.mats:
         lines.extend(matrix_to_lines(a))
     return "\n".join(lines) + "\n"
-
-
-def from_text(text):
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines:
-        raise ValueError("empty dispersion set text")
-    try:
-        nt, nc, k = (int(t) for t in lines[0].split())
-    except ValueError as exc:
-        raise ValueError(f"bad header line {lines[0]!r}") from exc
-    body = lines[1:]
-    if len(body) != nt * k:
-        raise ValueError(f"expected {nt * k} matrix lines, got {len(body)}")
-    mats = [matrix_from_lines(body[i * nt : (i + 1) * nt], nt, nc) for i in range(k)]
-    return DispersionSet(nt=nt, nc=nc, k=k, mats=mats)

@@ -101,32 +101,3 @@ def haar_unitary(n, rng):
     d = np.diagonal(r)
     q = q * (d / np.abs(d))
     return q
-
-
-def format_complex(z):
-    """Render one complex entry as a+bi with 17 significant digits (round-trips float64)."""
-    z = complex(z)
-    return f"{z.real:.17g}{z.imag:+.17g}i"
-
-
-def parse_complex(token):
-    """Inverse of format_complex."""
-    if not token.endswith("i"):
-        raise ValueError(f"bad complex token {token!r}")
-    return complex(token[:-1] + "j")
-
-
-def matrix_to_lines(m):
-    return [" ".join(format_complex(z) for z in row) for row in np.asarray(m)]
-
-
-def matrix_from_lines(lines, rows, cols):
-    if len(lines) != rows:
-        raise ValueError(f"expected {rows} matrix lines, got {len(lines)}")
-    out = np.empty((rows, cols), dtype=np.complex128)
-    for i, line in enumerate(lines):
-        toks = line.split()
-        if len(toks) != cols:
-            raise ValueError(f"expected {cols} entries on line {i}, got {len(toks)}")
-        out[i] = [parse_complex(t) for t in toks]
-    return out

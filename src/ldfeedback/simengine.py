@@ -9,7 +9,7 @@ bit-identical regardless of how trials would be scheduled.
 import itertools
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -17,8 +17,7 @@ from .channel import from_normals
 # unused here, but bench/tests/test_bench.py checks that the span tracer patches
 # this call-site binding, so the name stays bound in this module
 from .channel import sample  # noqa: F401
-from .codebook import (QuantizedCodebook, check_rank_two, check_split, random_rank_two_lambdas,
-                       s_matrix, select_mi)
+from .codebook import check_rank_two, check_split, random_rank_two_lambdas, s_matrix, select_mi
 from .dispersion import check_symbols
 from .errors import PreconditionError
 from .infotheory import LN2, MiEvaluator, perfect_csi_mi
@@ -172,6 +171,11 @@ def draw_ind_column_powers(model, samples, rng):
     return _column_powers(from_normals(model, z.swapaxes(0, 1))[1])
 
 
+def _sample_mean_mi(cols, lam, rho, nt, evaluator):
+    """Sample mean of I(rho/Nt * cols @ lam): the statistical schemes' objective."""
+    return float(np.mean(evaluator.mi(rho / nt * (cols @ lam))))
+
+
 def optimize_lambda(cols, rho, nt, k, nc, evaluator, max_iter=500, tol=1e-6):
     """Statistical-CSI power allocation by sample-average approximation.
 
@@ -182,15 +186,12 @@ def optimize_lambda(cols, rho, nt, k, nc, evaluator, max_iter=500, tol=1e-6):
     """
     total = nt * nc / k
 
-    def objective(lam):
-        return float(np.mean(evaluator.mi(rho / nt * (cols @ lam))))
-
     def gradient(lam):
         a = rho / nt * (cols @ lam)
         return rho / nt * (evaluator.mmse(a)[:, None] * cols).mean(axis=0)
 
     lam = np.full(nt, total / nt)
-    f_cur = objective(lam)
+    f_cur = _sample_mean_mi(cols, lam, rho, nt, evaluator)
     converged = False
     step = 1.0
     iterations = 0
@@ -204,7 +205,7 @@ def optimize_lambda(cols, rho, nt, k, nc, evaluator, max_iter=500, tol=1e-6):
         accepted = False
         for _ in range(60):
             cand = project_scaled_simplex(lam + step * g, total)
-            f_cand = objective(cand)
+            f_cand = _sample_mean_mi(cols, cand, rho, nt, evaluator)
             gain = float(np.dot(g, cand - lam))
             if f_cand >= f_cur + 1e-4 * gain and f_cand > f_cur:
                 lam, f_cur, accepted = cand, f_cand, True
@@ -219,8 +220,7 @@ def optimize_lambda(cols, rho, nt, k, nc, evaluator, max_iter=500, tol=1e-6):
 
 def _best_single_mode(cols, rho, nt, k, nc, evaluator):
     """Mode index whose full-budget allocation maximizes the sample-mean MI."""
-    total = nt * nc / k
-    means = [float(np.mean(evaluator.mi(rho / nt * total * cols[:, m]))) for m in range(nt)]
+    means = [_sample_mean_mi(cols, lam, rho, nt, evaluator) for lam in nt * nc / k * np.eye(nt)]
     return int(np.argmax(means))
 
 
@@ -293,28 +293,25 @@ def run(config):
     The config, scheme labels and codebook split included, is validated
     before anything is drawn, and every scheme sees the same batch. The
     statistical schemes draw the same optimizer sample; the quantized
-    schemes share one unitary family and one s_matrix.
+    schemes share one unitary family and one s_matrix. Each scheme's rows
+    are dropped once its curve points are made.
     """
     config.validate()
     batch = draw_trials(config.model, config.trials, config.seed)
     if any(s in QUANTIZED_SCHEMES for s in config.schemes):
-        unitaries = default_unitaries(config)
-        smat = s_matrix(batch.h, unitaries)
+        smat = s_matrix(batch.h, default_unitaries(config))
     curves = []
     for scheme in config.schemes:
         if scheme == "quantized-rank1-best":
-            curves.extend(best_rank_one_codebook(config, unitaries, smat)[1])
+            rows = best_rank_one_codebook(config, smat)[1]
         elif scheme == "quantized-rank2-best":
-            curves.extend(rank_two_tournament(config, unitaries, smat)[0])
+            rows = rank_two_tournament(config, smat)[1]
         else:
-            curves.extend(_curve_points(config, scheme, scheme_block_mi(config, scheme, batch)))
+            rows = scheme_block_mi(config, scheme, batch)
+        curves.extend(_curve_points(config, scheme, rows))
+        del rows
     curves.sort(key=lambda p: (p.scheme, p.snr_db))
     return curves
-
-
-def rank_one_candidates(nt, n2):
-    """Distinct rank-one mode assignments: unordered size-N2 subsets of the Nt modes."""
-    return list(itertools.combinations(range(nt), n2))
 
 
 def default_unitaries(config):
@@ -323,44 +320,49 @@ def default_unitaries(config):
     return [haar_unitary(config.model.nt, rng) for _ in range(config.n1)]
 
 
-def best_rank_one_codebook(config, unitaries, smat):
-    """Pick the rank-one mode assignment maximizing mean MI summed over the grid.
+def best_rank_one_codebook(config, smat):
+    """The rank-one power diagonals maximizing mean block MI summed over the grid.
 
-    The codebook split comes from config, which SimConfig.validate has
-    passed (so N2 <= Nt); smat is s_matrix(h, unitaries) of the trials to
-    score on. All candidates are scored on the same trials; ties keep the
-    first candidate. Returns (codebook, its curve).
+    Candidates are the C(Nt, N2) mode sets, each mode at the full
+    Nt*Nc/K budget; config has passed SimConfig.validate (so N2 <= Nt), and
+    smat is s_matrix(h, unitaries) of the trials to score on. Ties keep the
+    first candidate. Returns (lambdas, rows): the winner's (N2, Nt)
+    diagonals and its (n_snr, trials) block MI in nats.
     """
     nt = config.model.nt
     budget = nt * config.nc / config.k
     best = None
-    for modes in rank_one_candidates(nt, config.n2):
+    for modes in itertools.combinations(range(nt), config.n2):
         lambdas = budget * np.eye(nt)[list(modes)]
         rows = codebook_block_mi(config, smat, lambdas)
         score = float(rows.mean(axis=1).sum())
         if best is None or score > best[0]:
             best = (score, lambdas, rows)
-    _, lambdas, rows = best
-    cb = QuantizedCodebook(b=config.b, n1=config.n1, n2=config.n2, unitaries=unitaries,
-                           lambdas=lambdas, k=config.k, nc=config.nc, nt=nt)
-    return cb, _curve_points(config, "quantized-rank1-best", rows)
+        del rows
+    return best[1:]
 
 
-def rank_two_tournament(config, unitaries, smat):
-    """Evaluate config.rank_two_sets random rank-two codebooks sharing the run's unitaries.
+def rank_two_tournament(config, smat):
+    """Per SNR point, the best of config.rank_two_sets random rank-two codebooks.
 
-    The codebook split comes from config; smat is s_matrix(h, unitaries)
-    of the trials to score on. Returns (best_curve, all_curves) where the best curve takes
-    the per-SNR-point maximum of the mean MI across the codebooks; ties go
-    to the first codebook.
+    The codebooks are drawn by random_rank_two_lambdas from the
+    STREAM_TOURNAMENT substream and share the unitaries of smat, which is
+    s_matrix(h, unitaries) of the trials to score on. Each is scored on its
+    mean block MI in nats; ties go to the first codebook. Returns
+    (winners, rows): the (n_snr,) index of each point's winner among the
+    drawn codebooks, and the winners' (n_snr, trials) block MI in nats.
     """
-    rng = Rng(config.seed, STREAM_TOURNAMENT)
     lamsets = random_rank_two_lambdas(config.rank_two_sets, config.n2, config.model.nt,
-                                      config.nc, config.k, rng)
-    all_curves = [_curve_points(config, f"quantized-rank2-{idx:02d}",
-                                codebook_block_mi(config, smat, lambdas))
-                  for idx, lambdas in enumerate(lamsets)]
-    means = np.array([[p.mi_bits_per_use for p in curve] for curve in all_curves])
-    best_points = [replace(all_curves[winner][s_idx], scheme="quantized-rank2-best")
-                   for s_idx, winner in enumerate(means.argmax(axis=0))]
-    return best_points, [p for curve in all_curves for p in curve]
+                                      config.nc, config.k, Rng(config.seed, STREAM_TOURNAMENT))
+    winners = np.zeros(len(config.snr_grid_db), dtype=int)
+    rows = codebook_block_mi(config, smat, lamsets[0])
+    best = rows.mean(axis=1)
+    for idx in range(1, len(lamsets)):
+        cand = codebook_block_mi(config, smat, lamsets[idx])
+        score = cand.mean(axis=1)
+        better = score > best
+        np.copyto(rows, cand, where=better[:, None])
+        del cand
+        best[better] = score[better]
+        winners[better] = idx
+    return winners, rows

@@ -20,8 +20,8 @@ from ldfeedback.infotheory import LN2, Constellation, MiEvaluator, block_mi
 from ldfeedback.matkit import Rng, hermitian_eig
 from ldfeedback.simengine import (
     SimConfig,
+    _curve_points,
     best_rank_one_codebook,
-    codebook_block_mi,
     draw_ind_column_powers,
     draw_trials,
     default_unitaries,
@@ -72,13 +72,13 @@ def experiments():
         entry = {"config": config, "batch": batch, "perfect": perfect, "splits": {}}
         for n1, n2 in ((4, 1), (2, 2)):
             split = replace(config, b=2, n1=n1, n2=n2, rank_two_sets=50)
-            unitaries = default_unitaries(split)
-            smat = s_matrix(batch.h, unitaries)
-            cb, rank1 = best_rank_one_codebook(split, unitaries, smat)
-            rank2, _ = rank_two_tournament(split, unitaries, smat)
-            quant_rows = codebook_block_mi(config, s_matrix(batch.h, cb.unitaries), cb.lambdas)
+            smat = s_matrix(batch.h, default_unitaries(split))
+            rank1_rows = best_rank_one_codebook(split, smat)[1]
+            rank2_rows = rank_two_tournament(split, smat)[1]
             entry["splits"][(n1, n2)] = {
-                "rank1": rank1, "rank2": rank2, "rank1_rows": quant_rows,
+                "rank1": _curve_points(split, "quantized-rank1-best", rank1_rows),
+                "rank2": _curve_points(split, "quantized-rank2-best", rank2_rows),
+                "rank1_rows": rank1_rows,
             }
         out[name] = entry
     return out

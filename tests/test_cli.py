@@ -5,11 +5,20 @@ import numpy as np
 import pytest
 
 from ldfeedback import cli
-from ldfeedback.dispersion import from_text
+from ldfeedback.dispersion import DispersionSet
 from ldfeedback.errors import ConfigError
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 DATA_DIR = Path(__file__).resolve().parent / "data"
+
+
+def read_set(path):
+    """The DispersionSet that construct wrote to path, its a+bi entries read back with complex()."""
+    lines = Path(path).read_text().splitlines()
+    nt, nc, k = (int(t) for t in lines[0].split())
+    rows = [[complex(t[:-1] + "j") for t in line.split()] for line in lines[1:]]
+    return DispersionSet(nt=nt, nc=nc, k=k, mats=list(np.reshape(rows, (k, nt, nc))))
+
 
 SMALL_CFG = """
 model = iid
@@ -155,8 +164,9 @@ class TestSimulate:
         ("model = iid", "vmask = inf,1,1,1", "vmask"),
         ("schemes = perfect,", "schemes = perfect,perfect,", "repeated scheme 'perfect'"),
         ("model = iid", "model = bogus\nvmask = 1,1,1,1", "not both"),
+        ("model = iid\nnt = 2\nnr = 2", "vmask = 1,1,1,1\nnt = -2\nnr = -2", "antenna counts must be >= 1"),
     ], ids=["k-0", "nc-0", "snr-nan", "snr-inf", "snr-minus-inf", "vmask-nan", "vmask-inf",
-            "repeated-scheme", "model-and-vmask"])
+            "repeated-scheme", "model-and-vmask", "vmask-negative-antennas"])
     def test_bad_value_exit_2(self, tmp_path, capsys, line, bad, message):
         text = SMALL_CFG.replace("trials = 20", "trials = 1")
         cfg = write(tmp_path, "exp.cfg", text.replace(line, bad))
@@ -209,7 +219,7 @@ class TestConstruct:
         assert code == 0
         captured = capsys.readouterr().out
         assert "goc_residual" in captured and "total_power" in captured
-        dset = from_text(Path(out).read_text())
+        dset = read_set(out)
         assert (dset.nt, dset.nc, dset.k) == (2, 2, 4)
 
     def test_infeasible_k_exit_3(self, tmp_path, capsys):
@@ -231,7 +241,7 @@ class TestConstruct:
         code = cli.main(["construct", "--kind", "statistical", "--k", "2", "--nc", "8",
                          "--nt", "4", "--lambdas", "10,6,0,0", "-o", out, "--seed", "3"])
         assert code == 0
-        dset = from_text(Path(out).read_text())
+        dset = read_set(out)
         assert dset.k == 2
 
     @pytest.mark.parametrize("lambdas, message", [
@@ -246,15 +256,17 @@ class TestConstruct:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("args", [
-        ["--kind", "rank-one", "--k", "2", "--nt", "2", "--nc", "0"],
-        ["--kind", "rank-one", "--k", "2", "--nt", "2", "--nc", "-1"],
-        ["--kind", "statistical", "--k", "0", "--nc", "2", "--nt", "4", "--lambdas", "1,1,0,0"],
-    ], ids=["rank-one-nc-0", "rank-one-nc-minus-1", "statistical-k-0"])
-    def test_bad_sizes_exit_2(self, tmp_path, capsys, args):
+    @pytest.mark.parametrize("args, message", [
+        (["--kind", "rank-one", "--k", "2", "--nt", "2", "--nc", "0"], "must both be >= 1"),
+        (["--kind", "rank-one", "--k", "2", "--nt", "2", "--nc", "-1"], "must both be >= 1"),
+        (["--kind", "statistical", "--k", "0", "--nc", "2", "--nt", "4", "--lambdas", "1,1,0,0"],
+         "must both be >= 1"),
+        (["--kind", "rank-one", "--k", "2", "--nc", "2", "--nt", "-1"], "out of range for nt = -1"),
+    ], ids=["rank-one-nc-0", "rank-one-nc-minus-1", "statistical-k-0", "rank-one-nt-minus-1"])
+    def test_bad_sizes_exit_2(self, tmp_path, capsys, args, message):
         out = tmp_path / "set.txt"
         assert cli.main(["construct", *args, "-o", str(out)]) == 2
-        assert "must both be >= 1" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("name, args", [

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
 from ldfeedback.channel import iid_model, sample
-from ldfeedback.codebook import s_matrix
+from ldfeedback.codebook import random_rank_two_lambdas, s_matrix
 from ldfeedback.dispersion import rank_one_set
 from ldfeedback.errors import InfeasibleError, PreconditionError
 from ldfeedback.infotheory import (
@@ -17,7 +17,16 @@ from ldfeedback.infotheory import (
     perfect_csi_mi,
 )
 from ldfeedback.matkit import Rng, hermitian_eig
-from ldfeedback.simengine import SimConfig, default_unitaries, draw_trials, rank_two_tournament, run
+from ldfeedback.simengine import (
+    STREAM_TOURNAMENT,
+    SimConfig,
+    _curve_points,
+    codebook_block_mi,
+    default_unitaries,
+    draw_trials,
+    rank_two_tournament,
+    run,
+)
 
 # Frozen values from the adaptive-quadrature oracle below (epsabs 1e-13).
 ORACLE_MI = {
@@ -241,8 +250,13 @@ class TestTable:
 
         def points():
             batch = draw_trials(config.model, config.trials, config.seed)
-            unitaries = default_unitaries(config)
-            best, every = rank_two_tournament(config, unitaries, s_matrix(batch.h, unitaries))
+            smat = s_matrix(batch.h, default_unitaries(config))
+            best = _curve_points(config, "quantized-rank2-best", rank_two_tournament(config, smat)[1])
+            lamsets = random_rank_two_lambdas(config.rank_two_sets, config.n2, 2, 2, 2,
+                                              Rng(config.seed, STREAM_TOURNAMENT))
+            every = [p for idx, lambdas in enumerate(lamsets)
+                     for p in _curve_points(config, f"quantized-rank2-{idx:02d}",
+                                            codebook_block_mi(config, smat, lambdas))]
             return run(config) + best + every
 
         tabled = points()

@@ -19,7 +19,9 @@ from ldfeedback.errors import InfeasibleError, PreconditionError
 from ldfeedback.infotheory import LN2, Constellation, MiEvaluator, block_mi
 from ldfeedback.matkit import Rng, haar_unitary, hermitian_eig
 from ldfeedback.simengine import (
+    STREAM_TOURNAMENT,
     SimConfig,
+    _curve_points,
     best_rank_one_codebook,
     codebook_block_mi,
     draw_ind_column_powers,
@@ -27,7 +29,6 @@ from ldfeedback.simengine import (
     default_unitaries,
     optimize_lambda,
     project_scaled_simplex,
-    rank_one_candidates,
     rank_two_tournament,
     run,
     scheme_block_mi,
@@ -52,12 +53,17 @@ def make_config(model=None, schemes=("perfect",), trials=50, k=None, nc=None, se
     )
 
 
-def quantized_inputs(config, batch=None):
-    """The unitaries and s_matrix that run shares between the two codebook searches."""
+def run_smat(config, batch=None):
+    """The s_matrix that run shares between the two codebook searches."""
     if batch is None:
         batch = draw_trials(config.model, config.trials, config.seed)
-    unitaries = default_unitaries(config)
-    return unitaries, s_matrix(batch.h, unitaries)
+    return s_matrix(batch.h, default_unitaries(config))
+
+
+def drawn_rank_two_lambdas(config):
+    """The config.rank_two_sets codebooks' power diagonals that rank_two_tournament draws."""
+    return random_rank_two_lambdas(config.rank_two_sets, config.n2, config.model.nt, config.nc,
+                                   config.k, Rng(config.seed, STREAM_TOURNAMENT))
 
 
 def snr_rule_values(cb, batch):
@@ -191,8 +197,7 @@ class TestRun:
     def test_quantized_below_perfect_per_trial(self):
         config = make_config(model=iid_model(4, 4), trials=60)
         batch = draw_trials(config.model, config.trials, config.seed)
-        cb, _ = best_rank_one_codebook(config, *quantized_inputs(config, batch))
-        quant = codebook_block_mi(config, s_matrix(batch.h, cb.unitaries), cb.lambdas)
+        _, quant = best_rank_one_codebook(config, run_smat(config, batch))
         perfect = scheme_block_mi(config, "perfect", batch)
         assert (quant <= perfect + 1e-9).all()
 
@@ -201,11 +206,11 @@ class TestRun:
         config = replace(config, rank_two_sets=5)
         got = run(config)
         assert sorted({p.scheme for p in got}) == sorted(simengine.SCHEMES)
-        inputs = quantized_inputs(config)
-        _, rank1 = best_rank_one_codebook(config, *inputs)
-        rank2, _ = rank_two_tournament(config, *inputs)
-        for label, want in (("quantized-rank1-best", rank1), ("quantized-rank2-best", rank2)):
-            assert [p for p in got if p.scheme == label] == want
+        smat = run_smat(config)
+        rank1 = best_rank_one_codebook(config, smat)[1]
+        rank2 = rank_two_tournament(config, smat)[1]
+        for label, rows in (("quantized-rank1-best", rank1), ("quantized-rank2-best", rank2)):
+            assert [p for p in got if p.scheme == label] == _curve_points(config, label, rows)
 
     @pytest.mark.parametrize("schemes", [
         ("quantized-rank1-best",), ("quantized-rank2-best",),
@@ -286,38 +291,42 @@ class TestRun:
 
 
 class TestBestRankOne:
-    def test_candidate_counts_match_split(self):
-        assert len(rank_one_candidates(4, 1)) == 4
-        assert len(rank_one_candidates(4, 2)) == 6
-        assert len(rank_one_candidates(2, 2)) == 1
+    def test_candidate_counts_match_split(self, monkeypatch):
+        # one scored candidate per size-N2 subset of the Nt modes: C(Nt, N2)
+        scored = []
+
+        def counted(config, smat, lambdas):
+            scored.append(lambdas)
+            return codebook_block_mi(config, smat, lambdas)
+
+        monkeypatch.setattr(simengine, "codebook_block_mi", counted)
+        for nt, n1, n2, count in ((4, 4, 1, 4), (4, 2, 2, 6), (2, 2, 2, 1)):
+            scored.clear()
+            config = replace(make_config(model=iid_model(nt, nt), trials=10), n1=n1, n2=n2)
+            best_rank_one_codebook(config, run_smat(config))
+            assert len(scored) == count == math.comb(nt, n2)
+            assert all(lam.shape == (n2, nt) for lam in scored)
 
     def test_returns_single_mode_codebook(self):
         config = make_config(model=iid_model(4, 4), trials=30)
-        cb, points = best_rank_one_codebook(config, *quantized_inputs(config))
-        assert cb.n1 == 4 and cb.n2 == 1
-        assert (np.stack(cb.lambdas) > 0).sum() == 1
-        assert len(points) == len(config.snr_grid_db)
-        assert all(p.scheme == "quantized-rank1-best" for p in points)
+        lambdas, rows = best_rank_one_codebook(config, run_smat(config))
+        assert lambdas.shape == (config.n2, 4) == (1, 4)
+        assert (lambdas > 0).sum() == 1
+        assert rows.shape == (len(config.snr_grid_db), config.trials)
 
     def test_ties_keep_the_first_candidate(self):
         # every mode receives the same power on every trial, so all four
         # single-mode candidates score the same
         config = make_config(model=iid_model(4, 4), trials=10)
-        unitaries, smat = quantized_inputs(config)
-        cb, _ = best_rank_one_codebook(config, unitaries, np.ones_like(smat))
-        assert np.flatnonzero(cb.lambdas).tolist() == [0]
+        lambdas, _ = best_rank_one_codebook(config, np.ones_like(run_smat(config)))
+        assert np.flatnonzero(lambdas).tolist() == [0]
 
     def test_iid_candidates_statistically_indistinguishable(self):
         config = make_config(model=iid_model(4, 4), trials=400, snr=(10.0,))
-        batch = draw_trials(config.model, config.trials, config.seed)
-        unitaries = default_unitaries(config)
+        smat = run_smat(config)
         means, errs = [], []
-        for modes in rank_one_candidates(4, 1):
-            lam = np.zeros(4)
-            lam[modes[0]] = 4.0
-            cb = QuantizedCodebook(b=2, n1=4, n2=1, unitaries=unitaries, lambdas=[lam],
-                                   k=4, nc=4, nt=4)
-            rows = codebook_block_mi(config, s_matrix(batch.h, cb.unitaries), cb.lambdas)
+        for lam in 4.0 * np.eye(4):
+            rows = codebook_block_mi(config, smat, lam[None])
             rows = rows / (4 * LN2)
             means.append(rows[0].mean())
             errs.append(rows[0].std(ddof=1) / math.sqrt(config.trials))
@@ -327,18 +336,47 @@ class TestBestRankOne:
 
 class TestRankTwoTournament:
     def test_single_entry_is_its_own_best(self):
-        config = make_config(model=iid_model(4, 4), trials=25)
-        best, table = rank_two_tournament(replace(config, rank_two_sets=1), *quantized_inputs(config))
-        assert len(table) == len(config.snr_grid_db)
-        for b, t in zip(best, table):
-            assert b.mi_bits_per_use == t.mi_bits_per_use
+        config = replace(make_config(model=iid_model(4, 4), trials=25), rank_two_sets=1)
+        smat = run_smat(config)
+        winners, rows = rank_two_tournament(config, smat)
+        assert winners.tolist() == [0] * len(config.snr_grid_db)
+        assert np.array_equal(rows, codebook_block_mi(config, smat, drawn_rank_two_lambdas(config)[0]))
 
     def test_every_entry_below_perfect(self):
-        config = make_config(model=iid_model(4, 4), trials=40)
+        config = replace(make_config(model=iid_model(4, 4), trials=40), rank_two_sets=10)
         perfect = {p.snr_db: p.mi_bits_per_use for p in run(config)}
-        _, table = rank_two_tournament(replace(config, rank_two_sets=10), *quantized_inputs(config))
-        for p in table:
-            assert p.mi_bits_per_use <= perfect[p.snr_db] + 1e-9
+        smat = run_smat(config)
+        table = [codebook_block_mi(config, smat, lambdas) for lambdas in drawn_rank_two_lambdas(config)]
+        table.append(rank_two_tournament(config, smat)[1])
+        for rows in table:
+            for p in _curve_points(config, "quantized-rank2", rows):
+                assert p.mi_bits_per_use <= perfect[p.snr_db] + 1e-9
+
+    @pytest.mark.parametrize("model, n1, n2, sets, case", [
+        (iid_model(4, 4), 4, 1, 10, "one-winner"),
+        (v4_model(), 2, 2, 20, "winner-changes-along-the-grid"),
+        (iid_model(2, 2), 4, 1, 50, "one-winner"),
+        (iid_model(4, 4), 2, 2, 10, "tie"),
+    ], ids=["iid4x4", "v4-n2-2", "iid2x2", "constant-smat-tie"])
+    def test_running_best_matches_the_full_table(self, model, n1, n2, sets, case):
+        # slow reference: score every drawn codebook, then take the per-SNR
+        # argmax (ties go to the first); a constant s_matrix gives every
+        # codeword the full budget's trace, so every codebook ties
+        config = replace(make_config(model=model, trials=60, snr=(-10.0, 0.0, 10.0, 20.0)),
+                         n1=n1, n2=n2, rank_two_sets=sets)
+        smat = run_smat(config)
+        if case == "tie":
+            smat = np.ones_like(smat)
+        table = np.stack([codebook_block_mi(config, smat, lambdas)
+                          for lambdas in drawn_rank_two_lambdas(config)])
+        want = np.stack([rows.mean(axis=1) for rows in table]).argmax(axis=0)
+        winners, rows = rank_two_tournament(config, smat)
+        assert winners.tolist() == want.tolist()
+        assert np.array_equal(rows, table[want, np.arange(len(want))])
+        distinct = len(set(winners.tolist()))
+        assert distinct > 1 if case == "winner-changes-along-the-grid" else distinct == 1
+        if case == "tie":
+            assert winners.tolist() == [0] * len(want)
 
 
 class TestStackedMatchesSingle:
@@ -482,7 +520,9 @@ class TestAvgReceivedSnr:
     def test_mean_bounded_by_lambda_max(self):
         config = make_config(model=v4_model(), trials=200, snr=(0.0, 10.0))
         batch = draw_trials(config.model, config.trials, config.seed)
-        cb, _ = best_rank_one_codebook(config, *quantized_inputs(config, batch))
+        lambdas, _ = best_rank_one_codebook(config, run_smat(config, batch))
+        cb = QuantizedCodebook(b=config.b, n1=config.n1, n2=config.n2, unitaries=default_unitaries(config),
+                               lambdas=lambdas, k=config.k, nc=config.nc, nt=4)
         for snr in config.snr_grid_db:
             rho = 10.0 ** (snr / 10.0)
             scale = rho * config.nc / config.k
