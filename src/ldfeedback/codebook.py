@@ -105,53 +105,41 @@ def s_matrix(h, unitaries):
     return np.stack([(np.abs(h @ u) ** 2).sum(axis=1) for u in unitaries], axis=1)
 
 
-def _best_codeword(obj):
-    """Maximum over the trailing (N1, N2) axes with its indices; ties go to the smallest i, then j."""
-    flat = obj.reshape(obj.shape[:-2] + (-1,))
-    idx = flat.argmax(axis=-1)
-    i, j = np.divmod(idx, obj.shape[-1])
-    return np.take_along_axis(flat, idx[..., None], axis=-1)[..., 0], i, j
-
-
 def select_mi(smat, lambdas, rho, k, nt, evaluator):
-    """Receiver rule: argmax over (i, j) of K * I(rho/Nt * Tr(H Q^{i,j} H^H)).
+    """Receiver rule: max over (i, j) of K * I(rho/Nt * Tr(H Q^{i,j} H^H)).
 
     smat (..., N1, Nt) comes from s_matrix and lambdas (..., N2, Nt) holds
     the power diagonals; leading axes broadcast, so a codebook shared by all
     trials passes its (N2, Nt) lambdas. Tr(H Q^{i,j} H^H) is
     sum_m s[i, m] * lambda_j[m]. rho is a scalar or a 1-D array of SNR
-    points; an array puts a leading SNR axis on the results. Returns
-    (values, i, j) over the SNR and leading axes.
+    points; an array puts a leading SNR axis on the selected values, which
+    are returned over the SNR and leading axes.
 
     I is strictly increasing and t -> max(t, 0) * rho/Nt is non-decreasing
-    for rho > 0, so a codeword of largest trace maximizes K * I at every
-    positive SNR: the traces and their argmax are computed once, and K * I
-    only at the selected trace. Ties go to the smallest i, then j. At
-    rho = 0 every codeword gives I(0) = 0, and that full tie returns (0, 0).
-    The Gaussian I is non-decreasing in floating point too, so the values
-    equal the per-codeword maximum exactly. A discrete alphabet's table is
+    for rho >= 0, so a codeword of largest trace maximizes K * I at every
+    SNR: the largest trace is computed once, and K * I only at it. The
+    Gaussian I is non-decreasing in floating point too, so the values equal
+    the per-codeword maximum exactly. A discrete alphabet's table is
     non-decreasing only up to ripples of at most two ulps where
     a * d_min^2 > 140 (there I is within 1e-16 of ln M), so a value whose
     codewords reach that range can sit up to two ulps of K ln M below the
     per-codeword maximum.
     """
-    traces, i, j = _best_codeword(np.einsum("...im,...jm->...ij", smat, lambdas))
+    traces = np.einsum("...im,...jm->...ij", smat, lambdas).max(axis=(-2, -1))
     rho = np.asarray(rho, dtype=float)
     if rho.ndim > 1:
         raise PreconditionError(f"rho must be a scalar or a 1-D array, got shape {rho.shape}")
     rho = rho.reshape(rho.shape + (1,) * traces.ndim)
-    values = k * evaluator.mi(np.maximum(traces, 0.0) * rho / nt)
-    zero = rho == 0
-    return values, np.where(zero, 0, i), np.where(zero, 0, j)
+    return k * evaluator.mi(np.maximum(traces, 0.0) * rho / nt)
 
 
 def select_snr(smat, lambdas, k, nt, nc):
-    """Receiver rule: argmax over (i, j) of sum_m alpha[j, m] * s[i, m].
+    """Receiver rule: max over (i, j) of sum_m alpha[j, m] * s[i, m].
 
     alpha = lambda * K / (Nt*Nc) are the normalized power weights; shapes
-    and the returned (values, i, j) are as in select_mi.
+    are as in select_mi.
     """
-    return _best_codeword(np.einsum("...im,...jm->...ij", smat, lambdas * (k / (nt * nc))))
+    return np.einsum("...im,...jm->...ij", smat, lambdas * (k / (nt * nc))).max(axis=(-2, -1))
 
 
 def delta_snr(cb, smat, lam_max, rho):
@@ -162,7 +150,7 @@ def delta_snr(cb, smat, lam_max, rho):
     non-negative because lam_max dominates every convex combination of the
     per-mode powers.
     """
-    value = select_snr(smat, cb.lambdas, cb.k, cb.nt, cb.nc)[0]
+    value = select_snr(smat, cb.lambdas, cb.k, cb.nt, cb.nc)
     return rho * cb.nc / cb.k * (lam_max - value)
 
 
@@ -175,5 +163,5 @@ def delta_mi(cb, smat, lam_max, rho, evaluator):
     every realization (the MMSE never exceeds the unit prior variance).
     """
     best = perfect_csi_mi(lam_max, rho, cb.k, cb.nc, evaluator)
-    return (best - select_mi(smat, cb.lambdas, rho, cb.k, cb.nt, evaluator)[0]) / cb.k
+    return (best - select_mi(smat, cb.lambdas, rho, cb.k, cb.nt, evaluator)) / cb.k
 

@@ -31,6 +31,9 @@ STATISTICAL_SCHEMES = ("statistical", "statistical-beamforming")
 QUANTIZED_SCHEMES = ("quantized-rank1-best", "quantized-rank2-best")
 SCHEMES = ("perfect",) + STATISTICAL_SCHEMES + QUANTIZED_SCHEMES
 MIN_OPT_SAMPLES = 100
+# optimize_lambda stops after OPT_MAX_ITER steps or once the projected gradient norm is <= OPT_TOL
+OPT_MAX_ITER = 500
+OPT_TOL = 1e-6
 # trials per stacked eigendecomposition in draw_trials; bounds its scratch memory
 EIG_CHUNK = 4096
 
@@ -176,7 +179,7 @@ def _sample_mean_mi(cols, lam, rho, nt, evaluator):
     return float(np.mean(evaluator.mi(rho / nt * (cols @ lam))))
 
 
-def optimize_lambda(cols, rho, nt, k, nc, evaluator, max_iter=500, tol=1e-6):
+def optimize_lambda(cols, rho, nt, k, nc, evaluator):
     """Statistical-CSI power allocation by sample-average approximation.
 
     Projected gradient ascent of the sample mean of I(rho/Nt * cols @ lam)
@@ -195,10 +198,10 @@ def optimize_lambda(cols, rho, nt, k, nc, evaluator, max_iter=500, tol=1e-6):
     converged = False
     step = 1.0
     iterations = 0
-    for iterations in range(1, max_iter + 1):
+    for iterations in range(1, OPT_MAX_ITER + 1):
         g = gradient(lam)
         pg = project_scaled_simplex(lam + g, total) - lam
-        if np.linalg.norm(pg) <= tol:
+        if np.linalg.norm(pg) <= OPT_TOL:
             converged = True
             break
         step = min(max(step * 2.0, 1e-12), total / max(np.linalg.norm(g), 1e-300) * 4.0)
@@ -213,7 +216,7 @@ def optimize_lambda(cols, rho, nt, k, nc, evaluator, max_iter=500, tol=1e-6):
             step /= 2.0
         if not accepted:
             # no ascent direction survives backtracking: numerically stationary
-            converged = np.linalg.norm(pg) <= 10 * tol
+            converged = np.linalg.norm(pg) <= 10 * OPT_TOL
             break
     return LambdaStat(diag=lam, converged=converged, iterations=iterations)
 
@@ -266,7 +269,7 @@ def codebook_block_mi(config, smat, lambdas):
     lambdas its (N2, Nt) power diagonals; the receiver selects with config.k.
     """
     rhos = np.array([rho_from_db(s) for s in config.snr_grid_db])
-    return select_mi(smat, lambdas, rhos, config.k, config.model.nt, MiEvaluator(config.constellation))[0]
+    return select_mi(smat, lambdas, rhos, config.k, config.model.nt, MiEvaluator(config.constellation))
 
 
 def _curve_points(config, label, block_mi_rows):

@@ -142,16 +142,16 @@ def suite_thm4(seed=DEFAULT_SEED):
     unitaries = [haar_unitary(nt, rng) for _ in range(n1)]
     budget = nt * nc / k
     batch = draw_trials(channel.iid_model(4, 4), realizations, seed, first_stream=400)
-    comp = np.empty((realizations, competitors, n2, nt))
-    for t in range(realizations):
-        for c in range(competitors):
-            w = rng.gen.uniform(size=(n2, nt))
-            w /= w.sum(axis=1, keepdims=True)
-            scale = rng.gen.uniform(0.5, 1.0, size=(n2, 1))
-            comp[t, c] = budget * scale * w
+    # per competitor, n2 * nt weights then n2 scales in [0.5, 1): the stream order of
+    # one uniform(size=(n2, nt)) and one uniform(0.5, 1.0, size=n2) call, so the bits are kept
+    u = rng.gen.uniform(size=(realizations, competitors, n2 * nt + n2))
+    w = u[..., :n2 * nt].reshape(realizations, competitors, n2, nt)
+    w /= w.sum(axis=-1, keepdims=True)
+    scale = 0.5 + 0.5 * u[..., n2 * nt:, None]
+    comp = budget * scale * w
     smat = codebook.s_matrix(batch.h, unitaries)
-    ref = codebook.select_mi(smat, budget * np.eye(nt), rho, k, nt, ev)[0]
-    got = codebook.select_mi(smat[:, None], comp, rho, k, nt, ev)[0]
+    ref = codebook.select_mi(smat, budget * np.eye(nt), rho, k, nt, ev)
+    got = codebook.select_mi(smat[:, None], comp, rho, k, nt, ev)
     worst = float((got - ref[:, None]).max())
     return [CheckResult("thm4", "rank-one-strongly-optimal", worst <= 1e-9, worst,
                         f"{realizations} realizations x {competitors} competitors")]
@@ -164,13 +164,13 @@ def suite_thm5(seed=DEFAULT_SEED):
     unitaries = [haar_unitary(nt, rng) for _ in range(4)]
     budget = nt * nc / k
     batch = draw_trials(channel.v4_model(), realizations, seed, first_stream=500)
-    lamsets = np.array([codebook.random_rank_two_lambdas(3, 4, nt, nc, k, rng)
-                        for _ in range(realizations)])
+    lamsets = codebook.random_rank_two_lambdas(3 * realizations, 4, nt, nc, k, rng)
+    lamsets = lamsets.reshape(realizations, 3, 4, nt)
     smat = codebook.s_matrix(batch.h, unitaries)
     smax = smat.max(axis=(1, 2))
-    comp = codebook.select_snr(smat[:, None], lamsets, k, nt, nc)[0]
+    comp = codebook.select_snr(smat[:, None], lamsets, k, nt, nc)
     worst_cap = float((comp - smax[:, None]).max())
-    full_modes = codebook.select_snr(smat, budget * np.eye(nt), k, nt, nc)[0]
+    full_modes = codebook.select_snr(smat, budget * np.eye(nt), k, nt, nc)
     worst_achieve = float(np.abs(full_modes - smax).max())
     return [
         CheckResult("thm5", "snr-cap", worst_cap <= 1e-9, worst_cap,

@@ -49,12 +49,12 @@ def codebook_with_eigenbasis(batch, nt=4, nc=4, k=4, extra=3, seed=99):
 
 
 def mi_rule(cb, batch, rho, ev):
-    """MI-rule (values, i, j) of a codebook on every trial of a batch."""
+    """MI-rule selected values of a codebook on every trial of a batch."""
     return select_mi(s_matrix(batch.h, cb.unitaries), cb.lambdas, rho, cb.k, cb.nt, ev)
 
 
 def snr_rule(cb, batch):
-    """SNR-rule (values, i, j) of a codebook on every trial of a batch."""
+    """SNR-rule selected values of a codebook on every trial of a batch."""
     return select_snr(s_matrix(batch.h, cb.unitaries), cb.lambdas, cb.k, cb.nt, cb.nc)
 
 
@@ -164,17 +164,14 @@ class TestSelectMi:
         for stream in range(10):
             batch = realization(stream)
             cb = codebook_with_eigenbasis(batch)
-            value, i, j = mi_rule(cb, batch, 2.0, ev)
-            assert i[0] == 0 and j[0] == 0
+            value = mi_rule(cb, batch, 2.0, ev)
             expect = cb.k * ev.mi(2.0 * cb.nc / cb.k * batch.eigvals[0, 0])
             assert value[0] == pytest.approx(expect, rel=1e-12)
 
     def test_zero_snr_tie_break(self):
         cb = QuantizedCodebook(b=2, n1=2, n2=2, unitaries=haar_unitaries(2, Rng(4, 0)),
                                lambdas=mode_diagonals([0, 1]), k=4, nc=4, nt=4)
-        value, i, j = mi_rule(cb, realization(0), 0.0, gaussian_eval())
-        assert (i[0], j[0]) == (0, 0)
-        assert value[0] == 0.0
+        assert mi_rule(cb, realization(0), 0.0, gaussian_eval())[0] == 0.0
 
     def test_argmax_against_recomputation(self):
         ev = gaussian_eval()
@@ -182,7 +179,7 @@ class TestSelectMi:
         h = batch.h[0]
         cb = QuantizedCodebook(b=2, n1=2, n2=2, unitaries=haar_unitaries(2, Rng(4, 1)),
                                lambdas=mode_diagonals([1, 3]), k=4, nc=4, nt=4)
-        value = mi_rule(cb, batch, 1.5, ev)[0][0]
+        value = mi_rule(cb, batch, 1.5, ev)[0]
         for u in cb.unitaries:
             for lam in cb.lambdas:
                 q = (u * lam) @ u.conj().T
@@ -200,21 +197,17 @@ class TestSelectMi:
         batch = realization(5)
         cb = QuantizedCodebook(b=2, n1=4, n2=1, unitaries=haar_unitaries(4, Rng(4, 2)),
                                lambdas=mode_diagonals([2]), k=4, nc=4, nt=4)
-        a = mi_rule(cb, batch, 2.0, ev)
-        b = mi_rule(cb, batch, 2.0, ev)
-        assert all(np.array_equal(x, y) for x, y in zip(a, b))
+        assert np.array_equal(mi_rule(cb, batch, 2.0, ev), mi_rule(cb, batch, 2.0, ev))
 
 
 def mi_rule_definition(smat, lambdas, rho, k, nt, ev):
     """The MI rule by its definition: K * I of every codeword, then the maximum.
 
-    Returns (values, i, j) with ties to the first codeword in (i, j) order,
-    plus the per-codeword arguments and objectives flattened over (N1, N2).
+    Returns the values and the per-codeword arguments flattened over (N1, N2).
     """
     args = np.maximum(np.einsum("...im,...jm->...ij", smat, lambdas), 0.0) * rho / nt
-    obj = (k * ev.mi(args)).reshape(args.shape[:-2] + (-1,))
-    i, j = np.divmod(obj.argmax(axis=-1), args.shape[-1])
-    return obj.max(axis=-1), i, j, args.reshape(obj.shape), obj
+    args = args.reshape(args.shape[:-2] + (-1,))
+    return (k * ev.mi(args)).max(axis=-1), args
 
 
 ALPHABETS = {"gaussian": Constellation.gaussian, "bpsk": Constellation.bpsk,
@@ -225,7 +218,7 @@ TRACE_RHOS = np.array([0.0, 0.3, 2.0, 8.0, 40.0, 1e3, 1e6])
 
 @pytest.mark.parametrize("name", list(ALPHABETS))
 class TestTraceSelection:
-    """select_mi picks the largest trace once; that must be the MI rule's codeword.
+    """select_mi evaluates K * I at the largest trace only; that must be the MI rule's value.
 
     A discrete table is non-decreasing only up to two-ulp ripples of K*ln M
     where a * d_min^2 > 140, so a row with an argument in that band, unless
@@ -247,13 +240,12 @@ class TestTraceSelection:
     def _check(self, name, per_trial):
         ev = MiEvaluator(ALPHABETS[name]())
         smat, lambdas = self._inputs(per_trial)
-        values, i, j = select_mi(smat, lambdas, TRACE_RHOS, 4, 4, ev)
-        assert values.shape == i.shape == j.shape == (TRACE_RHOS.size,) + np.broadcast_shapes(smat.shape[:-2], lambdas.shape[:-2])
+        values = select_mi(smat, lambdas, TRACE_RHOS, 4, 4, ev)
+        assert values.shape == (TRACE_RHOS.size,) + np.broadcast_shapes(smat.shape[:-2], lambdas.shape[:-2])
         saturated_rows = 0
         for s, rho in enumerate(TRACE_RHOS):
-            scalar = select_mi(smat, lambdas, rho, 4, 4, ev)
-            assert all(np.array_equal(a, b) for a, b in zip(scalar, (values[s], i[s], j[s])))
-            want, want_i, want_j, args, obj = mi_rule_definition(smat, lambdas, rho, 4, 4, ev)
+            assert np.array_equal(select_mi(smat, lambdas, rho, 4, 4, ev), values[s])
+            want, args = mi_rule_definition(smat, lambdas, rho, 4, 4, ev)
             exact = np.ones(want.shape, dtype=bool)
             if name != "gaussian":
                 table = ev._table()
@@ -263,12 +255,7 @@ class TestTraceSelection:
                 exact = (args.max(axis=-1) <= ripple) | saturated
                 assert (np.abs(values[s] - want) <= 2 * np.spacing(4 * table.ln_m)).all()
             assert np.array_equal(values[s][exact], want[exact])
-            top2 = np.sort(obj, axis=-1)[..., -2:]
-            untied = exact & (top2[..., 1] > top2[..., 0])
-            assert np.array_equal(i[s][untied], want_i[untied])
-            assert np.array_equal(j[s][untied], want_j[untied])
-        zero = TRACE_RHOS == 0
-        assert (values[zero] == 0).all() and (i[zero] == 0).all() and (j[zero] == 0).all()
+        assert (values[TRACE_RHOS == 0] == 0).all()
         if name != "gaussian":
             assert saturated_rows > 0
 
@@ -284,7 +271,7 @@ class TestSelectSnr:
         batch = realization(6)
         cb = QuantizedCodebook(b=3, n1=2, n2=4, unitaries=haar_unitaries(2, Rng(5, 0)),
                                lambdas=mode_diagonals(range(4)), k=4, nc=4, nt=4)
-        value = snr_rule(cb, batch)[0][0]
+        value = snr_rule(cb, batch)[0]
         smax = s_matrix(batch.h, cb.unitaries).max()
         assert value == pytest.approx(smax, abs=1e-12)
 
@@ -296,16 +283,15 @@ class TestSelectSnr:
             lamsets = random_rank_two_lambdas(1, 2, 4, 4, 4, rng)[0]
             cb = QuantizedCodebook(b=2, n1=2, n2=2, unitaries=haar_unitaries(2, rng),
                                    lambdas=lamsets, k=4, nc=4, nt=4)
-            _, mi_i, mi_j = mi_rule(cb, batch, 1.3, ev)
-            _, snr_i, snr_j = snr_rule(cb, batch)
-            assert (mi_i[0], mi_j[0]) == (snr_i[0], snr_j[0])
+            # Tr(H Q H^H) = Nt*Nc/K times the snr-rule objective, so both rules pick the same value
+            expect = cb.k * ev.mi(1.3 * cb.nc / cb.k * snr_rule(cb, batch)[0])
+            assert mi_rule(cb, batch, 1.3, ev)[0] == pytest.approx(expect, rel=1e-12)
 
     def test_zero_channel_tie_break(self):
         cb = QuantizedCodebook(b=2, n1=4, n2=1, unitaries=haar_unitaries(4, Rng(5, 2)),
                                lambdas=mode_diagonals([0]), k=4, nc=4, nt=4)
         smat = s_matrix(np.zeros((1, 4, 4), dtype=complex), cb.unitaries)
-        value, i, j = select_snr(smat, cb.lambdas, cb.k, cb.nt, cb.nc)
-        assert (i[0], j[0]) == (0, 0) and value[0] == 0.0
+        assert select_snr(smat, cb.lambdas, cb.k, cb.nt, cb.nc)[0] == 0.0
 
 
 class TestGaps:
@@ -353,12 +339,12 @@ class TestRankOneStrongOptimality:
         rank_one = QuantizedCodebook(b=4, n1=4, n2=4, unitaries=unitaries,
                                      lambdas=mode_diagonals(range(nt)), k=k, nc=nc, nt=nt)
         batch = draw_trials(iid_model(4, 4), 100, 771)
-        ref = mi_rule(rank_one, batch, 2.0, ev)[0]
+        ref = mi_rule(rank_one, batch, 2.0, ev)
         smat = s_matrix(batch.h, unitaries)
         for _ in range(5):
             w = rng.gen.uniform(size=(batch.trials, 4, nt))
             w /= w.sum(axis=-1, keepdims=True)
-            got = select_mi(smat, 4.0 * w, 2.0, k, nt, ev)[0]
+            got = select_mi(smat, 4.0 * w, 2.0, k, nt, ev)
             assert (got <= ref + 1e-9).all()
 
 

@@ -69,7 +69,7 @@ def drawn_rank_two_lambdas(config):
 def snr_rule_values(cb, batch):
     """SNR-rule objective of the selected codeword on every trial."""
     smat = s_matrix(batch.h, cb.unitaries)
-    return select_snr(smat, cb.lambdas, cb.k, cb.nt, cb.nc)[0]
+    return select_snr(smat, cb.lambdas, cb.k, cb.nt, cb.nc)
 
 
 def snr_gap(cb, batch, rho):
@@ -422,14 +422,14 @@ class TestStackedMatchesSingle:
                 stacked = select_mi(s_matrix(batch.h, cb.unitaries), cb.lambdas, rho, 4, 4, ev)
                 for t, one in enumerate(singles):
                     alone = select_mi(s_matrix(one.h, cb.unitaries), cb.lambdas, rho, 4, 4, ev)
-                    assert [x[t] for x in stacked] == [x[0] for x in alone]
+                    assert stacked[t] == alone[0]
 
     def test_snr_rule(self, trials):
         batch, singles, cb = trials
         stacked = select_snr(s_matrix(batch.h, cb.unitaries), cb.lambdas, 4, 4, 4)
         for t, one in enumerate(singles):
             alone = select_snr(s_matrix(one.h, cb.unitaries), cb.lambdas, 4, 4, 4)
-            assert [x[t] for x in stacked] == [x[0] for x in alone]
+            assert stacked[t] == alone[0]
 
     def test_gaps(self, trials):
         batch, singles, cb = trials

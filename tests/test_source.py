@@ -31,3 +31,41 @@ def test_unused_imports_are_found():
 def test_no_unused_imports(path):
     unused = [name for name in unused_imports(path.read_text()) if (path.stem, name) not in KEPT_UNUSED]
     assert unused == []
+
+
+def read_names(node):
+    """Names node reads: loaded Names, Attribute names and names imported from a module."""
+    names = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+            names.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            names.add(sub.attr)
+        elif isinstance(sub, ast.ImportFrom):
+            names.update(alias.name for alias in sub.names)
+    return names
+
+
+def unread_definitions(sources):
+    """Sorted (module, name) of the public top-level functions and classes in {module: source}
+    that no top-level statement but their own definition reads."""
+    statements = [(module, stmt) for module, source in sources.items() for stmt in ast.parse(source).body]
+    reads = [(stmt, read_names(stmt)) for _, stmt in statements]
+    return sorted(
+        (module, stmt.name) for module, stmt in statements
+        if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)) and not stmt.name.startswith("_")
+        and not any(stmt.name in names for other, names in reads if other is not stmt)
+    )
+
+
+def test_unread_definitions_are_found():
+    sources = {
+        "a": "def imported():\n    pass\n\nclass Alive:\n    pass\n\ndef recursive(n):\n    return recursive(n - 1)\n\n"
+             "def _private():\n    pass\n\nclass Dead:\n    pass\n\ndef dead():\n    pass\n",
+        "b": "from .a import imported\nimport a\n\ndef main():\n    return a.Alive()\n\nmain()\n",
+    }
+    assert unread_definitions(sources) == [("a", "Dead"), ("a", "dead"), ("a", "recursive")]
+
+
+def test_no_unread_definitions():
+    assert unread_definitions({path.stem: path.read_text() for path in SRC.glob("*.py")}) == []
