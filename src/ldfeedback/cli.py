@@ -152,9 +152,12 @@ def parse_csv(text):
         if len(parts) != 5:
             raise ConfigError(f"line {lineno}: expected 5 fields, got {len(parts)}")
         try:
-            rows.append((float(parts[0]), parts[1], float(parts[2]), float(parts[3]), int(parts[4])))
+            row = (float(parts[0]), parts[1], float(parts[2]), float(parts[3]), int(parts[4]))
         except ValueError as exc:
             raise ConfigError(f"line {lineno}: bad field: {exc}") from exc
+        if not np.isfinite([row[0], row[2], row[3]]).all():
+            raise ConfigError(f"line {lineno}: snr_db, mi_bits_per_use and stderr must be finite")
+        rows.append(row)
     if not rows:
         raise ConfigError("CSV has no data rows")
     return rows
@@ -284,6 +287,10 @@ def cmd_construct(args):
 
 
 def cmd_plot(args):
+    for name in ("xmin", "xmax", "ymin", "ymax"):
+        value = getattr(args, name)
+        if value is not None and not np.isfinite(value):
+            raise ConfigError(f"--{name} must be finite, got {value}")
     with open(args.csv) as f:
         rows = parse_csv(f.read())
     svg = render_svg(rows, xmin=args.xmin, xmax=args.xmax, ymin=args.ymin, ymax=args.ymax)

@@ -20,49 +20,54 @@ POWER_TOL = 1e-9
 
 @dataclass
 class DispersionSet:
-    """K dispersion matrices with their power budget Nt * Nc."""
+    """K >= 1 dispersion matrices as one (K, Nt, Nc) complex array, with power budget Nt * Nc."""
 
     nt: int
     nc: int
     k: int
-    mats: list
+    mats: np.ndarray
 
     def __post_init__(self):
-        if len(self.mats) != self.k:
-            raise PreconditionError(f"expected {self.k} matrices, got {len(self.mats)}")
-        self.mats = [np.asarray(a, dtype=np.complex128) for a in self.mats]
-        for a in self.mats:
-            if a.shape != (self.nt, self.nc):
-                raise PreconditionError(f"dispersion matrix shape {a.shape} != ({self.nt}, {self.nc})")
-            if not np.isfinite(a).all():
-                raise PreconditionError("dispersion matrices must be finite")
+        self.mats = np.asarray(self.mats, dtype=np.complex128)
+        if self.k < 1 or self.mats.shape != (self.k, self.nt, self.nc):
+            raise PreconditionError(f"dispersion set shape {self.mats.shape} is not (K, Nt, Nc) = "
+                                    f"({self.k}, {self.nt}, {self.nc}) with K >= 1")
+        if not np.isfinite(self.mats).all():
+            raise PreconditionError("dispersion matrices must be finite")
         power = self.total_power()
         if power > self.nt * self.nc + POWER_TOL:
-            raise PreconditionError(
-                f"total power {power!r} exceeds the Nt*Nc = {self.nt * self.nc} budget"
-            )
+            raise PreconditionError(f"total power {power!r} exceeds the Nt*Nc = {self.nt * self.nc} budget")
 
     def total_power(self):
-        return float(sum(np.vdot(a, a).real for a in self.mats))
+        """sum_k ||A_k||_F^2, added up in symbol order."""
+        flat = self.mats.reshape(self.k, -1)
+        return float(np.cumsum(_row_dots(flat.conj(), flat).real)[-1])
 
     def covariances(self):
-        """Per-symbol covariances Q_k = A_k A_k^H."""
-        return [a @ a.conj().T for a in self.mats]
+        """The (K, Nt, Nt) stack of per-symbol covariances Q_k = A_k A_k^H."""
+        return self.mats @ self.mats.conj().swapaxes(-1, -2)
+
+
+def _row_dots(x, y):
+    """sum_i x[p, i] * y[p, i] per row p of two (P, n) arrays, each by numpy's 1-D dot.
+
+    np.vdot and np.linalg.norm use that dot too, so stacked checks round as per-pair ones.
+    """
+    return (x[:, None, :] @ y[:, :, None])[:, 0, 0]
 
 
 def check_goc(dset):
     """Report on the orthogonality constraint.
 
-    Returns (ok, worst) where worst = max over pairs k != j of
+    Returns (ok, worst) where worst = max over pairs k < j of
     ||A_k A_j^H + A_j A_k^H||_F and ok is worst <= GOC_TOL. Vacuously true
     for K = 1.
     """
-    worst = 0.0
-    for a_idx in range(dset.k):
-        for b_idx in range(a_idx + 1, dset.k):
-            a, b = dset.mats[a_idx], dset.mats[b_idx]
-            cross = a @ b.conj().T
-            worst = max(worst, float(np.linalg.norm(cross + cross.conj().T)))
+    ks, js = np.triu_indices(dset.k, 1)
+    cross = dset.mats[ks] @ dset.mats[js].conj().swapaxes(-1, -2)
+    sums = (cross + cross.conj().swapaxes(-1, -2)).reshape(ks.size, dset.nt * dset.nt)
+    norms = np.sqrt(_row_dots(sums.real, sums.real) + _row_dots(sums.imag, sums.imag))
+    worst = float(norms.max(initial=0.0))
     return worst <= GOC_TOL, worst
 
 
@@ -101,16 +106,12 @@ def build_v_matrix(k, nc):
     exactly 0.
     """
     check_symbols(k, nc)
+    r = np.arange(k)
     rows = np.zeros((k, nc), dtype=np.complex128)
     if k <= nc:
-        rows[np.arange(k), np.arange(k)] = 1.0
+        rows[r, r] = 1.0
     else:
-        for r in range(k):
-            kk = r + 1
-            if kk % 2 == 1:
-                rows[r, (kk + 1) // 2 - 1] = 1.0
-            else:
-                rows[r, kk // 2 - 1] = 1j
+        rows[r, r // 2] = np.where(r % 2, 1j, 1.0)
     return rows
 
 
@@ -127,7 +128,7 @@ def rank_one_set(u, k, nc):
         raise PreconditionError("beamforming vector must be unit norm")
     v = build_v_matrix(k, nc)
     scale = np.sqrt(nt * nc / k)
-    mats = [scale * np.outer(u, v[i]) for i in range(k)]
+    mats = scale * (u[:, None] * v[:, None, :])
     return _verified(DispersionSet(nt=nt, nc=nc, k=k, mats=mats))
 
 
@@ -157,13 +158,10 @@ def statistical_set(lambda_diag, k, nc, rng):
         raise InfeasibleError(
             f"r*K = {r * k} exceeds Nc = {nc}; only the r*K <= Nc construction is implemented"
         )
-    y = haar_unitary(nc, rng)
-    mats = []
-    for sym in range(k):
-        cols = y[:, sym * r : (sym + 1) * r]  # Nc x r, disjoint across symbols
-        a = np.zeros((nt, nc), dtype=np.complex128)
-        a[modes, :] = np.sqrt(lam[modes])[:, None] * cols.conj().T
-        mats.append(a)
+    # symbol s takes columns s*r .. (s+1)*r - 1 of the unitary, disjoint across symbols
+    cols = haar_unitary(nc, rng)[:, : k * r].T.conj().reshape(k, r, nc)
+    mats = np.zeros((k, nt, nc), dtype=np.complex128)
+    mats[:, modes, :] = np.sqrt(lam[modes])[:, None] * cols
     return _verified(DispersionSet(nt=nt, nc=nc, k=k, mats=mats))
 
 
@@ -175,13 +173,9 @@ def decoupling_residual(h, dset):
     """
     if h.shape[1] != dset.nt:
         raise PreconditionError(f"channel has {h.shape[1]} tx antennas, set has {dset.nt}")
-    waves = [h @ a for a in dset.mats]
-    worst = 0.0
-    for a_idx in range(dset.k):
-        for b_idx in range(a_idx + 1, dset.k):
-            overlap = np.vdot(waves[b_idx], waves[a_idx]).real
-            worst = max(worst, abs(float(overlap)))
-    return worst
+    ks, js = np.triu_indices(dset.k, 1)
+    waves = (h @ dset.mats).reshape(dset.k, -1)
+    return float(np.abs(_row_dots(waves[js].conj(), waves[ks]).real).max(initial=0.0))
 
 
 def format_complex(z):
@@ -200,7 +194,5 @@ def to_text(dset):
     Entries render as a+bi with 17 significant digits, enough to read every
     float64 back exactly.
     """
-    lines = [f"{dset.nt} {dset.nc} {dset.k}"]
-    for a in dset.mats:
-        lines.extend(matrix_to_lines(a))
+    lines = [f"{dset.nt} {dset.nc} {dset.k}", *matrix_to_lines(dset.mats.reshape(-1, dset.nc))]
     return "\n".join(lines) + "\n"

@@ -38,10 +38,16 @@ def _random_unit_vector(n, rng):
     return v / np.linalg.norm(v)
 
 
-def _random_psd(n, rng, trace):
-    a = rng.gen.standard_normal((n, n)) + 1j * rng.gen.standard_normal((n, n))
-    q = a @ a.conj().T
-    return q * (trace / q.trace().real)
+def _random_psd(n, rng, traces):
+    """Random PSD G G^H, shape traces.shape + (n, n), each scaled to its entry of the traces array.
+
+    G's real and imaginary parts come from one draw shaped traces.shape + (2, n, n): the
+    same bits as one real-then-imaginary (n, n) draw per matrix, in C order.
+    """
+    z = rng.gen.standard_normal(traces.shape + (2, n, n))
+    a = z[..., 0, :, :] + 1j * z[..., 1, :, :]
+    q = a @ a.conj().swapaxes(-1, -2)
+    return q * (traces / np.trace(q, axis1=-2, axis2=-1).real)[..., None, None]
 
 
 def _uniform_codeword(qs):
@@ -71,9 +77,7 @@ def suite_thm1(seed=DEFAULT_SEED):
     rng = Rng(seed, 11)
     lam = np.array([8.0, 4.0, 4.0, 0.0])  # r = 3 positive modes, trace Nt*Nc/K = 16
     dset = dispersion.statistical_set(lam, k=2, nc=8, rng=rng)
-    cov_resid = max(
-        float(np.linalg.norm(q - np.diag(lam))) for q in dset.covariances()
-    )
+    cov_resid = max(float(np.linalg.norm(q - np.diag(lam))) for q in dset.covariances())
     goc_ok, goc_resid = dispersion.check_goc(dset)
     power_err = abs(dset.total_power() - dset.nt * dset.nc)
     results = [
@@ -85,7 +89,7 @@ def suite_thm1(seed=DEFAULT_SEED):
     ev = MiEvaluator(Constellation.gaussian())
     batch = draw_trials(channel.v4_model(), 100, seed, first_stream=100)
     traces = np.array([4.0, 6.0, 3.0, 3.0])  # per-symbol traces, sum = Nt*Nc budget
-    qs = np.array([[_random_psd(4, rng, tr) for tr in traces] for _ in range(batch.trials)])
+    qs = _random_psd(4, rng, np.broadcast_to(traces, (batch.trials, traces.size)))
     split = block_mi(batch.h, qs, 1.0, 4, ev)
     uniform = block_mi(batch.h, _uniform_codeword(qs), 1.0, 4, ev)
     worst = float((split - uniform).max())
@@ -102,7 +106,7 @@ def suite_thm2(seed=DEFAULT_SEED):
     trace = 4 * nc / k
     batch = draw_trials(channel.iid_model(4, 4), channels, seed, first_stream=200)
     best = perfect_csi_mi(batch.eigvals[:, 0], rho, k, nc, ev)
-    qs = np.array([_random_psd(4, rng, trace) for _ in range(channels * qsets)])
+    qs = _random_psd(4, rng, np.full(channels * qsets, trace))
     uniform = block_mi(np.repeat(batch.h, qsets, axis=0),
                        np.broadcast_to(qs[:, None], (qs.shape[0], k, 4, 4)), rho, 4, ev)
     worst_bound = float((uniform - np.repeat(best, qsets)).max())
@@ -188,8 +192,7 @@ def suite_prop2(seed=DEFAULT_SEED):
     qs = np.empty((realizations, k, 4, 4), dtype=np.complex128)
     for t in range(realizations):
         shares = rng.gen.uniform(size=k)
-        shares = shares / shares.sum() * (4 * nc)
-        qs[t] = [_random_psd(4, rng, tr) for tr in shares]
+        qs[t] = _random_psd(4, rng, shares / shares.sum() * (4 * nc))
     gaps = block_mi(batch.h, qs, rho, 4, ev) - block_mi(batch.h, _uniform_codeword(qs), rho, 4, ev)
     worst = float(gaps.max())
     return [CheckResult("prop2", "uniform-codeword-dominates", worst <= 1e-9, worst,
@@ -247,13 +250,9 @@ def suite_lemma1(seed=DEFAULT_SEED):
 
 def suite_eq10(seed=DEFAULT_SEED):
     """Concavity consequence I(z/k) >= (z/k) * mmse(z/k)."""
-    worst = np.inf
-    for const in (Constellation.gaussian(), Constellation.bpsk()):
-        ev = MiEvaluator(const)
-        for z in (1.0, 10.0, 100.0):
-            for k in range(1, 9):
-                a = z / k
-                worst = min(worst, ev.mi(a) - a * ev.mmse(a))
+    a = np.array([1.0, 10.0, 100.0])[:, None] / np.arange(1, 9)
+    worst = min(float((ev.mi(a) - a * ev.mmse(a)).min())
+                for ev in (MiEvaluator(Constellation.gaussian()), MiEvaluator(Constellation.bpsk())))
     return [CheckResult("eq10", "chord-below-mi", worst >= -1e-9, worst,
                         "z in {1,10,100}, k = 1..8, gaussian+bpsk")]
 
@@ -293,8 +292,8 @@ def suite_goc(seed=DEFAULT_SEED, mutate=False):
                                                   k=2, nc=8, rng=rng),
     }
     if mutate:  # deliberate violation: the second dispersion matrix duplicates the first
-        mats = sets["rank-one"].mats
-        sets["rank-one"] = replace(sets["rank-one"], mats=mats[:1] * 2 + mats[2:])
+        beam = sets["rank-one"]
+        sets["rank-one"] = replace(beam, mats=beam.mats[[0, 0, *range(2, beam.k)]])
     batch = draw_trials(channel.iid_model(4, 4), 100, seed, first_stream=900)
     results = []
     for name, dset in sets.items():

@@ -17,7 +17,7 @@ def read_set(path):
     lines = Path(path).read_text().splitlines()
     nt, nc, k = (int(t) for t in lines[0].split())
     rows = [[complex(t[:-1] + "j") for t in line.split()] for line in lines[1:]]
-    return DispersionSet(nt=nt, nc=nc, k=k, mats=list(np.reshape(rows, (k, nt, nc))))
+    return DispersionSet(nt=nt, nc=nc, k=k, mats=np.reshape(rows, (k, nt, nc)))
 
 
 SMALL_CFG = """
@@ -305,11 +305,15 @@ class TestVerifyCommand:
         for name in SUITES:
             assert f" {name}/" in out
 
-    def test_verify_all_pinned(self, capsys):
-        # tests/data/verify_all.txt was written by an earlier revision: the
-        # certificates' metrics depend only on the default seed, byte for byte
-        assert cli.main(["verify", "all"]) == 0
-        assert capsys.readouterr().out == (DATA_DIR / "verify_all.txt").read_text()
+    @pytest.mark.parametrize("seed_args, pinned", [
+        ([], "verify_all.txt"),
+        (["--seed", "3"], "verify_all_seed3.txt"),
+    ], ids=["default-seed", "seed-3"])
+    def test_verify_all_pinned(self, capsys, seed_args, pinned):
+        # both files were written by earlier revisions: the certificates'
+        # metrics depend only on the seed, byte for byte
+        assert cli.main(["verify", "all", *seed_args]) == 0
+        assert capsys.readouterr().out == (DATA_DIR / pinned).read_text()
 
     def test_unknown_suite_exit_2(self, capsys):
         assert cli.main(["verify", "nonsense"]) == 2
@@ -359,6 +363,22 @@ class TestPlot:
     def test_malformed_csv_exit_2(self, tmp_path, capsys):
         csv = write(tmp_path, "bad.csv", "wrong,header\n1,2\n")
         assert cli.main(["plot", csv, "-o", str(tmp_path / "x.svg")]) == 2
+
+    @pytest.mark.parametrize("csv_text, flags, message", [
+        (CSV.replace("0,alpha,1.0", "0,alpha,nan"), [], "line 2: snr_db, mi_bits_per_use and stderr"),
+        (CSV.replace("10,beta", "inf,beta"), [], "line 6: snr_db, mi_bits_per_use and stderr"),
+        (CSV.replace("2.5,0.01", "2.5,-inf"), [], "line 7: snr_db, mi_bits_per_use and stderr"),
+        (CSV, ["--ymin", "nan"], "--ymin must be finite"),
+        (CSV, ["--xmax", "inf"], "--xmax must be finite"),
+        (CSV, ["--xmin=-inf"], "--xmin must be finite"),
+        (CSV, ["--ymax", "nan"], "--ymax must be finite"),
+    ], ids=["mi-nan", "snr-inf", "stderr-minus-inf", "ymin-nan", "xmax-inf", "xmin-minus-inf", "ymax-nan"])
+    def test_non_finite_exit_2(self, tmp_path, capsys, csv_text, flags, message):
+        csv = write(tmp_path, "c.csv", csv_text)
+        out = tmp_path / "x.svg"
+        assert cli.main(["plot", csv, "-o", str(out), *flags]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
     def test_empty_body_exit_2(self, tmp_path):
         csv = write(tmp_path, "empty.csv", "snr_db,scheme,mi_bits_per_use,stderr,trials\n")

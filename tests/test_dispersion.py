@@ -6,6 +6,7 @@ import pytest
 from ldfeedback.channel import iid_model, sample
 from ldfeedback.codebook import QuantizedCodebook, random_rank_two_lambdas
 from ldfeedback.dispersion import (
+    GOC_TOL,
     DispersionSet,
     build_v_matrix,
     check_goc,
@@ -26,7 +27,7 @@ def read_set(text):
     lines = text.splitlines()
     nt, nc, k = (int(t) for t in lines[0].split())
     rows = [[complex(t[:-1] + "j") for t in line.split()] for line in lines[1:]]
-    return DispersionSet(nt=nt, nc=nc, k=k, mats=list(np.reshape(rows, (k, nt, nc))))
+    return DispersionSet(nt=nt, nc=nc, k=k, mats=np.reshape(rows, (k, nt, nc)))
 
 
 def random_realization(nt, nr, stream, seed=77):
@@ -36,6 +37,85 @@ def random_realization(nt, nr, stream, seed=77):
 def one_block_mi(real, qs, rho, nt, ev):
     """block_mi of one realization, evaluated as the n = 1 stack."""
     return block_mi(real.h[None], np.asarray(qs)[None], rho, nt, ev)[0]
+
+
+def pairwise_check_goc(dset):
+    """check_goc as one loop over the pairs k < j, the reference for the stacked form."""
+    worst = 0.0
+    for a_idx in range(dset.k):
+        for b_idx in range(a_idx + 1, dset.k):
+            cross = dset.mats[a_idx] @ dset.mats[b_idx].conj().T
+            worst = max(worst, float(np.linalg.norm(cross + cross.conj().T)))
+    return worst <= GOC_TOL, worst
+
+
+def pairwise_decoupling_residual(h, dset):
+    """decoupling_residual as one np.vdot per pair k < j, the reference for the stacked form."""
+    waves = [h @ a for a in dset.mats]
+    worst = 0.0
+    for a_idx in range(dset.k):
+        for b_idx in range(a_idx + 1, dset.k):
+            worst = max(worst, abs(float(np.vdot(waves[b_idx], waves[a_idx]).real)))
+    return worst
+
+
+def seeded_sets(kind, count, seed=2024):
+    """count DispersionSets with K in 1..8, Nt in 1..4, Nc in 1..8.
+
+    "complex" and "real" sets are Gaussian, scaled to a random share of the
+    power budget, and violate the constraint whenever K >= 2; "constructed"
+    sets come from rank_one_set and statistical_set and satisfy it.
+    """
+    gen = np.random.default_rng(seed)
+    sets = []
+    while len(sets) < count:
+        k, nt, nc = (int(x) for x in gen.integers(1, [9, 5, 9]))
+        if kind == "constructed":
+            if k > 2 * nc:
+                continue
+            if gen.integers(2) and nt * k <= nc:
+                lam = gen.uniform(size=nt)
+                sets.append(statistical_set(lam / lam.sum() * nt * nc / k, k, nc, Rng(seed, len(sets))))
+            else:
+                u = gen.standard_normal(nt) + 1j * gen.standard_normal(nt)
+                sets.append(rank_one_set(u / np.linalg.norm(u), k, nc))
+            continue
+        mats = gen.standard_normal((k, nt, nc))
+        if kind == "complex":
+            mats = mats + 1j * gen.standard_normal((k, nt, nc))
+        share = gen.uniform(0.1, 1.0) * nt * nc / np.vdot(mats, mats).real
+        sets.append(DispersionSet(nt=nt, nc=nc, k=k, mats=mats * np.sqrt(share)))
+    return sets
+
+
+class TestStackedMatchesPairwise:
+    @pytest.mark.parametrize("kind", ["complex", "real", "constructed"])
+    def test_exact_equality(self, kind):
+        gen = np.random.default_rng(7)
+        sets = seeded_sets(kind, 400)
+        for dset in sets:
+            assert check_goc(dset) == pairwise_check_goc(dset)
+            for _ in range(3):
+                h = gen.standard_normal((3, dset.nt)) + 1j * gen.standard_normal((3, dset.nt))
+                assert decoupling_residual(h, dset) == pairwise_decoupling_residual(h, dset)
+            assert dset.total_power() == float(sum(np.vdot(a, a).real for a in dset.mats))
+            assert np.array_equal(dset.covariances(), [a @ a.conj().T for a in dset.mats])
+        # both outcomes of the check are exercised
+        violations = sum(not check_goc(d)[0] for d in sets)
+        multi = sum(d.k > 1 for d in sets)
+        assert violations == (0 if kind == "constructed" else multi) and multi > 0
+
+
+class TestDispersionSetChecks:
+    @pytest.mark.parametrize("k, mats, message", [
+        (3, np.zeros((2, 2, 2)), r"shape \(2, 2, 2\) is not \(K, Nt, Nc\) = \(3, 2, 2\) with K >= 1"),
+        (2, np.zeros((2, 2, 3)), r"shape \(2, 2, 3\) is not \(K, Nt, Nc\) = \(2, 2, 2\) with K >= 1"),
+        (0, np.zeros((0, 2, 2)), r"shape \(0, 2, 2\) is not \(K, Nt, Nc\) = \(0, 2, 2\) with K >= 1"),
+        (2, np.where(np.arange(8).reshape(2, 2, 2) == 5, np.nan, 0.0), "dispersion matrices must be finite"),
+    ], ids=["wrong-k", "wrong-nt-nc", "no-symbols", "nan-entry"])
+    def test_rejects(self, k, mats, message):
+        with pytest.raises(PreconditionError, match=message):
+            DispersionSet(nt=2, nc=2, k=k, mats=mats)
 
 
 class TestCheckGoc:
@@ -235,8 +315,7 @@ class TestTextFormat:
         dset = rank_one_set(u, k=4, nc=2)
         back = read_set(to_text(dset))
         assert (back.nt, back.nc, back.k) == (3, 2, 4)
-        for a, b in zip(dset.mats, back.mats):
-            assert np.array_equal(a, b)
+        assert np.array_equal(dset.mats, back.mats)
 
 
 def test_power_budget_enforced():
