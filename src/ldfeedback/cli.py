@@ -16,7 +16,7 @@ from . import dispersion, simengine, verify
 from .channel import check_antennas, custom_model, iid_model, v4_model
 from .errors import ConfigError, InfeasibleError, PreconditionError
 from .infotheory import Constellation
-from .matkit import Rng
+from .matkit import KEY_LIMIT, Rng
 
 SEED_ENV_VAR = "LDFEEDBACK_SEED"
 CSV_HEADER = "snr_db,scheme,mi_bits_per_use,stderr,trials"
@@ -73,18 +73,26 @@ def _get_float_list(values, key):
         raise ConfigError(f"key {key!r}: expected comma-separated numbers") from exc
 
 
+def _check_seed(seed, source):
+    """seed, unless it lies outside [0, 2**64), where it would alias the seed it equals mod 2**64."""
+    if not 0 <= seed < KEY_LIMIT:
+        raise ConfigError(f"{source} must be in [0, 2**64), got {seed}")
+    return seed
+
+
 def resolve_seed(config_values, cli_seed):
     """Flag beats config beats environment beats the built-in default."""
     if cli_seed is not None:
-        return int(cli_seed)
+        return _check_seed(int(cli_seed), "--seed")
     if "seed" in config_values:
-        return _get_int(config_values, "seed")
+        return _check_seed(_get_int(config_values, "seed"), "key 'seed'")
     env = os.environ.get(SEED_ENV_VAR)
     if env is not None:
         try:
-            return int(env)
+            seed = int(env)
         except ValueError as exc:
             raise ConfigError(f"{SEED_ENV_VAR} must be an integer, got {env!r}") from exc
+        return _check_seed(seed, SEED_ENV_VAR)
     return 1
 
 
@@ -254,7 +262,7 @@ def cmd_verify(args):
         names = [args.suite]
     else:
         raise ConfigError(f"unknown suite {args.suite!r}; known: all, {', '.join(verify.SUITES)}")
-    seed = verify.DEFAULT_SEED if args.seed is None else args.seed
+    seed = verify.DEFAULT_SEED if args.seed is None else _check_seed(args.seed, "--seed")
     results = verify.run_suites(names, seed=seed, mutate=args.mutate)
     for r in results:
         print(r.line())
@@ -262,7 +270,7 @@ def cmd_verify(args):
 
 
 def cmd_construct(args):
-    rng = Rng(1 if args.seed is None else args.seed, 0)
+    rng = Rng(1 if args.seed is None else _check_seed(args.seed, "--seed"), 0)
     if args.kind == "rank-one":
         if not 0 <= args.mode < args.nt:
             raise PreconditionError(f"mode {args.mode} out of range for nt = {args.nt}")

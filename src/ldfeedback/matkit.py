@@ -2,8 +2,10 @@
 
 Stacked Hermitian eigendecomposition with a fixed ordering/phase
 convention, Haar-distributed random unitaries, the one unitarity check,
-and a deterministic streaming RNG that the Monte Carlo layers build on.
-Channel entries are made from standard normals by channel.from_normals.
+and the deterministic Philox substreams the Monte Carlo layers build on:
+Rng for one-off streams and substream_normals, which fills one row per
+substream of a window by re-keying a single generator. Channel entries
+are made from standard normals by channel.from_normals.
 """
 
 import math
@@ -15,6 +17,13 @@ from .errors import PreconditionError
 
 HERMITIAN_TOL = 1e-9
 UNITARY_TOL = 1e-12
+# Philox key words are 64 bits wide: seeds and stream indices are taken mod KEY_LIMIT
+KEY_LIMIT = 1 << 64
+
+
+def _stream_key(seed, stream):
+    """Philox key words of substream (seed, stream)."""
+    return int(seed) % KEY_LIMIT, int(stream) % KEY_LIMIT
 
 
 class Rng:
@@ -27,13 +36,34 @@ class Rng:
     """
 
     def __init__(self, seed, stream=0):
-        self.seed = int(seed) & 0xFFFFFFFFFFFFFFFF
-        self.stream = int(stream) & 0xFFFFFFFFFFFFFFFF
+        self.seed, self.stream = _stream_key(seed, stream)
         key = np.array([self.seed, self.stream], dtype=np.uint64)
         self.gen = np.random.Generator(np.random.Philox(key=key))
 
     def __repr__(self):
         return f"Rng(seed={self.seed}, stream={self.stream})"
+
+
+def substream_normals(seed, first_stream, n, shape):
+    """(n,) + shape standard normals; row i is drawn from substream (seed, first_stream + i).
+
+    Row i equals Rng(seed, first_stream + i).gen.standard_normal(shape) bit
+    for bit. Philox is counter-based, so a fresh stream is only a key with
+    the counter and the output buffer cleared: one generator is re-keyed
+    per row instead of being built per row.
+    """
+    z = np.empty((n, *shape))
+    bitgen = np.random.Philox(key=np.zeros(2, dtype=np.uint64))
+    gen = np.random.Generator(bitgen)
+    cleared = (0, 0, 0, 0)
+    words = {"counter": cleared, "key": None}
+    state = {"bit_generator": "Philox", "state": words, "buffer": cleared,
+             "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+    for i in range(n):
+        words["key"] = _stream_key(seed, first_stream + i)
+        bitgen.state = state
+        gen.standard_normal(out=z[i])
+    return z
 
 
 @dataclass

@@ -21,7 +21,7 @@ from .codebook import check_rank_two, check_split, random_rank_two_lambdas, s_ma
 from .dispersion import check_symbols
 from .errors import PreconditionError
 from .infotheory import LN2, MiEvaluator, perfect_csi_mi
-from .matkit import Rng, hermitian_eig, haar_unitary
+from .matkit import Rng, hermitian_eig, haar_unitary, substream_normals
 
 # Flat stream-index namespace: trials take 0..trials-1, internal draws sit high.
 STREAM_CODEBOOK = 1 << 48
@@ -138,16 +138,14 @@ def _column_powers(hind):
 def draw_trials(model, trials, seed, first_stream=0):
     """Sample `trials` channels, trial i from substream first_stream + i.
 
-    The per-trial loop only keys Rng(seed, first_stream + i) and fills row i
-    of one standard-normal buffer; channel.from_normals turns the whole stack
-    into channels at once. Row i therefore equals
+    matkit.substream_normals fills row i of one standard-normal buffer from
+    substream (seed, first_stream + i), and channel.from_normals turns the
+    whole stack into channels at once. Row i therefore equals
     channel.sample(model, Rng(seed, first_stream + i)) bit for bit, whatever
     the window [first_stream, first_stream + trials) it is drawn in.
     """
     n = int(trials)
-    z = np.empty((n, 2, model.nr, model.nt))
-    for i in range(n):
-        Rng(seed, first_stream + i).gen.standard_normal(out=z[i])
+    z = substream_normals(seed, first_stream, n, (2, model.nr, model.nt))
     h, hind = from_normals(model, z)
     eigvals = np.empty((n, model.nt))
     for lo in range(0, n, EIG_CHUNK):

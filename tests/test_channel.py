@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.stats import ks_2samp
 
+from ldfeedback import matkit, simengine
 from ldfeedback.channel import CorrelationModel, custom_model, from_normals, iid_model, sample, v4_model
 from ldfeedback.errors import PreconditionError
 from ldfeedback.matkit import Rng, haar_unitary
@@ -169,3 +170,19 @@ class TestBatchedDraw:
         window = draw_trials(model, 15, 53, first_stream=5)
         for field in ("h", "eigvals", "ind_col_power"):
             assert np.array_equal(getattr(window, field), getattr(full, field)[5:])
+
+
+def test_draw_trials_builds_no_rng(monkeypatch):
+    # one re-keyed generator serves every trial: an Rng per trial is the cost it replaced
+    model = iid_model(2, 2)
+    n = simengine.EIG_CHUNK + 1
+    last = sample(model, Rng(61, n - 1))
+
+    def no_rng(*args, **kwargs):
+        raise AssertionError("draw_trials built an Rng")
+
+    monkeypatch.setattr(simengine, "Rng", no_rng)
+    monkeypatch.setattr(matkit, "Rng", no_rng)
+    batch = draw_trials(model, n, 61)
+    assert batch.h.shape == (n, 2, 2)
+    assert np.array_equal(batch.h[-1], last.h)

@@ -7,6 +7,7 @@ import pytest
 from ldfeedback import cli
 from ldfeedback.dispersion import DispersionSet
 from ldfeedback.errors import ConfigError
+from ldfeedback.matkit import KEY_LIMIT
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 DATA_DIR = Path(__file__).resolve().parent / "data"
@@ -104,6 +105,59 @@ class TestSeedResolution:
     def test_builtin_default(self, monkeypatch):
         monkeypatch.delenv(cli.SEED_ENV_VAR, raising=False)
         assert cli.resolve_seed({}, None) == 1
+
+
+# the smallest experiment that draws channels from its seed
+TINY_CFG = "nt = 2\nnr = 2\nnc = 2\nsnr_db = 0\ntrials = 2\nschemes = perfect\n"
+SEED_LABELS = {"flag": "--seed", "config": "key 'seed'", "env": cli.SEED_ENV_VAR}
+
+
+@pytest.mark.parametrize("source", list(SEED_LABELS))
+class TestSimulateSeedRange:
+    """A seed outside [0, 2**64) would alias the seed it equals mod 2**64, so it exits 2."""
+
+    def simulate(self, tmp_path, monkeypatch, source, seed):
+        monkeypatch.delenv(cli.SEED_ENV_VAR, raising=False)
+        text, args = TINY_CFG, []
+        if source == "flag":
+            args = ["--seed", str(seed)]
+        elif source == "config":
+            text += f"seed = {seed}\n"
+        else:
+            monkeypatch.setenv(cli.SEED_ENV_VAR, str(seed))
+        out = tmp_path / "out.csv"
+        return cli.main(["simulate", write(tmp_path, "exp.cfg", text), "-o", str(out), *args]), out
+
+    @pytest.mark.parametrize("seed", [0, KEY_LIMIT - 1])
+    def test_ends_of_range_run(self, tmp_path, monkeypatch, source, seed):
+        code, out = self.simulate(tmp_path, monkeypatch, source, seed)
+        assert code == 0 and out.exists()
+
+    @pytest.mark.parametrize("seed", [-1, KEY_LIMIT, -KEY_LIMIT])
+    def test_outside_range_exit_2(self, tmp_path, monkeypatch, capsys, source, seed):
+        code, out = self.simulate(tmp_path, monkeypatch, source, seed)
+        assert code == 2
+        assert f"{SEED_LABELS[source]} must be in [0, 2**64), got {seed}" in capsys.readouterr().err
+        assert not out.exists()
+
+
+class TestSeedRangeOtherCommands:
+    CONSTRUCT = ["construct", "--kind", "statistical", "--k", "2", "--nc", "8", "--nt", "4",
+                 "--lambdas", "10,6,0,0"]
+
+    @pytest.mark.parametrize("seed", [0, KEY_LIMIT - 1])
+    def test_ends_of_range_run(self, tmp_path, capsys, seed):
+        assert cli.main(["verify", "thm3", "--seed", str(seed)]) == 0
+        assert cli.main([*self.CONSTRUCT, "--seed", str(seed), "-o", str(tmp_path / "set.txt")]) == 0
+
+    @pytest.mark.parametrize("seed", [-1, KEY_LIMIT])
+    def test_outside_range_exit_2(self, tmp_path, capsys, seed):
+        out = tmp_path / "set.txt"
+        assert cli.main(["verify", "thm3", "--seed", str(seed)]) == 2
+        assert cli.main([*self.CONSTRUCT, "--seed", str(seed), "-o", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.count(f"--seed must be in [0, 2**64), got {seed}") == 2
+        assert captured.out == "" and not out.exists()
 
 
 class TestSimulate:

@@ -2,11 +2,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from ldfeedback.dispersion import format_complex, matrix_to_lines
 from ldfeedback.errors import PreconditionError
-from ldfeedback.matkit import Rng, check_unitary, haar_unitary, hermitian_eig
+from ldfeedback.matkit import KEY_LIMIT, Rng, check_unitary, haar_unitary, hermitian_eig, substream_normals
 
 
 def parse_complex(token):
@@ -153,6 +153,25 @@ class TestRng:
         assert not np.array_equal(
             Rng(1, 0).gen.standard_normal(8), Rng(1, 1).gen.standard_normal(8)
         )
+
+
+class TestSubstreamNormals:
+    """The re-keyed generator against the per-substream Rng it replaces, bit for bit."""
+
+    @pytest.mark.parametrize("shape", [(2, 1, 1), (2, 2, 2), (2, 3, 2), (2, 4, 4)])
+    @given(
+        seed=st.integers(0, KEY_LIMIT - 1),
+        # windows anywhere in the stream namespace, and windows that wrap past 2**64 - 1
+        first_stream=st.one_of(st.integers(0, KEY_LIMIT - 1), st.integers(KEY_LIMIT - 20, KEY_LIMIT - 1)),
+        n=st.integers(0, 20),
+    )
+    @example(seed=5, first_stream=KEY_LIMIT - 1, n=2)
+    @settings(deadline=None)
+    def test_rows_equal_rng_draws(self, shape, seed, first_stream, n):
+        z = substream_normals(seed, first_stream, n, shape)
+        assert z.shape == (n,) + shape
+        for i in range(n):
+            assert np.array_equal(z[i], Rng(seed, first_stream + i).gen.standard_normal(shape))
 
 
 class TestComplexTextFormat:
