@@ -99,13 +99,34 @@ def s_matrix(h, unitaries):
     Row (n, i) equals the squared column norms of Lh^(1/2) Uh^H U_i where
     H_n^H H_n = Uh Lh Uh^H; it sums to Tr(H_n^H H_n) and never exceeds the
     largest eigenvalue.
+
+    Each H U_i is one (n*Nr, Nt) @ (Nt, Nt) product over the stacked rows of
+    h, not n small products; its values equal the stacked h @ U_i bit for
+    bit (tested against it).
     """
+    nt = h.shape[-1]
     for i, u in enumerate(unitaries):
-        check_unitary(u, h.shape[-1], f"unitaries[{i}]")
-    return np.stack([(np.abs(h @ u) ** 2).sum(axis=1) for u in unitaries], axis=1)
+        check_unitary(u, nt, f"unitaries[{i}]")
+    rows = h.reshape(-1, nt)
+    return np.stack([(np.abs((rows @ u).reshape(h.shape)) ** 2).sum(axis=1) for u in unitaries], axis=1)
 
 
-def select_mi(smat, lambdas, rho, k, nt, evaluator):
+def _codeword_max(smat, lambdas):
+    """Largest trace sum_m s[i, m] * lambda_j[m] over the codewords (i, j), shape (...).
+
+    The traces are one einsum; the maximum folds their N1*N2 codeword slices
+    with np.maximum in flat (i, j) order, which equals the einsum's
+    .max(axis=(-2, -1)) exactly without reducing over the small trailing axes.
+    """
+    traces = np.einsum("...im,...jm->...ij", smat, lambdas)
+    slices = traces.reshape(traces.shape[:-2] + (-1,))
+    best = slices[..., 0].copy()
+    for c in range(1, slices.shape[-1]):
+        np.maximum(best, slices[..., c], out=best)
+    return best
+
+
+def select_mi(smat, lambdas, rho, k, nt, evaluator, out=None):
     """Receiver rule: max over (i, j) of K * I(rho/Nt * Tr(H Q^{i,j} H^H)).
 
     smat (..., N1, Nt) comes from s_matrix and lambdas (..., N2, Nt) holds
@@ -113,7 +134,9 @@ def select_mi(smat, lambdas, rho, k, nt, evaluator):
     trials passes its (N2, Nt) lambdas. Tr(H Q^{i,j} H^H) is
     sum_m s[i, m] * lambda_j[m]. rho is a scalar or a 1-D array of SNR
     points; an array puts a leading SNR axis on the selected values, which
-    are returned over the SNR and leading axes.
+    are returned over the SNR and leading axes. Given out, an array of that
+    shape, the values are computed in it and out is returned; nothing of
+    that size is allocated then.
 
     I is strictly increasing and t -> max(t, 0) * rho/Nt is non-decreasing
     for rho >= 0, so a codeword of largest trace maximizes K * I at every
@@ -125,12 +148,19 @@ def select_mi(smat, lambdas, rho, k, nt, evaluator):
     codewords reach that range can sit up to two ulps of K ln M below the
     per-codeword maximum.
     """
-    traces = np.einsum("...im,...jm->...ij", smat, lambdas).max(axis=(-2, -1))
+    traces = _codeword_max(smat, lambdas)
     rho = np.asarray(rho, dtype=float)
     if rho.ndim > 1:
         raise PreconditionError(f"rho must be a scalar or a 1-D array, got shape {rho.shape}")
     rho = rho.reshape(rho.shape + (1,) * traces.ndim)
-    return k * evaluator.mi(np.maximum(traces, 0.0) * rho / nt)
+    if out is None:
+        out = np.empty(np.broadcast_shapes(rho.shape, traces.shape))
+    # K * I(max(t, 0) * rho / Nt) in its left-to-right order, each step in out,
+    # so the values equal the one-expression form bit for bit
+    np.multiply(np.maximum(traces, 0.0), rho, out=out)
+    np.divide(out, nt, out=out)
+    evaluator.mi(out, out=out)
+    return np.multiply(k, out, out=out)
 
 
 def select_snr(smat, lambdas, k, nt, nc):
@@ -139,7 +169,7 @@ def select_snr(smat, lambdas, k, nt, nc):
     alpha = lambda * K / (Nt*Nc) are the normalized power weights; shapes
     are as in select_mi.
     """
-    return np.einsum("...im,...jm->...ij", smat, lambdas * (k / (nt * nc))).max(axis=(-2, -1))
+    return _codeword_max(smat, lambdas * (k / (nt * nc)))
 
 
 def delta_snr(cb, smat, lam_max, rho):

@@ -36,6 +36,11 @@ OPT_MAX_ITER = 500
 OPT_TOL = 1e-6
 # trials per stacked eigendecomposition in draw_trials; bounds its scratch memory
 EIG_CHUNK = 4096
+# largest |snr_db| SimConfig.validate accepts: at 1000 dB rho = 1e100, so the
+# kernel arguments rho * power / Nt stay finite for any power below 1e208, far
+# above what a unit-variance channel draws, while 10 ** (snr_db / 10) itself
+# overflows near 3083 dB and the arguments reach inf near 3080 dB
+SNR_DB_LIMIT = 1000.0
 
 
 def check_schemes(schemes):
@@ -82,6 +87,9 @@ class SimConfig:
         grid = list(self.snr_grid_db)
         if not grid or not all(map(math.isfinite, grid)) or any(b <= a for a, b in zip(grid, grid[1:])):
             raise PreconditionError(f"snr grid must be non-empty, finite and strictly increasing, got {grid}")
+        for snr_db in grid:
+            if abs(snr_db) > SNR_DB_LIMIT:
+                raise PreconditionError(f"snr_db = {snr_db!r} is outside [-{SNR_DB_LIMIT:g}, {SNR_DB_LIMIT:g}] dB")
         check_symbols(self.k, self.nc)
         if self.opt_samples < MIN_OPT_SAMPLES and any(s in STATISTICAL_SCHEMES for s in self.schemes):
             raise PreconditionError(
@@ -260,14 +268,17 @@ def scheme_block_mi(config, scheme, batch):
     raise PreconditionError(f"scheme_block_mi does not evaluate {scheme!r}")
 
 
-def codebook_block_mi(config, smat, lambdas):
+def codebook_block_mi(config, smat, lambdas, out=None):
     """Per-trial MI-rule block MI in nats of one codebook, shape (n_snr, trials).
 
     smat is s_matrix(h, unitaries) of the codebook's unitaries and
     lambdas its (N2, Nt) power diagonals; the receiver selects with config.k.
+    Given out, an (n_snr, trials) array, the rows are computed in it and out
+    is returned, as in select_mi.
     """
     rhos = np.array([rho_from_db(s) for s in config.snr_grid_db])
-    return select_mi(smat, lambdas, rhos, config.k, config.model.nt, MiEvaluator(config.constellation))
+    return select_mi(smat, lambdas, rhos, config.k, config.model.nt, MiEvaluator(config.constellation),
+                     out=out)
 
 
 def _curve_points(config, label, block_mi_rows):
@@ -352,18 +363,22 @@ def rank_two_tournament(config, smat):
     mean block MI in nats; ties go to the first codebook. Returns
     (winners, rows): the (n_snr,) index of each point's winner among the
     drawn codebooks, and the winners' (n_snr, trials) block MI in nats.
+
+    The first codebook's rows start the running best; every later codebook
+    is scored into one reused (n_snr, trials) buffer, so the tournament
+    holds two such arrays whatever config.rank_two_sets is.
     """
     lamsets = random_rank_two_lambdas(config.rank_two_sets, config.n2, config.model.nt,
                                       config.nc, config.k, Rng(config.seed, STREAM_TOURNAMENT))
     winners = np.zeros(len(config.snr_grid_db), dtype=int)
     rows = codebook_block_mi(config, smat, lamsets[0])
     best = rows.mean(axis=1)
+    cand = np.empty_like(rows)
     for idx in range(1, len(lamsets)):
-        cand = codebook_block_mi(config, smat, lamsets[idx])
+        codebook_block_mi(config, smat, lamsets[idx], out=cand)
         score = cand.mean(axis=1)
         better = score > best
         np.copyto(rows, cand, where=better[:, None])
-        del cand
         best[better] = score[better]
         winners[better] = idx
     return winners, rows

@@ -10,6 +10,7 @@ from ldfeedback.errors import ConfigError
 from ldfeedback.matkit import KEY_LIMIT
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+BENCH_DIR = Path(__file__).resolve().parent.parent / "bench"
 DATA_DIR = Path(__file__).resolve().parent / "data"
 
 
@@ -214,13 +215,15 @@ class TestSimulate:
         ("snr_db = 0,10,20", "snr_db = 0,nan,20", "snr grid"),
         ("snr_db = 0,10,20", "snr_db = 0,10,inf", "snr grid"),
         ("snr_db = 0,10,20", "snr_db = -inf,0", "snr grid"),
+        ("snr_db = 0,10,20", "snr_db = 0,4000", "snr_db = 4000.0 is outside"),
+        ("snr_db = 0,10,20", "snr_db = 0,3080", "snr_db = 3080.0 is outside"),
         ("model = iid", "vmask = nan,1,1,1", "vmask"),
         ("model = iid", "vmask = inf,1,1,1", "vmask"),
         ("schemes = perfect,", "schemes = perfect,perfect,", "repeated scheme 'perfect'"),
         ("model = iid", "model = bogus\nvmask = 1,1,1,1", "not both"),
         ("model = iid\nnt = 2\nnr = 2", "vmask = 1,1,1,1\nnt = -2\nnr = -2", "antenna counts must be >= 1"),
-    ], ids=["k-0", "nc-0", "snr-nan", "snr-inf", "snr-minus-inf", "vmask-nan", "vmask-inf",
-            "repeated-scheme", "model-and-vmask", "vmask-negative-antennas"])
+    ], ids=["k-0", "nc-0", "snr-nan", "snr-inf", "snr-minus-inf", "snr-4000", "snr-3080", "vmask-nan",
+            "vmask-inf", "repeated-scheme", "model-and-vmask", "vmask-negative-antennas"])
     def test_bad_value_exit_2(self, tmp_path, capsys, line, bad, message):
         text = SMALL_CFG.replace("trials = 20", "trials = 1")
         cfg = write(tmp_path, "exp.cfg", text.replace(line, bad))
@@ -256,6 +259,17 @@ class TestSimulate:
         out = tmp_path / "v4.csv"
         assert cli.main(["simulate", cfg, "-o", str(out)]) == 0
         assert out.read_bytes() == (DATA_DIR / "v4_five_schemes.csv").read_bytes()
+
+    @pytest.mark.parametrize("label", ["gauss_iid2x2", "gauss_iid4x4", "gauss_v4"])
+    def test_bench_gaussian_golden(self, tmp_path, label):
+        # the benchmark's 10 000-trial Gaussian goldens at each config's own
+        # seed: a reordered reduction in the codebook scorer or the channel
+        # draw changes them where the small pins above may not
+        cfg = BENCH_DIR / "configs" / f"{label}.cfg"
+        seed = cli.parse_config_text(cfg.read_text())["seed"]
+        out = tmp_path / f"{label}.csv"
+        assert cli.main(["simulate", str(cfg), "-o", str(out)]) == 0
+        assert out.read_bytes() == (BENCH_DIR / "golden" / f"{label}.seed{seed}.csv").read_bytes()
 
     def test_seed_override_changes_output(self, tmp_path):
         cfg = write(tmp_path, "exp.cfg", SMALL_CFG.replace("trials = 20", "trials = 2"))

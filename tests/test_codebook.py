@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from ldfeedback.channel import iid_model, v4_model
 from ldfeedback.codebook import (
@@ -157,6 +159,16 @@ class TestSMatrix:
             with pytest.raises(PreconditionError, match="is not unitary"):
                 s_matrix(realization(3).h, [bad])
 
+    @pytest.mark.parametrize("model", [iid_model(2, 2), iid_model(4, 4), v4_model()],
+                             ids=["iid2x2", "iid4x4", "v4"])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_flattened_product_matches_stacked(self, model, seed):
+        # the slow reference: one small H_n @ U_i product per trial
+        batch = draw_trials(model, 3000, seed)
+        unitaries = haar_unitaries(4, Rng(seed, 1), model.nt)
+        stacked = np.stack([(np.abs(batch.h @ u) ** 2).sum(axis=1) for u in unitaries], axis=1)
+        assert s_matrix(batch.h, unitaries).tobytes() == stacked.tobytes()
+
 
 class TestSelectMi:
     def test_exact_eigenbasis_codeword_wins(self):
@@ -264,6 +276,62 @@ class TestTraceSelection:
 
     def test_per_trial_lambdas(self, name):
         self._check(name, per_trial=True)
+
+    @pytest.mark.parametrize("per_trial", [False, True], ids=["shared", "per-trial"])
+    def test_out_matches_unbuffered_kernel(self, name, per_trial):
+        # select_mi computes in a buffer, the caller's or its own; the reference
+        # is K * I(max(t, 0) * rho / Nt) through the kernel's unbuffered path
+        ev = MiEvaluator(ALPHABETS[name]())
+        smat, lambdas = self._inputs(per_trial)
+        traces = trace_max_reference(smat, lambdas)
+        want = 4 * ev.mi(np.maximum(traces, 0.0) * TRACE_RHOS.reshape(-1, *(1,) * traces.ndim) / 4)
+        buf = np.full(want.shape, np.nan)
+        assert select_mi(smat, lambdas, TRACE_RHOS, 4, 4, ev, out=buf) is buf
+        assert buf.tobytes() == want.tobytes()
+        assert select_mi(smat, lambdas, TRACE_RHOS, 4, 4, ev).tobytes() == want.tobytes()
+
+
+def trace_max_reference(smat, lambdas):
+    """The codeword maximum as the einsum's reduction over its two trailing (N1, N2) axes."""
+    return np.einsum("...im,...jm->...ij", smat, lambdas).max(axis=(-2, -1))
+
+
+@st.composite
+def codebook_inputs(draw):
+    """smat and lambdas in the two broadcast layouts the callers use, N1, N2, Nt in 1..4.
+
+    "shared" is one codebook for every trial, (n, N1, Nt) with (N2, Nt);
+    "per-trial" is verify thm4's smat[:, None] with (n, C, N2, Nt). "equal"
+    makes every trace the same, "negative" makes every trace <= 0.
+    """
+    n1, n2, nt, n, c = (draw(st.integers(1, 4)) for _ in range(5))
+    values = st.floats(-8.0, 8.0, allow_nan=False, allow_subnormal=False)
+    layout = draw(st.sampled_from(["shared", "per-trial"]))
+    pattern = draw(st.sampled_from(["random", "equal", "negative"]))
+    smat = draw(arrays(np.float64, (n, n1, nt), elements=values))
+    lambdas = draw(arrays(np.float64, (n2, nt) if layout == "shared" else (n, c, n2, nt), elements=values))
+    if pattern == "equal":
+        smat = np.broadcast_to(smat[:, :1], smat.shape).copy()
+        lambdas = np.broadcast_to(lambdas[..., :1, :], lambdas.shape).copy()
+    elif pattern == "negative":
+        smat, lambdas = np.abs(smat), -np.abs(lambdas)
+    return (smat if layout == "shared" else smat[:, None]), lambdas
+
+
+class TestCodewordMaximum:
+    """select_snr and select_mi against the einsum reduction they replace, bit for bit."""
+
+    @given(inputs=codebook_inputs(), k=st.integers(1, 4), nc=st.integers(1, 4))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_trailing_axis_max(self, inputs, k, nc):
+        smat, lambdas = inputs
+        nt = smat.shape[-1]
+        want = trace_max_reference(smat, lambdas * (k / (nt * nc)))
+        assert select_snr(smat, lambdas, k, nt, nc).tobytes() == want.tobytes()
+        ev = gaussian_eval()
+        rho = TRACE_RHOS.reshape(-1, *(1,) * want.ndim)
+        want = k * ev.mi(np.maximum(trace_max_reference(smat, lambdas), 0.0) * rho / nt)
+        assert select_mi(smat, lambdas, TRACE_RHOS, k, nt, ev).tobytes() == want.tobytes()
 
 
 class TestSelectSnr:

@@ -140,6 +140,21 @@ class TestMi:
         for x, v in zip(a, batch):
             assert abs(ev.mi(float(x)) - v) <= 1e-12
 
+    @pytest.mark.parametrize("kind", ["gaussian", "bpsk", "pam4"])
+    @pytest.mark.parametrize("method", ["mi", "reference_mi"])
+    def test_out_receives_the_values(self, kind, method):
+        # out may be the argument itself; the argument is validated either way
+        fn = getattr(make_eval(kind), method)
+        a = np.array([[0.0, 0.3, 1.7], [9.0, 40.0, 1e6]])
+        want = fn(a)
+        buf = a.copy()
+        assert fn(buf, out=buf) is buf
+        assert buf.tobytes() == want.tobytes()
+        with pytest.raises(PreconditionError):
+            fn(np.array([0.5, -0.1]), out=np.empty(2))
+        with pytest.raises(PreconditionError):
+            fn(a, out=np.empty(a.size))
+
     @given(st.floats(min_value=0.0, max_value=50.0), st.floats(min_value=0.0, max_value=50.0))
     @settings(max_examples=40, deadline=None)
     def test_monotone_nondecreasing(self, a1, a2):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -335,6 +336,26 @@ class TestBestRankOne:
 
 
 class TestRankTwoTournament:
+    def test_memory_peak_bounded(self):
+        # Bound set before measuring: the running-best rows and one reused
+        # candidate buffer are two (n_snr, trials) arrays; each candidate adds
+        # its (trials, N1, N2) traces (N1*N2/n_snr = 4/11 of the rows here) and
+        # (trials,) or boolean temporaries. So 3x one candidate's rows bounds
+        # the peak at the benchmark's 10 000 trials, where fixed overheads are
+        # small; scoring every candidate into fresh arrays peaked at 4.1x.
+        config = replace(make_config(trials=10_000, snr=tuple(range(0, 21, 2))), rank_two_sets=10)
+        smat = run_smat(config)
+        rank_two_tournament(config, smat)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            rank_two_tournament(config, smat)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3.0 * len(config.snr_grid_db) * config.trials * 8
+
     def test_single_entry_is_its_own_best(self):
         config = replace(make_config(model=iid_model(4, 4), trials=25), rank_two_sets=1)
         smat = run_smat(config)
