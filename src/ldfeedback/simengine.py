@@ -155,12 +155,16 @@ def draw_trials(model, trials, seed, first_stream=0):
     n = int(trials)
     z = substream_normals(seed, first_stream, n, (2, model.nr, model.nt))
     h, hind = from_normals(model, z)
+    # dropped before the eigendecomposition loop, so its scratch does not stack on them
+    del z
+    ind_col_power = _column_powers(hind)
+    del hind
     eigvals = np.empty((n, model.nt))
     for lo in range(0, n, EIG_CHUNK):
         chunk = h[lo : lo + EIG_CHUNK]
         eig = hermitian_eig(np.swapaxes(chunk.conj(), -1, -2) @ chunk)
         eigvals[lo : lo + EIG_CHUNK] = np.maximum(eig.values, 0.0)
-    return TrialBatch(h=h, eigvals=eigvals, ind_col_power=_column_powers(hind))
+    return TrialBatch(h=h, eigvals=eigvals, ind_col_power=ind_col_power)
 
 
 def project_scaled_simplex(v, total):
@@ -340,18 +344,22 @@ def best_rank_one_codebook(config, smat):
     smat is s_matrix(h, unitaries) of the trials to score on. Ties keep the
     first candidate. Returns (lambdas, rows): the winner's (N2, Nt)
     diagonals and its (n_snr, trials) block MI in nats.
+
+    Candidates are scored into a reused (n_snr, trials) buffer; a better
+    candidate's buffer becomes the running best and the old best's the next
+    buffer, so the search holds two such arrays whatever C(Nt, N2) is.
     """
     nt = config.model.nt
     budget = nt * config.nc / config.k
-    best = None
+    best, rows, cand = None, None, None
     for modes in itertools.combinations(range(nt), config.n2):
         lambdas = budget * np.eye(nt)[list(modes)]
-        rows = codebook_block_mi(config, smat, lambdas)
-        score = float(rows.mean(axis=1).sum())
+        cand = codebook_block_mi(config, smat, lambdas, out=cand)
+        score = float(cand.mean(axis=1).sum())
         if best is None or score > best[0]:
-            best = (score, lambdas, rows)
-        del rows
-    return best[1:]
+            best = (score, lambdas)
+            rows, cand = cand, rows
+    return best[1], rows
 
 
 def rank_two_tournament(config, smat):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -186,3 +187,20 @@ def test_draw_trials_builds_no_rng(monkeypatch):
     batch = draw_trials(model, n, 61)
     assert batch.h.shape == (n, 2, 2)
     assert np.array_equal(batch.h[-1], last.h)
+
+
+@pytest.mark.parametrize("model", [iid_model(4, 4), v4_model()], ids=["iid4x4", "v4"])
+def test_draw_trials_memory_peak_bounded(model):
+    # the normals and Hind are dropped before the eigendecomposition loop, so
+    # the peak stays under 3x the returned arrays at 10 000 trials (holding
+    # them through the loop peaked at 3.5x)
+    draw_trials(model, 100, 71)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        batch = draw_trials(model, 10_000, 71)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.0 * (batch.h.nbytes + batch.eigvals.nbytes + batch.ind_col_power.nbytes)

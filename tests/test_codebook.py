@@ -232,10 +232,8 @@ TRACE_RHOS = np.array([0.0, 0.3, 2.0, 8.0, 40.0, 1e3, 1e6])
 class TestTraceSelection:
     """select_mi evaluates K * I at the largest trace only; that must be the MI rule's value.
 
-    A discrete table is non-decreasing only up to two-ulp ripples of K*ln M
-    where a * d_min^2 > 140, so a row with an argument in that band, unless
-    all its arguments are past the table's last knot (where I = ln M), is
-    held to two ulps; every other row must match exactly.
+    Every row must match exactly, for a discrete table too, including rows
+    whose arguments reach the saturated band or lie past the last knot.
     """
 
     def _inputs(self, per_trial):
@@ -258,15 +256,9 @@ class TestTraceSelection:
         for s, rho in enumerate(TRACE_RHOS):
             assert np.array_equal(select_mi(smat, lambdas, rho, 4, 4, ev), values[s])
             want, args = mi_rule_definition(smat, lambdas, rho, 4, 4, ev)
-            exact = np.ones(want.shape, dtype=bool)
             if name != "gaussian":
-                table = ev._table()
-                ripple = table.knots[-1] * 140.0 / 200.0  # the last knot sits at a * d_min^2 = 200
-                saturated = args.min(axis=-1) > table.knots[-1]
-                saturated_rows += saturated.sum()
-                exact = (args.max(axis=-1) <= ripple) | saturated
-                assert (np.abs(values[s] - want) <= 2 * np.spacing(4 * table.ln_m)).all()
-            assert np.array_equal(values[s][exact], want[exact])
+                saturated_rows += (args.min(axis=-1) > ev._table().knots[-1]).sum()
+            assert np.array_equal(values[s], want)
         assert (values[TRACE_RHOS == 0] == 0).all()
         if name != "gaussian":
             assert saturated_rows > 0

@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 from dataclasses import replace
@@ -296,9 +297,9 @@ class TestBestRankOne:
         # one scored candidate per size-N2 subset of the Nt modes: C(Nt, N2)
         scored = []
 
-        def counted(config, smat, lambdas):
+        def counted(config, smat, lambdas, out=None):
             scored.append(lambdas)
-            return codebook_block_mi(config, smat, lambdas)
+            return codebook_block_mi(config, smat, lambdas, out=out)
 
         monkeypatch.setattr(simengine, "codebook_block_mi", counted)
         for nt, n1, n2, count in ((4, 4, 1, 4), (4, 2, 2, 6), (2, 2, 2, 1)):
@@ -307,6 +308,45 @@ class TestBestRankOne:
             best_rank_one_codebook(config, run_smat(config))
             assert len(scored) == count == math.comb(nt, n2)
             assert all(lam.shape == (n2, nt) for lam in scored)
+
+    def test_scores_into_two_buffers(self, monkeypatch):
+        # six candidates, scored into the running best and one reused buffer;
+        # the winner's rows are those of scoring it alone
+        returned = []
+
+        def recorded(config, smat, lambdas, out=None):
+            returned.append(codebook_block_mi(config, smat, lambdas, out=out))
+            return returned[-1]
+
+        config = replace(make_config(model=iid_model(4, 4), trials=200), n1=2, n2=2)
+        smat = run_smat(config)
+        monkeypatch.setattr(simengine, "codebook_block_mi", recorded)
+        lambdas, rows = best_rank_one_codebook(config, smat)
+        assert len(returned) == 6 and len({id(rows) for rows in returned}) == 2
+        assert np.array_equal(rows, codebook_block_mi(config, smat, lambdas))
+        assert max(
+            codebook_block_mi(config, smat, 4.0 * np.eye(4)[list(modes)]).mean(axis=1).sum()
+            for modes in itertools.combinations(range(4), 2)
+        ) == rows.mean(axis=1).sum()
+
+    def test_memory_peak_bounded(self):
+        # as in the tournament: the running best and one reused buffer are two
+        # (n_snr, trials) arrays, and each candidate adds its (trials, N1, N2)
+        # traces and (trials,) temporaries, so 3x one candidate's rows bounds
+        # the peak at 10 000 trials
+        config = replace(make_config(model=iid_model(4, 4), trials=10_000, snr=tuple(range(0, 21, 2))),
+                         n1=2, n2=2)
+        smat = run_smat(config)
+        best_rank_one_codebook(config, smat)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            best_rank_one_codebook(config, smat)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3.0 * len(config.snr_grid_db) * config.trials * 8
 
     def test_returns_single_mode_codebook(self):
         config = make_config(model=iid_model(4, 4), trials=30)
