@@ -75,7 +75,8 @@ def random_rank_two_lambdas(count, n2, nt, nc, k, rng):
     """count random sets of N2 rank-two diagonals, as a (count, N2, Nt) array.
 
     Each diagonal excites a uniformly chosen pair of modes with a uniform
-    power split (w, 1-w) scaled to the full Nt*Nc/K budget.
+    power split (w, 1-w) scaled to the full Nt*Nc/K budget. w is one
+    Generator.random() draw, the same bits and stream position as uniform().
     """
     if count < 1 or n2 < 1:
         raise PreconditionError("counts must be >= 1")
@@ -84,9 +85,10 @@ def random_rank_two_lambdas(count, n2, nt, nc, k, rng):
     budget = nt * nc / k
     pairs = list(itertools.combinations(range(nt), 2))
     sets = np.zeros((count, n2, nt))
+    random = rng.gen.random
     for lam in sets.reshape(-1, nt):
         p0, p1 = pairs[int(rng.gen.integers(len(pairs)))]
-        w = float(rng.gen.uniform())
+        w = random()
         lam[p0] = w * budget
         lam[p1] = (1.0 - w) * budget
     return sets

@@ -114,7 +114,8 @@ class _Table:
         # I is non-decreasing and at most ln M; the stored knots are made so exactly
         mi = np.minimum(np.maximum.accumulate(mi), ln_m)
         self.mi_knots = mi
-        self.mmse_knots = mmse
+        # 1 - E[E[x | y]^2] cancels to -2.2e-16 at some saturated knots; an mmse is never negative
+        self.mmse_knots = np.maximum(mmse, 0.0)
         self.ln_m = ln_m
         # I(u_i + s) = mi_i + s*(slope_i + s*(c2_i + s*c3_i)); the zero entry after the
         # last knot makes that knot an interval of its own, so it is exact too. The
@@ -332,7 +333,7 @@ def perfect_csi_mi(lam_max, rho, k, nc, evaluator):
     """Best achievable block mutual information with K symbols: K*I(rho*Nc/K * lmax).
 
     lam_max holds the largest eigenvalue of H^H H per trial, for instance a
-    trial batch's eigvals[:, 0].
+    trial batch's lam_max.
     """
     check_symbols(k, nc)
     return k * evaluator.mi(rho * nc / k * lam_max)

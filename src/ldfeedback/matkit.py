@@ -50,20 +50,22 @@ def substream_normals(seed, first_stream, n, shape):
     Row i equals Rng(seed, first_stream + i).gen.standard_normal(shape) bit
     for bit. Philox is counter-based, so a fresh stream is only a key with
     the counter and the output buffer cleared: one generator is re-keyed
-    per row instead of being built per row.
+    per row instead of being built per row. The rows are filled through a
+    flat (n, prod(shape)) view, in the same C order.
     """
-    z = np.empty((n, *shape))
+    z = np.empty((n, math.prod(shape)))
     bitgen = np.random.Philox(key=np.zeros(2, dtype=np.uint64))
-    gen = np.random.Generator(bitgen)
+    normal = np.random.Generator(bitgen).standard_normal
     cleared = (0, 0, 0, 0)
     words = {"counter": cleared, "key": None}
     state = {"bit_generator": "Philox", "state": words, "buffer": cleared,
              "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
-    for i in range(n):
-        words["key"] = _stream_key(seed, first_stream + i)
+    seed, first_stream = _stream_key(seed, first_stream)
+    for i, row in enumerate(z):
+        words["key"] = (seed, (first_stream + i) % KEY_LIMIT)
         bitgen.state = state
-        gen.standard_normal(out=z[i])
-    return z
+        normal(out=row)
+    return z.reshape((n, *shape))
 
 
 @dataclass

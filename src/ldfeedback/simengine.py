@@ -15,13 +15,14 @@ import numpy as np
 
 from .channel import from_normals
 # unused here, but bench/tests/test_bench.py checks that the span tracer patches
-# this call-site binding, so the name stays bound in this module
+# these call-site bindings, so the names stay bound in this module
 from .channel import sample  # noqa: F401
+from .matkit import hermitian_eig  # noqa: F401
 from .codebook import check_rank_two, check_split, random_rank_two_lambdas, s_matrix, select_mi
 from .dispersion import check_symbols
 from .errors import PreconditionError
 from .infotheory import LN2, MiEvaluator, perfect_csi_mi
-from .matkit import Rng, hermitian_eig, haar_unitary, substream_normals
+from .matkit import Rng, haar_unitary, substream_normals
 
 # Flat stream-index namespace: trials take 0..trials-1, internal draws sit high.
 STREAM_CODEBOOK = 1 << 48
@@ -34,7 +35,7 @@ MIN_OPT_SAMPLES = 100
 # optimize_lambda stops after OPT_MAX_ITER steps or once the projected gradient norm is <= OPT_TOL
 OPT_MAX_ITER = 500
 OPT_TOL = 1e-6
-# trials per stacked eigendecomposition in draw_trials; bounds its scratch memory
+# trials per stacked eigenvalue call in draw_trials; bounds its scratch memory
 EIG_CHUNK = 4096
 # largest |snr_db| SimConfig.validate accepts: at 1000 dB rho = 1e100, so the
 # kernel arguments rho * power / Nt stay finite for any power below 1e208, far
@@ -130,7 +131,7 @@ class TrialBatch:
     """Channel draws shared by every scheme of one experiment."""
 
     h: np.ndarray  # (n, nr, nt)
-    eigvals: np.ndarray  # (n, nt) of H^H H, descending, clipped at 0
+    lam_max: np.ndarray  # (n,) largest eigenvalue of H^H H, clipped at 0
     ind_col_power: np.ndarray  # (n, nt) squared column norms of Hind
 
     @property
@@ -150,21 +151,22 @@ def draw_trials(model, trials, seed, first_stream=0):
     substream (seed, first_stream + i), and channel.from_normals turns the
     whole stack into channels at once. Row i therefore equals
     channel.sample(model, Rng(seed, first_stream + i)) bit for bit, whatever
-    the window [first_stream, first_stream + trials) it is drawn in.
+    the window [first_stream, first_stream + trials) it is drawn in. lam_max
+    comes from stacked np.linalg.eigvalsh calls of EIG_CHUNK Gram matrices
+    each; every matrix is factored on its own, so no value depends on the chunk.
     """
     n = int(trials)
     z = substream_normals(seed, first_stream, n, (2, model.nr, model.nt))
     h, hind = from_normals(model, z)
-    # dropped before the eigendecomposition loop, so its scratch does not stack on them
+    # dropped before the eigenvalue loop, so its scratch does not stack on them
     del z
     ind_col_power = _column_powers(hind)
     del hind
-    eigvals = np.empty((n, model.nt))
+    lam_max = np.empty(n)
     for lo in range(0, n, EIG_CHUNK):
         chunk = h[lo : lo + EIG_CHUNK]
-        eig = hermitian_eig(np.swapaxes(chunk.conj(), -1, -2) @ chunk)
-        eigvals[lo : lo + EIG_CHUNK] = np.maximum(eig.values, 0.0)
-    return TrialBatch(h=h, eigvals=eigvals, ind_col_power=ind_col_power)
+        lam_max[lo : lo + EIG_CHUNK] = np.linalg.eigvalsh(np.swapaxes(chunk.conj(), -1, -2) @ chunk)[:, -1]
+    return TrialBatch(h=h, lam_max=np.maximum(lam_max, 0.0, out=lam_max), ind_col_power=ind_col_power)
 
 
 def project_scaled_simplex(v, total):
@@ -250,7 +252,7 @@ def scheme_block_mi(config, scheme, batch):
     rhos = [rho_from_db(s) for s in grid]
     nt, k, nc = config.model.nt, config.k, config.nc
     if scheme == "perfect":
-        return np.vstack([perfect_csi_mi(batch.eigvals[:, 0], rho, 2 * nc, nc, evaluator)
+        return np.vstack([perfect_csi_mi(batch.lam_max, rho, 2 * nc, nc, evaluator)
                           for rho in rhos])
     if scheme in STATISTICAL_SCHEMES:
         opt_cols = draw_ind_column_powers(config.model, config.opt_samples, Rng(config.seed, STREAM_OPT))

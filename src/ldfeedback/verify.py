@@ -6,6 +6,7 @@ measured residual or margin. The CLI `verify` subcommand dispatches here;
 the acceptance tests call the same suites, whose sizes are fixed.
 """
 
+import itertools
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -105,12 +106,13 @@ def suite_thm2(seed=DEFAULT_SEED):
     k, nc, rho, channels, qsets = 4, 4, 2.0, 100, 20
     trace = 4 * nc / k
     batch = draw_trials(channel.iid_model(4, 4), channels, seed, first_stream=200)
-    best = perfect_csi_mi(batch.eigvals[:, 0], rho, k, nc, ev)
+    # lmax from the decomposition that gives the beams, clipped at 0 as draw_trials clips it
+    eig = hermitian_eig(np.swapaxes(batch.h.conj(), -1, -2) @ batch.h)
+    best = perfect_csi_mi(np.maximum(eig.values[:, 0], 0.0), rho, k, nc, ev)
     qs = _random_psd(4, rng, np.full(channels * qsets, trace))
     uniform = block_mi(np.repeat(batch.h, qsets, axis=0),
                        np.broadcast_to(qs[:, None], (qs.shape[0], k, 4, 4)), rho, 4, ev)
     worst_bound = float((uniform - np.repeat(best, qsets)).max())
-    eig = hermitian_eig(np.swapaxes(batch.h.conj(), -1, -2) @ batch.h)
     beams = np.array([dispersion.rank_one_set(v, k, nc).covariances() for v in eig.vectors[:, :, 0]])
     worst_achieve = float(np.abs(block_mi(batch.h, beams, rho, 4, ev) - best).max())
     return [
@@ -124,7 +126,7 @@ def suite_thm2(seed=DEFAULT_SEED):
 def suite_thm3(seed=DEFAULT_SEED):
     """Per-realization monotonicity of K*I(rho*Nc/K*lmax) in K, K = 1..2*Nc."""
     nc, draws = 4, 1000
-    lam_max = draw_trials(channel.iid_model(4, 4), draws, seed, first_stream=300).eigvals[:, 0]
+    lam_max = draw_trials(channel.iid_model(4, 4), draws, seed, first_stream=300).lam_max
     results = []
     for const in (Constellation.gaussian(), Constellation.bpsk()):
         ev = MiEvaluator(const)
@@ -200,33 +202,44 @@ def suite_prop2(seed=DEFAULT_SEED):
 
 
 def prop3_gap(a, y):
-    """RHS minus LHS of the max-vs-product-expectation inequality (>= 0 when it holds)."""
-    m, n = a.shape
-    lhs = float(max(np.dot(a[j], y[j]) for j in range(m)))
-    grids = np.meshgrid(*[y[j] for j in range(m)], indexing="ij")
-    ymax = grids[0]
-    for g in grids[1:]:
-        ymax = np.maximum(ymax, g)
-    w = a[0]
+    """RHS minus LHS of the max-vs-product-expectation inequality (>= 0 when it holds), shape (c,).
+
+    a and y are (c, M, N) stacks of instances, each M weight rows and M value
+    rows. The LHS max_j a_j . y_j takes every dot as numpy's 1-D dot (one
+    stacked (1, N) @ (N, 1) product); the RHS sums w * max_j y_j[i_j] over the
+    N^M index grid, w = a_0[i_0] * a_1[i_1] * ... multiplied left to right, one
+    grid row per instance. Both round as the one-instance meshgrid form does.
+    """
+    c, m, n = a.shape
+    lhs = dispersion._row_dots(a.reshape(-1, n), y.reshape(-1, n)).reshape(c, m).max(axis=1)
+    w, ymax = a[:, 0], y[:, 0]
     for j in range(1, m):
-        w = np.multiply.outer(w, a[j])
-    rhs = float((w * ymax).sum())
-    return rhs - lhs
+        shape = (c,) + (1,) * j + (n,)
+        w = w[..., None] * a[:, j].reshape(shape)
+        ymax = np.maximum(ymax[..., None], y[:, j].reshape(shape))
+    return (w * ymax).reshape(c, n**m).sum(axis=1) - lhs
 
 
 def suite_prop3(seed=DEFAULT_SEED):
-    """Brute-force enumeration check of the weighted-max inequality."""
+    """Brute-force enumeration check of the weighted-max inequality, one prop3_gap call per (M, N)."""
     rng = Rng(seed, 71)
-    worst = np.inf
-    for _ in range(1000):
+    count = 1000
+    sizes = np.empty((count, 2), dtype=int)
+    a_all, y_all = np.zeros((count, 4, 4)), np.zeros((count, 4, 4))
+    for i in range(count):
         m = int(rng.gen.integers(1, 5))
         n = int(rng.gen.integers(1, 5))
         a = rng.gen.uniform(size=(m, n)) + 1e-12
-        a /= a.sum(axis=1, keepdims=True)
-        y = rng.gen.normal(scale=3.0, size=(m, n))
-        worst = min(worst, prop3_gap(a, y))
+        a_all[i, :m, :n] = a / a.sum(axis=1, keepdims=True)
+        y_all[i, :m, :n] = rng.gen.normal(scale=3.0, size=(m, n))
+        sizes[i] = m, n
+    worst = np.inf
+    for m, n in itertools.product(range(1, 5), repeat=2):
+        group = (sizes == (m, n)).all(axis=1)
+        gaps = prop3_gap(a_all[group, :m, :n], y_all[group, :m, :n])
+        worst = min(worst, float(gaps.min(initial=np.inf)))
     return [CheckResult("prop3", "brute-force", worst >= -1e-12, worst,
-                        "1000 instances, M <= 4, N <= 4")]
+                        f"{count} instances, M <= 4, N <= 4")]
 
 
 def suite_lemma1(seed=DEFAULT_SEED):
@@ -240,9 +253,8 @@ def suite_lemma1(seed=DEFAULT_SEED):
                                     k=k, nc=nc, nt=nt)
     batch = draw_trials(channel.v4_model(), realizations, seed, first_stream=800)
     smat = codebook.s_matrix(batch.h, cb.unitaries)
-    lam_max = batch.eigvals[:, 0]
-    worst = max(float((codebook.delta_mi(cb, smat, lam_max, rho, ev)
-                       - codebook.delta_snr(cb, smat, lam_max, rho)).max())
+    worst = max(float((codebook.delta_mi(cb, smat, batch.lam_max, rho, ev)
+                       - codebook.delta_snr(cb, smat, batch.lam_max, rho)).max())
                 for rho in (1.0, 10.0))
     return [CheckResult("lemma1", "mi-gap-below-snr-gap", worst <= 1e-9, worst,
                         f"{realizations} V4 realizations, rho in {{1, 10}}")]

@@ -1,10 +1,11 @@
+import json
 import os
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from ldfeedback import cli
+from ldfeedback import cli, verify
 from ldfeedback.dispersion import DispersionSet
 from ldfeedback.errors import ConfigError
 from ldfeedback.matkit import KEY_LIMIT
@@ -382,6 +383,13 @@ class TestVerifyCommand:
         # metrics depend only on the seed, byte for byte
         assert cli.main(["verify", "all", *seed_args]) == 0
         assert capsys.readouterr().out == (DATA_DIR / pinned).read_text()
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 4, 5])
+    def test_metrics_pinned_at_full_precision(self, seed):
+        # the text pins print 3 digits; these are each check's metric as repr
+        pinned = json.loads((DATA_DIR / "verify_metrics.json").read_text())[str(seed)]
+        results = verify.run_suites(list(verify.SUITES), seed=seed)
+        assert {f"{r.suite}/{r.name}": repr(r.metric) for r in results} == pinned
 
     def test_unknown_suite_exit_2(self, capsys):
         assert cli.main(["verify", "nonsense"]) == 2

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -62,12 +64,12 @@ def snr_rule(cb, batch):
 
 def snr_gap(cb, batch, rho):
     """delta_snr of a codebook on every trial of a batch."""
-    return delta_snr(cb, s_matrix(batch.h, cb.unitaries), batch.eigvals[:, 0], rho)
+    return delta_snr(cb, s_matrix(batch.h, cb.unitaries), batch.lam_max, rho)
 
 
 def mi_gap(cb, batch, rho, ev):
     """delta_mi of a codebook on every trial of a batch."""
-    return delta_mi(cb, s_matrix(batch.h, cb.unitaries), batch.eigvals[:, 0], rho, ev)
+    return delta_mi(cb, s_matrix(batch.h, cb.unitaries), batch.lam_max, rho, ev)
 
 
 class TestRvqCodebook:
@@ -101,7 +103,32 @@ class TestRvqCodebook:
                               lambdas=[np.full(4, 2.0)], k=4, nc=4, nt=4)
 
 
+def rank_two_lambdas_by_uniform(count, n2, nt, nc, k, rng):
+    """random_rank_two_lambdas as it was written before: one uniform() draw per split."""
+    budget = nt * nc / k
+    pairs = list(itertools.combinations(range(nt), 2))
+    sets = np.zeros((count, n2, nt))
+    for lam in sets.reshape(-1, nt):
+        p0, p1 = pairs[int(rng.gen.integers(len(pairs)))]
+        w = float(rng.gen.uniform())
+        lam[p0] = w * budget
+        lam[p1] = (1.0 - w) * budget
+    return sets
+
+
 class TestRandomRankTwo:
+    @given(count=st.integers(1, 20), n2=st.integers(1, 4), nt=st.integers(2, 6),
+           seed=st.integers(0, 2**64 - 1))
+    @settings(deadline=None)
+    def test_matches_uniform_form(self, count, n2, nt, seed):
+        # random() and uniform(0, 1) give the same bits and leave the stream at the
+        # same place, so the next draws of either kind agree too
+        rng, ref = Rng(seed, 5), Rng(seed, 5)
+        assert np.array_equal(random_rank_two_lambdas(count, n2, nt, 4, 4, rng),
+                              rank_two_lambdas_by_uniform(count, n2, nt, 4, 4, ref))
+        assert np.array_equal(rng.gen.integers(6, size=3), ref.gen.integers(6, size=3))
+        assert np.array_equal(rng.gen.random(3), ref.gen.random(3))
+
     def test_trace_and_support(self):
         sets = random_rank_two_lambdas(50, 2, 4, 4, 4, Rng(2, 0))
         assert len(sets) == 50
@@ -138,7 +165,7 @@ class TestSMatrix:
         batch = realization(1)
         s = s_matrix(batch.h, [haar_unitary(4, Rng(3, 0))])[0, 0]
         assert abs(s.sum() - np.vdot(batch.h, batch.h).real) <= 1e-10
-        assert s.max() <= batch.eigvals[0, 0] + 1e-10
+        assert s.max() <= batch.lam_max[0] + 1e-10
 
     def test_matches_definition_through_eigen_factor(self):
         # oracle: squared column norms of Lh^(1/2) Uh^H U
@@ -177,7 +204,7 @@ class TestSelectMi:
             batch = realization(stream)
             cb = codebook_with_eigenbasis(batch)
             value = mi_rule(cb, batch, 2.0, ev)
-            expect = cb.k * ev.mi(2.0 * cb.nc / cb.k * batch.eigvals[0, 0])
+            expect = cb.k * ev.mi(2.0 * cb.nc / cb.k * batch.lam_max[0])
             assert value[0] == pytest.approx(expect, rel=1e-12)
 
     def test_zero_snr_tie_break(self):
@@ -426,6 +453,21 @@ class TestProp2CodebookLevel:
         assert (block_mi(batch.h, qs, 1.0, 4, ev) <= block_mi(batch.h, qhat, 1.0, 4, ev) + 1e-9).all()
 
 
+def prop3_gap_meshgrid(a, y):
+    """prop3_gap of one (M, N) instance in the per-instance meshgrid form the stacked one replaced."""
+    m, n = a.shape
+    lhs = float(max(np.dot(a[j], y[j]) for j in range(m)))
+    grids = np.meshgrid(*[y[j] for j in range(m)], indexing="ij")
+    ymax = grids[0]
+    for g in grids[1:]:
+        ymax = np.maximum(ymax, g)
+    w = a[0]
+    for j in range(1, m):
+        w = np.multiply.outer(w, a[j])
+    rhs = float((w * ymax).sum())
+    return rhs - lhs
+
+
 class TestProp3:
     def test_brute_force_small_instances(self):
         rng = Rng(9, 0)
@@ -435,10 +477,22 @@ class TestProp3:
             a = rng.gen.uniform(size=(m, n)) + 1e-12
             a /= a.sum(axis=1, keepdims=True)
             y = rng.gen.normal(scale=3.0, size=(m, n))
-            assert prop3_gap(a, y) >= -1e-12
+            assert prop3_gap(a[None], y[None])[0] >= -1e-12
 
     def test_equality_at_single_row(self):
         a = np.array([[0.25, 0.75]])
         y = np.array([[1.0, -2.0]])
-        assert prop3_gap(a, y) == pytest.approx(0.0, abs=1e-15)
+        assert prop3_gap(a[None], y[None])[0] == pytest.approx(0.0, abs=1e-15)
 
+    @given(m=st.integers(1, 4), n=st.integers(1, 4), count=st.integers(1, 8),
+           seed=st.integers(0, 2**64 - 1))
+    @settings(deadline=None)
+    def test_stack_equals_meshgrid_form(self, m, n, count, seed):
+        gen = Rng(seed, 0).gen
+        a = gen.uniform(size=(count, m, n)) + 1e-12
+        a /= a.sum(axis=-1, keepdims=True)
+        y = gen.normal(scale=3.0, size=(count, m, n))
+        gaps = prop3_gap(a, y)
+        assert gaps.shape == (count,)
+        for i in range(count):
+            assert gaps[i] == prop3_gap_meshgrid(a[i], y[i])

@@ -274,7 +274,16 @@ class TestTable:
         projected = np.minimum(np.maximum.accumulate(quad), table.ln_m)
         assert np.abs(projected - quad).max() <= 2 * np.spacing(table.ln_m)
         assert np.array_equal(ev.mi(table.knots), projected)
-        assert np.array_equal(ev.mmse(table.knots), ev.reference_mmse(table.knots))
+        assert np.array_equal(ev.mmse(table.knots), np.maximum(ev.reference_mmse(table.knots), 0.0))
+
+    def test_pam8_mmse_never_negative(self):
+        # the quadrature's 1 - E[E[x | y]^2] reads -2.2e-16 at saturated PAM8 knots;
+        # the table stores 0 there, so neither those knots nor the intervals they start go negative
+        ev = make_eval("pam8")
+        knots = ev._table().knots
+        assert (ev.reference_mmse(knots) < 0).any()
+        assert (ev.mmse(knots) >= 0).all()
+        assert (ev.mmse(np.linspace(0.6 * knots[-1], knots[-1], 100_000)) >= 0).all()
 
     @pytest.mark.parametrize("kind", TABLE_KINDS)
     def test_interpolant_non_decreasing(self, kind):

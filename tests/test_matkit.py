@@ -166,6 +166,7 @@ class TestSubstreamNormals:
         n=st.integers(0, 20),
     )
     @example(seed=5, first_stream=KEY_LIMIT - 1, n=2)
+    @example(seed=5, first_stream=0, n=0)
     @settings(deadline=None)
     def test_rows_equal_rng_draws(self, shape, seed, first_stream, n):
         z = substream_normals(seed, first_stream, n, shape)

@@ -76,12 +76,12 @@ def snr_rule_values(cb, batch):
 
 def snr_gap(cb, batch, rho):
     """delta_snr of a codebook on every trial of a batch."""
-    return delta_snr(cb, s_matrix(batch.h, cb.unitaries), batch.eigvals[:, 0], rho)
+    return delta_snr(cb, s_matrix(batch.h, cb.unitaries), batch.lam_max, rho)
 
 
 def mi_gap(cb, batch, rho, ev):
     """delta_mi of a codebook on every trial of a batch."""
-    return delta_mi(cb, s_matrix(batch.h, cb.unitaries), batch.eigvals[:, 0], rho, ev)
+    return delta_mi(cb, s_matrix(batch.h, cb.unitaries), batch.lam_max, rho, ev)
 
 
 class TestProjection:
@@ -164,7 +164,7 @@ class TestRun:
         rows = scheme_block_mi(config, "perfect", batch)
         for idx, snr in enumerate(config.snr_grid_db):
             rho = 10.0 ** (snr / 10.0)
-            expect = config.nc * np.log1p(rho * batch.eigvals[:, 0])
+            expect = config.nc * np.log1p(rho * batch.lam_max)
             assert np.allclose(rows[idx], expect, rtol=1e-12)
 
     def test_single_trial_deterministic(self):
@@ -443,7 +443,7 @@ class TestRankTwoTournament:
 class TestStackedMatchesSingle:
     """Row t of a stacked evaluation equals the n = 1 evaluation of trial t, bit for bit.
 
-    The eigendecomposition runs in chunks of 7 here, so 25 trials leave a
+    draw_trials' eigenvalue call runs in chunks of 7 here, so 25 trials leave a
     partial last chunk. Both the Gaussian kernel and the BPSK table are
     elementwise.
     """
@@ -462,18 +462,23 @@ class TestStackedMatchesSingle:
                                k=4, nc=4, nt=4)
         return batch, singles, cb
 
-    def test_hermitian_eig(self, trials, monkeypatch):
+    def test_hermitian_eig(self, trials):
         batch, singles, _ = trials
         grams = np.swapaxes(batch.h.conj(), -1, -2) @ batch.h
         stacked = hermitian_eig(grams)
         for t, one in enumerate(singles):
             assert np.array_equal(batch.h[t], one.h[0])
-            assert np.array_equal(batch.eigvals[t], one.eigvals[0])
             alone = hermitian_eig(grams[t])
             assert np.array_equal(stacked.values[t], alone.values)
             assert np.array_equal(stacked.vectors[t], alone.vectors)
+
+    def test_lam_max(self, trials, monkeypatch):
+        # chunks of 7, one chunk of 4096 and one trial per call give the same bits
+        batch, singles, _ = trials
+        for t, one in enumerate(singles):
+            assert np.array_equal(batch.lam_max[t], one.lam_max[0])
         monkeypatch.setattr(simengine, "EIG_CHUNK", 4096)
-        assert np.array_equal(draw_trials(v4_model(), self.TRIALS, 4242).eigvals, batch.eigvals)
+        assert np.array_equal(draw_trials(v4_model(), self.TRIALS, 4242).lam_max, batch.lam_max)
 
     def test_mi_rule(self, trials):
         batch, singles, cb = trials
@@ -589,7 +594,7 @@ class TestAvgReceivedSnr:
             scale = rho * config.nc / config.k
             received = float((scale * snr_rule_values(cb, batch)).mean())
             gap = float(snr_gap(cb, batch, rho).mean())
-            cap = scale * batch.eigvals[:, 0].mean()
+            cap = scale * batch.lam_max.mean()
             assert received <= cap + 1e-9
             assert gap >= -1e-12
             assert received + gap == pytest.approx(cap, rel=1e-12)
