@@ -57,24 +57,21 @@ class CorrelationModel:
         )
 
 
-@dataclass(frozen=True)
-class ChannelRealization:
-    """One channel draw: h together with the independent-entry factor hind."""
-
-    h: np.ndarray
-    hind: np.ndarray
+def custom_model(vmask, ut=None, ur=None):
+    """Model from an explicit variance mask (identity eigenbases by default)."""
+    vmask = np.asarray(vmask, dtype=float)
+    nr, nt = vmask.shape
+    if ut is None:
+        ut = np.eye(nt, dtype=np.complex128)
+    if ur is None:
+        ur = np.eye(nr, dtype=np.complex128)
+    return CorrelationModel(nt=nt, nr=nr, ut=np.asarray(ut), ur=np.asarray(ur), vmask=vmask)
 
 
 def iid_model(nt, nr):
     """The i.i.d. CN(0,1)-entries model (identity eigenbases, all-ones mask)."""
     check_antennas(nt, nr)
-    return CorrelationModel(
-        nt=nt,
-        nr=nr,
-        ut=np.eye(nt, dtype=np.complex128),
-        ur=np.eye(nr, dtype=np.complex128),
-        vmask=np.ones((nr, nt)),
-    )
+    return custom_model(np.ones((nr, nt)))
 
 
 def v4_model():
@@ -91,24 +88,7 @@ def v4_model():
             [0.0, 0.0, 0.4, 0.4],
         ]
     )
-    return CorrelationModel(
-        nt=4,
-        nr=4,
-        ut=np.eye(4, dtype=np.complex128),
-        ur=np.eye(4, dtype=np.complex128),
-        vmask=(16.0 / 2.6) * raw,
-    )
-
-
-def custom_model(vmask, ut=None, ur=None):
-    """Model from an explicit variance mask (identity eigenbases by default)."""
-    vmask = np.asarray(vmask, dtype=float)
-    nr, nt = vmask.shape
-    if ut is None:
-        ut = np.eye(nt, dtype=np.complex128)
-    if ur is None:
-        ur = np.eye(nr, dtype=np.complex128)
-    return CorrelationModel(nt=nt, nr=nr, ut=np.asarray(ut), ur=np.asarray(ur), vmask=vmask)
+    return custom_model((16.0 / 2.6) * raw)
 
 
 def from_normals(model, z):
@@ -126,6 +106,5 @@ def from_normals(model, z):
 
 
 def sample(model, rng):
-    """One channel realization, the n = 1 call of from_normals (the library draws with draw_trials)."""
-    h, hind = from_normals(model, rng.gen.standard_normal((1, 2, model.nr, model.nt)))
-    return ChannelRealization(h=h[0], hind=hind[0])
+    """One channel draw as from_normals' n = 1 stacks (h, hind) (the library draws with draw_trials)."""
+    return from_normals(model, rng.gen.standard_normal((1, 2, model.nr, model.nt)))

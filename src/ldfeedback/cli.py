@@ -239,6 +239,15 @@ def render_svg(rows, xmin=None, xmax=None, ymin=None, ymax=None):
     return "\n".join(parts) + "\n"
 
 
+def _read(path):
+    """The file at path as UTF-8 text; a file that cannot be read or decoded is a ConfigError."""
+    try:
+        with open(path, encoding="utf-8") as f:
+            return f.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read {path}: {exc}") from exc
+
+
 def _write(path, text):
     try:
         with open(path, "w") as f:
@@ -248,8 +257,7 @@ def _write(path, text):
 
 
 def cmd_simulate(args):
-    with open(args.config) as f:
-        values = parse_config_text(f.read(), path=args.config)
+    values = parse_config_text(_read(args.config), path=args.config)
     curves = simengine.run(build_experiment(values, cli_seed=args.seed))
     _write(args.output, curves_to_csv(curves))
     return 0
@@ -299,8 +307,7 @@ def cmd_plot(args):
         value = getattr(args, name)
         if value is not None and not np.isfinite(value):
             raise ConfigError(f"--{name} must be finite, got {value}")
-    with open(args.csv) as f:
-        rows = parse_csv(f.read())
+    rows = parse_csv(_read(args.csv))
     svg = render_svg(rows, xmin=args.xmin, xmax=args.xmax, ymin=args.ymin, ymax=args.ymax)
     _write(args.output, svg)
     return 0

@@ -173,26 +173,24 @@ def select_snr(smat, lambdas, k, nt, nc):
     return _codeword_max(smat, lambdas * (k / (nt * nc)))
 
 
-def delta_snr(cb, smat, lam_max, rho):
+def delta_snr(smat, lambdas, lam_max, rho, k, nt, nc):
     """Per-symbol received-SNR gap rho*Nc/K * (lam_max - selected weighted power), shape (n,).
 
-    smat (n, N1, Nt) is s_matrix(h, cb.unitaries) and lam_max (n,) the
-    largest eigenvalue of each H^H H. Uses the snr-rule selection;
-    non-negative because lam_max dominates every convex combination of the
-    per-mode powers.
+    smat (n, N1, Nt) and lambdas (N2, Nt) are as in select_snr and lam_max
+    (n,) is the largest eigenvalue of each H^H H. Uses the snr-rule
+    selection; non-negative because lam_max dominates every convex
+    combination of the per-mode powers.
     """
-    value = select_snr(smat, cb.lambdas, cb.k, cb.nt, cb.nc)
-    return rho * cb.nc / cb.k * (lam_max - value)
+    return rho * nc / k * (lam_max - select_snr(smat, lambdas, k, nt, nc))
 
 
-def delta_mi(cb, smat, lam_max, rho, evaluator):
+def delta_mi(smat, lambdas, lam_max, rho, k, nt, nc, evaluator):
     """Per-symbol mutual-information gap against the perfect-CSI benchmark, shape (n,).
 
-    smat and lam_max are as in delta_snr. Uses the mi-rule selection.
+    The arguments are as in delta_snr. Uses the mi-rule selection.
     Normalizing the block gap by K puts this on the same per-symbol scale as
     delta_snr, which is what makes the bound delta_mi <= delta_snr hold for
     every realization (the MMSE never exceeds the unit prior variance).
     """
-    best = perfect_csi_mi(lam_max, rho, cb.k, cb.nc, evaluator)
-    return (best - select_mi(smat, cb.lambdas, rho, cb.k, cb.nt, evaluator)) / cb.k
-
+    best = perfect_csi_mi(lam_max, rho, k, nc, evaluator)
+    return (best - select_mi(smat, lambdas, rho, k, nt, evaluator)) / k

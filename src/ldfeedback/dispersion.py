@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InfeasibleError, PreconditionError
-from .matkit import haar_unitary
+from .matkit import haar_unitaries
 
 GOC_TOL = 1e-10
 POWER_TOL = 1e-9
@@ -159,23 +159,26 @@ def statistical_set(lambda_diag, k, nc, rng):
             f"r*K = {r * k} exceeds Nc = {nc}; only the r*K <= Nc construction is implemented"
         )
     # symbol s takes columns s*r .. (s+1)*r - 1 of the unitary, disjoint across symbols
-    cols = haar_unitary(nc, rng)[:, : k * r].T.conj().reshape(k, r, nc)
+    cols = haar_unitaries(1, nc, rng)[0, :, : k * r].T.conj().reshape(k, r, nc)
     mats = np.zeros((k, nt, nc), dtype=np.complex128)
     mats[:, modes, :] = np.sqrt(lam[modes])[:, None] * cols
     return _verified(DispersionSet(nt=nt, nc=nc, k=k, mats=mats))
 
 
 def decoupling_residual(h, dset):
-    """Worst pairwise overlap of the received waveforms H A_k for one Nr x Nt channel h.
+    """Worst pairwise overlap of the received waveforms H A_k for each channel of an (n, Nr, Nt) stack.
 
-    Returns max over k != j of |Re Tr(H A_k A_j^H H^H)|, which is zero for
-    every H exactly when the orthogonality constraint holds.
+    Entry t of the (n,) result is max over k != j of |Re Tr(H_t A_k A_j^H H_t^H)|,
+    which is zero for every H exactly when the orthogonality constraint holds
+    (0 for K = 1). The pairs k < j are indexed once for the whole stack.
     """
-    if h.shape[1] != dset.nt:
-        raise PreconditionError(f"channel has {h.shape[1]} tx antennas, set has {dset.nt}")
+    if h.ndim != 3 or h.shape[2] != dset.nt:
+        raise PreconditionError(f"channel stack must be (n, Nr, {dset.nt}), got shape {h.shape}")
     ks, js = np.triu_indices(dset.k, 1)
-    waves = (h @ dset.mats).reshape(dset.k, -1)
-    return float(np.abs(_row_dots(waves[js].conj(), waves[ks]).real).max(initial=0.0))
+    n, length = len(h), h.shape[1] * dset.nc
+    waves = (h[:, None] @ dset.mats).reshape(n, dset.k, length)
+    dots = _row_dots(waves[:, js].reshape(-1, length).conj(), waves[:, ks].reshape(-1, length))
+    return np.abs(dots.real.reshape(n, ks.size)).max(axis=1, initial=0.0)
 
 
 def format_complex(z):

@@ -1,7 +1,7 @@
 """Minimal dense complex matrix kit.
 
 Stacked Hermitian eigendecomposition with a fixed ordering/phase
-convention, Haar-distributed random unitaries, the one unitarity check,
+convention, stacks of Haar-distributed unitaries, the one unitarity check,
 and the deterministic Philox substreams the Monte Carlo layers build on:
 Rng for one-off streams and substream_normals, which fills one row per
 substream of a window by re-keying a single generator. Channel entries
@@ -120,16 +120,17 @@ def check_unitary(u, n, name):
         raise PreconditionError(f"{name} is not unitary (residual {resid:.3e})")
 
 
-def haar_unitary(n, rng):
-    """Haar-distributed n x n unitary.
+def haar_unitaries(count, n, rng):
+    """(count, n, n) stack of independent Haar-distributed n x n unitaries.
 
-    QR of an i.i.d. complex Gaussian matrix with the column phases fixed so
+    QR of i.i.d. complex Gaussian matrices with the column phases fixed so
     that diag(R) is real positive, which makes the distribution exactly Haar.
+    Matrix t takes the real then the imaginary (n, n) normals after those of
+    matrix t - 1, so the stack equals count successive one-matrix draws.
     """
     if n < 1:
-        raise PreconditionError("haar_unitary needs n >= 1")
-    z = (rng.gen.standard_normal((n, n)) + 1j * rng.gen.standard_normal((n, n))) / math.sqrt(2.0)
-    q, r = np.linalg.qr(z)
-    d = np.diagonal(r)
-    q = q * (d / np.abs(d))
-    return q
+        raise PreconditionError("haar_unitaries needs n >= 1")
+    z = rng.gen.standard_normal((count, 2, n, n))
+    q, r = np.linalg.qr((z[:, 0] + 1j * z[:, 1]) / math.sqrt(2.0))
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (d / np.abs(d))[:, None, :]

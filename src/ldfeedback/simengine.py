@@ -22,7 +22,7 @@ from .codebook import check_rank_two, check_split, random_rank_two_lambdas, s_ma
 from .dispersion import check_symbols
 from .errors import PreconditionError
 from .infotheory import LN2, MiEvaluator, perfect_csi_mi
-from .matkit import Rng, haar_unitary, substream_normals
+from .matkit import Rng, haar_unitaries, substream_normals
 
 # Flat stream-index namespace: trials take 0..trials-1, internal draws sit high.
 STREAM_CODEBOOK = 1 << 48
@@ -149,8 +149,8 @@ def draw_trials(model, trials, seed, first_stream=0):
 
     matkit.substream_normals fills row i of one standard-normal buffer from
     substream (seed, first_stream + i), and channel.from_normals turns the
-    whole stack into channels at once. Row i therefore equals
-    channel.sample(model, Rng(seed, first_stream + i)) bit for bit, whatever
+    whole stack into channels at once. Row i therefore equals the n = 1
+    stack channel.sample(model, Rng(seed, first_stream + i)) bit for bit, whatever
     the window [first_stream, first_stream + trials) it is drawn in. lam_max
     comes from stacked np.linalg.eigvalsh calls of EIG_CHUNK Gram matrices
     each; every matrix is factored on its own, so no value depends on the chunk.
@@ -334,8 +334,7 @@ def run(config):
 
 def default_unitaries(config):
     """The experiment's config.n1 RVQ unitaries, drawn from the run seed."""
-    rng = Rng(config.seed, STREAM_CODEBOOK)
-    return [haar_unitary(config.model.nt, rng) for _ in range(config.n1)]
+    return haar_unitaries(config.n1, config.model.nt, Rng(config.seed, STREAM_CODEBOOK))
 
 
 def best_rank_one_codebook(config, smat):

@@ -14,7 +14,7 @@ import numpy as np
 from . import channel, codebook, dispersion
 from .errors import InfeasibleError
 from .infotheory import Constellation, MiEvaluator, block_mi, perfect_csi_mi
-from .matkit import Rng, haar_unitary, hermitian_eig
+from .matkit import Rng, haar_unitaries, hermitian_eig
 from .simengine import draw_trials
 
 DEFAULT_SEED = 20180417
@@ -145,7 +145,7 @@ def suite_thm4(seed=DEFAULT_SEED):
     nt, nc, k, rho = 4, 4, 4, 2.0
     n1, n2, realizations, competitors = 4, 4, 1000, 20
     rng = Rng(seed, 41)
-    unitaries = [haar_unitary(nt, rng) for _ in range(n1)]
+    unitaries = haar_unitaries(n1, nt, rng)
     budget = nt * nc / k
     batch = draw_trials(channel.iid_model(4, 4), realizations, seed, first_stream=400)
     # per competitor, n2 * nt weights then n2 scales in [0.5, 1): the stream order of
@@ -167,7 +167,7 @@ def suite_thm5(seed=DEFAULT_SEED):
     """snr-rule objective is capped by max_im s_im and rank-one codebooks reach the cap."""
     nt, nc, k, realizations = 4, 4, 4, 500
     rng = Rng(seed, 51)
-    unitaries = [haar_unitary(nt, rng) for _ in range(4)]
+    unitaries = haar_unitaries(4, nt, rng)
     budget = nt * nc / k
     batch = draw_trials(channel.v4_model(), realizations, seed, first_stream=500)
     lamsets = codebook.random_rank_two_lambdas(3 * realizations, 4, nt, nc, k, rng)
@@ -247,14 +247,14 @@ def suite_lemma1(seed=DEFAULT_SEED):
     ev = MiEvaluator(Constellation.gaussian())
     nt, nc, k, realizations = 4, 4, 4, 10000
     rng = Rng(seed, 81)
-    unitaries = [haar_unitary(nt, rng) for _ in range(4)]
+    unitaries = haar_unitaries(4, nt, rng)
     lambdas = codebook.random_rank_two_lambdas(1, 1, nt, nc, k, rng)[0]
     cb = codebook.QuantizedCodebook(b=2, n1=4, n2=1, unitaries=unitaries, lambdas=lambdas,
                                     k=k, nc=nc, nt=nt)
     batch = draw_trials(channel.v4_model(), realizations, seed, first_stream=800)
     smat = codebook.s_matrix(batch.h, cb.unitaries)
-    worst = max(float((codebook.delta_mi(cb, smat, batch.lam_max, rho, ev)
-                       - codebook.delta_snr(cb, smat, batch.lam_max, rho)).max())
+    worst = max(float((codebook.delta_mi(smat, cb.lambdas, batch.lam_max, rho, k, nt, nc, ev)
+                       - codebook.delta_snr(smat, cb.lambdas, batch.lam_max, rho, k, nt, nc)).max())
                 for rho in (1.0, 10.0))
     return [CheckResult("lemma1", "mi-gap-below-snr-gap", worst <= 1e-9, worst,
                         f"{realizations} V4 realizations, rho in {{1, 10}}")]
@@ -311,7 +311,7 @@ def suite_goc(seed=DEFAULT_SEED, mutate=False):
     for name, dset in sets.items():
         ok, resid = dispersion.check_goc(dset)
         results.append(CheckResult("goc", f"{name}-constraint", ok, resid))
-        worst = max(dispersion.decoupling_residual(h, dset) for h in batch.h)
+        worst = float(dispersion.decoupling_residual(batch.h, dset).max())
         results.append(CheckResult("goc", f"{name}-decoupling", worst <= 1e-10, worst,
                                    "100 random channels"))
     return results

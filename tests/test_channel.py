@@ -8,7 +8,7 @@ from scipy.stats import ks_2samp
 from ldfeedback import matkit, simengine
 from ldfeedback.channel import CorrelationModel, custom_model, from_normals, iid_model, sample, v4_model
 from ldfeedback.errors import PreconditionError
-from ldfeedback.matkit import Rng, haar_unitary, hermitian_eig
+from ldfeedback.matkit import Rng, haar_unitaries, hermitian_eig
 from ldfeedback.simengine import draw_trials
 
 
@@ -33,10 +33,10 @@ class TestV4:
         m = v4_model()
         assert m.vmask[0, 1] == 0.0
         for _ in range(5):
-            real = sample(m, Rng(3, 0))
-            assert real.hind[0, 1] == 0
+            hind = sample(m, Rng(3, 0))[1][0]
+            assert hind[0, 1] == 0
             # and only those: every positive-variance entry is drawn
-            assert np.array_equal(real.hind != 0, m.vmask > 0)
+            assert np.array_equal(hind != 0, m.vmask > 0)
 
     def test_scaled_entry(self):
         assert abs(v4_model().vmask[0, 2] - 16.0 * 0.4 / 2.6) <= 1e-12
@@ -76,21 +76,20 @@ class TestModelValidation:
 
 class TestSampling:
     def test_decomposition_holds_with_rotated_bases(self):
-        ut = haar_unitary(3, Rng(1, 0))
-        ur = haar_unitary(2, Rng(1, 1))
+        ut = haar_unitaries(1, 3, Rng(1, 0))[0]
+        ur = haar_unitaries(1, 2, Rng(1, 1))[0]
         model = custom_model(np.full((2, 3), 1.0), ut=ut, ur=ur)
         for stream in range(20):
-            real = sample(model, Rng(2, stream))
-            assert np.linalg.norm(real.h - ur @ real.hind @ ut.conj().T) <= 1e-12
+            h, hind = sample(model, Rng(2, stream))
+            assert h.shape == hind.shape == (1, 2, 3)
+            assert np.linalg.norm(h[0] - ur @ hind[0] @ ut.conj().T) <= 1e-12
 
     def test_trace_normalization_monte_carlo(self):
+        # one block of normals: the same bits as draws successive sample() calls
         model = iid_model(2, 2)
-        rng = Rng(17, 0)
         draws = 100_000
-        traces = np.empty(draws)
-        for i in range(draws):
-            real = sample(model, rng)
-            traces[i] = np.vdot(real.h, real.h).real
+        h = from_normals(model, Rng(17, 0).gen.standard_normal((draws, 2, 2, 2)))[0]
+        traces = np.array([np.vdot(x, x).real for x in h])
         se = traces.std(ddof=1) / math.sqrt(draws)
         assert abs(traces.mean() - 4.0) <= 3 * se
 
@@ -110,12 +109,9 @@ class TestSampling:
 
     def test_entry_variances_match_mask(self):
         model = v4_model()
-        rng = Rng(23, 0)
         draws = 10_000
-        acc = np.zeros((4, 4))
-        for _ in range(draws):
-            acc += np.abs(sample(model, rng).hind) ** 2
-        mean = acc / draws
+        hind = from_normals(model, Rng(23, 0).gen.standard_normal((draws, 2, 4, 4)))[1]
+        mean = (np.abs(hind) ** 2).sum(axis=0) / draws
         # |hind_ij|^2 is exponential with mean v and std v
         se = model.vmask / math.sqrt(draws)
         assert (np.abs(mean - model.vmask) <= 3 * se + 1e-12).all()
@@ -123,7 +119,7 @@ class TestSampling:
     def test_lambda_max_dominates_average(self):
         model = iid_model(4, 4)
         for stream in range(100):
-            h = sample(model, Rng(29, stream)).h
+            h = sample(model, Rng(29, stream))[0][0]
             gram = h.conj().T @ h
             lam_max = np.linalg.eigvalsh(gram)[-1]
             assert lam_max >= gram.trace().real / 4 - 1e-12
@@ -131,16 +127,12 @@ class TestSampling:
     def test_rotation_invariance_of_iid_law(self):
         # eigenvalue distribution of H^H H is unchanged by a fixed tx rotation
         base = iid_model(2, 2)
-        rotated = custom_model(np.ones((2, 2)), ut=haar_unitary(2, Rng(31, 0)))
+        rotated = custom_model(np.ones((2, 2)), ut=haar_unitaries(1, 2, Rng(31, 0))[0])
         draws = 10_000
-        lam_a = np.empty(draws)
-        lam_b = np.empty(draws)
-        rng_a, rng_b = Rng(37, 0), Rng(41, 0)
-        for i in range(draws):
-            ha = sample(base, rng_a).h
-            hb = sample(rotated, rng_b).h
-            lam_a[i] = np.linalg.eigvalsh(ha.conj().T @ ha)[-1]
-            lam_b[i] = np.linalg.eigvalsh(hb.conj().T @ hb)[-1]
+        ha = from_normals(base, Rng(37, 0).gen.standard_normal((draws, 2, 2, 2)))[0]
+        hb = from_normals(rotated, Rng(41, 0).gen.standard_normal((draws, 2, 2, 2)))[0]
+        lam_a = np.linalg.eigvalsh(np.swapaxes(ha.conj(), -1, -2) @ ha)[:, -1]
+        lam_b = np.linalg.eigvalsh(np.swapaxes(hb.conj(), -1, -2) @ hb)[:, -1]
         assert ks_2samp(lam_a, lam_b).pvalue > 1e-3
         pooled_se = math.sqrt(lam_a.var(ddof=1) / draws + lam_b.var(ddof=1) / draws)
         assert abs(lam_a.mean() - lam_b.mean()) <= 3 * pooled_se
@@ -149,7 +141,7 @@ class TestSampling:
 def haar_model():
     """3 tx, 2 rx, uneven mask summing to 6, Haar eigenbases on both sides."""
     vmask = np.array([[2.0, 1.0, 0.0], [0.5, 1.5, 1.0]])
-    return custom_model(vmask, ut=haar_unitary(3, Rng(43, 0)), ur=haar_unitary(2, Rng(43, 1)))
+    return custom_model(vmask, ut=haar_unitaries(1, 3, Rng(43, 0))[0], ur=haar_unitaries(1, 2, Rng(43, 1))[0])
 
 
 BATCH_MODELS = {"iid2x2": lambda: iid_model(2, 2), "v4": v4_model, "haar": haar_model}
@@ -161,9 +153,9 @@ class TestBatchedDraw:
         model = BATCH_MODELS[name]()
         batch = draw_trials(model, 12, 47, first_stream=3)
         for i in range(12):
-            real = sample(model, Rng(47, 3 + i))
-            assert np.array_equal(batch.h[i], real.h)
-            assert np.array_equal(batch.ind_col_power[i], (np.abs(real.hind) ** 2).sum(axis=0))
+            h, hind = sample(model, Rng(47, 3 + i))
+            assert np.array_equal(batch.h[i], h[0])
+            assert np.array_equal(batch.ind_col_power[i], (np.abs(hind[0]) ** 2).sum(axis=0))
 
     def test_window_equals_rows_of_longer_draw(self, name):
         model = BATCH_MODELS[name]()
@@ -185,7 +177,7 @@ def test_draw_trials_builds_no_rng(monkeypatch):
     # one re-keyed generator serves every trial: an Rng per trial is the cost it replaced
     model = iid_model(2, 2)
     n = simengine.EIG_CHUNK + 1
-    last = sample(model, Rng(61, n - 1))
+    last = sample(model, Rng(61, n - 1))[0][0]
 
     def no_rng(*args, **kwargs):
         raise AssertionError("draw_trials built an Rng")
@@ -194,7 +186,7 @@ def test_draw_trials_builds_no_rng(monkeypatch):
     monkeypatch.setattr(matkit, "Rng", no_rng)
     batch = draw_trials(model, n, 61)
     assert batch.h.shape == (n, 2, 2)
-    assert np.array_equal(batch.h[-1], last.h)
+    assert np.array_equal(batch.h[-1], last)
 
 
 @pytest.mark.parametrize("model", [iid_model(4, 4), v4_model()], ids=["iid4x4", "v4"])

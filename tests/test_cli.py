@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -459,6 +461,25 @@ class TestPlot:
     def test_empty_body_exit_2(self, tmp_path):
         csv = write(tmp_path, "empty.csv", "snr_db,scheme,mi_bits_per_use,stderr,trials\n")
         assert cli.main(["plot", csv, "-o", str(tmp_path / "x.svg")]) == 2
+
+
+@pytest.mark.parametrize("command, text", [
+    ("simulate", SMALL_CFG.replace("trials = 20", "trials = 1")),
+    ("plot", TestPlot.CSV),
+], ids=["simulate-config", "plot-csv"])
+def test_non_utf8_input_exit_2_without_traceback(tmp_path, command, text):
+    # byte 0xff never occurs in UTF-8; the command runs as a fresh process, so an
+    # uncaught exception would show as a traceback on stderr and exit 1
+    src = tmp_path / "input.txt"
+    src.write_bytes(text.encode() + b"# \xff\n")
+    out = tmp_path / "out"
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-m", "ldfeedback.cli", command, str(src), "-o", str(out)],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert f"error: cannot read {src}" in proc.stderr
+    assert not out.exists()
 
 
 def test_round_trip_demo_config(tmp_path):

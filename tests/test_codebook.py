@@ -17,7 +17,7 @@ from ldfeedback.codebook import (
 )
 from ldfeedback.errors import PreconditionError
 from ldfeedback.infotheory import Constellation, MiEvaluator, block_mi
-from ldfeedback.matkit import Rng, haar_unitary, hermitian_eig
+from ldfeedback.matkit import Rng, haar_unitaries, hermitian_eig
 from ldfeedback.simengine import draw_trials
 from ldfeedback.verify import prop3_gap
 
@@ -31,10 +31,6 @@ def realization(stream, nt=4, nr=4, seed=313):
     return draw_trials(iid_model(nt, nr), 1, seed, first_stream=stream)
 
 
-def haar_unitaries(n1, rng, nt=4):
-    return [haar_unitary(nt, rng) for _ in range(n1)]
-
-
 def mode_diagonals(modes, nt=4, budget=4.0):
     """Full-budget rank-one diagonals budget * e_m, one per mode index."""
     return [budget * np.eye(nt)[m] for m in modes]
@@ -45,7 +41,7 @@ def codebook_with_eigenbasis(batch, nt=4, nc=4, k=4, extra=3, seed=99):
     h = batch.h[0]
     eig = hermitian_eig(h.conj().T @ h)
     rng = Rng(seed, 0)
-    unitaries = [eig.vectors] + haar_unitaries(extra, rng, nt)
+    unitaries = [eig.vectors, *haar_unitaries(extra, nt, rng)]
     lam = np.zeros(nt)
     lam[0] = nt * nc / k
     return QuantizedCodebook(b=2, n1=1 + extra, n2=1, unitaries=unitaries, lambdas=[lam],
@@ -64,42 +60,42 @@ def snr_rule(cb, batch):
 
 def snr_gap(cb, batch, rho):
     """delta_snr of a codebook on every trial of a batch."""
-    return delta_snr(cb, s_matrix(batch.h, cb.unitaries), batch.lam_max, rho)
+    return delta_snr(s_matrix(batch.h, cb.unitaries), cb.lambdas, batch.lam_max, rho, cb.k, cb.nt, cb.nc)
 
 
 def mi_gap(cb, batch, rho, ev):
     """delta_mi of a codebook on every trial of a batch."""
-    return delta_mi(cb, s_matrix(batch.h, cb.unitaries), batch.lam_max, rho, ev)
+    return delta_mi(s_matrix(batch.h, cb.unitaries), cb.lambdas, batch.lam_max, rho, cb.k, cb.nt, cb.nc, ev)
 
 
 class TestRvqCodebook:
     """Random-vector-quantization codebooks: Haar i.i.d. unitaries with given diagonals."""
 
     def test_single_mode_split(self):
-        cb = QuantizedCodebook(b=2, n1=4, n2=1, unitaries=haar_unitaries(4, Rng(1, 0)),
+        cb = QuantizedCodebook(b=2, n1=4, n2=1, unitaries=haar_unitaries(4, 4, Rng(1, 0)),
                                lambdas=mode_diagonals([0]), k=4, nc=4, nt=4)
         assert len(cb.unitaries) == 4 and len(cb.lambdas) == 1
         assert np.array_equal(cb.lambdas, [[4.0, 0.0, 0.0, 0.0]])
 
     def test_two_by_two_split(self):
-        cb = QuantizedCodebook(b=2, n1=2, n2=2, unitaries=haar_unitaries(2, Rng(1, 1)),
+        cb = QuantizedCodebook(b=2, n1=2, n2=2, unitaries=haar_unitaries(2, 4, Rng(1, 1)),
                                lambdas=mode_diagonals([0, 2]), k=4, nc=4, nt=4)
         assert cb.n1 * cb.n2 == 4
         assert np.array_equal(cb.lambdas[1], [0.0, 0.0, 4.0, 0.0])
 
     def test_all_mode_set(self):
-        cb = QuantizedCodebook(b=4, n1=4, n2=4, unitaries=haar_unitaries(4, Rng(1, 2)),
+        cb = QuantizedCodebook(b=4, n1=4, n2=4, unitaries=haar_unitaries(4, 4, Rng(1, 2)),
                                lambdas=mode_diagonals(range(4)), k=4, nc=4, nt=4)
         assert np.allclose(cb.lambdas, 4.0 * np.eye(4))
 
     def test_rejects_split_mismatch(self):
         with pytest.raises(PreconditionError):
-            QuantizedCodebook(b=2, n1=3, n2=1, unitaries=haar_unitaries(3, Rng(1, 3)),
+            QuantizedCodebook(b=2, n1=3, n2=1, unitaries=haar_unitaries(3, 4, Rng(1, 3)),
                               lambdas=mode_diagonals([0]), k=4, nc=4, nt=4)
 
     def test_rejects_trace_violation(self):
         with pytest.raises(PreconditionError):
-            QuantizedCodebook(b=2, n1=4, n2=1, unitaries=haar_unitaries(4, Rng(1, 4)),
+            QuantizedCodebook(b=2, n1=4, n2=1, unitaries=haar_unitaries(4, 4, Rng(1, 4)),
                               lambdas=[np.full(4, 2.0)], k=4, nc=4, nt=4)
 
 
@@ -163,7 +159,7 @@ class TestSMatrix:
 
     def test_sum_is_channel_power(self):
         batch = realization(1)
-        s = s_matrix(batch.h, [haar_unitary(4, Rng(3, 0))])[0, 0]
+        s = s_matrix(batch.h, haar_unitaries(1, 4, Rng(3, 0)))[0, 0]
         assert abs(s.sum() - np.vdot(batch.h, batch.h).real) <= 1e-10
         assert s.max() <= batch.lam_max[0] + 1e-10
 
@@ -171,7 +167,7 @@ class TestSMatrix:
         # oracle: squared column norms of Lh^(1/2) Uh^H U
         batch = realization(2)
         eig = hermitian_eig(batch.h[0].conj().T @ batch.h[0])
-        u = haar_unitary(4, Rng(3, 1))
+        u = haar_unitaries(1, 4, Rng(3, 1))[0]
         factor = np.diag(np.sqrt(eig.values)) @ eig.vectors.conj().T @ u
         expect = (np.abs(factor) ** 2).sum(axis=0)
         assert np.allclose(s_matrix(batch.h, [u])[0, 0], expect, atol=1e-10)
@@ -192,7 +188,7 @@ class TestSMatrix:
     def test_flattened_product_matches_stacked(self, model, seed):
         # the slow reference: one small H_n @ U_i product per trial
         batch = draw_trials(model, 3000, seed)
-        unitaries = haar_unitaries(4, Rng(seed, 1), model.nt)
+        unitaries = haar_unitaries(4, model.nt, Rng(seed, 1))
         stacked = np.stack([(np.abs(batch.h @ u) ** 2).sum(axis=1) for u in unitaries], axis=1)
         assert s_matrix(batch.h, unitaries).tobytes() == stacked.tobytes()
 
@@ -208,7 +204,7 @@ class TestSelectMi:
             assert value[0] == pytest.approx(expect, rel=1e-12)
 
     def test_zero_snr_tie_break(self):
-        cb = QuantizedCodebook(b=2, n1=2, n2=2, unitaries=haar_unitaries(2, Rng(4, 0)),
+        cb = QuantizedCodebook(b=2, n1=2, n2=2, unitaries=haar_unitaries(2, 4, Rng(4, 0)),
                                lambdas=mode_diagonals([0, 1]), k=4, nc=4, nt=4)
         assert mi_rule(cb, realization(0), 0.0, gaussian_eval())[0] == 0.0
 
@@ -216,7 +212,7 @@ class TestSelectMi:
         ev = gaussian_eval()
         batch = realization(4)
         h = batch.h[0]
-        cb = QuantizedCodebook(b=2, n1=2, n2=2, unitaries=haar_unitaries(2, Rng(4, 1)),
+        cb = QuantizedCodebook(b=2, n1=2, n2=2, unitaries=haar_unitaries(2, 4, Rng(4, 1)),
                                lambdas=mode_diagonals([1, 3]), k=4, nc=4, nt=4)
         value = mi_rule(cb, batch, 1.5, ev)[0]
         for u in cb.unitaries:
@@ -226,7 +222,7 @@ class TestSelectMi:
                 assert value >= val - 1e-12
 
     def test_rejects_matrix_rho(self):
-        cb = QuantizedCodebook(b=2, n1=4, n2=1, unitaries=haar_unitaries(4, Rng(4, 3)),
+        cb = QuantizedCodebook(b=2, n1=4, n2=1, unitaries=haar_unitaries(4, 4, Rng(4, 3)),
                                lambdas=mode_diagonals([0]), k=4, nc=4, nt=4)
         with pytest.raises(PreconditionError, match="1-D"):
             mi_rule(cb, realization(1), np.ones((2, 2)), gaussian_eval())
@@ -234,7 +230,7 @@ class TestSelectMi:
     def test_determinism(self):
         ev = gaussian_eval()
         batch = realization(5)
-        cb = QuantizedCodebook(b=2, n1=4, n2=1, unitaries=haar_unitaries(4, Rng(4, 2)),
+        cb = QuantizedCodebook(b=2, n1=4, n2=1, unitaries=haar_unitaries(4, 4, Rng(4, 2)),
                                lambdas=mode_diagonals([2]), k=4, nc=4, nt=4)
         assert np.array_equal(mi_rule(cb, batch, 2.0, ev), mi_rule(cb, batch, 2.0, ev))
 
@@ -266,7 +262,7 @@ class TestTraceSelection:
     def _inputs(self, per_trial):
         batch = draw_trials(iid_model(4, 4), 300, 61)
         rng = Rng(61, 1)
-        smat = s_matrix(batch.h, haar_unitaries(4, rng))
+        smat = s_matrix(batch.h, haar_unitaries(4, 4, rng))
         if per_trial:
             # per-trial competitor diagonals, as in verify thm4: leading axes (trials, competitors)
             w = rng.gen.uniform(size=(300, 5, 3, 4))
@@ -356,7 +352,7 @@ class TestCodewordMaximum:
 class TestSelectSnr:
     def test_rank_one_codebook_reduces_to_best_mode_power(self):
         batch = realization(6)
-        cb = QuantizedCodebook(b=3, n1=2, n2=4, unitaries=haar_unitaries(2, Rng(5, 0)),
+        cb = QuantizedCodebook(b=3, n1=2, n2=4, unitaries=haar_unitaries(2, 4, Rng(5, 0)),
                                lambdas=mode_diagonals(range(4)), k=4, nc=4, nt=4)
         value = snr_rule(cb, batch)[0]
         smax = s_matrix(batch.h, cb.unitaries).max()
@@ -368,14 +364,14 @@ class TestSelectSnr:
         for stream in range(200):
             batch = realization(stream, seed=551)
             lamsets = random_rank_two_lambdas(1, 2, 4, 4, 4, rng)[0]
-            cb = QuantizedCodebook(b=2, n1=2, n2=2, unitaries=haar_unitaries(2, rng),
+            cb = QuantizedCodebook(b=2, n1=2, n2=2, unitaries=haar_unitaries(2, 4, rng),
                                    lambdas=lamsets, k=4, nc=4, nt=4)
             # Tr(H Q H^H) = Nt*Nc/K times the snr-rule objective, so both rules pick the same value
             expect = cb.k * ev.mi(1.3 * cb.nc / cb.k * snr_rule(cb, batch)[0])
             assert mi_rule(cb, batch, 1.3, ev)[0] == pytest.approx(expect, rel=1e-12)
 
     def test_zero_channel_tie_break(self):
-        cb = QuantizedCodebook(b=2, n1=4, n2=1, unitaries=haar_unitaries(4, Rng(5, 2)),
+        cb = QuantizedCodebook(b=2, n1=4, n2=1, unitaries=haar_unitaries(4, 4, Rng(5, 2)),
                                lambdas=mode_diagonals([0]), k=4, nc=4, nt=4)
         smat = s_matrix(np.zeros((1, 4, 4), dtype=complex), cb.unitaries)
         assert select_snr(smat, cb.lambdas, cb.k, cb.nt, cb.nc)[0] == 0.0
@@ -390,7 +386,7 @@ class TestGaps:
         assert abs(mi_gap(cb, batch, 2.0, ev)[0]) <= 1e-9
 
     def test_zero_snr_zero_mi_gap(self):
-        cb = QuantizedCodebook(b=2, n1=4, n2=1, unitaries=haar_unitaries(4, Rng(6, 0)),
+        cb = QuantizedCodebook(b=2, n1=4, n2=1, unitaries=haar_unitaries(4, 4, Rng(6, 0)),
                                lambdas=mode_diagonals([1]), k=4, nc=4, nt=4)
         assert mi_gap(cb, realization(8), 0.0, gaussian_eval())[0] == 0.0
 
@@ -399,7 +395,7 @@ class TestGaps:
         for stream in range(100):
             batch = realization(stream, seed=661)
             lambdas = mode_diagonals([int(rng.gen.integers(4))])
-            cb = QuantizedCodebook(b=2, n1=4, n2=1, unitaries=haar_unitaries(4, rng),
+            cb = QuantizedCodebook(b=2, n1=4, n2=1, unitaries=haar_unitaries(4, 4, rng),
                                    lambdas=lambdas, k=4, nc=4, nt=4)
             assert snr_gap(cb, batch, 1.0)[0] >= -1e-12
 
@@ -408,7 +404,7 @@ class TestGaps:
         # lives in the acceptance suite
         ev = gaussian_eval()
         rng = Rng(6, 2)
-        unitaries = haar_unitaries(4, rng)
+        unitaries = haar_unitaries(4, 4, rng)
         lambdas = random_rank_two_lambdas(1, 1, 4, 4, 4, rng)[0]
         cb = QuantizedCodebook(b=2, n1=4, n2=1, unitaries=unitaries, lambdas=lambdas,
                                k=4, nc=4, nt=4)
@@ -422,7 +418,7 @@ class TestRankOneStrongOptimality:
         ev = gaussian_eval()
         nt, nc, k = 4, 4, 4
         rng = Rng(7, 0)
-        unitaries = haar_unitaries(4, rng)
+        unitaries = haar_unitaries(4, 4, rng)
         rank_one = QuantizedCodebook(b=4, n1=4, n2=4, unitaries=unitaries,
                                      lambdas=mode_diagonals(range(nt)), k=k, nc=nc, nt=nt)
         batch = draw_trials(iid_model(4, 4), 100, 771)

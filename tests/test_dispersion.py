@@ -30,13 +30,19 @@ def read_set(text):
     return DispersionSet(nt=nt, nc=nc, k=k, mats=np.reshape(rows, (k, nt, nc)))
 
 
-def random_realization(nt, nr, stream, seed=77):
-    return sample(iid_model(nt, nr), Rng(seed, stream))
+def random_channel(nt, nr, stream, seed=77):
+    """One i.i.d. channel draw as the (1, Nr, Nt) stack."""
+    return sample(iid_model(nt, nr), Rng(seed, stream))[0]
 
 
-def one_block_mi(real, qs, rho, nt, ev):
-    """block_mi of one realization, evaluated as the n = 1 stack."""
-    return block_mi(real.h[None], np.asarray(qs)[None], rho, nt, ev)[0]
+def random_channels(nt, nr, streams, seed=77):
+    """The (len(streams), Nr, Nt) stack of random_channel draws."""
+    return np.concatenate([random_channel(nt, nr, stream, seed) for stream in streams])
+
+
+def one_block_mi(h, qs, rho, nt, ev):
+    """block_mi of one channel, evaluated as the n = 1 stack."""
+    return block_mi(h, np.asarray(qs)[None], rho, nt, ev)[0]
 
 
 def pairwise_check_goc(dset):
@@ -95,9 +101,9 @@ class TestStackedMatchesPairwise:
         sets = seeded_sets(kind, 400)
         for dset in sets:
             assert check_goc(dset) == pairwise_check_goc(dset)
-            for _ in range(3):
-                h = gen.standard_normal((3, dset.nt)) + 1j * gen.standard_normal((3, dset.nt))
-                assert decoupling_residual(h, dset) == pairwise_decoupling_residual(h, dset)
+            h = gen.standard_normal((3, 3, dset.nt)) + 1j * gen.standard_normal((3, 3, dset.nt))
+            want = [pairwise_decoupling_residual(x, dset) for x in h]
+            assert decoupling_residual(h, dset).tolist() == want
             assert dset.total_power() == float(sum(np.vdot(a, a).real for a in dset.mats))
             assert np.array_equal(dset.covariances(), [a @ a.conj().T for a in dset.mats])
         # both outcomes of the check are exercised
@@ -233,9 +239,9 @@ class TestRankOneSet:
         u /= np.linalg.norm(u)
         dset = rank_one_set(u, k=2 * nc, nc=nc)
         for stream in range(10):
-            real = random_realization(nt, 3, stream)
-            via_set = one_block_mi(real, dset.covariances(), rho, nt, ev)
-            gain = float(np.linalg.norm(real.h @ u) ** 2)
+            h = random_channel(nt, 3, stream)
+            via_set = one_block_mi(h, dset.covariances(), rho, nt, ev)
+            gain = float(np.linalg.norm(h[0] @ u) ** 2)
             assert abs(via_set - nc * math.log(1.0 + rho * gain)) <= 1e-9
 
 
@@ -278,33 +284,43 @@ class TestStatisticalSet:
         for q_stat, q_beam in zip(stat.covariances(), beam.covariances()):
             assert np.linalg.norm(q_stat - q_beam) <= 1e-10
         for stream in range(5):
-            real = random_realization(nt, nt, stream)
-            a = one_block_mi(real, stat.covariances(), 2.0, nt, ev)
-            b = one_block_mi(real, beam.covariances(), 2.0, nt, ev)
+            h = random_channel(nt, nt, stream)
+            a = one_block_mi(h, stat.covariances(), 2.0, nt, ev)
+            b = one_block_mi(h, beam.covariances(), 2.0, nt, ev)
             assert abs(a - b) <= 1e-9
 
 
 class TestDecoupling:
     def test_verified_sets_decouple(self):
         dset = rank_one_set(np.array([1.0, 0.0, 0.0, 0.0]), k=8, nc=4)
-        for stream in range(100):
-            real = random_realization(4, 4, stream)
-            assert decoupling_residual(real.h, dset) <= 1e-10
+        residuals = decoupling_residual(random_channels(4, 4, range(100)), dset)
+        assert residuals.shape == (100,) and (residuals <= 1e-10).all()
 
     def test_violating_set_has_positive_residual(self):
         a = np.eye(2) / math.sqrt(2)
         dset = DispersionSet(nt=2, nc=2, k=2, mats=[a, a])
-        real = random_realization(2, 2, 0)
-        assert decoupling_residual(real.h, dset) > 1e-3
+        assert decoupling_residual(random_channel(2, 2, 0), dset)[0] > 1e-3
 
     def test_single_symbol_zero_by_convention(self):
         dset = DispersionSet(nt=2, nc=2, k=1, mats=[np.eye(2)])
-        assert decoupling_residual(random_realization(2, 2, 1).h, dset) == 0.0
+        assert decoupling_residual(random_channels(2, 2, range(3)), dset).tolist() == [0.0] * 3
+
+    @pytest.mark.parametrize("kind", ["rank-one", "mutated", "single-symbol"])
+    def test_stack_matches_pairwise_reference(self, kind):
+        # the verify goc sets, including its --mutate violation, and K = 1, bit for bit per channel
+        u = np.array([1.0, 1j, -1.0, 0.5]) / np.linalg.norm([1.0, 1j, -1.0, 0.5])
+        dset = rank_one_set(u, k=1 if kind == "single-symbol" else 8, nc=4)
+        if kind == "mutated":
+            dset = DispersionSet(nt=4, nc=4, k=8, mats=dset.mats[[0, 0, *range(2, 8)]])
+        h = random_channels(4, 4, range(100), seed=78)
+        want = np.array([pairwise_decoupling_residual(x, dset) for x in h])
+        assert decoupling_residual(h, dset).tobytes() == want.tobytes()
+        assert (want > 1e-3).any() == (kind == "mutated")
 
     def test_dimension_mismatch(self):
         dset = DispersionSet(nt=3, nc=2, k=1, mats=[np.zeros((3, 2))])
         with pytest.raises(PreconditionError):
-            decoupling_residual(random_realization(2, 2, 2).h, dset)
+            decoupling_residual(random_channel(2, 2, 2), dset)
 
 
 class TestTextFormat:

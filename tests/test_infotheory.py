@@ -362,62 +362,72 @@ class TestTable:
             assert abs(got.stderr - want.stderr) <= 1e-9
 
 
-def one_block_mi(real, qs, rho, nt, ev):
-    """block_mi of one realization, evaluated as the n = 1 stack."""
-    return block_mi(real.h[None], np.asarray(qs)[None], rho, nt, ev)[0]
+def iid_channel(nt, nr, seed, stream):
+    """One i.i.d. channel draw as the (1, Nr, Nt) stack."""
+    return sample(iid_model(nt, nr), Rng(seed, stream))[0]
 
 
-def lam_max(real):
-    return hermitian_eig(real.h.conj().T @ real.h).values[0]
+def one_block_mi(h, qs, rho, nt, ev):
+    """block_mi of one channel, evaluated as the n = 1 stack."""
+    return block_mi(h, np.asarray(qs)[None], rho, nt, ev)[0]
+
+
+def gram_eig(h):
+    """hermitian_eig of H^H H for the one channel of an n = 1 stack."""
+    return hermitian_eig(h[0].conj().T @ h[0])
+
+
+def lam_max(h):
+    return gram_eig(h).values[0]
 
 
 class TestBlockMi:
     def test_zero_covariances(self):
         ev = make_eval("gaussian")
-        real = sample(iid_model(2, 2), Rng(1, 0))
-        assert one_block_mi(real, [np.zeros((2, 2))] * 3, 2.0, 2, ev) == 0.0
+        h = iid_channel(2, 2, 1, 0)
+        assert one_block_mi(h, [np.zeros((2, 2))] * 3, 2.0, 2, ev) == 0.0
 
     def test_top_eigenvector_single_symbol(self):
         ev = make_eval("gaussian")
-        real = sample(iid_model(4, 4), Rng(2, 0))
-        eig = hermitian_eig(real.h.conj().T @ real.h)
+        h = iid_channel(4, 4, 2, 0)
+        eig = gram_eig(h)
         u = eig.vectors[:, 0]
         nc = 4
         q = (4.0 * nc) * np.outer(u, u.conj())
-        got = one_block_mi(real, [q], 2.0, 4, ev)
+        got = one_block_mi(h, [q], 2.0, 4, ev)
         assert got == pytest.approx(ev.mi(2.0 * nc * eig.values[0]), rel=1e-12)
 
     def test_concavity_uniform_beats_split(self):
         ev = make_eval("gaussian")
         rng = Rng(3, 0)
         for stream in range(20):
-            real = sample(iid_model(4, 4), Rng(4, stream))
+            h = iid_channel(4, 4, 4, stream)
             qs = []
             for tr in (2.0, 5.0, 6.0, 3.0):
                 a = rng.gen.standard_normal((4, 4)) + 1j * rng.gen.standard_normal((4, 4))
                 q = a @ a.conj().T
                 qs.append(q * (tr / q.trace().real))
             qhat = sum(qs) / len(qs)
-            assert one_block_mi(real, qs, 1.0, 4, ev) <= one_block_mi(real, [qhat] * 4, 1.0, 4, ev) + 1e-9
+            assert one_block_mi(h, qs, 1.0, 4, ev) <= one_block_mi(h, [qhat] * 4, 1.0, 4, ev) + 1e-9
 
     def test_rejects_indefinite_covariance(self):
         ev = make_eval("gaussian")
-        real = sample(iid_model(2, 2), Rng(5, 0))
+        h = iid_channel(2, 2, 5, 0)
         with pytest.raises(PreconditionError):
-            one_block_mi(real, [np.diag([1.0, -0.5])], 1.0, 2, ev)
+            one_block_mi(h, [np.diag([1.0, -0.5])], 1.0, 2, ev)
 
     def test_stack_rows_match_single_realizations(self):
         ev = make_eval("gaussian")
         rng = Rng(13, 0)
-        reals = [sample(iid_model(3, 2), Rng(14, stream)) for stream in range(5)]
+        hs = [iid_channel(3, 2, 14, stream) for stream in range(5)]
         qsets = []
-        for _ in reals:
+        for _ in hs:
             a = rng.gen.standard_normal((2, 3, 3)) + 1j * rng.gen.standard_normal((2, 3, 3))
             qsets.append(a @ np.swapaxes(a.conj(), -1, -2))
-        rows = block_mi(np.stack([r.h for r in reals]), np.stack(qsets), 1.5, 3, ev)
+        rows = block_mi(np.concatenate(hs), np.stack(qsets), 1.5, 3, ev)
         assert rows.shape == (5,)
-        for row, real, qs in zip(rows, reals, qsets):
-            assert row == one_block_mi(real, qs, 1.5, 3, ev)
+        for row, h, qs in zip(rows, hs, qsets):
+            assert row == one_block_mi(h, qs, 1.5, 3, ev)
 
 
 class TestPerfectCsiMi:
@@ -426,27 +436,27 @@ class TestPerfectCsiMi:
         ev = make_eval("gaussian")
         nc, rho = 4, 3.0
         for stream in range(10):
-            lam = lam_max(sample(iid_model(4, 4), Rng(6, stream)))
+            lam = lam_max(iid_channel(4, 4, 6, stream))
             assert perfect_csi_mi(lam, rho, 2 * nc, nc, ev) == pytest.approx(
                 nc * math.log(1.0 + rho * lam), rel=1e-12
             )
 
     def test_zero_snr(self):
         ev = make_eval("gaussian")
-        lam = lam_max(sample(iid_model(2, 2), Rng(7, 0)))
+        lam = lam_max(iid_channel(2, 2, 7, 0))
         assert perfect_csi_mi(lam, 0.0, 4, 2, ev) == 0.0
 
     @pytest.mark.parametrize("kind", ["gaussian", "bpsk"])
     def test_monotone_in_k(self, kind):
         ev = make_eval(kind)
         nc = 2
-        lams = np.array([lam_max(sample(iid_model(2, 2), Rng(8, stream))) for stream in range(30)])
+        lams = np.array([lam_max(iid_channel(2, 2, 8, stream)) for stream in range(30)])
         vals = np.stack([perfect_csi_mi(lams, 2.0, k, nc, ev) for k in range(1, 2 * nc + 1)])
         assert (np.diff(vals, axis=0) >= -1e-8).all()
 
     def test_infeasible_k(self):
         ev = make_eval("gaussian")
-        lam = lam_max(sample(iid_model(2, 2), Rng(9, 0)))
+        lam = lam_max(iid_channel(2, 2, 9, 0))
         with pytest.raises(InfeasibleError):
             perfect_csi_mi(lam, 1.0, 5, 2, ev)
 
@@ -457,21 +467,21 @@ def test_eq8_bound_random_covariances():
     rng = Rng(10, 0)
     k, nc = 4, 4
     for stream in range(100):
-        real = sample(iid_model(4, 4), Rng(11, stream))
-        best = perfect_csi_mi(lam_max(real), 2.0, k, nc, ev)
+        h = iid_channel(4, 4, 11, stream)
+        best = perfect_csi_mi(lam_max(h), 2.0, k, nc, ev)
         for _ in range(20):
             a = rng.gen.standard_normal((4, 4)) + 1j * rng.gen.standard_normal((4, 4))
             q = a @ a.conj().T
             q *= (4 * nc / k) / q.trace().real
-            assert one_block_mi(real, [q] * k, 2.0, 4, ev) <= best + 1e-9
+            assert one_block_mi(h, [q] * k, 2.0, 4, ev) <= best + 1e-9
 
 
 def test_beamforming_set_achieves_benchmark():
     ev = make_eval("gaussian")
     k, nc = 8, 4
     for stream in range(10):
-        real = sample(iid_model(4, 4), Rng(12, stream))
-        eig = hermitian_eig(real.h.conj().T @ real.h)
+        h = iid_channel(4, 4, 12, stream)
+        eig = gram_eig(h)
         dset = rank_one_set(eig.vectors[:, 0], k, nc)
-        got = one_block_mi(real, dset.covariances(), 2.0, 4, ev)
+        got = one_block_mi(h, dset.covariances(), 2.0, 4, ev)
         assert got == pytest.approx(perfect_csi_mi(eig.values[0], 2.0, k, nc, ev), abs=1e-9)

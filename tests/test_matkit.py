@@ -6,7 +6,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from ldfeedback.dispersion import format_complex, matrix_to_lines
 from ldfeedback.errors import PreconditionError
-from ldfeedback.matkit import KEY_LIMIT, Rng, check_unitary, haar_unitary, hermitian_eig, substream_normals
+from ldfeedback.matkit import KEY_LIMIT, Rng, check_unitary, haar_unitaries, hermitian_eig, substream_normals
 
 
 def parse_complex(token):
@@ -62,7 +62,7 @@ class TestHermitianEig:
 
     def test_rotation_invariance(self):
         m = random_hermitian(4, Rng(8, 0))
-        u = haar_unitary(4, Rng(8, 1))
+        u = haar_unitaries(1, 4, Rng(8, 1))[0]
         rotated = hermitian_eig(u @ m @ u.conj().T)
         assert np.allclose(rotated.values, hermitian_eig(m).values, atol=1e-9)
 
@@ -97,34 +97,53 @@ class TestHermitianEig:
             hermitian_eig(ms)
 
 
+def successive_haar_draws(count, n, rng):
+    """count Haar unitaries drawn one matrix at a time: the reference for the stacked draw."""
+    out = []
+    for _ in range(count):
+        z = (rng.gen.standard_normal((n, n)) + 1j * rng.gen.standard_normal((n, n))) / math.sqrt(2.0)
+        q, r = np.linalg.qr(z)
+        d = np.diagonal(r)
+        out.append(q * (d / np.abs(d)))
+    return np.array(out)
+
+
 class TestHaarUnitary:
     def test_unitarity(self):
         for n in (1, 2, 4, 6):
-            u = haar_unitary(n, Rng(1, n))
-            assert np.linalg.norm(u.conj().T @ u - np.eye(n)) <= 1e-12
+            us = haar_unitaries(3, n, Rng(1, n))
+            assert us.shape == (3, n, n)
+            for u in us:
+                assert np.linalg.norm(u.conj().T @ u - np.eye(n)) <= 1e-12
 
     def test_scalar_case_unit_modulus(self):
-        u = haar_unitary(1, Rng(2, 0))
+        u = haar_unitaries(1, 1, Rng(2, 0))[0]
         assert abs(abs(u[0, 0]) - 1.0) <= 1e-12
 
     def test_rejects_zero_dimension(self):
         with pytest.raises(PreconditionError):
-            haar_unitary(0, Rng(1, 0))
+            haar_unitaries(1, 0, Rng(1, 0))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 8])
+    @pytest.mark.parametrize("count", [1, 6, 2000])
+    def test_stack_equals_successive_draws(self, n, count):
+        # bit for bit, and the generator is left where the single draws leave it
+        stacked_rng, single_rng = Rng(11, n), Rng(11, n)
+        stacked = haar_unitaries(count, n, stacked_rng)
+        assert np.array_equal(stacked, successive_haar_draws(count, n, single_rng))
+        assert stacked_rng.gen.standard_normal(3).tobytes() == single_rng.gen.standard_normal(3).tobytes()
 
     def test_haar_moment(self):
         # E|U(0,0)|^2 = 1/n for Haar; |U00|^2 ~ Beta(1, n-1) so var = (n-1)/(n^2(n+1))
         n, draws = 4, 100_000
-        rng = Rng(42, 0)
-        vals = np.empty(draws)
-        for i in range(draws):
-            vals[i] = abs(haar_unitary(n, rng)[0, 0]) ** 2
+        vals = np.abs(haar_unitaries(draws, n, Rng(42, 0))[:, 0, 0]) ** 2
         se = math.sqrt((n - 1) / (n**2 * (n + 1)) / draws)
         assert abs(vals.mean() - 1.0 / n) <= 3 * se
 
 
 class TestCheckUnitary:
     def test_accepts_haar_unitary(self):
-        check_unitary(haar_unitary(4, Rng(3, 0)), 4, "u")
+        check_unitary(haar_unitaries(1, 4, Rng(3, 0))[0], 4, "u")
 
     @pytest.mark.parametrize("u, message", [
         (np.eye(3), "u must be 4 x 4, got shape \\(3, 3\\)"),

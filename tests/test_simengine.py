@@ -19,7 +19,7 @@ from ldfeedback.codebook import (
 )
 from ldfeedback.errors import InfeasibleError, PreconditionError
 from ldfeedback.infotheory import LN2, Constellation, MiEvaluator, block_mi
-from ldfeedback.matkit import Rng, haar_unitary, hermitian_eig
+from ldfeedback.matkit import Rng, haar_unitaries, hermitian_eig
 from ldfeedback.simengine import (
     STREAM_TOURNAMENT,
     SimConfig,
@@ -76,12 +76,12 @@ def snr_rule_values(cb, batch):
 
 def snr_gap(cb, batch, rho):
     """delta_snr of a codebook on every trial of a batch."""
-    return delta_snr(cb, s_matrix(batch.h, cb.unitaries), batch.lam_max, rho)
+    return delta_snr(s_matrix(batch.h, cb.unitaries), cb.lambdas, batch.lam_max, rho, cb.k, cb.nt, cb.nc)
 
 
 def mi_gap(cb, batch, rho, ev):
     """delta_mi of a codebook on every trial of a batch."""
-    return delta_mi(cb, s_matrix(batch.h, cb.unitaries), batch.lam_max, rho, ev)
+    return delta_mi(s_matrix(batch.h, cb.unitaries), cb.lambdas, batch.lam_max, rho, cb.k, cb.nt, cb.nc, ev)
 
 
 class TestProjection:
@@ -457,7 +457,7 @@ class TestStackedMatchesSingle:
         batch = draw_trials(model, self.TRIALS, 4242)
         singles = [draw_trials(model, 1, 4242, first_stream=t) for t in range(self.TRIALS)]
         rng = Rng(4242, 1)
-        cb = QuantizedCodebook(b=2, n1=2, n2=2, unitaries=[haar_unitary(4, rng) for _ in range(2)],
+        cb = QuantizedCodebook(b=2, n1=2, n2=2, unitaries=haar_unitaries(2, 4, rng),
                                lambdas=random_rank_two_lambdas(1, 2, 4, 4, 4, rng)[0],
                                k=4, nc=4, nt=4)
         return batch, singles, cb
@@ -529,7 +529,7 @@ class TestNoStaleReceivedPowers:
         ev = MiEvaluator(Constellation.gaussian())
         rng = Rng(97, 0)
         for _ in range(200):
-            cb = QuantizedCodebook(b=2, n1=4, n2=1, unitaries=[haar_unitary(4, rng) for _ in range(4)],
+            cb = QuantizedCodebook(b=2, n1=4, n2=1, unitaries=haar_unitaries(4, 4, rng),
                                    lambdas=[4.0 * np.eye(4)[0]], k=4, nc=4, nt=4)
             rows = codebook_block_mi(config, s_matrix(batch.h, cb.unitaries), cb.lambdas)
             # definition: max over codewords of K * I(rho/Nt * Tr(H Q H^H))
@@ -565,7 +565,7 @@ class TestAvgReceivedSnr:
         config = make_config(model=v4_model(), trials=300, snr=(10.0,))
         batch = draw_trials(config.model, config.trials, config.seed)
         rng = Rng(41, 0)
-        unitaries = [haar_unitary(4, rng) for _ in range(2)]
+        unitaries = haar_unitaries(2, 4, rng)
         n2 = 2
         scale = 10.0 * config.nc / config.k
 
