@@ -113,7 +113,7 @@ def s_matrix(h, unitaries):
     return np.stack([(np.abs((rows @ u).reshape(h.shape)) ** 2).sum(axis=1) for u in unitaries], axis=1)
 
 
-def _codeword_max(smat, lambdas):
+def codeword_max(smat, lambdas):
     """Largest trace sum_m s[i, m] * lambda_j[m] over the codewords (i, j), shape (...).
 
     The traces are one einsum; the maximum folds their N1*N2 codeword slices
@@ -128,40 +128,46 @@ def _codeword_max(smat, lambdas):
     return best
 
 
-def select_mi(smat, lambdas, rho, k, nt, evaluator, out=None):
-    """Receiver rule: max over (i, j) of K * I(rho/Nt * Tr(H Q^{i,j} H^H)).
+def trace_mi(traces, rho, k, nt, evaluator, out=None):
+    """K * I(max(t, 0) * rho/Nt) of codeword traces t, elementwise.
 
-    smat (..., N1, Nt) comes from s_matrix and lambdas (..., N2, Nt) holds
-    the power diagonals; leading axes broadcast, so a codebook shared by all
-    trials passes its (N2, Nt) lambdas. Tr(H Q^{i,j} H^H) is
-    sum_m s[i, m] * lambda_j[m]. rho is a scalar or a 1-D array of SNR
-    points; an array puts a leading SNR axis on the selected values, which
-    are returned over the SNR and leading axes. Given out, an array of that
-    shape, the values are computed in it and out is returned; nothing of
-    that size is allocated then.
-
-    I is strictly increasing and t -> max(t, 0) * rho/Nt is non-decreasing
-    for rho >= 0, so a codeword of largest trace maximizes K * I at every
-    SNR: the largest trace is computed once, and K * I only at it. The
-    Gaussian I is non-decreasing in floating point too. A discrete
-    alphabet's table holds non-decreasing knot values capped at ln M and a
-    monotone polynomial on each interval, and dense sweeps of every table
-    find it non-decreasing in floating point as well. So the values equal
-    the per-codeword maximum (tested exactly on BPSK and PAM4).
+    rho is a scalar or a 1-D array of SNR points; an array puts a leading
+    SNR axis on the values. Given out, an array of the values' shape, each
+    step is computed in it, in the one-expression form's left-to-right
+    order, so the values equal that form bit for bit, and out is returned.
     """
-    traces = _codeword_max(smat, lambdas)
     rho = np.asarray(rho, dtype=float)
     if rho.ndim > 1:
         raise PreconditionError(f"rho must be a scalar or a 1-D array, got shape {rho.shape}")
     rho = rho.reshape(rho.shape + (1,) * traces.ndim)
     if out is None:
         out = np.empty(np.broadcast_shapes(rho.shape, traces.shape))
-    # K * I(max(t, 0) * rho / Nt) in its left-to-right order, each step in out,
-    # so the values equal the one-expression form bit for bit
-    np.multiply(np.maximum(traces, 0.0), rho, out=out)
+    np.maximum(traces, 0.0, out=out)
+    np.multiply(out, rho, out=out)
     np.divide(out, nt, out=out)
     evaluator.mi(out, out=out)
     return np.multiply(k, out, out=out)
+
+
+def select_mi(smat, lambdas, rho, k, nt, evaluator):
+    """Receiver rule: max over (i, j) of K * I(rho/Nt * Tr(H Q^{i,j} H^H)).
+
+    smat (..., N1, Nt) comes from s_matrix and lambdas (..., N2, Nt) holds
+    the power diagonals; leading axes broadcast, so a codebook shared by all
+    trials passes its (N2, Nt) lambdas. Tr(H Q^{i,j} H^H) is
+    sum_m s[i, m] * lambda_j[m]. rho is as in trace_mi: the values are
+    returned over the SNR and leading axes.
+
+    I is strictly increasing and t -> max(t, 0) * rho/Nt is non-decreasing
+    for rho >= 0, so a codeword of largest trace maximizes K * I at every
+    SNR: the largest trace is computed once, by codeword_max, and K * I only
+    at it, by trace_mi. The Gaussian I is non-decreasing in floating point
+    too. A discrete alphabet's table holds non-decreasing knot values capped
+    at ln M and a monotone polynomial on each interval, and dense sweeps of
+    every table find it non-decreasing in floating point as well. So the
+    values equal the per-codeword maximum (tested exactly on BPSK and PAM4).
+    """
+    return trace_mi(codeword_max(smat, lambdas), rho, k, nt, evaluator)
 
 
 def select_snr(smat, lambdas, k, nt, nc):
@@ -170,7 +176,7 @@ def select_snr(smat, lambdas, k, nt, nc):
     alpha = lambda * K / (Nt*Nc) are the normalized power weights; shapes
     are as in select_mi.
     """
-    return _codeword_max(smat, lambdas * (k / (nt * nc)))
+    return codeword_max(smat, lambdas * (k / (nt * nc)))
 
 
 def delta_snr(smat, lambdas, lam_max, rho, k, nt, nc):

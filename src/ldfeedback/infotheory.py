@@ -41,8 +41,9 @@ LN2 = math.log(2.0)
 # of 1, from which the quadrature subtracts its sums.
 _QUAD_ORDER = 256
 _QUAD_DROP = 1e-20
-# doubles in the (S', A, S, Q) quadrature work array
-_QUAD_WORK = 1 << 17
+# doubles in the (S', A, S, Q) quadrature work array; every knot is integrated
+# on its own, so the tables are the same bits at any size (tested at 2^15 and 2^17)
+_QUAD_WORK = 1 << 15
 
 # Interpolation table: knot spacing in ln a (the cubic's error scales with its
 # fourth power), the first knot (below it I = a - a^2 and mmse = 1 - 2a, off
@@ -244,7 +245,8 @@ class MiEvaluator:
 
     def _apply(self, a, gaussian, discrete, out=None):
         arr = np.asarray(a, dtype=float)
-        if not np.isfinite(arr).all() or (arr < 0).any():
+        # min and max propagate NaN, so these two passes reject NaN, inf and negative arguments
+        if arr.size and not (arr.min() >= 0.0 and arr.max() < math.inf):
             raise PreconditionError("mi/mmse need finite arguments a >= 0")
         if out is not None and out.shape != arr.shape:
             raise PreconditionError(f"out has shape {out.shape}, the argument {arr.shape}")
@@ -314,7 +316,8 @@ def block_mi(h, qsets, rho, nt, evaluator):
     """Per-block mutual information sum_k I(rho/Nt * Tr(H_n Q_nk H_n^H)) in nats, shape (n,).
 
     h is an (n, Nr, Nt) stack of channels and qsets an (n, K, Nt, Nt) stack
-    of per-symbol covariances. Exact only when the underlying dispersion set
+    of per-symbol covariances; each distinct covariance is checked to be
+    positive semidefinite. Exact only when the underlying dispersion set
     satisfies the orthogonality constraint; callers pass covariances of
     verified sets or codebook covariances.
     """
@@ -322,7 +325,9 @@ def block_mi(h, qsets, rho, nt, evaluator):
     if qsets.ndim != 4 or qsets.shape[-2:] != (nt, nt):
         raise PreconditionError(f"covariance stack shape {qsets.shape} is not (n, K, {nt}, {nt})")
     if qsets.shape[1]:
-        wmin = float(np.linalg.eigvalsh((qsets + np.swapaxes(qsets, -1, -2).conj()) / 2.0)[..., 0].min())
+        # a broadcast (stride-0) channel or symbol axis repeats one matrix, so it is factored once
+        distinct = qsets[tuple(slice(None, 1) if step == 0 else slice(None) for step in qsets.strides[:2])]
+        wmin = float(np.linalg.eigvalsh((distinct + np.swapaxes(distinct, -1, -2).conj()) / 2.0)[..., 0].min())
         if wmin < -1e-10:
             raise PreconditionError(f"covariance has eigenvalue {wmin:.3e} < -1e-10")
     args = np.einsum("nij,nkjl,nil->nk", h, qsets, h.conj()).real

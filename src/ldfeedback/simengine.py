@@ -1,9 +1,13 @@
 """Monte Carlo estimation of average mutual information.
 
-Trials are drawn once per configuration with one RNG substream per trial
-index, then every scheme is evaluated on the same draws (common random
-numbers). Reductions accumulate in trial-index order, so results are
-bit-identical regardless of how trials would be scheduled.
+Trial i of a configuration is drawn from its own RNG substream, and every
+scheme is evaluated on the same draws (common random numbers). The draws
+are made TRIAL_WINDOW trials at a time: run keeps of each window only what
+the schemes read, the largest eigenvalue, the column powers of Hind and the
+codebook's s_matrix rows, so a window's channels and their scratch are
+freed before the next is drawn. Every per-trial value is computed on its
+own and the reductions run over whole-run arrays, so results are
+bit-identical whatever the window size.
 """
 
 import itertools
@@ -18,7 +22,8 @@ from .channel import from_normals
 # these call-site bindings, so the names stay bound in this module
 from .channel import sample  # noqa: F401
 from .matkit import hermitian_eig  # noqa: F401
-from .codebook import check_rank_two, check_split, random_rank_two_lambdas, s_matrix, select_mi
+from .codebook import (check_rank_two, check_split, codeword_max, random_rank_two_lambdas, s_matrix, select_mi,
+                       trace_mi)
 from .dispersion import check_symbols
 from .errors import PreconditionError
 from .infotheory import LN2, MiEvaluator, perfect_csi_mi
@@ -35,8 +40,8 @@ MIN_OPT_SAMPLES = 100
 # optimize_lambda stops after OPT_MAX_ITER steps or once the projected gradient norm is <= OPT_TOL
 OPT_MAX_ITER = 500
 OPT_TOL = 1e-6
-# trials per stacked eigenvalue call in draw_trials; bounds its scratch memory
-EIG_CHUNK = 4096
+# trials drawn, decomposed and reduced at a time by draw_trials and run; bounds their scratch memory
+TRIAL_WINDOW = 1024
 # largest |snr_db| SimConfig.validate accepts: at 1000 dB rho = 1e100, so the
 # kernel arguments rho * power / Nt stay finite for any power below 1e208, far
 # above what a unit-variance channel draws, while 10 ** (snr_db / 10) itself
@@ -147,25 +152,29 @@ def _column_powers(hind):
 def draw_trials(model, trials, seed, first_stream=0):
     """Sample `trials` channels, trial i from substream first_stream + i.
 
-    matkit.substream_normals fills row i of one standard-normal buffer from
-    substream (seed, first_stream + i), and channel.from_normals turns the
-    whole stack into channels at once. Row i therefore equals the n = 1
-    stack channel.sample(model, Rng(seed, first_stream + i)) bit for bit, whatever
-    the window [first_stream, first_stream + trials) it is drawn in. lam_max
-    comes from stacked np.linalg.eigvalsh calls of EIG_CHUNK Gram matrices
-    each; every matrix is factored on its own, so no value depends on the chunk.
+    The batch is filled TRIAL_WINDOW trials at a time: for the window at lo,
+    matkit.substream_normals fills one standard-normal buffer whose row i is
+    drawn from substream (seed, first_stream + lo + i), channel.from_normals
+    turns it into channels at once, and one stacked np.linalg.eigvalsh call
+    gives the window's lam_max. Every channel and Gram matrix is made and
+    factored on its own, so row i equals the n = 1 stack
+    channel.sample(model, Rng(seed, first_stream + i)) bit for bit, whatever
+    the window size and whatever window [first_stream, first_stream + trials)
+    it is drawn in. Besides the returned arrays, one window's normals,
+    channels and Gram matrices are alive at a time.
     """
     n = int(trials)
-    z = substream_normals(seed, first_stream, n, (2, model.nr, model.nt))
-    h, hind = from_normals(model, z)
-    # dropped before the eigenvalue loop, so its scratch does not stack on them
-    del z
-    ind_col_power = _column_powers(hind)
-    del hind
+    h = np.empty((n, model.nr, model.nt), dtype=np.complex128)
     lam_max = np.empty(n)
-    for lo in range(0, n, EIG_CHUNK):
-        chunk = h[lo : lo + EIG_CHUNK]
-        lam_max[lo : lo + EIG_CHUNK] = np.linalg.eigvalsh(np.swapaxes(chunk.conj(), -1, -2) @ chunk)[:, -1]
+    ind_col_power = np.empty((n, model.nt))
+    for lo in range(0, n, TRIAL_WINDOW):
+        hi = min(lo + TRIAL_WINDOW, n)
+        h[lo:hi], hind = from_normals(model, substream_normals(seed, first_stream + lo, hi - lo,
+                                                               (2, model.nr, model.nt)))
+        ind_col_power[lo:hi] = _column_powers(hind)
+        del hind
+        window = h[lo:hi]
+        lam_max[lo:hi] = np.linalg.eigvalsh(np.swapaxes(window.conj(), -1, -2) @ window)[:, -1]
     return TrialBatch(h=h, lam_max=np.maximum(lam_max, 0.0, out=lam_max), ind_col_power=ind_col_power)
 
 
@@ -239,10 +248,12 @@ def _best_single_mode(cols, rho, nt, k, nc, evaluator):
     return int(np.argmax(means))
 
 
-def scheme_block_mi(config, scheme, batch):
+def scheme_block_mi(config, scheme, lam_max, ind_col_power):
     """Per-trial block MI in nats of perfect or a statistical scheme, shape (n_snr, trials).
 
-    perfect uses the K = 2*Nc benchmark. statistical and
+    lam_max (trials,) and ind_col_power (trials, Nt) are a trial batch's
+    fields of the same names: perfect reads the first, the statistical
+    schemes the second. perfect uses the K = 2*Nc benchmark. statistical and
     statistical-beamforming use config.k and choose their power diagonal on
     config.opt_samples draws of Hind from the STREAM_OPT substream. The
     quantized schemes are scored by codebook_block_mi.
@@ -251,13 +262,14 @@ def scheme_block_mi(config, scheme, batch):
     grid = list(config.snr_grid_db)
     rhos = [rho_from_db(s) for s in grid]
     nt, k, nc = config.model.nt, config.k, config.nc
+    rows = np.empty((len(grid), lam_max.size))
     if scheme == "perfect":
-        return np.vstack([perfect_csi_mi(batch.lam_max, rho, 2 * nc, nc, evaluator)
-                          for rho in rhos])
+        for idx, rho in enumerate(rhos):
+            rows[idx] = perfect_csi_mi(lam_max, rho, 2 * nc, nc, evaluator)
+        return rows
     if scheme in STATISTICAL_SCHEMES:
         opt_cols = draw_ind_column_powers(config.model, config.opt_samples, Rng(config.seed, STREAM_OPT))
-        rows = []
-        for snr_db, rho in zip(grid, rhos):
+        for idx, (snr_db, rho) in enumerate(zip(grid, rhos)):
             if scheme == "statistical":
                 stat = optimize_lambda(opt_cols, rho, nt, k, nc, evaluator)
                 if not stat.converged:
@@ -269,35 +281,36 @@ def scheme_block_mi(config, scheme, batch):
                 mode = _best_single_mode(opt_cols, rho, nt, k, nc, evaluator)
                 lam = np.zeros(nt)
                 lam[mode] = nt * nc / k
-            rows.append(k * evaluator.mi(rho / nt * (batch.ind_col_power @ lam)))
-        return np.vstack(rows)
+            rows[idx] = k * evaluator.mi(rho / nt * (ind_col_power @ lam))
+        return rows
     raise PreconditionError(f"scheme_block_mi does not evaluate {scheme!r}")
 
 
-def codebook_block_mi(config, smat, lambdas, out=None):
+def _rhos(config):
+    """The linear SNRs of config's grid, shape (n_snr,)."""
+    return np.array([rho_from_db(s) for s in config.snr_grid_db])
+
+
+def codebook_block_mi(config, smat, lambdas):
     """Per-trial MI-rule block MI in nats of one codebook, shape (n_snr, trials).
 
     smat is s_matrix(h, unitaries) of the codebook's unitaries and
     lambdas its (N2, Nt) power diagonals; the receiver selects with config.k.
-    Given out, an (n_snr, trials) array, the rows are computed in it and out
-    is returned, as in select_mi.
     """
-    rhos = np.array([rho_from_db(s) for s in config.snr_grid_db])
-    return select_mi(smat, lambdas, rhos, config.k, config.model.nt, MiEvaluator(config.constellation),
-                     out=out)
+    return select_mi(smat, lambdas, _rhos(config), config.k, config.model.nt, MiEvaluator(config.constellation))
 
 
 def _curve_points(config, label, block_mi_rows):
-    bits = block_mi_rows / (config.nc * LN2)
-    n = bits.shape[1]
+    n = block_mi_rows.shape[1]
     points = []
     for idx, snr in enumerate(config.snr_grid_db):
-        stderr = float(bits[idx].std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
+        bits = block_mi_rows[idx] / (config.nc * LN2)
+        stderr = float(bits.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
         points.append(
             CurvePoint(
                 snr_db=float(snr),
                 scheme=label,
-                mi_bits_per_use=float(bits[idx].mean()),
+                mi_bits_per_use=float(bits.mean()),
                 stderr=stderr,
                 trials=n,
             )
@@ -309,15 +322,31 @@ def run(config):
     """Estimate the mean per-channel-use MI of every configured scheme.
 
     The config, scheme labels and codebook split included, is validated
-    before anything is drawn, and every scheme sees the same batch. The
-    statistical schemes draw the same optimizer sample; the quantized
-    schemes share one unitary family and one s_matrix. Each scheme's rows
-    are dropped once its curve points are made.
+    before anything is drawn, and every scheme sees the same trials. They
+    are drawn by draw_trials one TRIAL_WINDOW at a time, and run keeps of
+    each window only what the schemes read, in whole-run arrays: lam_max,
+    ind_col_power and, when a quantized scheme runs, the window's s_matrix
+    rows of the one unitary family both codebook searches share. So the
+    channels of one window are alive at a time, never the whole run's. The
+    statistical schemes draw the same optimizer sample. Each scheme's
+    (n_snr, trials) rows are dropped once its curve points are made.
     """
     config.validate()
-    batch = draw_trials(config.model, config.trials, config.seed)
-    if any(s in QUANTIZED_SCHEMES for s in config.schemes):
-        smat = s_matrix(batch.h, default_unitaries(config))
+    n, nt = config.trials, config.model.nt
+    quantized = any(s in QUANTIZED_SCHEMES for s in config.schemes)
+    lam_max = np.empty(n)
+    ind_col_power = np.empty((n, nt))
+    if quantized:
+        unitaries = default_unitaries(config)
+        smat = np.empty((n, config.n1, nt))
+    for lo in range(0, n, TRIAL_WINDOW):
+        hi = min(lo + TRIAL_WINDOW, n)
+        window = draw_trials(config.model, hi - lo, config.seed, first_stream=lo)
+        lam_max[lo:hi] = window.lam_max
+        ind_col_power[lo:hi] = window.ind_col_power
+        if quantized:
+            smat[lo:hi] = s_matrix(window.h, unitaries)
+        del window
     curves = []
     for scheme in config.schemes:
         if scheme == "quantized-rank1-best":
@@ -325,7 +354,7 @@ def run(config):
         elif scheme == "quantized-rank2-best":
             rows = rank_two_tournament(config, smat)[1]
         else:
-            rows = scheme_block_mi(config, scheme, batch)
+            rows = scheme_block_mi(config, scheme, lam_max, ind_col_power)
         curves.extend(_curve_points(config, scheme, rows))
         del rows
     curves.sort(key=lambda p: (p.scheme, p.snr_db))
@@ -346,21 +375,26 @@ def best_rank_one_codebook(config, smat):
     first candidate. Returns (lambdas, rows): the winner's (N2, Nt)
     diagonals and its (n_snr, trials) block MI in nats.
 
-    Candidates are scored into a reused (n_snr, trials) buffer; a better
-    candidate's buffer becomes the running best and the old best's the next
-    buffer, so the search holds two such arrays whatever C(Nt, N2) is.
+    Each candidate's codeword-max traces are computed once and scored one
+    SNR point at a time in one reused (trials,) buffer; its score is the sum
+    of the (n_snr,) per-point means. Only the winner's rows are made, once,
+    at the end, so the search holds one (n_snr, trials) array, the result.
     """
     nt = config.model.nt
-    budget = nt * config.nc / config.k
-    best, rows, cand = None, None, None
+    k, evaluator, rhos = config.k, MiEvaluator(config.constellation), _rhos(config)
+    budget = nt * config.nc / k
+    means = np.empty(rhos.size)
+    buf = np.empty(smat.shape[0])
+    best = None
     for modes in itertools.combinations(range(nt), config.n2):
         lambdas = budget * np.eye(nt)[list(modes)]
-        cand = codebook_block_mi(config, smat, lambdas, out=cand)
-        score = float(cand.mean(axis=1).sum())
+        traces = codeword_max(smat, lambdas)
+        for idx, rho in enumerate(rhos):
+            means[idx] = trace_mi(traces, rho, k, nt, evaluator, out=buf).mean()
+        score = float(means.sum())
         if best is None or score > best[0]:
             best = (score, lambdas)
-            rows, cand = cand, rows
-    return best[1], rows
+    return best[1], codebook_block_mi(config, smat, best[1])
 
 
 def rank_two_tournament(config, smat):
@@ -373,21 +407,26 @@ def rank_two_tournament(config, smat):
     (winners, rows): the (n_snr,) index of each point's winner among the
     drawn codebooks, and the winners' (n_snr, trials) block MI in nats.
 
-    The first codebook's rows start the running best; every later codebook
-    is scored into one reused (n_snr, trials) buffer, so the tournament
-    holds two such arrays whatever config.rank_two_sets is.
+    Each codebook's codeword-max traces are computed once and scored one
+    SNR point at a time in one reused (trials,) buffer, which is copied into
+    that point's row of the result when the codebook wins there. So the
+    tournament holds the result and one (trials,) buffer whatever
+    config.rank_two_sets is.
     """
-    lamsets = random_rank_two_lambdas(config.rank_two_sets, config.n2, config.model.nt,
-                                      config.nc, config.k, Rng(config.seed, STREAM_TOURNAMENT))
-    winners = np.zeros(len(config.snr_grid_db), dtype=int)
-    rows = codebook_block_mi(config, smat, lamsets[0])
-    best = rows.mean(axis=1)
-    cand = np.empty_like(rows)
-    for idx in range(1, len(lamsets)):
-        codebook_block_mi(config, smat, lamsets[idx], out=cand)
-        score = cand.mean(axis=1)
-        better = score > best
-        np.copyto(rows, cand, where=better[:, None])
-        best[better] = score[better]
-        winners[better] = idx
+    nt = config.model.nt
+    k, evaluator, rhos = config.k, MiEvaluator(config.constellation), _rhos(config)
+    lamsets = random_rank_two_lambdas(config.rank_two_sets, config.n2, nt, config.nc, k,
+                                      Rng(config.seed, STREAM_TOURNAMENT))
+    winners = np.zeros(rhos.size, dtype=int)
+    best = np.empty(rhos.size)
+    rows = np.empty((rhos.size, smat.shape[0]))
+    buf = np.empty(smat.shape[0])
+    for idx, lambdas in enumerate(lamsets):
+        traces = codeword_max(smat, lambdas)
+        for point, rho in enumerate(rhos):
+            score = trace_mi(traces, rho, k, nt, evaluator, out=buf).mean()
+            if idx == 0 or score > best[point]:
+                rows[point] = buf
+                best[point] = score
+                winners[point] = idx
     return winners, rows

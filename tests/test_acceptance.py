@@ -68,7 +68,7 @@ def experiments():
     for name in ("iid2x2", "iid4x4", "v4"):
         config = _experiment(name)
         batch = draw_trials(config.model, config.trials, config.seed)
-        perfect = scheme_block_mi(config, "perfect", batch)
+        perfect = scheme_block_mi(config, "perfect", batch.lam_max, batch.ind_col_power)
         entry = {"config": config, "batch": batch, "perfect": perfect, "splits": {}}
         for n1, n2 in ((4, 1), (2, 2)):
             split = replace(config, b=2, n1=n1, n2=n2, rank_two_sets=50)
@@ -89,7 +89,7 @@ def envelope_2x2(experiments):
     """Statistical lower bound for the 2x2 i.i.d. experiment."""
     config = _experiment("iid2x2")
     batch = experiments["iid2x2"]["batch"]
-    return scheme_block_mi(config, "statistical", batch)
+    return scheme_block_mi(config, "statistical", batch.lam_max, batch.ind_col_power)
 
 
 def test_criterion_01_perfect_csi_closed_form():

@@ -14,6 +14,7 @@ from ldfeedback.codebook import (
     s_matrix,
     select_mi,
     select_snr,
+    trace_mi,
 )
 from ldfeedback.errors import PreconditionError
 from ldfeedback.infotheory import Constellation, MiEvaluator, block_mi
@@ -294,16 +295,22 @@ class TestTraceSelection:
 
     @pytest.mark.parametrize("per_trial", [False, True], ids=["shared", "per-trial"])
     def test_out_matches_unbuffered_kernel(self, name, per_trial):
-        # select_mi computes in a buffer, the caller's or its own; the reference
-        # is K * I(max(t, 0) * rho / Nt) through the kernel's unbuffered path
+        # trace_mi computes in a buffer, the caller's or its own, over the whole
+        # grid or one SNR point at a time as the codebook searches do; the
+        # reference is K * I(max(t, 0) * rho / Nt) through the kernel's
+        # unbuffered path
         ev = MiEvaluator(ALPHABETS[name]())
         smat, lambdas = self._inputs(per_trial)
         traces = trace_max_reference(smat, lambdas)
         want = 4 * ev.mi(np.maximum(traces, 0.0) * TRACE_RHOS.reshape(-1, *(1,) * traces.ndim) / 4)
         buf = np.full(want.shape, np.nan)
-        assert select_mi(smat, lambdas, TRACE_RHOS, 4, 4, ev, out=buf) is buf
+        assert trace_mi(traces, TRACE_RHOS, 4, 4, ev, out=buf) is buf
         assert buf.tobytes() == want.tobytes()
         assert select_mi(smat, lambdas, TRACE_RHOS, 4, 4, ev).tobytes() == want.tobytes()
+        point = np.full(traces.shape, np.nan)
+        for rho, row in zip(TRACE_RHOS, want):
+            assert trace_mi(traces, rho, 4, 4, ev, out=point) is point
+            assert point.tobytes() == row.tobytes()
 
 
 def trace_max_reference(smat, lambdas):

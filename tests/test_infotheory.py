@@ -9,6 +9,7 @@ from ldfeedback.channel import iid_model, sample
 from ldfeedback.codebook import random_rank_two_lambdas, s_matrix
 from ldfeedback.dispersion import rank_one_set
 from ldfeedback.errors import InfeasibleError, PreconditionError
+from ldfeedback import infotheory
 from ldfeedback.infotheory import (
     NOISE_ENTROPY,
     Constellation,
@@ -164,6 +165,18 @@ class TestMi:
             make_eval("gaussian").mi(-0.1)
         with pytest.raises(PreconditionError):
             make_eval("bpsk").mi(float("nan"))
+        # anywhere in an array, through the buffered and unbuffered paths
+        for kind in ("gaussian", "bpsk"):
+            ev = make_eval(kind)
+            for bad in (-0.1, -np.inf, np.inf, np.nan, -0.0 - 1e-300):
+                for pos in range(3):
+                    a = np.array([0.5, 2.0, 7.0])
+                    a[pos] = bad
+                    for call in (ev.mi, ev.mmse, lambda x: ev.mi(x, out=np.empty(3))):
+                        with pytest.raises(PreconditionError, match="finite arguments a >= 0"):
+                            call(a)
+            assert ev.mi(np.empty(0)).shape == (0,)
+            assert ev.mi(-0.0) == 0.0
 
     def test_array_evaluation_matches_scalars(self):
         ev = make_eval("bpsk")
@@ -325,6 +338,20 @@ class TestTable:
             assert abs(ev.mi(above) - ev.mi(below)) <= 1e-15
             assert abs(ev.mmse(above) - ev.mmse(below)) <= 1e-11
 
+    @pytest.mark.parametrize("kind", ["bpsk", "pam3", "pam4", "pam8"])
+    def test_table_independent_of_work_array_size(self, kind, monkeypatch):
+        # each knot is integrated on its own, so the knot chunks that a 2^15- or
+        # a 2^17-double work array holds give the same table, bit for bit
+        tables = []
+        for work in (1 << 15, 1 << 17):
+            monkeypatch.setattr(infotheory, "_QUAD_WORK", work)
+            monkeypatch.setattr(infotheory, "_table_cache", {})
+            tables.append(make_eval(kind)._table())
+        small, large = tables
+        assert small.knots.tobytes() == large.knots.tobytes()
+        assert small.mi_knots.tobytes() == large.mi_knots.tobytes()
+        assert small.mmse_knots.tobytes() == large.mmse_knots.tobytes()
+
     def test_one_table_per_alphabet(self):
         first, second = Constellation.pam(4), Constellation.pam(4)
         assert first is not second
@@ -415,6 +442,40 @@ class TestBlockMi:
         h = iid_channel(2, 2, 5, 0)
         with pytest.raises(PreconditionError):
             one_block_mi(h, [np.diag([1.0, -0.5])], 1.0, 2, ev)
+
+    def test_rejects_indefinite_covariance_in_a_broadcast_stack(self):
+        # the indefinite matrix is the second channel's, repeated over K = 3 symbols
+        ev = make_eval("gaussian")
+        h = np.concatenate([iid_channel(2, 2, 5, stream) for stream in range(3)])
+        covs = np.stack([np.eye(2), np.diag([1.0, -0.5]), np.eye(2)]).astype(complex)
+        with pytest.raises(PreconditionError, match="covariance has eigenvalue -5.000e-01"):
+            block_mi(h, np.broadcast_to(covs[:, None], (3, 3, 2, 2)), 1.0, 2, ev)
+        with pytest.raises(PreconditionError, match="covariance has eigenvalue -5.000e-01"):
+            block_mi(h, np.broadcast_to(covs[1:2], (3, 3, 2, 2)), 1.0, 2, ev)
+
+    def test_psd_check_factors_each_distinct_matrix_once(self, monkeypatch):
+        # stacks broadcast over the symbols and over the channels: the check
+        # sees one matrix per distinct covariance, and the values equal those
+        # of the materialized stacks
+        ev = make_eval("gaussian")
+        rng = Rng(17, 0)
+        h = np.concatenate([iid_channel(3, 2, 18, stream) for stream in range(4)])
+        a = rng.gen.standard_normal((4, 3, 3)) + 1j * rng.gen.standard_normal((4, 3, 3))
+        covs = a @ np.swapaxes(a.conj(), -1, -2)
+        stacks = [np.broadcast_to(covs[:, None], (4, 5, 3, 3)), np.broadcast_to(covs, (4, 4, 3, 3))]
+        shapes = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def recorded(m):
+            shapes.append(m.shape)
+            return eigvalsh(m)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", recorded)
+        got = [block_mi(h, qsets, 1.5, 3, ev) for qsets in stacks]
+        assert shapes == [(4, 1, 3, 3), (1, 4, 3, 3)]
+        for values, qsets in zip(got, stacks):
+            assert np.array_equal(values, block_mi(h, np.ascontiguousarray(qsets), 1.5, 3, ev))
+        assert shapes[2:] == [(4, 5, 3, 3), (4, 4, 3, 3)]
 
     def test_stack_rows_match_single_realizations(self):
         ev = make_eval("gaussian")

@@ -8,14 +8,17 @@ import pytest
 
 from ldfeedback import simengine
 from ldfeedback.channel import iid_model, v4_model
+from ldfeedback.cli import curves_to_csv
 from ldfeedback.codebook import (
     QuantizedCodebook,
+    codeword_max,
     delta_mi,
     delta_snr,
     random_rank_two_lambdas,
     s_matrix,
     select_mi,
     select_snr,
+    trace_mi,
 )
 from ldfeedback.errors import InfeasibleError, PreconditionError
 from ldfeedback.infotheory import LN2, Constellation, MiEvaluator, block_mi
@@ -161,7 +164,7 @@ class TestRun:
     def test_perfect_matches_closed_form_per_trial(self):
         config = make_config(trials=40)
         batch = draw_trials(config.model, config.trials, config.seed)
-        rows = scheme_block_mi(config, "perfect", batch)
+        rows = scheme_block_mi(config, "perfect", batch.lam_max, batch.ind_col_power)
         for idx, snr in enumerate(config.snr_grid_db):
             rho = 10.0 ** (snr / 10.0)
             expect = config.nc * np.log1p(rho * batch.lam_max)
@@ -200,7 +203,7 @@ class TestRun:
         config = make_config(model=iid_model(4, 4), trials=60)
         batch = draw_trials(config.model, config.trials, config.seed)
         _, quant = best_rank_one_codebook(config, run_smat(config, batch))
-        perfect = scheme_block_mi(config, "perfect", batch)
+        perfect = scheme_block_mi(config, "perfect", batch.lam_max, batch.ind_col_power)
         assert (quant <= perfect + 1e-9).all()
 
     def test_all_five_schemes_match_the_searches(self):
@@ -225,20 +228,56 @@ class TestRun:
         assert {p.scheme for p in got} == set(schemes)
         assert len(got) == len(schemes) * len(config.snr_grid_db)
 
-    def test_one_draw_and_one_s_matrix_per_run(self, monkeypatch):
+    def test_one_draw_and_one_s_matrix_per_window(self, monkeypatch):
+        # 10 trials in windows of 4: three draws of 4, 4 and 2 trials at streams
+        # 0, 4 and 8, each followed by its s_matrix rows
         calls = []
 
         def counted(fn):
             def wrapper(*args, **kwargs):
-                calls.append(fn.__name__)
+                calls.append((fn.__name__, len(args[0]) if fn is s_matrix else args[1],
+                              kwargs.get("first_stream")))
                 return fn(*args, **kwargs)
             return wrapper
 
+        monkeypatch.setattr(simengine, "TRIAL_WINDOW", 4)
         monkeypatch.setattr(simengine, "draw_trials", counted(draw_trials))
         monkeypatch.setattr(simengine, "s_matrix", counted(s_matrix))
         config = make_config(model=iid_model(4, 4), schemes=simengine.SCHEMES, trials=10)
         run(replace(config, rank_two_sets=3))
-        assert sorted(calls) == ["draw_trials", "s_matrix"]
+        assert calls == [("draw_trials", 4, 0), ("s_matrix", 4, None), ("draw_trials", 4, 4),
+                         ("s_matrix", 4, None), ("draw_trials", 2, 8), ("s_matrix", 2, None)]
+
+    @pytest.mark.parametrize("constellation", ["gaussian", "bpsk"])
+    @pytest.mark.parametrize("window", [1, 7, 30])
+    def test_csv_independent_of_window(self, constellation, window, monkeypatch):
+        # every scheme on 30 trials: windows of 1, of 7 (a partial last window)
+        # and of the whole run give the same CSV, byte for byte, as the default
+        config = replace(make_config(model=v4_model(), schemes=simengine.SCHEMES, trials=30, opt_samples=200),
+                         constellation=Constellation.from_name(constellation), n1=2, n2=2, rank_two_sets=4)
+        want = curves_to_csv(run(config))
+        monkeypatch.setattr(simengine, "TRIAL_WINDOW", window)
+        assert curves_to_csv(run(config)) == want
+
+    def test_memory_peak_bounded(self):
+        # Bound set before measuring: gauss_iid4x4's schemes and grid at 10 000
+        # trials, with 10 rank-two sets (the tournament's memory does not grow
+        # with their number). run holds lam_max, ind_col_power and the
+        # (trials, N1, Nt) s_matrix (1.68 MB in all), one (n_snr, trials) result
+        # (0.88 MB) and one window's draw, never the whole run's channels
+        config = replace(make_config(model=iid_model(4, 4), trials=10_000, snr=tuple(range(0, 21, 2)),
+                                     schemes=("perfect", "quantized-rank1-best", "quantized-rank2-best")),
+                         rank_two_sets=10)
+        run(config)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            run(config)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4.0 * 2**20
 
     def test_rejects_bad_labels_before_drawing(self, monkeypatch):
         draws = []
@@ -287,8 +326,8 @@ class TestRun:
     def test_statistical_below_perfect_per_trial(self):
         config = make_config(model=v4_model(), schemes=("statistical",), trials=40)
         batch = draw_trials(config.model, config.trials, config.seed)
-        stat = scheme_block_mi(config, "statistical", batch)
-        perfect = scheme_block_mi(config, "perfect", batch)
+        stat = scheme_block_mi(config, "statistical", batch.lam_max, batch.ind_col_power)
+        perfect = scheme_block_mi(config, "perfect", batch.lam_max, batch.ind_col_power)
         assert (stat <= perfect + 1e-9).all()
 
 
@@ -297,11 +336,11 @@ class TestBestRankOne:
         # one scored candidate per size-N2 subset of the Nt modes: C(Nt, N2)
         scored = []
 
-        def counted(config, smat, lambdas, out=None):
+        def counted(smat, lambdas):
             scored.append(lambdas)
-            return codebook_block_mi(config, smat, lambdas, out=out)
+            return codeword_max(smat, lambdas)
 
-        monkeypatch.setattr(simengine, "codebook_block_mi", counted)
+        monkeypatch.setattr(simengine, "codeword_max", counted)
         for nt, n1, n2, count in ((4, 4, 1, 4), (4, 2, 2, 6), (2, 2, 2, 1)):
             scored.clear()
             config = replace(make_config(model=iid_model(nt, nt), trials=10), n1=n1, n2=n2)
@@ -309,20 +348,33 @@ class TestBestRankOne:
             assert len(scored) == count == math.comb(nt, n2)
             assert all(lam.shape == (n2, nt) for lam in scored)
 
-    def test_scores_into_two_buffers(self, monkeypatch):
-        # six candidates, scored into the running best and one reused buffer;
-        # the winner's rows are those of scoring it alone
-        returned = []
+    def test_scores_each_candidate_once_per_point(self, monkeypatch):
+        # six candidates: one codeword max each, then one (trials,) buffer scored
+        # at every SNR point; the winner's rows are made once, at the end, equal
+        # those of scoring it alone, and its score is the largest
+        maxima, buffers, made = [], set(), []
 
-        def recorded(config, smat, lambdas, out=None):
-            returned.append(codebook_block_mi(config, smat, lambdas, out=out))
-            return returned[-1]
+        def recorded_max(smat, lambdas):
+            maxima.append(lambdas)
+            return codeword_max(smat, lambdas)
+
+        def recorded_mi(traces, rho, k, nt, evaluator, out=None):
+            assert np.ndim(rho) == 0 and out.shape == traces.shape == (config.trials,)
+            buffers.add(id(out))
+            return trace_mi(traces, rho, k, nt, evaluator, out=out)
+
+        def recorded_rows(config, smat, lambdas):
+            made.append(lambdas)
+            return codebook_block_mi(config, smat, lambdas)
 
         config = replace(make_config(model=iid_model(4, 4), trials=200), n1=2, n2=2)
         smat = run_smat(config)
-        monkeypatch.setattr(simengine, "codebook_block_mi", recorded)
+        monkeypatch.setattr(simengine, "codeword_max", recorded_max)
+        monkeypatch.setattr(simengine, "trace_mi", recorded_mi)
+        monkeypatch.setattr(simengine, "codebook_block_mi", recorded_rows)
         lambdas, rows = best_rank_one_codebook(config, smat)
-        assert len(returned) == 6 and len({id(rows) for rows in returned}) == 2
+        assert len(maxima) == 6 and len(buffers) == 1
+        assert len(made) == 1 and made[0] is lambdas
         assert np.array_equal(rows, codebook_block_mi(config, smat, lambdas))
         assert max(
             codebook_block_mi(config, smat, 4.0 * np.eye(4)[list(modes)]).mean(axis=1).sum()
@@ -330,10 +382,10 @@ class TestBestRankOne:
         ) == rows.mean(axis=1).sum()
 
     def test_memory_peak_bounded(self):
-        # as in the tournament: the running best and one reused buffer are two
-        # (n_snr, trials) arrays, and each candidate adds its (trials, N1, N2)
-        # traces and (trials,) temporaries, so 3x one candidate's rows bounds
-        # the peak at 10 000 trials
+        # only the winner's (n_snr, trials) rows are made, at the end; each
+        # candidate adds its (trials, N1, N2) traces (4/11 of the rows here) and
+        # (trials,) buffers, so 2x one candidate's rows bounds the peak at
+        # 10 000 trials
         config = replace(make_config(model=iid_model(4, 4), trials=10_000, snr=tuple(range(0, 21, 2))),
                          n1=2, n2=2)
         smat = run_smat(config)
@@ -346,7 +398,7 @@ class TestBestRankOne:
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
-        assert peak <= 3.0 * len(config.snr_grid_db) * config.trials * 8
+        assert peak <= 2.0 * len(config.snr_grid_db) * config.trials * 8
 
     def test_returns_single_mode_codebook(self):
         config = make_config(model=iid_model(4, 4), trials=30)
@@ -377,12 +429,12 @@ class TestBestRankOne:
 
 class TestRankTwoTournament:
     def test_memory_peak_bounded(self):
-        # Bound set before measuring: the running-best rows and one reused
-        # candidate buffer are two (n_snr, trials) arrays; each candidate adds
-        # its (trials, N1, N2) traces (N1*N2/n_snr = 4/11 of the rows here) and
-        # (trials,) or boolean temporaries. So 3x one candidate's rows bounds
-        # the peak at the benchmark's 10 000 trials, where fixed overheads are
-        # small; scoring every candidate into fresh arrays peaked at 4.1x.
+        # Bound set before measuring: the result is one (n_snr, trials) array;
+        # each candidate adds its (trials, N1, N2) traces (N1*N2/n_snr = 4/11
+        # of the rows here) and (trials,) temporaries, and is scored one point
+        # at a time in one reused (trials,) buffer. So 2x one candidate's rows
+        # bounds the peak at the benchmark's 10 000 trials, where fixed
+        # overheads are small.
         config = replace(make_config(trials=10_000, snr=tuple(range(0, 21, 2))), rank_two_sets=10)
         smat = run_smat(config)
         rank_two_tournament(config, smat)
@@ -394,7 +446,7 @@ class TestRankTwoTournament:
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
-        assert peak <= 3.0 * len(config.snr_grid_db) * config.trials * 8
+        assert peak <= 2.0 * len(config.snr_grid_db) * config.trials * 8
 
     def test_single_entry_is_its_own_best(self):
         config = replace(make_config(model=iid_model(4, 4), trials=25), rank_two_sets=1)
@@ -443,8 +495,8 @@ class TestRankTwoTournament:
 class TestStackedMatchesSingle:
     """Row t of a stacked evaluation equals the n = 1 evaluation of trial t, bit for bit.
 
-    draw_trials' eigenvalue call runs in chunks of 7 here, so 25 trials leave a
-    partial last chunk. Both the Gaussian kernel and the BPSK table are
+    draw_trials draws in windows of 7 here, so 25 trials leave a partial last
+    window. Both the Gaussian kernel and the BPSK table are
     elementwise.
     """
 
@@ -452,7 +504,7 @@ class TestStackedMatchesSingle:
 
     @pytest.fixture
     def trials(self, monkeypatch):
-        monkeypatch.setattr(simengine, "EIG_CHUNK", 7)
+        monkeypatch.setattr(simengine, "TRIAL_WINDOW", 7)
         model = v4_model()
         batch = draw_trials(model, self.TRIALS, 4242)
         singles = [draw_trials(model, 1, 4242, first_stream=t) for t in range(self.TRIALS)]
@@ -473,11 +525,11 @@ class TestStackedMatchesSingle:
             assert np.array_equal(stacked.vectors[t], alone.vectors)
 
     def test_lam_max(self, trials, monkeypatch):
-        # chunks of 7, one chunk of 4096 and one trial per call give the same bits
+        # windows of 7, one window of 4096 and one trial per call give the same bits
         batch, singles, _ = trials
         for t, one in enumerate(singles):
             assert np.array_equal(batch.lam_max[t], one.lam_max[0])
-        monkeypatch.setattr(simengine, "EIG_CHUNK", 4096)
+        monkeypatch.setattr(simengine, "TRIAL_WINDOW", 4096)
         assert np.array_equal(draw_trials(v4_model(), self.TRIALS, 4242).lam_max, batch.lam_max)
 
     def test_mi_rule(self, trials):
