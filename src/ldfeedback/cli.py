@@ -12,7 +12,7 @@ import sys
 
 import numpy as np
 
-from . import dispersion, simengine, verify
+from . import dispersion, simengine
 from .channel import check_antennas, custom_model, iid_model, v4_model
 from .errors import ConfigError, InfeasibleError, PreconditionError
 from .infotheory import Constellation
@@ -264,6 +264,9 @@ def cmd_simulate(args):
 
 
 def cmd_verify(args):
+    # imported here, so that simulate, construct and plot processes do not compile the suites
+    from . import verify
+
     if args.suite == "all":
         names = list(verify.SUITES)
     elif args.suite in verify.SUITES:

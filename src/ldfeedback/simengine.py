@@ -40,8 +40,12 @@ MIN_OPT_SAMPLES = 100
 # optimize_lambda stops after OPT_MAX_ITER steps or once the projected gradient norm is <= OPT_TOL
 OPT_MAX_ITER = 500
 OPT_TOL = 1e-6
-# trials drawn, decomposed and reduced at a time by draw_trials and run; bounds their scratch memory
+# trials drawn, decomposed and reduced at a time by draw_trials and run, and channel evaluations
+# per window of verify's large suites; bounds their scratch memory
 TRIAL_WINDOW = 1024
+# a codebook search skips a candidate only when its Jensen bound (_jensen_bounds) is below
+# the best score by more than this relative margin, far above the rounding of either side
+JENSEN_MARGIN = 1e-12
 # largest |snr_db| SimConfig.validate accepts: at 1000 dB rho = 1e100, so the
 # kernel arguments rho * power / Nt stay finite for any power below 1e208, far
 # above what a unit-variance channel draws, while 10 ** (snr_db / 10) itself
@@ -366,6 +370,23 @@ def default_unitaries(config):
     return haar_unitaries(config.n1, config.model.nt, Rng(config.seed, STREAM_CODEBOOK))
 
 
+def _jensen_bounds(traces, rhos, k, nt, evaluator, buf):
+    """Upper bounds on the trial mean of trace_mi(traces, rho, k, nt, evaluator), shape (n_snr,).
+
+    I is concave, so by Jensen's inequality the mean of K * I(rho/Nt * max(t, 0))
+    over the trials is at most K * I(rho/Nt * mean(max(t, 0))), the concavity
+    behind Proposition 2 and eq. 10. The clipped mean is taken in buf, a
+    (trials,) array, and the bounds are one kernel call over the SNR points.
+    The Gaussian closed form rounds each side within a few ulps, far inside
+    JENSEN_MARGIN; a discrete alphabet's table is not certified concave in
+    floating point, so its bounds are +inf and no candidate is skipped.
+    """
+    if evaluator.constellation.kind != "gaussian":
+        return np.full(rhos.size, np.inf)
+    clipped = np.maximum(traces, 0.0, out=buf).mean()
+    return k * evaluator.mi(clipped * rhos / nt)
+
+
 def best_rank_one_codebook(config, smat):
     """The rank-one power diagonals maximizing mean block MI summed over the grid.
 
@@ -377,8 +398,10 @@ def best_rank_one_codebook(config, smat):
 
     Each candidate's codeword-max traces are computed once and scored one
     SNR point at a time in one reused (trials,) buffer; its score is the sum
-    of the (n_snr,) per-point means. Only the winner's rows are made, once,
-    at the end, so the search holds one (n_snr, trials) array, the result.
+    of the (n_snr,) per-point means. A candidate whose summed Jensen bound
+    (_jensen_bounds) is below the best score by more than JENSEN_MARGIN
+    cannot win and is not scored. Only the winner's rows are made, once, at
+    the end, so the search holds one (n_snr, trials) array, the result.
     """
     nt = config.model.nt
     k, evaluator, rhos = config.k, MiEvaluator(config.constellation), _rhos(config)
@@ -389,6 +412,9 @@ def best_rank_one_codebook(config, smat):
     for modes in itertools.combinations(range(nt), config.n2):
         lambdas = budget * np.eye(nt)[list(modes)]
         traces = codeword_max(smat, lambdas)
+        bound = _jensen_bounds(traces, rhos, k, nt, evaluator, buf).sum()
+        if best is not None and bound < best[0] * (1.0 - JENSEN_MARGIN):
+            continue
         for idx, rho in enumerate(rhos):
             means[idx] = trace_mi(traces, rho, k, nt, evaluator, out=buf).mean()
         score = float(means.sum())
@@ -409,7 +435,9 @@ def rank_two_tournament(config, smat):
 
     Each codebook's codeword-max traces are computed once and scored one
     SNR point at a time in one reused (trials,) buffer, which is copied into
-    that point's row of the result when the codebook wins there. So the
+    that point's row of the result when the codebook wins there. A point
+    where the codebook's Jensen bound (_jensen_bounds) is below the best
+    score by more than JENSEN_MARGIN cannot be won and is not scored. So the
     tournament holds the result and one (trials,) buffer whatever
     config.rank_two_sets is.
     """
@@ -423,7 +451,10 @@ def rank_two_tournament(config, smat):
     buf = np.empty(smat.shape[0])
     for idx, lambdas in enumerate(lamsets):
         traces = codeword_max(smat, lambdas)
+        bounds = _jensen_bounds(traces, rhos, k, nt, evaluator, buf)
         for point, rho in enumerate(rhos):
+            if idx and bounds[point] < best[point] * (1.0 - JENSEN_MARGIN):
+                continue
             score = trace_mi(traces, rho, k, nt, evaluator, out=buf).mean()
             if idx == 0 or score > best[point]:
                 rows[point] = buf

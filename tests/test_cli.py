@@ -2,12 +2,13 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from ldfeedback import cli, verify
+from ldfeedback import cli, simengine, verify
 from ldfeedback.dispersion import DispersionSet
 from ldfeedback.errors import ConfigError
 from ldfeedback.matkit import KEY_LIMIT
@@ -394,6 +395,33 @@ class TestVerifyCommand:
         pinned = json.loads((DATA_DIR / "verify_metrics.json").read_text())[str(seed)]
         results = verify.run_suites(list(verify.SUITES), seed=seed)
         assert {f"{r.suite}/{r.name}": repr(r.metric) for r in results} == pinned
+
+    @pytest.mark.parametrize("window", [7, 10**6])
+    def test_metrics_independent_of_window(self, monkeypatch, window):
+        # the large suites draw and evaluate simengine.TRIAL_WINDOW channel
+        # evaluations at a time; windows of 7 (a single channel for thm2, thm4
+        # and goc's rank-one set) and one window for everything give the pins
+        monkeypatch.setattr(simengine, "TRIAL_WINDOW", window)
+        for seed in (0, 5):
+            pinned = json.loads((DATA_DIR / "verify_metrics.json").read_text())[str(seed)]
+            results = verify.run_suites(list(verify.SUITES), seed=seed)
+            assert {f"{r.suite}/{r.name}": repr(r.metric) for r in results} == pinned
+
+    @pytest.mark.parametrize("name", list(verify.SUITES))
+    def test_suite_memory_peak_bounded(self, name):
+        # Bound set before measuring: each suite holds at most one window of its
+        # realizations, so no suite's traced peak exceeds 2 MiB at the default
+        # seed. The first call builds the process-wide kernel caches.
+        verify.SUITES[name]()
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            verify.SUITES[name]()
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * 2**20
 
     def test_unknown_suite_exit_2(self, capsys):
         assert cli.main(["verify", "nonsense"]) == 2

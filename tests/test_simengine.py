@@ -2,13 +2,16 @@ import itertools
 import math
 import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from ldfeedback import simengine
 from ldfeedback.channel import iid_model, v4_model
-from ldfeedback.cli import curves_to_csv
+from ldfeedback.cli import build_experiment, curves_to_csv, parse_config_text
 from ldfeedback.codebook import (
     QuantizedCodebook,
     codeword_max,
@@ -38,6 +41,8 @@ from ldfeedback.simengine import (
     run,
     scheme_block_mi,
 )
+
+BENCH_CONFIGS = Path(__file__).resolve().parent.parent / "bench" / "configs"
 
 
 def make_config(model=None, schemes=("perfect",), trials=50, k=None, nc=None, seed=4242,
@@ -490,6 +495,115 @@ class TestRankTwoTournament:
         assert distinct > 1 if case == "winner-changes-along-the-grid" else distinct == 1
         if case == "tie":
             assert winners.tolist() == [0] * len(want)
+
+
+def exhaustive_rank_one(config, smat):
+    """best_rank_one_codebook without the Jensen skip: every candidate scored at every point."""
+    nt = config.model.nt
+    k, evaluator, rhos = config.k, MiEvaluator(config.constellation), simengine._rhos(config)
+    budget = nt * config.nc / k
+    means = np.empty(rhos.size)
+    buf = np.empty(smat.shape[0])
+    best = None
+    for modes in itertools.combinations(range(nt), config.n2):
+        lambdas = budget * np.eye(nt)[list(modes)]
+        traces = codeword_max(smat, lambdas)
+        for idx, rho in enumerate(rhos):
+            means[idx] = trace_mi(traces, rho, k, nt, evaluator, out=buf).mean()
+        score = float(means.sum())
+        if best is None or score > best[0]:
+            best = (score, lambdas)
+    return best[1], codebook_block_mi(config, smat, best[1])
+
+
+def exhaustive_tournament(config, smat):
+    """rank_two_tournament without the Jensen skip: every codebook scored at every point."""
+    nt = config.model.nt
+    k, evaluator, rhos = config.k, MiEvaluator(config.constellation), simengine._rhos(config)
+    winners = np.zeros(rhos.size, dtype=int)
+    best = np.empty(rhos.size)
+    rows = np.empty((rhos.size, smat.shape[0]))
+    buf = np.empty(smat.shape[0])
+    for idx, lambdas in enumerate(drawn_rank_two_lambdas(config)):
+        traces = codeword_max(smat, lambdas)
+        for point, rho in enumerate(rhos):
+            score = trace_mi(traces, rho, k, nt, evaluator, out=buf).mean()
+            if idx == 0 or score > best[point]:
+                rows[point] = buf
+                best[point] = score
+                winners[point] = idx
+    return winners, rows
+
+
+def assert_searches_match_exhaustive(config, smat):
+    """Both codebook searches return the exhaustive loops' winners and rows, bit for bit."""
+    for search, reference in ((best_rank_one_codebook, exhaustive_rank_one),
+                              (rank_two_tournament, exhaustive_tournament)):
+        got, want = search(config, smat), reference(config, smat)
+        assert got[0].tobytes() == want[0].tobytes()
+        assert got[1].tobytes() == want[1].tobytes()
+
+
+class TestJensenSkip:
+    """The Gaussian searches skip what their Jensen bound rules out and pick the same winners."""
+
+    @pytest.mark.parametrize("offset", [0, 5])
+    @pytest.mark.parametrize("label", ["gauss_iid2x2", "gauss_iid4x4", "gauss_v4"])
+    def test_bench_configs_match_exhaustive(self, label, offset):
+        values = parse_config_text((BENCH_CONFIGS / f"{label}.cfg").read_text())
+        config = build_experiment(values, cli_seed=int(values["seed"]) + offset)
+        assert_searches_match_exhaustive(config, run_smat(config))
+
+    @given(n=st.integers(1, 40), n1=st.integers(1, 3), nt=st.integers(2, 4), n2=st.integers(1, 2),
+           sets=st.integers(1, 12), pattern=st.sampled_from(["random", "modes-equal", "zero"]),
+           data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_random_smat_matches_exhaustive(self, n, n1, nt, n2, sets, pattern, data):
+        smat = data.draw(arrays(np.float64, (n, n1, nt),
+                                elements=st.floats(0.0, 50.0, allow_nan=False, allow_subnormal=False)))
+        if pattern == "modes-equal":  # every codeword's trace is the same on a trial
+            smat = np.broadcast_to(smat[..., :1], smat.shape).copy()
+        elif pattern == "zero":
+            smat = np.zeros_like(smat)
+        snr = sorted(data.draw(st.sets(st.integers(-20, 30), min_size=1, max_size=6)))
+        config = replace(make_config(model=iid_model(nt, nt), trials=n, snr=snr),
+                         n1=n1, n2=n2, rank_two_sets=sets)
+        assert_searches_match_exhaustive(config, smat)
+
+    def test_ties_match_exhaustive(self):
+        # every single-mode candidate sees the same per-trial powers, permuted
+        # over the trials, so all four candidates tie in exact arithmetic; the
+        # powers differ by 1e-9 relative, so each Jensen bound exceeds its score
+        # by far less than rounding and only the margin keeps a candidate whose
+        # score rounds above the best from being skipped
+        for seed in range(200):
+            rng = np.random.default_rng(seed)
+            n = int(rng.integers(5, 80))
+            powers = 1.0 + 1e-9 * rng.random(n)
+            smat = np.stack([rng.permutation(powers) for _ in range(4)], axis=1)[:, None, :]
+            config = replace(make_config(model=iid_model(4, 4), trials=n, snr=(-10.0, 0.0, 10.0, 20.0)),
+                             n1=1, n2=1, rank_two_sets=20)
+            assert_searches_match_exhaustive(config, smat)
+
+    def test_skips_gaussian_points_only(self, monkeypatch):
+        # V4 has one strong mode, so most codebooks are ruled out by their bound;
+        # a discrete alphabet's table is not certified concave and scores everything
+        scored = []
+
+        def counted(traces, rho, k, nt, evaluator, out=None):
+            scored.append(rho)
+            return trace_mi(traces, rho, k, nt, evaluator, out=out)
+
+        monkeypatch.setattr(simengine, "trace_mi", counted)
+        config = replace(make_config(model=v4_model(), trials=200), n1=2, n2=1, rank_two_sets=20)
+        smat = run_smat(config)
+        points = len(config.snr_grid_db)
+        for constellation, skips in ((Constellation.gaussian(), True), (Constellation.bpsk(), False)):
+            config = replace(config, constellation=constellation)
+            scored.clear()
+            rank_two_tournament(config, smat)
+            assert (len(scored) < config.rank_two_sets * points) == skips
+            assert len(scored) >= points
 
 
 class TestStackedMatchesSingle:
