@@ -25,9 +25,15 @@ TRACE_TOL = 1e-9
 
 
 def check_split(b, n1, n2):
-    """Reject a B-bit split unless n1, n2 >= 1 and n1 * n2 = 2^B."""
-    if min(n1, n2) < 1 or n1 * n2 != 2**b:
-        raise PreconditionError(f"n1*n2 = {n1 * n2} must equal 2^B = {2 ** b}")
+    """Reject a B-bit split unless n1, n2 >= 1 and n1 * n2 = 2^B.
+
+    The product is tested on its bits: a power of two with B + 1 of them,
+    which also rejects B < 0. So a huge B is never raised to 2^B, and the
+    message names the inputs only.
+    """
+    p = int(n1) * int(n2)
+    if min(n1, n2) < 1 or p.bit_length() != b + 1 or p & (p - 1):
+        raise PreconditionError(f"n1 = {n1}, n2 = {n2}: n1*n2 must equal 2^B for B = {b}")
 
 
 def check_rank_two(nt):
@@ -56,8 +62,7 @@ class QuantizedCodebook:
             raise PreconditionError("unitary/diagonal counts must match the split")
         self.unitaries = [np.asarray(u, dtype=np.complex128) for u in self.unitaries]
         rows = [np.asarray(l, dtype=float).reshape(-1) for l in self.lambdas]
-        for i, u in enumerate(self.unitaries):
-            check_unitary(u, self.nt, f"unitaries[{i}]")
+        check_unitary(np.stack(self.unitaries), self.nt, "unitaries")
         budget = self.nt * self.nc / self.k
         for lam in rows:
             if lam.size != self.nt:
@@ -107,8 +112,7 @@ def s_matrix(h, unitaries):
     bit (tested against it).
     """
     nt = h.shape[-1]
-    for i, u in enumerate(unitaries):
-        check_unitary(u, nt, f"unitaries[{i}]")
+    check_unitary(np.asarray(unitaries), nt, "unitaries")
     rows = h.reshape(-1, nt)
     return np.stack([(np.abs((rows @ u).reshape(h.shape)) ** 2).sum(axis=1) for u in unitaries], axis=1)
 

@@ -1,11 +1,12 @@
 """Minimal dense complex matrix kit.
 
 Stacked Hermitian eigendecomposition with a fixed ordering/phase
-convention, stacks of Haar-distributed unitaries, the one unitarity check,
-and the deterministic Philox substreams the Monte Carlo layers build on:
-Rng for one-off streams and substream_normals, which fills one row per
-substream of a window by re-keying a single generator. Channel entries
-are made from standard normals by channel.from_normals.
+convention, stacks of Haar-distributed unitaries, the one unitarity check
+(of a whole stack at once), and the deterministic Philox substreams the
+Monte Carlo layers build on: Rng for one-off streams and
+substream_normals, which fills one row per substream of a window by
+re-keying a single generator. Channel entries are made from standard
+normals by channel.from_normals.
 """
 
 import math
@@ -112,10 +113,14 @@ def hermitian_eig(m):
 
 
 def check_unitary(u, n, name):
-    """Reject u unless it is n x n with ||U^H U - I||_F <= UNITARY_TOL (a NaN residual fails too)."""
-    if u.shape != (n, n):
+    """Reject an (..., n, n) stack u unless every ||U^H U - I||_F <= UNITARY_TOL.
+
+    One matrix is the stack of no leading axes. The message names the
+    largest residual, and a NaN residual fails too.
+    """
+    if u.shape[-2:] != (n, n):
         raise PreconditionError(f"{name} must be {n} x {n}, got shape {u.shape}")
-    resid = np.linalg.norm(u.conj().T @ u - np.eye(n))
+    resid = np.linalg.norm(np.swapaxes(u.conj(), -1, -2) @ u - np.eye(n), axis=(-2, -1)).max()
     if not resid <= UNITARY_TOL:
         raise PreconditionError(f"{name} is not unitary (residual {resid:.3e})")
 

@@ -1,13 +1,14 @@
 """Monte Carlo estimation of average mutual information.
 
 Trial i of a configuration is drawn from its own RNG substream, and every
-scheme is evaluated on the same draws (common random numbers). The draws
-are made TRIAL_WINDOW trials at a time: run keeps of each window only what
-the schemes read, the largest eigenvalue, the column powers of Hind and the
-codebook's s_matrix rows, so a window's channels and their scratch are
-freed before the next is drawn. Every per-trial value is computed on its
-own and the reductions run over whole-run arrays, so results are
-bit-identical whatever the window size.
+scheme is evaluated on the same draws (common random numbers). trial_windows
+is the one window loop: it draws the trials TRIAL_WINDOW channel
+evaluations at a time, for run and for verify's large suites. run keeps of
+each window only what the schemes read, the largest eigenvalue, the column
+powers of Hind and the codebook's s_matrix rows, so a window's channels and
+their scratch are freed before the next is drawn. Every per-trial value is
+computed on its own and the reductions run over whole-run arrays, so
+results are bit-identical whatever the window size.
 """
 
 import itertools
@@ -40,8 +41,8 @@ MIN_OPT_SAMPLES = 100
 # optimize_lambda stops after OPT_MAX_ITER steps or once the projected gradient norm is <= OPT_TOL
 OPT_MAX_ITER = 500
 OPT_TOL = 1e-6
-# trials drawn, decomposed and reduced at a time by draw_trials and run, and channel evaluations
-# per window of verify's large suites; bounds their scratch memory
+# channel evaluations per window of trial_windows, which run and verify's large suites iterate;
+# bounds their scratch memory
 TRIAL_WINDOW = 1024
 # a codebook search skips a candidate only when its Jensen bound (_jensen_bounds) is below
 # the best score by more than this relative margin, far above the rounding of either side
@@ -154,32 +155,37 @@ def _column_powers(hind):
 
 
 def draw_trials(model, trials, seed, first_stream=0):
-    """Sample `trials` channels, trial i from substream first_stream + i.
+    """Sample `trials` channels, trial i from substream first_stream + i, in one pass.
 
-    The batch is filled TRIAL_WINDOW trials at a time: for the window at lo,
     matkit.substream_normals fills one standard-normal buffer whose row i is
-    drawn from substream (seed, first_stream + lo + i), channel.from_normals
-    turns it into channels at once, and one stacked np.linalg.eigvalsh call
-    gives the window's lam_max. Every channel and Gram matrix is made and
-    factored on its own, so row i equals the n = 1 stack
-    channel.sample(model, Rng(seed, first_stream + i)) bit for bit, whatever
-    the window size and whatever window [first_stream, first_stream + trials)
-    it is drawn in. Besides the returned arrays, one window's normals,
-    channels and Gram matrices are alive at a time.
+    drawn from substream (seed, first_stream + i), channel.from_normals turns
+    it into channels at once, and one stacked np.linalg.eigvalsh call gives
+    lam_max. Every channel and Gram matrix is made and factored on its own,
+    so row i equals the n = 1 stack channel.sample(model, Rng(seed,
+    first_stream + i)) bit for bit, whatever window [first_stream,
+    first_stream + trials) it is drawn in. Its scratch grows with trials:
+    draw large counts through trial_windows.
     """
-    n = int(trials)
-    h = np.empty((n, model.nr, model.nt), dtype=np.complex128)
-    lam_max = np.empty(n)
-    ind_col_power = np.empty((n, model.nt))
-    for lo in range(0, n, TRIAL_WINDOW):
-        hi = min(lo + TRIAL_WINDOW, n)
-        h[lo:hi], hind = from_normals(model, substream_normals(seed, first_stream + lo, hi - lo,
-                                                               (2, model.nr, model.nt)))
-        ind_col_power[lo:hi] = _column_powers(hind)
-        del hind
-        window = h[lo:hi]
-        lam_max[lo:hi] = np.linalg.eigvalsh(np.swapaxes(window.conj(), -1, -2) @ window)[:, -1]
-    return TrialBatch(h=h, lam_max=np.maximum(lam_max, 0.0, out=lam_max), ind_col_power=ind_col_power)
+    h, hind = from_normals(model, substream_normals(seed, first_stream, int(trials), (2, model.nr, model.nt)))
+    lam_max = np.linalg.eigvalsh(np.swapaxes(h.conj(), -1, -2) @ h)[:, -1]
+    return TrialBatch(h=h, lam_max=np.maximum(lam_max, 0.0), ind_col_power=_column_powers(hind))
+
+
+def trial_windows(model, trials, seed, first_stream=0, evals_per_trial=1):
+    """(lo, hi, batch) windows covering range(trials) in order; batch is trials lo..hi-1's draw.
+
+    A window holds max(1, TRIAL_WINDOW // evals_per_trial) trials, the last
+    one may hold fewer, so a caller evaluating each trial evals_per_trial
+    times (competitors, covariance sets, dispersion pairs) evaluates at most
+    TRIAL_WINDOW at a time, or one trial. batch is
+    draw_trials(model, hi - lo, seed, first_stream=first_stream + lo), the
+    same bits as rows lo..hi-1 of the whole draw. A caller that drops its
+    batch at the end of each step holds one window at a time.
+    """
+    step = max(1, TRIAL_WINDOW // max(1, evals_per_trial))
+    for lo in range(0, trials, step):
+        hi = min(lo + step, trials)
+        yield lo, hi, draw_trials(model, hi - lo, seed, first_stream=first_stream + lo)
 
 
 def project_scaled_simplex(v, total):
@@ -327,7 +333,7 @@ def run(config):
 
     The config, scheme labels and codebook split included, is validated
     before anything is drawn, and every scheme sees the same trials. They
-    are drawn by draw_trials one TRIAL_WINDOW at a time, and run keeps of
+    are drawn by trial_windows one TRIAL_WINDOW at a time, and run keeps of
     each window only what the schemes read, in whole-run arrays: lam_max,
     ind_col_power and, when a quantized scheme runs, the window's s_matrix
     rows of the one unitary family both codebook searches share. So the
@@ -343,9 +349,7 @@ def run(config):
     if quantized:
         unitaries = default_unitaries(config)
         smat = np.empty((n, config.n1, nt))
-    for lo in range(0, n, TRIAL_WINDOW):
-        hi = min(lo + TRIAL_WINDOW, n)
-        window = draw_trials(config.model, hi - lo, config.seed, first_stream=lo)
+    for lo, hi, window in trial_windows(config.model, n, config.seed):
         lam_max[lo:hi] = window.lam_max
         ind_col_power[lo:hi] = window.ind_col_power
         if quantized:

@@ -6,13 +6,13 @@ measured residual or margin. The CLI `verify` subcommand dispatches here;
 the acceptance tests call the same suites, whose sizes are fixed.
 
 The suites with many realizations (lemma1, thm2, thm4 and goc's decoupling
-witness) evaluate them window by window, each window at most
-simengine.TRIAL_WINDOW channel evaluations, and fold each window's worst
-case into a running max. lemma1, thm2 and thm4 draw a window's channels
-from substreams base + lo .. base + hi - 1, which is bit for bit that row
-range of the whole draw, and continue their own Generator from window to
-window; goc draws its 100 channels once for both sets and windows the
-witness calls. So the metrics do not depend on the window size.
+witness) iterate simengine.trial_windows, so each window holds at most
+TRIAL_WINDOW channel evaluations, and fold each window's worst case into a
+running max. A window's channels are drawn from substreams base + lo ..
+base + hi - 1, bit for bit that row range of the whole draw; thm2 and thm4
+continue their own Generator from window to window, and goc draws its 100
+channels once per dispersion set. So the metrics do not depend on the
+window size.
 """
 
 import itertools
@@ -20,11 +20,11 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import channel, codebook, dispersion, simengine
+from . import channel, codebook, dispersion
 from .errors import InfeasibleError
 from .infotheory import Constellation, MiEvaluator, block_mi, perfect_csi_mi
 from .matkit import Rng, haar_unitaries, hermitian_eig
-from .simengine import draw_trials
+from .simengine import draw_trials, trial_windows
 
 DEFAULT_SEED = 20180417
 
@@ -41,18 +41,6 @@ class CheckResult:
         status = "PASS" if self.passed else "FAIL"
         extra = f" ({self.detail})" if self.detail else ""
         return f"{status} {self.suite}/{self.name} metric={self.metric:.3e}{extra}"
-
-
-def _windows(n, evals_per_channel=1):
-    """(lo, hi) slices covering range(n), each at most simengine.TRIAL_WINDOW channel evaluations.
-
-    A channel carrying evals_per_channel evaluations (competitors, covariance
-    sets, dispersion pairs) counts that many times; a window holds at least
-    one channel.
-    """
-    step = max(1, simengine.TRIAL_WINDOW // max(1, evals_per_channel))
-    for lo in range(0, n, step):
-        yield lo, min(lo + step, n)
 
 
 def _random_unit_vector(n, rng):
@@ -126,10 +114,9 @@ def suite_thm2(seed=DEFAULT_SEED):
     ev = MiEvaluator(Constellation.gaussian())
     k, nc, rho, channels, qsets = 4, 4, 2.0, 100, 20
     trace = 4 * nc / k
-    model = channel.iid_model(4, 4)
     worst_bound = worst_achieve = -np.inf
-    for lo, hi in _windows(channels, qsets):
-        h = draw_trials(model, hi - lo, seed, first_stream=200 + lo).h
+    for lo, hi, batch in trial_windows(channel.iid_model(4, 4), channels, seed, 200, qsets):
+        h = batch.h
         # lmax from the decomposition that gives the beams, clipped at 0 as draw_trials clips it
         eig = hermitian_eig(np.swapaxes(h.conj(), -1, -2) @ h)
         best = perfect_csi_mi(np.maximum(eig.values[:, 0], 0.0), rho, k, nc, ev)
@@ -171,10 +158,8 @@ def suite_thm4(seed=DEFAULT_SEED):
     rng = Rng(seed, 41)
     unitaries = haar_unitaries(n1, nt, rng)
     budget = nt * nc / k
-    model = channel.iid_model(4, 4)
     worst = -np.inf
-    for lo, hi in _windows(realizations, competitors):
-        h = draw_trials(model, hi - lo, seed, first_stream=400 + lo).h
+    for lo, hi, batch in trial_windows(channel.iid_model(4, 4), realizations, seed, 400, competitors):
         # per competitor, n2 * nt weights then n2 scales in [0.5, 1): the stream order of
         # one uniform(size=(n2, nt)) and one uniform(0.5, 1.0, size=n2) call, so the bits are kept
         u = rng.gen.uniform(size=(hi - lo, competitors, n2 * nt + n2))
@@ -182,7 +167,7 @@ def suite_thm4(seed=DEFAULT_SEED):
         w /= w.sum(axis=-1, keepdims=True)
         scale = 0.5 + 0.5 * u[..., n2 * nt:, None]
         comp = budget * scale * w
-        smat = codebook.s_matrix(h, unitaries)
+        smat = codebook.s_matrix(batch.h, unitaries)
         ref = codebook.select_mi(smat, budget * np.eye(nt), rho, k, nt, ev)
         got = codebook.select_mi(smat[:, None], comp, rho, k, nt, ev)
         worst = max(worst, float((got - ref[:, None]).max()))
@@ -278,10 +263,8 @@ def suite_lemma1(seed=DEFAULT_SEED):
     lambdas = codebook.random_rank_two_lambdas(1, 1, nt, nc, k, rng)[0]
     cb = codebook.QuantizedCodebook(b=2, n1=4, n2=1, unitaries=unitaries, lambdas=lambdas,
                                     k=k, nc=nc, nt=nt)
-    model = channel.v4_model()
     worst = -np.inf
-    for lo, hi in _windows(realizations):
-        batch = draw_trials(model, hi - lo, seed, first_stream=800 + lo)
+    for _, _, batch in trial_windows(channel.v4_model(), realizations, seed, 800):
         smat = codebook.s_matrix(batch.h, cb.unitaries)
         for rho in (1.0, 10.0):
             gap = (codebook.delta_mi(smat, cb.lambdas, batch.lam_max, rho, k, nt, nc, ev)
@@ -337,14 +320,14 @@ def suite_goc(seed=DEFAULT_SEED, mutate=False):
     if mutate:  # deliberate violation: the second dispersion matrix duplicates the first
         beam = sets["rank-one"]
         sets["rank-one"] = replace(beam, mats=beam.mats[[0, 0, *range(2, beam.k)]])
-    h = draw_trials(channel.iid_model(4, 4), 100, seed, first_stream=900).h
+    model = channel.iid_model(4, 4)
     results = []
     for name, dset in sets.items():
         ok, resid = dispersion.check_goc(dset)
         results.append(CheckResult("goc", f"{name}-constraint", ok, resid))
         pairs = dset.k * (dset.k - 1) // 2
-        worst = max(float(dispersion.decoupling_residual(h[lo:hi], dset).max())
-                    for lo, hi in _windows(len(h), pairs))
+        worst = max(float(dispersion.decoupling_residual(batch.h, dset).max())
+                    for _, _, batch in trial_windows(model, 100, seed, 900, pairs))
         results.append(CheckResult("goc", f"{name}-decoupling", worst <= 1e-10, worst,
                                    "100 random channels"))
     return results

@@ -3,13 +3,14 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.stats import ks_2samp
 
 from ldfeedback import matkit, simengine
 from ldfeedback.channel import CorrelationModel, custom_model, from_normals, iid_model, sample, v4_model
 from ldfeedback.errors import PreconditionError
 from ldfeedback.matkit import Rng, haar_unitaries, hermitian_eig
-from ldfeedback.simengine import draw_trials
+from ldfeedback.simengine import draw_trials, trial_windows
 
 
 @pytest.mark.parametrize("nt,nr", [(2, 2), (4, 4), (1, 1)])
@@ -189,19 +190,48 @@ def test_draw_trials_builds_no_rng(monkeypatch):
     assert np.array_equal(batch.h[-1], last)
 
 
+@given(window=st.integers(1, 40), trials=st.integers(1, 60), evals_per_trial=st.integers(1, 30),
+       first_stream=st.integers(0, 1000), name=st.sampled_from(list(BATCH_MODELS)))
+@settings(max_examples=60, deadline=None)
+def test_trial_windows_cover_the_draw(window, trials, evals_per_trial, first_stream, name):
+    # contiguous windows of 1..max(1, TRIAL_WINDOW // evals_per_trial) trials cover
+    # range(trials) in order, and their fields are the one-pass draw's, bit for bit
+    model = BATCH_MODELS[name]()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(simengine, "TRIAL_WINDOW", window)
+        windows = list(trial_windows(model, trials, 67, first_stream, evals_per_trial))
+    step = max(1, window // evals_per_trial)
+    assert [lo for lo, _, _ in windows] == [0] + [hi for _, hi, _ in windows[:-1]]
+    assert windows[-1][1] == trials
+    for lo, hi, batch in windows:
+        assert 1 <= hi - lo <= step and batch.trials == hi - lo
+    whole = draw_trials(model, trials, 67, first_stream)
+    for field in ("h", "lam_max", "ind_col_power"):
+        got = np.concatenate([getattr(batch, field) for _, _, batch in windows])
+        assert got.tobytes() == getattr(whole, field).tobytes()
+
+
 @pytest.mark.parametrize("model", [iid_model(4, 4), v4_model()], ids=["iid4x4", "v4"])
-def test_draw_trials_memory_peak_bounded(model):
-    # Bound set before measuring: the batch is filled one window at a time, so
-    # besides the returned arrays only one window's normals, channels and Gram
-    # matrices are alive, and the peak stays under 1.5x the returned arrays at
-    # 10 000 trials
-    draw_trials(model, 100, 71)
+def test_trial_windows_memory_peak_bounded(model):
+    # Bound set before measuring: whole-run arrays filled from trial_windows, each
+    # batch dropped once copied, so besides those arrays only one window's normals,
+    # channels and Gram matrices are alive, and the peak stays under 1.5x the
+    # arrays at 10 000 trials
+    def fill(trials):
+        h = np.empty((trials, model.nr, model.nt), dtype=np.complex128)
+        lam_max, ind_col_power = np.empty(trials), np.empty((trials, model.nt))
+        for lo, hi, batch in trial_windows(model, trials, 71):
+            h[lo:hi], lam_max[lo:hi], ind_col_power[lo:hi] = batch.h, batch.lam_max, batch.ind_col_power
+            del batch
+        return h, lam_max, ind_col_power
+
+    fill(100)
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
-        batch = draw_trials(model, 10_000, 71)
+        arrays = fill(10_000)
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    assert peak <= 1.5 * (batch.h.nbytes + batch.lam_max.nbytes + batch.ind_col_power.nbytes)
+    assert peak <= 1.5 * sum(a.nbytes for a in arrays)

@@ -226,8 +226,10 @@ class TestSimulate:
         ("schemes = perfect,", "schemes = perfect,perfect,", "repeated scheme 'perfect'"),
         ("model = iid", "model = bogus\nvmask = 1,1,1,1", "not both"),
         ("model = iid\nnt = 2\nnr = 2", "vmask = 1,1,1,1\nnt = -2\nnr = -2", "antenna counts must be >= 1"),
+        # 2^20000 has more digits than str() formats by default: the split check tests bits, never 2^B
+        ("b = 2\n", "b = 20000\n", "n1 = 4, n2 = 1: n1*n2 must equal 2^B for B = 20000"),
     ], ids=["k-0", "nc-0", "snr-nan", "snr-inf", "snr-minus-inf", "snr-4000", "snr-3080", "vmask-nan",
-            "vmask-inf", "repeated-scheme", "model-and-vmask", "vmask-negative-antennas"])
+            "vmask-inf", "repeated-scheme", "model-and-vmask", "vmask-negative-antennas", "b-20000"])
     def test_bad_value_exit_2(self, tmp_path, capsys, line, bad, message):
         text = SMALL_CFG.replace("trials = 20", "trials = 1")
         cfg = write(tmp_path, "exp.cfg", text.replace(line, bad))

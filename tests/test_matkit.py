@@ -154,6 +154,22 @@ class TestCheckUnitary:
         with pytest.raises(PreconditionError, match=message):
             check_unitary(u, 4, "u")
 
+    def test_accepts_haar_stack_rejects_wrong_shape(self):
+        check_unitary(haar_unitaries(4, 4, Rng(3, 1)), 4, "u")
+        with pytest.raises(PreconditionError, match="u must be 4 x 4, got shape \\(4, 3, 3\\)"):
+            check_unitary(np.zeros((4, 3, 3)), 4, "u")
+
+    @pytest.mark.parametrize("bad, message", [
+        (2 * np.eye(4), "u is not unitary \\(residual 6.000e\\+00\\)"),
+        (np.full((4, 4), np.nan), "u is not unitary \\(residual nan\\)"),
+    ], ids=["scaled", "nan"])
+    def test_rejects_one_bad_matrix_in_a_stack(self, bad, message):
+        # one call checks all four matrices and names the largest residual
+        stack = haar_unitaries(4, 4, Rng(3, 1))
+        stack[2] = bad
+        with pytest.raises(PreconditionError, match=message):
+            check_unitary(stack, 4, "u")
+
 
 class TestRng:
     def test_same_stream_bit_identical(self):

@@ -307,7 +307,7 @@ class TestRun:
             return draw_trials(*args, **kwargs)
 
         monkeypatch.setattr(simengine, "draw_trials", counted)
-        for split in ({"n1": 2}, {"n1": 0, "n2": 4}, {"n1": -1, "n2": -4}, {"b": 3}):
+        for split in ({"n1": 2}, {"n1": 0, "n2": 4}, {"n1": -1, "n2": -4}, {"b": 3}, {"b": -1, "n1": 1}):
             with pytest.raises(PreconditionError, match="must equal 2"):
                 run(replace(make_config(), **split))
         config = make_config(schemes=("perfect", "quantized-rank2-best"))
@@ -609,9 +609,9 @@ class TestJensenSkip:
 class TestStackedMatchesSingle:
     """Row t of a stacked evaluation equals the n = 1 evaluation of trial t, bit for bit.
 
-    draw_trials draws in windows of 7 here, so 25 trials leave a partial last
-    window. Both the Gaussian kernel and the BPSK table are
-    elementwise.
+    The stacked batch is put together from trial_windows' windows of 7 here,
+    so 25 trials leave a partial last window. Both the Gaussian kernel and
+    the BPSK table are elementwise.
     """
 
     TRIALS = 25
@@ -620,7 +620,9 @@ class TestStackedMatchesSingle:
     def trials(self, monkeypatch):
         monkeypatch.setattr(simengine, "TRIAL_WINDOW", 7)
         model = v4_model()
-        batch = draw_trials(model, self.TRIALS, 4242)
+        windows = [batch for _, _, batch in simengine.trial_windows(model, self.TRIALS, 4242)]
+        batch = simengine.TrialBatch(**{f: np.concatenate([getattr(w, f) for w in windows])
+                                        for f in ("h", "lam_max", "ind_col_power")})
         singles = [draw_trials(model, 1, 4242, first_stream=t) for t in range(self.TRIALS)]
         rng = Rng(4242, 1)
         cb = QuantizedCodebook(b=2, n1=2, n2=2, unitaries=haar_unitaries(2, 4, rng),
@@ -638,12 +640,11 @@ class TestStackedMatchesSingle:
             assert np.array_equal(stacked.values[t], alone.values)
             assert np.array_equal(stacked.vectors[t], alone.vectors)
 
-    def test_lam_max(self, trials, monkeypatch):
-        # windows of 7, one window of 4096 and one trial per call give the same bits
+    def test_lam_max(self, trials):
+        # windows of 7, one draw of every trial and one trial per call give the same bits
         batch, singles, _ = trials
         for t, one in enumerate(singles):
             assert np.array_equal(batch.lam_max[t], one.lam_max[0])
-        monkeypatch.setattr(simengine, "TRIAL_WINDOW", 4096)
         assert np.array_equal(draw_trials(v4_model(), self.TRIALS, 4242).lam_max, batch.lam_max)
 
     def test_mi_rule(self, trials):

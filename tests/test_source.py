@@ -69,3 +69,35 @@ def test_unread_definitions_are_found():
 
 def test_no_unread_definitions():
     assert unread_definitions({path.stem: path.read_text() for path in SRC.glob("*.py")}) == []
+
+
+def window_reads(sources):
+    """Sorted (module, top-level definition) of every read of TRIAL_WINDOW in {module: source}.
+
+    A read is a loaded Name or an Attribute of that name; a read outside any
+    top-level definition is attributed to "<module>".
+    """
+    found = set()
+    for module, source in sources.items():
+        for stmt in ast.parse(source).body:
+            owner = stmt.name if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)) else "<module>"
+            for sub in ast.walk(stmt):
+                if (isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load) and sub.id == "TRIAL_WINDOW"
+                        or isinstance(sub, ast.Attribute) and sub.attr == "TRIAL_WINDOW"):
+                    found.add((module, owner))
+    return sorted(found)
+
+
+def test_window_reads_are_found():
+    sources = {
+        "a": "TRIAL_WINDOW = 4\n\ndef windows():\n    return TRIAL_WINDOW\n\nSTEP = TRIAL_WINDOW\n",
+        "b": "from . import a\n\ndef other():\n    return a.TRIAL_WINDOW\n",
+    }
+    assert window_reads(sources) == [("a", "<module>"), ("a", "windows"), ("b", "other")]
+
+
+def test_one_window_loop():
+    # the trial window is read by trial_windows alone: a second loop over TRIAL_WINDOW
+    # windows would have to keep its own copy of the per-trial substream contract
+    reads = window_reads({path.stem: path.read_text() for path in SRC.glob("*.py")})
+    assert reads == [("simengine", "trial_windows")]
