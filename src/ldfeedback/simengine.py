@@ -2,13 +2,14 @@
 
 Trial i of a configuration is drawn from its own RNG substream, and every
 scheme is evaluated on the same draws (common random numbers). trial_windows
-is the one window loop: it draws the trials TRIAL_WINDOW channel
-evaluations at a time, for run and for verify's large suites. run keeps of
-each window only what the schemes read, the largest eigenvalue, the column
-powers of Hind and the codebook's s_matrix rows, so a window's channels and
-their scratch are freed before the next is drawn. Every per-trial value is
-computed on its own and the reductions run over whole-run arrays, so
-results are bit-identical whatever the window size.
+is the one window loop and the one draw path: it draws the trials
+TRIAL_WINDOW channel evaluations at a time, for run and for every verify
+suite that draws channels. run keeps of each window only what the schemes
+read, the largest eigenvalue, the column powers of Hind and the codebook's
+s_matrix rows, so a window's channels and their scratch are freed before
+the next is drawn. Every per-trial value is computed on its own and the
+reductions run over whole-run arrays, so results are bit-identical
+whatever the window size.
 """
 
 import itertools
@@ -41,11 +42,11 @@ MIN_OPT_SAMPLES = 100
 # optimize_lambda stops after OPT_MAX_ITER steps or once the projected gradient norm is <= OPT_TOL
 OPT_MAX_ITER = 500
 OPT_TOL = 1e-6
-# channel evaluations per window of trial_windows, which run and verify's large suites iterate;
+# channel evaluations per window of trial_windows, which run and verify's suites iterate;
 # bounds their scratch memory
 TRIAL_WINDOW = 1024
-# a codebook search skips a candidate only when its Jensen bound (_jensen_bounds) is below
-# the best score by more than this relative margin, far above the rounding of either side
+# the rank-two tournament skips a point only when a codebook's Jensen bound (_jensen_bounds)
+# is below the point's best score by more than this relative margin, far above the rounding of either side
 JENSEN_MARGIN = 1e-12
 # largest |snr_db| SimConfig.validate accepts: at 1000 dB rho = 1e100, so the
 # kernel arguments rho * power / Nt stay finite for any power below 1e208, far
@@ -163,8 +164,8 @@ def draw_trials(model, trials, seed, first_stream=0):
     lam_max. Every channel and Gram matrix is made and factored on its own,
     so row i equals the n = 1 stack channel.sample(model, Rng(seed,
     first_stream + i)) bit for bit, whatever window [first_stream,
-    first_stream + trials) it is drawn in. Its scratch grows with trials:
-    draw large counts through trial_windows.
+    first_stream + trials) it is drawn in. Its scratch grows with trials,
+    so the package draws only through trial_windows.
     """
     h, hind = from_normals(model, substream_normals(seed, first_stream, int(trials), (2, model.nr, model.nt)))
     lam_max = np.linalg.eigvalsh(np.swapaxes(h.conj(), -1, -2) @ h)[:, -1]
@@ -258,6 +259,11 @@ def _best_single_mode(cols, rho, nt, k, nc, evaluator):
     return int(np.argmax(means))
 
 
+def _rhos(config):
+    """The linear SNRs of config's grid, shape (n_snr,)."""
+    return np.array([rho_from_db(s) for s in config.snr_grid_db])
+
+
 def scheme_block_mi(config, scheme, lam_max, ind_col_power):
     """Per-trial block MI in nats of perfect or a statistical scheme, shape (n_snr, trials).
 
@@ -269,17 +275,16 @@ def scheme_block_mi(config, scheme, lam_max, ind_col_power):
     quantized schemes are scored by codebook_block_mi.
     """
     evaluator = MiEvaluator(config.constellation)
-    grid = list(config.snr_grid_db)
-    rhos = [rho_from_db(s) for s in grid]
+    rhos = _rhos(config)
     nt, k, nc = config.model.nt, config.k, config.nc
-    rows = np.empty((len(grid), lam_max.size))
+    rows = np.empty((rhos.size, lam_max.size))
     if scheme == "perfect":
         for idx, rho in enumerate(rhos):
             rows[idx] = perfect_csi_mi(lam_max, rho, 2 * nc, nc, evaluator)
         return rows
     if scheme in STATISTICAL_SCHEMES:
         opt_cols = draw_ind_column_powers(config.model, config.opt_samples, Rng(config.seed, STREAM_OPT))
-        for idx, (snr_db, rho) in enumerate(zip(grid, rhos)):
+        for idx, (snr_db, rho) in enumerate(zip(config.snr_grid_db, rhos)):
             if scheme == "statistical":
                 stat = optimize_lambda(opt_cols, rho, nt, k, nc, evaluator)
                 if not stat.converged:
@@ -294,11 +299,6 @@ def scheme_block_mi(config, scheme, lam_max, ind_col_power):
             rows[idx] = k * evaluator.mi(rho / nt * (ind_col_power @ lam))
         return rows
     raise PreconditionError(f"scheme_block_mi does not evaluate {scheme!r}")
-
-
-def _rhos(config):
-    """The linear SNRs of config's grid, shape (n_snr,)."""
-    return np.array([rho_from_db(s) for s in config.snr_grid_db])
 
 
 def codebook_block_mi(config, smat, lambdas):
@@ -377,13 +377,14 @@ def default_unitaries(config):
 def _jensen_bounds(traces, rhos, k, nt, evaluator, buf):
     """Upper bounds on the trial mean of trace_mi(traces, rho, k, nt, evaluator), shape (n_snr,).
 
-    I is concave, so by Jensen's inequality the mean of K * I(rho/Nt * max(t, 0))
-    over the trials is at most K * I(rho/Nt * mean(max(t, 0))), the concavity
-    behind Proposition 2 and eq. 10. The clipped mean is taken in buf, a
-    (trials,) array, and the bounds are one kernel call over the SNR points.
-    The Gaussian closed form rounds each side within a few ulps, far inside
+    rank_two_tournament skips the points they rule out. I is concave, so by
+    Jensen's inequality the mean of K * I(rho/Nt * max(t, 0)) over the
+    trials is at most K * I(rho/Nt * mean(max(t, 0))), the concavity behind
+    Proposition 2 and eq. 10. The clipped mean is taken in buf, a (trials,)
+    array, and the bounds are one kernel call over the SNR points. The
+    Gaussian closed form rounds each side within a few ulps, far inside
     JENSEN_MARGIN; a discrete alphabet's table is not certified concave in
-    floating point, so its bounds are +inf and no candidate is skipped.
+    floating point, so its bounds are +inf and no point is skipped.
     """
     if evaluator.constellation.kind != "gaussian":
         return np.full(rhos.size, np.inf)
@@ -400,12 +401,10 @@ def best_rank_one_codebook(config, smat):
     first candidate. Returns (lambdas, rows): the winner's (N2, Nt)
     diagonals and its (n_snr, trials) block MI in nats.
 
-    Each candidate's codeword-max traces are computed once and scored one
-    SNR point at a time in one reused (trials,) buffer; its score is the sum
-    of the (n_snr,) per-point means. A candidate whose summed Jensen bound
-    (_jensen_bounds) is below the best score by more than JENSEN_MARGIN
-    cannot win and is not scored. Only the winner's rows are made, once, at
-    the end, so the search holds one (n_snr, trials) array, the result.
+    Every candidate's codeword-max traces are computed once and scored at
+    every SNR point, one point at a time in one reused (trials,) buffer; its
+    score is the sum of the per-point means. Only the winner's rows are made,
+    once, at the end, so the search holds one (n_snr, trials) array.
     """
     nt = config.model.nt
     k, evaluator, rhos = config.k, MiEvaluator(config.constellation), _rhos(config)
@@ -416,9 +415,6 @@ def best_rank_one_codebook(config, smat):
     for modes in itertools.combinations(range(nt), config.n2):
         lambdas = budget * np.eye(nt)[list(modes)]
         traces = codeword_max(smat, lambdas)
-        bound = _jensen_bounds(traces, rhos, k, nt, evaluator, buf).sum()
-        if best is not None and bound < best[0] * (1.0 - JENSEN_MARGIN):
-            continue
         for idx, rho in enumerate(rhos):
             means[idx] = trace_mi(traces, rho, k, nt, evaluator, out=buf).mean()
         score = float(means.sum())

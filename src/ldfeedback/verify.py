@@ -5,18 +5,19 @@ on, at a fixed internal seed, and reports a pass/fail line with the
 measured residual or margin. The CLI `verify` subcommand dispatches here;
 the acceptance tests call the same suites, whose sizes are fixed.
 
-The suites with many realizations (lemma1, thm2, thm4 and goc's decoupling
-witness) iterate simengine.trial_windows, so each window holds at most
-TRIAL_WINDOW channel evaluations, and fold each window's worst case into a
-running max. A window's channels are drawn from substreams base + lo ..
-base + hi - 1, bit for bit that row range of the whole draw; thm2 and thm4
-continue their own Generator from window to window, and goc draws its 100
-channels once per dispersion set. So the metrics do not depend on the
-window size.
+The random suites take their streams from one table, STREAM_SLOTS, through
+_streams: the suite in slot i draws channel j from substream 100*i + j and
+its other randomness from Rng(seed, 10*i + 1). Every suite that draws
+channels iterates simengine.trial_windows, each window holding at most
+TRIAL_WINDOW channel evaluations, and _worst folds the windows' worst cases.
+A window's channels are bit for bit that row range of the whole draw, and
+the suites' Generators carry on from window to window (goc draws its 100
+channels once per dispersion set), so no metric depends on the window size.
 """
 
 import itertools
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
@@ -24,9 +25,12 @@ from . import channel, codebook, dispersion
 from .errors import InfeasibleError
 from .infotheory import Constellation, MiEvaluator, block_mi, perfect_csi_mi
 from .matkit import Rng, haar_unitaries, hermitian_eig
-from .simengine import draw_trials, trial_windows
+from .simengine import trial_windows
 
 DEFAULT_SEED = 20180417
+# slot i draws channel j from substream 100*i + j and its other randomness from Rng(seed, 10*i + 1)
+STREAM_SLOTS = {"thm1": 1, "thm2": 2, "thm3": 3, "thm4": 4, "thm5": 5, "prop2": 6, "prop3": 7, "lemma1": 8,
+                "goc": 9}
 
 
 @dataclass
@@ -41,6 +45,17 @@ class CheckResult:
         status = "PASS" if self.passed else "FAIL"
         extra = f" ({self.detail})" if self.detail else ""
         return f"{status} {self.suite}/{self.name} metric={self.metric:.3e}{extra}"
+
+
+def _streams(suite, seed):
+    """The suite's one-off Rng, and trial_windows bound to its seed and first channel stream (STREAM_SLOTS)."""
+    slot = STREAM_SLOTS[suite]
+    return Rng(seed, 10 * slot + 1), partial(trial_windows, seed=seed, first_stream=100 * slot)
+
+
+def _worst(values):
+    """The largest per-window margin as a float, NaN if one is; for tuples of margins, each check's largest."""
+    return np.max(list(values), axis=0).tolist()
 
 
 def _random_unit_vector(n, rng):
@@ -84,7 +99,7 @@ def suite_prop1(seed=DEFAULT_SEED):
 
 def suite_thm1(seed=DEFAULT_SEED):
     """Statistical construction: equal covariances, orthogonality, full power."""
-    rng = Rng(seed, 11)
+    rng, windows = _streams("thm1", seed)
     lam = np.array([8.0, 4.0, 4.0, 0.0])  # r = 3 positive modes, trace Nt*Nc/K = 16
     dset = dispersion.statistical_set(lam, k=2, nc=8, rng=rng)
     cov_resid = max(float(np.linalg.norm(q - np.diag(lam))) for q in dset.covariances())
@@ -97,12 +112,13 @@ def suite_thm1(seed=DEFAULT_SEED):
     ]
     # uniform symbol power never loses: sum_k I(a_k) <= K * I(mean a_k)
     ev = MiEvaluator(Constellation.gaussian())
-    batch = draw_trials(channel.v4_model(), 100, seed, first_stream=100)
     traces = np.array([4.0, 6.0, 3.0, 3.0])  # per-symbol traces, sum = Nt*Nc budget
-    qs = _random_psd(4, rng, np.broadcast_to(traces, (batch.trials, traces.size)))
-    split = block_mi(batch.h, qs, 1.0, 4, ev)
-    uniform = block_mi(batch.h, _uniform_codeword(qs), 1.0, 4, ev)
-    worst = float((split - uniform).max())
+
+    def gap(batch):
+        qs = _random_psd(4, rng, np.broadcast_to(traces, (batch.trials, traces.size)))
+        return (block_mi(batch.h, qs, 1.0, 4, ev) - block_mi(batch.h, _uniform_codeword(qs), 1.0, 4, ev)).max()
+
+    worst = _worst(gap(batch) for _, _, batch in windows(channel.v4_model(), 100))
     results.append(CheckResult("thm1", "uniform-power-optimal", worst <= 1e-9, worst,
                                "100 channels x random splits"))
     return results
@@ -110,22 +126,22 @@ def suite_thm1(seed=DEFAULT_SEED):
 
 def suite_thm2(seed=DEFAULT_SEED):
     """Per-realization MI bound K*I(rho*Nc/K*lmax) and its achievability."""
-    rng = Rng(seed, 21)
+    rng, windows = _streams("thm2", seed)
     ev = MiEvaluator(Constellation.gaussian())
     k, nc, rho, channels, qsets = 4, 4, 2.0, 100, 20
-    trace = 4 * nc / k
-    worst_bound = worst_achieve = -np.inf
-    for lo, hi, batch in trial_windows(channel.iid_model(4, 4), channels, seed, 200, qsets):
-        h = batch.h
-        # lmax from the decomposition that gives the beams, clipped at 0 as draw_trials clips it
+
+    def margins(h):
+        # lmax from the decomposition that gives the beams, clipped at 0 as batch.lam_max is
         eig = hermitian_eig(np.swapaxes(h.conj(), -1, -2) @ h)
         best = perfect_csi_mi(np.maximum(eig.values[:, 0], 0.0), rho, k, nc, ev)
-        qs = _random_psd(4, rng, np.full((hi - lo) * qsets, trace))
+        qs = _random_psd(4, rng, np.full(len(h) * qsets, 4 * nc / k))
         uniform = block_mi(np.repeat(h, qsets, axis=0),
                            np.broadcast_to(qs[:, None], (qs.shape[0], k, 4, 4)), rho, 4, ev)
-        worst_bound = max(worst_bound, float((uniform - np.repeat(best, qsets)).max()))
         beams = np.array([dispersion.rank_one_set(v, k, nc).covariances() for v in eig.vectors[:, :, 0]])
-        worst_achieve = max(worst_achieve, float(np.abs(block_mi(h, beams, rho, 4, ev) - best).max()))
+        return (uniform - np.repeat(best, qsets)).max(), np.abs(block_mi(h, beams, rho, 4, ev) - best).max()
+
+    worst_bound, worst_achieve = _worst(
+        margins(batch.h) for _, _, batch in windows(channel.iid_model(4, 4), channels, evals_per_trial=qsets))
     return [
         CheckResult("thm2", "upper-bound", worst_bound <= 1e-9, worst_bound,
                     f"{channels} channels x {qsets} uniform-Q sets"),
@@ -136,60 +152,63 @@ def suite_thm2(seed=DEFAULT_SEED):
 
 def suite_thm3(seed=DEFAULT_SEED):
     """Per-realization monotonicity of K*I(rho*Nc/K*lmax) in K, K = 1..2*Nc."""
+    _, windows = _streams("thm3", seed)
     nc, draws = 4, 1000
-    lam_max = draw_trials(channel.iid_model(4, 4), draws, seed, first_stream=300).lam_max
-    results = []
-    for const in (Constellation.gaussian(), Constellation.bpsk()):
-        ev = MiEvaluator(const)
-        worst = -np.inf
-        for rho in (1.0, 10.0):
-            vals = np.stack([perfect_csi_mi(lam_max, rho, k, nc, ev) for k in range(1, 2 * nc + 1)])
-            worst = max(worst, float((vals[:-1] - vals[1:]).max()))
-        results.append(CheckResult("thm3", f"monotone-in-k-{const.kind}", worst <= 1e-8, worst,
-                                   f"{draws} draws, K = 1..{2 * nc}"))
-    return results
+    evs = (MiEvaluator(Constellation.gaussian()), MiEvaluator(Constellation.bpsk()))
+
+    def rises(lam_max, rho, ev):
+        vals = np.stack([perfect_csi_mi(lam_max, rho, k, nc, ev) for k in range(1, 2 * nc + 1)])
+        return (vals[:-1] - vals[1:]).max()
+
+    worst = _worst([rises(batch.lam_max, rho, ev) for ev in evs]
+                   for _, _, batch in windows(channel.iid_model(4, 4), draws) for rho in (1.0, 10.0))
+    return [CheckResult("thm3", f"monotone-in-k-{ev.constellation.kind}", w <= 1e-8, w,
+                        f"{draws} draws, K = 1..{2 * nc}") for ev, w in zip(evs, worst)]
 
 
 def suite_thm4(seed=DEFAULT_SEED):
     """Rank-one codebooks with all Nt single modes beat any same-unitary codebook."""
+    rng, windows = _streams("thm4", seed)
     ev = MiEvaluator(Constellation.gaussian())
     nt, nc, k, rho = 4, 4, 4, 2.0
     n1, n2, realizations, competitors = 4, 4, 1000, 20
-    rng = Rng(seed, 41)
     unitaries = haar_unitaries(n1, nt, rng)
     budget = nt * nc / k
-    worst = -np.inf
-    for lo, hi, batch in trial_windows(channel.iid_model(4, 4), realizations, seed, 400, competitors):
+
+    def gap(batch):
         # per competitor, n2 * nt weights then n2 scales in [0.5, 1): the stream order of
         # one uniform(size=(n2, nt)) and one uniform(0.5, 1.0, size=n2) call, so the bits are kept
-        u = rng.gen.uniform(size=(hi - lo, competitors, n2 * nt + n2))
-        w = u[..., :n2 * nt].reshape(hi - lo, competitors, n2, nt)
+        u = rng.gen.uniform(size=(batch.trials, competitors, n2 * nt + n2))
+        w = u[..., :n2 * nt].reshape(batch.trials, competitors, n2, nt)
         w /= w.sum(axis=-1, keepdims=True)
-        scale = 0.5 + 0.5 * u[..., n2 * nt:, None]
-        comp = budget * scale * w
+        comp = budget * (0.5 + 0.5 * u[..., n2 * nt:, None]) * w
         smat = codebook.s_matrix(batch.h, unitaries)
         ref = codebook.select_mi(smat, budget * np.eye(nt), rho, k, nt, ev)
-        got = codebook.select_mi(smat[:, None], comp, rho, k, nt, ev)
-        worst = max(worst, float((got - ref[:, None]).max()))
+        return (codebook.select_mi(smat[:, None], comp, rho, k, nt, ev) - ref[:, None]).max()
+
+    worst = _worst(gap(batch) for _, _, batch in
+                   windows(channel.iid_model(4, 4), realizations, evals_per_trial=competitors))
     return [CheckResult("thm4", "rank-one-strongly-optimal", worst <= 1e-9, worst,
                         f"{realizations} realizations x {competitors} competitors")]
 
 
 def suite_thm5(seed=DEFAULT_SEED):
     """snr-rule objective is capped by max_im s_im and rank-one codebooks reach the cap."""
+    rng, windows = _streams("thm5", seed)
     nt, nc, k, realizations = 4, 4, 4, 500
-    rng = Rng(seed, 51)
     unitaries = haar_unitaries(4, nt, rng)
     budget = nt * nc / k
-    batch = draw_trials(channel.v4_model(), realizations, seed, first_stream=500)
-    lamsets = codebook.random_rank_two_lambdas(3 * realizations, 4, nt, nc, k, rng)
-    lamsets = lamsets.reshape(realizations, 3, 4, nt)
-    smat = codebook.s_matrix(batch.h, unitaries)
-    smax = smat.max(axis=(1, 2))
-    comp = codebook.select_snr(smat[:, None], lamsets, k, nt, nc)
-    worst_cap = float((comp - smax[:, None]).max())
-    full_modes = codebook.select_snr(smat, budget * np.eye(nt), k, nt, nc)
-    worst_achieve = float(np.abs(full_modes - smax).max())
+
+    def margins(batch):
+        lamsets = codebook.random_rank_two_lambdas(3 * batch.trials, 4, nt, nc, k, rng)
+        smat = codebook.s_matrix(batch.h, unitaries)
+        smax = smat.max(axis=(1, 2))
+        comp = codebook.select_snr(smat[:, None], lamsets.reshape(batch.trials, 3, 4, nt), k, nt, nc)
+        full_modes = codebook.select_snr(smat, budget * np.eye(nt), k, nt, nc)
+        return (comp - smax[:, None]).max(), np.abs(full_modes - smax).max()
+
+    worst_cap, worst_achieve = _worst(
+        margins(batch) for _, _, batch in windows(channel.v4_model(), realizations, evals_per_trial=3))
     return [
         CheckResult("thm5", "snr-cap", worst_cap <= 1e-9, worst_cap,
                     f"{realizations} realizations x 3 rank-two codebooks"),
@@ -199,16 +218,19 @@ def suite_thm5(seed=DEFAULT_SEED):
 
 def suite_prop2(seed=DEFAULT_SEED):
     """Averaging a per-symbol-varying codeword never decreases the block MI."""
+    rng, windows = _streams("prop2", seed)
     ev = MiEvaluator(Constellation.gaussian())
-    rng = Rng(seed, 61)
     k, nc, rho, realizations = 4, 4, 1.5, 200
-    batch = draw_trials(channel.iid_model(4, 4), realizations, seed, first_stream=600)
-    qs = np.empty((realizations, k, 4, 4), dtype=np.complex128)
-    for t in range(realizations):
+
+    def codeword():
         shares = rng.gen.uniform(size=k)
-        qs[t] = _random_psd(4, rng, shares / shares.sum() * (4 * nc))
-    gaps = block_mi(batch.h, qs, rho, 4, ev) - block_mi(batch.h, _uniform_codeword(qs), rho, 4, ev)
-    worst = float(gaps.max())
+        return _random_psd(4, rng, shares / shares.sum() * (4 * nc))
+
+    def gap(batch):
+        qs = np.array([codeword() for _ in range(batch.trials)])
+        return (block_mi(batch.h, qs, rho, 4, ev) - block_mi(batch.h, _uniform_codeword(qs), rho, 4, ev)).max()
+
+    worst = _worst(gap(batch) for _, _, batch in windows(channel.iid_model(4, 4), realizations))
     return [CheckResult("prop2", "uniform-codeword-dominates", worst <= 1e-9, worst,
                         f"{realizations} realizations")]
 
@@ -234,7 +256,7 @@ def prop3_gap(a, y):
 
 def suite_prop3(seed=DEFAULT_SEED):
     """Brute-force enumeration check of the weighted-max inequality, one prop3_gap call per (M, N)."""
-    rng = Rng(seed, 71)
+    rng, _ = _streams("prop3", seed)
     count = 1000
     sizes = np.empty((count, 2), dtype=int)
     a_all, y_all = np.zeros((count, 4, 4)), np.zeros((count, 4, 4))
@@ -256,20 +278,20 @@ def suite_prop3(seed=DEFAULT_SEED):
 
 def suite_lemma1(seed=DEFAULT_SEED):
     """Per-realization mutual-information gap never exceeds the received-SNR gap."""
+    rng, windows = _streams("lemma1", seed)
     ev = MiEvaluator(Constellation.gaussian())
     nt, nc, k, realizations = 4, 4, 4, 10000
-    rng = Rng(seed, 81)
-    unitaries = haar_unitaries(4, nt, rng)
-    lambdas = codebook.random_rank_two_lambdas(1, 1, nt, nc, k, rng)[0]
-    cb = codebook.QuantizedCodebook(b=2, n1=4, n2=1, unitaries=unitaries, lambdas=lambdas,
+    cb = codebook.QuantizedCodebook(b=2, n1=4, n2=1, unitaries=haar_unitaries(4, nt, rng),
+                                    lambdas=codebook.random_rank_two_lambdas(1, 1, nt, nc, k, rng)[0],
                                     k=k, nc=nc, nt=nt)
-    worst = -np.inf
-    for _, _, batch in trial_windows(channel.v4_model(), realizations, seed, 800):
+
+    def gap(batch):
         smat = codebook.s_matrix(batch.h, cb.unitaries)
-        for rho in (1.0, 10.0):
-            gap = (codebook.delta_mi(smat, cb.lambdas, batch.lam_max, rho, k, nt, nc, ev)
-                   - codebook.delta_snr(smat, cb.lambdas, batch.lam_max, rho, k, nt, nc))
-            worst = max(worst, float(gap.max()))
+        return np.max([(codebook.delta_mi(smat, cb.lambdas, batch.lam_max, rho, k, nt, nc, ev)
+                        - codebook.delta_snr(smat, cb.lambdas, batch.lam_max, rho, k, nt, nc)).max()
+                       for rho in (1.0, 10.0)])
+
+    worst = _worst(gap(batch) for _, _, batch in windows(channel.v4_model(), realizations))
     return [CheckResult("lemma1", "mi-gap-below-snr-gap", worst <= 1e-9, worst,
                         f"{realizations} V4 realizations, rho in {{1, 10}}")]
 
@@ -311,7 +333,7 @@ def suite_immse(seed=DEFAULT_SEED):
 
 def suite_goc(seed=DEFAULT_SEED, mutate=False):
     """Construction orthogonality residuals and the decoupling witness."""
-    rng = Rng(seed, 91)
+    rng, windows = _streams("goc", seed)
     sets = {
         "rank-one": dispersion.rank_one_set(_random_unit_vector(4, rng), k=8, nc=4),
         "statistical": dispersion.statistical_set(np.array([8.0, 4.0, 4.0, 0.0]),
@@ -320,14 +342,13 @@ def suite_goc(seed=DEFAULT_SEED, mutate=False):
     if mutate:  # deliberate violation: the second dispersion matrix duplicates the first
         beam = sets["rank-one"]
         sets["rank-one"] = replace(beam, mats=beam.mats[[0, 0, *range(2, beam.k)]])
-    model = channel.iid_model(4, 4)
     results = []
     for name, dset in sets.items():
         ok, resid = dispersion.check_goc(dset)
         results.append(CheckResult("goc", f"{name}-constraint", ok, resid))
         pairs = dset.k * (dset.k - 1) // 2
-        worst = max(float(dispersion.decoupling_residual(batch.h, dset).max())
-                    for _, _, batch in trial_windows(model, 100, seed, 900, pairs))
+        worst = _worst(dispersion.decoupling_residual(batch.h, dset).max()
+                       for _, _, batch in windows(channel.iid_model(4, 4), 100, evals_per_trial=pairs))
         results.append(CheckResult("goc", f"{name}-decoupling", worst <= 1e-10, worst,
                                    "100 random channels"))
     return results

@@ -425,6 +425,13 @@ class TestVerifyCommand:
             tracemalloc.stop()
         assert peak <= 2 * 2**20
 
+    def test_worst_margin_keeps_nan(self):
+        # a NaN margin in any window reaches the check's metric, which then fails its
+        # `<= tolerance` test; a running max(worst, nan) would have kept the earlier value
+        assert verify._worst([1.0, -2.0]) == 1.0
+        worst = verify._worst([(1.0, -3.0), (np.nan, -2.0), (0.5, -1.0)])
+        assert np.isnan(worst[0]) and worst[1] == -1.0
+
     def test_unknown_suite_exit_2(self, capsys):
         assert cli.main(["verify", "nonsense"]) == 2
 

@@ -355,9 +355,11 @@ class TestBestRankOne:
 
     def test_scores_each_candidate_once_per_point(self, monkeypatch):
         # six candidates: one codeword max each, then one (trials,) buffer scored
-        # at every SNR point; the winner's rows are made once, at the end, equal
-        # those of scoring it alone, and its score is the largest
-        maxima, buffers, made = [], set(), []
+        # at every SNR point, also on V4, whose one strong mode puts most
+        # candidates' Jensen bounds far below the best score; the winner's rows
+        # are made once, at the end, equal those of scoring it alone, and its
+        # score is the largest
+        maxima, buffers, made, scored = [], set(), [], []
 
         def recorded_max(smat, lambdas):
             maxima.append(lambdas)
@@ -366,25 +368,30 @@ class TestBestRankOne:
         def recorded_mi(traces, rho, k, nt, evaluator, out=None):
             assert np.ndim(rho) == 0 and out.shape == traces.shape == (config.trials,)
             buffers.add(id(out))
+            scored.append(rho)
             return trace_mi(traces, rho, k, nt, evaluator, out=out)
 
         def recorded_rows(config, smat, lambdas):
             made.append(lambdas)
             return codebook_block_mi(config, smat, lambdas)
 
-        config = replace(make_config(model=iid_model(4, 4), trials=200), n1=2, n2=2)
-        smat = run_smat(config)
         monkeypatch.setattr(simengine, "codeword_max", recorded_max)
         monkeypatch.setattr(simengine, "trace_mi", recorded_mi)
         monkeypatch.setattr(simengine, "codebook_block_mi", recorded_rows)
-        lambdas, rows = best_rank_one_codebook(config, smat)
-        assert len(maxima) == 6 and len(buffers) == 1
-        assert len(made) == 1 and made[0] is lambdas
-        assert np.array_equal(rows, codebook_block_mi(config, smat, lambdas))
-        assert max(
-            codebook_block_mi(config, smat, 4.0 * np.eye(4)[list(modes)]).mean(axis=1).sum()
-            for modes in itertools.combinations(range(4), 2)
-        ) == rows.mean(axis=1).sum()
+        for model in (iid_model(4, 4), v4_model()):
+            for recorder in (maxima, buffers, made, scored):
+                recorder.clear()
+            config = replace(make_config(model=model, trials=200), n1=2, n2=2)
+            smat = run_smat(config)
+            lambdas, rows = best_rank_one_codebook(config, smat)
+            assert len(maxima) == 6 and len(buffers) == 1
+            assert len(scored) == math.comb(4, 2) * len(config.snr_grid_db)
+            assert len(made) == 1 and made[0] is lambdas
+            assert np.array_equal(rows, codebook_block_mi(config, smat, lambdas))
+            assert max(
+                codebook_block_mi(config, smat, 4.0 * np.eye(4)[list(modes)]).mean(axis=1).sum()
+                for modes in itertools.combinations(range(4), 2)
+            ) == rows.mean(axis=1).sum()
 
     def test_memory_peak_bounded(self):
         # only the winner's (n_snr, trials) rows are made, at the end; each

@@ -71,21 +71,26 @@ def test_no_unread_definitions():
     assert unread_definitions({path.stem: path.read_text() for path in SRC.glob("*.py")}) == []
 
 
-def window_reads(sources):
-    """Sorted (module, top-level definition) of every read of TRIAL_WINDOW in {module: source}.
+def name_reads(sources, name):
+    """Sorted (module, top-level definition) of every read of name in {module: source}.
 
-    A read is a loaded Name or an Attribute of that name; a read outside any
-    top-level definition is attributed to "<module>".
+    A read is a loaded Name or an Attribute of that name, so a call and a
+    reference passed on (to functools.partial, say) both count; a read
+    outside any top-level definition is attributed to "<module>".
     """
     found = set()
     for module, source in sources.items():
         for stmt in ast.parse(source).body:
             owner = stmt.name if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)) else "<module>"
             for sub in ast.walk(stmt):
-                if (isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load) and sub.id == "TRIAL_WINDOW"
-                        or isinstance(sub, ast.Attribute) and sub.attr == "TRIAL_WINDOW"):
+                if (isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load) and sub.id == name
+                        or isinstance(sub, ast.Attribute) and sub.attr == name):
                     found.add((module, owner))
     return sorted(found)
+
+
+def src_sources():
+    return {path.stem: path.read_text() for path in SRC.glob("*.py")}
 
 
 def test_window_reads_are_found():
@@ -93,11 +98,37 @@ def test_window_reads_are_found():
         "a": "TRIAL_WINDOW = 4\n\ndef windows():\n    return TRIAL_WINDOW\n\nSTEP = TRIAL_WINDOW\n",
         "b": "from . import a\n\ndef other():\n    return a.TRIAL_WINDOW\n",
     }
-    assert window_reads(sources) == [("a", "<module>"), ("a", "windows"), ("b", "other")]
+    assert name_reads(sources, "TRIAL_WINDOW") == [("a", "<module>"), ("a", "windows"), ("b", "other")]
 
 
 def test_one_window_loop():
     # the trial window is read by trial_windows alone: a second loop over TRIAL_WINDOW
     # windows would have to keep its own copy of the per-trial substream contract
-    reads = window_reads({path.stem: path.read_text() for path in SRC.glob("*.py")})
-    assert reads == [("simengine", "trial_windows")]
+    assert name_reads(src_sources(), "TRIAL_WINDOW") == [("simengine", "trial_windows")]
+
+
+def test_draw_reads_are_found():
+    source = ("from .simengine import draw_trials\n\ndef windows(n):\n    yield draw_trials(n)\n\n"
+              "def whole(n):\n    return simengine.draw_trials(n, first_stream=0)\n")
+    assert name_reads({"a": source}, "draw_trials") == [("a", "whole"), ("a", "windows")]
+
+
+def test_one_draw_path():
+    # channels are drawn by trial_windows alone, so every draw is windowed and
+    # keeps the window's substream contract
+    assert name_reads(src_sources(), "draw_trials") == [("simengine", "trial_windows")]
+
+
+def test_stream_reads_are_found():
+    source = ("from functools import partial\n\ndef _streams(seed):\n"
+              "    return Rng(seed, 11), partial(trial_windows, seed=seed, first_stream=100)\n\n"
+              "def suite(seed):\n    rng = Rng(seed, 21)\n    return trial_windows(None, 10, seed, 200)\n")
+    assert name_reads({"verify": source}, "Rng") == [("verify", "_streams"), ("verify", "suite")]
+    assert name_reads({"verify": source}, "trial_windows") == [("verify", "_streams"), ("verify", "suite")]
+
+
+def test_one_stream_table():
+    # every certificate takes its one-off Rng and its channel windows from
+    # verify._streams, so every stream number is in verify.STREAM_SLOTS
+    sources = {"verify": (SRC / "verify.py").read_text()}
+    assert name_reads(sources, "Rng") == name_reads(sources, "trial_windows") == [("verify", "_streams")]
