@@ -105,6 +105,16 @@ def from_normals(model, z):
     return model.ur @ hind @ model.ut.conj().T, hind
 
 
+def column_powers(x):
+    """Squared column norms of each matrix of an (n, Nr, Nt) stack, shape (n, Nt)."""
+    return (np.abs(x) ** 2).sum(axis=1)
+
+
+def top_eigenvalues(h):
+    """Largest eigenvalue of each H^H H of an (n, Nr, Nt) stack, clipped at 0, by one stacked eigvalsh call."""
+    return np.maximum(np.linalg.eigvalsh(np.swapaxes(h.conj(), -1, -2) @ h)[:, -1], 0.0)
+
+
 def sample(model, rng):
-    """One channel draw as from_normals' n = 1 stacks (h, hind) (the library draws with draw_trials)."""
+    """One channel draw as from_normals' n = 1 stacks (h, hind), the pair draw_trials returns for n trials."""
     return from_normals(model, rng.gen.standard_normal((1, 2, model.nr, model.nt)))

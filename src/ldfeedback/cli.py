@@ -273,6 +273,8 @@ def cmd_verify(args):
         names = [args.suite]
     else:
         raise ConfigError(f"unknown suite {args.suite!r}; known: all, {', '.join(verify.SUITES)}")
+    if args.mutate and args.suite not in ("goc", "all"):
+        raise ConfigError(f"--mutate corrupts the goc construction only; suite {args.suite!r} has nothing to mutate")
     seed = verify.DEFAULT_SEED if args.seed is None else _check_seed(args.seed, "--seed")
     results = verify.run_suites(names, seed=seed, mutate=args.mutate)
     for r in results:

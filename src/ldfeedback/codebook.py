@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .channel import column_powers
 from .dispersion import check_symbols
 from .errors import PreconditionError
 from .infotheory import perfect_csi_mi
@@ -103,9 +104,9 @@ def s_matrix(h, unitaries):
     """Per-mode received powers s[n, i, m] = ||H_n u_{i,m}||^2, shape (n, N1, Nt).
 
     h is an (n, Nr, Nt) channel stack and u_{i,m} column m of unitaries[i].
-    Row (n, i) equals the squared column norms of Lh^(1/2) Uh^H U_i where
-    H_n^H H_n = Uh Lh Uh^H; it sums to Tr(H_n^H H_n) and never exceeds the
-    largest eigenvalue.
+    Row (n, i) is channel.column_powers of H_n U_i, which equals the squared
+    column norms of Lh^(1/2) Uh^H U_i where H_n^H H_n = Uh Lh Uh^H; it sums
+    to Tr(H_n^H H_n) and never exceeds the largest eigenvalue.
 
     Each H U_i is one (n*Nr, Nt) @ (Nt, Nt) product over the stacked rows of
     h, not n small products; its values equal the stacked h @ U_i bit for
@@ -114,7 +115,7 @@ def s_matrix(h, unitaries):
     nt = h.shape[-1]
     check_unitary(np.asarray(unitaries), nt, "unitaries")
     rows = h.reshape(-1, nt)
-    return np.stack([(np.abs((rows @ u).reshape(h.shape)) ** 2).sum(axis=1) for u in unitaries], axis=1)
+    return np.stack([column_powers((rows @ u).reshape(h.shape)) for u in unitaries], axis=1)
 
 
 def codeword_max(smat, lambdas):

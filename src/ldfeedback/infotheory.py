@@ -337,8 +337,8 @@ def block_mi(h, qsets, rho, nt, evaluator):
 def perfect_csi_mi(lam_max, rho, k, nc, evaluator):
     """Best achievable block mutual information with K symbols: K*I(rho*Nc/K * lmax).
 
-    lam_max holds the largest eigenvalue of H^H H per trial, for instance a
-    trial batch's lam_max.
+    lam_max holds the largest eigenvalue of H^H H per trial, for instance
+    channel.top_eigenvalues of a channel stack.
     """
     check_symbols(k, nc)
     return k * evaluator.mi(rho * nc / k * lam_max)

@@ -4,12 +4,12 @@ Trial i of a configuration is drawn from its own RNG substream, and every
 scheme is evaluated on the same draws (common random numbers). trial_windows
 is the one window loop and the one draw path: it draws the trials
 TRIAL_WINDOW channel evaluations at a time, for run and for every verify
-suite that draws channels. run keeps of each window only what the schemes
-read, the largest eigenvalue, the column powers of Hind and the codebook's
-s_matrix rows, so a window's channels and their scratch are freed before
-the next is drawn. Every per-trial value is computed on its own and the
-reductions run over whole-run arrays, so results are bit-identical
-whatever the window size.
+suite that draws channels. A draw is its channels, the (h, hind) pair, and
+each caller derives what it reads: run keeps of each window only the
+largest eigenvalues, the column powers of Hind and the codebook's s_matrix
+rows, so a window's channels and their scratch are freed before the next is
+drawn. Every per-trial value is computed on its own and the reductions run
+over whole-run arrays, so results are bit-identical whatever the window size.
 """
 
 import itertools
@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import from_normals
+from .channel import column_powers, from_normals, top_eigenvalues
 # unused here, but bench/tests/test_bench.py checks that the span tracer patches
 # these call-site bindings, so the names stay bound in this module
 from .channel import sample  # noqa: F401
@@ -137,56 +137,35 @@ class LambdaStat:
     iterations: int
 
 
-@dataclass
-class TrialBatch:
-    """Channel draws shared by every scheme of one experiment."""
-
-    h: np.ndarray  # (n, nr, nt)
-    lam_max: np.ndarray  # (n,) largest eigenvalue of H^H H, clipped at 0
-    ind_col_power: np.ndarray  # (n, nt) squared column norms of Hind
-
-    @property
-    def trials(self):
-        return self.h.shape[0]
-
-
-def _column_powers(hind):
-    """Squared column norms of each matrix of an (n, Nr, Nt) Hind stack, shape (n, Nt)."""
-    return (np.abs(hind) ** 2).sum(axis=1)
-
-
 def draw_trials(model, trials, seed, first_stream=0):
-    """Sample `trials` channels, trial i from substream first_stream + i, in one pass.
+    """Sample `trials` channels, trial i from substream first_stream + i, in one pass; returns (h, hind).
 
     matkit.substream_normals fills one standard-normal buffer whose row i is
-    drawn from substream (seed, first_stream + i), channel.from_normals turns
-    it into channels at once, and one stacked np.linalg.eigvalsh call gives
-    lam_max. Every channel and Gram matrix is made and factored on its own,
-    so row i equals the n = 1 stack channel.sample(model, Rng(seed,
-    first_stream + i)) bit for bit, whatever window [first_stream,
-    first_stream + trials) it is drawn in. Its scratch grows with trials,
-    so the package draws only through trial_windows.
+    drawn from substream (seed, first_stream + i), and channel.from_normals
+    turns it into the (trials, Nr, Nt) stacks h and hind at once, each
+    channel on its own. So row i equals channel.sample(model, Rng(seed,
+    first_stream + i)) bit for bit, whatever window it is drawn in. Nothing
+    is factored: a caller derives what it reads, such as
+    channel.top_eigenvalues(h). Its scratch grows with trials, so the
+    package draws only through trial_windows.
     """
-    h, hind = from_normals(model, substream_normals(seed, first_stream, int(trials), (2, model.nr, model.nt)))
-    lam_max = np.linalg.eigvalsh(np.swapaxes(h.conj(), -1, -2) @ h)[:, -1]
-    return TrialBatch(h=h, lam_max=np.maximum(lam_max, 0.0), ind_col_power=_column_powers(hind))
+    return from_normals(model, substream_normals(seed, first_stream, int(trials), (2, model.nr, model.nt)))
 
 
 def trial_windows(model, trials, seed, first_stream=0, evals_per_trial=1):
-    """(lo, hi, batch) windows covering range(trials) in order; batch is trials lo..hi-1's draw.
+    """(lo, h, hind) windows covering range(trials) in order; (h, hind) draws the window's trials from lo on.
 
     A window holds max(1, TRIAL_WINDOW // evals_per_trial) trials, the last
     one may hold fewer, so a caller evaluating each trial evals_per_trial
     times (competitors, covariance sets, dispersion pairs) evaluates at most
-    TRIAL_WINDOW at a time, or one trial. batch is
-    draw_trials(model, hi - lo, seed, first_stream=first_stream + lo), the
-    same bits as rows lo..hi-1 of the whole draw. A caller that drops its
-    batch at the end of each step holds one window at a time.
+    TRIAL_WINDOW at a time, or one trial. (h, hind) is draw_trials(model, n,
+    seed, first_stream=first_stream + lo) of the window's n trials, the same
+    bits as those rows of the whole draw. A caller that drops them at the
+    end of each step holds one window at a time.
     """
     step = max(1, TRIAL_WINDOW // max(1, evals_per_trial))
     for lo in range(0, trials, step):
-        hi = min(lo + step, trials)
-        yield lo, hi, draw_trials(model, hi - lo, seed, first_stream=first_stream + lo)
+        yield (lo,) + draw_trials(model, min(step, trials - lo), seed, first_stream=first_stream + lo)
 
 
 def project_scaled_simplex(v, total):
@@ -203,7 +182,7 @@ def project_scaled_simplex(v, total):
 def draw_ind_column_powers(model, samples, rng):
     """Squared column norms of `samples` draws of Hind, shape (samples, Nt): the optimizer's inputs."""
     z = rng.gen.standard_normal((2, samples, model.nr, model.nt))
-    return _column_powers(from_normals(model, z.swapaxes(0, 1))[1])
+    return column_powers(from_normals(model, z.swapaxes(0, 1))[1])
 
 
 def _sample_mean_mi(cols, lam, rho, nt, evaluator):
@@ -267,12 +246,13 @@ def _rhos(config):
 def scheme_block_mi(config, scheme, lam_max, ind_col_power):
     """Per-trial block MI in nats of perfect or a statistical scheme, shape (n_snr, trials).
 
-    lam_max (trials,) and ind_col_power (trials, Nt) are a trial batch's
-    fields of the same names: perfect reads the first, the statistical
-    schemes the second. perfect uses the K = 2*Nc benchmark. statistical and
-    statistical-beamforming use config.k and choose their power diagonal on
-    config.opt_samples draws of Hind from the STREAM_OPT substream. The
-    quantized schemes are scored by codebook_block_mi.
+    lam_max (trials,) is channel.top_eigenvalues of the trials' channels
+    and ind_col_power (trials, Nt) channel.column_powers of their Hind:
+    perfect reads the first, the statistical schemes the second. perfect
+    uses the K = 2*Nc benchmark. statistical and statistical-beamforming use
+    config.k and choose their power diagonal on config.opt_samples draws of
+    Hind from the STREAM_OPT substream. The quantized schemes are scored by
+    codebook_block_mi.
     """
     evaluator = MiEvaluator(config.constellation)
     rhos = _rhos(config)
@@ -349,12 +329,13 @@ def run(config):
     if quantized:
         unitaries = default_unitaries(config)
         smat = np.empty((n, config.n1, nt))
-    for lo, hi, window in trial_windows(config.model, n, config.seed):
-        lam_max[lo:hi] = window.lam_max
-        ind_col_power[lo:hi] = window.ind_col_power
+    for lo, h, hind in trial_windows(config.model, n, config.seed):
+        hi = lo + len(h)
+        lam_max[lo:hi] = top_eigenvalues(h)
+        ind_col_power[lo:hi] = column_powers(hind)
         if quantized:
-            smat[lo:hi] = s_matrix(window.h, unitaries)
-        del window
+            smat[lo:hi] = s_matrix(h, unitaries)
+        del h, hind
     curves = []
     for scheme in config.schemes:
         if scheme == "quantized-rank1-best":

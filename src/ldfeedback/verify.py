@@ -10,9 +10,11 @@ _streams: the suite in slot i draws channel j from substream 100*i + j and
 its other randomness from Rng(seed, 10*i + 1). Every suite that draws
 channels iterates simengine.trial_windows, each window holding at most
 TRIAL_WINDOW channel evaluations, and _worst folds the windows' worst cases.
-A window's channels are bit for bit that row range of the whole draw, and
-the suites' Generators carry on from window to window (goc draws its 100
-channels once per dispersion set), so no metric depends on the window size.
+A window is its channels (lo, h, hind), bit for bit that row range of the
+whole draw; thm3 and lemma1 take its largest eigenvalues with
+channel.top_eigenvalues, once per window. The suites' Generators carry on
+from window to window (goc draws its 100 channels once per dispersion set),
+so no metric depends on the window size.
 """
 
 import itertools
@@ -114,11 +116,11 @@ def suite_thm1(seed=DEFAULT_SEED):
     ev = MiEvaluator(Constellation.gaussian())
     traces = np.array([4.0, 6.0, 3.0, 3.0])  # per-symbol traces, sum = Nt*Nc budget
 
-    def gap(batch):
-        qs = _random_psd(4, rng, np.broadcast_to(traces, (batch.trials, traces.size)))
-        return (block_mi(batch.h, qs, 1.0, 4, ev) - block_mi(batch.h, _uniform_codeword(qs), 1.0, 4, ev)).max()
+    def gap(h):
+        qs = _random_psd(4, rng, np.broadcast_to(traces, (len(h), traces.size)))
+        return (block_mi(h, qs, 1.0, 4, ev) - block_mi(h, _uniform_codeword(qs), 1.0, 4, ev)).max()
 
-    worst = _worst(gap(batch) for _, _, batch in windows(channel.v4_model(), 100))
+    worst = _worst(gap(h) for _, h, _ in windows(channel.v4_model(), 100))
     results.append(CheckResult("thm1", "uniform-power-optimal", worst <= 1e-9, worst,
                                "100 channels x random splits"))
     return results
@@ -131,7 +133,7 @@ def suite_thm2(seed=DEFAULT_SEED):
     k, nc, rho, channels, qsets = 4, 4, 2.0, 100, 20
 
     def margins(h):
-        # lmax from the decomposition that gives the beams, clipped at 0 as batch.lam_max is
+        # lmax from the decomposition that gives the beams, clipped at 0 as channel.top_eigenvalues is
         eig = hermitian_eig(np.swapaxes(h.conj(), -1, -2) @ h)
         best = perfect_csi_mi(np.maximum(eig.values[:, 0], 0.0), rho, k, nc, ev)
         qs = _random_psd(4, rng, np.full(len(h) * qsets, 4 * nc / k))
@@ -141,7 +143,7 @@ def suite_thm2(seed=DEFAULT_SEED):
         return (uniform - np.repeat(best, qsets)).max(), np.abs(block_mi(h, beams, rho, 4, ev) - best).max()
 
     worst_bound, worst_achieve = _worst(
-        margins(batch.h) for _, _, batch in windows(channel.iid_model(4, 4), channels, evals_per_trial=qsets))
+        margins(h) for _, h, _ in windows(channel.iid_model(4, 4), channels, evals_per_trial=qsets))
     return [
         CheckResult("thm2", "upper-bound", worst_bound <= 1e-9, worst_bound,
                     f"{channels} channels x {qsets} uniform-Q sets"),
@@ -160,8 +162,8 @@ def suite_thm3(seed=DEFAULT_SEED):
         vals = np.stack([perfect_csi_mi(lam_max, rho, k, nc, ev) for k in range(1, 2 * nc + 1)])
         return (vals[:-1] - vals[1:]).max()
 
-    worst = _worst([rises(batch.lam_max, rho, ev) for ev in evs]
-                   for _, _, batch in windows(channel.iid_model(4, 4), draws) for rho in (1.0, 10.0))
+    lam_maxes = (channel.top_eigenvalues(h) for _, h, _ in windows(channel.iid_model(4, 4), draws))
+    worst = _worst([rises(lam_max, rho, ev) for ev in evs] for lam_max in lam_maxes for rho in (1.0, 10.0))
     return [CheckResult("thm3", f"monotone-in-k-{ev.constellation.kind}", w <= 1e-8, w,
                         f"{draws} draws, K = 1..{2 * nc}") for ev, w in zip(evs, worst)]
 
@@ -175,19 +177,18 @@ def suite_thm4(seed=DEFAULT_SEED):
     unitaries = haar_unitaries(n1, nt, rng)
     budget = nt * nc / k
 
-    def gap(batch):
+    def gap(h):
         # per competitor, n2 * nt weights then n2 scales in [0.5, 1): the stream order of
         # one uniform(size=(n2, nt)) and one uniform(0.5, 1.0, size=n2) call, so the bits are kept
-        u = rng.gen.uniform(size=(batch.trials, competitors, n2 * nt + n2))
-        w = u[..., :n2 * nt].reshape(batch.trials, competitors, n2, nt)
+        u = rng.gen.uniform(size=(len(h), competitors, n2 * nt + n2))
+        w = u[..., :n2 * nt].reshape(len(h), competitors, n2, nt)
         w /= w.sum(axis=-1, keepdims=True)
         comp = budget * (0.5 + 0.5 * u[..., n2 * nt:, None]) * w
-        smat = codebook.s_matrix(batch.h, unitaries)
+        smat = codebook.s_matrix(h, unitaries)
         ref = codebook.select_mi(smat, budget * np.eye(nt), rho, k, nt, ev)
         return (codebook.select_mi(smat[:, None], comp, rho, k, nt, ev) - ref[:, None]).max()
 
-    worst = _worst(gap(batch) for _, _, batch in
-                   windows(channel.iid_model(4, 4), realizations, evals_per_trial=competitors))
+    worst = _worst(gap(h) for _, h, _ in windows(channel.iid_model(4, 4), realizations, evals_per_trial=competitors))
     return [CheckResult("thm4", "rank-one-strongly-optimal", worst <= 1e-9, worst,
                         f"{realizations} realizations x {competitors} competitors")]
 
@@ -199,16 +200,16 @@ def suite_thm5(seed=DEFAULT_SEED):
     unitaries = haar_unitaries(4, nt, rng)
     budget = nt * nc / k
 
-    def margins(batch):
-        lamsets = codebook.random_rank_two_lambdas(3 * batch.trials, 4, nt, nc, k, rng)
-        smat = codebook.s_matrix(batch.h, unitaries)
+    def margins(h):
+        lamsets = codebook.random_rank_two_lambdas(3 * len(h), 4, nt, nc, k, rng)
+        smat = codebook.s_matrix(h, unitaries)
         smax = smat.max(axis=(1, 2))
-        comp = codebook.select_snr(smat[:, None], lamsets.reshape(batch.trials, 3, 4, nt), k, nt, nc)
+        comp = codebook.select_snr(smat[:, None], lamsets.reshape(len(h), 3, 4, nt), k, nt, nc)
         full_modes = codebook.select_snr(smat, budget * np.eye(nt), k, nt, nc)
         return (comp - smax[:, None]).max(), np.abs(full_modes - smax).max()
 
     worst_cap, worst_achieve = _worst(
-        margins(batch) for _, _, batch in windows(channel.v4_model(), realizations, evals_per_trial=3))
+        margins(h) for _, h, _ in windows(channel.v4_model(), realizations, evals_per_trial=3))
     return [
         CheckResult("thm5", "snr-cap", worst_cap <= 1e-9, worst_cap,
                     f"{realizations} realizations x 3 rank-two codebooks"),
@@ -226,11 +227,11 @@ def suite_prop2(seed=DEFAULT_SEED):
         shares = rng.gen.uniform(size=k)
         return _random_psd(4, rng, shares / shares.sum() * (4 * nc))
 
-    def gap(batch):
-        qs = np.array([codeword() for _ in range(batch.trials)])
-        return (block_mi(batch.h, qs, rho, 4, ev) - block_mi(batch.h, _uniform_codeword(qs), rho, 4, ev)).max()
+    def gap(h):
+        qs = np.array([codeword() for _ in range(len(h))])
+        return (block_mi(h, qs, rho, 4, ev) - block_mi(h, _uniform_codeword(qs), rho, 4, ev)).max()
 
-    worst = _worst(gap(batch) for _, _, batch in windows(channel.iid_model(4, 4), realizations))
+    worst = _worst(gap(h) for _, h, _ in windows(channel.iid_model(4, 4), realizations))
     return [CheckResult("prop2", "uniform-codeword-dominates", worst <= 1e-9, worst,
                         f"{realizations} realizations")]
 
@@ -285,13 +286,13 @@ def suite_lemma1(seed=DEFAULT_SEED):
                                     lambdas=codebook.random_rank_two_lambdas(1, 1, nt, nc, k, rng)[0],
                                     k=k, nc=nc, nt=nt)
 
-    def gap(batch):
-        smat = codebook.s_matrix(batch.h, cb.unitaries)
-        return np.max([(codebook.delta_mi(smat, cb.lambdas, batch.lam_max, rho, k, nt, nc, ev)
-                        - codebook.delta_snr(smat, cb.lambdas, batch.lam_max, rho, k, nt, nc)).max()
+    def gap(h):
+        smat, lam_max = codebook.s_matrix(h, cb.unitaries), channel.top_eigenvalues(h)
+        return np.max([(codebook.delta_mi(smat, cb.lambdas, lam_max, rho, k, nt, nc, ev)
+                        - codebook.delta_snr(smat, cb.lambdas, lam_max, rho, k, nt, nc)).max()
                        for rho in (1.0, 10.0)])
 
-    worst = _worst(gap(batch) for _, _, batch in windows(channel.v4_model(), realizations))
+    worst = _worst(gap(h) for _, h, _ in windows(channel.v4_model(), realizations))
     return [CheckResult("lemma1", "mi-gap-below-snr-gap", worst <= 1e-9, worst,
                         f"{realizations} V4 realizations, rho in {{1, 10}}")]
 
@@ -347,8 +348,8 @@ def suite_goc(seed=DEFAULT_SEED, mutate=False):
         ok, resid = dispersion.check_goc(dset)
         results.append(CheckResult("goc", f"{name}-constraint", ok, resid))
         pairs = dset.k * (dset.k - 1) // 2
-        worst = _worst(dispersion.decoupling_residual(batch.h, dset).max()
-                       for _, _, batch in windows(channel.iid_model(4, 4), 100, evals_per_trial=pairs))
+        worst = _worst(dispersion.decoupling_residual(h, dset).max()
+                       for _, h, _ in windows(channel.iid_model(4, 4), 100, evals_per_trial=pairs))
         results.append(CheckResult("goc", f"{name}-decoupling", worst <= 1e-10, worst,
                                    "100 random channels"))
     return results

@@ -1,7 +1,7 @@
 """Acceptance suite: one test per exit criterion, each printing a PASS/FAIL line.
 
 Run with `pytest tests/test_acceptance.py -v -s`. The Monte Carlo experiments
-(criteria 2/3) share one trial batch per channel so every scheme sees common
+(criteria 2/3) share one channel draw per channel law so every scheme sees common
 random numbers.
 """
 
@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from ldfeedback import cli, verify
-from ldfeedback.channel import iid_model, v4_model
+from ldfeedback.channel import column_powers, iid_model, top_eigenvalues, v4_model
 from ldfeedback.codebook import s_matrix
 from ldfeedback.dispersion import rank_one_set
 from ldfeedback.infotheory import LN2, Constellation, MiEvaluator, block_mi
@@ -67,12 +67,13 @@ def experiments():
     out = {}
     for name in ("iid2x2", "iid4x4", "v4"):
         config = _experiment(name)
-        batch = draw_trials(config.model, config.trials, config.seed)
-        perfect = scheme_block_mi(config, "perfect", batch.lam_max, batch.ind_col_power)
-        entry = {"config": config, "batch": batch, "perfect": perfect, "splits": {}}
+        h, hind = draw_trials(config.model, config.trials, config.seed)
+        inputs = top_eigenvalues(h), column_powers(hind)
+        perfect = scheme_block_mi(config, "perfect", *inputs)
+        entry = {"config": config, "inputs": inputs, "perfect": perfect, "splits": {}}
         for n1, n2 in ((4, 1), (2, 2)):
             split = replace(config, b=2, n1=n1, n2=n2, rank_two_sets=50)
-            smat = s_matrix(batch.h, default_unitaries(split))
+            smat = s_matrix(h, default_unitaries(split))
             rank1_rows = best_rank_one_codebook(split, smat)[1]
             rank2_rows = rank_two_tournament(split, smat)[1]
             entry["splits"][(n1, n2)] = {
@@ -88,8 +89,7 @@ def experiments():
 def envelope_2x2(experiments):
     """Statistical lower bound for the 2x2 i.i.d. experiment."""
     config = _experiment("iid2x2")
-    batch = experiments["iid2x2"]["batch"]
-    return scheme_block_mi(config, "statistical", batch.lam_max, batch.ind_col_power)
+    return scheme_block_mi(config, "statistical", *experiments["iid2x2"]["inputs"])
 
 
 def test_criterion_01_perfect_csi_closed_form():
@@ -97,12 +97,12 @@ def test_criterion_01_perfect_csi_closed_form():
     worst = 0.0
     for nt in (2, 4):
         nc, k = nt, 2 * nt
-        batch = draw_trials(iid_model(nt, nt), 300, 90000 + nt)
-        eig = hermitian_eig(np.swapaxes(batch.h.conj(), -1, -2) @ batch.h)
+        h, _ = draw_trials(iid_model(nt, nt), 300, 90000 + nt)
+        eig = hermitian_eig(np.swapaxes(h.conj(), -1, -2) @ h)
         covs = np.array([rank_one_set(v, k, nc).covariances() for v in eig.vectors[:, :, 0]])
         for snr in GRID:
             rho = 10.0 ** (snr / 10.0)
-            via_set = block_mi(batch.h, covs, rho, nt, ev) / (nc * LN2)
+            via_set = block_mi(h, covs, rho, nt, ev) / (nc * LN2)
             closed = np.log2(1.0 + rho * eig.values[:, 0])
             positive = closed > 0
             if positive.any():

@@ -7,7 +7,8 @@ from hypothesis import given, settings, strategies as st
 from scipy.stats import ks_2samp
 
 from ldfeedback import matkit, simengine
-from ldfeedback.channel import CorrelationModel, custom_model, from_normals, iid_model, sample, v4_model
+from ldfeedback.channel import (CorrelationModel, column_powers, custom_model, from_normals, iid_model, sample,
+                                top_eigenvalues, v4_model)
 from ldfeedback.errors import PreconditionError
 from ldfeedback.matkit import Rng, haar_unitaries, hermitian_eig
 from ldfeedback.simengine import draw_trials, trial_windows
@@ -152,26 +153,30 @@ BATCH_MODELS = {"iid2x2": lambda: iid_model(2, 2), "v4": v4_model, "haar": haar_
 class TestBatchedDraw:
     def test_rows_equal_single_draws(self, name):
         model = BATCH_MODELS[name]()
-        batch = draw_trials(model, 12, 47, first_stream=3)
+        h_all, hind_all = draw_trials(model, 12, 47, first_stream=3)
+        cols = column_powers(hind_all)
         for i in range(12):
             h, hind = sample(model, Rng(47, 3 + i))
-            assert np.array_equal(batch.h[i], h[0])
-            assert np.array_equal(batch.ind_col_power[i], (np.abs(hind[0]) ** 2).sum(axis=0))
+            assert np.array_equal(h_all[i], h[0])
+            assert np.array_equal(hind_all[i], hind[0])
+            assert np.array_equal(cols[i], (np.abs(hind[0]) ** 2).sum(axis=0))
 
     def test_window_equals_rows_of_longer_draw(self, name):
         model = BATCH_MODELS[name]()
         full = draw_trials(model, 20, 53)
         window = draw_trials(model, 15, 53, first_stream=5)
-        for field in ("h", "lam_max", "ind_col_power"):
-            assert np.array_equal(getattr(window, field), getattr(full, field)[5:])
+        for got, want in zip(window, full):
+            assert np.array_equal(got, want[5:])
+        assert np.array_equal(top_eigenvalues(window[0]), top_eigenvalues(full[0])[5:])
+        assert np.array_equal(column_powers(window[1]), column_powers(full[1])[5:])
 
     def test_lam_max_matches_hermitian_eig(self, name):
         # eigvalsh and the eigendecomposition it replaced are both backward stable;
         # their largest eigenvalues differ by a few ulps at most
-        batch = draw_trials(BATCH_MODELS[name](), 2000, 59)
-        values = hermitian_eig(np.swapaxes(batch.h.conj(), -1, -2) @ batch.h).values
+        h, _ = draw_trials(BATCH_MODELS[name](), 2000, 59)
+        values = hermitian_eig(np.swapaxes(h.conj(), -1, -2) @ h).values
         lam_max = np.maximum(values[:, 0], 0.0)
-        assert (np.abs(batch.lam_max - lam_max) <= 2e-15 * lam_max).all()
+        assert (np.abs(top_eigenvalues(h) - lam_max) <= 2e-15 * lam_max).all()
 
 
 def test_draw_trials_builds_no_rng(monkeypatch):
@@ -185,9 +190,9 @@ def test_draw_trials_builds_no_rng(monkeypatch):
 
     monkeypatch.setattr(simengine, "Rng", no_rng)
     monkeypatch.setattr(matkit, "Rng", no_rng)
-    batch = draw_trials(model, n, 61)
-    assert batch.h.shape == (n, 2, 2)
-    assert np.array_equal(batch.h[-1], last)
+    h, _ = draw_trials(model, n, 61)
+    assert h.shape == (n, 2, 2)
+    assert np.array_equal(h[-1], last)
 
 
 @given(window=st.integers(1, 40), trials=st.integers(1, 60), evals_per_trial=st.integers(1, 30),
@@ -195,34 +200,37 @@ def test_draw_trials_builds_no_rng(monkeypatch):
 @settings(max_examples=60, deadline=None)
 def test_trial_windows_cover_the_draw(window, trials, evals_per_trial, first_stream, name):
     # contiguous windows of 1..max(1, TRIAL_WINDOW // evals_per_trial) trials cover
-    # range(trials) in order, and their fields are the one-pass draw's, bit for bit
+    # range(trials) in order, and their channels, Hind and top eigenvalues are the
+    # one-pass draw's, bit for bit
     model = BATCH_MODELS[name]()
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(simengine, "TRIAL_WINDOW", window)
         windows = list(trial_windows(model, trials, 67, first_stream, evals_per_trial))
     step = max(1, window // evals_per_trial)
-    assert [lo for lo, _, _ in windows] == [0] + [hi for _, hi, _ in windows[:-1]]
-    assert windows[-1][1] == trials
-    for lo, hi, batch in windows:
-        assert 1 <= hi - lo <= step and batch.trials == hi - lo
-    whole = draw_trials(model, trials, 67, first_stream)
-    for field in ("h", "lam_max", "ind_col_power"):
-        got = np.concatenate([getattr(batch, field) for _, _, batch in windows])
-        assert got.tobytes() == getattr(whole, field).tobytes()
+    ends = [lo + len(h) for lo, h, _ in windows]
+    assert [lo for lo, _, _ in windows] == [0] + ends[:-1]
+    assert ends[-1] == trials
+    for _, h, hind in windows:
+        assert 1 <= len(h) <= step and len(hind) == len(h)
+    h, hind = draw_trials(model, trials, 67, first_stream)
+    assert np.concatenate([w[1] for w in windows]).tobytes() == h.tobytes()
+    assert np.concatenate([w[2] for w in windows]).tobytes() == hind.tobytes()
+    assert np.concatenate([top_eigenvalues(w[1]) for w in windows]).tobytes() == top_eigenvalues(h).tobytes()
 
 
 @pytest.mark.parametrize("model", [iid_model(4, 4), v4_model()], ids=["iid4x4", "v4"])
 def test_trial_windows_memory_peak_bounded(model):
     # Bound set before measuring: whole-run arrays filled from trial_windows, each
-    # batch dropped once copied, so besides those arrays only one window's normals,
+    # window dropped once copied, so besides those arrays only one window's normals,
     # channels and Gram matrices are alive, and the peak stays under 1.5x the
     # arrays at 10 000 trials
     def fill(trials):
         h = np.empty((trials, model.nr, model.nt), dtype=np.complex128)
         lam_max, ind_col_power = np.empty(trials), np.empty((trials, model.nt))
-        for lo, hi, batch in trial_windows(model, trials, 71):
-            h[lo:hi], lam_max[lo:hi], ind_col_power[lo:hi] = batch.h, batch.lam_max, batch.ind_col_power
-            del batch
+        for lo, window, hind in trial_windows(model, trials, 71):
+            hi = lo + len(window)
+            h[lo:hi], lam_max[lo:hi], ind_col_power[lo:hi] = window, top_eigenvalues(window), column_powers(hind)
+            del window, hind
         return h, lam_max, ind_col_power
 
     fill(100)

@@ -435,6 +435,14 @@ class TestVerifyCommand:
     def test_unknown_suite_exit_2(self, capsys):
         assert cli.main(["verify", "nonsense"]) == 2
 
+    @pytest.mark.parametrize("suite", ["thm1", "eq10"])
+    def test_mutate_rejected_outside_goc(self, capsys, suite):
+        # a negative control the suite cannot run is a usage error, not a run of PASS lines
+        assert cli.main(["verify", suite, "--mutate"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--mutate" in captured.err
+
     def test_mutated_goc_fails_with_residual(self, capsys):
         assert cli.main(["verify", "goc", "--mutate"]) == 1
         out = capsys.readouterr().out

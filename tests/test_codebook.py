@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from ldfeedback.channel import iid_model, v4_model
+from ldfeedback.channel import iid_model, top_eigenvalues, v4_model
 from ldfeedback.codebook import (
     QuantizedCodebook,
     delta_mi,
@@ -28,8 +28,8 @@ def gaussian_eval():
 
 
 def realization(stream, nt=4, nr=4, seed=313):
-    """One i.i.d. channel draw as a one-trial batch (the n = 1 stack)."""
-    return draw_trials(iid_model(nt, nr), 1, seed, first_stream=stream)
+    """One i.i.d. channel draw as the n = 1 stack h."""
+    return draw_trials(iid_model(nt, nr), 1, seed, first_stream=stream)[0]
 
 
 def mode_diagonals(modes, nt=4, budget=4.0):
@@ -37,10 +37,9 @@ def mode_diagonals(modes, nt=4, budget=4.0):
     return [budget * np.eye(nt)[m] for m in modes]
 
 
-def codebook_with_eigenbasis(batch, nt=4, nc=4, k=4, extra=3, seed=99):
-    """Codebook whose first unitary is the channel's own eigenbasis, mode-1 diagonal."""
-    h = batch.h[0]
-    eig = hermitian_eig(h.conj().T @ h)
+def codebook_with_eigenbasis(h, nt=4, nc=4, k=4, extra=3, seed=99):
+    """Codebook whose first unitary is the eigenbasis of the one-trial stack h, mode-1 diagonal."""
+    eig = hermitian_eig(h[0].conj().T @ h[0])
     rng = Rng(seed, 0)
     unitaries = [eig.vectors, *haar_unitaries(extra, nt, rng)]
     lam = np.zeros(nt)
@@ -49,24 +48,24 @@ def codebook_with_eigenbasis(batch, nt=4, nc=4, k=4, extra=3, seed=99):
                              k=k, nc=nc, nt=nt)
 
 
-def mi_rule(cb, batch, rho, ev):
-    """MI-rule selected values of a codebook on every trial of a batch."""
-    return select_mi(s_matrix(batch.h, cb.unitaries), cb.lambdas, rho, cb.k, cb.nt, ev)
+def mi_rule(cb, h, rho, ev):
+    """MI-rule selected values of a codebook on every trial of a channel stack."""
+    return select_mi(s_matrix(h, cb.unitaries), cb.lambdas, rho, cb.k, cb.nt, ev)
 
 
-def snr_rule(cb, batch):
-    """SNR-rule selected values of a codebook on every trial of a batch."""
-    return select_snr(s_matrix(batch.h, cb.unitaries), cb.lambdas, cb.k, cb.nt, cb.nc)
+def snr_rule(cb, h):
+    """SNR-rule selected values of a codebook on every trial of a channel stack."""
+    return select_snr(s_matrix(h, cb.unitaries), cb.lambdas, cb.k, cb.nt, cb.nc)
 
 
-def snr_gap(cb, batch, rho):
-    """delta_snr of a codebook on every trial of a batch."""
-    return delta_snr(s_matrix(batch.h, cb.unitaries), cb.lambdas, batch.lam_max, rho, cb.k, cb.nt, cb.nc)
+def snr_gap(cb, h, rho):
+    """delta_snr of a codebook on every trial of a channel stack."""
+    return delta_snr(s_matrix(h, cb.unitaries), cb.lambdas, top_eigenvalues(h), rho, cb.k, cb.nt, cb.nc)
 
 
-def mi_gap(cb, batch, rho, ev):
-    """delta_mi of a codebook on every trial of a batch."""
-    return delta_mi(s_matrix(batch.h, cb.unitaries), cb.lambdas, batch.lam_max, rho, cb.k, cb.nt, cb.nc, ev)
+def mi_gap(cb, h, rho, ev):
+    """delta_mi of a codebook on every trial of a channel stack."""
+    return delta_mi(s_matrix(h, cb.unitaries), cb.lambdas, top_eigenvalues(h), rho, cb.k, cb.nt, cb.nc, ev)
 
 
 class TestRvqCodebook:
@@ -152,26 +151,26 @@ class TestRandomRankTwo:
 
 class TestSMatrix:
     def test_eigenbasis_gives_eigenvalues(self):
-        batch = realization(0)
-        eig = hermitian_eig(batch.h[0].conj().T @ batch.h[0])
-        s = s_matrix(batch.h, [eig.vectors])
+        h = realization(0)
+        eig = hermitian_eig(h[0].conj().T @ h[0])
+        s = s_matrix(h, [eig.vectors])
         assert s.shape == (1, 1, 4)
         assert np.allclose(s[0, 0], eig.values, atol=1e-10)
 
     def test_sum_is_channel_power(self):
-        batch = realization(1)
-        s = s_matrix(batch.h, haar_unitaries(1, 4, Rng(3, 0)))[0, 0]
-        assert abs(s.sum() - np.vdot(batch.h, batch.h).real) <= 1e-10
-        assert s.max() <= batch.lam_max[0] + 1e-10
+        h = realization(1)
+        s = s_matrix(h, haar_unitaries(1, 4, Rng(3, 0)))[0, 0]
+        assert abs(s.sum() - np.vdot(h, h).real) <= 1e-10
+        assert s.max() <= top_eigenvalues(h)[0] + 1e-10
 
     def test_matches_definition_through_eigen_factor(self):
         # oracle: squared column norms of Lh^(1/2) Uh^H U
-        batch = realization(2)
-        eig = hermitian_eig(batch.h[0].conj().T @ batch.h[0])
+        h = realization(2)
+        eig = hermitian_eig(h[0].conj().T @ h[0])
         u = haar_unitaries(1, 4, Rng(3, 1))[0]
         factor = np.diag(np.sqrt(eig.values)) @ eig.vectors.conj().T @ u
         expect = (np.abs(factor) ** 2).sum(axis=0)
-        assert np.allclose(s_matrix(batch.h, [u])[0, 0], expect, atol=1e-10)
+        assert np.allclose(s_matrix(h, [u])[0, 0], expect, atol=1e-10)
 
     def test_zero_channel(self):
         s = s_matrix(np.zeros((1, 4, 4), dtype=complex), [np.eye(4, dtype=complex)])
@@ -181,27 +180,27 @@ class TestSMatrix:
         # a NaN matrix has a NaN residual, which must not pass the tolerance test
         for bad in (np.ones((4, 4), dtype=complex), np.full((4, 4), np.nan + 0j)):
             with pytest.raises(PreconditionError, match="is not unitary"):
-                s_matrix(realization(3).h, [bad])
+                s_matrix(realization(3), [bad])
 
     @pytest.mark.parametrize("model", [iid_model(2, 2), iid_model(4, 4), v4_model()],
                              ids=["iid2x2", "iid4x4", "v4"])
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_flattened_product_matches_stacked(self, model, seed):
         # the slow reference: one small H_n @ U_i product per trial
-        batch = draw_trials(model, 3000, seed)
+        h, _ = draw_trials(model, 3000, seed)
         unitaries = haar_unitaries(4, model.nt, Rng(seed, 1))
-        stacked = np.stack([(np.abs(batch.h @ u) ** 2).sum(axis=1) for u in unitaries], axis=1)
-        assert s_matrix(batch.h, unitaries).tobytes() == stacked.tobytes()
+        stacked = np.stack([(np.abs(h @ u) ** 2).sum(axis=1) for u in unitaries], axis=1)
+        assert s_matrix(h, unitaries).tobytes() == stacked.tobytes()
 
 
 class TestSelectMi:
     def test_exact_eigenbasis_codeword_wins(self):
         ev = gaussian_eval()
         for stream in range(10):
-            batch = realization(stream)
-            cb = codebook_with_eigenbasis(batch)
-            value = mi_rule(cb, batch, 2.0, ev)
-            expect = cb.k * ev.mi(2.0 * cb.nc / cb.k * batch.lam_max[0])
+            h = realization(stream)
+            cb = codebook_with_eigenbasis(h)
+            value = mi_rule(cb, h, 2.0, ev)
+            expect = cb.k * ev.mi(2.0 * cb.nc / cb.k * top_eigenvalues(h)[0])
             assert value[0] == pytest.approx(expect, rel=1e-12)
 
     def test_zero_snr_tie_break(self):
@@ -211,11 +210,11 @@ class TestSelectMi:
 
     def test_argmax_against_recomputation(self):
         ev = gaussian_eval()
-        batch = realization(4)
-        h = batch.h[0]
+        stack = realization(4)
+        h = stack[0]
         cb = QuantizedCodebook(b=2, n1=2, n2=2, unitaries=haar_unitaries(2, 4, Rng(4, 1)),
                                lambdas=mode_diagonals([1, 3]), k=4, nc=4, nt=4)
-        value = mi_rule(cb, batch, 1.5, ev)[0]
+        value = mi_rule(cb, stack, 1.5, ev)[0]
         for u in cb.unitaries:
             for lam in cb.lambdas:
                 q = (u * lam) @ u.conj().T
@@ -230,10 +229,10 @@ class TestSelectMi:
 
     def test_determinism(self):
         ev = gaussian_eval()
-        batch = realization(5)
+        h = realization(5)
         cb = QuantizedCodebook(b=2, n1=4, n2=1, unitaries=haar_unitaries(4, 4, Rng(4, 2)),
                                lambdas=mode_diagonals([2]), k=4, nc=4, nt=4)
-        assert np.array_equal(mi_rule(cb, batch, 2.0, ev), mi_rule(cb, batch, 2.0, ev))
+        assert np.array_equal(mi_rule(cb, h, 2.0, ev), mi_rule(cb, h, 2.0, ev))
 
 
 def mi_rule_definition(smat, lambdas, rho, k, nt, ev):
@@ -261,9 +260,9 @@ class TestTraceSelection:
     """
 
     def _inputs(self, per_trial):
-        batch = draw_trials(iid_model(4, 4), 300, 61)
+        h, _ = draw_trials(iid_model(4, 4), 300, 61)
         rng = Rng(61, 1)
-        smat = s_matrix(batch.h, haar_unitaries(4, 4, rng))
+        smat = s_matrix(h, haar_unitaries(4, 4, rng))
         if per_trial:
             # per-trial competitor diagonals, as in verify thm4: leading axes (trials, competitors)
             w = rng.gen.uniform(size=(300, 5, 3, 4))
@@ -358,24 +357,24 @@ class TestCodewordMaximum:
 
 class TestSelectSnr:
     def test_rank_one_codebook_reduces_to_best_mode_power(self):
-        batch = realization(6)
+        h = realization(6)
         cb = QuantizedCodebook(b=3, n1=2, n2=4, unitaries=haar_unitaries(2, 4, Rng(5, 0)),
                                lambdas=mode_diagonals(range(4)), k=4, nc=4, nt=4)
-        value = snr_rule(cb, batch)[0]
-        smax = s_matrix(batch.h, cb.unitaries).max()
+        value = snr_rule(cb, h)[0]
+        smax = s_matrix(h, cb.unitaries).max()
         assert value == pytest.approx(smax, abs=1e-12)
 
     def test_agrees_with_mi_rule_for_gaussian(self):
         ev = gaussian_eval()
         rng = Rng(5, 1)
         for stream in range(200):
-            batch = realization(stream, seed=551)
+            h = realization(stream, seed=551)
             lamsets = random_rank_two_lambdas(1, 2, 4, 4, 4, rng)[0]
             cb = QuantizedCodebook(b=2, n1=2, n2=2, unitaries=haar_unitaries(2, 4, rng),
                                    lambdas=lamsets, k=4, nc=4, nt=4)
             # Tr(H Q H^H) = Nt*Nc/K times the snr-rule objective, so both rules pick the same value
-            expect = cb.k * ev.mi(1.3 * cb.nc / cb.k * snr_rule(cb, batch)[0])
-            assert mi_rule(cb, batch, 1.3, ev)[0] == pytest.approx(expect, rel=1e-12)
+            expect = cb.k * ev.mi(1.3 * cb.nc / cb.k * snr_rule(cb, h)[0])
+            assert mi_rule(cb, h, 1.3, ev)[0] == pytest.approx(expect, rel=1e-12)
 
     def test_zero_channel_tie_break(self):
         cb = QuantizedCodebook(b=2, n1=4, n2=1, unitaries=haar_unitaries(4, 4, Rng(5, 2)),
@@ -387,10 +386,10 @@ class TestSelectSnr:
 class TestGaps:
     def test_exact_codeword_gives_zero_gaps(self):
         ev = gaussian_eval()
-        batch = realization(7)
-        cb = codebook_with_eigenbasis(batch)
-        assert abs(snr_gap(cb, batch, 2.0)[0]) <= 1e-10
-        assert abs(mi_gap(cb, batch, 2.0, ev)[0]) <= 1e-9
+        h = realization(7)
+        cb = codebook_with_eigenbasis(h)
+        assert abs(snr_gap(cb, h, 2.0)[0]) <= 1e-10
+        assert abs(mi_gap(cb, h, 2.0, ev)[0]) <= 1e-9
 
     def test_zero_snr_zero_mi_gap(self):
         cb = QuantizedCodebook(b=2, n1=4, n2=1, unitaries=haar_unitaries(4, 4, Rng(6, 0)),
@@ -400,11 +399,11 @@ class TestGaps:
     def test_snr_gap_nonnegative(self):
         rng = Rng(6, 1)
         for stream in range(100):
-            batch = realization(stream, seed=661)
+            h = realization(stream, seed=661)
             lambdas = mode_diagonals([int(rng.gen.integers(4))])
             cb = QuantizedCodebook(b=2, n1=4, n2=1, unitaries=haar_unitaries(4, 4, rng),
                                    lambdas=lambdas, k=4, nc=4, nt=4)
-            assert snr_gap(cb, batch, 1.0)[0] >= -1e-12
+            assert snr_gap(cb, h, 1.0)[0] >= -1e-12
 
     def test_mi_gap_below_snr_gap(self):
         # per-realization Lemma-1 form at a smaller scale; the full-size run
@@ -415,9 +414,9 @@ class TestGaps:
         lambdas = random_rank_two_lambdas(1, 1, 4, 4, 4, rng)[0]
         cb = QuantizedCodebook(b=2, n1=4, n2=1, unitaries=unitaries, lambdas=lambdas,
                                k=4, nc=4, nt=4)
-        batch = draw_trials(v4_model(), 1000, 662)
+        h, _ = draw_trials(v4_model(), 1000, 662)
         for rho in (1.0, 10.0):
-            assert (mi_gap(cb, batch, rho, ev) <= snr_gap(cb, batch, rho) + 1e-12).all()
+            assert (mi_gap(cb, h, rho, ev) <= snr_gap(cb, h, rho) + 1e-12).all()
 
 
 class TestRankOneStrongOptimality:
@@ -428,11 +427,11 @@ class TestRankOneStrongOptimality:
         unitaries = haar_unitaries(4, 4, rng)
         rank_one = QuantizedCodebook(b=4, n1=4, n2=4, unitaries=unitaries,
                                      lambdas=mode_diagonals(range(nt)), k=k, nc=nc, nt=nt)
-        batch = draw_trials(iid_model(4, 4), 100, 771)
-        ref = mi_rule(rank_one, batch, 2.0, ev)
-        smat = s_matrix(batch.h, unitaries)
+        h, _ = draw_trials(iid_model(4, 4), 100, 771)
+        ref = mi_rule(rank_one, h, 2.0, ev)
+        smat = s_matrix(h, unitaries)
         for _ in range(5):
-            w = rng.gen.uniform(size=(batch.trials, 4, nt))
+            w = rng.gen.uniform(size=(len(h), 4, nt))
             w /= w.sum(axis=-1, keepdims=True)
             got = select_mi(smat, 4.0 * w, 2.0, k, nt, ev)
             assert (got <= ref + 1e-9).all()
@@ -443,9 +442,9 @@ class TestProp2CodebookLevel:
         ev = gaussian_eval()
         rng = Rng(8, 0)
         k = 4
-        batch = draw_trials(iid_model(4, 4), 50, 881)
-        qs = np.empty((batch.trials, k, 4, 4), dtype=complex)
-        for t in range(batch.trials):
+        h, _ = draw_trials(iid_model(4, 4), 50, 881)
+        qs = np.empty((len(h), k, 4, 4), dtype=complex)
+        for t in range(len(h)):
             shares = rng.gen.uniform(size=k)
             shares = shares / shares.sum() * 16.0
             for idx, tr in enumerate(shares):
@@ -453,7 +452,7 @@ class TestProp2CodebookLevel:
                 q = a @ a.conj().T
                 qs[t, idx] = q * (tr / q.trace().real)
         qhat = np.broadcast_to(qs.mean(axis=1, keepdims=True), qs.shape)
-        assert (block_mi(batch.h, qs, 1.0, 4, ev) <= block_mi(batch.h, qhat, 1.0, 4, ev) + 1e-9).all()
+        assert (block_mi(h, qs, 1.0, 4, ev) <= block_mi(h, qhat, 1.0, 4, ev) + 1e-9).all()
 
 
 def prop3_gap_meshgrid(a, y):

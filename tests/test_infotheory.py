@@ -368,8 +368,8 @@ class TestTable:
                            opt_samples=100, b=2, n1=4, n2=1, rank_two_sets=3)
 
         def points():
-            batch = draw_trials(config.model, config.trials, config.seed)
-            smat = s_matrix(batch.h, default_unitaries(config))
+            h, _ = draw_trials(config.model, config.trials, config.seed)
+            smat = s_matrix(h, default_unitaries(config))
             best = _curve_points(config, "quantized-rank2-best", rank_two_tournament(config, smat)[1])
             lamsets = random_rank_two_lambdas(config.rank_two_sets, config.n2, 2, 2, 2,
                                               Rng(config.seed, STREAM_TOURNAMENT))

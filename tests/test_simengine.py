@@ -9,8 +9,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from ldfeedback import simengine
-from ldfeedback.channel import iid_model, v4_model
+from ldfeedback import simengine, verify
+from ldfeedback.channel import column_powers, iid_model, top_eigenvalues, v4_model
 from ldfeedback.cli import build_experiment, curves_to_csv, parse_config_text
 from ldfeedback.codebook import (
     QuantizedCodebook,
@@ -63,11 +63,17 @@ def make_config(model=None, schemes=("perfect",), trials=50, k=None, nc=None, se
     )
 
 
-def run_smat(config, batch=None):
+def run_smat(config, h=None):
     """The s_matrix that run shares between the two codebook searches."""
-    if batch is None:
-        batch = draw_trials(config.model, config.trials, config.seed)
-    return s_matrix(batch.h, default_unitaries(config))
+    if h is None:
+        h, _ = draw_trials(config.model, config.trials, config.seed)
+    return s_matrix(h, default_unitaries(config))
+
+
+def draw_inputs(config):
+    """config's trials in one draw: h, and the lam_max and ind_col_power that scheme_block_mi reads."""
+    h, hind = draw_trials(config.model, config.trials, config.seed)
+    return h, top_eigenvalues(h), column_powers(hind)
 
 
 def drawn_rank_two_lambdas(config):
@@ -76,20 +82,20 @@ def drawn_rank_two_lambdas(config):
                                    config.k, Rng(config.seed, STREAM_TOURNAMENT))
 
 
-def snr_rule_values(cb, batch):
+def snr_rule_values(cb, h):
     """SNR-rule objective of the selected codeword on every trial."""
-    smat = s_matrix(batch.h, cb.unitaries)
+    smat = s_matrix(h, cb.unitaries)
     return select_snr(smat, cb.lambdas, cb.k, cb.nt, cb.nc)
 
 
-def snr_gap(cb, batch, rho):
-    """delta_snr of a codebook on every trial of a batch."""
-    return delta_snr(s_matrix(batch.h, cb.unitaries), cb.lambdas, batch.lam_max, rho, cb.k, cb.nt, cb.nc)
+def snr_gap(cb, h, rho):
+    """delta_snr of a codebook on every trial of a channel stack."""
+    return delta_snr(s_matrix(h, cb.unitaries), cb.lambdas, top_eigenvalues(h), rho, cb.k, cb.nt, cb.nc)
 
 
-def mi_gap(cb, batch, rho, ev):
-    """delta_mi of a codebook on every trial of a batch."""
-    return delta_mi(s_matrix(batch.h, cb.unitaries), cb.lambdas, batch.lam_max, rho, cb.k, cb.nt, cb.nc, ev)
+def mi_gap(cb, h, rho, ev):
+    """delta_mi of a codebook on every trial of a channel stack."""
+    return delta_mi(s_matrix(h, cb.unitaries), cb.lambdas, top_eigenvalues(h), rho, cb.k, cb.nt, cb.nc, ev)
 
 
 class TestProjection:
@@ -168,11 +174,11 @@ class TestOptimizer:
 class TestRun:
     def test_perfect_matches_closed_form_per_trial(self):
         config = make_config(trials=40)
-        batch = draw_trials(config.model, config.trials, config.seed)
-        rows = scheme_block_mi(config, "perfect", batch.lam_max, batch.ind_col_power)
+        _, lam_max, ind_col_power = draw_inputs(config)
+        rows = scheme_block_mi(config, "perfect", lam_max, ind_col_power)
         for idx, snr in enumerate(config.snr_grid_db):
             rho = 10.0 ** (snr / 10.0)
-            expect = config.nc * np.log1p(rho * batch.lam_max)
+            expect = config.nc * np.log1p(rho * lam_max)
             assert np.allclose(rows[idx], expect, rtol=1e-12)
 
     def test_single_trial_deterministic(self):
@@ -206,9 +212,9 @@ class TestRun:
 
     def test_quantized_below_perfect_per_trial(self):
         config = make_config(model=iid_model(4, 4), trials=60)
-        batch = draw_trials(config.model, config.trials, config.seed)
-        _, quant = best_rank_one_codebook(config, run_smat(config, batch))
-        perfect = scheme_block_mi(config, "perfect", batch.lam_max, batch.ind_col_power)
+        h, lam_max, ind_col_power = draw_inputs(config)
+        _, quant = best_rank_one_codebook(config, run_smat(config, h))
+        perfect = scheme_block_mi(config, "perfect", lam_max, ind_col_power)
         assert (quant <= perfect + 1e-9).all()
 
     def test_all_five_schemes_match_the_searches(self):
@@ -330,10 +336,43 @@ class TestRun:
 
     def test_statistical_below_perfect_per_trial(self):
         config = make_config(model=v4_model(), schemes=("statistical",), trials=40)
-        batch = draw_trials(config.model, config.trials, config.seed)
-        stat = scheme_block_mi(config, "statistical", batch.lam_max, batch.ind_col_power)
-        perfect = scheme_block_mi(config, "perfect", batch.lam_max, batch.ind_col_power)
+        _, lam_max, ind_col_power = draw_inputs(config)
+        stat = scheme_block_mi(config, "statistical", lam_max, ind_col_power)
+        perfect = scheme_block_mi(config, "perfect", lam_max, ind_col_power)
         assert (stat <= perfect + 1e-9).all()
+
+
+class TestDrawsFactorNothing:
+    """A draw is its channels: np.linalg.eigvalsh runs only where an eigenvalue is read."""
+
+    @pytest.fixture
+    def eigvalsh_calls(self, monkeypatch):
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def counted(a, *args, **kwargs):
+            calls.append(np.shape(a))
+            return eigvalsh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+        return calls
+
+    def test_draws(self, eigvalsh_calls):
+        model = v4_model()
+        assert len(list(simengine.trial_windows(model, 3000, 5, evals_per_trial=3))) == 9
+        draw_trials(model, 100, 5, first_stream=7)
+        assert eigvalsh_calls == []
+
+    @pytest.mark.parametrize("name", ["thm4", "thm5", "goc"])
+    def test_suites_reading_only_channels(self, eigvalsh_calls, name):
+        verify.SUITES[name]()
+        assert eigvalsh_calls == []
+
+    def test_run_factors_each_window_once(self, eigvalsh_calls, monkeypatch):
+        # perfect reads the top eigenvalues: 10 trials in windows of 4, 4 and 2
+        monkeypatch.setattr(simengine, "TRIAL_WINDOW", 4)
+        run(make_config(model=iid_model(4, 4), trials=10))
+        assert eigvalsh_calls == [(4, 4, 4), (4, 4, 4), (2, 4, 4)]
 
 
 class TestBestRankOne:
@@ -616,9 +655,9 @@ class TestJensenSkip:
 class TestStackedMatchesSingle:
     """Row t of a stacked evaluation equals the n = 1 evaluation of trial t, bit for bit.
 
-    The stacked batch is put together from trial_windows' windows of 7 here,
-    so 25 trials leave a partial last window. Both the Gaussian kernel and
-    the BPSK table are elementwise.
+    The stacked channels and their top eigenvalues are put together from
+    trial_windows' windows of 7 here, so 25 trials leave a partial last
+    window. Both the Gaussian kernel and the BPSK table are elementwise.
     """
 
     TRIALS = 25
@@ -627,71 +666,71 @@ class TestStackedMatchesSingle:
     def trials(self, monkeypatch):
         monkeypatch.setattr(simengine, "TRIAL_WINDOW", 7)
         model = v4_model()
-        windows = [batch for _, _, batch in simengine.trial_windows(model, self.TRIALS, 4242)]
-        batch = simengine.TrialBatch(**{f: np.concatenate([getattr(w, f) for w in windows])
-                                        for f in ("h", "lam_max", "ind_col_power")})
-        singles = [draw_trials(model, 1, 4242, first_stream=t) for t in range(self.TRIALS)]
+        windows = [h for _, h, _ in simengine.trial_windows(model, self.TRIALS, 4242)]
+        h = np.concatenate(windows)
+        lam_max = np.concatenate([top_eigenvalues(w) for w in windows])
+        singles = [draw_trials(model, 1, 4242, first_stream=t)[0] for t in range(self.TRIALS)]
         rng = Rng(4242, 1)
         cb = QuantizedCodebook(b=2, n1=2, n2=2, unitaries=haar_unitaries(2, 4, rng),
                                lambdas=random_rank_two_lambdas(1, 2, 4, 4, 4, rng)[0],
                                k=4, nc=4, nt=4)
-        return batch, singles, cb
+        return h, lam_max, singles, cb
 
     def test_hermitian_eig(self, trials):
-        batch, singles, _ = trials
-        grams = np.swapaxes(batch.h.conj(), -1, -2) @ batch.h
+        h, _, singles, _ = trials
+        grams = np.swapaxes(h.conj(), -1, -2) @ h
         stacked = hermitian_eig(grams)
         for t, one in enumerate(singles):
-            assert np.array_equal(batch.h[t], one.h[0])
+            assert np.array_equal(h[t], one[0])
             alone = hermitian_eig(grams[t])
             assert np.array_equal(stacked.values[t], alone.values)
             assert np.array_equal(stacked.vectors[t], alone.vectors)
 
     def test_lam_max(self, trials):
         # windows of 7, one draw of every trial and one trial per call give the same bits
-        batch, singles, _ = trials
+        _, lam_max, singles, _ = trials
         for t, one in enumerate(singles):
-            assert np.array_equal(batch.lam_max[t], one.lam_max[0])
-        assert np.array_equal(draw_trials(v4_model(), self.TRIALS, 4242).lam_max, batch.lam_max)
+            assert np.array_equal(lam_max[t], top_eigenvalues(one)[0])
+        assert np.array_equal(top_eigenvalues(draw_trials(v4_model(), self.TRIALS, 4242)[0]), lam_max)
 
     def test_mi_rule(self, trials):
-        batch, singles, cb = trials
+        h, _, singles, cb = trials
         for kind in ("gaussian", "bpsk"):
             ev = MiEvaluator(Constellation.from_name(kind))
             for rho in (0.5, 10.0):
-                stacked = select_mi(s_matrix(batch.h, cb.unitaries), cb.lambdas, rho, 4, 4, ev)
+                stacked = select_mi(s_matrix(h, cb.unitaries), cb.lambdas, rho, 4, 4, ev)
                 for t, one in enumerate(singles):
-                    alone = select_mi(s_matrix(one.h, cb.unitaries), cb.lambdas, rho, 4, 4, ev)
+                    alone = select_mi(s_matrix(one, cb.unitaries), cb.lambdas, rho, 4, 4, ev)
                     assert stacked[t] == alone[0]
 
     def test_snr_rule(self, trials):
-        batch, singles, cb = trials
-        stacked = select_snr(s_matrix(batch.h, cb.unitaries), cb.lambdas, 4, 4, 4)
+        h, _, singles, cb = trials
+        stacked = select_snr(s_matrix(h, cb.unitaries), cb.lambdas, 4, 4, 4)
         for t, one in enumerate(singles):
-            alone = select_snr(s_matrix(one.h, cb.unitaries), cb.lambdas, 4, 4, 4)
+            alone = select_snr(s_matrix(one, cb.unitaries), cb.lambdas, 4, 4, 4)
             assert stacked[t] == alone[0]
 
     def test_gaps(self, trials):
-        batch, singles, cb = trials
+        h, _, singles, cb = trials
         for rho in (1.0, 10.0):
-            gap_snr = snr_gap(cb, batch, rho)
+            gap_snr = snr_gap(cb, h, rho)
             for t, one in enumerate(singles):
                 assert gap_snr[t] == snr_gap(cb, one, rho)[0]
             for kind in ("gaussian", "bpsk"):
                 ev = MiEvaluator(Constellation.from_name(kind))
-                gap_mi = mi_gap(cb, batch, rho, ev)
+                gap_mi = mi_gap(cb, h, rho, ev)
                 for t, one in enumerate(singles):
                     assert gap_mi[t] == mi_gap(cb, one, rho, ev)[0]
 
     def test_bpsk_block_mi(self, trials):
-        batch, singles, cb = trials
+        h, _, singles, cb = trials
         ev = MiEvaluator(Constellation.bpsk())
         covs = np.stack([(u * lam) @ u.conj().T for u in cb.unitaries for lam in cb.lambdas])
         qsets = np.broadcast_to(covs, (self.TRIALS,) + covs.shape)
         for rho in (0.5, 10.0):
-            stacked = block_mi(batch.h, qsets, rho, 4, ev)
+            stacked = block_mi(h, qsets, rho, 4, ev)
             for t, one in enumerate(singles):
-                assert stacked[t] == block_mi(one.h, covs[None], rho, 4, ev)[0]
+                assert stacked[t] == block_mi(one, covs[None], rho, 4, ev)[0]
 
 
 class TestNoStaleReceivedPowers:
@@ -699,16 +738,16 @@ class TestNoStaleReceivedPowers:
         # received powers must follow the codebook passed in, even when
         # earlier unitary families were freed and their memory reused
         config = make_config(model=iid_model(4, 4), trials=20, snr=(10.0,))
-        batch = draw_trials(config.model, config.trials, config.seed)
+        h, _ = draw_trials(config.model, config.trials, config.seed)
         ev = MiEvaluator(Constellation.gaussian())
         rng = Rng(97, 0)
         for _ in range(200):
             cb = QuantizedCodebook(b=2, n1=4, n2=1, unitaries=haar_unitaries(4, 4, rng),
                                    lambdas=[4.0 * np.eye(4)[0]], k=4, nc=4, nt=4)
-            rows = codebook_block_mi(config, s_matrix(batch.h, cb.unitaries), cb.lambdas)
+            rows = codebook_block_mi(config, s_matrix(h, cb.unitaries), cb.lambdas)
             # definition: max over codewords of K * I(rho/Nt * Tr(H Q H^H))
             covs = np.stack([(u * lam) @ u.conj().T for u in cb.unitaries for lam in cb.lambdas])
-            traces = np.einsum("nab,cbd,nad->nc", batch.h, covs, batch.h.conj()).real
+            traces = np.einsum("nab,cbd,nad->nc", h, covs, h.conj()).real
             expect = (config.k * ev.mi(10.0 / 4 * traces)).max(axis=1)
             assert np.allclose(rows[0], expect, rtol=1e-12, atol=0.0)
 
@@ -721,14 +760,14 @@ class TestAvgReceivedSnr:
         # lmax exactly, so the gap vanishes realization by realization
         config = make_config(model=iid_model(4, 4), trials=1)
         for stream in range(25):
-            batch = draw_trials(config.model, 1, 7, first_stream=stream)
-            eig = hermitian_eig(batch.h[0].conj().T @ batch.h[0])
+            h, _ = draw_trials(config.model, 1, 7, first_stream=stream)
+            eig = hermitian_eig(h[0].conj().T @ h[0])
             cb = QuantizedCodebook(
                 b=2, n1=1, n2=4, unitaries=[eig.vectors],
                 lambdas=[4.0 * np.eye(4)[m] for m in range(4)], k=4, nc=4, nt=4,
             )
-            assert snr_rule_values(cb, batch)[0] == pytest.approx(eig.values[0], abs=1e-10)
-            assert snr_gap(cb, batch, 1.0)[0] == pytest.approx(0.0, abs=1e-10)
+            assert snr_rule_values(cb, h)[0] == pytest.approx(eig.values[0], abs=1e-10)
+            assert snr_gap(cb, h, 1.0)[0] == pytest.approx(0.0, abs=1e-10)
 
     def test_best_rank_one_dominates_mixed_codebooks_in_mean(self):
         # the weighted-max chain holds for the empirical measure too, so the
@@ -737,14 +776,14 @@ class TestAvgReceivedSnr:
         from itertools import combinations
 
         config = make_config(model=v4_model(), trials=300, snr=(10.0,))
-        batch = draw_trials(config.model, config.trials, config.seed)
+        h, _ = draw_trials(config.model, config.trials, config.seed)
         rng = Rng(41, 0)
         unitaries = haar_unitaries(2, 4, rng)
         n2 = 2
         scale = 10.0 * config.nc / config.k
 
         def mean_received(cb):
-            return float((scale * snr_rule_values(cb, batch)).mean())
+            return float((scale * snr_rule_values(cb, h)).mean())
 
         best = -np.inf
         for modes in combinations(range(4), n2):
@@ -759,16 +798,16 @@ class TestAvgReceivedSnr:
 
     def test_mean_bounded_by_lambda_max(self):
         config = make_config(model=v4_model(), trials=200, snr=(0.0, 10.0))
-        batch = draw_trials(config.model, config.trials, config.seed)
-        lambdas, _ = best_rank_one_codebook(config, run_smat(config, batch))
+        h, _ = draw_trials(config.model, config.trials, config.seed)
+        lambdas, _ = best_rank_one_codebook(config, run_smat(config, h))
         cb = QuantizedCodebook(b=config.b, n1=config.n1, n2=config.n2, unitaries=default_unitaries(config),
                                lambdas=lambdas, k=config.k, nc=config.nc, nt=4)
         for snr in config.snr_grid_db:
             rho = 10.0 ** (snr / 10.0)
             scale = rho * config.nc / config.k
-            received = float((scale * snr_rule_values(cb, batch)).mean())
-            gap = float(snr_gap(cb, batch, rho).mean())
-            cap = scale * batch.lam_max.mean()
+            received = float((scale * snr_rule_values(cb, h)).mean())
+            gap = float(snr_gap(cb, h, rho).mean())
+            cap = scale * top_eigenvalues(h).mean()
             assert received <= cap + 1e-9
             assert gap >= -1e-12
             assert received + gap == pytest.approx(cap, rel=1e-12)
