@@ -81,15 +81,65 @@ def random_rank_two_lambdas(count, n2, nt, nc, k, rng):
     """count random sets of N2 rank-two diagonals, as a (count, N2, Nt) array.
 
     Each diagonal excites a uniformly chosen pair of modes with a uniform
-    power split (w, 1-w) scaled to the full Nt*Nc/K budget. w is one
-    Generator.random() draw, the same bits and stream position as uniform().
+    power split (w, 1-w) scaled to the full Nt*Nc/K budget. Diagonal after
+    diagonal, the pair is one Generator.integers(C(Nt, 2)) draw and w one
+    Generator.random() draw (the same bits and stream position as
+    uniform()), as _rank_two_by_draws makes them. Here all of them are read
+    at once as raw Philox words (random_raw, through the same 4-word
+    buffer) and mapped as numpy maps them: random() takes one whole word x
+    and returns (x >> 11) * 2^-53; integers(n) takes no bits for n = 1, and
+    otherwise one 32-bit half h and returns (h * n) >> 32 (Lemire's
+    multiply-shift). A fresh word gives its low half and holds its high
+    half for the next 32-bit draw, and a half held on entry is used first;
+    the stream is left holding what the draws would leave held. So the
+    values and the stream position equal the draws' bit for bit. Where
+    Lemire's rule would redraw, a product whose low 32 bits are below
+    2^32 mod n (below 1e-9 per draw for n = 6), the stream is restored and
+    the draws are made one by one.
     """
     if count < 1 or n2 < 1:
         raise PreconditionError("counts must be >= 1")
     check_rank_two(nt)
     check_symbols(k, nc)
     budget = nt * nc / k
-    pairs = list(itertools.combinations(range(nt), 2))
+    pairs = np.array(list(itertools.combinations(range(nt), 2)))
+    n, m = len(pairs), count * n2
+    bitgen = rng.gen.bit_generator
+    entry = bitgen.state
+    if n == 1:
+        index, splits = np.zeros(m, dtype=int), bitgen.random_raw(m)
+    else:
+        # after a held half, each two diagonals take one word for their halves (low, high)
+        # and then one word each for their splits
+        held = entry["has_uint32"]
+        fresh = m - held
+        groups = -(-fresh // 2)
+        raw = bitgen.random_raw(held + fresh + groups)
+        grid = np.zeros((groups, 3), dtype=np.uint64)
+        grid.reshape(-1)[:fresh + groups] = raw[held:]
+        halves = np.stack([grid[:, 0] & 0xFFFFFFFF, grid[:, 0] >> 32], axis=1).reshape(-1)[:fresh]
+        halves = np.concatenate([np.full(held, entry["uinteger"], dtype=np.uint64), halves])
+        splits = np.concatenate([raw[:held], grid[:, 1:].reshape(-1)[:fresh]])
+        products = halves * n
+        if ((products & 0xFFFFFFFF) < (1 << 32) % n).any():
+            bitgen.state = entry
+            return _rank_two_by_draws(count, n2, nt, budget, pairs, rng)
+        index = products >> 32
+        state = bitgen.state
+        state["has_uint32"] = fresh % 2
+        if fresh:
+            state["uinteger"] = int(grid[-1, 0] >> 32)
+        bitgen.state = state
+    w = (splits >> 11) * 2.0**-53
+    sets = np.zeros((m, nt))
+    rows = np.arange(m)
+    sets[rows, pairs[index, 0]] = w * budget
+    sets[rows, pairs[index, 1]] = (1.0 - w) * budget
+    return sets.reshape(count, n2, nt)
+
+
+def _rank_two_by_draws(count, n2, nt, budget, pairs, rng):
+    """random_rank_two_lambdas with one integers and one random call per diagonal."""
     sets = np.zeros((count, n2, nt))
     random = rng.gen.random
     for lam in sets.reshape(-1, nt):
@@ -110,10 +160,10 @@ def s_matrix(h, unitaries):
 
     Each H U_i is one (n*Nr, Nt) @ (Nt, Nt) product over the stacked rows of
     h, not n small products; its values equal the stacked h @ U_i bit for
-    bit (tested against it).
+    bit (tested against it). The unitaries are checked where they are made,
+    by matkit.haar_unitaries or QuantizedCodebook, not on every call.
     """
     nt = h.shape[-1]
-    check_unitary(np.asarray(unitaries), nt, "unitaries")
     rows = h.reshape(-1, nt)
     return np.stack([column_powers((rows @ u).reshape(h.shape)) for u in unitaries], axis=1)
 

@@ -20,7 +20,12 @@ POWER_TOL = 1e-9
 
 @dataclass
 class DispersionSet:
-    """K >= 1 dispersion matrices as one (K, Nt, Nc) complex array, with power budget Nt * Nc."""
+    """K >= 1 dispersion matrices as one (K, Nt, Nc) complex array, with power budget Nt * Nc.
+
+    mats may also be a stack of sets, (..., K, Nt, Nc): every set is
+    checked, and total_power and check_goc report per set. One set is the
+    stack of no leading axes.
+    """
 
     nt: int
     nc: int
@@ -29,19 +34,20 @@ class DispersionSet:
 
     def __post_init__(self):
         self.mats = np.asarray(self.mats, dtype=np.complex128)
-        if self.k < 1 or self.mats.shape != (self.k, self.nt, self.nc):
+        if self.k < 1 or self.mats.shape[-3:] != (self.k, self.nt, self.nc):
             raise PreconditionError(f"dispersion set shape {self.mats.shape} is not (K, Nt, Nc) = "
                                     f"({self.k}, {self.nt}, {self.nc}) with K >= 1")
         if not np.isfinite(self.mats).all():
             raise PreconditionError("dispersion matrices must be finite")
-        power = self.total_power()
+        power = float(np.max(self.total_power()))
         if power > self.nt * self.nc + POWER_TOL:
             raise PreconditionError(f"total power {power!r} exceeds the Nt*Nc = {self.nt * self.nc} budget")
 
     def total_power(self):
-        """sum_k ||A_k||_F^2, added up in symbol order."""
-        flat = self.mats.reshape(self.k, -1)
-        return float(np.cumsum(_row_dots(flat.conj(), flat).real)[-1])
+        """sum_k ||A_k||_F^2, added up in symbol order: a float for one set, else one per set of the stack."""
+        flat = self.mats.reshape(self.mats.shape[:-3] + (self.k, -1))
+        power = np.cumsum(_row_dots(flat.conj(), flat).real, axis=-1)[..., -1]
+        return float(power) if self.mats.ndim == 3 else power
 
     def covariances(self):
         """The (K, Nt, Nt) stack of per-symbol covariances Q_k = A_k A_k^H."""
@@ -49,11 +55,11 @@ class DispersionSet:
 
 
 def _row_dots(x, y):
-    """sum_i x[p, i] * y[p, i] per row p of two (P, n) arrays, each by numpy's 1-D dot.
+    """sum_i x[..., i] * y[..., i] per row of two (..., n) arrays, each by numpy's 1-D dot.
 
     np.vdot and np.linalg.norm use that dot too, so stacked checks round as per-pair ones.
     """
-    return (x[:, None, :] @ y[:, :, None])[:, 0, 0]
+    return (x[..., None, :] @ y[..., :, None])[..., 0, 0]
 
 
 def check_goc(dset):
@@ -61,21 +67,25 @@ def check_goc(dset):
 
     Returns (ok, worst) where worst = max over pairs k < j of
     ||A_k A_j^H + A_j A_k^H||_F and ok is worst <= GOC_TOL. Vacuously true
-    for K = 1.
+    for K = 1. For a stack of sets both are arrays over the stack axes, one
+    entry per set, each the one-set value bit for bit.
     """
     ks, js = np.triu_indices(dset.k, 1)
-    cross = dset.mats[ks] @ dset.mats[js].conj().swapaxes(-1, -2)
-    sums = (cross + cross.conj().swapaxes(-1, -2)).reshape(ks.size, dset.nt * dset.nt)
+    mats = dset.mats
+    cross = mats[..., ks, :, :] @ mats[..., js, :, :].conj().swapaxes(-1, -2)
+    sums = (cross + cross.conj().swapaxes(-1, -2)).reshape(mats.shape[:-3] + (ks.size, dset.nt * dset.nt))
     norms = np.sqrt(_row_dots(sums.real, sums.real) + _row_dots(sums.imag, sums.imag))
-    worst = float(norms.max(initial=0.0))
+    worst = norms.max(axis=-1, initial=0.0)
+    if mats.ndim == 3:
+        worst = float(worst)
     return worst <= GOC_TOL, worst
 
 
 def _verified(dset):
-    """dset itself, once check_goc confirms the orthogonality its construction guarantees."""
+    """dset itself, once check_goc confirms the orthogonality its construction guarantees, set by set."""
     ok, worst = check_goc(dset)
-    if not ok:
-        raise PreconditionError(f"construction violates the GOC (residual {worst:.3e})")
+    if not np.all(ok):
+        raise PreconditionError(f"construction violates the GOC (residual {np.max(worst):.3e})")
     return dset
 
 
@@ -116,19 +126,21 @@ def build_v_matrix(k, nc):
 
 
 def rank_one_set(u, k, nc):
-    """All-K-symbols beamforming set A_k = sqrt(Nt*Nc/K) * u v_k.
+    """All-K-symbols beamforming set A_k = sqrt(Nt*Nc/K) * u v_k; for an (n, Nt) stack of beams u, a stack of sets.
 
     Every covariance is the same rank-one matrix (Nt*Nc/K) u u^H, total power
     is exactly Nt * Nc, and the orthogonality constraint holds by the choice
-    of the v_k rows.
+    of the v_k rows. Every beam must have unit norm within 1e-12, and each
+    set of a stack is made and checked as it would be alone, bit for bit.
     """
-    u = np.asarray(u, dtype=np.complex128).reshape(-1)
-    nt = u.size
-    if abs(np.linalg.norm(u) - 1.0) > 1e-12:
+    u = np.asarray(u, dtype=np.complex128)
+    nt = u.shape[-1]
+    norms = np.sqrt(_row_dots(u.real, u.real) + _row_dots(u.imag, u.imag))
+    if (np.abs(norms - 1.0) > 1e-12).any():
         raise PreconditionError("beamforming vector must be unit norm")
     v = build_v_matrix(k, nc)
     scale = np.sqrt(nt * nc / k)
-    mats = scale * (u[:, None] * v[:, None, :])
+    mats = scale * (u[..., None, :, None] * v[:, None, :])
     return _verified(DispersionSet(nt=nt, nc=nc, k=k, mats=mats))
 
 

@@ -2,7 +2,8 @@
 
 Stacked Hermitian eigendecomposition with a fixed ordering/phase
 convention, stacks of Haar-distributed unitaries, the one unitarity check
-(of a whole stack at once), and the deterministic Philox substreams the
+(of a whole stack at once, which haar_unitaries applies to each stack it
+makes), and the deterministic Philox substreams the
 Monte Carlo layers build on: Rng for one-off streams and
 substream_normals, which fills one row per substream of a window by
 re-keying a single generator. Channel entries are made from standard
@@ -115,12 +116,12 @@ def hermitian_eig(m):
 def check_unitary(u, n, name):
     """Reject an (..., n, n) stack u unless every ||U^H U - I||_F <= UNITARY_TOL.
 
-    One matrix is the stack of no leading axes. The message names the
-    largest residual, and a NaN residual fails too.
+    One matrix is the stack of no leading axes, and an empty stack passes.
+    The message names the largest residual, and a NaN residual fails too.
     """
     if u.shape[-2:] != (n, n):
         raise PreconditionError(f"{name} must be {n} x {n}, got shape {u.shape}")
-    resid = np.linalg.norm(np.swapaxes(u.conj(), -1, -2) @ u - np.eye(n), axis=(-2, -1)).max()
+    resid = np.linalg.norm(np.swapaxes(u.conj(), -1, -2) @ u - np.eye(n), axis=(-2, -1)).max(initial=0.0)
     if not resid <= UNITARY_TOL:
         raise PreconditionError(f"{name} is not unitary (residual {resid:.3e})")
 
@@ -132,10 +133,14 @@ def haar_unitaries(count, n, rng):
     that diag(R) is real positive, which makes the distribution exactly Haar.
     Matrix t takes the real then the imaginary (n, n) normals after those of
     matrix t - 1, so the stack equals count successive one-matrix draws.
+    The stack passes check_unitary here, once, so its users need not check
+    it again.
     """
     if n < 1:
         raise PreconditionError("haar_unitaries needs n >= 1")
     z = rng.gen.standard_normal((count, 2, n, n))
     q, r = np.linalg.qr((z[:, 0] + 1j * z[:, 1]) / math.sqrt(2.0))
     d = np.diagonal(r, axis1=-2, axis2=-1)
-    return q * (d / np.abs(d))[:, None, :]
+    u = q * (d / np.abs(d))[:, None, :]
+    check_unitary(u, n, "Haar unitaries")
+    return u

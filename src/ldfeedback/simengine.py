@@ -5,10 +5,10 @@ scheme is evaluated on the same draws (common random numbers). trial_windows
 is the one window loop and the one draw path: it draws the trials
 TRIAL_WINDOW channel evaluations at a time, for run and for every verify
 suite that draws channels. A draw is its channels, the (h, hind) pair, and
-each caller derives what it reads: run keeps of each window only the
-largest eigenvalues, the column powers of Hind and the codebook's s_matrix
-rows, so a window's channels and their scratch are freed before the next is
-drawn. Every per-trial value is computed on its own and the reductions run
+each caller derives what it reads: run keeps of each window only what its
+configured schemes read (the largest eigenvalues, the column powers of
+Hind, the codebook's s_matrix rows), so a window's channels and their
+scratch are freed before the next is drawn. Every per-trial value is computed on its own and the reductions run
 over whole-run arrays, so results are bit-identical whatever the window size.
 """
 
@@ -248,7 +248,8 @@ def scheme_block_mi(config, scheme, lam_max, ind_col_power):
 
     lam_max (trials,) is channel.top_eigenvalues of the trials' channels
     and ind_col_power (trials, Nt) channel.column_powers of their Hind:
-    perfect reads the first, the statistical schemes the second. perfect
+    perfect reads the first, the statistical schemes the second, and run
+    passes None for one that no configured scheme reads. perfect
     uses the K = 2*Nc benchmark. statistical and statistical-beamforming use
     config.k and choose their power diagonal on config.opt_samples draws of
     Hind from the STREAM_OPT substream. The quantized schemes are scored by
@@ -257,12 +258,10 @@ def scheme_block_mi(config, scheme, lam_max, ind_col_power):
     evaluator = MiEvaluator(config.constellation)
     rhos = _rhos(config)
     nt, k, nc = config.model.nt, config.k, config.nc
-    rows = np.empty((rhos.size, lam_max.size))
     if scheme == "perfect":
-        for idx, rho in enumerate(rhos):
-            rows[idx] = perfect_csi_mi(lam_max, rho, 2 * nc, nc, evaluator)
-        return rows
+        return np.stack([perfect_csi_mi(lam_max, rho, 2 * nc, nc, evaluator) for rho in rhos])
     if scheme in STATISTICAL_SCHEMES:
+        rows = np.empty((rhos.size, len(ind_col_power)))
         opt_cols = draw_ind_column_powers(config.model, config.opt_samples, Rng(config.seed, STREAM_OPT))
         for idx, (snr_db, rho) in enumerate(zip(config.snr_grid_db, rhos)):
             if scheme == "statistical":
@@ -314,9 +313,11 @@ def run(config):
     The config, scheme labels and codebook split included, is validated
     before anything is drawn, and every scheme sees the same trials. They
     are drawn by trial_windows one TRIAL_WINDOW at a time, and run keeps of
-    each window only what the schemes read, in whole-run arrays: lam_max,
-    ind_col_power and, when a quantized scheme runs, the window's s_matrix
-    rows of the one unitary family both codebook searches share. So the
+    each window only what the configured schemes read, in whole-run arrays:
+    lam_max (the largest eigenvalues) for perfect, ind_col_power (the column
+    powers of Hind) for a statistical scheme, and for a quantized scheme the
+    window's s_matrix rows of the one unitary family both codebook searches
+    share, checked once where haar_unitaries makes it. So the
     channels of one window are alive at a time, never the whole run's. The
     statistical schemes draw the same optimizer sample. Each scheme's
     (n_snr, trials) rows are dropped once its curve points are made.
@@ -324,15 +325,19 @@ def run(config):
     config.validate()
     n, nt = config.trials, config.model.nt
     quantized = any(s in QUANTIZED_SCHEMES for s in config.schemes)
-    lam_max = np.empty(n)
-    ind_col_power = np.empty((n, nt))
+    perfect = "perfect" in config.schemes
+    statistical = any(s in STATISTICAL_SCHEMES for s in config.schemes)
+    lam_max = np.empty(n) if perfect else None
+    ind_col_power = np.empty((n, nt)) if statistical else None
     if quantized:
         unitaries = default_unitaries(config)
         smat = np.empty((n, config.n1, nt))
     for lo, h, hind in trial_windows(config.model, n, config.seed):
         hi = lo + len(h)
-        lam_max[lo:hi] = top_eigenvalues(h)
-        ind_col_power[lo:hi] = column_powers(hind)
+        if perfect:
+            lam_max[lo:hi] = top_eigenvalues(h)
+        if statistical:
+            ind_col_power[lo:hi] = column_powers(hind)
         if quantized:
             smat[lo:hi] = s_matrix(h, unitaries)
         del h, hind

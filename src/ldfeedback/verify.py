@@ -14,7 +14,10 @@ A window is its channels (lo, h, hind), bit for bit that row range of the
 whole draw; thm3 and lemma1 take its largest eigenvalues with
 channel.top_eigenvalues, once per window. The suites' Generators carry on
 from window to window (goc draws its 100 channels once per dispersion set),
-so no metric depends on the window size.
+so no metric depends on the window size. A suite's per-instance loop makes
+only its draws, in stream order, and a window's instances are built from
+them in one stacked transform (prop2's codewords, prop3's weights, thm2's
+beam sets), each instance with the bits it has alone.
 """
 
 import itertools
@@ -65,13 +68,19 @@ def _random_unit_vector(n, rng):
     return v / np.linalg.norm(v)
 
 
-def _random_psd(n, rng, traces):
-    """Random PSD G G^H, shape traces.shape + (n, n), each scaled to its entry of the traces array.
+def _psd_normals(n, rng, shape):
+    """The standard normals of shape + (n, n) random G's, real then imaginary parts: shape + (2, n, n).
 
-    G's real and imaginary parts come from one draw shaped traces.shape + (2, n, n): the
-    same bits as one real-then-imaginary (n, n) draw per matrix, in C order.
+    One draw has the same bits as one real-then-imaginary (n, n) draw per matrix, in C order.
     """
-    z = rng.gen.standard_normal(traces.shape + (2, n, n))
+    return rng.gen.standard_normal(shape + (2, n, n))
+
+
+def _scaled_psd(z, traces):
+    """The PSD G G^H of each G of _psd_normals' z, scaled to its entry of traces (shape z.shape[:-3]).
+
+    Each matrix is made on its own, so a stack of any shape gives every matrix's bits.
+    """
     a = z[..., 0, :, :] + 1j * z[..., 1, :, :]
     q = a @ a.conj().swapaxes(-1, -2)
     return q * (traces / np.trace(q, axis1=-2, axis2=-1).real)[..., None, None]
@@ -117,7 +126,7 @@ def suite_thm1(seed=DEFAULT_SEED):
     traces = np.array([4.0, 6.0, 3.0, 3.0])  # per-symbol traces, sum = Nt*Nc budget
 
     def gap(h):
-        qs = _random_psd(4, rng, np.broadcast_to(traces, (len(h), traces.size)))
+        qs = _scaled_psd(_psd_normals(4, rng, (len(h), traces.size)), traces)
         return (block_mi(h, qs, 1.0, 4, ev) - block_mi(h, _uniform_codeword(qs), 1.0, 4, ev)).max()
 
     worst = _worst(gap(h) for _, h, _ in windows(channel.v4_model(), 100))
@@ -136,10 +145,10 @@ def suite_thm2(seed=DEFAULT_SEED):
         # lmax from the decomposition that gives the beams, clipped at 0 as channel.top_eigenvalues is
         eig = hermitian_eig(np.swapaxes(h.conj(), -1, -2) @ h)
         best = perfect_csi_mi(np.maximum(eig.values[:, 0], 0.0), rho, k, nc, ev)
-        qs = _random_psd(4, rng, np.full(len(h) * qsets, 4 * nc / k))
+        qs = _scaled_psd(_psd_normals(4, rng, (len(h) * qsets,)), 4 * nc / k)
         uniform = block_mi(np.repeat(h, qsets, axis=0),
                            np.broadcast_to(qs[:, None], (qs.shape[0], k, 4, 4)), rho, 4, ev)
-        beams = np.array([dispersion.rank_one_set(v, k, nc).covariances() for v in eig.vectors[:, :, 0]])
+        beams = dispersion.rank_one_set(eig.vectors[:, :, 0], k, nc).covariances()
         return (uniform - np.repeat(best, qsets)).max(), np.abs(block_mi(h, beams, rho, 4, ev) - best).max()
 
     worst_bound, worst_achieve = _worst(
@@ -182,7 +191,8 @@ def suite_thm4(seed=DEFAULT_SEED):
         # one uniform(size=(n2, nt)) and one uniform(0.5, 1.0, size=n2) call, so the bits are kept
         u = rng.gen.uniform(size=(len(h), competitors, n2 * nt + n2))
         w = u[..., :n2 * nt].reshape(len(h), competitors, n2, nt)
-        w /= w.sum(axis=-1, keepdims=True)
+        # the left-to-right sum that w.sum(axis=-1) takes, without its slow pass over this strided view
+        w /= sum(w[..., m] for m in range(nt))[..., None]
         comp = budget * (0.5 + 0.5 * u[..., n2 * nt:, None]) * w
         smat = codebook.s_matrix(h, unitaries)
         ref = codebook.select_mi(smat, budget * np.eye(nt), rho, k, nt, ev)
@@ -223,12 +233,13 @@ def suite_prop2(seed=DEFAULT_SEED):
     ev = MiEvaluator(Constellation.gaussian())
     k, nc, rho, realizations = 4, 4, 1.5, 200
 
-    def codeword():
-        shares = rng.gen.uniform(size=k)
-        return _random_psd(4, rng, shares / shares.sum() * (4 * nc))
-
     def gap(h):
-        qs = np.array([codeword() for _ in range(len(h))])
+        # per codeword, its k shares and then its normals, in the stream order of one draw each
+        shares, z = np.empty((len(h), k)), np.empty((len(h), k, 2, 4, 4))
+        for i in range(len(h)):
+            shares[i] = rng.gen.uniform(size=k)
+            z[i] = _psd_normals(4, rng, (k,))
+        qs = _scaled_psd(z, shares / shares.sum(axis=-1, keepdims=True) * (4 * nc))
         return (block_mi(h, qs, rho, 4, ev) - block_mi(h, _uniform_codeword(qs), rho, 4, ev)).max()
 
     worst = _worst(gap(h) for _, h, _ in windows(channel.iid_model(4, 4), realizations))
@@ -264,10 +275,14 @@ def suite_prop3(seed=DEFAULT_SEED):
     for i in range(count):
         m = int(rng.gen.integers(1, 5))
         n = int(rng.gen.integers(1, 5))
-        a = rng.gen.uniform(size=(m, n)) + 1e-12
-        a_all[i, :m, :n] = a / a.sum(axis=1, keepdims=True)
+        a_all[i, :m, :n] = rng.gen.uniform(size=(m, n))
         y_all[i, :m, :n] = rng.gen.normal(scale=3.0, size=(m, n))
         sizes[i] = m, n
+    # each instance's weights offset by 1e-12 and divided by their row sums; a padded zero
+    # adds exactly, so each row sum has the bits of the instance's own
+    drawn = (np.arange(4) < sizes[:, :1])[:, :, None] & (np.arange(4) < sizes[:, 1:])[:, None, :]
+    a_all[drawn] += 1e-12
+    np.divide(a_all, a_all.sum(axis=2, keepdims=True), out=a_all, where=drawn)
     worst = np.inf
     for m, n in itertools.product(range(1, 5), repeat=2):
         group = (sizes == (m, n)).all(axis=1)

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ldfeedback import cli, simengine, verify
+from ldfeedback import cli, infotheory, simengine, verify
 from ldfeedback.dispersion import DispersionSet
 from ldfeedback.errors import ConfigError
 from ldfeedback.matkit import KEY_LIMIT
@@ -236,6 +236,20 @@ class TestSimulate:
         out = tmp_path / "x.csv"
         assert cli.main(["simulate", cfg, "-o", str(out)]) == 2
         assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("levels", [65, 100000])
+    def test_pam_beyond_bound_exit_2(self, tmp_path, monkeypatch, capsys, levels):
+        # the bound is checked before any table is built: building one would fail the test
+        def no_quadrature(self, a):
+            raise AssertionError("a table build started")
+
+        monkeypatch.setattr(infotheory.MiEvaluator, "_quadrature", no_quadrature)
+        text = SMALL_CFG.replace("trials = 20", "trials = 1")
+        cfg = write(tmp_path, "exp.cfg", text.replace("constellation = gaussian", f"constellation = pam{levels}"))
+        out = tmp_path / "x.csv"
+        assert cli.main(["simulate", cfg, "-o", str(out)]) == 2
+        assert f"PAM needs 2 to {infotheory.PAM_MAX_LEVELS} levels, got {levels}" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("schemes", [

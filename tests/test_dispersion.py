@@ -137,6 +137,18 @@ class TestCheckGoc:
         ok, worst = check_goc(DispersionSet(nt=2, nc=2, k=2, mats=[a1, a2]))
         assert ok and worst == 0.0
 
+    def test_stack_reports_each_set(self):
+        # one Alamouti set and one duplicated identity: each reports as it does alone
+        a1, a2 = np.eye(2), np.array([[0.0, 1.0], [-1.0, 0.0]])
+        ok, worst = check_goc(DispersionSet(nt=2, nc=2, k=2, mats=[[a1, a2], [a1, a1]]))
+        assert ok.tolist() == [True, False]
+        assert worst.tolist() == [0.0, check_goc(DispersionSet(nt=2, nc=2, k=2, mats=[a1, a1]))[1]]
+
+    def test_stack_power_checked_set_by_set(self):
+        # the first set spends the whole Nt*Nc = 4, the second 10
+        with pytest.raises(PreconditionError, match="total power 10.0 exceeds"):
+            DispersionSet(nt=2, nc=2, k=2, mats=[[np.eye(2), np.eye(2)], [2 * np.eye(2), np.eye(2)]])
+
     def test_duplicated_identity_violates(self):
         ok, worst = check_goc(DispersionSet(nt=2, nc=2, k=2, mats=[np.eye(2), np.eye(2)]))
         assert not ok
@@ -228,6 +240,29 @@ class TestRankOneSet:
     def test_propagates_infeasibility(self):
         with pytest.raises(InfeasibleError):
             rank_one_set(np.array([1.0, 0.0]), k=5, nc=2)
+
+    @pytest.mark.parametrize("k, nc", [(1, 1), (3, 2), (4, 4), (8, 4)])
+    def test_stack_equals_sets_alone(self, k, nc):
+        # a stack of beams (here a strided view, as eigenvectors are taken) makes and
+        # checks each set as one call per beam would, bit for bit
+        rng = Rng(3, k)
+        z = rng.gen.standard_normal((20, 4)) + 1j * rng.gen.standard_normal((20, 4))
+        beams = np.stack([z / np.linalg.norm(z, axis=1, keepdims=True)] * 2, axis=-1)[:, :, 0]
+        stack = rank_one_set(beams, k, nc)
+        alone = [rank_one_set(u, k, nc) for u in beams]
+        assert stack.mats.shape == (20, k, 4, nc)
+        assert stack.mats.tobytes() == np.stack([d.mats for d in alone]).tobytes()
+        assert stack.covariances().tobytes() == np.stack([d.covariances() for d in alone]).tobytes()
+        ok, worst = check_goc(stack)
+        assert ok.tolist() == [check_goc(d)[0] for d in alone] == [True] * 20
+        assert worst.tolist() == [check_goc(d)[1] for d in alone]
+        assert stack.total_power().tolist() == [d.total_power() for d in alone]
+
+    def test_stack_rejects_one_unnormalized_beam(self):
+        beams = np.tile(np.array([0.6, 0.8j]), (5, 1))
+        beams[3] *= 1.0 + 1e-9
+        with pytest.raises(PreconditionError, match="unit norm"):
+            rank_one_set(beams, k=2, nc=2)
 
     def test_beamforming_equivalence_at_full_rate(self):
         # K = 2*Nc and Gaussian inputs: block MI through the set equals the

@@ -124,6 +124,19 @@ class TestHaarUnitary:
         with pytest.raises(PreconditionError):
             haar_unitaries(1, 0, Rng(1, 0))
 
+    def test_empty_stack(self):
+        # the check that every stack passes on its way out holds vacuously for none
+        assert haar_unitaries(0, 3, Rng(1, 0)).shape == (0, 3, 3)
+
+    def test_rejects_non_unitary(self, monkeypatch):
+        # the family is checked where it is made; a NaN matrix has a NaN residual,
+        # which must not pass the tolerance test
+        qr = np.linalg.qr
+        for bad in (np.ones((4, 4), dtype=complex), np.full((4, 4), np.nan + 0j)):
+            monkeypatch.setattr(np.linalg, "qr", lambda a: (np.broadcast_to(bad, a.shape), qr(a)[1]))
+            with pytest.raises(PreconditionError, match="Haar unitaries is not unitary"):
+                haar_unitaries(2, 4, Rng(1, 0))
+
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 8])
     @pytest.mark.parametrize("count", [1, 6, 2000])
     def test_stack_equals_successive_draws(self, n, count):

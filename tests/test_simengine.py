@@ -374,6 +374,37 @@ class TestDrawsFactorNothing:
         run(make_config(model=iid_model(4, 4), trials=10))
         assert eigvalsh_calls == [(4, 4, 4), (4, 4, 4), (2, 4, 4)]
 
+    def test_run_without_perfect_factors_nothing(self, eigvalsh_calls, monkeypatch):
+        monkeypatch.setattr(simengine, "TRIAL_WINDOW", 4)
+        run(make_config(model=iid_model(4, 4), schemes=("statistical", "quantized-rank1-best"), trials=10))
+        assert eigvalsh_calls == []
+
+
+class TestRunColumnPowers:
+    """run takes the column powers of Hind only when a statistical scheme reads them."""
+
+    @pytest.fixture
+    def column_power_calls(self, monkeypatch):
+        calls = []
+
+        def counted(x):
+            calls.append(len(x))
+            return column_powers(x)
+
+        monkeypatch.setattr(simengine, "column_powers", counted)
+        monkeypatch.setattr(simengine, "TRIAL_WINDOW", 4)
+        return calls
+
+    def test_none_for_perfect_and_quantized(self, column_power_calls):
+        run(make_config(model=iid_model(4, 4), schemes=("perfect", "quantized-rank1-best"), trials=10))
+        assert column_power_calls == []
+
+    def test_one_per_window_with_statistical(self, column_power_calls):
+        # windows of 4, 4 and 2 trials, then the optimizer's own draw of opt_samples Hind
+        config = make_config(model=iid_model(4, 4), schemes=("perfect", "statistical"), trials=10)
+        run(config)
+        assert column_power_calls == [4, 4, 2, config.opt_samples]
+
 
 class TestBestRankOne:
     def test_candidate_counts_match_split(self, monkeypatch):
