@@ -9,6 +9,10 @@ mmse is the interpolant's derivative divided by a. The node values come
 from one fixed-order Gauss-Hermite quadrature of the output-density
 mixture, which yields I and mmse from the same mixture weights; that
 quadrature stays available as the reference the table is tested against.
+Its order-256 rule is tabulated in _hermite_rule, loaded with the first
+table, so building a table takes no dense linear algebra; the derivation
+of the rule (an eigenproblem of the Hermite Jacobi matrix) is kept in the
+tests, which check the literals against it.
 
 The quadrature integrates I(a) = ln M - E[ln sum_s' exp(t^2 - (t + mu_s -
 mu_s')^2)] and mmse(a) = 1 - E[E[x | y]^2] over t ~ N(0, 1/2) for each
@@ -20,7 +24,6 @@ by that symmetry, so only the components s < ceil(M/2) are integrated, with
 weight 2 (the middle point of an odd M has weight 1).
 """
 
-import functools
 import math
 
 import numpy as np
@@ -31,7 +34,8 @@ from .errors import PreconditionError
 NOISE_ENTROPY = 0.5 * math.log(math.pi * math.e)  # h(n) for variance-1/2 real noise
 LN2 = math.log(2.0)
 
-# The weights 1 / (n p_{n-1}^2) overflow past order ~370. On the table
+# The order of the tabulated rule of _gh_nodes (its derivation, kept in the
+# tests, overflows in the weights 1 / (n p_{n-1}^2) past order ~370). On the table
 # knots, order 256 is within 2.5e-10 / 3.7e-10 / 4.3e-10 of adaptive
 # quadrature in mi (BPSK at a ~ 7.16, PAM4 at a ~ 35.8, PAM8 at a ~ 150) and
 # within 1.9e-8 in mmse (BPSK at a ~ 6.06); order 128 differs from it by up
@@ -42,7 +46,8 @@ LN2 = math.log(2.0)
 _QUAD_ORDER = 256
 _QUAD_DROP = 1e-20
 # doubles in the (S', A, S, Q) quadrature work array; every knot is integrated
-# on its own, so the tables are the same bits at any size (tested at 2^15 and 2^17)
+# on its own, so the tables are the same bits at any size (tested at 2^12, 2^15
+# and 2^17, where a PAM8 chunk holds 1, 10 and 41 knots)
 _QUAD_WORK = 1 << 15
 
 # Interpolation table: knot spacing in ln a (the cubic's error scales with its
@@ -59,35 +64,21 @@ _table_cache = {}
 PAM_MAX_LEVELS = 64
 
 
-@functools.cache
 def _gh_nodes():
-    """Gauss-Hermite nodes/weights normalized so E[g(mu + t)] = sum(w * g).
+    """Gauss-Hermite nodes/weights normalized so E[g(mu + t)] = sum(w * g), nodes increasing.
 
-    The positive nodes are the square roots of the eigenvalues of J^2 on the
-    even degrees, J the Jacobi matrix of the Hermite polynomials (a problem
-    of half the order), each polished by one Newton step on p_n; the
-    weights are 1 / (n * p_{n-1}(t)^2), p orthonormal under exp(-t^2).
-    numpy's hermgauss, which solves the full-order problem and imports
-    numpy.polynomial, took about 13 ms of a process's first table build;
-    this takes about 3.5 ms and agrees with it to 1 ulp in the nodes.
+    The order-_QUAD_ORDER rule is tabulated: _hermite_rule holds its 128
+    positive nodes and weights as decimal literals, mirrored here, so a
+    process's first table build factors no Jacobi matrix (that eigenproblem
+    and its matrix product were the largest memory step of a discrete-alphabet
+    process). The derivation the literals come from is kept in
+    tests/test_infotheory.py, which checks them against it. The literals are
+    imported here, on the way to the first table, so a process that builds
+    no table never loads them.
     """
-    n = _QUAD_ORDER
-    off = np.sqrt(np.arange(1, n) / 2.0)
-    jac = np.diag(off, 1) + np.diag(off, -1)
-    t = np.sqrt(np.linalg.eigvalsh(jac[0::2] @ jac[:, 0::2]))
-    below, top = _hermite_pair(t)
-    t = t - top / (math.sqrt(2.0 * n) * below)
-    below = _hermite_pair(t)[0]
-    w = 1.0 / (n * math.sqrt(math.pi) * below * below)
-    return np.concatenate([-t[::-1], t]), np.concatenate([w[::-1], w])
+    from ._hermite_rule import NODES, WEIGHTS
 
-
-def _hermite_pair(t):
-    """(p_{n-1}(t), p_n(t)) for n = _QUAD_ORDER, p the Hermite polynomials orthonormal under exp(-t^2)."""
-    prev, cur = np.zeros_like(t), np.full_like(t, math.pi**-0.25)
-    for k in range(_QUAD_ORDER):
-        prev, cur = cur, math.sqrt(2.0 / (k + 1)) * t * cur - math.sqrt(k / (k + 1)) * prev
-    return prev, cur
+    return np.concatenate([-NODES[::-1], NODES]), np.concatenate([WEIGHTS[::-1], WEIGHTS])
 
 
 def _quadrature_nodes(bound):
@@ -115,6 +106,7 @@ class _Table:
     def __init__(self, knots, mi, mmse, ln_m):
         self.knots = knots
         self.u = np.log(knots)
+        self.step = (self.u[-1] - self.u[0]) / (knots.size - 1)
         # I is non-decreasing and at most ln M; the stored knots are made so exactly
         mi = np.minimum(np.maximum.accumulate(mi), ln_m)
         self.mi_knots = mi
@@ -136,10 +128,19 @@ class _Table:
         self.c3 = np.append(np.where(cubic, (m0 + m1 - 2.0 * delta) / (h * h), 0.0), 0.0)
 
     def _locate(self, a):
-        """Interval index, a clipped to the first knot, and s = ln a - u_i."""
-        i = np.clip(np.searchsorted(self.knots, a, side="right") - 1, 0, self.knots.size - 1)
+        """Interval index, a clipped to the first knot, and s = ln a - u_i.
+
+        The knots are uniform in u up to rounding, so the index is read off
+        ln x with the grid's own step and corrected by one compare against
+        the knots each way; it equals searchsorted(knots, a, "right") - 1
+        clipped to the knots.
+        """
         x = np.maximum(a, self.knots[0])
-        return i, x, np.log(x) - self.u[i]
+        ln_x = np.log(x)
+        i = np.clip(np.floor((ln_x - self.u[0]) / self.step), 0, self.knots.size - 2).astype(np.intp)
+        i -= self.knots[i] > x
+        i += self.knots[i + 1] <= x
+        return i, x, ln_x - self.u[i]
 
     def mi(self, a):
         i, _, s = self._locate(a)
@@ -277,14 +278,16 @@ class MiEvaluator:
         """(I(a), mmse(a)) of the discrete alphabet by Gauss-Hermite quadrature.
 
         Each chunk makes one pass over the squared distances (t + mu_s - mu_s')^2
-        of the kept nodes t, in one (S', A, S, Q) work array, reused by every
-        chunk, with the mixture components S' leading so that reductions over
-        them are elementwise across whole slabs; S holds the integrated half of
-        the components. The distances are subtracted from their least and
-        exponentiated in place, and the posterior mean is one matrix product
-        over S'. With the own component s' = s the distance is t^2 exactly, so
-        the integrand of I, t^2 - least + ln(sum of the exponentials), is never
-        negative.
+        of the kept nodes t, in one (S', A, S, Q) work array, with the mixture
+        components S' leading so that reductions over them are elementwise
+        across whole slabs; S holds the integrated half of the components. The
+        distances are subtracted from their least and exponentiated in place,
+        and the posterior mean is one matrix product over S'. The work array
+        and the three (A, S, Q) arrays of the least distance, the total and the
+        posterior mean are allocated once and every step writes into them, so
+        a chunk allocates no array of its size. With the own component s' = s
+        the distance is t^2 exactly, so the integrand of I, t^2 - least +
+        ln(sum of the exponentials), is never negative.
         """
         pts = np.sort(self.constellation.points)
         m = pts.size
@@ -296,23 +299,34 @@ class MiEvaluator:
         gap = pts[:half] - pts[:, None]  # (S', S): x_s - x_s'
         tsq = t * t
         chunk = max(1, _QUAD_WORK // (m * half * t.size))
-        buf = np.empty(m * min(chunk, a.size) * half * t.size)
-        mi, mmse = np.empty_like(a), np.empty_like(a)
+        cells = min(chunk, a.size) * half * t.size  # (A, S, Q) of the largest chunk
+        buf = np.empty(m * cells)
+        side = np.empty((3, cells))  # the least distance, the total and the posterior mean
+        integrals = np.empty((2, a.size, half))  # E[excess] and E[E[x | y]^2] per knot and component
         for lo in range(0, a.size, chunk):
             part = slice(lo, lo + chunk)
             gaps = gap[:, None, :] * np.sqrt(a[part])[:, None]  # (S', A, S): mu_s - mu_s'
             work = buf[: gaps.size * t.size].reshape(gaps.shape + t.shape)
+            least, total, post_mean = side[:, : work[0].size].reshape((3,) + work.shape[1:])
             np.add(gaps[..., None], t, out=work)
             np.square(work, out=work)
-            least = work.min(axis=0)  # (A, S, Q)
+            np.min(work, axis=0, out=least)
             np.subtract(least, work, out=work)
             np.exp(work, out=work)
-            total = work.sum(axis=0)
-            excess = tsq - least + np.log(total)
-            mi[part] = math.log(m) - (excess @ w) @ share
-            post_mean = (pts @ work.reshape(m, -1)).reshape(total.shape) / total
-            mmse[part] = 1.0 - ((post_mean * post_mean) @ w) @ share
-        return mi, mmse
+            np.sum(work, axis=0, out=total)
+            np.matmul(pts, work.reshape(m, -1), out=post_mean.reshape(-1))
+            post_mean /= total
+            post_mean *= post_mean
+            np.matmul(post_mean, w, out=integrals[1, part])
+            excess = np.subtract(tsq, least, out=least)
+            excess += np.log(total, out=total)
+            np.matmul(excess, w, out=integrals[0, part])
+        # weighted over S in one product for all knots, so that no knot's bits
+        # depend on the chunk holding it: numpy takes a one-row product as a
+        # dot, and the BLAS matrix-vector product of 8 or more columns rounds
+        # a row by its place in its blocks
+        excess_mean, square_mean = integrals @ share
+        return math.log(m) - excess_mean, 1.0 - square_mean
 
 
 def block_mi(h, qsets, rho, nt, evaluator):

@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -104,6 +108,68 @@ def full_quadrature(a, points):
         post_mean = (unnorm * points[:, None, None]).sum(axis=0) / total
         mmse[i] = 1.0 - (post_mean**2 * w).sum(axis=-1).mean()
     return mi, mmse
+
+
+def hermite_pair(t, n):
+    """(p_{n-1}(t), p_n(t)), p the Hermite polynomials orthonormal under exp(-t^2)."""
+    prev, cur = np.zeros_like(t), np.full_like(t, math.pi**-0.25)
+    for k in range(n):
+        prev, cur = cur, math.sqrt(2.0 / (k + 1)) * t * cur - math.sqrt(k / (k + 1)) * prev
+    return prev, cur
+
+
+def derived_gh_rule():
+    """The positive half (nodes increasing, weights) of the order-_QUAD_ORDER rule, derived.
+
+    This is the derivation src/ldfeedback/_hermite_rule.py tabulates (Golub &
+    Welsch, Math. Comp. 1969, on half the order): the positive nodes are the
+    square roots of the eigenvalues of J^2 on the even degrees, J the Jacobi
+    matrix of the Hermite polynomials, each polished by one Newton step on
+    p_n; the weights are 1 / (n sqrt(pi) p_{n-1}(t)^2), normalized to sum to 1.
+    """
+    n = infotheory._QUAD_ORDER
+    off = np.sqrt(np.arange(1, n) / 2.0)
+    jac = np.diag(off, 1) + np.diag(off, -1)
+    t = np.sqrt(np.linalg.eigvalsh(jac[0::2] @ jac[:, 0::2]))
+    below, top = hermite_pair(t, n)
+    t = t - top / (math.sqrt(2.0 * n) * below)
+    below = hermite_pair(t, n)[0]
+    return t, 1.0 / (n * math.sqrt(math.pi) * below * below)
+
+
+FRESH_BUILD = r"""
+import sys, tracemalloc
+import numpy as np
+from ldfeedback.infotheory import Constellation, MiEvaluator
+
+def refuse(*args, **kwargs):
+    raise AssertionError("dense linear algebra on the way to a table")
+
+if sys.argv[2] == "refuse":
+    np.linalg.eigvalsh = np.linalg.eigh = refuse
+evaluator = MiEvaluator(Constellation.from_name(sys.argv[1]))
+tracemalloc.start()
+evaluator._table()
+print(tracemalloc.get_traced_memory()[1])
+"""
+
+
+def fresh_table_build(kind, refuse_linalg=False):
+    """tracemalloc peak in bytes of the first table build of a fresh process, which fails on
+    np.linalg.eigvalsh or eigh when refuse_linalg is set."""
+    env = dict(os.environ, PYTHONPATH=str(Path(infotheory.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-c", FRESH_BUILD, kind, "refuse" if refuse_linalg else "allow"],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return int(proc.stdout)
+
+
+def rule_literal(t, w):
+    """The NODES and WEIGHTS assignments of src/ldfeedback/_hermite_rule.py for the rule (t, w)."""
+    def assignment(name, values):
+        rows = [", ".join(repr(float(v)) for v in values[i : i + 3]) for i in range(0, values.size, 3)]
+        return f"{name} = np.array([\n" + "".join(f"    {row},\n" for row in rows) + "])\n"
+    return assignment("NODES", t) + assignment("WEIGHTS", w)
 
 
 class TestConstellation:
@@ -309,6 +375,16 @@ class TestTable:
             assert (np.diff(values) >= 0).all()
             assert values.max() <= ev._table().ln_m
 
+    def test_tabulated_rule_matches_its_derivation(self):
+        # the literals are the derivation's doubles under Python 3.11.7, numpy
+        # 2.4.6 and scipy-openblas 0.3.31; another LAPACK may round the
+        # eigenvalues otherwise, hence 1 ulp in a node and 1e-15 in a weight
+        t, w = derived_gh_rule()
+        tab_t, tab_w = (half[half.size // 2 :] for half in _gh_nodes())
+        close = (np.abs(tab_t - t) <= np.spacing(t)).all() and (np.abs(tab_w - w) <= 1e-15 * w).all()
+        assert close, ("the tabulated rule and its derivation differ; regenerated literals for "
+                       "src/ldfeedback/_hermite_rule.py:\n" + rule_literal(t, w))
+
     def test_nodes_match_hermgauss(self):
         t, w = _gh_nodes()
         ref_t, ref_w = np.polynomial.hermite.hermgauss(256)
@@ -338,19 +414,51 @@ class TestTable:
             assert abs(ev.mi(above) - ev.mi(below)) <= 1e-15
             assert abs(ev.mmse(above) - ev.mmse(below)) <= 1e-11
 
-    @pytest.mark.parametrize("kind", ["bpsk", "pam3", "pam4", "pam8"])
+    @pytest.mark.parametrize("kind", ["bpsk", "pam3", "pam4", "pam8", "pam16"])
     def test_table_independent_of_work_array_size(self, kind, monkeypatch):
-        # each knot is integrated on its own, so the knot chunks that a 2^15- or
-        # a 2^17-double work array holds give the same table, bit for bit
+        # each knot is integrated on its own, so the knot chunks that a 2^12-,
+        # 2^15- or 2^17-double work array holds give the same table, bit for
+        # bit (2^12 holds one PAM8 knot, so its buffers are reused per knot;
+        # PAM16 weights 8 components, where a BLAS product per chunk rounded
+        # a knot by its place in the chunk)
         tables = []
-        for work in (1 << 15, 1 << 17):
+        for work in (1 << 12, 1 << 15, 1 << 17):
             monkeypatch.setattr(infotheory, "_QUAD_WORK", work)
             monkeypatch.setattr(infotheory, "_table_cache", {})
             tables.append(make_eval(kind)._table())
-        small, large = tables
-        assert small.knots.tobytes() == large.knots.tobytes()
-        assert small.mi_knots.tobytes() == large.mi_knots.tobytes()
-        assert small.mmse_knots.tobytes() == large.mmse_knots.tobytes()
+        for other in tables[1:]:
+            assert other.knots.tobytes() == tables[0].knots.tobytes()
+            assert other.mi_knots.tobytes() == tables[0].mi_knots.tobytes()
+            assert other.mmse_knots.tobytes() == tables[0].mmse_knots.tobytes()
+
+    @pytest.mark.parametrize("kind", ["bpsk", "pam3", "pam4", "pam8"])
+    def test_locate_matches_binary_search(self, kind):
+        # the arithmetic index against the binary search it replaces, on
+        # log-uniform points, every knot and both its float neighbours, 0 and 1e9
+        table = make_eval(kind)._table()
+        knots = table.knots
+        a = np.concatenate([
+            np.exp(Rng(16, 0).gen.uniform(math.log(1e-7), math.log(300.0), 200_000)),
+            knots, np.nextafter(knots, 0.0), np.nextafter(knots, np.inf), [0.0, 1e9],
+        ])
+        want_i = np.clip(np.searchsorted(knots, a, side="right") - 1, 0, knots.size - 1)
+        want_x = np.maximum(a, knots[0])
+        i, x, s = table._locate(a)
+        assert np.array_equal(i, want_i)
+        assert x.tobytes() == want_x.tobytes()
+        assert s.tobytes() == (np.log(want_x) - table.u[want_i]).tobytes()
+
+    @pytest.mark.parametrize("kind", ["bpsk", "pam4"])
+    def test_first_build_needs_no_dense_linear_algebra(self, kind):
+        assert fresh_table_build(kind, refuse_linalg=True) > 0
+
+    @pytest.mark.parametrize("kind", ["bpsk", "pam3", "pam4", "pam8"])
+    def test_first_build_memory_peak(self, kind):
+        # the rule's import included. The bound was set before measuring, below
+        # the 1046 to 1202 KiB that deriving the rule by an order-256 Jacobi
+        # eigenproblem and allocating whole-chunk temporaries took (Python
+        # 3.11.7, numpy 2.4.6)
+        assert fresh_table_build(kind) <= 1000 * 1024
 
     def test_one_table_per_alphabet(self):
         first, second = Constellation.pam(4), Constellation.pam(4)
