@@ -178,6 +178,9 @@ _PALETTE = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e",
 
 def render_svg(rows, xmin=None, xmax=None, ymin=None, ymax=None):
     """Deterministic 800x600 line chart, one polyline per scheme."""
+    # imported here: saxutils loads urllib.request, which no other command needs
+    from xml.sax.saxutils import escape
+
     if xmin is not None or xmax is not None:
         lo = -np.inf if xmin is None else xmin
         hi = np.inf if xmax is None else xmax
@@ -234,7 +237,7 @@ def render_svg(rows, xmin=None, xmax=None, ymin=None, ymax=None):
         ly = top + 16 + 18 * idx
         parts.append(f'<line x1="{width - right + 14}" y1="{ly - 4}" x2="{width - right + 44}" '
                      f'y2="{ly - 4}" stroke="{color}" stroke-width="1.5"/>')
-        parts.append(f'<text x="{width - right + 50}" y="{ly}" font-size="12">{scheme}</text>')
+        parts.append(f'<text x="{width - right + 50}" y="{ly}" font-size="12">{escape(scheme)}</text>')
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
 
@@ -312,6 +315,10 @@ def cmd_plot(args):
         value = getattr(args, name)
         if value is not None and not np.isfinite(value):
             raise ConfigError(f"--{name} must be finite, got {value}")
+    for axis in "xy":
+        lo, hi = getattr(args, f"{axis}min"), getattr(args, f"{axis}max")
+        if lo is not None and hi is not None and lo >= hi:
+            raise ConfigError(f"--{axis}min {lo:g} must be below --{axis}max {hi:g}")
     rows = parse_csv(_read(args.csv))
     svg = render_svg(rows, xmin=args.xmin, xmax=args.xmax, ymin=args.ymin, ymax=args.ymax)
     _write(args.output, svg)

@@ -8,13 +8,26 @@ suite that draws channels. A draw is its channels, the (h, hind) pair, and
 each caller derives what it reads: run keeps of each window only what its
 configured schemes read (the largest eigenvalues, the column powers of
 Hind, the codebook's s_matrix rows), so a window's channels and their
-scratch are freed before the next is drawn. Every per-trial value is computed on its own and the reductions run
-over whole-run arrays, so results are bit-identical whatever the window size.
+scratch are freed before the next is drawn. Every per-trial value is
+computed on its own and the reductions run over whole-run arrays, so
+results are bit-identical whatever the window size.
+
+scheme_table is the one dispatch on scheme labels. Each scheme has a keep
+rule, a fit and a score; run fits every scheme on the trials and scores it
+on the same trials. The fitted policies:
+- perfect: none;
+- statistical: the optimizer's power diagonal at each SNR point, and
+  statistical-beamforming: the full-budget single mode at each point, both
+  (n_snr, Nt) and fitted on their own STREAM_OPT sample of Hind;
+- quantized-rank1-best and quantized-rank2-best: (codebooks, winners), the
+  candidate (N2, Nt) power diagonals and each SNR point's winner index,
+  fitted on the trials' s_matrix rows.
 """
 
 import itertools
 import math
 import warnings
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,9 +48,6 @@ from .matkit import Rng, haar_unitaries, substream_normals
 STREAM_CODEBOOK = 1 << 48
 STREAM_OPT = (1 << 48) + 1
 STREAM_TOURNAMENT = (1 << 48) + 2
-STATISTICAL_SCHEMES = ("statistical", "statistical-beamforming")
-QUANTIZED_SCHEMES = ("quantized-rank1-best", "quantized-rank2-best")
-SCHEMES = ("perfect",) + STATISTICAL_SCHEMES + QUANTIZED_SCHEMES
 MIN_OPT_SAMPLES = 100
 # optimize_lambda stops after OPT_MAX_ITER steps or once the projected gradient norm is <= OPT_TOL
 OPT_MAX_ITER = 500
@@ -62,10 +72,6 @@ def check_schemes(schemes):
             raise PreconditionError(f"unknown scheme {scheme!r}")
         if scheme in schemes[:idx]:
             raise PreconditionError(f"repeated scheme {scheme!r}")
-
-
-def rho_from_db(snr_db):
-    return 10.0 ** (snr_db / 10.0)
 
 
 @dataclass
@@ -103,7 +109,7 @@ class SimConfig:
             if abs(snr_db) > SNR_DB_LIMIT:
                 raise PreconditionError(f"snr_db = {snr_db!r} is outside [-{SNR_DB_LIMIT:g}, {SNR_DB_LIMIT:g}] dB")
         check_symbols(self.k, self.nc)
-        if self.opt_samples < MIN_OPT_SAMPLES and any(s in STATISTICAL_SCHEMES for s in self.schemes):
+        if self.opt_samples < MIN_OPT_SAMPLES and {"statistical", "statistical-beamforming"} & set(self.schemes):
             raise PreconditionError(
                 f"opt_samples = {self.opt_samples}: the statistical optimizer needs at least "
                 f"{MIN_OPT_SAMPLES} samples"
@@ -232,61 +238,83 @@ def optimize_lambda(cols, rho, nt, k, nc, evaluator):
     return LambdaStat(diag=lam, converged=converged, iterations=iterations)
 
 
-def _best_single_mode(cols, rho, nt, k, nc, evaluator):
-    """Mode index whose full-budget allocation maximizes the sample-mean MI."""
-    means = [_sample_mean_mi(cols, lam, rho, nt, evaluator) for lam in nt * nc / k * np.eye(nt)]
-    return int(np.argmax(means))
-
-
 def _rhos(config):
     """The linear SNRs of config's grid, shape (n_snr,)."""
-    return np.array([rho_from_db(s) for s in config.snr_grid_db])
+    return np.array([10.0 ** (s / 10.0) for s in config.snr_grid_db])
 
 
-def scheme_block_mi(config, scheme, lam_max, ind_col_power):
-    """Per-trial block MI in nats of perfect or a statistical scheme, shape (n_snr, trials).
+def _keep_eigenvalues(config):
+    return lambda h, hind: top_eigenvalues(h)
 
-    lam_max (trials,) is channel.top_eigenvalues of the trials' channels
-    and ind_col_power (trials, Nt) channel.column_powers of their Hind:
-    perfect reads the first, the statistical schemes the second, and run
-    passes None for one that no configured scheme reads. perfect
-    uses the K = 2*Nc benchmark. statistical and statistical-beamforming use
-    config.k and choose their power diagonal on config.opt_samples draws of
-    Hind from the STREAM_OPT substream. The quantized schemes are scored by
-    codebook_block_mi.
+
+def _keep_column_powers(config):
+    return lambda h, hind: column_powers(hind)
+
+
+def _keep_smat(config):
+    unitaries = default_unitaries(config)
+    return lambda h, hind: s_matrix(h, unitaries)
+
+
+def _opt_sample(config):
+    """The statistical schemes' optimizer sample: config.opt_samples column powers of Hind from STREAM_OPT."""
+    return draw_ind_column_powers(config.model, config.opt_samples, Rng(config.seed, STREAM_OPT))
+
+
+def _fit_statistical(config, kept):
+    """Per SNR point, optimize_lambda's power diagonal on the optimizer sample, shape (n_snr, Nt).
+
+    A point whose optimizer did not converge warns and keeps the best iterate.
     """
+    nt, evaluator, cols = config.model.nt, MiEvaluator(config.constellation), _opt_sample(config)
+    diags = np.empty((len(config.snr_grid_db), nt))
+    for idx, (snr_db, rho) in enumerate(zip(config.snr_grid_db, _rhos(config))):
+        stat = optimize_lambda(cols, rho, nt, config.k, config.nc, evaluator)
+        if not stat.converged:
+            warnings.warn(f"statistical power optimizer did not converge at {snr_db} dB after "
+                          f"{stat.iterations} iterations; using its best iterate", RuntimeWarning, stacklevel=2)
+        diags[idx] = stat.diag
+    return diags
+
+
+def _fit_single_mode(config, kept):
+    """Per SNR point, the full-budget single mode of largest sample-mean MI on the optimizer sample.
+
+    Shape (n_snr, Nt); ties keep the first mode.
+    """
+    nt, evaluator, cols = config.model.nt, MiEvaluator(config.constellation), _opt_sample(config)
+    modes = nt * config.nc / config.k * np.eye(nt)
+    return np.stack([modes[np.argmax([_sample_mean_mi(cols, lam, rho, nt, evaluator) for lam in modes])]
+                     for rho in _rhos(config)])
+
+
+def _score_perfect(config, policy, lam_max):
+    """perfect_csi_mi of the K = 2*Nc benchmark at each SNR point."""
     evaluator = MiEvaluator(config.constellation)
-    rhos = _rhos(config)
-    nt, k, nc = config.model.nt, config.k, config.nc
-    if scheme == "perfect":
-        return np.stack([perfect_csi_mi(lam_max, rho, 2 * nc, nc, evaluator) for rho in rhos])
-    if scheme in STATISTICAL_SCHEMES:
-        rows = np.empty((rhos.size, len(ind_col_power)))
-        opt_cols = draw_ind_column_powers(config.model, config.opt_samples, Rng(config.seed, STREAM_OPT))
-        for idx, (snr_db, rho) in enumerate(zip(config.snr_grid_db, rhos)):
-            if scheme == "statistical":
-                stat = optimize_lambda(opt_cols, rho, nt, k, nc, evaluator)
-                if not stat.converged:
-                    warnings.warn(f"{scheme} power optimizer did not converge at {snr_db} dB after "
-                                  f"{stat.iterations} iterations; using its best iterate",
-                                  RuntimeWarning, stacklevel=2)
-                lam = stat.diag
-            else:
-                mode = _best_single_mode(opt_cols, rho, nt, k, nc, evaluator)
-                lam = np.zeros(nt)
-                lam[mode] = nt * nc / k
-            rows[idx] = k * evaluator.mi(rho / nt * (ind_col_power @ lam))
-        return rows
-    raise PreconditionError(f"scheme_block_mi does not evaluate {scheme!r}")
+    return np.stack([perfect_csi_mi(lam_max, rho, 2 * config.nc, config.nc, evaluator) for rho in _rhos(config)])
 
 
-def codebook_block_mi(config, smat, lambdas):
-    """Per-trial MI-rule block MI in nats of one codebook, shape (n_snr, trials).
+def _score_diagonals(config, diags, ind_col_power):
+    """K * I(rho/Nt * ind_col_power @ lambda) with each SNR point's power diagonal lambda."""
+    nt, k, evaluator = config.model.nt, config.k, MiEvaluator(config.constellation)
+    return np.stack([k * evaluator.mi(rho / nt * (ind_col_power @ lam)) for rho, lam in zip(_rhos(config), diags)])
 
-    smat is s_matrix(h, unitaries) of the codebook's unitaries and
-    lambdas its (N2, Nt) power diagonals; the receiver selects with config.k.
+
+def _score_codebooks(config, policy, smat):
+    """codebook.select_mi of each SNR point's winning codebook, with config.k.
+
+    Each distinct winner is scored once, over the points it wins.
     """
-    return select_mi(smat, lambdas, _rhos(config), config.k, config.model.nt, MiEvaluator(config.constellation))
+    codebooks, winners = policy
+    rhos, k, nt, evaluator = _rhos(config), config.k, config.model.nt, MiEvaluator(config.constellation)
+    if (winners == winners[0]).all():
+        return select_mi(smat, codebooks[winners[0]], rhos, k, nt, evaluator)
+    rows = np.empty((rhos.size, len(smat)))
+    # a set, not np.unique, which imports numpy.ma on first use: 1.1 MB of a process's peak RSS
+    for winner in set(winners.tolist()):
+        points = winners == winner
+        rows[points] = select_mi(smat, codebooks[winner], rhos[points], k, nt, evaluator)
+    return rows
 
 
 def _curve_points(config, label, block_mi_rows):
@@ -295,15 +323,8 @@ def _curve_points(config, label, block_mi_rows):
     for idx, snr in enumerate(config.snr_grid_db):
         bits = block_mi_rows[idx] / (config.nc * LN2)
         stderr = float(bits.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
-        points.append(
-            CurvePoint(
-                snr_db=float(snr),
-                scheme=label,
-                mi_bits_per_use=float(bits.mean()),
-                stderr=stderr,
-                trials=n,
-            )
-        )
+        points.append(CurvePoint(snr_db=float(snr), scheme=label, mi_bits_per_use=float(bits.mean()),
+                                 stderr=stderr, trials=n))
     return points
 
 
@@ -311,48 +332,28 @@ def run(config):
     """Estimate the mean per-channel-use MI of every configured scheme.
 
     The config, scheme labels and codebook split included, is validated
-    before anything is drawn, and every scheme sees the same trials. They
-    are drawn by trial_windows one TRIAL_WINDOW at a time, and run keeps of
-    each window only what the configured schemes read, in whole-run arrays:
-    lam_max (the largest eigenvalues) for perfect, ind_col_power (the column
-    powers of Hind) for a statistical scheme, and for a quantized scheme the
-    window's s_matrix rows of the one unitary family both codebook searches
-    share, checked once where haar_unitaries makes it. So the
-    channels of one window are alive at a time, never the whole run's. The
-    statistical schemes draw the same optimizer sample. Each scheme's
-    (n_snr, trials) rows are dropped once its curve points are made.
+    before anything is drawn. Then every scheme is fitted on the trials and
+    scored on the same trials, by scheme_block_mi. The trials are drawn by
+    trial_windows one TRIAL_WINDOW at a time, and run keeps of each window
+    only what the configured schemes' keep rules read, each once, in
+    whole-run arrays. So the channels of one window are alive at a time,
+    never the whole run's. Each scheme's (n_snr, trials) rows are dropped
+    once its curve points are made.
     """
     config.validate()
-    n, nt = config.trials, config.model.nt
-    quantized = any(s in QUANTIZED_SCHEMES for s in config.schemes)
-    perfect = "perfect" in config.schemes
-    statistical = any(s in STATISTICAL_SCHEMES for s in config.schemes)
-    lam_max = np.empty(n) if perfect else None
-    ind_col_power = np.empty((n, nt)) if statistical else None
-    if quantized:
-        unitaries = default_unitaries(config)
-        smat = np.empty((n, config.n1, nt))
-    for lo, h, hind in trial_windows(config.model, n, config.seed):
-        hi = lo + len(h)
-        if perfect:
-            lam_max[lo:hi] = top_eigenvalues(h)
-        if statistical:
-            ind_col_power[lo:hi] = column_powers(hind)
-        if quantized:
-            smat[lo:hi] = s_matrix(h, unitaries)
+    table = scheme_table()
+    windowed = {keep: keep(config) for keep in dict.fromkeys(table[s].keep for s in config.schemes)}
+    kept = {}
+    for lo, h, hind in trial_windows(config.model, config.trials, config.seed):
+        for keep, window_values in windowed.items():
+            values = window_values(h, hind)
+            if keep not in kept:
+                kept[keep] = np.empty((config.trials,) + values.shape[1:])
+            kept[keep][lo:lo + len(h)] = values
         del h, hind
-    curves = []
-    for scheme in config.schemes:
-        if scheme == "quantized-rank1-best":
-            rows = best_rank_one_codebook(config, smat)[1]
-        elif scheme == "quantized-rank2-best":
-            rows = rank_two_tournament(config, smat)[1]
-        else:
-            rows = scheme_block_mi(config, scheme, lam_max, ind_col_power)
-        curves.extend(_curve_points(config, scheme, rows))
-        del rows
-    curves.sort(key=lambda p: (p.scheme, p.snr_db))
-    return curves
+    curves = [p for s in config.schemes
+              for p in _curve_points(config, s, scheme_block_mi(config, s, kept[table[s].keep]))]
+    return sorted(curves, key=lambda p: (p.scheme, p.snr_db))
 
 
 def default_unitaries(config):
@@ -379,18 +380,18 @@ def _jensen_bounds(traces, rhos, k, nt, evaluator, buf):
 
 
 def best_rank_one_codebook(config, smat):
-    """The rank-one power diagonals maximizing mean block MI summed over the grid.
+    """The rank-one search's policy (codebooks, winners): one candidate, which wins at every point.
 
     Candidates are the C(Nt, N2) mode sets, each mode at the full
     Nt*Nc/K budget; config has passed SimConfig.validate (so N2 <= Nt), and
-    smat is s_matrix(h, unitaries) of the trials to score on. Ties keep the
-    first candidate. Returns (lambdas, rows): the winner's (N2, Nt)
-    diagonals and its (n_snr, trials) block MI in nats.
+    smat is s_matrix(h, unitaries) of the trials to fit on. The winner
+    maximizes mean block MI summed over the grid; ties keep the first
+    candidate. codebooks is its (1, N2, Nt) diagonals and winners the
+    (n_snr,) zeros that pick it at every point.
 
     Every candidate's codeword-max traces are computed once and scored at
     every SNR point, one point at a time in one reused (trials,) buffer; its
-    score is the sum of the per-point means. Only the winner's rows are made,
-    once, at the end, so the search holds one (n_snr, trials) array.
+    score is the sum of the per-point means.
     """
     nt = config.model.nt
     k, evaluator, rhos = config.k, MiEvaluator(config.constellation), _rhos(config)
@@ -406,26 +407,24 @@ def best_rank_one_codebook(config, smat):
         score = float(means.sum())
         if best is None or score > best[0]:
             best = (score, lambdas)
-    return best[1], codebook_block_mi(config, smat, best[1])
+    return best[1][None], np.zeros(rhos.size, dtype=int)
 
 
 def rank_two_tournament(config, smat):
-    """Per SNR point, the best of config.rank_two_sets random rank-two codebooks.
+    """The rank-two tournament's policy (codebooks, winners): per SNR point, the best of the drawn codebooks.
 
-    The codebooks are drawn by random_rank_two_lambdas from the
-    STREAM_TOURNAMENT substream and share the unitaries of smat, which is
-    s_matrix(h, unitaries) of the trials to score on. Each is scored on its
-    mean block MI in nats; ties go to the first codebook. Returns
-    (winners, rows): the (n_snr,) index of each point's winner among the
-    drawn codebooks, and the winners' (n_snr, trials) block MI in nats.
+    codebooks is the config.rank_two_sets random rank-two codebooks' (sets,
+    N2, Nt) diagonals, drawn by random_rank_two_lambdas from the
+    STREAM_TOURNAMENT substream; they share the unitaries of smat, which is
+    s_matrix(h, unitaries) of the trials to fit on. winners is the (n_snr,)
+    index of each point's codebook of largest mean block MI in nats; ties go
+    to the first codebook.
 
     Each codebook's codeword-max traces are computed once and scored one
-    SNR point at a time in one reused (trials,) buffer, which is copied into
-    that point's row of the result when the codebook wins there. A point
-    where the codebook's Jensen bound (_jensen_bounds) is below the best
-    score by more than JENSEN_MARGIN cannot be won and is not scored. So the
-    tournament holds the result and one (trials,) buffer whatever
-    config.rank_two_sets is.
+    SNR point at a time in one reused (trials,) buffer. A point where the
+    codebook's Jensen bound (_jensen_bounds) is below the best score by more
+    than JENSEN_MARGIN cannot be won and is not scored. So the tournament
+    holds one (trials,) buffer whatever config.rank_two_sets is.
     """
     nt = config.model.nt
     k, evaluator, rhos = config.k, MiEvaluator(config.constellation), _rhos(config)
@@ -433,7 +432,6 @@ def rank_two_tournament(config, smat):
                                       Rng(config.seed, STREAM_TOURNAMENT))
     winners = np.zeros(rhos.size, dtype=int)
     best = np.empty(rhos.size)
-    rows = np.empty((rhos.size, smat.shape[0]))
     buf = np.empty(smat.shape[0])
     for idx, lambdas in enumerate(lamsets):
         traces = codeword_max(smat, lambdas)
@@ -443,7 +441,49 @@ def rank_two_tournament(config, smat):
                 continue
             score = trace_mi(traces, rho, k, nt, evaluator, out=buf).mean()
             if idx == 0 or score > best[point]:
-                rows[point] = buf
                 best[point] = score
                 winners[point] = idx
-    return winners, rows
+    return lamsets, winners
+
+
+# One scheme's row of scheme_table. keep(config) is the function of a window's (h, hind) whose
+# values run keeps for the scheme, fit(config, kept) the scheme's policy fitted on the whole run's
+# kept values, and score(config, policy, kept) the policy's per-trial block MI in nats, (n_snr, trials).
+SchemeRule = namedtuple("SchemeRule", "keep fit score")
+
+
+def scheme_table():
+    """The one dispatch on scheme labels: each SCHEMES label's keep, fit and score.
+
+    The policies: perfect fits nothing; statistical fits the optimizer's
+    power diagonal at each SNR point, and statistical-beamforming the
+    full-budget single mode, both on the STREAM_OPT sample; the two codebook
+    searches fit (codebooks, winners) on the trials' s_matrix rows. The
+    table is made at each call from the module's current bindings, so a
+    patched search or keep rule (a test's counter, the bench's span tracer)
+    is the one called.
+    """
+    return {
+        "perfect": SchemeRule(_keep_eigenvalues, lambda config, kept: None, _score_perfect),
+        "statistical": SchemeRule(_keep_column_powers, _fit_statistical, _score_diagonals),
+        "statistical-beamforming": SchemeRule(_keep_column_powers, _fit_single_mode, _score_diagonals),
+        "quantized-rank1-best": SchemeRule(_keep_smat, best_rank_one_codebook, _score_codebooks),
+        "quantized-rank2-best": SchemeRule(_keep_smat, rank_two_tournament, _score_codebooks),
+    }
+
+
+SCHEMES = tuple(scheme_table())
+
+
+def scheme_block_mi(config, scheme, kept):
+    """Per-trial block MI in nats of scheme, fitted on kept and scored on it, shape (n_snr, trials).
+
+    kept is the whole run's values of the scheme's keep rule in
+    scheme_table: channel.top_eigenvalues of the trials' channels for
+    perfect, channel.column_powers of their Hind for the statistical
+    schemes, and s_matrix(h, default_unitaries(config)) for the codebook
+    searches. perfect uses the K = 2*Nc benchmark, every other scheme
+    config.k.
+    """
+    rule = scheme_table()[scheme]
+    return rule.score(config, rule.fit(config, kept), kept)

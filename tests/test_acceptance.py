@@ -21,12 +21,10 @@ from ldfeedback.matkit import Rng, hermitian_eig
 from ldfeedback.simengine import (
     SimConfig,
     _curve_points,
-    best_rank_one_codebook,
     draw_ind_column_powers,
     draw_trials,
     default_unitaries,
     optimize_lambda,
-    rank_two_tournament,
     run,
     scheme_block_mi,
 )
@@ -68,14 +66,13 @@ def experiments():
     for name in ("iid2x2", "iid4x4", "v4"):
         config = _experiment(name)
         h, hind = draw_trials(config.model, config.trials, config.seed)
-        inputs = top_eigenvalues(h), column_powers(hind)
-        perfect = scheme_block_mi(config, "perfect", *inputs)
-        entry = {"config": config, "inputs": inputs, "perfect": perfect, "splits": {}}
+        perfect = scheme_block_mi(config, "perfect", top_eigenvalues(h))
+        entry = {"config": config, "ind_col_power": column_powers(hind), "perfect": perfect, "splits": {}}
         for n1, n2 in ((4, 1), (2, 2)):
             split = replace(config, b=2, n1=n1, n2=n2, rank_two_sets=50)
             smat = s_matrix(h, default_unitaries(split))
-            rank1_rows = best_rank_one_codebook(split, smat)[1]
-            rank2_rows = rank_two_tournament(split, smat)[1]
+            rank1_rows = scheme_block_mi(split, "quantized-rank1-best", smat)
+            rank2_rows = scheme_block_mi(split, "quantized-rank2-best", smat)
             entry["splits"][(n1, n2)] = {
                 "rank1": _curve_points(split, "quantized-rank1-best", rank1_rows),
                 "rank2": _curve_points(split, "quantized-rank2-best", rank2_rows),
@@ -89,7 +86,7 @@ def experiments():
 def envelope_2x2(experiments):
     """Statistical lower bound for the 2x2 i.i.d. experiment."""
     config = _experiment("iid2x2")
-    return scheme_block_mi(config, "statistical", *experiments["iid2x2"]["inputs"])
+    return scheme_block_mi(config, "statistical", experiments["iid2x2"]["ind_col_power"])
 
 
 def test_criterion_01_perfect_csi_closed_form():

@@ -4,6 +4,7 @@ import subprocess
 import sys
 import tracemalloc
 from pathlib import Path
+from xml.etree import ElementTree
 
 import numpy as np
 import pytest
@@ -481,6 +482,14 @@ class TestPlot:
         assert svg.count("<polyline") == 2
         assert "alpha" in svg and "beta" in svg
 
+    def test_label_markup_escaped(self, tmp_path):
+        # a label with markup characters is written as text, so the SVG parses
+        csv = write(tmp_path, "c.csv", self.CSV.replace("beta", "a<b & c"))
+        out = tmp_path / "m.svg"
+        assert cli.main(["plot", csv, "-o", str(out)]) == 0
+        texts = [el.text for el in ElementTree.parse(out).getroot().iter("{http://www.w3.org/2000/svg}text")]
+        assert "a<b & c" in texts and "alpha" in texts
+
     def test_byte_identical(self, tmp_path):
         csv = write(tmp_path, "c.csv", self.CSV)
         a, b = str(tmp_path / "a.svg"), str(tmp_path / "b.svg")
@@ -511,7 +520,11 @@ class TestPlot:
         (CSV, ["--xmax", "inf"], "--xmax must be finite"),
         (CSV, ["--xmin=-inf"], "--xmin must be finite"),
         (CSV, ["--ymax", "nan"], "--ymax must be finite"),
-    ], ids=["mi-nan", "snr-inf", "stderr-minus-inf", "ymin-nan", "xmax-inf", "xmin-minus-inf", "ymax-nan"])
+        (CSV, ["--ymin", "5", "--ymax", "1"], "--ymin 5 must be below --ymax 1"),
+        (CSV, ["--ymin", "2", "--ymax", "2"], "--ymin 2 must be below --ymax 2"),
+        (CSV, ["--xmin", "2", "--xmax", "0"], "--xmin 2 must be below --xmax 0"),
+    ], ids=["mi-nan", "snr-inf", "stderr-minus-inf", "ymin-nan", "xmax-inf", "xmin-minus-inf", "ymax-nan",
+            "y-inverted", "y-empty", "x-inverted"])
     def test_non_finite_exit_2(self, tmp_path, capsys, csv_text, flags, message):
         csv = write(tmp_path, "c.csv", csv_text)
         out = tmp_path / "x.svg"

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
 from ldfeedback.channel import iid_model, sample
-from ldfeedback.codebook import random_rank_two_lambdas, s_matrix
+from ldfeedback.codebook import random_rank_two_lambdas, s_matrix, select_mi
 from ldfeedback.dispersion import rank_one_set
 from ldfeedback.errors import InfeasibleError, PreconditionError
 from ldfeedback import infotheory
@@ -27,11 +27,11 @@ from ldfeedback.simengine import (
     STREAM_TOURNAMENT,
     SimConfig,
     _curve_points,
-    codebook_block_mi,
+    _rhos,
     default_unitaries,
     draw_trials,
-    rank_two_tournament,
     run,
+    scheme_block_mi,
 )
 
 # Frozen values from the adaptive-quadrature oracle below (epsabs 1e-13).
@@ -478,12 +478,14 @@ class TestTable:
         def points():
             h, _ = draw_trials(config.model, config.trials, config.seed)
             smat = s_matrix(h, default_unitaries(config))
-            best = _curve_points(config, "quantized-rank2-best", rank_two_tournament(config, smat)[1])
+            label = "quantized-rank2-best"
+            best = _curve_points(config, label, scheme_block_mi(config, label, smat))
             lamsets = random_rank_two_lambdas(config.rank_two_sets, config.n2, 2, 2, 2,
                                               Rng(config.seed, STREAM_TOURNAMENT))
             every = [p for idx, lambdas in enumerate(lamsets)
                      for p in _curve_points(config, f"quantized-rank2-{idx:02d}",
-                                            codebook_block_mi(config, smat, lambdas))]
+                                            select_mi(smat, lambdas, _rhos(config), config.k, 2,
+                                                      MiEvaluator(config.constellation)))]
             return run(config) + best + every
 
         tabled = points()

@@ -31,7 +31,6 @@ from ldfeedback.simengine import (
     SimConfig,
     _curve_points,
     best_rank_one_codebook,
-    codebook_block_mi,
     draw_ind_column_powers,
     draw_trials,
     default_unitaries,
@@ -71,9 +70,20 @@ def run_smat(config, h=None):
 
 
 def draw_inputs(config):
-    """config's trials in one draw: h, and the lam_max and ind_col_power that scheme_block_mi reads."""
+    """config's trials in one draw: h, and the lam_max and ind_col_power that run keeps for perfect and statistical."""
     h, hind = draw_trials(config.model, config.trials, config.seed)
     return h, top_eigenvalues(h), column_powers(hind)
+
+
+def codebook_rows(config, smat, lambdas):
+    """One codebook's per-trial MI-rule block MI in nats, (n_snr, trials): select_mi with config.k."""
+    return select_mi(smat, lambdas, simengine._rhos(config), config.k, config.model.nt,
+                     MiEvaluator(config.constellation))
+
+
+def policy_rows(config, label, policy, smat):
+    """The rows scheme_table's score makes of a codebook search's policy."""
+    return simengine.scheme_table()[label].score(config, policy, smat)
 
 
 def drawn_rank_two_lambdas(config):
@@ -175,7 +185,7 @@ class TestRun:
     def test_perfect_matches_closed_form_per_trial(self):
         config = make_config(trials=40)
         _, lam_max, ind_col_power = draw_inputs(config)
-        rows = scheme_block_mi(config, "perfect", lam_max, ind_col_power)
+        rows = scheme_block_mi(config, "perfect", lam_max)
         for idx, snr in enumerate(config.snr_grid_db):
             rho = 10.0 ** (snr / 10.0)
             expect = config.nc * np.log1p(rho * lam_max)
@@ -212,9 +222,9 @@ class TestRun:
 
     def test_quantized_below_perfect_per_trial(self):
         config = make_config(model=iid_model(4, 4), trials=60)
-        h, lam_max, ind_col_power = draw_inputs(config)
-        _, quant = best_rank_one_codebook(config, run_smat(config, h))
-        perfect = scheme_block_mi(config, "perfect", lam_max, ind_col_power)
+        h, lam_max, _ = draw_inputs(config)
+        quant = scheme_block_mi(config, "quantized-rank1-best", run_smat(config, h))
+        perfect = scheme_block_mi(config, "perfect", lam_max)
         assert (quant <= perfect + 1e-9).all()
 
     def test_all_five_schemes_match_the_searches(self):
@@ -223,10 +233,38 @@ class TestRun:
         got = run(config)
         assert sorted({p.scheme for p in got}) == sorted(simengine.SCHEMES)
         smat = run_smat(config)
-        rank1 = best_rank_one_codebook(config, smat)[1]
-        rank2 = rank_two_tournament(config, smat)[1]
-        for label, rows in (("quantized-rank1-best", rank1), ("quantized-rank2-best", rank2)):
+        for label, search in (("quantized-rank1-best", best_rank_one_codebook),
+                              ("quantized-rank2-best", rank_two_tournament)):
+            rows = policy_rows(config, label, search(config, smat), smat)
             assert [p for p in got if p.scheme == label] == _curve_points(config, label, rows)
+
+    def test_fits_and_scores_each_scheme_once(self, monkeypatch):
+        # every configured scheme is fitted once and its policy scored once, on
+        # the same kept values; the two statistical schemes share theirs, and so
+        # do the two codebook searches
+        config = replace(make_config(model=iid_model(4, 4), schemes=simengine.SCHEMES, trials=10),
+                         rank_two_sets=3)
+        want = run(config)
+        table, calls = simengine.scheme_table, []
+
+        def recorded(label, step, fn):
+            def wrapper(config, *args):
+                calls.append((label, step, id(args[-1])))
+                return fn(config, *args)
+            return wrapper
+
+        def recorded_table():
+            return {label: rule._replace(fit=recorded(label, "fit", rule.fit),
+                                         score=recorded(label, "score", rule.score))
+                    for label, rule in table().items()}
+
+        monkeypatch.setattr(simengine, "scheme_table", recorded_table)
+        assert run(config) == want
+        kept = {label: ident for label, step, ident in calls if step == "fit"}
+        assert [(label, step) for label, step, _ in calls] == [
+            (label, step) for label in config.schemes for step in ("fit", "score")]
+        assert all(kept[label] == ident for label, step, ident in calls if step == "score")
+        assert len(set(kept.values())) == 3
 
     @pytest.mark.parametrize("schemes", [
         ("quantized-rank1-best",), ("quantized-rank2-best",),
@@ -337,8 +375,8 @@ class TestRun:
     def test_statistical_below_perfect_per_trial(self):
         config = make_config(model=v4_model(), schemes=("statistical",), trials=40)
         _, lam_max, ind_col_power = draw_inputs(config)
-        stat = scheme_block_mi(config, "statistical", lam_max, ind_col_power)
-        perfect = scheme_block_mi(config, "perfect", lam_max, ind_col_power)
+        stat = scheme_block_mi(config, "statistical", ind_col_power)
+        perfect = scheme_block_mi(config, "perfect", lam_max)
         assert (stat <= perfect + 1e-9).all()
 
 
@@ -426,9 +464,9 @@ class TestBestRankOne:
     def test_scores_each_candidate_once_per_point(self, monkeypatch):
         # six candidates: one codeword max each, then one (trials,) buffer scored
         # at every SNR point, also on V4, whose one strong mode puts most
-        # candidates' Jensen bounds far below the best score; the winner's rows
-        # are made once, at the end, equal those of scoring it alone, and its
-        # score is the largest
+        # candidates' Jensen bounds far below the best score; the search makes
+        # no rows, its policy's score equals scoring the winner alone, and the
+        # winner's score is the largest
         maxima, buffers, made, scored = [], set(), [], []
 
         def recorded_max(smat, lambdas):
@@ -441,42 +479,44 @@ class TestBestRankOne:
             scored.append(rho)
             return trace_mi(traces, rho, k, nt, evaluator, out=out)
 
-        def recorded_rows(config, smat, lambdas):
+        def recorded_rows(smat, lambdas, *args):
             made.append(lambdas)
-            return codebook_block_mi(config, smat, lambdas)
+            return select_mi(smat, lambdas, *args)
 
         monkeypatch.setattr(simengine, "codeword_max", recorded_max)
         monkeypatch.setattr(simengine, "trace_mi", recorded_mi)
-        monkeypatch.setattr(simengine, "codebook_block_mi", recorded_rows)
+        monkeypatch.setattr(simengine, "select_mi", recorded_rows)
         for model in (iid_model(4, 4), v4_model()):
             for recorder in (maxima, buffers, made, scored):
                 recorder.clear()
             config = replace(make_config(model=model, trials=200), n1=2, n2=2)
             smat = run_smat(config)
-            lambdas, rows = best_rank_one_codebook(config, smat)
+            codebooks, winners = best_rank_one_codebook(config, smat)
             assert len(maxima) == 6 and len(buffers) == 1
             assert len(scored) == math.comb(4, 2) * len(config.snr_grid_db)
-            assert len(made) == 1 and made[0] is lambdas
-            assert np.array_equal(rows, codebook_block_mi(config, smat, lambdas))
+            assert made == []
+            rows = policy_rows(config, "quantized-rank1-best", (codebooks, winners), smat)
+            assert len(made) == 1 and np.array_equal(made[0], codebooks[0])
+            assert np.array_equal(rows, codebook_rows(config, smat, codebooks[0]))
             assert max(
-                codebook_block_mi(config, smat, 4.0 * np.eye(4)[list(modes)]).mean(axis=1).sum()
+                codebook_rows(config, smat, 4.0 * np.eye(4)[list(modes)]).mean(axis=1).sum()
                 for modes in itertools.combinations(range(4), 2)
             ) == rows.mean(axis=1).sum()
 
     def test_memory_peak_bounded(self):
-        # only the winner's (n_snr, trials) rows are made, at the end; each
-        # candidate adds its (trials, N1, N2) traces (4/11 of the rows here) and
-        # (trials,) buffers, so 2x one candidate's rows bounds the peak at
-        # 10 000 trials
+        # fit and score: only the winner's (n_snr, trials) rows are made, by the
+        # score; each candidate adds its (trials, N1, N2) traces (4/11 of the
+        # rows here) and (trials,) buffers, so 2x one candidate's rows bounds the
+        # peak at 10 000 trials
         config = replace(make_config(model=iid_model(4, 4), trials=10_000, snr=tuple(range(0, 21, 2))),
                          n1=2, n2=2)
         smat = run_smat(config)
-        best_rank_one_codebook(config, smat)
+        scheme_block_mi(config, "quantized-rank1-best", smat)
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
             tracemalloc.reset_peak()
-            best_rank_one_codebook(config, smat)
+            scheme_block_mi(config, "quantized-rank1-best", smat)
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
@@ -484,24 +524,27 @@ class TestBestRankOne:
 
     def test_returns_single_mode_codebook(self):
         config = make_config(model=iid_model(4, 4), trials=30)
-        lambdas, rows = best_rank_one_codebook(config, run_smat(config))
-        assert lambdas.shape == (config.n2, 4) == (1, 4)
-        assert (lambdas > 0).sum() == 1
+        smat = run_smat(config)
+        codebooks, winners = best_rank_one_codebook(config, smat)
+        assert codebooks.shape == (1, config.n2, 4) == (1, 1, 4)
+        assert (codebooks > 0).sum() == 1
+        assert winners.tolist() == [0] * len(config.snr_grid_db)
+        rows = policy_rows(config, "quantized-rank1-best", (codebooks, winners), smat)
         assert rows.shape == (len(config.snr_grid_db), config.trials)
 
     def test_ties_keep_the_first_candidate(self):
         # every mode receives the same power on every trial, so all four
         # single-mode candidates score the same
         config = make_config(model=iid_model(4, 4), trials=10)
-        lambdas, _ = best_rank_one_codebook(config, np.ones_like(run_smat(config)))
-        assert np.flatnonzero(lambdas).tolist() == [0]
+        codebooks, _ = best_rank_one_codebook(config, np.ones_like(run_smat(config)))
+        assert np.flatnonzero(codebooks).tolist() == [0]
 
     def test_iid_candidates_statistically_indistinguishable(self):
         config = make_config(model=iid_model(4, 4), trials=400, snr=(10.0,))
         smat = run_smat(config)
         means, errs = [], []
         for lam in 4.0 * np.eye(4):
-            rows = codebook_block_mi(config, smat, lam[None])
+            rows = codebook_rows(config, smat, lam[None])
             rows = rows / (4 * LN2)
             means.append(rows[0].mean())
             errs.append(rows[0].std(ddof=1) / math.sqrt(config.trials))
@@ -511,20 +554,20 @@ class TestBestRankOne:
 
 class TestRankTwoTournament:
     def test_memory_peak_bounded(self):
-        # Bound set before measuring: the result is one (n_snr, trials) array;
-        # each candidate adds its (trials, N1, N2) traces (N1*N2/n_snr = 4/11
-        # of the rows here) and (trials,) temporaries, and is scored one point
-        # at a time in one reused (trials,) buffer. So 2x one candidate's rows
-        # bounds the peak at the benchmark's 10 000 trials, where fixed
+        # Bound set before measuring: fit and score make one (n_snr, trials)
+        # result; each candidate adds its (trials, N1, N2) traces (N1*N2/n_snr =
+        # 4/11 of the rows here) and (trials,) temporaries, and is scored one
+        # point at a time in one reused (trials,) buffer. So 2x one candidate's
+        # rows bounds the peak at the benchmark's 10 000 trials, where fixed
         # overheads are small.
         config = replace(make_config(trials=10_000, snr=tuple(range(0, 21, 2))), rank_two_sets=10)
         smat = run_smat(config)
-        rank_two_tournament(config, smat)
+        scheme_block_mi(config, "quantized-rank2-best", smat)
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
             tracemalloc.reset_peak()
-            rank_two_tournament(config, smat)
+            scheme_block_mi(config, "quantized-rank2-best", smat)
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
@@ -533,16 +576,18 @@ class TestRankTwoTournament:
     def test_single_entry_is_its_own_best(self):
         config = replace(make_config(model=iid_model(4, 4), trials=25), rank_two_sets=1)
         smat = run_smat(config)
-        winners, rows = rank_two_tournament(config, smat)
+        codebooks, winners = rank_two_tournament(config, smat)
+        assert codebooks.tobytes() == drawn_rank_two_lambdas(config).tobytes()
         assert winners.tolist() == [0] * len(config.snr_grid_db)
-        assert np.array_equal(rows, codebook_block_mi(config, smat, drawn_rank_two_lambdas(config)[0]))
+        rows = policy_rows(config, "quantized-rank2-best", (codebooks, winners), smat)
+        assert np.array_equal(rows, codebook_rows(config, smat, drawn_rank_two_lambdas(config)[0]))
 
     def test_every_entry_below_perfect(self):
         config = replace(make_config(model=iid_model(4, 4), trials=40), rank_two_sets=10)
         perfect = {p.snr_db: p.mi_bits_per_use for p in run(config)}
         smat = run_smat(config)
-        table = [codebook_block_mi(config, smat, lambdas) for lambdas in drawn_rank_two_lambdas(config)]
-        table.append(rank_two_tournament(config, smat)[1])
+        table = [codebook_rows(config, smat, lambdas) for lambdas in drawn_rank_two_lambdas(config)]
+        table.append(policy_rows(config, "quantized-rank2-best", rank_two_tournament(config, smat), smat))
         for rows in table:
             for p in _curve_points(config, "quantized-rank2", rows):
                 assert p.mi_bits_per_use <= perfect[p.snr_db] + 1e-9
@@ -562,10 +607,11 @@ class TestRankTwoTournament:
         smat = run_smat(config)
         if case == "tie":
             smat = np.ones_like(smat)
-        table = np.stack([codebook_block_mi(config, smat, lambdas)
+        table = np.stack([codebook_rows(config, smat, lambdas)
                           for lambdas in drawn_rank_two_lambdas(config)])
         want = np.stack([rows.mean(axis=1) for rows in table]).argmax(axis=0)
-        winners, rows = rank_two_tournament(config, smat)
+        policy = rank_two_tournament(config, smat)
+        winners, rows = policy[1], policy_rows(config, "quantized-rank2-best", policy, smat)
         assert winners.tolist() == want.tolist()
         assert np.array_equal(rows, table[want, np.arange(len(want))])
         distinct = len(set(winners.tolist()))
@@ -575,7 +621,10 @@ class TestRankTwoTournament:
 
 
 def exhaustive_rank_one(config, smat):
-    """best_rank_one_codebook without the Jensen skip: every candidate scored at every point."""
+    """best_rank_one_codebook without the Jensen skip: every candidate scored at every point.
+
+    Returns its policy and the winner's rows, made by select_mi.
+    """
     nt = config.model.nt
     k, evaluator, rhos = config.k, MiEvaluator(config.constellation), simengine._rhos(config)
     budget = nt * config.nc / k
@@ -590,18 +639,22 @@ def exhaustive_rank_one(config, smat):
         score = float(means.sum())
         if best is None or score > best[0]:
             best = (score, lambdas)
-    return best[1], codebook_block_mi(config, smat, best[1])
+    return (best[1][None], np.zeros(rhos.size, dtype=int)), codebook_rows(config, smat, best[1])
 
 
 def exhaustive_tournament(config, smat):
-    """rank_two_tournament without the Jensen skip: every codebook scored at every point."""
+    """rank_two_tournament without the Jensen skip: every codebook scored at every point.
+
+    Returns its policy and its rows, each point's row copied from the winner's scoring buffer.
+    """
     nt = config.model.nt
     k, evaluator, rhos = config.k, MiEvaluator(config.constellation), simengine._rhos(config)
     winners = np.zeros(rhos.size, dtype=int)
     best = np.empty(rhos.size)
     rows = np.empty((rhos.size, smat.shape[0]))
     buf = np.empty(smat.shape[0])
-    for idx, lambdas in enumerate(drawn_rank_two_lambdas(config)):
+    lamsets = drawn_rank_two_lambdas(config)
+    for idx, lambdas in enumerate(lamsets):
         traces = codeword_max(smat, lambdas)
         for point, rho in enumerate(rhos):
             score = trace_mi(traces, rho, k, nt, evaluator, out=buf).mean()
@@ -609,16 +662,17 @@ def exhaustive_tournament(config, smat):
                 rows[point] = buf
                 best[point] = score
                 winners[point] = idx
-    return winners, rows
+    return (lamsets, winners), rows
 
 
 def assert_searches_match_exhaustive(config, smat):
-    """Both codebook searches return the exhaustive loops' winners and rows, bit for bit."""
-    for search, reference in ((best_rank_one_codebook, exhaustive_rank_one),
-                              (rank_two_tournament, exhaustive_tournament)):
-        got, want = search(config, smat), reference(config, smat)
+    """Both codebook searches fit the exhaustive loops' policies, whose scores are their rows, bit for bit."""
+    for label, search, reference in (("quantized-rank1-best", best_rank_one_codebook, exhaustive_rank_one),
+                                     ("quantized-rank2-best", rank_two_tournament, exhaustive_tournament)):
+        got, (want, want_rows) = search(config, smat), reference(config, smat)
         assert got[0].tobytes() == want[0].tobytes()
         assert got[1].tobytes() == want[1].tobytes()
+        assert policy_rows(config, label, got, smat).tobytes() == want_rows.tobytes()
 
 
 class TestJensenSkip:
@@ -775,7 +829,7 @@ class TestNoStaleReceivedPowers:
         for _ in range(200):
             cb = QuantizedCodebook(b=2, n1=4, n2=1, unitaries=haar_unitaries(4, 4, rng),
                                    lambdas=[4.0 * np.eye(4)[0]], k=4, nc=4, nt=4)
-            rows = codebook_block_mi(config, s_matrix(h, cb.unitaries), cb.lambdas)
+            rows = codebook_rows(config, s_matrix(h, cb.unitaries), cb.lambdas)
             # definition: max over codewords of K * I(rho/Nt * Tr(H Q H^H))
             covs = np.stack([(u * lam) @ u.conj().T for u in cb.unitaries for lam in cb.lambdas])
             traces = np.einsum("nab,cbd,nad->nc", h, covs, h.conj()).real
@@ -830,9 +884,9 @@ class TestAvgReceivedSnr:
     def test_mean_bounded_by_lambda_max(self):
         config = make_config(model=v4_model(), trials=200, snr=(0.0, 10.0))
         h, _ = draw_trials(config.model, config.trials, config.seed)
-        lambdas, _ = best_rank_one_codebook(config, run_smat(config, h))
+        codebooks, _ = best_rank_one_codebook(config, run_smat(config, h))
         cb = QuantizedCodebook(b=config.b, n1=config.n1, n2=config.n2, unitaries=default_unitaries(config),
-                               lambdas=lambdas, k=config.k, nc=config.nc, nt=4)
+                               lambdas=codebooks[0], k=config.k, nc=config.nc, nt=4)
         for snr in config.snr_grid_db:
             rho = 10.0 ** (snr / 10.0)
             scale = rho * config.nc / config.k

@@ -5,6 +5,8 @@ from pathlib import Path
 
 import pytest
 
+from ldfeedback.simengine import SCHEMES
+
 SRC = Path(__file__).resolve().parent.parent / "src" / "ldfeedback"
 # bench/tests/test_bench.py asserts that the span tracer patches these
 # call-site bindings, so they stay bound although their modules never call them
@@ -132,3 +134,42 @@ def test_one_stream_table():
     # verify._streams, so every stream number is in verify.STREAM_SLOTS
     sources = {"verify": (SRC / "verify.py").read_text()}
     assert name_reads(sources, "Rng") == name_reads(sources, "trial_windows") == [("verify", "_streams")]
+
+
+def top_level_owners(tree):
+    """(owner, node) of each top-level statement of tree: a definition's name, a method's
+    Class.method, or "<module>"."""
+    for stmt in tree.body:
+        if isinstance(stmt, ast.ClassDef):
+            for sub in stmt.body:
+                yield (f"{stmt.name}.{sub.name}" if isinstance(sub, ast.FunctionDef) else stmt.name), sub
+        else:
+            yield (stmt.name if isinstance(stmt, ast.FunctionDef) else "<module>"), stmt
+
+
+def string_sites(sources, values):
+    """Sorted (module, owner) of every string constant in {module: source} equal to one of values."""
+    return sorted({
+        (module, owner) for module, source in sources.items() for owner, node in top_level_owners(ast.parse(source))
+        if any(isinstance(sub, ast.Constant) and isinstance(sub.value, str) and sub.value in values
+               for sub in ast.walk(node))
+    })
+
+
+def test_string_sites_are_found():
+    source = ('LABELS = ("a", "b")\n\nclass Config:\n    size = "a"\n\n    def validate(self):\n'
+              '        return "b" in self.x\n\n    def other(self):\n        return "ab"\n\n'
+              'def run(s):\n    return f"{s} a" if s == "b" else None\n\ndef free():\n    return "a b"\n')
+    assert string_sites({"m": source}, ("a", "b")) == [
+        ("m", "<module>"), ("m", "Config"), ("m", "Config.validate"), ("m", "run")]
+
+
+def test_one_scheme_dispatch():
+    # a scheme label is dispatched by simengine.scheme_table alone, and
+    # SimConfig.validate checks what the configured schemes need; the
+    # "statistical" of cli.build_parser (construct --kind) and of
+    # verify.suite_goc names a dispersion set, not a scheme
+    assert string_sites(src_sources(), SCHEMES) == [
+        ("cli", "build_parser"), ("simengine", "SimConfig.validate"), ("simengine", "scheme_table"),
+        ("verify", "suite_goc"),
+    ]
