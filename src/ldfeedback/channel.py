@@ -98,8 +98,14 @@ def from_normals(model, z):
     CN(0, vmask) entries (zero-variance entries come out exactly zero) and
     h = Ur @ hind @ Ut^H; with identity eigenbases h is hind itself. z may
     be a view, such as a (2, n, Nr, Nt) block with its first two axes swapped.
+
+    hind is built in one complex buffer, i z[:, 1] plus z[:, 0] then times the
+    scale: complex addition is commutative in IEEE arithmetic, so these are
+    the bits of the one-expression form without its two complex temporaries.
     """
-    hind = (z[:, 0] + 1j * z[:, 1]) * np.sqrt(model.vmask / 2.0)
+    hind = 1j * z[:, 1]
+    hind += z[:, 0]
+    hind *= np.sqrt(model.vmask / 2.0)
     if model.identity_bases:
         return hind, hind
     return model.ur @ hind @ model.ut.conj().T, hind

@@ -194,6 +194,11 @@ def render_svg(rows, xmin=None, xmax=None, ymin=None, ymax=None):
     x1 = max(xs) if xmax is None else xmax
     y0 = min(ys) if ymin is None else ymin
     y1 = max(ys) if ymax is None else ymax
+    # one y bound beyond the data would leave no point on the plot, or be dropped by the fallback below
+    if ymin is not None and ymax is None and ymin >= y1:
+        raise ConfigError(f"--ymin {ymin:g} must be below the largest y value {y1:g}")
+    if ymax is not None and ymin is None and ymax <= y0:
+        raise ConfigError(f"--ymax {ymax:g} must be above the smallest y value {y0:g}")
     if x1 <= x0:
         x1 = x0 + 1.0
     if y1 <= y0:

@@ -14,7 +14,10 @@ results are bit-identical whatever the window size.
 
 scheme_table is the one dispatch on scheme labels. Each scheme has a keep
 rule, a fit and a score; run fits every scheme on the trials and scores it
-on the same trials. The fitted policies:
+on the same trials, one SNR point at a time: the score makes one point's
+(trials,) block MI, which is reduced to its CurvePoint before the next is
+made. So besides the kept values run holds one window and one such row,
+never an (n_snr, trials) block. The fitted policies:
 - perfect: none;
 - statistical: the optimizer's power diagonal at each SNR point, and
   statistical-beamforming: the full-budget single mode at each point, both
@@ -37,8 +40,7 @@ from .channel import column_powers, from_normals, top_eigenvalues
 # these call-site bindings, so the names stay bound in this module
 from .channel import sample  # noqa: F401
 from .matkit import hermitian_eig  # noqa: F401
-from .codebook import (check_rank_two, check_split, codeword_max, random_rank_two_lambdas, s_matrix, select_mi,
-                       trace_mi)
+from .codebook import check_rank_two, check_split, codeword_max, random_rank_two_lambdas, s_matrix, trace_mi
 from .dispersion import check_symbols
 from .errors import PreconditionError
 from .infotheory import LN2, MiEvaluator, perfect_csi_mi
@@ -186,9 +188,18 @@ def project_scaled_simplex(v, total):
 
 
 def draw_ind_column_powers(model, samples, rng):
-    """Squared column norms of `samples` draws of Hind, shape (samples, Nt): the optimizer's inputs."""
-    z = rng.gen.standard_normal((2, samples, model.nr, model.nt))
-    return column_powers(from_normals(model, z.swapaxes(0, 1))[1])
+    """Squared column norms of `samples` draws of Hind, shape (samples, Nt): the optimizer's inputs.
+
+    The normals are one (2, samples, Nr, Nt) draw; from_normals and
+    column_powers map them TRIAL_WINDOW samples at a time, each sample on
+    its own, so the values are those of mapping the whole draw at once
+    without its (samples, Nr, Nt) complex temporaries.
+    """
+    z = rng.gen.standard_normal((2, samples, model.nr, model.nt)).swapaxes(0, 1)
+    cols = np.empty((samples, model.nt))
+    for lo in range(0, samples, TRIAL_WINDOW):
+        cols[lo:lo + TRIAL_WINDOW] = column_powers(from_normals(model, z[lo:lo + TRIAL_WINDOW])[1])
+    return cols
 
 
 def _sample_mean_mi(cols, lam, rho, nt, evaluator):
@@ -289,43 +300,40 @@ def _fit_single_mode(config, kept):
 
 
 def _score_perfect(config, policy, lam_max):
-    """perfect_csi_mi of the K = 2*Nc benchmark at each SNR point."""
+    """(point, row) pairs: perfect_csi_mi of the K = 2*Nc benchmark at each SNR point."""
     evaluator = MiEvaluator(config.constellation)
-    return np.stack([perfect_csi_mi(lam_max, rho, 2 * config.nc, config.nc, evaluator) for rho in _rhos(config)])
+    for point, rho in enumerate(_rhos(config)):
+        yield point, perfect_csi_mi(lam_max, rho, 2 * config.nc, config.nc, evaluator)
 
 
 def _score_diagonals(config, diags, ind_col_power):
-    """K * I(rho/Nt * ind_col_power @ lambda) with each SNR point's power diagonal lambda."""
+    """(point, row) pairs: K * I(rho/Nt * ind_col_power @ lambda) with each SNR point's power diagonal lambda."""
     nt, k, evaluator = config.model.nt, config.k, MiEvaluator(config.constellation)
-    return np.stack([k * evaluator.mi(rho / nt * (ind_col_power @ lam)) for rho, lam in zip(_rhos(config), diags)])
+    for point, (rho, lam) in enumerate(zip(_rhos(config), diags)):
+        yield point, k * evaluator.mi(rho / nt * (ind_col_power @ lam))
 
 
 def _score_codebooks(config, policy, smat):
-    """codebook.select_mi of each SNR point's winning codebook, with config.k.
+    """(point, row) pairs: codebook.select_mi of each SNR point's winning codebook, with config.k.
 
-    Each distinct winner is scored once, over the points it wins.
+    Each distinct winner's codeword_max traces are computed once, and
+    trace_mi scores them at each point the winner wins: select_mi's values,
+    one point at a time.
     """
     codebooks, winners = policy
     rhos, k, nt, evaluator = _rhos(config), config.k, config.model.nt, MiEvaluator(config.constellation)
-    if (winners == winners[0]).all():
-        return select_mi(smat, codebooks[winners[0]], rhos, k, nt, evaluator)
-    rows = np.empty((rhos.size, len(smat)))
-    # a set, not np.unique, which imports numpy.ma on first use: 1.1 MB of a process's peak RSS
-    for winner in set(winners.tolist()):
-        points = winners == winner
-        rows[points] = select_mi(smat, codebooks[winner], rhos[points], k, nt, evaluator)
-    return rows
+    # dict.fromkeys, not np.unique, which imports numpy.ma on first use: 1.1 MB of a process's peak RSS
+    for winner in dict.fromkeys(winners.tolist()):
+        traces = codeword_max(smat, codebooks[winner])
+        for point in np.flatnonzero(winners == winner):
+            yield int(point), trace_mi(traces, rhos[point], k, nt, evaluator)
 
 
-def _curve_points(config, label, block_mi_rows):
-    n = block_mi_rows.shape[1]
-    points = []
-    for idx, snr in enumerate(config.snr_grid_db):
-        bits = block_mi_rows[idx] / (config.nc * LN2)
-        stderr = float(bits.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
-        points.append(CurvePoint(snr_db=float(snr), scheme=label, mi_bits_per_use=float(bits.mean()),
-                                 stderr=stderr, trials=n))
-    return points
+def _curve_point(snr_db, label, bits):
+    """The CurvePoint of per-trial MI values in bits per channel use: their mean and its standard error."""
+    n = bits.size
+    stderr = float(bits.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
+    return CurvePoint(snr_db=float(snr_db), scheme=label, mi_bits_per_use=float(bits.mean()), stderr=stderr, trials=n)
 
 
 def run(config):
@@ -337,8 +345,8 @@ def run(config):
     trial_windows one TRIAL_WINDOW at a time, and run keeps of each window
     only what the configured schemes' keep rules read, each once, in
     whole-run arrays. So the channels of one window are alive at a time,
-    never the whole run's. Each scheme's (n_snr, trials) rows are dropped
-    once its curve points are made.
+    never the whole run's, and each scheme is scored one SNR point at a
+    time, one (trials,) row alive at a time, never an (n_snr, trials) block.
     """
     config.validate()
     table = scheme_table()
@@ -351,8 +359,7 @@ def run(config):
                 kept[keep] = np.empty((config.trials,) + values.shape[1:])
             kept[keep][lo:lo + len(h)] = values
         del h, hind
-    curves = [p for s in config.schemes
-              for p in _curve_points(config, s, scheme_block_mi(config, s, kept[table[s].keep]))]
+    curves = [p for s in config.schemes for p in scheme_block_mi(config, s, kept[table[s].keep])]
     return sorted(curves, key=lambda p: (p.scheme, p.snr_db))
 
 
@@ -448,7 +455,9 @@ def rank_two_tournament(config, smat):
 
 # One scheme's row of scheme_table. keep(config) is the function of a window's (h, hind) whose
 # values run keeps for the scheme, fit(config, kept) the scheme's policy fitted on the whole run's
-# kept values, and score(config, policy, kept) the policy's per-trial block MI in nats, (n_snr, trials).
+# kept values, and score(config, policy, kept) an iterator of (point, row) pairs, row the policy's
+# per-trial block MI in nats at SNR point index point, shape (trials,), one pair per point. A
+# row is made when its pair is drawn, so a consumer that drops each row holds one at a time.
 SchemeRule = namedtuple("SchemeRule", "keep fit score")
 
 
@@ -476,14 +485,22 @@ SCHEMES = tuple(scheme_table())
 
 
 def scheme_block_mi(config, scheme, kept):
-    """Per-trial block MI in nats of scheme, fitted on kept and scored on it, shape (n_snr, trials).
+    """scheme's CurvePoints in grid order: its block MI fitted on kept and scored on it, point by point.
 
     kept is the whole run's values of the scheme's keep rule in
     scheme_table: channel.top_eigenvalues of the trials' channels for
     perfect, channel.column_powers of their Hind for the statistical
     schemes, and s_matrix(h, default_unitaries(config)) for the codebook
     searches. perfect uses the K = 2*Nc benchmark, every other scheme
-    config.k.
+    config.k. Each (trials,) row of the score, in nats per block, is turned
+    into bits per channel use in place and reduced to its CurvePoint before
+    the next row is made.
     """
     rule = scheme_table()[scheme]
-    return rule.score(config, rule.fit(config, kept), kept)
+    points = [None] * len(config.snr_grid_db)
+    for point, block_mi in rule.score(config, rule.fit(config, kept), kept):
+        block_mi /= config.nc * LN2
+        points[point] = _curve_point(config.snr_grid_db[point], scheme, block_mi)
+        # drop the row before the score makes the next one
+        del block_mi
+    return points

@@ -20,13 +20,14 @@ from ldfeedback.infotheory import LN2, Constellation, MiEvaluator, block_mi
 from ldfeedback.matkit import Rng, hermitian_eig
 from ldfeedback.simengine import (
     SimConfig,
-    _curve_points,
+    _curve_point,
     draw_ind_column_powers,
     draw_trials,
     default_unitaries,
     optimize_lambda,
     run,
     scheme_block_mi,
+    scheme_table,
 )
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -59,6 +60,15 @@ def _experiment(name):
     )
 
 
+def _block_rows(config, scheme, kept):
+    """scheme's per-trial block MI in nats, (n_snr, trials): its scheme_table fit, then its score's rows."""
+    rule = scheme_table()[scheme]
+    rows = np.empty((len(config.snr_grid_db), len(kept)))
+    for point, row in rule.score(config, rule.fit(config, kept), kept):
+        rows[point] = row
+    return rows
+
+
 @pytest.fixture(scope="session")
 def experiments():
     """Rank-one vs rank-two tournaments for all channels and both B = 2 splits."""
@@ -66,16 +76,16 @@ def experiments():
     for name in ("iid2x2", "iid4x4", "v4"):
         config = _experiment(name)
         h, hind = draw_trials(config.model, config.trials, config.seed)
-        perfect = scheme_block_mi(config, "perfect", top_eigenvalues(h))
+        perfect = _block_rows(config, "perfect", top_eigenvalues(h))
         entry = {"config": config, "ind_col_power": column_powers(hind), "perfect": perfect, "splits": {}}
         for n1, n2 in ((4, 1), (2, 2)):
             split = replace(config, b=2, n1=n1, n2=n2, rank_two_sets=50)
             smat = s_matrix(h, default_unitaries(split))
-            rank1_rows = scheme_block_mi(split, "quantized-rank1-best", smat)
-            rank2_rows = scheme_block_mi(split, "quantized-rank2-best", smat)
+            rank1_rows = _block_rows(split, "quantized-rank1-best", smat)
             entry["splits"][(n1, n2)] = {
-                "rank1": _curve_points(split, "quantized-rank1-best", rank1_rows),
-                "rank2": _curve_points(split, "quantized-rank2-best", rank2_rows),
+                "rank1": [_curve_point(snr, "quantized-rank1-best", row / (split.nc * LN2))
+                          for snr, row in zip(split.snr_grid_db, rank1_rows)],
+                "rank2": scheme_block_mi(split, "quantized-rank2-best", smat),
                 "rank1_rows": rank1_rows,
             }
         out[name] = entry
@@ -86,7 +96,7 @@ def experiments():
 def envelope_2x2(experiments):
     """Statistical lower bound for the 2x2 i.i.d. experiment."""
     config = _experiment("iid2x2")
-    return scheme_block_mi(config, "statistical", experiments["iid2x2"]["ind_col_power"])
+    return _block_rows(config, "statistical", experiments["iid2x2"]["ind_col_power"])
 
 
 def test_criterion_01_perfect_csi_closed_form():

@@ -508,6 +508,12 @@ class TestPlot:
                 coords = line.split('points="')[1].split('"')[0]
                 assert len(coords.split()) == 1
 
+    @pytest.mark.parametrize("flags", [["--ymin", "2.9"], ["--ymax", "0.6"], ["--ymin", "-1"], ["--ymax", "9"]],
+                             ids=["ymin-inside", "ymax-inside", "ymin-below", "ymax-above"])
+    def test_single_y_bound_that_keeps_data(self, tmp_path, flags):
+        csv = write(tmp_path, "c.csv", self.CSV)
+        assert cli.main(["plot", csv, "-o", str(tmp_path / "y.svg"), *flags]) == 0
+
     def test_malformed_csv_exit_2(self, tmp_path, capsys):
         csv = write(tmp_path, "bad.csv", "wrong,header\n1,2\n")
         assert cli.main(["plot", csv, "-o", str(tmp_path / "x.svg")]) == 2
@@ -523,8 +529,14 @@ class TestPlot:
         (CSV, ["--ymin", "5", "--ymax", "1"], "--ymin 5 must be below --ymax 1"),
         (CSV, ["--ymin", "2", "--ymax", "2"], "--ymin 2 must be below --ymax 2"),
         (CSV, ["--xmin", "2", "--xmax", "0"], "--xmin 2 must be below --xmax 0"),
+        (CSV, ["--ymin", "5"], "--ymin 5 must be below the largest y value 3"),
+        (CSV, ["--ymin", "3"], "--ymin 3 must be below the largest y value 3"),
+        (CSV, ["--ymax=-3"], "--ymax -3 must be above the smallest y value 0.5"),
+        (CSV, ["--ymax", "0.5"], "--ymax 0.5 must be above the smallest y value 0.5"),
+        (CSV, ["--xmax", "5", "--ymin", "1"], "--ymin 1 must be below the largest y value 1"),
     ], ids=["mi-nan", "snr-inf", "stderr-minus-inf", "ymin-nan", "xmax-inf", "xmin-minus-inf", "ymax-nan",
-            "y-inverted", "y-empty", "x-inverted"])
+            "y-inverted", "y-empty", "x-inverted", "ymin-above-data", "ymin-at-data-max", "ymax-below-data",
+            "ymax-at-data-min", "ymin-above-zoomed-data"])
     def test_non_finite_exit_2(self, tmp_path, capsys, csv_text, flags, message):
         csv = write(tmp_path, "c.csv", csv_text)
         out = tmp_path / "x.svg"

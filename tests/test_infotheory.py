@@ -15,6 +15,7 @@ from ldfeedback.dispersion import rank_one_set
 from ldfeedback.errors import InfeasibleError, PreconditionError
 from ldfeedback import infotheory
 from ldfeedback.infotheory import (
+    LN2,
     NOISE_ENTROPY,
     Constellation,
     MiEvaluator,
@@ -26,7 +27,7 @@ from ldfeedback.matkit import Rng, hermitian_eig
 from ldfeedback.simengine import (
     STREAM_TOURNAMENT,
     SimConfig,
-    _curve_points,
+    _curve_point,
     _rhos,
     default_unitaries,
     draw_trials,
@@ -479,13 +480,14 @@ class TestTable:
             h, _ = draw_trials(config.model, config.trials, config.seed)
             smat = s_matrix(h, default_unitaries(config))
             label = "quantized-rank2-best"
-            best = _curve_points(config, label, scheme_block_mi(config, label, smat))
+            best = scheme_block_mi(config, label, smat)
             lamsets = random_rank_two_lambdas(config.rank_two_sets, config.n2, 2, 2, 2,
                                               Rng(config.seed, STREAM_TOURNAMENT))
-            every = [p for idx, lambdas in enumerate(lamsets)
-                     for p in _curve_points(config, f"quantized-rank2-{idx:02d}",
-                                            select_mi(smat, lambdas, _rhos(config), config.k, 2,
-                                                      MiEvaluator(config.constellation)))]
+            every = [_curve_point(snr, f"quantized-rank2-{idx:02d}", row / (config.nc * LN2))
+                     for idx, lambdas in enumerate(lamsets)
+                     for snr, row in zip(config.snr_grid_db,
+                                         select_mi(smat, lambdas, _rhos(config), config.k, 2,
+                                                   MiEvaluator(config.constellation)))]
             return run(config) + best + every
 
         tabled = points()

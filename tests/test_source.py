@@ -104,9 +104,12 @@ def test_window_reads_are_found():
 
 
 def test_one_window_loop():
-    # the trial window is read by trial_windows alone: a second loop over TRIAL_WINDOW
-    # windows would have to keep its own copy of the per-trial substream contract
-    assert name_reads(src_sources(), "TRIAL_WINDOW") == [("simengine", "trial_windows")]
+    # the trial window is read by trial_windows, the one loop that draws channels window by
+    # window, and by draw_ind_column_powers, which draws its normals at once and only maps
+    # them window by window: a second loop drawing TRIAL_WINDOW windows would have to keep
+    # its own copy of the per-trial substream contract
+    assert name_reads(src_sources(), "TRIAL_WINDOW") == [
+        ("simengine", "draw_ind_column_powers"), ("simengine", "trial_windows")]
 
 
 def test_draw_reads_are_found():

@@ -6,9 +6,10 @@ PASSes without it. goc's control is `verify goc --mutate`, tested with the CLI.
 
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
-from ldfeedback import codebook, verify
+from ldfeedback import codebook, infotheory, verify
 from ldfeedback.infotheory import Constellation, MiEvaluator
 from ldfeedback.matkit import hermitian_eig
 
@@ -43,14 +44,30 @@ def gaps_swapped(monkeypatch):
     monkeypatch.setattr(codebook, "delta_snr", lambda *args: delta_mi(*args, evaluator))
 
 
+def convex_gaussian_kernel(monkeypatch):
+    # I(a) = a^2 with its derivative 2a as the MMSE: the pair is self-consistent,
+    # so the derivative check still PASSes, but I is convex instead of concave
+    def mi(a, out=None):
+        return np.multiply(a, a, out=out)
+
+    monkeypatch.setattr(infotheory, "_gaussian_mi", mi)
+    monkeypatch.setattr(infotheory, "_gaussian_mmse", lambda a: 2.0 * a)
+
+
 @pytest.mark.parametrize("suite, fault, failing", [
     ("thm2", second_eigenvalue_first, ["upper-bound", "achievability"]),
     ("thm4", reference_without_last_mode, ["rank-one-strongly-optimal"]),
     ("lemma1", gaps_swapped, ["mi-gap-below-snr-gap"]),
-], ids=["thm2-second-eigenvalue", "thm4-dropped-mode", "lemma1-swapped-gaps"])
+    ("thm3", convex_gaussian_kernel, ["monotone-in-k-gaussian"]),
+    ("eq10", convex_gaussian_kernel, ["chord-below-mi"]),
+    ("immse", convex_gaussian_kernel, ["concavity-gaussian"]),
+], ids=["thm2-second-eigenvalue", "thm4-dropped-mode", "lemma1-swapped-gaps", "thm3-convex-kernel",
+        "eq10-convex-kernel", "immse-convex-kernel"])
 def test_named_fault_fails(monkeypatch, suite, fault, failing):
     # measured at the default seed: thm2 FAILs at +2.380 (upper-bound) and
-    # +3.411 (achievability), thm4 at +0.1955 and lemma1 at +250.3
+    # +3.411 (achievability), thm4 at +0.1955 and lemma1 at +250.3; under the
+    # convex kernel thm3 FAILs at +3.265e+05, eq10 at -1.000e+04 and immse at
+    # +5.000e+03
     assert all(r.passed for r in verify.SUITES[suite]())
     fault(monkeypatch)
     results = verify.SUITES[suite]()
