@@ -183,25 +183,9 @@ def codeword_max(smat, lambdas):
     return best
 
 
-def trace_mi(traces, rho, k, nt, evaluator, out=None):
-    """K * I(max(t, 0) * rho/Nt) of codeword traces t, elementwise.
-
-    rho is a scalar or a 1-D array of SNR points; an array puts a leading
-    SNR axis on the values. Given out, an array of the values' shape, each
-    step is computed in it, in the one-expression form's left-to-right
-    order, so the values equal that form bit for bit, and out is returned.
-    """
-    rho = np.asarray(rho, dtype=float)
-    if rho.ndim > 1:
-        raise PreconditionError(f"rho must be a scalar or a 1-D array, got shape {rho.shape}")
-    rho = rho.reshape(rho.shape + (1,) * traces.ndim)
-    if out is None:
-        out = np.empty(np.broadcast_shapes(rho.shape, traces.shape))
-    np.maximum(traces, 0.0, out=out)
-    np.multiply(out, rho, out=out)
-    np.divide(out, nt, out=out)
-    evaluator.mi(out, out=out)
-    return np.multiply(k, out, out=out)
+def trace_mi(traces, rho, k, nt, evaluator):
+    """K * I(max(t, 0) * rho/Nt) of codeword traces t at one SNR point rho, elementwise."""
+    return k * evaluator.mi(np.maximum(traces, 0.0) * rho / nt)
 
 
 def select_mi(smat, lambdas, rho, k, nt, evaluator):
@@ -210,8 +194,8 @@ def select_mi(smat, lambdas, rho, k, nt, evaluator):
     smat (..., N1, Nt) comes from s_matrix and lambdas (..., N2, Nt) holds
     the power diagonals; leading axes broadcast, so a codebook shared by all
     trials passes its (N2, Nt) lambdas. Tr(H Q^{i,j} H^H) is
-    sum_m s[i, m] * lambda_j[m]. rho is as in trace_mi: the values are
-    returned over the SNR and leading axes.
+    sum_m s[i, m] * lambda_j[m]. rho is one SNR point; the values are
+    returned over the leading axes.
 
     I is strictly increasing and t -> max(t, 0) * rho/Nt is non-decreasing
     for rho >= 0, so a codeword of largest trace maximizes K * I at every

@@ -89,11 +89,8 @@ def _quadrature_nodes(bound):
     return t[drop : t.size - drop], w[drop : t.size - drop]
 
 
-def _gaussian_mi(a, out=None):
-    """0.5 * ln(1 + 2a), each step computed in out when it is given."""
-    out = np.multiply(2.0, a, out=out)
-    np.log1p(out, out=out)
-    return np.multiply(0.5, out, out=out)
+def _gaussian_mi(a):
+    return 0.5 * np.log1p(2.0 * a)
 
 
 def _gaussian_mmse(a):
@@ -223,45 +220,30 @@ class MiEvaluator:
     def __init__(self, constellation):
         self.constellation = constellation
 
-    def mi(self, a, out=None):
-        """I(a) in nats: closed form for Gaussian input, the alphabet's table otherwise.
-
-        Given out, an array of a's shape (it may be a itself), the values are
-        written to it and out is returned. The Gaussian closed form is then
-        computed in out; the table's values are copied into it.
-        """
-        return self._apply(a, _gaussian_mi, lambda x: self._table().mi(x), out)
+    def mi(self, a):
+        """I(a) in nats: closed form for Gaussian input, the alphabet's table otherwise."""
+        return self._apply(a, _gaussian_mi, lambda x: self._table().mi(x))
 
     def mmse(self, a):
         """mmse(a) = dI/da: closed form for Gaussian input, the table's derivative otherwise."""
         return self._apply(a, _gaussian_mmse, lambda x: self._table().mmse(x))
 
-    def reference_mi(self, a, out=None):
-        """I(a) without the table: for a discrete alphabet, the quadrature the table is built from.
-
-        out is as in mi, so either method can stand in for the other.
-        """
-        return self._apply(a, _gaussian_mi, lambda x: self._quadrature(x)[0], out)
+    def reference_mi(self, a):
+        """I(a) without the table: for a discrete alphabet, the quadrature the table is built from."""
+        return self._apply(a, _gaussian_mi, lambda x: self._quadrature(x)[0])
 
     def reference_mmse(self, a):
         """mmse(a) without the table, as reference_mi."""
         return self._apply(a, _gaussian_mmse, lambda x: self._quadrature(x)[1])
 
-    def _apply(self, a, gaussian, discrete, out=None):
+    def _apply(self, a, gaussian, discrete):
         arr = np.asarray(a, dtype=float)
         # min and max propagate NaN, so these two passes reject NaN, inf and negative arguments
         if arr.size and not (arr.min() >= 0.0 and arr.max() < math.inf):
             raise PreconditionError("mi/mmse need finite arguments a >= 0")
-        if out is not None and out.shape != arr.shape:
-            raise PreconditionError(f"out has shape {out.shape}, the argument {arr.shape}")
-        if self.constellation.kind == "gaussian" and out is not None:
-            return gaussian(arr, out)
         flat = arr.reshape(-1)
         values = gaussian(flat) if self.constellation.kind == "gaussian" else discrete(flat)
-        if out is None:
-            return float(values[0]) if arr.ndim == 0 else values.reshape(arr.shape)
-        out[...] = values.reshape(arr.shape)
-        return out
+        return float(values[0]) if arr.ndim == 0 else values.reshape(arr.shape)
 
     def _table(self):
         """The alphabet's interpolation table, built from the quadrature on first use."""

@@ -368,21 +368,21 @@ def default_unitaries(config):
     return haar_unitaries(config.n1, config.model.nt, Rng(config.seed, STREAM_CODEBOOK))
 
 
-def _jensen_bounds(traces, rhos, k, nt, evaluator, buf):
+def _jensen_bounds(traces, rhos, k, nt, evaluator):
     """Upper bounds on the trial mean of trace_mi(traces, rho, k, nt, evaluator), shape (n_snr,).
 
     rank_two_tournament skips the points they rule out. I is concave, so by
     Jensen's inequality the mean of K * I(rho/Nt * max(t, 0)) over the
     trials is at most K * I(rho/Nt * mean(max(t, 0))), the concavity behind
-    Proposition 2 and eq. 10. The clipped mean is taken in buf, a (trials,)
-    array, and the bounds are one kernel call over the SNR points. The
-    Gaussian closed form rounds each side within a few ulps, far inside
-    JENSEN_MARGIN; a discrete alphabet's table is not certified concave in
-    floating point, so its bounds are +inf and no point is skipped.
+    Proposition 2 and eq. 10. The clipped traces are averaged once, and the
+    bounds are one kernel call over the SNR points. The Gaussian closed
+    form rounds each side within a few ulps, far inside JENSEN_MARGIN; a
+    discrete alphabet's table is not certified concave in floating point,
+    so its bounds are +inf and no point is skipped.
     """
     if evaluator.constellation.kind != "gaussian":
         return np.full(rhos.size, np.inf)
-    clipped = np.maximum(traces, 0.0, out=buf).mean()
+    clipped = np.maximum(traces, 0.0).mean()
     return k * evaluator.mi(clipped * rhos / nt)
 
 
@@ -397,20 +397,19 @@ def best_rank_one_codebook(config, smat):
     (n_snr,) zeros that pick it at every point.
 
     Every candidate's codeword-max traces are computed once and scored at
-    every SNR point, one point at a time in one reused (trials,) buffer; its
-    score is the sum of the per-point means.
+    every SNR point, one point at a time; its score is the sum of the
+    per-point means.
     """
     nt = config.model.nt
     k, evaluator, rhos = config.k, MiEvaluator(config.constellation), _rhos(config)
     budget = nt * config.nc / k
     means = np.empty(rhos.size)
-    buf = np.empty(smat.shape[0])
     best = None
     for modes in itertools.combinations(range(nt), config.n2):
         lambdas = budget * np.eye(nt)[list(modes)]
         traces = codeword_max(smat, lambdas)
         for idx, rho in enumerate(rhos):
-            means[idx] = trace_mi(traces, rho, k, nt, evaluator, out=buf).mean()
+            means[idx] = trace_mi(traces, rho, k, nt, evaluator).mean()
         score = float(means.sum())
         if best is None or score > best[0]:
             best = (score, lambdas)
@@ -428,10 +427,11 @@ def rank_two_tournament(config, smat):
     to the first codebook.
 
     Each codebook's codeword-max traces are computed once and scored one
-    SNR point at a time in one reused (trials,) buffer. A point where the
-    codebook's Jensen bound (_jensen_bounds) is below the best score by more
-    than JENSEN_MARGIN cannot be won and is not scored. So the tournament
-    holds one (trials,) buffer whatever config.rank_two_sets is.
+    SNR point at a time, each point's (trials,) row dropped once its mean is
+    taken. A point where the codebook's Jensen bound (_jensen_bounds) is
+    below the best score by more than JENSEN_MARGIN cannot be won and is not
+    scored. So the tournament's memory does not grow with
+    config.rank_two_sets.
     """
     nt = config.model.nt
     k, evaluator, rhos = config.k, MiEvaluator(config.constellation), _rhos(config)
@@ -439,14 +439,13 @@ def rank_two_tournament(config, smat):
                                       Rng(config.seed, STREAM_TOURNAMENT))
     winners = np.zeros(rhos.size, dtype=int)
     best = np.empty(rhos.size)
-    buf = np.empty(smat.shape[0])
     for idx, lambdas in enumerate(lamsets):
         traces = codeword_max(smat, lambdas)
-        bounds = _jensen_bounds(traces, rhos, k, nt, evaluator, buf)
+        bounds = _jensen_bounds(traces, rhos, k, nt, evaluator)
         for point, rho in enumerate(rhos):
             if idx and bounds[point] < best[point] * (1.0 - JENSEN_MARGIN):
                 continue
-            score = trace_mi(traces, rho, k, nt, evaluator, out=buf).mean()
+            score = trace_mi(traces, rho, k, nt, evaluator).mean()
             if idx == 0 or score > best[point]:
                 best[point] = score
                 winners[point] = idx

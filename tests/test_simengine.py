@@ -76,9 +76,10 @@ def draw_inputs(config):
 
 
 def codebook_rows(config, smat, lambdas):
-    """One codebook's per-trial MI-rule block MI in nats, (n_snr, trials): select_mi with config.k."""
-    return select_mi(smat, lambdas, simengine._rhos(config), config.k, config.model.nt,
-                     MiEvaluator(config.constellation))
+    """One codebook's per-trial MI-rule block MI in nats, (n_snr, trials): select_mi with config.k at each point."""
+    evaluator = MiEvaluator(config.constellation)
+    return np.stack([select_mi(smat, lambdas, rho, config.k, config.model.nt, evaluator)
+                     for rho in simengine._rhos(config)])
 
 
 def policy_rows(config, label, policy, kept):
@@ -571,40 +572,44 @@ class TestBestRankOne:
             assert all(lam.shape == (n2, nt) for lam in scored)
 
     def test_scores_each_candidate_once_per_point(self, monkeypatch):
-        # six candidates: one codeword max each, then one (trials,) buffer scored
-        # at every SNR point, also on V4, whose one strong mode puts most
-        # candidates' Jensen bounds far below the best score; the search makes
-        # no rows. Its policy's score takes the winner's codeword max once and
-        # makes one fresh (trials,) row per point, equal to scoring the winner
-        # alone, and the winner's score is the largest
-        maxima, buffers, scored = [], set(), []
+        # six candidates: one codeword max each, then scored at every SNR point,
+        # also on V4, whose one strong mode puts most candidates' Jensen bounds
+        # far below the best score; every scoring makes a fresh (trials,) row,
+        # sharing memory with neither the traces nor another row. Its policy's
+        # score takes the winner's codeword max once and makes one fresh row per
+        # point, equal to scoring the winner alone, and the winner's score is
+        # the largest
+        maxima, scored = [], []
 
         def recorded_max(smat, lambdas):
             maxima.append(lambdas)
             return codeword_max(smat, lambdas)
 
-        def recorded_mi(traces, rho, k, nt, evaluator, out=None):
+        def recorded_mi(traces, rho, k, nt, evaluator):
             assert np.ndim(rho) == 0 and traces.shape == (config.trials,)
-            assert out is None or out.shape == traces.shape
-            buffers.add(None if out is None else id(out))
-            scored.append(rho)
-            return trace_mi(traces, rho, k, nt, evaluator, out=out)
+            row = trace_mi(traces, rho, k, nt, evaluator)
+            assert row.shape == traces.shape and not np.shares_memory(row, traces)
+            scored.append(row)
+            return row
+
+        def fresh_rows():
+            return not any(np.shares_memory(a, b) for a, b in itertools.combinations(scored, 2))
 
         monkeypatch.setattr(simengine, "codeword_max", recorded_max)
         monkeypatch.setattr(simengine, "trace_mi", recorded_mi)
         for model in (iid_model(4, 4), v4_model()):
-            for recorder in (maxima, buffers, scored):
+            for recorder in (maxima, scored):
                 recorder.clear()
             config = replace(make_config(model=model, trials=200), n1=2, n2=2)
             smat = run_smat(config)
             codebooks, winners = best_rank_one_codebook(config, smat)
-            assert len(maxima) == 6 and len(buffers) == 1 and None not in buffers
-            assert len(scored) == math.comb(4, 2) * len(config.snr_grid_db)
-            for recorder in (maxima, buffers, scored):
+            assert len(maxima) == 6
+            assert len(scored) == math.comb(4, 2) * len(config.snr_grid_db) and fresh_rows()
+            for recorder in (maxima, scored):
                 recorder.clear()
             rows = policy_rows(config, "quantized-rank1-best", (codebooks, winners), smat)
             assert len(maxima) == 1 and np.array_equal(maxima[0], codebooks[0])
-            assert len(scored) == len(config.snr_grid_db) and buffers == {None}
+            assert len(scored) == len(config.snr_grid_db) and fresh_rows()
             assert np.array_equal(rows, codebook_rows(config, smat, codebooks[0]))
             assert max(
                 codebook_rows(config, smat, 4.0 * np.eye(4)[list(modes)]).mean(axis=1).sum()
@@ -614,10 +619,12 @@ class TestBestRankOne:
     def test_memory_peak_bounded(self):
         # Bound set before measuring: fit and score hold no (n_snr, trials)
         # block. The fit holds one candidate's (trials, N1, N2) einsum, its
-        # codeword max, the previous candidate's and one scoring buffer; the
-        # score the winner's codeword max, one point's row and std's deviation.
-        # So (N1*N2 + 4) (trials,) arrays bound the peak at 10 000 trials,
-        # whatever the number of SNR points
+        # codeword max and the previous candidate's; scoring a point holds the
+        # candidate's codeword max and the kernel's fresh (trials,) rows, three
+        # at a time, fewer than the einsum. The score holds the winner's
+        # codeword max, one point's row and std's deviation. So (N1*N2 + 4)
+        # (trials,) arrays bound the peak at 10 000 trials, whatever the number
+        # of SNR points
         config = replace(make_config(model=iid_model(4, 4), trials=10_000, snr=tuple(range(0, 21, 2))),
                          n1=2, n2=2)
         smat = run_smat(config)
@@ -666,11 +673,11 @@ class TestRankTwoTournament:
     def test_memory_peak_bounded(self):
         # Bound set before measuring: fit and score hold no (n_snr, trials)
         # block. Each codebook adds its (trials, N1, N2) einsum and its codeword
-        # max beside the previous one's, and is scored one point at a time in
-        # one reused (trials,) buffer; the score holds one winner's codeword max,
-        # one point's row and std's deviation. So (N1*N2 + 4) (trials,) arrays
-        # bound the peak at the benchmark's 10 000 trials, where fixed overheads
-        # are small.
+        # max beside the previous one's, and is scored one point at a time, each
+        # point's fresh (trials,) rows dropped before the next point's are made;
+        # the score holds one winner's codeword max, one point's row and std's
+        # deviation. So (N1*N2 + 4) (trials,) arrays bound the peak at the
+        # benchmark's 10 000 trials, where fixed overheads are small.
         config = replace(make_config(trials=10_000, snr=tuple(range(0, 21, 2))), rank_two_sets=10)
         smat = run_smat(config)
         scheme_block_mi(config, "quantized-rank2-best", smat)
@@ -740,13 +747,12 @@ def exhaustive_rank_one(config, smat):
     k, evaluator, rhos = config.k, MiEvaluator(config.constellation), simengine._rhos(config)
     budget = nt * config.nc / k
     means = np.empty(rhos.size)
-    buf = np.empty(smat.shape[0])
     best = None
     for modes in itertools.combinations(range(nt), config.n2):
         lambdas = budget * np.eye(nt)[list(modes)]
         traces = codeword_max(smat, lambdas)
         for idx, rho in enumerate(rhos):
-            means[idx] = trace_mi(traces, rho, k, nt, evaluator, out=buf).mean()
+            means[idx] = trace_mi(traces, rho, k, nt, evaluator).mean()
         score = float(means.sum())
         if best is None or score > best[0]:
             best = (score, lambdas)
@@ -756,21 +762,21 @@ def exhaustive_rank_one(config, smat):
 def exhaustive_tournament(config, smat):
     """rank_two_tournament without the Jensen skip: every codebook scored at every point.
 
-    Returns its policy and its rows, each point's row copied from the winner's scoring buffer.
+    Returns its policy and its rows, each point's row the winner's scored row.
     """
     nt = config.model.nt
     k, evaluator, rhos = config.k, MiEvaluator(config.constellation), simengine._rhos(config)
     winners = np.zeros(rhos.size, dtype=int)
     best = np.empty(rhos.size)
     rows = np.empty((rhos.size, smat.shape[0]))
-    buf = np.empty(smat.shape[0])
     lamsets = drawn_rank_two_lambdas(config)
     for idx, lambdas in enumerate(lamsets):
         traces = codeword_max(smat, lambdas)
         for point, rho in enumerate(rhos):
-            score = trace_mi(traces, rho, k, nt, evaluator, out=buf).mean()
+            row = trace_mi(traces, rho, k, nt, evaluator)
+            score = row.mean()
             if idx == 0 or score > best[point]:
-                rows[point] = buf
+                rows[point] = row
                 best[point] = score
                 winners[point] = idx
     return (lamsets, winners), rows
@@ -832,9 +838,9 @@ class TestJensenSkip:
         # a discrete alphabet's table is not certified concave and scores everything
         scored = []
 
-        def counted(traces, rho, k, nt, evaluator, out=None):
+        def counted(traces, rho, k, nt, evaluator):
             scored.append(rho)
-            return trace_mi(traces, rho, k, nt, evaluator, out=out)
+            return trace_mi(traces, rho, k, nt, evaluator)
 
         monkeypatch.setattr(simengine, "trace_mi", counted)
         config = replace(make_config(model=v4_model(), trials=200), n1=2, n2=1, rank_two_sets=20)

@@ -35,6 +35,32 @@ def test_no_unused_imports(path):
     assert unused == []
 
 
+def out_parameters(source):
+    """Sorted names of the functions in source, methods and lambdas included, that declare a parameter named out."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            args = node.args
+            params = args.posonlyargs + args.args + args.kwonlyargs + [p for p in (args.vararg, args.kwarg) if p]
+            if any(p.arg == "out" for p in params):
+                found.add(getattr(node, "name", "<lambda>"))
+    return sorted(found)
+
+
+def test_out_parameters_are_found():
+    source = ("def f(a, out=None):\n    pass\n\nclass C:\n    def m(self, *, out):\n        pass\n\n"
+              "g = lambda x, out: x\n\ndef h(a, **out):\n    pass\n\n"
+              "def fresh(a):\n    out = np.add(a, a, out=a)\n    return out\n")
+    assert out_parameters(source) == ["<lambda>", "f", "h", "m"]
+
+
+def test_no_out_parameters():
+    # every kernel takes its arguments and returns a fresh array: no function
+    # of the package writes into a caller's buffer
+    found = {path.stem: out_parameters(path.read_text()) for path in SRC.glob("*.py")}
+    assert {module: names for module, names in found.items() if names} == {}
+
+
 def read_names(node):
     """Names node reads: loaded Names, Attribute names and names imported from a module."""
     names = set()

@@ -9,7 +9,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from ldfeedback import codebook, infotheory, verify
+from ldfeedback import codebook, dispersion, infotheory, verify
 from ldfeedback.infotheory import Constellation, MiEvaluator
 from ldfeedback.matkit import hermitian_eig
 
@@ -47,11 +47,41 @@ def gaps_swapped(monkeypatch):
 def convex_gaussian_kernel(monkeypatch):
     # I(a) = a^2 with its derivative 2a as the MMSE: the pair is self-consistent,
     # so the derivative check still PASSes, but I is convex instead of concave
-    def mi(a, out=None):
-        return np.multiply(a, a, out=out)
-
-    monkeypatch.setattr(infotheory, "_gaussian_mi", mi)
+    monkeypatch.setattr(infotheory, "_gaussian_mi", lambda a: a * a)
     monkeypatch.setattr(infotheory, "_gaussian_mmse", lambda a: 2.0 * a)
+
+
+def snr_weights_unnormalized(monkeypatch):
+    # the snr rule weighs the mode powers by lambda itself, without the
+    # alpha = lambda * K / (Nt * Nc) normalization
+    monkeypatch.setattr(codebook, "select_snr", lambda smat, lambdas, k, nt, nc: codebook.codeword_max(smat, lambdas))
+
+
+def shrunk_unitary(monkeypatch):
+    # the construction's Haar unitary has columns of norm 0.9, so every
+    # covariance is 0.81 * diag(lambda); disjoint columns keep the pairs
+    # orthogonal. A fault that breaks orthogonality has no row: statistical_set
+    # verifies its own set and raises before the suite's checks run
+    haar_unitaries = dispersion.haar_unitaries
+    monkeypatch.setattr(dispersion, "haar_unitaries", lambda n, m, rng: 0.9 * haar_unitaries(n, m, rng))
+
+
+def first_symbol_repeated(monkeypatch):
+    # the uniform codeword repeats the first symbol's covariance instead of the
+    # mean, so its block power is no longer the budget
+    monkeypatch.setattr(verify, "_uniform_codeword", lambda qs: np.broadcast_to(qs[:, :1], qs.shape))
+
+
+def first_weight_row_doubled(monkeypatch):
+    # every instance's first weight row sums to 2 instead of 1
+    prop3_gap = verify.prop3_gap
+
+    def faulty(a, y):
+        a = a.copy()
+        a[:, 0] *= 2.0
+        return prop3_gap(a, y)
+
+    monkeypatch.setattr(verify, "prop3_gap", faulty)
 
 
 @pytest.mark.parametrize("suite, fault, failing", [
@@ -61,13 +91,22 @@ def convex_gaussian_kernel(monkeypatch):
     ("thm3", convex_gaussian_kernel, ["monotone-in-k-gaussian"]),
     ("eq10", convex_gaussian_kernel, ["chord-below-mi"]),
     ("immse", convex_gaussian_kernel, ["concavity-gaussian"]),
+    ("thm5", snr_weights_unnormalized, ["snr-cap", "rank-one-achieves-cap"]),
+    ("thm1", shrunk_unitary, ["equal-covariance", "full-power"]),
+    ("thm1", first_symbol_repeated, ["uniform-power-optimal"]),
+    ("prop2", first_symbol_repeated, ["uniform-codeword-dominates"]),
+    ("prop3", first_weight_row_doubled, ["brute-force"]),
 ], ids=["thm2-second-eigenvalue", "thm4-dropped-mode", "lemma1-swapped-gaps", "thm3-convex-kernel",
-        "eq10-convex-kernel", "immse-convex-kernel"])
+        "eq10-convex-kernel", "immse-convex-kernel", "thm5-unnormalized-weights", "thm1-shrunk-unitary",
+        "thm1-first-symbol", "prop2-first-symbol", "prop3-doubled-weight-row"])
 def test_named_fault_fails(monkeypatch, suite, fault, failing):
     # measured at the default seed: thm2 FAILs at +2.380 (upper-bound) and
     # +3.411 (achievability), thm4 at +0.1955 and lemma1 at +250.3; under the
     # convex kernel thm3 FAILs at +3.265e+05, eq10 at -1.000e+04 and immse at
-    # +5.000e+03
+    # +5.000e+03; thm5 at +54.43 (snr-cap) and +67.67 (rank-one-achieves-cap),
+    # thm1 at +1.862 (equal-covariance) and +6.080 (full-power) under the
+    # shrunk unitary and at +1.291 (uniform-power-optimal) under the repeated
+    # symbol, prop2 at +3.865 and prop3 at -3.353
     assert all(r.passed for r in verify.SUITES[suite]())
     fault(monkeypatch)
     results = verify.SUITES[suite]()
