@@ -91,12 +91,11 @@ def v4_model():
     return custom_model((16.0 / 2.6) * raw)
 
 
-def from_normals(model, z):
-    """Channel stack from standard normals z of shape (n, 2, Nr, Nt); returns (h, hind).
+def hind_from_normals(model, z):
+    """Hind stack from standard normals z of shape (n, 2, Nr, Nt), without the eigenbases.
 
     hind = (z[:, 0] + i z[:, 1]) * sqrt(vmask / 2) has independent
-    CN(0, vmask) entries (zero-variance entries come out exactly zero) and
-    h = Ur @ hind @ Ut^H; with identity eigenbases h is hind itself. z may
+    CN(0, vmask) entries (zero-variance entries come out exactly zero). z may
     be a view, such as a (2, n, Nr, Nt) block with its first two axes swapped.
 
     hind is built in one complex buffer, i z[:, 1] plus z[:, 0] then times the
@@ -106,6 +105,16 @@ def from_normals(model, z):
     hind = 1j * z[:, 1]
     hind += z[:, 0]
     hind *= np.sqrt(model.vmask / 2.0)
+    return hind
+
+
+def from_normals(model, z):
+    """Channel stack from standard normals z of shape (n, 2, Nr, Nt); returns (h, hind).
+
+    hind is hind_from_normals(model, z) and h = Ur @ hind @ Ut^H; with
+    identity eigenbases h is hind itself.
+    """
+    hind = hind_from_normals(model, z)
     if model.identity_bases:
         return hind, hind
     return model.ur @ hind @ model.ut.conj().T, hind

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import column_powers, from_normals, top_eigenvalues
+from .channel import column_powers, from_normals, hind_from_normals, top_eigenvalues
 # unused here, but bench/tests/test_bench.py checks that the span tracer patches
 # these call-site bindings, so the names stay bound in this module
 from .channel import sample  # noqa: F401
@@ -190,15 +190,16 @@ def project_scaled_simplex(v, total):
 def draw_ind_column_powers(model, samples, rng):
     """Squared column norms of `samples` draws of Hind, shape (samples, Nt): the optimizer's inputs.
 
-    The normals are one (2, samples, Nr, Nt) draw; from_normals and
+    The normals are one (2, samples, Nr, Nt) draw; hind_from_normals and
     column_powers map them TRIAL_WINDOW samples at a time, each sample on
     its own, so the values are those of mapping the whole draw at once
-    without its (samples, Nr, Nt) complex temporaries.
+    without its (samples, Nr, Nt) complex temporaries. The eigenbases are
+    never applied: H is not read.
     """
     z = rng.gen.standard_normal((2, samples, model.nr, model.nt)).swapaxes(0, 1)
     cols = np.empty((samples, model.nt))
     for lo in range(0, samples, TRIAL_WINDOW):
-        cols[lo:lo + TRIAL_WINDOW] = column_powers(from_normals(model, z[lo:lo + TRIAL_WINDOW])[1])
+        cols[lo:lo + TRIAL_WINDOW] = column_powers(hind_from_normals(model, z[lo:lo + TRIAL_WINDOW]))
     return cols
 
 

@@ -9,9 +9,10 @@ The random suites take their streams from one table, STREAM_SLOTS, through
 _streams: the suite in slot i draws channel j from substream 100*i + j and
 its other randomness from Rng(seed, 10*i + 1). Every suite that draws
 channels iterates simengine.trial_windows, each window holding at most
-TRIAL_WINDOW channel evaluations, and _worst folds the windows' worst cases.
-A window is its channels (lo, h, hind), bit for bit that row range of the
-whole draw; thm3 and lemma1 take its largest eigenvalues with
+TRIAL_WINDOW channel evaluations, and _certify maps each window's channels
+to its checks' margins and folds the windows' worst cases into the
+CheckResults. A window is its channels (lo, h, hind), bit for bit that row
+range of the whole draw; thm3 and lemma1 take its largest eigenvalues with
 channel.top_eigenvalues, once per window. The suites' Generators carry on
 from window to window (goc draws its 100 channels once per dispersion set),
 so no metric depends on the window size. A suite's per-instance loop makes
@@ -36,6 +37,8 @@ DEFAULT_SEED = 20180417
 # slot i draws channel j from substream 100*i + j and its other randomness from Rng(seed, 10*i + 1)
 STREAM_SLOTS = {"thm1": 1, "thm2": 2, "thm3": 3, "thm4": 4, "thm5": 5, "prop2": 6, "prop3": 7, "lemma1": 8,
                 "goc": 9}
+# the suites that score MI share one evaluator per input: Gaussian, and BPSK for thm3, eq10 and immse
+_GAUSSIAN, _BPSK = MiEvaluator(Constellation.gaussian()), MiEvaluator(Constellation.bpsk())
 
 
 @dataclass
@@ -58,9 +61,16 @@ def _streams(suite, seed):
     return Rng(seed, 10 * slot + 1), partial(trial_windows, seed=seed, first_stream=100 * slot)
 
 
-def _worst(values):
-    """The largest per-window margin as a float, NaN if one is; for tuples of margins, each check's largest."""
-    return np.max(list(values), axis=0).tolist()
+def _certify(suite, windows, margins, *checks):
+    """One CheckResult per (name, tolerance, detail) check, in order, from the windows (lo, h, hind).
+
+    margins(h) gives the window's margin for each check, or the one check's
+    margin. A check's metric is its largest margin over the windows, folded
+    by one np.max so that a NaN in any window is the metric, and it passes
+    when that is at most its tolerance.
+    """
+    worst = np.atleast_1d(np.max([margins(h) for _, h, _ in windows], axis=0)).tolist()
+    return [CheckResult(suite, name, w <= tol, w, detail) for (name, tol, detail), w in zip(checks, worst)]
 
 
 def _random_unit_vector(n, rng):
@@ -122,65 +132,57 @@ def suite_thm1(seed=DEFAULT_SEED):
         CheckResult("thm1", "full-power", power_err <= 1e-9, power_err),
     ]
     # uniform symbol power never loses: sum_k I(a_k) <= K * I(mean a_k)
-    ev = MiEvaluator(Constellation.gaussian())
     traces = np.array([4.0, 6.0, 3.0, 3.0])  # per-symbol traces, sum = Nt*Nc budget
 
     def gap(h):
         qs = _scaled_psd(_psd_normals(4, rng, (len(h), traces.size)), traces)
-        return (block_mi(h, qs, 1.0, 4, ev) - block_mi(h, _uniform_codeword(qs), 1.0, 4, ev)).max()
+        return (block_mi(h, qs, 1.0, 4, _GAUSSIAN) - block_mi(h, _uniform_codeword(qs), 1.0, 4, _GAUSSIAN)).max()
 
-    worst = _worst(gap(h) for _, h, _ in windows(channel.v4_model(), 100))
-    results.append(CheckResult("thm1", "uniform-power-optimal", worst <= 1e-9, worst,
-                               "100 channels x random splits"))
-    return results
+    return results + _certify("thm1", windows(channel.v4_model(), 100), gap,
+                              ("uniform-power-optimal", 1e-9, "100 channels x random splits"))
 
 
 def suite_thm2(seed=DEFAULT_SEED):
     """Per-realization MI bound K*I(rho*Nc/K*lmax) and its achievability."""
     rng, windows = _streams("thm2", seed)
-    ev = MiEvaluator(Constellation.gaussian())
     k, nc, rho, channels, qsets = 4, 4, 2.0, 100, 20
 
     def margins(h):
         # lmax from the decomposition that gives the beams, clipped at 0 as channel.top_eigenvalues is
         eig = hermitian_eig(np.swapaxes(h.conj(), -1, -2) @ h)
-        best = perfect_csi_mi(np.maximum(eig.values[:, 0], 0.0), rho, k, nc, ev)
+        best = perfect_csi_mi(np.maximum(eig.values[:, 0], 0.0), rho, k, nc, _GAUSSIAN)
         qs = _scaled_psd(_psd_normals(4, rng, (len(h) * qsets,)), 4 * nc / k)
         uniform = block_mi(np.repeat(h, qsets, axis=0),
-                           np.broadcast_to(qs[:, None], (qs.shape[0], k, 4, 4)), rho, 4, ev)
+                           np.broadcast_to(qs[:, None], (qs.shape[0], k, 4, 4)), rho, 4, _GAUSSIAN)
         beams = dispersion.rank_one_set(eig.vectors[:, :, 0], k, nc).covariances()
-        return (uniform - np.repeat(best, qsets)).max(), np.abs(block_mi(h, beams, rho, 4, ev) - best).max()
+        return (uniform - np.repeat(best, qsets)).max(), np.abs(block_mi(h, beams, rho, 4, _GAUSSIAN) - best).max()
 
-    worst_bound, worst_achieve = _worst(
-        margins(h) for _, h, _ in windows(channel.iid_model(4, 4), channels, evals_per_trial=qsets))
-    return [
-        CheckResult("thm2", "upper-bound", worst_bound <= 1e-9, worst_bound,
-                    f"{channels} channels x {qsets} uniform-Q sets"),
-        CheckResult("thm2", "achievability", worst_achieve <= 1e-9, worst_achieve,
-                    "top-eigenvector beamforming set"),
-    ]
+    return _certify("thm2", windows(channel.iid_model(4, 4), channels, evals_per_trial=qsets), margins,
+                    ("upper-bound", 1e-9, f"{channels} channels x {qsets} uniform-Q sets"),
+                    ("achievability", 1e-9, "top-eigenvector beamforming set"))
 
 
 def suite_thm3(seed=DEFAULT_SEED):
     """Per-realization monotonicity of K*I(rho*Nc/K*lmax) in K, K = 1..2*Nc."""
     _, windows = _streams("thm3", seed)
     nc, draws = 4, 1000
-    evs = (MiEvaluator(Constellation.gaussian()), MiEvaluator(Constellation.bpsk()))
 
     def rises(lam_max, rho, ev):
         vals = np.stack([perfect_csi_mi(lam_max, rho, k, nc, ev) for k in range(1, 2 * nc + 1)])
         return (vals[:-1] - vals[1:]).max()
 
-    lam_maxes = (channel.top_eigenvalues(h) for _, h, _ in windows(channel.iid_model(4, 4), draws))
-    worst = _worst([rises(lam_max, rho, ev) for ev in evs] for lam_max in lam_maxes for rho in (1.0, 10.0))
-    return [CheckResult("thm3", f"monotone-in-k-{ev.constellation.kind}", w <= 1e-8, w,
-                        f"{draws} draws, K = 1..{2 * nc}") for ev, w in zip(evs, worst)]
+    def margins(h):
+        lam_max = channel.top_eigenvalues(h)
+        return np.max([[rises(lam_max, rho, ev) for ev in (_GAUSSIAN, _BPSK)] for rho in (1.0, 10.0)], axis=0)
+
+    return _certify("thm3", windows(channel.iid_model(4, 4), draws), margins,
+                    *((f"monotone-in-k-{ev.constellation.kind}", 1e-8, f"{draws} draws, K = 1..{2 * nc}")
+                      for ev in (_GAUSSIAN, _BPSK)))
 
 
 def suite_thm4(seed=DEFAULT_SEED):
     """Rank-one codebooks with all Nt single modes beat any same-unitary codebook."""
     rng, windows = _streams("thm4", seed)
-    ev = MiEvaluator(Constellation.gaussian())
     nt, nc, k, rho = 4, 4, 4, 2.0
     n1, n2, realizations, competitors = 4, 4, 1000, 20
     unitaries = haar_unitaries(n1, nt, rng)
@@ -195,12 +197,11 @@ def suite_thm4(seed=DEFAULT_SEED):
         w /= sum(w[..., m] for m in range(nt))[..., None]
         comp = budget * (0.5 + 0.5 * u[..., n2 * nt:, None]) * w
         smat = codebook.s_matrix(h, unitaries)
-        ref = codebook.select_mi(smat, budget * np.eye(nt), rho, k, nt, ev)
-        return (codebook.select_mi(smat[:, None], comp, rho, k, nt, ev) - ref[:, None]).max()
+        ref = codebook.select_mi(smat, budget * np.eye(nt), rho, k, nt, _GAUSSIAN)
+        return (codebook.select_mi(smat[:, None], comp, rho, k, nt, _GAUSSIAN) - ref[:, None]).max()
 
-    worst = _worst(gap(h) for _, h, _ in windows(channel.iid_model(4, 4), realizations, evals_per_trial=competitors))
-    return [CheckResult("thm4", "rank-one-strongly-optimal", worst <= 1e-9, worst,
-                        f"{realizations} realizations x {competitors} competitors")]
+    return _certify("thm4", windows(channel.iid_model(4, 4), realizations, evals_per_trial=competitors), gap,
+                    ("rank-one-strongly-optimal", 1e-9, f"{realizations} realizations x {competitors} competitors"))
 
 
 def suite_thm5(seed=DEFAULT_SEED):
@@ -218,19 +219,14 @@ def suite_thm5(seed=DEFAULT_SEED):
         full_modes = codebook.select_snr(smat, budget * np.eye(nt), k, nt, nc)
         return (comp - smax[:, None]).max(), np.abs(full_modes - smax).max()
 
-    worst_cap, worst_achieve = _worst(
-        margins(h) for _, h, _ in windows(channel.v4_model(), realizations, evals_per_trial=3))
-    return [
-        CheckResult("thm5", "snr-cap", worst_cap <= 1e-9, worst_cap,
-                    f"{realizations} realizations x 3 rank-two codebooks"),
-        CheckResult("thm5", "rank-one-achieves-cap", worst_achieve <= 1e-9, worst_achieve),
-    ]
+    return _certify("thm5", windows(channel.v4_model(), realizations, evals_per_trial=3), margins,
+                    ("snr-cap", 1e-9, f"{realizations} realizations x 3 rank-two codebooks"),
+                    ("rank-one-achieves-cap", 1e-9, ""))
 
 
 def suite_prop2(seed=DEFAULT_SEED):
     """Averaging a per-symbol-varying codeword never decreases the block MI."""
     rng, windows = _streams("prop2", seed)
-    ev = MiEvaluator(Constellation.gaussian())
     k, nc, rho, realizations = 4, 4, 1.5, 200
 
     def gap(h):
@@ -240,11 +236,10 @@ def suite_prop2(seed=DEFAULT_SEED):
             shares[i] = rng.gen.uniform(size=k)
             z[i] = _psd_normals(4, rng, (k,))
         qs = _scaled_psd(z, shares / shares.sum(axis=-1, keepdims=True) * (4 * nc))
-        return (block_mi(h, qs, rho, 4, ev) - block_mi(h, _uniform_codeword(qs), rho, 4, ev)).max()
+        return (block_mi(h, qs, rho, 4, _GAUSSIAN) - block_mi(h, _uniform_codeword(qs), rho, 4, _GAUSSIAN)).max()
 
-    worst = _worst(gap(h) for _, h, _ in windows(channel.iid_model(4, 4), realizations))
-    return [CheckResult("prop2", "uniform-codeword-dominates", worst <= 1e-9, worst,
-                        f"{realizations} realizations")]
+    return _certify("prop2", windows(channel.iid_model(4, 4), realizations), gap,
+                    ("uniform-codeword-dominates", 1e-9, f"{realizations} realizations"))
 
 
 def prop3_gap(a, y):
@@ -295,7 +290,6 @@ def suite_prop3(seed=DEFAULT_SEED):
 def suite_lemma1(seed=DEFAULT_SEED):
     """Per-realization mutual-information gap never exceeds the received-SNR gap."""
     rng, windows = _streams("lemma1", seed)
-    ev = MiEvaluator(Constellation.gaussian())
     nt, nc, k, realizations = 4, 4, 4, 10000
     cb = codebook.QuantizedCodebook(b=2, n1=4, n2=1, unitaries=haar_unitaries(4, nt, rng),
                                     lambdas=codebook.random_rank_two_lambdas(1, 1, nt, nc, k, rng)[0],
@@ -303,20 +297,18 @@ def suite_lemma1(seed=DEFAULT_SEED):
 
     def gap(h):
         smat, lam_max = codebook.s_matrix(h, cb.unitaries), channel.top_eigenvalues(h)
-        return np.max([(codebook.delta_mi(smat, cb.lambdas, lam_max, rho, k, nt, nc, ev)
+        return np.max([(codebook.delta_mi(smat, cb.lambdas, lam_max, rho, k, nt, nc, _GAUSSIAN)
                         - codebook.delta_snr(smat, cb.lambdas, lam_max, rho, k, nt, nc)).max()
                        for rho in (1.0, 10.0)])
 
-    worst = _worst(gap(h) for _, h, _ in windows(channel.v4_model(), realizations))
-    return [CheckResult("lemma1", "mi-gap-below-snr-gap", worst <= 1e-9, worst,
-                        f"{realizations} V4 realizations, rho in {{1, 10}}")]
+    return _certify("lemma1", windows(channel.v4_model(), realizations), gap,
+                    ("mi-gap-below-snr-gap", 1e-9, f"{realizations} V4 realizations, rho in {{1, 10}}"))
 
 
 def suite_eq10(seed=DEFAULT_SEED):
     """Concavity consequence I(z/k) >= (z/k) * mmse(z/k)."""
     a = np.array([1.0, 10.0, 100.0])[:, None] / np.arange(1, 9)
-    worst = min(float((ev.mi(a) - a * ev.mmse(a)).min())
-                for ev in (MiEvaluator(Constellation.gaussian()), MiEvaluator(Constellation.bpsk())))
+    worst = min(float((ev.mi(a) - a * ev.mmse(a)).min()) for ev in (_GAUSSIAN, _BPSK))
     return [CheckResult("eq10", "chord-below-mi", worst >= -1e-9, worst,
                         "z in {1,10,100}, k = 1..8, gaussian+bpsk")]
 
@@ -330,19 +322,19 @@ def suite_immse(seed=DEFAULT_SEED):
     """
     results = []
     points = np.array([0.1, 0.5, 1.0, 2.0, 5.0, 10.0])
-    for const in (Constellation.gaussian(), Constellation.bpsk()):
-        ev = MiEvaluator(const)
+    for ev in (_GAUSSIAN, _BPSK):
+        kind = ev.constellation.kind
         step = 1e-4
         upper, lower = ev.reference_mi(np.stack([points + step, points - step]))
         fd = (upper - lower) / (2 * step)
         rel = float(np.max(np.abs(fd - ev.mmse(points)) / ev.mmse(points)))
-        results.append(CheckResult("immse", f"derivative-match-{const.kind}", rel <= 1e-3, rel,
+        results.append(CheckResult("immse", f"derivative-match-{kind}", rel <= 1e-3, rel,
                                    "6 points, central differences of the reference I"))
         grid = np.logspace(-3, 3, 50)
         h = 0.05 * grid
         second = ev.mi(grid + h) - 2 * ev.mi(grid) + ev.mi(grid - h)
         worst = float(second.max())
-        results.append(CheckResult("immse", f"concavity-{const.kind}", worst <= 1e-6, worst,
+        results.append(CheckResult("immse", f"concavity-{kind}", worst <= 1e-6, worst,
                                    "50 log-spaced points"))
     return results
 
@@ -363,10 +355,9 @@ def suite_goc(seed=DEFAULT_SEED, mutate=False):
         ok, resid = dispersion.check_goc(dset)
         results.append(CheckResult("goc", f"{name}-constraint", ok, resid))
         pairs = dset.k * (dset.k - 1) // 2
-        worst = _worst(dispersion.decoupling_residual(h, dset).max()
-                       for _, h, _ in windows(channel.iid_model(4, 4), 100, evals_per_trial=pairs))
-        results.append(CheckResult("goc", f"{name}-decoupling", worst <= 1e-10, worst,
-                                   "100 random channels"))
+        results += _certify("goc", windows(channel.iid_model(4, 4), 100, evals_per_trial=pairs),
+                            lambda h: dispersion.decoupling_residual(h, dset).max(),
+                            (f"{name}-decoupling", 1e-10, "100 random channels"))
     return results
 
 

@@ -440,12 +440,15 @@ class TestVerifyCommand:
             tracemalloc.stop()
         assert peak <= 2 * 2**20
 
-    def test_worst_margin_keeps_nan(self):
+    def test_certify_keeps_nan(self):
         # a NaN margin in any window reaches the check's metric, which then fails its
         # `<= tolerance` test; a running max(worst, nan) would have kept the earlier value
-        assert verify._worst([1.0, -2.0]) == 1.0
-        worst = verify._worst([(1.0, -3.0), (np.nan, -2.0), (0.5, -1.0)])
-        assert np.isnan(worst[0]) and worst[1] == -1.0
+        one = verify._certify("s", [(0, 1.0, None), (1, -2.0, None)], lambda h: h, ("c", 1.0, "d"))
+        assert one == [verify.CheckResult("s", "c", True, 1.0, "d")]
+        windows = [(0, (1.0, -3.0), None), (1, (np.nan, -2.0), None), (2, (0.5, -1.0), None)]
+        nan, last = verify._certify("s", windows, lambda h: h, ("a", 0.0, ""), ("b", -1.0, "x"))
+        assert np.isnan(nan.metric) and not nan.passed and nan.line() == "FAIL s/a metric=nan"
+        assert last == verify.CheckResult("s", "b", True, -1.0, "x")
 
     def test_unknown_suite_exit_2(self, capsys):
         assert cli.main(["verify", "nonsense"]) == 2

@@ -7,6 +7,16 @@ entries its CDF is Khatri's determinant of lower incomplete gamma functions
 integral of rho / ((1 + rho x) ln 2) * (1 - F(x)) over x >= 0. A fault shared
 by every code path, such as the channel's power normalization, the K/Nc
 scaling or the nats-to-bits step, moves the curve away from it.
+
+The statistical rows are K/(2 Nc) * E[log2(1 + 2 rho/Nt * cols . lambda)]
+with lambda of trace Nt*Nc/K, cols the column powers of Hind. On i.i.d.
+channels each column power is Gamma(Nr, 1) and their sum Gamma(Nt*Nr, 1).
+The statistical row's optimum is the uniform diagonal, by symmetry and
+concavity, so cols . lambda is Nc/K times a Gamma(Nt*Nr) variable (the row
+is fitted on its own sample, so it may lie a second-order amount below);
+statistical-beamforming puts the whole budget on one mode, Nt*Nc/K times a
+Gamma(Nr) variable whichever mode it picks. Each is the same integral by
+parts over the Gamma survival function.
 """
 
 import math
@@ -16,7 +26,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from scipy.integrate import quad
-from scipy.special import gamma, gammainc
+from scipy.special import gamma, gammainc, gammaincc
 
 from ldfeedback.cli import build_experiment, parse_config_text
 from ldfeedback.simengine import run
@@ -40,13 +50,28 @@ def lam_max_cdf(x, m, n):
     return np.linalg.det(lower) / (np.prod(gamma(n - i + 1)) * np.prod(gamma(m - i + 1)))
 
 
-def mean_log2_capacity(rho, nt, nr):
-    """E[log2(1 + rho * lambda_max)] of an i.i.d. Nr x Nt channel, by parts over the CDF."""
-    m, n = min(nt, nr), max(nt, nr)
-    value, err = quad(lambda x: rho / ((1.0 + rho * x) * math.log(2.0)) * (1.0 - lam_max_cdf(x, m, n)),
+def mean_log2(scale, survival):
+    """E[log2(1 + scale * X)] of a variable X >= 0 with survival function P(X > x), by parts."""
+    value, err = quad(lambda x: scale / ((1.0 + scale * x) * math.log(2.0)) * survival(x),
                       0.0, np.inf, epsabs=1e-11, epsrel=1e-11, limit=200)
     assert err <= 1e-8
     return value
+
+
+def mean_log2_capacity(rho, nt, nr):
+    """E[log2(1 + rho * lambda_max)] of an i.i.d. Nr x Nt channel, by parts over the CDF."""
+    m, n = min(nt, nr), max(nt, nr)
+    return mean_log2(rho, lambda x: 1.0 - lam_max_cdf(x, m, n))
+
+
+def statistical_row(scheme, rho, config):
+    """The i.i.d. channel's statistical or statistical-beamforming row in bits per channel use."""
+    nt, nr, nc, k = config.model.nt, config.model.nr, config.nc, config.k
+    if scheme == "statistical":  # uniform diagonal: Nc/K times the Gamma(Nt*Nr) total power
+        scale, shape = 2.0 * rho * nc / (nt * k), nt * nr
+    else:  # one full-budget mode: Nt*Nc/K times a Gamma(Nr) column power
+        scale, shape = 2.0 * rho * nc / k, nr
+    return k / (2.0 * nc) * mean_log2(scale, lambda x: gammaincc(shape, x))
 
 
 def test_oracle_mean_lam_max_2x2():
@@ -74,4 +99,14 @@ def test_perfect_rows_match_the_integral(label):
     assert len(points) == len(config.snr_grid_db)
     z = [(p.mi_bits_per_use - mean_log2_capacity(10.0 ** (p.snr_db / 10.0), config.model.nt, config.model.nr))
          / p.stderr for p in points]
+    assert max(map(abs, z)) <= Z_BOUND, z
+
+
+@pytest.mark.parametrize("scheme", ["statistical", "statistical-beamforming"])
+def test_statistical_rows_match_the_integral(scheme):
+    config = build_experiment(parse_config_text((BENCH_CONFIGS / "gauss_iid2x2.cfg").read_text()))
+    points = run(replace(config, schemes=[scheme]))
+    assert len(points) == len(config.snr_grid_db)
+    z = [(p.mi_bits_per_use - statistical_row(scheme, 10.0 ** (p.snr_db / 10.0), config)) / p.stderr
+         for p in points]
     assert max(map(abs, z)) <= Z_BOUND, z

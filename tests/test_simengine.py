@@ -1,8 +1,10 @@
 import itertools
 import math
 import tracemalloc
+import warnings
 from dataclasses import replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -181,6 +183,17 @@ class TestOptimizer:
         z = Rng(9, 3).gen.standard_normal((2, 2500, model.nr, model.nt))
         want = column_powers(from_normals(model, z.swapaxes(0, 1))[1])
         assert draw_ind_column_powers(model, 2500, Rng(9, 3)).tobytes() == want.tobytes()
+
+    def test_column_powers_never_apply_the_eigenbases(self):
+        # the optimizer reads Hind only: a model whose Ut and Ur cannot be
+        # multiplied or conjugated raises if Ur @ Hind @ Ut^H is formed
+        model = custom_model(np.full((3, 2), 1.0), haar_unitaries(1, 2, Rng(5, 0))[0],
+                             haar_unitaries(1, 3, Rng(5, 1))[0])
+        bare = SimpleNamespace(nt=model.nt, nr=model.nr, vmask=model.vmask, ut=None, ur=None, identity_bases=False)
+        want = draw_ind_column_powers(model, 2500, Rng(9, 3))
+        assert draw_ind_column_powers(bare, 2500, Rng(9, 3)).tobytes() == want.tobytes()
+        with pytest.raises((TypeError, ValueError)):
+            from_normals(bare, Rng(9, 3).gen.standard_normal((1, 2, 3, 2)))
 
     def test_column_powers_memory_peak_bounded(self):
         # Bound set before measuring: at 200 000 4x4 samples the (2, samples, 4, 4)
@@ -482,20 +495,24 @@ class TestDrawsFactorNothing:
 
 
 class TestRotatedEigenbases:
-    """Metamorphic relation: a model with eigenbases Ut and Ur draws the Hind of the same model without them.
+    """Metamorphic relations: a model with eigenbases Ut and Ur draws the Hind of the same model without them.
 
     So lambda_max of H^H H and the column powers of Hind are unchanged, and
     the perfect, statistical and statistical-beamforming rows of
     custom_model(vmask, ut, ur) equal those of custom_model(vmask) up to the
-    rounding of H = Ur @ Hind @ Ut^H and of the eigenvalues. Bound stated
-    before the first run: every per-trial value and every curve mean within
-    1e-12 relative, and every stderr within 1e-12 of the curve's largest
-    per-trial value (the stderr moves by at most that much when each value
-    moves by at most 1e-12 relative).
+    rounding of H = Ur @ Hind @ Ut^H and of the eigenvalues. The quantized
+    rows of the rotated model with unitaries U_i equal those of the plain
+    model with Ut^H U_i, a relation a wrong unitary side or a missing
+    conjugate breaks. Bound stated before the first run: every per-trial
+    value and every curve mean within 1e-12 relative, and every stderr
+    within 1e-12 of the curve's largest per-trial value (the stderr moves by
+    at most that much when each value moves by at most 1e-12 relative).
     """
 
     SCHEMES = ("perfect", "statistical", "statistical-beamforming")
+    QUANTIZED = ("quantized-rank1-best", "quantized-rank2-best")
     REL = 1e-12
+    NOT_CONVERGED = "statistical power optimizer did not converge at "
 
     @given(nt=st.sampled_from([2, 4]), unitary_seed=st.integers(0, 2**32 - 1),
            constellation=st.sampled_from(["gaussian", "bpsk"]), data=st.data())
@@ -503,28 +520,85 @@ class TestRotatedEigenbases:
     def test_rows_equal_without_the_eigenbases(self, nt, unitary_seed, constellation, data):
         raw = data.draw(arrays(np.float64, (nt, nt), elements=st.sampled_from([0.0, 0.1, 0.5, 1.0, 3.0])))
         raw[0, 0] += 1.0  # some power, wherever the zeros fall
+        # a mask whose live columns tie leaves the optimizer's sample objective
+        # flat, so it may stop at OPT_MAX_ITER and warn; no other warning is allowed
+        for category, message in self.warnings_of_rows_equal(raw, unitary_seed, constellation):
+            assert category is RuntimeWarning and message.startswith(self.NOT_CONVERGED), message
+
+    def test_rows_equal_on_a_flat_objective(self):
+        # power only at (0, 0) and (0, 2): two modes carry nothing and the
+        # 100-sample objective is flat between the other two, so at 20 dB the
+        # optimizer stops at OPT_MAX_ITER near the optimum; the rows still agree
+        raw = np.zeros((4, 4))
+        raw[0, 0] = raw[0, 2] = 1.0
+        found = self.warnings_of_rows_equal(raw, 0, "gaussian")
+        assert found
+        for category, message in found:
+            assert category is RuntimeWarning and message.startswith(self.NOT_CONVERGED + "20.0 dB"), message
+
+    def warnings_of_rows_equal(self, raw, unitary_seed, constellation):
+        """Check the relation for the (Nt, Nt) mask raw, normalized; returns the (category, message) it warned."""
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            self.check_rows_equal(raw, unitary_seed, constellation)
+        return [(w.category, str(w.message)) for w in caught]
+
+    @given(nt=st.sampled_from([2, 4]), unitary_seed=st.integers(0, 2**32 - 1),
+           constellation=st.sampled_from(["gaussian", "bpsk"]), data=st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_quantized_rows_equal_with_the_rotated_family(self, nt, unitary_seed, constellation, data):
+        # H u = Ur Hind (Ut^H u), so the rotated model's s_matrix with the unitaries
+        # U_i is the plain model's with Ut^H U_i up to the rounding of the two
+        # products, and so are both searches' rows; the same REL bound, stated
+        # before the first run. A flipped winner shows as a row off by far more
+        raw = data.draw(arrays(np.float64, (nt, nt), elements=st.sampled_from([0.0, 0.1, 0.5, 1.0, 3.0])))
+        raw[0, 0] += 1.0
+        config, turned, ut = self.rotated_configs(raw, unitary_seed, constellation, self.QUANTIZED)
+        family = default_unitaries(turned)
+        got_points = run(turned)
+        turned_smat = s_matrix(draw_trials(turned.model, turned.trials, turned.seed)[0], family)
+        smat = s_matrix(draw_trials(config.model, config.trials, config.seed)[0], ut.conj().T @ family)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(simengine, "default_unitaries", lambda c: ut.conj().T @ family)
+            want_points = run(config)
+        self.assert_rows_close(config, [(scheme, block_rows(config, scheme, smat),
+                                         block_rows(turned, scheme, turned_smat)) for scheme in self.QUANTIZED],
+                               want_points, got_points)
+
+    def rotated_configs(self, raw, unitary_seed, constellation, schemes):
+        """The configs of the (Nt, Nt) mask raw, normalized, without and with Haar eigenbases; and their Ut."""
+        nt = len(raw)
         vmask = raw * (nt * nt / raw.sum())
         ut, ur = haar_unitaries(2, nt, Rng(unitary_seed, 0))
-        plain, rotated = custom_model(vmask), custom_model(vmask, ut, ur)
-        assert not rotated.identity_bases
-        config = replace(make_config(model=plain, schemes=self.SCHEMES, trials=40, snr=(-10.0, 5.0, 20.0),
+        config = replace(make_config(model=custom_model(vmask), schemes=schemes, trials=40, snr=(-10.0, 5.0, 20.0),
                                      opt_samples=100), constellation=Constellation.from_name(constellation))
-        turned = replace(config, model=rotated)
-        _, lam_max, cols = draw_inputs(config)
-        _, turned_lam_max, turned_cols = draw_inputs(turned)
-        assert turned_cols.tobytes() == cols.tobytes()
+        turned = replace(config, model=custom_model(vmask, ut, ur))
+        assert not turned.model.identity_bases
+        return config, turned, ut
+
+    def assert_rows_close(self, config, rows, want_points, got_points):
+        """Each (scheme, want, got) of per-trial rows within REL, and the CurvePoints likewise (stderr: see above)."""
         largest = {}
-        for scheme, kept, turned_kept in (("perfect", lam_max, turned_lam_max),
-                                          ("statistical", cols, turned_cols),
-                                          ("statistical-beamforming", cols, turned_cols)):
-            want, got = block_rows(config, scheme, kept), block_rows(turned, scheme, turned_kept)
+        for scheme, want, got in rows:
             assert (np.abs(got - want) <= self.REL * np.abs(want)).all(), scheme
             for snr, row in zip(config.snr_grid_db, want):
                 largest[scheme, snr] = row.max() / (config.nc * LN2)
-        for want, got in zip(run(config), run(turned)):
+        assert len(want_points) == len(got_points)
+        for want, got in zip(want_points, got_points):
             assert (got.scheme, got.snr_db, got.trials) == (want.scheme, want.snr_db, want.trials)
             assert abs(got.mi_bits_per_use - want.mi_bits_per_use) <= self.REL * abs(want.mi_bits_per_use)
             assert abs(got.stderr - want.stderr) <= self.REL * largest[want.scheme, want.snr_db]
+
+    def check_rows_equal(self, raw, unitary_seed, constellation):
+        config, turned, _ = self.rotated_configs(raw, unitary_seed, constellation, self.SCHEMES)
+        _, lam_max, cols = draw_inputs(config)
+        _, turned_lam_max, turned_cols = draw_inputs(turned)
+        assert turned_cols.tobytes() == cols.tobytes()
+        rows = [(scheme, block_rows(config, scheme, kept), block_rows(turned, scheme, turned_kept))
+                for scheme, kept, turned_kept in (("perfect", lam_max, turned_lam_max),
+                                                  ("statistical", cols, turned_cols),
+                                                  ("statistical-beamforming", cols, turned_cols))]
+        self.assert_rows_close(config, rows, run(config), run(turned))
 
 
 class TestRunColumnPowers:

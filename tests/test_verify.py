@@ -51,6 +51,20 @@ def convex_gaussian_kernel(monkeypatch):
     monkeypatch.setattr(infotheory, "_gaussian_mmse", lambda a: 2.0 * a)
 
 
+def nan_at_the_second_snr(monkeypatch):
+    # one Gaussian value at rho = 10 is NaN: a fold over the two SNRs that drops
+    # it (Python's max keeps its first argument against a NaN) would PASS
+    perfect_csi_mi = verify.perfect_csi_mi
+
+    def faulty(lam_max, rho, k, nc, ev):
+        values = perfect_csi_mi(lam_max, rho, k, nc, ev)
+        if rho == 10.0 and ev.constellation.kind == "gaussian" and k == 1:
+            values[0] = np.nan
+        return values
+
+    monkeypatch.setattr(verify, "perfect_csi_mi", faulty)
+
+
 def snr_weights_unnormalized(monkeypatch):
     # the snr rule weighs the mode powers by lambda itself, without the
     # alpha = lambda * K / (Nt * Nc) normalization
@@ -89,6 +103,7 @@ def first_weight_row_doubled(monkeypatch):
     ("thm4", reference_without_last_mode, ["rank-one-strongly-optimal"]),
     ("lemma1", gaps_swapped, ["mi-gap-below-snr-gap"]),
     ("thm3", convex_gaussian_kernel, ["monotone-in-k-gaussian"]),
+    ("thm3", nan_at_the_second_snr, ["monotone-in-k-gaussian"]),
     ("eq10", convex_gaussian_kernel, ["chord-below-mi"]),
     ("immse", convex_gaussian_kernel, ["concavity-gaussian"]),
     ("thm5", snr_weights_unnormalized, ["snr-cap", "rank-one-achieves-cap"]),
@@ -96,17 +111,17 @@ def first_weight_row_doubled(monkeypatch):
     ("thm1", first_symbol_repeated, ["uniform-power-optimal"]),
     ("prop2", first_symbol_repeated, ["uniform-codeword-dominates"]),
     ("prop3", first_weight_row_doubled, ["brute-force"]),
-], ids=["thm2-second-eigenvalue", "thm4-dropped-mode", "lemma1-swapped-gaps", "thm3-convex-kernel",
+], ids=["thm2-second-eigenvalue", "thm4-dropped-mode", "lemma1-swapped-gaps", "thm3-convex-kernel", "thm3-nan-at-second-snr",
         "eq10-convex-kernel", "immse-convex-kernel", "thm5-unnormalized-weights", "thm1-shrunk-unitary",
         "thm1-first-symbol", "prop2-first-symbol", "prop3-doubled-weight-row"])
 def test_named_fault_fails(monkeypatch, suite, fault, failing):
     # measured at the default seed: thm2 FAILs at +2.380 (upper-bound) and
     # +3.411 (achievability), thm4 at +0.1955 and lemma1 at +250.3; under the
     # convex kernel thm3 FAILs at +3.265e+05, eq10 at -1.000e+04 and immse at
-    # +5.000e+03; thm5 at +54.43 (snr-cap) and +67.67 (rank-one-achieves-cap),
-    # thm1 at +1.862 (equal-covariance) and +6.080 (full-power) under the
-    # shrunk unitary and at +1.291 (uniform-power-optimal) under the repeated
-    # symbol, prop2 at +3.865 and prop3 at -3.353
+    # +5.000e+03; thm3 at nan under the NaN; thm5 at +54.43 (snr-cap) and +67.67
+    # (rank-one-achieves-cap), thm1 at +1.862 (equal-covariance) and +6.080
+    # (full-power) under the shrunk unitary and at +1.291 (uniform-power-optimal)
+    # under the repeated symbol, prop2 at +3.865 and prop3 at -3.353
     assert all(r.passed for r in verify.SUITES[suite]())
     fault(monkeypatch)
     results = verify.SUITES[suite]()
