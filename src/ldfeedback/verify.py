@@ -6,8 +6,11 @@ measured residual or margin. The CLI `verify` subcommand dispatches here;
 the acceptance tests call the same suites, whose sizes are fixed.
 
 The random suites take their streams from one table, STREAM_SLOTS, through
-_streams: the suite in slot i draws channel j from substream 100*i + j and
-its other randomness from Rng(seed, 10*i + 1). Every suite that draws
+_streams: the suite in slot i owns the substreams [i << 32, (i + 1) << 32).
+It draws channel j from substream (i << 32) + j and its other randomness
+from Rng(seed, ((i + 1) << 32) - 1), the range's last stream, which no
+window reaches. So no two suites share a channel, and none shares a stream
+with simengine's STREAM_* ids (from 1 << 48). Every suite that draws
 channels iterates simengine.trial_windows, each window holding at most
 TRIAL_WINDOW channel evaluations, and _certify maps each window's channels
 to its checks' margins and folds the windows' worst cases into the
@@ -15,10 +18,11 @@ CheckResults. A window is its channels (lo, h, hind), bit for bit that row
 range of the whole draw; thm3 and lemma1 take its largest eigenvalues with
 channel.top_eigenvalues, once per window. The suites' Generators carry on
 from window to window (goc draws its 100 channels once per dispersion set),
-so no metric depends on the window size. A suite's per-instance loop makes
-only its draws, in stream order, and a window's instances are built from
-them in one stacked transform (prop2's codewords, prop3's weights, thm2's
-beam sets), each instance with the bits it has alone.
+and a window's other randomness is one draw whose leading axis is its
+channels, each instance's values contiguous in it (thm1's, thm2's and
+prop2's covariance normals, thm4's weights and scales, thm5's rank-two
+sets). So a window's draw is that row range of one whole-run draw, and no
+metric depends on the window size.
 """
 
 import itertools
@@ -34,7 +38,7 @@ from .matkit import Rng, haar_unitaries, hermitian_eig
 from .simengine import trial_windows
 
 DEFAULT_SEED = 20180417
-# slot i draws channel j from substream 100*i + j and its other randomness from Rng(seed, 10*i + 1)
+# slot i owns substreams [i << 32, (i + 1) << 32): channel j is stream (i << 32) + j, the one-off Rng the last one
 STREAM_SLOTS = {"thm1": 1, "thm2": 2, "thm3": 3, "thm4": 4, "thm5": 5, "prop2": 6, "prop3": 7, "lemma1": 8,
                 "goc": 9}
 # the suites that score MI share one evaluator per input: Gaussian, and BPSK for thm3, eq10 and immse
@@ -58,7 +62,7 @@ class CheckResult:
 def _streams(suite, seed):
     """The suite's one-off Rng, and trial_windows bound to its seed and first channel stream (STREAM_SLOTS)."""
     slot = STREAM_SLOTS[suite]
-    return Rng(seed, 10 * slot + 1), partial(trial_windows, seed=seed, first_stream=100 * slot)
+    return Rng(seed, ((slot + 1) << 32) - 1), partial(trial_windows, seed=seed, first_stream=slot << 32)
 
 
 def _certify(suite, windows, margins, *checks):
@@ -189,13 +193,9 @@ def suite_thm4(seed=DEFAULT_SEED):
     budget = nt * nc / k
 
     def gap(h):
-        # per competitor, n2 * nt weights then n2 scales in [0.5, 1): the stream order of
-        # one uniform(size=(n2, nt)) and one uniform(0.5, 1.0, size=n2) call, so the bits are kept
-        u = rng.gen.uniform(size=(len(h), competitors, n2 * nt + n2))
-        w = u[..., :n2 * nt].reshape(len(h), competitors, n2, nt)
-        # the left-to-right sum that w.sum(axis=-1) takes, without its slow pass over this strided view
-        w /= sum(w[..., m] for m in range(nt))[..., None]
-        comp = budget * (0.5 + 0.5 * u[..., n2 * nt:, None]) * w
+        # each competitor row: nt weights, normalized, and a scale in [0.5, 1) in its last column
+        u = rng.gen.uniform(size=(len(h), competitors, n2, nt + 1))
+        comp = budget * (0.5 + 0.5 * u[..., nt:]) * (u[..., :nt] / u[..., :nt].sum(axis=-1, keepdims=True))
         smat = codebook.s_matrix(h, unitaries)
         ref = codebook.select_mi(smat, budget * np.eye(nt), rho, k, nt, _GAUSSIAN)
         return (codebook.select_mi(smat[:, None], comp, rho, k, nt, _GAUSSIAN) - ref[:, None]).max()
@@ -225,16 +225,18 @@ def suite_thm5(seed=DEFAULT_SEED):
 
 
 def suite_prop2(seed=DEFAULT_SEED):
-    """Averaging a per-symbol-varying codeword never decreases the block MI."""
+    """Averaging a per-symbol-varying codeword never decreases the block MI.
+
+    Each codeword is the k Gram matrices G G^H of one draw of normals, scaled
+    together to the block budget 4*Nc: a symbol's share of the power is its
+    Gram trace. Proposition 2 holds for any PSD codeword of that total trace.
+    """
     rng, windows = _streams("prop2", seed)
     k, nc, rho, realizations = 4, 4, 1.5, 200
 
     def gap(h):
-        # per codeword, its k shares and then its normals, in the stream order of one draw each
-        shares, z = np.empty((len(h), k)), np.empty((len(h), k, 2, 4, 4))
-        for i in range(len(h)):
-            shares[i] = rng.gen.uniform(size=k)
-            z[i] = _psd_normals(4, rng, (k,))
+        z = _psd_normals(4, rng, (len(h), k))
+        shares = np.square(z).sum(axis=(-3, -2, -1))
         qs = _scaled_psd(z, shares / shares.sum(axis=-1, keepdims=True) * (4 * nc))
         return (block_mi(h, qs, rho, 4, _GAUSSIAN) - block_mi(h, _uniform_codeword(qs), rho, 4, _GAUSSIAN)).max()
 
@@ -262,26 +264,21 @@ def prop3_gap(a, y):
 
 
 def suite_prop3(seed=DEFAULT_SEED):
-    """Brute-force enumeration check of the weighted-max inequality, one prop3_gap call per (M, N)."""
+    """Brute-force enumeration check of the weighted-max inequality, one prop3_gap call per (M, N).
+
+    The sizes, weights and values are one draw each; instance i is the
+    top-left (M, N) block of its rows, its weights offset by 1e-12 and
+    divided by their row sums.
+    """
     rng, _ = _streams("prop3", seed)
     count = 1000
-    sizes = np.empty((count, 2), dtype=int)
-    a_all, y_all = np.zeros((count, 4, 4)), np.zeros((count, 4, 4))
-    for i in range(count):
-        m = int(rng.gen.integers(1, 5))
-        n = int(rng.gen.integers(1, 5))
-        a_all[i, :m, :n] = rng.gen.uniform(size=(m, n))
-        y_all[i, :m, :n] = rng.gen.normal(scale=3.0, size=(m, n))
-        sizes[i] = m, n
-    # each instance's weights offset by 1e-12 and divided by their row sums; a padded zero
-    # adds exactly, so each row sum has the bits of the instance's own
-    drawn = (np.arange(4) < sizes[:, :1])[:, :, None] & (np.arange(4) < sizes[:, 1:])[:, None, :]
-    a_all[drawn] += 1e-12
-    np.divide(a_all, a_all.sum(axis=2, keepdims=True), out=a_all, where=drawn)
+    sizes = rng.gen.integers(1, 5, size=(count, 2))
+    a_all, y_all = rng.gen.uniform(size=(count, 4, 4)), rng.gen.normal(scale=3.0, size=(count, 4, 4))
     worst = np.inf
     for m, n in itertools.product(range(1, 5), repeat=2):
         group = (sizes == (m, n)).all(axis=1)
-        gaps = prop3_gap(a_all[group, :m, :n], y_all[group, :m, :n])
+        a = a_all[group, :m, :n] + 1e-12
+        gaps = prop3_gap(a / a.sum(axis=2, keepdims=True), y_all[group, :m, :n])
         worst = min(worst, float(gaps.min(initial=np.inf)))
     return [CheckResult("prop3", "brute-force", worst >= -1e-12, worst,
                         f"{count} instances, M <= 4, N <= 4")]

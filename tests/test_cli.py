@@ -424,6 +424,36 @@ class TestVerifyCommand:
             results = verify.run_suites(list(verify.SUITES), seed=seed)
             assert {f"{r.suite}/{r.name}": repr(r.metric) for r in results} == pinned
 
+    def test_suites_draw_disjoint_streams(self, monkeypatch):
+        # every channel window and one-off Rng of a suite lies in its own range of substreams,
+        # apart from every other suite's and from simengine's STREAM_* ids; a suite may repeat
+        # one of its own ranges, as goc draws its 100 channels once per dispersion set
+        ranges = {name: set() for name in verify.SUITES}
+        trial_windows, rng = verify.trial_windows, verify.Rng
+
+        def windows(model, trials, seed, first_stream=0, evals_per_trial=1):
+            ranges[suite].add((first_stream, first_stream + trials))
+            return trial_windows(model, trials, seed, first_stream, evals_per_trial)
+
+        def one_off(seed, stream=0):
+            ranges[suite].add((stream, stream + 1))
+            return rng(seed, stream)
+
+        monkeypatch.setattr(verify, "trial_windows", windows)
+        monkeypatch.setattr(verify, "Rng", one_off)
+        for suite in verify.SUITES:
+            verify.run_suites([suite])
+        assert {name for name, found in ranges.items() if found} == set(verify.STREAM_SLOTS)
+        ids = {(stream, stream + 1) for name, stream in vars(simengine).items() if name.startswith("STREAM_")}
+        spans = sorted([(span, name) for name, found in ranges.items() for span in found]
+                       + [(span, "simengine") for span in ids])
+        assert [(a, b) for a, b in zip(spans, spans[1:]) if a[0][1] > b[0][0]] == []
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_every_suite_passes(self, seed):
+        # the certificates hold at their tolerances away from the pinned seeds too
+        assert [r.line() for r in verify.run_suites(list(verify.SUITES), seed=seed) if not r.passed] == []
+
     @pytest.mark.parametrize("name", list(verify.SUITES))
     def test_suite_memory_peak_bounded(self, name):
         # Bound set before measuring: each suite holds at most one window of its

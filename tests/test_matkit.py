@@ -96,6 +96,19 @@ class TestHermitianEig:
         with pytest.raises(PreconditionError):
             hermitian_eig(ms)
 
+    @pytest.mark.parametrize("scale, asymmetry, accepted", [(1e6, 1e-6, True), (1e-6, 1e-12, False)],
+                             ids=["large-accepted", "small-rejected"])
+    def test_hermitian_tolerance_is_relative_to_scale(self, scale, asymmetry, accepted):
+        # the residual ||M - M^H|| is held to 1e-9 * ||M||: an asymmetry 1e-12 of the
+        # scale passes at any scale, and one of 1e-6 of it fails at any scale
+        m = scale * random_hermitian(3, Rng(104, 0))
+        m[0, 1] += asymmetry
+        if accepted:
+            hermitian_eig(m)
+        else:
+            with pytest.raises(PreconditionError):
+                hermitian_eig(m)
+
 
 def successive_haar_draws(count, n, rng):
     """count Haar unitaries drawn one matrix at a time: the reference for the stacked draw."""

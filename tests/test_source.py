@@ -165,6 +165,33 @@ def test_one_stream_table():
     assert name_reads(sources, "Rng") == name_reads(sources, "trial_windows") == [("verify", "_streams")]
 
 
+LOOPS = (ast.For, ast.AsyncFor, ast.While, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+
+
+def looped_draws(source):
+    """Sorted top-level owners (as top_level_owners names them) of every loop or comprehension in
+    source that reads an attribute named gen, in its body, test or iterable."""
+    return sorted({
+        owner for owner, node in top_level_owners(ast.parse(source)) for loop in ast.walk(node)
+        if isinstance(loop, LOOPS) and any(isinstance(sub, ast.Attribute) and sub.attr == "gen" for sub in ast.walk(loop))
+    })
+
+
+def test_looped_draws_are_found():
+    source = ("def listed(rng):\n    return [rng.gen.random() for _ in range(3)]\n\n"
+              "def looped(rng):\n    for i in range(3):\n        rng.gen.random()\n\n"
+              "def waited(rng):\n    while rng.gen.random() < 0.5:\n        pass\n\n"
+              "def whole(rng):\n    x = rng.gen.random(3)\n    return [v for v in x]\n")
+    assert looped_draws(source) == ["listed", "looped", "waited"]
+
+
+def test_no_looped_draws_in_verify():
+    # a certificate draws each set of instances in whole-array calls, a window's at a time,
+    # each instance's values one contiguous block: a loop of draws would tie its metrics to
+    # the order of a per-instance stream
+    assert looped_draws((SRC / "verify.py").read_text()) == []
+
+
 def top_level_owners(tree):
     """(owner, node) of each top-level statement of tree: a definition's name, a method's
     Class.method, or "<module>"."""
