@@ -9,6 +9,7 @@ realization is the n = 1 stack.
 """
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -77,77 +78,38 @@ class QuantizedCodebook:
         self.lambdas = np.stack(rows)
 
 
+def rank_two_lambdas(pair, split, nt, nc, k):
+    """Rank-two power diagonals, shape pair.shape + (Nt,), from pair indices and power splits.
+
+    pair holds indices into the C(Nt, 2) mode pairs in
+    itertools.combinations order, and split the matching w in [0, 1): each
+    diagonal puts w and 1 - w of the full Nt*Nc/K budget on its pair's two
+    modes.
+    """
+    budget = nt * nc / k
+    modes = np.array(list(itertools.combinations(range(nt), 2)))[pair]
+    sets = np.zeros(pair.shape + (nt,))
+    np.put_along_axis(sets, modes, np.stack([split * budget, (1.0 - split) * budget], axis=-1), axis=-1)
+    return sets
+
+
 def random_rank_two_lambdas(count, n2, nt, nc, k, rng):
     """count random sets of N2 rank-two diagonals, as a (count, N2, Nt) array.
 
     Each diagonal excites a uniformly chosen pair of modes with a uniform
-    power split (w, 1-w) scaled to the full Nt*Nc/K budget. Diagonal after
-    diagonal, the pair is one Generator.integers(C(Nt, 2)) draw and w one
-    Generator.random() draw (the same bits and stream position as
-    uniform()), as _rank_two_by_draws makes them. Here all of them are read
-    at once as raw Philox words (random_raw, through the same 4-word
-    buffer) and mapped as numpy maps them: random() takes one whole word x
-    and returns (x >> 11) * 2^-53; integers(n) takes no bits for n = 1, and
-    otherwise one 32-bit half h and returns (h * n) >> 32 (Lemire's
-    multiply-shift). A fresh word gives its low half and holds its high
-    half for the next 32-bit draw, and a half held on entry is used first;
-    the stream is left holding what the draws would leave held. So the
-    values and the stream position equal the draws' bit for bit. Where
-    Lemire's rule would redraw, a product whose low 32 bits are below
-    2^32 mod n (below 1e-9 per draw for n = 6), the stream is restored and
-    the draws are made one by one.
+    power split, mapped by rank_two_lambdas. Diagonal after diagonal, the
+    pair is one Generator.integers(C(Nt, 2)) draw and the split one
+    Generator.random() draw.
     """
     if count < 1 or n2 < 1:
         raise PreconditionError("counts must be >= 1")
     check_rank_two(nt)
     check_symbols(k, nc)
-    budget = nt * nc / k
-    pairs = np.array(list(itertools.combinations(range(nt), 2)))
-    n, m = len(pairs), count * n2
-    bitgen = rng.gen.bit_generator
-    entry = bitgen.state
-    if n == 1:
-        index, splits = np.zeros(m, dtype=int), bitgen.random_raw(m)
-    else:
-        # after a held half, each two diagonals take one word for their halves (low, high)
-        # and then one word each for their splits
-        held = entry["has_uint32"]
-        fresh = m - held
-        groups = -(-fresh // 2)
-        raw = bitgen.random_raw(held + fresh + groups)
-        grid = np.zeros((groups, 3), dtype=np.uint64)
-        grid.reshape(-1)[:fresh + groups] = raw[held:]
-        halves = np.stack([grid[:, 0] & 0xFFFFFFFF, grid[:, 0] >> 32], axis=1).reshape(-1)[:fresh]
-        halves = np.concatenate([np.full(held, entry["uinteger"], dtype=np.uint64), halves])
-        splits = np.concatenate([raw[:held], grid[:, 1:].reshape(-1)[:fresh]])
-        products = halves * n
-        if ((products & 0xFFFFFFFF) < (1 << 32) % n).any():
-            bitgen.state = entry
-            return _rank_two_by_draws(count, n2, nt, budget, pairs, rng)
-        index = products >> 32
-        state = bitgen.state
-        state["has_uint32"] = fresh % 2
-        if fresh:
-            state["uinteger"] = int(grid[-1, 0] >> 32)
-        bitgen.state = state
-    w = (splits >> 11) * 2.0**-53
-    sets = np.zeros((m, nt))
-    rows = np.arange(m)
-    sets[rows, pairs[index, 0]] = w * budget
-    sets[rows, pairs[index, 1]] = (1.0 - w) * budget
-    return sets.reshape(count, n2, nt)
-
-
-def _rank_two_by_draws(count, n2, nt, budget, pairs, rng):
-    """random_rank_two_lambdas with one integers and one random call per diagonal."""
-    sets = np.zeros((count, n2, nt))
-    random = rng.gen.random
-    for lam in sets.reshape(-1, nt):
-        p0, p1 = pairs[int(rng.gen.integers(len(pairs)))]
-        w = random()
-        lam[p0] = w * budget
-        lam[p1] = (1.0 - w) * budget
-    return sets
+    pairs, m = math.comb(nt, 2), count * n2
+    pair, split = np.empty(m, dtype=int), np.empty(m)
+    for i in range(m):
+        pair[i], split[i] = rng.gen.integers(pairs), rng.gen.random()
+    return rank_two_lambdas(pair, split, nt, nc, k).reshape(count, n2, nt)
 
 
 def s_matrix(h, unitaries):

@@ -65,6 +65,9 @@ JENSEN_MARGIN = 1e-12
 # above what a unit-variance channel draws, while 10 ** (snr_db / 10) itself
 # overflows near 3083 dB and the arguments reach inf near 3080 dB
 SNR_DB_LIMIT = 1000.0
+# most C(Nt, N2) mode sets best_rank_one_codebook scores, one at a time: every N2 of Nt <= 16
+# (at most C(16, 8) = 12870), while C(64, 32) ~ 1.8e18 would never finish
+RANK_ONE_CANDIDATE_LIMIT = 1 << 14
 
 
 def check_schemes(schemes):
@@ -117,8 +120,12 @@ class SimConfig:
                 f"{MIN_OPT_SAMPLES} samples"
             )
         check_split(self.b, self.n1, self.n2)
-        if "quantized-rank1-best" in self.schemes and self.n2 > self.model.nt:
-            raise PreconditionError(f"no rank-one candidates for Nt = {self.model.nt}, N2 = {self.n2}")
+        if "quantized-rank1-best" in self.schemes:
+            if self.n2 > self.model.nt:
+                raise PreconditionError(f"no rank-one candidates for Nt = {self.model.nt}, N2 = {self.n2}")
+            if math.comb(self.model.nt, self.n2) > RANK_ONE_CANDIDATE_LIMIT:
+                raise PreconditionError(f"C(Nt, N2) = C({self.model.nt}, {self.n2}) rank-one candidates exceed "
+                                        f"the limit of {RANK_ONE_CANDIDATE_LIMIT}")
         if "quantized-rank2-best" in self.schemes:
             if self.rank_two_sets < 1:
                 raise PreconditionError("rank_two_sets must be >= 1")
@@ -422,10 +429,11 @@ def rank_two_tournament(config, smat):
 
     codebooks is the config.rank_two_sets random rank-two codebooks' (sets,
     N2, Nt) diagonals, drawn by random_rank_two_lambdas from the
-    STREAM_TOURNAMENT substream; they share the unitaries of smat, which is
-    s_matrix(h, unitaries) of the trials to fit on. winners is the (n_snr,)
-    index of each point's codebook of largest mean block MI in nats; ties go
-    to the first codebook.
+    STREAM_TOURNAMENT substream, one Generator.integers and one
+    Generator.random call per diagonal; they share the unitaries of smat,
+    which is s_matrix(h, unitaries) of the trials to fit on. winners is the
+    (n_snr,) index of each point's codebook of largest mean block MI in
+    nats; ties go to the first codebook.
 
     Each codebook's codeword-max traces are computed once and scored one
     SNR point at a time, each point's (trials,) row dropped once its mean is

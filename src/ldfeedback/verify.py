@@ -20,12 +20,14 @@ channel.top_eigenvalues, once per window. The suites' Generators carry on
 from window to window (goc draws its 100 channels once per dispersion set),
 and a window's other randomness is one draw whose leading axis is its
 channels, each instance's values contiguous in it (thm1's, thm2's and
-prop2's covariance normals, thm4's weights and scales, thm5's rank-two
+prop2's covariance normals, thm4's weights and scales, thm5's pair-index
+and split uniforms, which codebook.rank_two_lambdas maps to its rank-two
 sets). So a window's draw is that row range of one whole-run draw, and no
 metric depends on the window size.
 """
 
 import itertools
+import math
 from dataclasses import dataclass, replace
 from functools import partial
 
@@ -212,10 +214,12 @@ def suite_thm5(seed=DEFAULT_SEED):
     budget = nt * nc / k
 
     def margins(h):
-        lamsets = codebook.random_rank_two_lambdas(3 * len(h), 4, nt, nc, k, rng)
+        # each realization's 3 codebooks of 4 diagonals: a pair-index uniform and a split per diagonal
+        u = rng.gen.random((len(h), 3, 4, 2))
+        lamsets = codebook.rank_two_lambdas((u[..., 0] * math.comb(nt, 2)).astype(int), u[..., 1], nt, nc, k)
         smat = codebook.s_matrix(h, unitaries)
         smax = smat.max(axis=(1, 2))
-        comp = codebook.select_snr(smat[:, None], lamsets.reshape(len(h), 3, 4, nt), k, nt, nc)
+        comp = codebook.select_snr(smat[:, None], lamsets, k, nt, nc)
         full_modes = codebook.select_snr(smat, budget * np.eye(nt), k, nt, nc)
         return (comp - smax[:, None]).max(), np.abs(full_modes - smax).max()
 

@@ -253,6 +253,22 @@ class TestSimulate:
         assert f"PAM needs 2 to {infotheory.PAM_MAX_LEVELS} levels, got {levels}" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_rank_one_candidates_beyond_bound_exit_2(self, tmp_path, monkeypatch, capsys):
+        # C(64, 32) ~ 1.8e18 mode sets: the bound is checked before any channel is drawn
+        # or any candidate scored, so starting either fails the test
+        def never(*args, **kwargs):
+            raise AssertionError("the run started")
+
+        monkeypatch.setattr(simengine, "draw_trials", never)
+        monkeypatch.setattr(simengine, "best_rank_one_codebook", never)
+        cfg = write(tmp_path, "exp.cfg", "nt = 64\nnr = 1\nnc = 32\nk = 32\nb = 5\nn1 = 1\nn2 = 32\n"
+                                         "snr_db = 0\ntrials = 1\nschemes = quantized-rank1-best\n")
+        out = tmp_path / "x.csv"
+        assert cli.main(["simulate", cfg, "-o", str(out)]) == 2
+        assert (f"C(Nt, N2) = C(64, 32) rank-one candidates exceed the limit of "
+                f"{simengine.RANK_ONE_CANDIDATE_LIMIT}") in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("schemes", [
         "quantized-rank1-best", "quantized-rank2-best", "quantized-rank1-best,quantized-rank2-best",
     ])
@@ -599,6 +615,15 @@ def test_non_utf8_input_exit_2_without_traceback(tmp_path, command, text):
     assert "Traceback" not in proc.stderr
     assert f"error: cannot read {src}" in proc.stderr
     assert not out.exists()
+
+
+def test_bench_tests_pass():
+    # the benchmark's own tests pin the names its span tracer patches (channel.sample,
+    # QuantizedCodebook, the simengine and codebook hermitian_eig bindings), so a rename
+    # in the package fails here, not only when the benchmark is run
+    proc = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "bench/tests"],
+                          capture_output=True, text=True, cwd=BENCH_DIR.parent, timeout=300)
+    assert proc.returncode == 0, proc.stdout[-4000:] + proc.stderr[-4000:]
 
 
 def test_round_trip_demo_config(tmp_path):

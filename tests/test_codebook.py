@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from ldfeedback import codebook
 from ldfeedback.channel import iid_model, top_eigenvalues, v4_model
 from ldfeedback.codebook import (
     QuantizedCodebook,
@@ -126,9 +125,9 @@ class TestRandomRankTwo:
            seed=st.integers(0, 2**64 - 1), held=st.booleans())
     @settings(deadline=None)
     def test_matches_uniform_form(self, count, n2, nt, seed, held):
-        # the raw-word draws equal one integers() and one uniform() call per diagonal, and
-        # leave the stream where they leave it; a 32-bit draw before the call leaves a
-        # half held on entry, and Nt = 2 draws one pair, which takes no bits
+        # the draws equal one integers() and one uniform() call per diagonal, and leave
+        # the stream where they leave it; a 32-bit draw before the call leaves a half
+        # held on entry, and Nt = 2 draws one pair, which takes no bits
         rng, ref = Rng(seed, 5), Rng(seed, 5)
         if held:
             assert rng.gen.integers(6) == ref.gen.integers(6)
@@ -137,14 +136,10 @@ class TestRandomRankTwo:
         assert_same_stream(rng, ref)
 
     @pytest.mark.parametrize("held", [False, True], ids=["fresh", "held-half"])
-    def test_lemire_redraw_matches_uniform_form(self, monkeypatch, held):
+    def test_lemire_redraw_matches_uniform_form(self, held):
         # buffered words whose low half is 0 give a 32-bit half of 0, whose product with
-        # C(4, 2) = 6 has low bits 0 < 2^32 mod 6: Lemire's rule redraws, so the call
-        # restores the stream and makes its draws one by one
-        fallbacks = []
-        by_draws = codebook._rank_two_by_draws
-        monkeypatch.setattr(codebook, "_rank_two_by_draws",
-                            lambda *args: fallbacks.append(1) or by_draws(*args))
+        # C(4, 2) = 6 has low bits 0 < 2^32 mod 6: Lemire's rule redraws inside
+        # Generator.integers, and the draws still match the uniform form and its stream
         rng, ref = Rng(8, 5), Rng(8, 5)
         for r in (rng, ref):
             if held:
@@ -155,7 +150,6 @@ class TestRandomRankTwo:
             r.gen.bit_generator.state = state
         assert np.array_equal(random_rank_two_lambdas(3, 2, 4, 4, 4, rng),
                               rank_two_lambdas_by_uniform(3, 2, 4, 4, 4, ref))
-        assert fallbacks == [1]
         assert_same_stream(rng, ref)
 
     def test_trace_and_support(self):

@@ -165,6 +165,23 @@ def test_one_stream_table():
     assert name_reads(sources, "Rng") == name_reads(sources, "trial_windows") == [("verify", "_streams")]
 
 
+def test_state_reads_are_found():
+    source = ("def reseed(gen, words):\n    gen.bit_generator.state = words\n\n"
+              "def raw(bitgen):\n    return bitgen.random_raw(4)\n\ndef keyed():\n"
+              "    return {\"bit_generator\": \"Philox\", \"state\": 0}\n")
+    assert name_reads({"a": source}, "state") == name_reads({"a": source}, "bit_generator") == [("a", "reseed")]
+    assert name_reads({"a": source}, "random_raw") == [("a", "raw")]
+
+
+def test_numpy_draws_only():
+    # the package draws through numpy's Generator calls, which own how the bit
+    # generator's words are consumed; only substream_normals re-keys a Philox
+    # state, the counter-based shortcut for one fresh stream per row
+    sources = src_sources()
+    assert name_reads(sources, "random_raw") == name_reads(sources, "bit_generator") == []
+    assert name_reads(sources, "state") == [("matkit", "substream_normals")]
+
+
 LOOPS = (ast.For, ast.AsyncFor, ast.While, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
 
 

@@ -118,7 +118,7 @@ def test_named_fault_fails(monkeypatch, suite, fault, failing):
     # measured at the default seed: thm2 FAILs at +2.330 (upper-bound) and
     # +3.327 (achievability), thm4 at +0.3867 and lemma1 at +205.6; under the
     # convex kernel thm3 FAILs at +4.382e+05, eq10 at -1.000e+04 and immse at
-    # +5.000e+03; thm3 at nan under the NaN; thm5 at +53.01 (snr-cap) and +62.01
+    # +5.000e+03; thm3 at nan under the NaN; thm5 at +57.65 (snr-cap) and +62.01
     # (rank-one-achieves-cap), thm1 at +1.862 (equal-covariance) and +6.080
     # (full-power) under the shrunk unitary and at +1.348 (uniform-power-optimal)
     # under the repeated symbol, prop2 at +1.492 and prop3 at -4.021
