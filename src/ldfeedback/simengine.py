@@ -25,6 +25,10 @@ never an (n_snr, trials) block. The fitted policies:
 - quantized-rank1-best and quantized-rank2-best: (codebooks, winners), the
   candidate (N2, Nt) power diagonals and each SNR point's winner index,
   fitted on the trials' s_matrix rows.
+The three fits that pick power diagonals, statistical-beamforming and the
+two codebook searches, score their candidates through one loop,
+_codebook_means; the single modes are scored as one-unitary codebooks on
+the optimizer sample's column powers.
 """
 
 import itertools
@@ -57,17 +61,19 @@ OPT_TOL = 1e-6
 # channel evaluations per window of trial_windows, which run and verify's suites iterate;
 # bounds their scratch memory
 TRIAL_WINDOW = 1024
-# the rank-two tournament skips a point only when a codebook's Jensen bound (_jensen_bounds)
-# is below the point's best score by more than this relative margin, far above the rounding of either side
+# _codebook_means skips a point only when a candidate's Jensen bound (_jensen_bounds) is
+# below the point's best score by more than this relative margin, far above the rounding of either side
 JENSEN_MARGIN = 1e-12
 # largest |snr_db| SimConfig.validate accepts: at 1000 dB rho = 1e100, so the
 # kernel arguments rho * power / Nt stay finite for any power below 1e208, far
 # above what a unit-variance channel draws, while 10 ** (snr_db / 10) itself
 # overflows near 3083 dB and the arguments reach inf near 3080 dB
 SNR_DB_LIMIT = 1000.0
-# most C(Nt, N2) mode sets best_rank_one_codebook scores, one at a time: every N2 of Nt <= 16
-# (at most C(16, 8) = 12870), while C(64, 32) ~ 1.8e18 would never finish
-RANK_ONE_CANDIDATE_LIMIT = 1 << 14
+# most candidates a codebook search makes: the C(Nt, N2) mode sets best_rank_one_codebook
+# scores, one at a time, for every N2 of Nt <= 16 (at most C(16, 8) = 12870), while C(64, 32)
+# ~ 1.8e18 would never finish; and the rank_two_sets * N2 diagonals rank_two_tournament draws
+# one by one, whose (sets, N2, Nt) array would otherwise be unbounded
+CANDIDATE_LIMIT = 1 << 14
 
 
 def check_schemes(schemes):
@@ -123,12 +129,15 @@ class SimConfig:
         if "quantized-rank1-best" in self.schemes:
             if self.n2 > self.model.nt:
                 raise PreconditionError(f"no rank-one candidates for Nt = {self.model.nt}, N2 = {self.n2}")
-            if math.comb(self.model.nt, self.n2) > RANK_ONE_CANDIDATE_LIMIT:
+            if math.comb(self.model.nt, self.n2) > CANDIDATE_LIMIT:
                 raise PreconditionError(f"C(Nt, N2) = C({self.model.nt}, {self.n2}) rank-one candidates exceed "
-                                        f"the limit of {RANK_ONE_CANDIDATE_LIMIT}")
+                                        f"the limit of {CANDIDATE_LIMIT}")
         if "quantized-rank2-best" in self.schemes:
             if self.rank_two_sets < 1:
                 raise PreconditionError("rank_two_sets must be >= 1")
+            if self.rank_two_sets * self.n2 > CANDIDATE_LIMIT:
+                raise PreconditionError(f"rank_two_sets * N2 = {self.rank_two_sets} * {self.n2} rank-two diagonals "
+                                        f"exceed the limit of {CANDIDATE_LIMIT}")
             check_rank_two(self.model.nt)
 
 
@@ -299,12 +308,15 @@ def _fit_statistical(config, kept):
 def _fit_single_mode(config, kept):
     """Per SNR point, the full-budget single mode of largest sample-mean MI on the optimizer sample.
 
-    Shape (n_snr, Nt); ties keep the first mode.
+    Shape (n_snr, Nt); ties keep the first mode. The Nt modes are scored by
+    _codebook_means, with the Jensen skip, as one-unitary codebooks on the
+    sample's column powers: a mode's codeword trace is its column power
+    times the Nt*Nc/K budget, so its score is, up to rounding, K times the
+    sample mean of I(rho/Nt * cols @ lambda), _sample_mean_mi's objective.
     """
-    nt, evaluator, cols = config.model.nt, MiEvaluator(config.constellation), _opt_sample(config)
+    nt, cols = config.model.nt, _opt_sample(config)
     modes = nt * config.nc / config.k * np.eye(nt)
-    return np.stack([modes[np.argmax([_sample_mean_mi(cols, lam, rho, nt, evaluator) for lam in modes])]
-                     for rho in _rhos(config)])
+    return modes[_codebook_means(config, cols[:, None, :], modes[:, None, :], skip=True).argmax(axis=0)]
 
 
 def _score_perfect(config, policy, lam_max):
@@ -379,7 +391,7 @@ def default_unitaries(config):
 def _jensen_bounds(traces, rhos, k, nt, evaluator):
     """Upper bounds on the trial mean of trace_mi(traces, rho, k, nt, evaluator), shape (n_snr,).
 
-    rank_two_tournament skips the points they rule out. I is concave, so by
+    _codebook_means skips the points they rule out. I is concave, so by
     Jensen's inequality the mean of K * I(rho/Nt * max(t, 0)) over the
     trials is at most K * I(rho/Nt * mean(max(t, 0))), the concavity behind
     Proposition 2 and eq. 10. The clipped traces are averaged once, and the
@@ -394,34 +406,49 @@ def _jensen_bounds(traces, rhos, k, nt, evaluator):
     return k * evaluator.mi(clipped * rhos / nt)
 
 
+def _codebook_means(config, smat, codebooks, skip):
+    """Each candidate's mean block MI in nats at each SNR point, shape (candidates, n_snr).
+
+    The one scoring loop of the fits that pick power diagonals: codebooks
+    iterates the candidates' (N2, Nt) diagonals, one at a time, on the
+    unitaries of smat, which is s_matrix(h, unitaries) of the trials to fit
+    on. Each candidate's codeword-max traces are computed once and scored
+    one SNR point at a time, each point's (trials,) row dropped once its
+    mean is taken. With skip, a point where the candidate's Jensen bound
+    (_jensen_bounds) is below the best earlier mean by more than
+    JENSEN_MARGIN cannot be won and is not scored; it reads -inf. So the
+    loop holds one candidate's traces and one row at a time, however many
+    candidates it scores.
+    """
+    nt, k, evaluator, rhos = config.model.nt, config.k, MiEvaluator(config.constellation), _rhos(config)
+    best, means = np.full(rhos.size, -np.inf), []
+    for lambdas in codebooks:
+        traces = codeword_max(smat, lambdas)
+        bounds = _jensen_bounds(traces, rhos, k, nt, evaluator) if skip else np.full(rhos.size, np.inf)
+        row = [-np.inf if bound < top * (1.0 - JENSEN_MARGIN) else trace_mi(traces, rho, k, nt, evaluator).mean()
+               for rho, bound, top in zip(rhos, bounds, best)]
+        best = np.maximum(best, row)
+        means.append(row)
+    return np.array(means)
+
+
 def best_rank_one_codebook(config, smat):
     """The rank-one search's policy (codebooks, winners): one candidate, which wins at every point.
 
     Candidates are the C(Nt, N2) mode sets, each mode at the full
     Nt*Nc/K budget; config has passed SimConfig.validate (so N2 <= Nt), and
     smat is s_matrix(h, unitaries) of the trials to fit on. The winner
-    maximizes mean block MI summed over the grid; ties keep the first
-    candidate. codebooks is its (1, N2, Nt) diagonals and winners the
-    (n_snr,) zeros that pick it at every point.
-
-    Every candidate's codeword-max traces are computed once and scored at
-    every SNR point, one point at a time; its score is the sum of the
-    per-point means.
+    maximizes mean block MI summed over the grid, every candidate scored at
+    every point by _codebook_means; ties keep the first candidate.
+    codebooks is its (1, N2, Nt) diagonals and winners the (n_snr,) zeros
+    that pick it at every point. The candidates are made one at a time,
+    and the winner is made again from its index in the mode-set order.
     """
-    nt = config.model.nt
-    k, evaluator, rhos = config.k, MiEvaluator(config.constellation), _rhos(config)
-    budget = nt * config.nc / k
-    means = np.empty(rhos.size)
-    best = None
-    for modes in itertools.combinations(range(nt), config.n2):
-        lambdas = budget * np.eye(nt)[list(modes)]
-        traces = codeword_max(smat, lambdas)
-        for idx, rho in enumerate(rhos):
-            means[idx] = trace_mi(traces, rho, k, nt, evaluator).mean()
-        score = float(means.sum())
-        if best is None or score > best[0]:
-            best = (score, lambdas)
-    return best[1][None], np.zeros(rhos.size, dtype=int)
+    nt, n2 = config.model.nt, config.n2
+    full = nt * config.nc / config.k * np.eye(nt)
+    means = _codebook_means(config, smat, (full[list(m)] for m in itertools.combinations(range(nt), n2)), skip=False)
+    best = next(itertools.islice(itertools.combinations(range(nt), n2), int(means.sum(axis=1).argmax()), None))
+    return full[list(best)][None], np.zeros(len(config.snr_grid_db), dtype=int)
 
 
 def rank_two_tournament(config, smat):
@@ -433,32 +460,12 @@ def rank_two_tournament(config, smat):
     Generator.random call per diagonal; they share the unitaries of smat,
     which is s_matrix(h, unitaries) of the trials to fit on. winners is the
     (n_snr,) index of each point's codebook of largest mean block MI in
-    nats; ties go to the first codebook.
-
-    Each codebook's codeword-max traces are computed once and scored one
-    SNR point at a time, each point's (trials,) row dropped once its mean is
-    taken. A point where the codebook's Jensen bound (_jensen_bounds) is
-    below the best score by more than JENSEN_MARGIN cannot be won and is not
-    scored. So the tournament's memory does not grow with
-    config.rank_two_sets.
+    nats, scored by _codebook_means with the Jensen skip; ties go to the
+    first codebook.
     """
-    nt = config.model.nt
-    k, evaluator, rhos = config.k, MiEvaluator(config.constellation), _rhos(config)
-    lamsets = random_rank_two_lambdas(config.rank_two_sets, config.n2, nt, config.nc, k,
+    lamsets = random_rank_two_lambdas(config.rank_two_sets, config.n2, config.model.nt, config.nc, config.k,
                                       Rng(config.seed, STREAM_TOURNAMENT))
-    winners = np.zeros(rhos.size, dtype=int)
-    best = np.empty(rhos.size)
-    for idx, lambdas in enumerate(lamsets):
-        traces = codeword_max(smat, lambdas)
-        bounds = _jensen_bounds(traces, rhos, k, nt, evaluator)
-        for point, rho in enumerate(rhos):
-            if idx and bounds[point] < best[point] * (1.0 - JENSEN_MARGIN):
-                continue
-            score = trace_mi(traces, rho, k, nt, evaluator).mean()
-            if idx == 0 or score > best[point]:
-                best[point] = score
-                winners[point] = idx
-    return lamsets, winners
+    return lamsets, _codebook_means(config, smat, lamsets, skip=True).argmax(axis=0)
 
 
 # One scheme's row of scheme_table. keep(config) is the function of a window's (h, hind) whose

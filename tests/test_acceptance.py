@@ -221,3 +221,37 @@ def test_criterion_12_deterministic_csv(tmp_path):
     # and the full-size CSV feeds the plot subcommand
     svg_ok = cli.main(["plot", out1, "-o", str(tmp_path / "a.svg")]) == 0
     _report(12, same and svg_ok, "byte-identical CSV across reruns; plot round trip ok")
+
+
+# stated before the first run: with N2 = Nt a rank-one trace is one product, the budget times
+# the trial's largest s_matrix entry, and a rank-two trace a two-term sum of split budgets, so in
+# exact arithmetic it is at most the rank-one trace and the kernel is non-decreasing; the rounding
+# of the split, the sum and the kernel moves a row by a few ulps, bounded by 8 ulps of the rank-one value
+THEOREM4_ROUNDING = 8 * np.finfo(float).eps
+
+
+def test_criterion_13_rank_one_beats_rank_two_per_trial():
+    # Theorem 4 per trial: the i.i.d. 2x2 and 4x4 and V4 laws, Gaussian and BPSK input, each B from
+    # log2(Nt) up to 4 with N2 = Nt, so the rank-one codebook holds every mode
+    worst = {}
+    for name in ("iid2x2", "iid4x4", "v4"):
+        model = _experiment(name).model
+        nt = model.nt
+        h, _ = draw_trials(model, 300, 11)
+        for b in range(int(math.log2(nt)), 5):
+            for kind in ("gaussian", "bpsk"):
+                config = SimConfig(model=model, snr_grid_db=[0.0, 4.0, 8.0, 12.0, 16.0, 20.0], trials=300, seed=11,
+                                   constellation=Constellation.from_name(kind), k=nt, nc=nt,
+                                   schemes=["quantized-rank1-best", "quantized-rank2-best"],
+                                   b=b, n1=2 ** b // nt, n2=nt, rank_two_sets=20)
+                config.validate()
+                smat = s_matrix(h, default_unitaries(config))
+                rank1 = _block_rows(config, "quantized-rank1-best", smat)
+                rank2 = _block_rows(config, "quantized-rank2-best", smat)
+                excess = float(((rank2 - rank1) / rank1).max())
+                if excess > worst.get(kind, (-np.inf,))[0]:
+                    worst[kind] = (excess, f"{name} B = {b}")
+    ok = all(excess <= THEOREM4_ROUNDING for excess, _ in worst.values())
+    _report(13, ok, "N2 = Nt, rank-two over rank-one per trial and point, largest relative excess "
+            + "; ".join(f"{kind} {excess:.3e} ({where})" for kind, (excess, where) in worst.items())
+            + f" (bound {THEOREM4_ROUNDING:.1e})")

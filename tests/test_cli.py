@@ -266,7 +266,27 @@ class TestSimulate:
         out = tmp_path / "x.csv"
         assert cli.main(["simulate", cfg, "-o", str(out)]) == 2
         assert (f"C(Nt, N2) = C(64, 32) rank-one candidates exceed the limit of "
-                f"{simengine.RANK_ONE_CANDIDATE_LIMIT}") in capsys.readouterr().err
+                f"{simengine.CANDIDATE_LIMIT}") in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("split, sets, n2", [
+        ("b = 2\nn1 = 4\nn2 = 1\n", 10**9, 1),
+        ("b = 40\nn1 = 1\nn2 = 1099511627776\n", 50, 2**40),
+    ], ids=["sets", "n2"])
+    def test_rank_two_diagonals_beyond_bound_exit_2(self, tmp_path, monkeypatch, capsys, split, sets, n2):
+        # 10^9 diagonals drawn one by one, or 50 * 2^40 allocated: the bound is checked
+        # before any channel or codebook is drawn, so starting either fails the test
+        def never(*args, **kwargs):
+            raise AssertionError("the run started")
+
+        monkeypatch.setattr(simengine, "draw_trials", never)
+        monkeypatch.setattr(simengine, "random_rank_two_lambdas", never)
+        cfg = write(tmp_path, "exp.cfg", f"nt = 4\nnr = 4\nnc = 4\nk = 4\n{split}rank_two_sets = {sets}\n"
+                                         "snr_db = 0\ntrials = 1\nschemes = quantized-rank2-best\n")
+        out = tmp_path / "x.csv"
+        assert cli.main(["simulate", cfg, "-o", str(out)]) == 2
+        assert (f"rank_two_sets * N2 = {sets} * {n2} rank-two diagonals exceed the limit of "
+                f"{simengine.CANDIDATE_LIMIT}") in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("schemes", [

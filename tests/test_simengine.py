@@ -928,6 +928,92 @@ class TestJensenSkip:
             assert len(scored) >= points
 
 
+def full_budget_modes(config):
+    """The Nt full-budget single modes that statistical-beamforming picks from, as (Nt, Nt) rows."""
+    return config.model.nt * config.nc / config.k * np.eye(config.model.nt)
+
+
+def fit_single_mode(config, cols):
+    """statistical-beamforming's fit with cols, (samples, Nt), in place of its optimizer sample."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(simengine, "_opt_sample", lambda config: cols)
+        return simengine._fit_single_mode(config, None)
+
+
+def exhaustive_single_mode(config, cols):
+    """statistical-beamforming's winners without the Jensen skip: every mode scored at every point.
+
+    The objective is the fit's: K times the sample mean of I(max(t, 0) * rho/Nt)
+    of a mode's traces t = cols @ lambda. Ties go to the first mode.
+    """
+    nt, k, evaluator = config.model.nt, config.k, MiEvaluator(config.constellation)
+    means = np.array([[trace_mi(cols @ lam, rho, k, nt, evaluator).mean() for rho in simengine._rhos(config)]
+                      for lam in full_budget_modes(config)])
+    return means.argmax(axis=0)
+
+
+class TestSingleModeSkip:
+    """statistical-beamforming's fit skips what the Jensen bound rules out and picks the same modes."""
+
+    @given(n=st.integers(1, 40), nt=st.integers(2, 4), pattern=st.sampled_from(["random", "modes-equal", "zero"]),
+           data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_random_cols_match_exhaustive(self, n, nt, pattern, data):
+        cols = data.draw(arrays(np.float64, (n, nt),
+                                elements=st.floats(0.0, 50.0, allow_nan=False, allow_subnormal=False)))
+        if pattern == "modes-equal":  # every mode sees the same power on a sample
+            cols = np.broadcast_to(cols[:, :1], cols.shape).copy()
+        elif pattern == "zero":
+            cols = np.zeros_like(cols)
+        snr = sorted(data.draw(st.sets(st.integers(-20, 30), min_size=1, max_size=6)))
+        config = make_config(model=iid_model(nt, nt), snr=snr)
+        want = exhaustive_single_mode(config, cols)
+        assert fit_single_mode(config, cols).tobytes() == full_budget_modes(config)[want].tobytes()
+
+    def test_ties_match_exhaustive(self):
+        # the four modes see the same powers, permuted over the samples, and
+        # differ by 1e-9 relative: only the margin keeps a mode whose score
+        # rounds above the best from being skipped
+        for seed in range(200):
+            rng = np.random.default_rng(seed)
+            powers = 1.0 + 1e-9 * rng.random(int(rng.integers(5, 80)))
+            cols = np.stack([rng.permutation(powers) for _ in range(4)], axis=1)
+            config = make_config(model=iid_model(4, 4), snr=(-10.0, 0.0, 10.0, 20.0))
+            want = exhaustive_single_mode(config, cols)
+            assert fit_single_mode(config, cols).tobytes() == full_budget_modes(config)[want].tobytes()
+
+    @pytest.mark.parametrize("offset", [0, 5])
+    def test_bench_config_matches_sample_mean_mi(self, offset):
+        # the winners of the objective the fit maximized before it shared the
+        # codebook searches' loop: the sample mean of I(rho/Nt * cols @ lambda)
+        values = parse_config_text((BENCH_CONFIGS / "gauss_iid2x2.cfg").read_text())
+        config = build_experiment(values, cli_seed=int(values["seed"]) + offset)
+        nt, evaluator, cols = config.model.nt, MiEvaluator(config.constellation), simengine._opt_sample(config)
+        modes = full_budget_modes(config)
+        want = [np.argmax([simengine._sample_mean_mi(cols, lam, rho, nt, evaluator) for lam in modes])
+                for rho in simengine._rhos(config)]
+        assert simengine._fit_single_mode(config, None).tobytes() == modes[want].tobytes()
+        assert want == exhaustive_single_mode(config, cols).tolist()
+
+    def test_skips_gaussian_points_only(self, monkeypatch):
+        # V4 has one strong column, so the bound rules out the other modes at
+        # most points; a discrete alphabet's table scores every mode
+        scored = []
+
+        def counted(traces, rho, k, nt, evaluator):
+            scored.append(rho)
+            return trace_mi(traces, rho, k, nt, evaluator)
+
+        monkeypatch.setattr(simengine, "trace_mi", counted)
+        config = make_config(model=v4_model())
+        points = len(config.snr_grid_db)
+        for constellation, skips in ((Constellation.gaussian(), True), (Constellation.bpsk(), False)):
+            scored.clear()
+            simengine._fit_single_mode(replace(config, constellation=constellation), None)
+            assert (len(scored) < config.model.nt * points) == skips
+            assert len(scored) >= points
+
+
 class TestStackedMatchesSingle:
     """Row t of a stacked evaluation equals the n = 1 evaluation of trial t, bit for bit.
 

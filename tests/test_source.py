@@ -246,3 +246,14 @@ def test_one_scheme_dispatch():
         ("cli", "build_parser"), ("simengine", "SimConfig.validate"), ("simengine", "scheme_table"),
         ("verify", "suite_goc"),
     ]
+
+
+def test_one_scoring_loop():
+    # the fits that pick power diagonals (the rank-one search, the rank-two tournament and
+    # statistical-beamforming) score their candidates through simengine._codebook_means alone,
+    # and _score_codebooks scores a fitted policy; _sample_mean_mi is the statistical optimizer's
+    # objective only, so both sides of the headline comparison are scored by one loop
+    sources = {"simengine": (SRC / "simengine.py").read_text()}
+    for name in ("codeword_max", "trace_mi"):
+        assert name_reads(sources, name) == [("simengine", "_codebook_means"), ("simengine", "_score_codebooks")]
+    assert name_reads(sources, "_sample_mean_mi") == [("simengine", "optimize_lambda")]
