@@ -21,14 +21,6 @@ from .matkit import KEY_LIMIT, Rng
 SEED_ENV_VAR = "LDFEEDBACK_SEED"
 CSV_HEADER = "snr_db,scheme,mi_bits_per_use,stderr,trials"
 
-# keys whose defaults SimConfig owns; a config file may set any of them
-OPTIONAL_INT_KEYS = ("opt_samples", "b", "n1", "n2", "rank_two_sets")
-KNOWN_KEYS = {
-    "model", "nt", "nr", "nc", "k", "vmask",
-    "snr_db", "trials", "seed", "constellation", "schemes",
-    *OPTIONAL_INT_KEYS,
-}
-
 
 def _fmt(x):
     return format(float(x), ".12g")
@@ -45,32 +37,12 @@ def parse_config_text(text, path="<config>"):
             raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
         key, _, val = line.partition("=")
         key, val = key.strip(), val.strip()
-        if key not in KNOWN_KEYS:
+        if key not in CONFIG_KEYS:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
         if key in values:
             raise ConfigError(f"{path}:{lineno}: duplicate key {key!r}")
         values[key] = val
     return values
-
-
-def _get_int(values, key, default=None):
-    if key not in values:
-        if default is None:
-            raise ConfigError(f"missing required key {key!r}")
-        return default
-    try:
-        return int(values[key])
-    except ValueError as exc:
-        raise ConfigError(f"key {key!r}: expected an integer, got {values[key]!r}") from exc
-
-
-def _get_float_list(values, key):
-    if key not in values:
-        raise ConfigError(f"missing required key {key!r}")
-    try:
-        return [float(t) for t in values[key].split(",") if t.strip()]
-    except ValueError as exc:
-        raise ConfigError(f"key {key!r}: expected comma-separated numbers") from exc
 
 
 def _check_seed(seed, source):
@@ -80,12 +52,53 @@ def _check_seed(seed, source):
     return seed
 
 
+def _numbers(text):
+    return [float(t) for t in text.split(",") if t.strip()]
+
+
+def _preset(text):
+    if text not in ("iid", "v4"):
+        raise ValueError(f"unknown model preset {text!r}")
+    return text
+
+
+def _schemes(text):
+    schemes = [s.strip() for s in text.split(",") if s.strip()]
+    if not schemes:
+        raise ValueError("schemes must name at least one scheme")
+    simengine.check_schemes(schemes)
+    return schemes
+
+
+# every simulate config key and the parser of its text, one line per quantity of the
+# experiment. SimConfig owns the defaults of opt_samples, b, n1, n2 and rank_two_sets;
+# build_experiment defaults model to iid, k to nc and constellation to gaussian
+CONFIG_KEYS = {
+    "model": _preset, "vmask": _numbers, "nt": int, "nr": int,  # the channel law
+    "nc": int, "k": int,  # K symbols over Nc channel uses
+    "snr_db": _numbers, "trials": int, "seed": lambda text: _check_seed(int(text), "key 'seed'"),
+    "constellation": Constellation.from_name, "schemes": _schemes,
+    "opt_samples": int, "b": int, "n1": int, "n2": int, "rank_two_sets": int,  # the fits and the B-bit split
+}
+REQUIRED_KEYS = ("nt", "nr", "nc", "snr_db", "trials", "schemes")
+
+
+def _parse(values, key):
+    """values[key] read by the key's parser; an unreadable value is a ConfigError naming the key and its text."""
+    try:
+        return CONFIG_KEYS[key](values[key])
+    except ConfigError:  # the seed's range error names its key already
+        raise
+    except ValueError as exc:
+        raise ConfigError(f"key {key!r} = {values[key]!r}: {exc}") from exc
+
+
 def resolve_seed(config_values, cli_seed):
     """Flag beats config beats environment beats the built-in default."""
     if cli_seed is not None:
         return _check_seed(int(cli_seed), "--seed")
     if "seed" in config_values:
-        return _check_seed(_get_int(config_values, "seed"), "key 'seed'")
+        return _parse(config_values, "seed")
     env = os.environ.get(SEED_ENV_VAR)
     if env is not None:
         try:
@@ -97,47 +110,36 @@ def resolve_seed(config_values, cli_seed):
 
 
 def build_experiment(values, cli_seed=None):
-    """Turn parsed config values into the SimConfig of one experiment."""
-    nt = _get_int(values, "nt")
-    nr = _get_int(values, "nr")
-    nc = _get_int(values, "nc")
-    k = _get_int(values, "k", default=nc)
-    preset = values.get("model", "iid")
+    """Turn parsed config values into the SimConfig of one experiment.
+
+    The checks run in this order: required keys present, not both model and
+    vmask, every value the file gives read by its parser (in file order, seed
+    included when --seed overrides it), then the rules that join keys and
+    the --seed flag. simengine.run validates the SimConfig before any draw.
+    """
+    for key in REQUIRED_KEYS:
+        if key not in values:
+            raise ConfigError(f"missing required key {key!r}")
     if "vmask" in values and "model" in values:
         raise ConfigError("give either model or vmask, not both")
-    if "vmask" in values:
-        flat = _get_float_list(values, "vmask")
+    fields = {key: _parse(values, key) for key in values}
+    nt, nr = fields.pop("nt"), fields.pop("nr")
+    if "vmask" in fields:
+        flat = fields.pop("vmask")
         check_antennas(nt, nr)
         if len(flat) != nt * nr:
             raise ConfigError(f"vmask needs {nt * nr} entries, got {len(flat)}")
         model = custom_model(np.array(flat).reshape(nr, nt))
-    elif preset == "iid":
+    elif fields.pop("model", "iid") == "iid":
         model = iid_model(nt, nr)
-    elif preset == "v4":
+    elif (nt, nr) == (4, 4):
         model = v4_model()
-        if (nt, nr) != (4, 4):
-            raise ConfigError("the v4 preset is a 4x4 model")
     else:
-        raise ConfigError(f"unknown model preset {preset!r}")
-    schemes = [s.strip() for s in values.get("schemes", "").split(",") if s.strip()]
-    if not schemes:
-        raise ConfigError("schemes must name at least one scheme")
-    try:
-        simengine.check_schemes(schemes)
-        constellation = Constellation.from_name(values.get("constellation", "gaussian"))
-    except (PreconditionError, ValueError) as exc:
-        raise ConfigError(str(exc)) from exc
-    return simengine.SimConfig(
-        model=model,
-        snr_grid_db=_get_float_list(values, "snr_db"),
-        trials=_get_int(values, "trials"),
-        seed=resolve_seed(values, cli_seed),
-        constellation=constellation,
-        k=k,
-        nc=nc,
-        schemes=schemes,
-        **{key: _get_int(values, key) for key in OPTIONAL_INT_KEYS if key in values},
-    )
+        raise ConfigError("the v4 preset is a 4x4 model")
+    fields["seed"] = resolve_seed(values, cli_seed)
+    fields.setdefault("k", fields["nc"])
+    fields.setdefault("constellation", Constellation.gaussian())
+    return simengine.SimConfig(model=model, snr_grid_db=fields.pop("snr_db"), **fields)
 
 
 def curves_to_csv(curves):

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from dataclasses import MISSING, fields
 from pathlib import Path
 from xml.etree import ElementTree
 
@@ -94,6 +95,56 @@ class TestConfigParsing:
         # the omitted optional keys take SimConfig's defaults
         assert (config.opt_samples, config.b, config.n1, config.n2, config.rank_two_sets) == (
             5000, 2, 4, 1, 50)
+
+
+def plain(config):
+    """config's fields as comparable values: the channel law by its mask and bases, the alphabet by its kind."""
+    model = config.model
+    return {**vars(config), "model": (model.vmask.tobytes(), model.ut.tobytes(), model.ur.tobytes()),
+            "constellation": config.constellation.kind}
+
+
+class TestConfigKeys:
+    BASE = "nt = 4\nnr = 4\nnc = 4\nsnr_db = 0\ntrials = 2\nschemes = perfect\n"
+    # one value per optional key that differs from the value its omission gives
+    OTHER_VALUES = {
+        "model": "v4", "vmask": "2,2,2,2,2,2,2,2,0,0,0,0,0,0,0,0", "k": "3", "seed": "7",
+        "constellation": "bpsk", "opt_samples": "1000", "b": "3", "n1": "2", "n2": "2", "rank_two_sets": "7",
+    }
+
+    def test_table_keys_and_no_others_parse(self):
+        text = "".join(f"{key} = 1\n" for key in cli.CONFIG_KEYS)
+        assert list(cli.parse_config_text(text)) == list(cli.CONFIG_KEYS)
+        assert set(cli.REQUIRED_KEYS) <= set(cli.CONFIG_KEYS)
+        # a SimConfig field that is not a config key
+        with pytest.raises(ConfigError, match="unknown key 'snr_grid_db'"):
+            cli.parse_config_text("snr_grid_db = 0\n")
+
+    def test_every_optional_key_has_a_case(self):
+        assert set(self.OTHER_VALUES) == set(cli.CONFIG_KEYS) - set(cli.REQUIRED_KEYS)
+
+    @pytest.mark.parametrize("key", sorted(OTHER_VALUES))
+    def test_optional_key_reaches_simconfig(self, monkeypatch, key):
+        monkeypatch.delenv(cli.SEED_ENV_VAR, raising=False)
+        base = cli.build_experiment(cli.parse_config_text(self.BASE))
+        changed = cli.build_experiment(cli.parse_config_text(f"{self.BASE}{key} = {self.OTHER_VALUES[key]}\n"))
+        assert plain(changed) != plain(base)
+
+    def test_readme_table_lists_the_keys(self):
+        # README's table of simulate keys: its key column is CONFIG_KEYS in order, its
+        # required rows are REQUIRED_KEYS, and its defaults are SimConfig's where SimConfig owns them
+        lines = (Path(cli.__file__).resolve().parents[2] / "README.md").read_text().splitlines()
+        start = lines.index("| key | value | default |") + 2
+        rows = []
+        for line in lines[start:]:
+            if not line.startswith("|"):
+                break
+            rows.append([cell.strip() for cell in line.strip("|").split("|")])
+        assert [row[0].strip("`") for row in rows] == list(cli.CONFIG_KEYS)
+        assert [row[0].strip("`") for row in rows if row[2] == "required"] == list(cli.REQUIRED_KEYS)
+        defaults = {f.name: f.default for f in fields(simengine.SimConfig) if f.default is not MISSING}
+        assert {row[0].strip("`"): row[2] for row in rows if row[0].strip("`") in defaults} == {
+            key: f"`{value}`" for key, value in defaults.items()}
 
 
 class TestSeedResolution:
@@ -229,13 +280,31 @@ class TestSimulate:
         ("model = iid\nnt = 2\nnr = 2", "vmask = 1,1,1,1\nnt = -2\nnr = -2", "antenna counts must be >= 1"),
         # 2^20000 has more digits than str() formats by default: the split check tests bits, never 2^B
         ("b = 2\n", "b = 20000\n", "n1 = 4, n2 = 1: n1*n2 must equal 2^B for B = 20000"),
+        # a value its key's parser cannot read: the message names the key and the text
+        ("constellation = gaussian", "constellation = pam", "key 'constellation' = 'pam': "),
+        ("constellation = gaussian", "constellation = pamx", "key 'constellation' = 'pamx': "),
+        ("trials = 1", "trials = 1.5", "key 'trials' = '1.5': "),
+        ("snr_db = 0,10,20", "snr_db = 0,x", "key 'snr_db' = '0,x': "),
     ], ids=["k-0", "nc-0", "snr-nan", "snr-inf", "snr-minus-inf", "snr-4000", "snr-3080", "vmask-nan",
-            "vmask-inf", "repeated-scheme", "model-and-vmask", "vmask-negative-antennas", "b-20000"])
+            "vmask-inf", "repeated-scheme", "model-and-vmask", "vmask-negative-antennas", "b-20000",
+            "constellation-pam", "constellation-pamx", "trials-1.5", "snr-not-a-number"])
     def test_bad_value_exit_2(self, tmp_path, capsys, line, bad, message):
         text = SMALL_CFG.replace("trials = 20", "trials = 1")
         cfg = write(tmp_path, "exp.cfg", text.replace(line, bad))
         out = tmp_path / "x.csv"
         assert cli.main(["simulate", cfg, "-o", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("seed, message", [
+        ("abc", "key 'seed' = 'abc': "),
+        ("-5", "key 'seed' must be in [0, 2**64), got -5"),
+    ], ids=["not-an-integer", "negative"])
+    def test_config_seed_checked_under_flag(self, tmp_path, capsys, seed, message):
+        # --seed overrides the config's seed, but the file's value is still read and range-checked
+        cfg = write(tmp_path, "exp.cfg", f"{TINY_CFG}seed = {seed}\n")
+        out = tmp_path / "x.csv"
+        assert cli.main(["simulate", cfg, "-o", str(out), "--seed", "3"]) == 2
         assert message in capsys.readouterr().err
         assert not out.exists()
 
@@ -635,6 +704,23 @@ def test_non_utf8_input_exit_2_without_traceback(tmp_path, command, text):
     assert "Traceback" not in proc.stderr
     assert f"error: cannot read {src}" in proc.stderr
     assert not out.exists()
+
+
+def test_simulate_process_imports(tmp_path):
+    # a simulate process loads none of these: verify is imported by its command only, plot
+    # imports xml.sax.saxutils (which loads urllib.request) inside render_svg, and the package
+    # uses dict.fromkeys, not np.unique, which loads numpy.ma; scipy is a test dependency only
+    unwanted = ["ldfeedback.verify", "xml.sax.saxutils", "urllib.request", "numpy.ma", "scipy"]
+    child = ("import json, sys\nfrom ldfeedback import cli\n"
+             "code = cli.main(['simulate', sys.argv[1], '-o', sys.argv[2]])\n"
+             f"print(json.dumps([code, [name for name in {unwanted!r} if name in sys.modules]]))\n")
+    out = tmp_path / "demo.csv"
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-c", child, str(CONFIG_DIR / "demo.cfg"), str(out)],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [0, []]
+    assert out.exists()
 
 
 def test_bench_tests_pass():
