@@ -94,19 +94,24 @@ def _parse(values, key):
 
 
 def resolve_seed(config_values, cli_seed):
-    """Flag beats config beats environment beats the built-in default."""
-    if cli_seed is not None:
-        return _check_seed(int(cli_seed), "--seed")
-    if "seed" in config_values:
-        return _parse(config_values, "seed")
+    """Flag beats config beats environment beats the built-in default.
+
+    A set environment value is read and range-checked even when the flag or
+    the config overrides it, so a bad one never passes without a word.
+    """
+    seed = 1
     env = os.environ.get(SEED_ENV_VAR)
     if env is not None:
         try:
             seed = int(env)
         except ValueError as exc:
             raise ConfigError(f"{SEED_ENV_VAR} must be an integer, got {env!r}") from exc
-        return _check_seed(seed, SEED_ENV_VAR)
-    return 1
+        _check_seed(seed, SEED_ENV_VAR)
+    if cli_seed is not None:
+        return _check_seed(int(cli_seed), "--seed")
+    if "seed" in config_values:
+        return _parse(config_values, "seed")
+    return seed
 
 
 def build_experiment(values, cli_seed=None):

@@ -259,9 +259,7 @@ def optimize_lambda(cols, rho, nt, k, nc, evaluator):
                 lam, f_cur, accepted = cand, f_cand, True
                 break
             step /= 2.0
-        if not accepted:
-            # no ascent direction survives backtracking: numerically stationary
-            converged = np.linalg.norm(pg) <= 10 * OPT_TOL
+        if not accepted:  # no ascent step survives backtracking above OPT_TOL: not converged
             break
     return LambdaStat(diag=lam, converged=converged, iterations=iterations)
 

@@ -1,9 +1,17 @@
 """Numeric certificates for the library's structural claims.
 
 Each suite re-checks one optimality/feasibility statement the code relies
-on, at a fixed internal seed, and reports a pass/fail line with the
-measured residual or margin. The CLI `verify` subcommand dispatches here;
-the acceptance tests call the same suites, whose sizes are fixed.
+on, at a fixed internal seed, and reports a pass/fail line per check. The
+CLI `verify` subcommand dispatches here; the acceptance tests call the same
+suites, whose sizes are fixed.
+
+One verdict rule holds for every check: its metric is its worst violation,
+so larger is worse, and it PASSes iff the metric is at most its tolerance.
+_certify, the one place that builds a CheckResult, folds a check's
+violations with one np.max, so a NaN in any of them is the metric and
+FAILs. The suites that draw channels hand it one item per window; the
+others hand it their per-instance values (prop1's residuals, thm1's
+covariances, prop3's (M, N) groups, eq10's evaluators) or one item.
 
 The random suites take their streams from one table, STREAM_SLOTS, through
 _streams: the suite in slot i owns the substreams [i << 32, (i + 1) << 32).
@@ -12,10 +20,9 @@ from Rng(seed, ((i + 1) << 32) - 1), the range's last stream, which no
 window reaches. So no two suites share a channel, and none shares a stream
 with simengine's STREAM_* ids (from 1 << 48). Every suite that draws
 channels iterates simengine.trial_windows, each window holding at most
-TRIAL_WINDOW channel evaluations, and _certify maps each window's channels
-to its checks' margins and folds the windows' worst cases into the
-CheckResults. A window is its channels (lo, h, hind), bit for bit that row
-range of the whole draw; thm3 and lemma1 take its largest eigenvalues with
+TRIAL_WINDOW channel evaluations, and maps each window's channels h to its
+checks' margins. A window's h is bit for bit that row range of the whole
+draw; thm3 and lemma1 take its largest eigenvalues with
 channel.top_eigenvalues, once per window. The suites' Generators carry on
 from window to window (goc draws its 100 channels once per dispersion set),
 and a window's other randomness is one draw whose leading axis is its
@@ -29,7 +36,6 @@ metric depends on the window size.
 import itertools
 import math
 from dataclasses import dataclass, replace
-from functools import partial
 
 import numpy as np
 
@@ -62,20 +68,26 @@ class CheckResult:
 
 
 def _streams(suite, seed):
-    """The suite's one-off Rng, and trial_windows bound to its seed and first channel stream (STREAM_SLOTS)."""
+    """The suite's one-off Rng, and windows(model, trials, evals_per_trial=1), which yields each
+    trial_windows window's channels h from the suite's first channel stream on (STREAM_SLOTS)."""
     slot = STREAM_SLOTS[suite]
-    return Rng(seed, ((slot + 1) << 32) - 1), partial(trial_windows, seed=seed, first_stream=slot << 32)
+
+    def windows(model, trials, evals_per_trial=1):
+        return (h for _, h, _ in trial_windows(model, trials, seed, slot << 32, evals_per_trial))
+
+    return Rng(seed, ((slot + 1) << 32) - 1), windows
 
 
-def _certify(suite, windows, margins, *checks):
-    """One CheckResult per (name, tolerance, detail) check, in order, from the windows (lo, h, hind).
+def _certify(suite, margins, *checks):
+    """One CheckResult per (name, tolerance, detail) check, in order: the only place one is built.
 
-    margins(h) gives the window's margin for each check, or the one check's
-    margin. A check's metric is its largest margin over the windows, folded
-    by one np.max so that a NaN in any window is the metric, and it passes
-    when that is at most its tolerance.
+    margins yields items, one per window or instance: each check's margin,
+    or the one check's margin, a violation that is larger when worse. A
+    check's metric is its largest margin over the items, folded by one
+    np.max so that a NaN in any item is the metric, and it passes when that
+    is at most its tolerance.
     """
-    worst = np.atleast_1d(np.max([margins(h) for _, h, _ in windows], axis=0)).tolist()
+    worst = np.atleast_1d(np.max(np.array(list(margins), dtype=float), axis=0)).tolist()
     return [CheckResult(suite, name, w <= tol, w, detail) for (name, tol, detail), w in zip(checks, worst)]
 
 
@@ -109,19 +121,17 @@ def _uniform_codeword(qs):
 
 def suite_prop1(seed=DEFAULT_SEED):
     """Feasibility of the unit-row matrix V with V V^H = I + i*skew, iff K <= 2*Nc."""
-    worst = max(float(dispersion.v_residual(dispersion.build_v_matrix(k, nc)))
-                for nc in range(1, 9) for k in range(1, 2 * nc + 1))
-    results = [CheckResult("prop1", "construction-residual", worst == 0.0, worst,
-                           "all Nc <= 8, K <= 2*Nc")]
-    guarded = True
+    residuals = (dispersion.v_residual(dispersion.build_v_matrix(k, nc)) for nc in range(1, 9)
+                 for k in range(1, 2 * nc + 1))
+    unrejected = 0  # the Nc whose infeasible K = 2*Nc + 1 is built
     for nc in range(1, 9):
         try:
             dispersion.build_v_matrix(2 * nc + 1, nc)
-            guarded = False
+            unrejected += 1
         except InfeasibleError:
             pass
-    results.append(CheckResult("prop1", "infeasible-guard", guarded, 0.0, "K = 2*Nc + 1 rejected"))
-    return results
+    return (_certify("prop1", residuals, ("construction-residual", 0.0, "all Nc <= 8, K <= 2*Nc"))
+            + _certify("prop1", [unrejected], ("infeasible-guard", 0.0, "K = 2*Nc + 1 rejected")))
 
 
 def suite_thm1(seed=DEFAULT_SEED):
@@ -129,14 +139,10 @@ def suite_thm1(seed=DEFAULT_SEED):
     rng, windows = _streams("thm1", seed)
     lam = np.array([8.0, 4.0, 4.0, 0.0])  # r = 3 positive modes, trace Nt*Nc/K = 16
     dset = dispersion.statistical_set(lam, k=2, nc=8, rng=rng)
-    cov_resid = max(float(np.linalg.norm(q - np.diag(lam))) for q in dset.covariances())
-    goc_ok, goc_resid = dispersion.check_goc(dset)
-    power_err = abs(dset.total_power() - dset.nt * dset.nc)
-    results = [
-        CheckResult("thm1", "equal-covariance", cov_resid <= 1e-10, cov_resid),
-        CheckResult("thm1", "orthogonality", goc_ok, goc_resid),
-        CheckResult("thm1", "full-power", power_err <= 1e-9, power_err),
-    ]
+    results = (_certify("thm1", (np.linalg.norm(q - np.diag(lam)) for q in dset.covariances()),
+                        ("equal-covariance", 1e-10, ""))
+               + _certify("thm1", [(dispersion.check_goc(dset)[1], abs(dset.total_power() - dset.nt * dset.nc))],
+                          ("orthogonality", dispersion.GOC_TOL, ""), ("full-power", 1e-9, "")))
     # uniform symbol power never loses: sum_k I(a_k) <= K * I(mean a_k)
     traces = np.array([4.0, 6.0, 3.0, 3.0])  # per-symbol traces, sum = Nt*Nc budget
 
@@ -144,7 +150,7 @@ def suite_thm1(seed=DEFAULT_SEED):
         qs = _scaled_psd(_psd_normals(4, rng, (len(h), traces.size)), traces)
         return (block_mi(h, qs, 1.0, 4, _GAUSSIAN) - block_mi(h, _uniform_codeword(qs), 1.0, 4, _GAUSSIAN)).max()
 
-    return results + _certify("thm1", windows(channel.v4_model(), 100), gap,
+    return results + _certify("thm1", map(gap, windows(channel.v4_model(), 100)),
                               ("uniform-power-optimal", 1e-9, "100 channels x random splits"))
 
 
@@ -163,7 +169,7 @@ def suite_thm2(seed=DEFAULT_SEED):
         beams = dispersion.rank_one_set(eig.vectors[:, :, 0], k, nc).covariances()
         return (uniform - np.repeat(best, qsets)).max(), np.abs(block_mi(h, beams, rho, 4, _GAUSSIAN) - best).max()
 
-    return _certify("thm2", windows(channel.iid_model(4, 4), channels, evals_per_trial=qsets), margins,
+    return _certify("thm2", map(margins, windows(channel.iid_model(4, 4), channels, evals_per_trial=qsets)),
                     ("upper-bound", 1e-9, f"{channels} channels x {qsets} uniform-Q sets"),
                     ("achievability", 1e-9, "top-eigenvector beamforming set"))
 
@@ -181,7 +187,7 @@ def suite_thm3(seed=DEFAULT_SEED):
         lam_max = channel.top_eigenvalues(h)
         return np.max([[rises(lam_max, rho, ev) for ev in (_GAUSSIAN, _BPSK)] for rho in (1.0, 10.0)], axis=0)
 
-    return _certify("thm3", windows(channel.iid_model(4, 4), draws), margins,
+    return _certify("thm3", map(margins, windows(channel.iid_model(4, 4), draws)),
                     *((f"monotone-in-k-{ev.constellation.kind}", 1e-8, f"{draws} draws, K = 1..{2 * nc}")
                       for ev in (_GAUSSIAN, _BPSK)))
 
@@ -202,7 +208,7 @@ def suite_thm4(seed=DEFAULT_SEED):
         ref = codebook.select_mi(smat, budget * np.eye(nt), rho, k, nt, _GAUSSIAN)
         return (codebook.select_mi(smat[:, None], comp, rho, k, nt, _GAUSSIAN) - ref[:, None]).max()
 
-    return _certify("thm4", windows(channel.iid_model(4, 4), realizations, evals_per_trial=competitors), gap,
+    return _certify("thm4", map(gap, windows(channel.iid_model(4, 4), realizations, evals_per_trial=competitors)),
                     ("rank-one-strongly-optimal", 1e-9, f"{realizations} realizations x {competitors} competitors"))
 
 
@@ -223,7 +229,7 @@ def suite_thm5(seed=DEFAULT_SEED):
         full_modes = codebook.select_snr(smat, budget * np.eye(nt), k, nt, nc)
         return (comp - smax[:, None]).max(), np.abs(full_modes - smax).max()
 
-    return _certify("thm5", windows(channel.v4_model(), realizations, evals_per_trial=3), margins,
+    return _certify("thm5", map(margins, windows(channel.v4_model(), realizations, evals_per_trial=3)),
                     ("snr-cap", 1e-9, f"{realizations} realizations x 3 rank-two codebooks"),
                     ("rank-one-achieves-cap", 1e-9, ""))
 
@@ -244,7 +250,7 @@ def suite_prop2(seed=DEFAULT_SEED):
         qs = _scaled_psd(z, shares / shares.sum(axis=-1, keepdims=True) * (4 * nc))
         return (block_mi(h, qs, rho, 4, _GAUSSIAN) - block_mi(h, _uniform_codeword(qs), rho, 4, _GAUSSIAN)).max()
 
-    return _certify("prop2", windows(channel.iid_model(4, 4), realizations), gap,
+    return _certify("prop2", map(gap, windows(channel.iid_model(4, 4), realizations)),
                     ("uniform-codeword-dominates", 1e-9, f"{realizations} realizations"))
 
 
@@ -272,20 +278,20 @@ def suite_prop3(seed=DEFAULT_SEED):
 
     The sizes, weights and values are one draw each; instance i is the
     top-left (M, N) block of its rows, its weights offset by 1e-12 and
-    divided by their row sums.
+    divided by their row sums. A group's margin is its largest LHS - RHS.
     """
     rng, _ = _streams("prop3", seed)
     count = 1000
     sizes = rng.gen.integers(1, 5, size=(count, 2))
     a_all, y_all = rng.gen.uniform(size=(count, 4, 4)), rng.gen.normal(scale=3.0, size=(count, 4, 4))
-    worst = np.inf
-    for m, n in itertools.product(range(1, 5), repeat=2):
+
+    def margin(m, n):
         group = (sizes == (m, n)).all(axis=1)
         a = a_all[group, :m, :n] + 1e-12
-        gaps = prop3_gap(a / a.sum(axis=2, keepdims=True), y_all[group, :m, :n])
-        worst = min(worst, float(gaps.min(initial=np.inf)))
-    return [CheckResult("prop3", "brute-force", worst >= -1e-12, worst,
-                        f"{count} instances, M <= 4, N <= 4")]
+        return np.max(-prop3_gap(a / a.sum(axis=2, keepdims=True), y_all[group, :m, :n]), initial=-np.inf)
+
+    return _certify("prop3", itertools.starmap(margin, itertools.product(range(1, 5), repeat=2)),
+                    ("brute-force", 1e-12, f"{count} instances, M <= 4, N <= 4"))
 
 
 def suite_lemma1(seed=DEFAULT_SEED):
@@ -302,16 +308,15 @@ def suite_lemma1(seed=DEFAULT_SEED):
                         - codebook.delta_snr(smat, cb.lambdas, lam_max, rho, k, nt, nc)).max()
                        for rho in (1.0, 10.0)])
 
-    return _certify("lemma1", windows(channel.v4_model(), realizations), gap,
+    return _certify("lemma1", map(gap, windows(channel.v4_model(), realizations)),
                     ("mi-gap-below-snr-gap", 1e-9, f"{realizations} V4 realizations, rho in {{1, 10}}"))
 
 
 def suite_eq10(seed=DEFAULT_SEED):
-    """Concavity consequence I(z/k) >= (z/k) * mmse(z/k)."""
+    """Concavity consequence I(z/k) >= (z/k) * mmse(z/k), each evaluator's margin its largest a*mmse(a) - I(a)."""
     a = np.array([1.0, 10.0, 100.0])[:, None] / np.arange(1, 9)
-    worst = min(float((ev.mi(a) - a * ev.mmse(a)).min()) for ev in (_GAUSSIAN, _BPSK))
-    return [CheckResult("eq10", "chord-below-mi", worst >= -1e-9, worst,
-                        "z in {1,10,100}, k = 1..8, gaussian+bpsk")]
+    return _certify("eq10", ((a * ev.mmse(a) - ev.mi(a)).max() for ev in (_GAUSSIAN, _BPSK)),
+                    ("chord-below-mi", 1e-9, "z in {1,10,100}, k = 1..8, gaussian+bpsk"))
 
 
 def suite_immse(seed=DEFAULT_SEED):
@@ -328,15 +333,13 @@ def suite_immse(seed=DEFAULT_SEED):
         step = 1e-4
         upper, lower = ev.reference_mi(np.stack([points + step, points - step]))
         fd = (upper - lower) / (2 * step)
-        rel = float(np.max(np.abs(fd - ev.mmse(points)) / ev.mmse(points)))
-        results.append(CheckResult("immse", f"derivative-match-{kind}", rel <= 1e-3, rel,
-                                   "6 points, central differences of the reference I"))
+        rel = np.max(np.abs(fd - ev.mmse(points)) / ev.mmse(points))
         grid = np.logspace(-3, 3, 50)
         h = 0.05 * grid
         second = ev.mi(grid + h) - 2 * ev.mi(grid) + ev.mi(grid - h)
-        worst = float(second.max())
-        results.append(CheckResult("immse", f"concavity-{kind}", worst <= 1e-6, worst,
-                                   "50 log-spaced points"))
+        results += _certify("immse", [(rel, second.max())],
+                            (f"derivative-match-{kind}", 1e-3, "6 points, central differences of the reference I"),
+                            (f"concavity-{kind}", 1e-6, "50 log-spaced points"))
     return results
 
 
@@ -353,11 +356,10 @@ def suite_goc(seed=DEFAULT_SEED, mutate=False):
         sets["rank-one"] = replace(beam, mats=beam.mats[[0, 0, *range(2, beam.k)]])
     results = []
     for name, dset in sets.items():
-        ok, resid = dispersion.check_goc(dset)
-        results.append(CheckResult("goc", f"{name}-constraint", ok, resid))
         pairs = dset.k * (dset.k - 1) // 2
-        results += _certify("goc", windows(channel.iid_model(4, 4), 100, evals_per_trial=pairs),
-                            lambda h: dispersion.decoupling_residual(h, dset).max(),
+        results += _certify("goc", [dispersion.check_goc(dset)[1]], (f"{name}-constraint", dispersion.GOC_TOL, ""))
+        results += _certify("goc", (dispersion.decoupling_residual(h, dset).max()
+                                    for h in windows(channel.iid_model(4, 4), 100, evals_per_trial=pairs)),
                             (f"{name}-decoupling", 1e-10, "100 random channels"))
     return results
 

@@ -198,6 +198,21 @@ class TestSimulateSeedRange:
         assert not out.exists()
 
 
+@pytest.mark.parametrize("override", ["config", "flag"])
+@pytest.mark.parametrize("env, message", [
+    ("abc", "LDFEEDBACK_SEED must be an integer, got 'abc'"),
+    ("-3", "LDFEEDBACK_SEED must be in [0, 2**64), got -3"),
+], ids=["not-an-integer", "negative"])
+def test_bad_env_seed_exit_2_when_overridden(tmp_path, monkeypatch, capsys, override, env, message):
+    # a set LDFEEDBACK_SEED is read and range-checked even when the config's seed or --seed wins
+    monkeypatch.setenv(cli.SEED_ENV_VAR, env)
+    text, args = (TINY_CFG + "seed = 4\n", []) if override == "config" else (TINY_CFG, ["--seed", "2"])
+    out = tmp_path / "out.csv"
+    assert cli.main(["simulate", write(tmp_path, "exp.cfg", text), "-o", str(out), *args]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 class TestSeedRangeOtherCommands:
     CONSTRUCT = ["construct", "--kind", "statistical", "--k", "2", "--nc", "8", "--nt", "4",
                  "--lambdas", "10,6,0,0"]
@@ -576,12 +591,12 @@ class TestVerifyCommand:
         assert peak <= 2 * 2**20
 
     def test_certify_keeps_nan(self):
-        # a NaN margin in any window reaches the check's metric, which then fails its
+        # a NaN margin in any item reaches the check's metric, which then fails its
         # `<= tolerance` test; a running max(worst, nan) would have kept the earlier value
-        one = verify._certify("s", [(0, 1.0, None), (1, -2.0, None)], lambda h: h, ("c", 1.0, "d"))
+        one = verify._certify("s", [1.0, -2.0], ("c", 1.0, "d"))
         assert one == [verify.CheckResult("s", "c", True, 1.0, "d")]
-        windows = [(0, (1.0, -3.0), None), (1, (np.nan, -2.0), None), (2, (0.5, -1.0), None)]
-        nan, last = verify._certify("s", windows, lambda h: h, ("a", 0.0, ""), ("b", -1.0, "x"))
+        items = [(1.0, -3.0), (np.nan, -2.0), (0.5, -1.0)]
+        nan, last = verify._certify("s", iter(items), ("a", 0.0, ""), ("b", -1.0, "x"))
         assert np.isnan(nan.metric) and not nan.passed and nan.line() == "FAIL s/a metric=nan"
         assert last == verify.CheckResult("s", "b", True, -1.0, "x")
 

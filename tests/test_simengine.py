@@ -173,6 +173,19 @@ class TestOptimizer:
         # column 2 (0-based) holds raw variance 1.6 of 2.6
         assert res.diag[2] >= 0.9 * res.diag.sum()
 
+    def test_stall_above_tolerance_is_not_converged(self, monkeypatch):
+        # an objective flat in floating point: no backtracking step rises above the
+        # start, while the projected gradient reads OPT_TOL < |pg| <= 10 * OPT_TOL
+        monkeypatch.setattr(simengine, "_sample_mean_mi", lambda *args: 0.0)
+        ev = MiEvaluator(Constellation.gaussian())
+        cols, lam = np.array([[1.0 + 3.5e-5, 1.0]]), np.ones(2)  # rho = Nt = 2, K = Nc = 1: trace 2
+        g = (ev.mmse(cols @ lam)[:, None] * cols).mean(axis=0)
+        pg = np.linalg.norm(project_scaled_simplex(lam + g, 2.0) - lam)
+        assert simengine.OPT_TOL < pg <= 10 * simengine.OPT_TOL
+        res = optimize_lambda(cols, 2.0, 2, 1, 1, ev)
+        assert (res.converged, res.iterations) == (False, 1)
+        assert res.diag.tolist() == lam.tolist()
+
     @pytest.mark.parametrize("model", [iid_model(4, 4), v4_model(), "rotated"], ids=["iid4x4", "v4", "rotated-2x3"])
     def test_column_powers_equal_mapping_the_whole_draw(self, model):
         # 2500 samples: two whole windows and a partial one give the bits of

@@ -165,6 +165,12 @@ def test_one_stream_table():
     assert name_reads(sources, "Rng") == name_reads(sources, "trial_windows") == [("verify", "_streams")]
 
 
+def test_one_verdict_rule():
+    # every check's CheckResult is built by verify._certify, which folds its
+    # violations with one np.max and passes it at or below its tolerance
+    assert name_reads(src_sources(), "CheckResult") == [("verify", "_certify")]
+
+
 def test_state_reads_are_found():
     source = ("def reseed(gen, words):\n    gen.bit_generator.state = words\n\n"
               "def raw(bitgen):\n    return bitgen.random_raw(4)\n\ndef keyed():\n"

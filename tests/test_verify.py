@@ -65,6 +65,40 @@ def nan_at_the_second_snr(monkeypatch):
     monkeypatch.setattr(verify, "perfect_csi_mi", faulty)
 
 
+def nan_in_a_later_residual(monkeypatch):
+    # the residual of (K, Nc) = (2, 3), neither the first nor the last, is NaN: a
+    # running max over the residuals keeps its earlier 0.0 against it and would PASS
+    v_residual = dispersion.v_residual
+    monkeypatch.setattr(dispersion, "v_residual", lambda rows: np.nan if rows.shape == (2, 3) else v_residual(rows))
+
+
+def nan_in_a_later_group(monkeypatch):
+    # one instance of the fifth (M, N) group, (2, 1), has a NaN gap: a running
+    # min over the groups keeps its earlier value against it and would PASS
+    prop3_gap = verify.prop3_gap
+
+    def faulty(a, y):
+        gaps = prop3_gap(a, y)
+        if a.shape[1:] == (2, 1):
+            gaps[0] = np.nan
+        return gaps
+
+    monkeypatch.setattr(verify, "prop3_gap", faulty)
+
+
+def nan_in_the_bpsk_mi(monkeypatch):
+    # one BPSK I(a) is NaN: a Python min over the two evaluators' margins keeps
+    # the Gaussian one against it and would PASS
+    mi = verify._BPSK.mi
+
+    def faulty(a):
+        values = mi(a)
+        values[1, 2] = np.nan
+        return values
+
+    monkeypatch.setattr(verify._BPSK, "mi", faulty)
+
+
 def snr_weights_unnormalized(monkeypatch):
     # the snr rule weighs the mode powers by lambda itself, without the
     # alpha = lambda * K / (Nt * Nc) normalization
@@ -104,6 +138,9 @@ def first_weight_row_doubled(monkeypatch):
     ("lemma1", gaps_swapped, ["mi-gap-below-snr-gap"]),
     ("thm3", convex_gaussian_kernel, ["monotone-in-k-gaussian"]),
     ("thm3", nan_at_the_second_snr, ["monotone-in-k-gaussian"]),
+    ("prop1", nan_in_a_later_residual, ["construction-residual"]),
+    ("prop3", nan_in_a_later_group, ["brute-force"]),
+    ("eq10", nan_in_the_bpsk_mi, ["chord-below-mi"]),
     ("eq10", convex_gaussian_kernel, ["chord-below-mi"]),
     ("immse", convex_gaussian_kernel, ["concavity-gaussian"]),
     ("thm5", snr_weights_unnormalized, ["snr-cap", "rank-one-achieves-cap"]),
@@ -112,17 +149,27 @@ def first_weight_row_doubled(monkeypatch):
     ("prop2", first_symbol_repeated, ["uniform-codeword-dominates"]),
     ("prop3", first_weight_row_doubled, ["brute-force"]),
 ], ids=["thm2-second-eigenvalue", "thm4-dropped-mode", "lemma1-swapped-gaps", "thm3-convex-kernel", "thm3-nan-at-second-snr",
-        "eq10-convex-kernel", "immse-convex-kernel", "thm5-unnormalized-weights", "thm1-shrunk-unitary",
+        "prop1-nan-in-later-residual", "prop3-nan-in-later-group", "eq10-nan-in-bpsk-mi", "eq10-convex-kernel", "immse-convex-kernel", "thm5-unnormalized-weights", "thm1-shrunk-unitary",
         "thm1-first-symbol", "prop2-first-symbol", "prop3-doubled-weight-row"])
 def test_named_fault_fails(monkeypatch, suite, fault, failing):
     # measured at the default seed: thm2 FAILs at +2.330 (upper-bound) and
     # +3.327 (achievability), thm4 at +0.3867 and lemma1 at +205.6; under the
-    # convex kernel thm3 FAILs at +4.382e+05, eq10 at -1.000e+04 and immse at
-    # +5.000e+03; thm3 at nan under the NaN; thm5 at +57.65 (snr-cap) and +62.01
+    # convex kernel thm3 FAILs at +4.382e+05, eq10 at +1.000e+04 and immse at
+    # +5.000e+03; thm3, prop1, prop3 and eq10 at nan under their NaNs; thm5 at +57.65 (snr-cap) and +62.01
     # (rank-one-achieves-cap), thm1 at +1.862 (equal-covariance) and +6.080
     # (full-power) under the shrunk unitary and at +1.348 (uniform-power-optimal)
-    # under the repeated symbol, prop2 at +1.492 and prop3 at -4.021
+    # under the repeated symbol, prop2 at +1.492 and prop3 at +4.021
     assert all(r.passed for r in verify.SUITES[suite]())
     fault(monkeypatch)
     results = verify.SUITES[suite]()
     assert [r.name for r in results if not r.passed] == failing
+
+
+@pytest.mark.parametrize("suite, fault", [
+    ("thm3", nan_at_the_second_snr), ("prop1", nan_in_a_later_residual), ("prop3", nan_in_a_later_group),
+    ("eq10", nan_in_the_bpsk_mi),
+], ids=["thm3", "prop1", "prop3", "eq10"])
+def test_nan_is_the_metric(monkeypatch, suite, fault):
+    # _certify's one np.max keeps the NaN: it is the FAILing check's metric
+    fault(monkeypatch)
+    assert [np.isnan(r.metric) for r in verify.SUITES[suite]() if not r.passed] == [True]
