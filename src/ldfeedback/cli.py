@@ -77,7 +77,7 @@ CONFIG_KEYS = {
     "model": _preset, "vmask": _numbers, "nt": int, "nr": int,  # the channel law
     "nc": int, "k": int,  # K symbols over Nc channel uses
     "snr_db": _numbers, "trials": int, "seed": lambda text: _check_seed(int(text), "key 'seed'"),
-    "constellation": Constellation.from_name, "schemes": _schemes,
+    "constellation": Constellation, "schemes": _schemes,
     "opt_samples": int, "b": int, "n1": int, "n2": int, "rank_two_sets": int,  # the fits and the B-bit split
 }
 REQUIRED_KEYS = ("nt", "nr", "nc", "snr_db", "trials", "schemes")

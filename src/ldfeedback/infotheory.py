@@ -18,10 +18,11 @@ The quadrature integrates I(a) = ln M - E[ln sum_s' exp(t^2 - (t + mu_s -
 mu_s')^2)] and mmse(a) = 1 - E[E[x | y]^2] over t ~ N(0, 1/2) for each
 component s. It keeps only the nodes that can reach a double: node q adds
 at most w_q * (t_q^2 + ln M + max x^2) to either sum, and the outer nodes
-whose bounds total below _QUAD_DROP are left out. An alphabet must be
-mirror-symmetric, and both integrands of components s and M-1-s are equal
-by that symmetry, so only the components s < ceil(M/2) are integrated, with
-weight 2 (the middle point of an odd M has weight 1).
+whose bounds total below _QUAD_DROP are left out. Every alphabet
+Constellation makes (BPSK and PAM-M) is zero mean, unit variance and
+mirror-symmetric by construction, and both integrands of components s and
+M-1-s are equal by that symmetry, so only the components s < ceil(M/2) are
+integrated, with weight 2 (the middle point of an odd M has weight 1).
 """
 
 import math
@@ -152,30 +153,27 @@ class _Table:
 
 
 class Constellation:
-    """Unit-variance real input alphabet with uniform priors (or Gaussian).
+    """Real input alphabet with uniform priors, or Gaussian input, made from its name.
 
-    A discrete alphabet must be mirror-symmetric (BPSK and every PAM are):
-    the quadrature integrates only half of its components.
+    The name, in any case, is gaussian (no points), bpsk ([-1, 1]) or pam<M>
+    for 2 <= M <= PAM_MAX_LEVELS: M equally spaced levels scaled to unit
+    variance, of kind f"pam{M}". Every discrete alphabet is therefore zero
+    mean, unit variance and mirror-symmetric by construction; the quadrature
+    relies on the symmetry to integrate only half of its components.
     """
 
-    def __init__(self, kind, points=None):
-        self.kind = kind
-        if kind == "gaussian":
-            self.points = None
-            return
-        points = np.asarray(points, dtype=float)
-        mean = float(points.mean())
-        meansq = float(np.mean(points**2))
-        if abs(mean) > 1e-12 or abs(meansq - 1.0) > 1e-12:
-            raise PreconditionError(
-                f"alphabet must be zero mean unit variance, got mean {mean}, E[x^2] {meansq}"
-            )
-        ordered = np.sort(points)
-        if (np.diff(ordered) == 0).any():
-            raise PreconditionError("alphabet points must be distinct")
-        if not np.array_equal(ordered, -ordered[::-1]):
-            raise PreconditionError("alphabet must be mirror-symmetric: -x must be a point for every point x")
-        self.points = points
+    def __init__(self, name):
+        self.kind, self.points = name.lower(), None
+        if self.kind == "bpsk":
+            self.points = np.array([-1.0, 1.0])
+        elif self.kind.startswith("pam"):
+            m = int(self.kind[3:])
+            if not 2 <= m <= PAM_MAX_LEVELS:
+                raise PreconditionError(f"PAM needs 2 to {PAM_MAX_LEVELS} levels, got {m}")
+            raw = np.arange(1 - m, m, 2, dtype=float)
+            self.kind, self.points = f"pam{m}", raw / math.sqrt(np.mean(raw**2))
+        elif self.kind != "gaussian":
+            raise PreconditionError(f"unknown constellation {self.kind!r}")
 
     @classmethod
     def gaussian(cls):
@@ -183,26 +181,7 @@ class Constellation:
 
     @classmethod
     def bpsk(cls):
-        return cls("bpsk", np.array([-1.0, 1.0]))
-
-    @classmethod
-    def pam(cls, m):
-        """Equally spaced M-ary alphabet, zero mean, scaled to unit variance; 2 <= M <= PAM_MAX_LEVELS."""
-        if not 2 <= m <= PAM_MAX_LEVELS:
-            raise PreconditionError(f"PAM needs 2 to {PAM_MAX_LEVELS} levels, got {m}")
-        raw = np.arange(1 - m, m, 2, dtype=float)
-        return cls(f"pam{m}", raw / math.sqrt(np.mean(raw**2)))
-
-    @classmethod
-    def from_name(cls, name):
-        name = name.lower()
-        if name == "gaussian":
-            return cls.gaussian()
-        if name == "bpsk":
-            return cls.bpsk()
-        if name.startswith("pam"):
-            return cls.pam(int(name[3:]))
-        raise PreconditionError(f"unknown constellation {name!r}")
+        return cls("bpsk")
 
     def __repr__(self):
         return f"Constellation({self.kind})"

@@ -72,7 +72,9 @@ SNR_DB_LIMIT = 1000.0
 # most candidates a codebook search makes: the C(Nt, N2) mode sets best_rank_one_codebook
 # scores, one at a time, for every N2 of Nt <= 16 (at most C(16, 8) = 12870), while C(64, 32)
 # ~ 1.8e18 would never finish; and the rank_two_sets * N2 diagonals rank_two_tournament draws
-# one by one, whose (sets, N2, Nt) array would otherwise be unbounded
+# one by one, whose (sets, N2, Nt) array would otherwise be unbounded. Also the most codewords
+# N1 * N2 = 2^B of a quantized scheme: the receiver scores every codeword on every trial, and
+# haar_unitaries draws the N1 unitaries in one (N1, Nt, Nt) array
 CANDIDATE_LIMIT = 1 << 14
 
 
@@ -139,6 +141,9 @@ class SimConfig:
                 raise PreconditionError(f"rank_two_sets * N2 = {self.rank_two_sets} * {self.n2} rank-two diagonals "
                                         f"exceed the limit of {CANDIDATE_LIMIT}")
             check_rank_two(self.model.nt)
+        if {"quantized-rank1-best", "quantized-rank2-best"} & set(self.schemes) and self.n1 * self.n2 > CANDIDATE_LIMIT:
+            raise PreconditionError(f"n1 * n2 = {self.n1} * {self.n2} = 2^{self.b} codewords exceed the limit of "
+                                    f"{CANDIDATE_LIMIT}")
 
 
 @dataclass

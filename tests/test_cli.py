@@ -337,6 +337,41 @@ class TestSimulate:
         assert f"PAM needs 2 to {infotheory.PAM_MAX_LEVELS} levels, got {levels}" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("name, message", [
+        ("pam1", "PAM needs 2 to 64 levels, got 1"),
+        ("pam65", "PAM needs 2 to 64 levels, got 65"),
+        ("pam", "invalid literal for int() with base 10: ''"),
+        ("pamx", "invalid literal for int() with base 10: 'x'"),
+        ("qam16", "unknown constellation 'qam16'"),
+    ])
+    def test_bad_constellation_exit_2(self, tmp_path, capsys, name, message):
+        with pytest.raises(ValueError) as raised:
+            infotheory.Constellation(name)
+        assert str(raised.value) == message
+        cfg = write(tmp_path, "exp.cfg", f"{TINY_CFG}constellation = {name}\n")
+        out = tmp_path / "x.csv"
+        assert cli.main(["simulate", cfg, "-o", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: key 'constellation' = '{name}': {message}\n"
+        assert not out.exists()
+
+    def test_codewords_beyond_bound_exit_2(self, tmp_path, monkeypatch, capsys):
+        # 2^40 unitaries of 4x4 would take 64 TiB: the bound is checked before any
+        # channel or codebook is drawn, so starting either fails the test
+        def never(*args, **kwargs):
+            raise AssertionError("the run started")
+
+        monkeypatch.setattr(simengine, "draw_trials", never)
+        monkeypatch.setattr(simengine, "haar_unitaries", never)
+        cfg = write(tmp_path, "exp.cfg", "nt = 4\nnr = 4\nnc = 4\nk = 4\nb = 40\nn1 = 1099511627776\nn2 = 1\n"
+                                         "snr_db = 0\ntrials = 1\nschemes = quantized-rank1-best\n")
+        out = tmp_path / "x.csv"
+        assert cli.main(["simulate", cfg, "-o", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert (f"n1 * n2 = 1099511627776 * 1 = 2^40 codewords exceed the limit of "
+                f"{simengine.CANDIDATE_LIMIT}") in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
     def test_rank_one_candidates_beyond_bound_exit_2(self, tmp_path, monkeypatch, capsys):
         # C(64, 32) ~ 1.8e18 mode sets: the bound is checked before any channel is drawn
         # or any candidate scored, so starting either fails the test

@@ -136,7 +136,7 @@ class TestRandomRankTwo:
         assert_same_stream(rng, ref)
 
     @pytest.mark.parametrize("held", [False, True], ids=["fresh", "held-half"])
-    def test_lemire_redraw_matches_uniform_form(self, held):
+    def test_forced_integers_redraw_matches_uniform_form(self, held):
         # buffered words whose low half is 0 give a 32-bit half of 0, whose product with
         # C(4, 2) = 6 has low bits 0 < 2^32 mod 6: Lemire's rule redraws inside
         # Generator.integers, and the draws still match the uniform form and its stream
@@ -261,7 +261,7 @@ def mi_rule_definition(smat, lambdas, rho, k, nt, ev):
 
 
 ALPHABETS = {"gaussian": Constellation.gaussian, "bpsk": Constellation.bpsk,
-             "pam4": lambda: Constellation.pam(4)}
+             "pam4": lambda: Constellation("pam4")}
 # up to 1e6: past every table's last knot for most codewords of most trials
 TRACE_RHOS = np.array([0.0, 0.3, 2.0, 8.0, 40.0, 1e3, 1e6])
 

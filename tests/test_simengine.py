@@ -378,7 +378,7 @@ class TestRun:
         # every scheme on 30 trials: windows of 1, of 7 (a partial last window)
         # and of the whole run give the same CSV, byte for byte, as the default
         config = replace(make_config(model=v4_model(), schemes=simengine.SCHEMES, trials=30, opt_samples=200),
-                         constellation=Constellation.from_name(constellation), n1=2, n2=2, rank_two_sets=4)
+                         constellation=Constellation(constellation), n1=2, n2=2, rank_two_sets=4)
         want = curves_to_csv(run(config))
         monkeypatch.setattr(simengine, "TRIAL_WINDOW", window)
         assert curves_to_csv(run(config)) == want
@@ -584,7 +584,7 @@ class TestRotatedEigenbases:
         vmask = raw * (nt * nt / raw.sum())
         ut, ur = haar_unitaries(2, nt, Rng(unitary_seed, 0))
         config = replace(make_config(model=custom_model(vmask), schemes=schemes, trials=40, snr=(-10.0, 5.0, 20.0),
-                                     opt_samples=100), constellation=Constellation.from_name(constellation))
+                                     opt_samples=100), constellation=Constellation(constellation))
         turned = replace(config, model=custom_model(vmask, ut, ur))
         assert not turned.model.identity_bases
         return config, turned, ut
@@ -1071,7 +1071,7 @@ class TestStackedMatchesSingle:
     def test_mi_rule(self, trials):
         h, _, singles, cb = trials
         for kind in ("gaussian", "bpsk"):
-            ev = MiEvaluator(Constellation.from_name(kind))
+            ev = MiEvaluator(Constellation(kind))
             for rho in (0.5, 10.0):
                 stacked = select_mi(s_matrix(h, cb.unitaries), cb.lambdas, rho, 4, 4, ev)
                 for t, one in enumerate(singles):
@@ -1092,7 +1092,7 @@ class TestStackedMatchesSingle:
             for t, one in enumerate(singles):
                 assert gap_snr[t] == snr_gap(cb, one, rho)[0]
             for kind in ("gaussian", "bpsk"):
-                ev = MiEvaluator(Constellation.from_name(kind))
+                ev = MiEvaluator(Constellation(kind))
                 gap_mi = mi_gap(cb, h, rho, ev)
                 for t, one in enumerate(singles):
                     assert gap_mi[t] == mi_gap(cb, one, rho, ev)[0]
