@@ -26,13 +26,13 @@ integrated, with weight 2 (the middle point of an odd M has weight 1).
 """
 
 import math
+import re
 
 import numpy as np
 
 from .dispersion import check_symbols
 from .errors import PreconditionError
 
-NOISE_ENTROPY = 0.5 * math.log(math.pi * math.e)  # h(n) for variance-1/2 real noise
 LN2 = math.log(2.0)
 
 # The order of the tabulated rule of _gh_nodes (its derivation, kept in the
@@ -155,25 +155,30 @@ class _Table:
 class Constellation:
     """Real input alphabet with uniform priors, or Gaussian input, made from its name.
 
-    The name, in any case, is gaussian (no points), bpsk ([-1, 1]) or pam<M>
-    for 2 <= M <= PAM_MAX_LEVELS: M equally spaced levels scaled to unit
-    variance, of kind f"pam{M}". Every discrete alphabet is therefore zero
-    mean, unit variance and mirror-symmetric by construction; the quadrature
-    relies on the symmetry to integrate only half of its components.
+    The name, in any case, is gaussian (no points), bpsk ([-1, 1]) or pam<M>,
+    M in ASCII digits with 2 <= M <= PAM_MAX_LEVELS: M equally spaced levels
+    scaled to unit variance, of kind f"pam{M}". Any other name is rejected.
+    Every discrete alphabet is therefore zero mean, unit variance and
+    mirror-symmetric by construction; the quadrature relies on the symmetry
+    to integrate only half of its components.
     """
 
     def __init__(self, name):
         self.kind, self.points = name.lower(), None
+        pam = re.fullmatch(r"pam([0-9]+)", self.kind)
         if self.kind == "bpsk":
             self.points = np.array([-1.0, 1.0])
-        elif self.kind.startswith("pam"):
-            m = int(self.kind[3:])
-            if not 2 <= m <= PAM_MAX_LEVELS:
-                raise PreconditionError(f"PAM needs 2 to {PAM_MAX_LEVELS} levels, got {m}")
+        elif pam:
+            # a count too long to be in range is rejected on its length, before int reads it
+            digits = pam[1].lstrip("0") or "0"
+            if len(digits) > len(str(PAM_MAX_LEVELS)) or not 2 <= int(digits) <= PAM_MAX_LEVELS:
+                raise PreconditionError(f"PAM needs 2 to {PAM_MAX_LEVELS} levels, got {digits}")
+            m = int(digits)
             raw = np.arange(1 - m, m, 2, dtype=float)
             self.kind, self.points = f"pam{m}", raw / math.sqrt(np.mean(raw**2))
         elif self.kind != "gaussian":
-            raise PreconditionError(f"unknown constellation {self.kind!r}")
+            raise PreconditionError(
+                f"unknown constellation {name!r}; known: gaussian, bpsk, pam<M> for 2 <= M <= {PAM_MAX_LEVELS}")
 
     @classmethod
     def gaussian(cls):

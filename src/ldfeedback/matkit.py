@@ -1,17 +1,15 @@
 """Minimal dense complex matrix kit.
 
-Stacked Hermitian eigendecomposition with a fixed ordering/phase
+The top eigenpair of each matrix of a Hermitian stack, with a fixed phase
 convention, stacks of Haar-distributed unitaries, the one unitarity check
 (of a whole stack at once, which haar_unitaries applies to each stack it
-makes), and the deterministic Philox substreams the
-Monte Carlo layers build on: Rng for one-off streams and
-substream_normals, which fills one row per substream of a window by
-re-keying a single generator. Channel entries are made from standard
-normals by channel.from_normals.
+makes), and the deterministic Philox substreams the Monte Carlo layers
+build on: Rng for one-off streams and substream_normals, which fills one
+row per substream of a window by re-keying a single generator. Channel
+entries are made from standard normals by channel.from_normals.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -70,25 +68,15 @@ def substream_normals(seed, first_stream, n, shape):
     return z.reshape((n, *shape))
 
 
-@dataclass
-class EigSystem:
-    """Eigendecompositions of a stack of Hermitian matrices.
-
-    values (..., n) are real and sorted non-increasing; column i of
-    vectors[...] pairs with values[..., i]. In each eigenvector the entry of
-    largest magnitude is real and non-negative (ties broken by lowest index).
-    """
-
-    values: np.ndarray
-    vectors: np.ndarray
-
-
 def hermitian_eig(m):
-    """Eigendecomposition of each Hermitian matrix in a (..., n, n) stack (n <= 8 in practice).
+    """Top eigenpair (values (...), vectors (..., n)) of each Hermitian matrix in a (..., n, n) stack.
 
     Every matrix is symmetrized before factoring; a matrix further than
     1e-9 * ||M||_F from Hermitian is rejected. Each matrix is factored on
     its own, so entry t of a stacked call equals the call on matrix t alone.
+    vectors[...] is a unit eigenvector of the largest eigenvalue values[...];
+    its entry of largest magnitude is real and non-negative (ties broken by
+    lowest index).
     """
     m = np.asarray(m, dtype=np.complex128)
     if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
@@ -103,14 +91,11 @@ def hermitian_eig(m):
             f"matrix is not Hermitian: ||M - M^H|| = {herm_resid[idx]:.3e} vs ||M|| = {scale[idx]:.3e}"
         )
     w, v = np.linalg.eigh((m + mh) / 2.0)
-    w = w[..., ::-1].copy()
-    v = v[..., ::-1].copy()
-    # phase convention: largest-magnitude entry of each column real non-negative
-    piv = np.take_along_axis(v, np.abs(v).argmax(axis=-2)[..., None, :], axis=-2)
+    top = v[..., -1]
+    piv = np.take_along_axis(top, np.abs(top).argmax(axis=-1)[..., None], axis=-1)
     mag = np.abs(piv)
     nonzero = mag > 0
-    v *= np.where(nonzero, piv.conj() / np.where(nonzero, mag, 1.0), 1.0)
-    return EigSystem(values=w, vectors=v)
+    return w[..., -1], top * np.where(nonzero, piv.conj() / np.where(nonzero, mag, 1.0), 1.0)
 
 
 def check_unitary(u, n, name):

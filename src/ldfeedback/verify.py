@@ -161,12 +161,12 @@ def suite_thm2(seed=DEFAULT_SEED):
 
     def margins(h):
         # lmax from the decomposition that gives the beams, clipped at 0 as channel.top_eigenvalues is
-        eig = hermitian_eig(np.swapaxes(h.conj(), -1, -2) @ h)
-        best = perfect_csi_mi(np.maximum(eig.values[:, 0], 0.0), rho, k, nc, _GAUSSIAN)
+        lam_max, top = hermitian_eig(np.swapaxes(h.conj(), -1, -2) @ h)
+        best = perfect_csi_mi(np.maximum(lam_max, 0.0), rho, k, nc, _GAUSSIAN)
         qs = _scaled_psd(_psd_normals(4, rng, (len(h) * qsets,)), 4 * nc / k)
         uniform = block_mi(np.repeat(h, qsets, axis=0),
                            np.broadcast_to(qs[:, None], (qs.shape[0], k, 4, 4)), rho, 4, _GAUSSIAN)
-        beams = dispersion.rank_one_set(eig.vectors[:, :, 0], k, nc).covariances()
+        beams = dispersion.rank_one_set(top, k, nc).covariances()
         return (uniform - np.repeat(best, qsets)).max(), np.abs(block_mi(h, beams, rho, 4, _GAUSSIAN) - best).max()
 
     return _certify("thm2", map(margins, windows(channel.iid_model(4, 4), channels, evals_per_trial=qsets)),

@@ -340,9 +340,10 @@ class TestSimulate:
     @pytest.mark.parametrize("name, message", [
         ("pam1", "PAM needs 2 to 64 levels, got 1"),
         ("pam65", "PAM needs 2 to 64 levels, got 65"),
-        ("pam", "invalid literal for int() with base 10: ''"),
-        ("pamx", "invalid literal for int() with base 10: 'x'"),
-        ("qam16", "unknown constellation 'qam16'"),
+        # a level count of any length is range-checked, past int's 4300-digit limit too
+        pytest.param("pam" + "9" * 5000, "PAM needs 2 to 64 levels, got " + "9" * 5000, id="pam-5000-nines"),
+        *[pytest.param(name, f"unknown constellation {name!r}; known: gaussian, bpsk, pam<M> for 2 <= M <= 64", id=name)
+          for name in ["pam", "pamx", "qam16", "pam1_6", "pam +4", "pam 4", "pam\u0664"]],
     ])
     def test_bad_constellation_exit_2(self, tmp_path, capsys, name, message):
         with pytest.raises(ValueError) as raised:

@@ -18,7 +18,7 @@ from ldfeedback.codebook import (
 )
 from ldfeedback.errors import PreconditionError
 from ldfeedback.infotheory import Constellation, MiEvaluator, block_mi
-from ldfeedback.matkit import Rng, haar_unitaries, hermitian_eig
+from ldfeedback.matkit import Rng, haar_unitaries
 from ldfeedback.simengine import draw_trials
 from ldfeedback.verify import prop3_gap
 
@@ -39,9 +39,10 @@ def mode_diagonals(modes, nt=4, budget=4.0):
 
 def codebook_with_eigenbasis(h, nt=4, nc=4, k=4, extra=3, seed=99):
     """Codebook whose first unitary is the eigenbasis of the one-trial stack h, mode-1 diagonal."""
-    eig = hermitian_eig(h[0].conj().T @ h[0])
+    # eigh sorts ascending: reversed, the first column is the top eigenvector
+    vectors = np.linalg.eigh(h[0].conj().T @ h[0])[1][:, ::-1]
     rng = Rng(seed, 0)
-    unitaries = [eig.vectors, *haar_unitaries(extra, nt, rng)]
+    unitaries = [vectors, *haar_unitaries(extra, nt, rng)]
     lam = np.zeros(nt)
     lam[0] = nt * nc / k
     return QuantizedCodebook(b=2, n1=1 + extra, n2=1, unitaries=unitaries, lambdas=[lam],
@@ -179,10 +180,10 @@ class TestRandomRankTwo:
 class TestSMatrix:
     def test_eigenbasis_gives_eigenvalues(self):
         h = realization(0)
-        eig = hermitian_eig(h[0].conj().T @ h[0])
-        s = s_matrix(h, [eig.vectors])
+        values, vectors = np.linalg.eigh(h[0].conj().T @ h[0])
+        s = s_matrix(h, [vectors])
         assert s.shape == (1, 1, 4)
-        assert np.allclose(s[0, 0], eig.values, atol=1e-10)
+        assert np.allclose(s[0, 0], values, atol=1e-10)
 
     def test_sum_is_channel_power(self):
         h = realization(1)
@@ -193,9 +194,9 @@ class TestSMatrix:
     def test_matches_definition_through_eigen_factor(self):
         # oracle: squared column norms of Lh^(1/2) Uh^H U
         h = realization(2)
-        eig = hermitian_eig(h[0].conj().T @ h[0])
+        values, vectors = np.linalg.eigh(h[0].conj().T @ h[0])
         u = haar_unitaries(1, 4, Rng(3, 1))[0]
-        factor = np.diag(np.sqrt(eig.values)) @ eig.vectors.conj().T @ u
+        factor = np.diag(np.sqrt(values)) @ vectors.conj().T @ u
         expect = (np.abs(factor) ** 2).sum(axis=0)
         assert np.allclose(s_matrix(h, [u])[0, 0], expect, atol=1e-10)
 

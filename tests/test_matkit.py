@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -19,61 +20,113 @@ def random_hermitian(n, rng):
     return (a + a.conj().T) / 2
 
 
-def reconstruct(es):
-    """V diag(w) V^H for every matrix of the stack."""
-    return (es.vectors * es.values[..., None, :]) @ np.swapaxes(es.vectors.conj(), -1, -2)
+def eigen_residual(m, value, vector):
+    """||M v - lambda v|| of each matrix of the stack."""
+    return np.linalg.norm((m @ vector[..., None])[..., 0] - value[..., None] * vector, axis=-1)
+
+
+def reconstruct(m, value, vector):
+    """lambda v v^H plus numpy's other n - 1 eigenpairs of each matrix: m again iff (lambda, v) is its top pair."""
+    w, u = np.linalg.eigh(m)
+    rest = (u[..., :-1] * w[..., None, :-1]) @ np.swapaxes(u[..., :-1].conj(), -1, -2)
+    return value[..., None, None] * (vector[..., :, None] * vector[..., None, :].conj()) + rest
+
+
+def top_pair_cases():
+    """The stacks the top-pair digests were recorded on: 50 random Gram matrices for each n."""
+    for n in range(1, 9):
+        z = Rng(40, n).gen.standard_normal((2, 50, n, n))
+        h = z[0] + 1j * z[1]
+        yield f"gram{n}", np.swapaxes(h.conj(), -1, -2) @ h
+    yield "identity", np.eye(4, dtype=complex)
+    yield "zero", np.zeros((4, 4), dtype=complex)
+
+
+# sha256 of the values and of the vectors bytes, recorded from values[..., 0] and
+# vectors[..., :, 0] of the full sorted, phase-fixed eigendecomposition this
+# function returned before it was trimmed to the top pair
+TOP_PAIR_DIGESTS = {
+    "gram1": ("8bb2e2be38c84afcb77033da84733cd15000d5101f033b654a7512a66055d8cc",
+              "35eb412b9455d5cb9ac7a28edb1e9c04d742c16211305b3230891cdb4abd4960"),
+    "gram2": ("8a8c5460ebd942fd85a4356bdd5ad839dc2e888692d5bd8f2ee4160d1945ad46",
+              "5a55b3ffd4f9a48c59ad077929e279d74b19483ddbfd2a926d11dd57ef9d45f8"),
+    "gram3": ("40150c5cb9a31461fe3d4acc4fa76046a4caebb8c7910fc254bca585a7af23d0",
+              "7d5206f40cd9b154f97e244d7509539a50cee732bcac0adc1957664cac07842d"),
+    "gram4": ("a25f444ad1b5a186d6fbce457eea1f5b9d3ce8406057f9f4fbce9fa3fa663669",
+              "c59557d79e8584634013732a9b5b55511f6ae80f8408b755df413505a90d09be"),
+    "gram5": ("145fb9e8ee4d26b3b2b89c02d5e3b200fd0fd26f9d0d5c243d7f68b1c5df4136",
+              "e311562f568a164c26ccb4e83b2624c723329aee1721f00ed3ab729863c3d7d5"),
+    "gram6": ("b4059d7917d57717368c1c6dc637be813b58facf8fc77653bd0702f0315e20e3",
+              "76c98c913a96aa4ba81e1f20642fa74a78a9e76f527a505f85e566913cee2dc5"),
+    "gram7": ("fd6a4bae6dca5ef037f53fe5447306a87fcd5924ba7e07770631f6fc260f7589",
+              "0a2f29a7f592733d3abea7703e942f1c300e2ec7d9bb73486e748d97b4eb84e6"),
+    "gram8": ("43e58ad85116e236aff07169dc4a8a3e850947fe916217bc430cf3288c0bae4b",
+              "9fda82017744458a588c3a0a17a3ad1936890ee0f4a8159679bb96391dce8fcb"),
+    "identity": ("6c3c396ed6b5c36dcae172271f462051b1266b851e92df3deea8ac65478fd712",
+                 "28ba660c178fe7dbd80cc90c4c1efc32ae4ea1f145d0d5e6cfe26b37e59c7c06"),
+    "zero": ("af5570f5a1810b7af78caf4bc70a660f0df51e42baf91d4de5b2328de0e83dfc",
+             "28ba660c178fe7dbd80cc90c4c1efc32ae4ea1f145d0d5e6cfe26b37e59c7c06"),
+}
 
 
 class TestHermitianEig:
     def test_identity(self):
-        es = hermitian_eig(np.eye(3, dtype=complex))
-        assert np.allclose(es.values, [1.0, 1.0, 1.0])
+        value, vector = hermitian_eig(np.eye(3, dtype=complex))
+        assert value.shape == () and vector.shape == (3,)
+        assert value == pytest.approx(1.0, abs=1e-12)
+        assert np.linalg.norm(vector) == pytest.approx(1.0, abs=1e-12)
 
     def test_two_by_two_hand_derived(self):
         # characteristic polynomial of [[2,1],[1,2]]: (2-l)^2 - 1 -> l in {3, 1}
-        es = hermitian_eig(np.array([[2.0, 1.0], [1.0, 2.0]], dtype=complex))
-        assert np.allclose(es.values, [3.0, 1.0], atol=1e-12)
-        assert np.allclose(es.vectors[:, 0], np.array([1.0, 1.0]) / math.sqrt(2), atol=1e-12)
-        assert np.allclose(es.vectors[:, 1], np.array([1.0, -1.0]) / math.sqrt(2), atol=1e-12)
+        value, vector = hermitian_eig(np.array([[2.0, 1.0], [1.0, 2.0]], dtype=complex))
+        assert value == pytest.approx(3.0, abs=1e-12)
+        assert np.allclose(vector, np.array([1.0, 1.0]) / math.sqrt(2), atol=1e-12)
 
     def test_diagonal_reordered_descending(self):
-        es = hermitian_eig(np.diag([0.5, 2.0]).astype(complex))
-        assert np.allclose(es.values, [2.0, 0.5])
-        assert np.allclose(es.vectors[:, 0], [0.0, 1.0])
-        assert np.allclose(es.vectors[:, 1], [1.0, 0.0])
+        # the top pair is the larger entry, though it comes second
+        value, vector = hermitian_eig(np.diag([0.5, 2.0]).astype(complex))
+        assert value == pytest.approx(2.0)
+        assert np.allclose(vector, [0.0, 1.0])
 
     @pytest.mark.parametrize("n", [2, 4, 8])
     def test_reconstruction_residual(self, n):
         for stream in range(20):
             m = random_hermitian(n, Rng(101, stream))
-            es = hermitian_eig(m)
-            assert np.linalg.norm(m - reconstruct(es)) <= 1e-10 * np.linalg.norm(m)
-            # unitary eigenvectors
-            v = es.vectors
-            assert np.linalg.norm(v.conj().T @ v - np.eye(n)) <= 1e-12
-            # non-increasing values
-            assert (np.diff(es.values) <= 1e-12).all()
+            value, vector = hermitian_eig(m)
+            assert np.linalg.norm(m - reconstruct(m, value, vector)) <= 1e-10 * np.linalg.norm(m)
+
+    @pytest.mark.parametrize("n", [1, 2, 4, 8])
+    def test_eigen_equation_residual(self, n):
+        for stream in range(20):
+            m = random_hermitian(n, Rng(105, stream))
+            value, vector = hermitian_eig(m)
+            assert eigen_residual(m, value, vector) <= 1e-10 * np.linalg.norm(m)
+            assert abs(np.linalg.norm(vector) - 1.0) <= 1e-12
+            assert abs(value - np.linalg.eigvalsh(m)[-1]) <= 1e-12 * np.linalg.norm(m)
 
     def test_refactoring_keeps_eigenvalues(self):
-        m = random_hermitian(5, Rng(7, 0))
-        es = hermitian_eig(m)
-        again = hermitian_eig(reconstruct(es))
-        assert np.allclose(es.values, again.values, atol=1e-9)
+        # lambda v v^H has the top pair (lambda, v) again
+        m = random_hermitian(5, Rng(7, 0)) + 10.0 * np.eye(5)
+        value, vector = hermitian_eig(m)
+        again, again_vector = hermitian_eig(value * np.outer(vector, vector.conj()))
+        assert again == pytest.approx(value, abs=1e-9)
+        assert np.allclose(again_vector, vector, atol=1e-9)
 
     def test_rotation_invariance(self):
         m = random_hermitian(4, Rng(8, 0))
         u = haar_unitaries(1, 4, Rng(8, 1))[0]
-        rotated = hermitian_eig(u @ m @ u.conj().T)
-        assert np.allclose(rotated.values, hermitian_eig(m).values, atol=1e-9)
+        value, vector = hermitian_eig(m)
+        rotated, rotated_vector = hermitian_eig(u @ m @ u.conj().T)
+        assert rotated == pytest.approx(value, abs=1e-9)
+        # the top eigenvector rotates with the matrix, up to its phase
+        assert abs(np.vdot(rotated_vector, u @ vector)) == pytest.approx(1.0, abs=1e-9)
 
     def test_phase_convention(self):
         for stream in range(10):
-            es = hermitian_eig(random_hermitian(4, Rng(9, stream)))
-            for j in range(4):
-                col = es.vectors[:, j]
-                idx = int(np.argmax(np.abs(col)))
-                assert abs(col[idx].imag) <= 1e-12
-                assert col[idx].real >= 0
+            _, vector = hermitian_eig(random_hermitian(4, Rng(9, stream)))
+            idx = int(np.argmax(np.abs(vector)))
+            assert abs(vector[idx].imag) <= 1e-12
+            assert vector[idx].real >= 0
 
     def test_rejects_non_square(self):
         with pytest.raises(PreconditionError):
@@ -85,9 +138,9 @@ class TestHermitianEig:
 
     def test_stack_reconstructs_each_matrix(self):
         ms = np.stack([random_hermitian(4, Rng(102, stream)) for stream in range(6)])
-        es = hermitian_eig(ms)
-        assert es.values.shape == (6, 4) and es.vectors.shape == (6, 4, 4)
-        for m, back in zip(ms, reconstruct(es)):
+        values, vectors = hermitian_eig(ms)
+        assert values.shape == (6,) and vectors.shape == (6, 4)
+        for m, back in zip(ms, reconstruct(ms, values, vectors)):
             assert np.linalg.norm(m - back) <= 1e-10 * np.linalg.norm(m)
 
     def test_stack_rejects_one_non_hermitian_matrix(self):
@@ -108,6 +161,14 @@ class TestHermitianEig:
         else:
             with pytest.raises(PreconditionError):
                 hermitian_eig(m)
+
+    @pytest.mark.parametrize("name", list(TOP_PAIR_DIGESTS))
+    def test_top_pair_keeps_its_bits(self, name):
+        m = dict(top_pair_cases())[name]
+        values, vectors = hermitian_eig(m)
+        assert values.shape == m.shape[:-2] and vectors.shape == m.shape[:-1]
+        got = tuple(hashlib.sha256(a.tobytes()).hexdigest() for a in (values, vectors))
+        assert got == TOP_PAIR_DIGESTS[name]
 
 
 def successive_haar_draws(count, n, rng):

@@ -17,6 +17,16 @@ is fitted on its own sample, so it may lie a second-order amount below);
 statistical-beamforming puts the whole budget on one mode, Nt*Nc/K times a
 Gamma(Nr) variable whichever mode it picks. Each is the same integral by
 parts over the Gamma survival function.
+
+The codebook path has one too. With one unitary U (N1 = 1) and N2 = Nt
+power diagonals on i.i.d. channels, H U has the law of H, so the Nt mode
+powers are i.i.d. Gamma(Nr, 1) and the rank-one search has a single
+candidate: the full budget Nt*Nc/K on each mode. Its codeword maximum
+keeps the strongest mode, M, the largest of Nt i.i.d. Gamma(Nr) variables,
+with CDF P(Gamma(Nr) <= x)^Nt (David & Nagaraja, "Order Statistics",
+Wiley 2003). So the quantized-rank1-best row is K/(2 Nc) * E[log2(1 +
+2 rho/Nt * (Nt*Nc/K) * M)], which checks s_matrix, codeword_max, the
+budget and trace_mi together.
 """
 
 import math
@@ -74,6 +84,14 @@ def statistical_row(scheme, rho, config):
     return k / (2.0 * nc) * mean_log2(scale, lambda x: gammaincc(shape, x))
 
 
+def quantized_rank_one_row(rho, config):
+    """The i.i.d. channel's quantized-rank1-best row in bits per channel use, for N1 = 1 and N2 = Nt."""
+    nt, nr, nc, k = config.model.nt, config.model.nr, config.nc, config.k
+    # every mode at the full budget Nt*Nc/K; the codeword max keeps the largest of Nt Gamma(Nr) powers
+    scale = 2.0 * rho / nt * (nt * nc / k)
+    return k / (2.0 * nc) * mean_log2(scale, lambda x: 1.0 - gammainc(nr, x) ** nt)
+
+
 def test_oracle_mean_lam_max_2x2():
     # the known mean of the largest eigenvalue of a 2 x 2 complex Wishart with 2 degrees of freedom
     mean, _ = quad(lambda x: 1.0 - lam_max_cdf(x, 2, 2), 0.0, np.inf, epsabs=1e-12)
@@ -108,5 +126,20 @@ def test_statistical_rows_match_the_integral(scheme):
     points = run(replace(config, schemes=[scheme]))
     assert len(points) == len(config.snr_grid_db)
     z = [(p.mi_bits_per_use - statistical_row(scheme, 10.0 ** (p.snr_db / 10.0), config)) / p.stderr
+         for p in points]
+    assert max(map(abs, z)) <= Z_BOUND, z
+
+
+@pytest.mark.parametrize("nt, nr, nc, k", [(2, 2, 2, 2), (4, 4, 4, 4), (4, 2, 4, 4), (2, 2, 2, 4)],
+                         ids=["2x2", "4x4", "4tx-2rx", "2x2-k4-nc2"])
+def test_quantized_rank_one_row_matches_the_integral(nt, nr, nc, k):
+    # one unitary holding every mode: b bits give 2^b = Nt diagonals; K != Nc in the last case,
+    # so a budget off by a factor K/Nc moves its row
+    text = (f"model = iid\nnt = {nt}\nnr = {nr}\nnc = {nc}\nk = {k}\nb = {nt.bit_length() - 1}\nn1 = 1\n"
+            f"n2 = {nt}\nsnr_db = 0,4,8,12,16,20\ntrials = 10000\nseed = 5\nschemes = quantized-rank1-best\n")
+    config = build_experiment(parse_config_text(text))
+    points = run(config)
+    assert len(points) == len(config.snr_grid_db)
+    z = [(p.mi_bits_per_use - quantized_rank_one_row(10.0 ** (p.snr_db / 10.0), config)) / p.stderr
          for p in points]
     assert max(map(abs, z)) <= Z_BOUND, z

@@ -74,25 +74,41 @@ def read_names(node):
     return names
 
 
+def defined_names(stmt):
+    """Public names a top-level statement defines: a function's or class's name, or the names an
+    assignment binds."""
+    if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+        names = [stmt.name]
+    elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+        targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+        names = [sub.id for target in targets for sub in ast.walk(target)
+                 if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Store)]
+    else:
+        names = []
+    return [name for name in names if not name.startswith("_")]
+
+
 def unread_definitions(sources):
-    """Sorted (module, name) of the public top-level functions and classes in {module: source}
-    that no top-level statement but their own definition reads."""
+    """Sorted (module, name) of the public top-level functions, classes and assigned names in
+    {module: source} that no top-level statement but their own definition reads."""
     statements = [(module, stmt) for module, source in sources.items() for stmt in ast.parse(source).body]
     reads = [(stmt, read_names(stmt)) for _, stmt in statements]
     return sorted(
-        (module, stmt.name) for module, stmt in statements
-        if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)) and not stmt.name.startswith("_")
-        and not any(stmt.name in names for other, names in reads if other is not stmt)
+        (module, name) for module, stmt in statements for name in defined_names(stmt)
+        if not any(name in names for other, names in reads if other is not stmt)
     )
 
 
 def test_unread_definitions_are_found():
     sources = {
         "a": "def imported():\n    pass\n\nclass Alive:\n    pass\n\ndef recursive(n):\n    return recursive(n - 1)\n\n"
-             "def _private():\n    pass\n\nclass Dead:\n    pass\n\ndef dead():\n    pass\n",
-        "b": "from .a import imported\nimport a\n\ndef main():\n    return a.Alive()\n\nmain()\n",
+             "def _private():\n    pass\n\nclass Dead:\n    pass\n\ndef dead():\n    pass\n\n"
+             "LIMIT = 4\nUNREAD, PAIRED = 1, 2\n_HIDDEN = 3\n__version__ = \"1\"\nTYPED: int = 5\n"
+             "def limited():\n    return LIMIT\n",
+        "b": "from .a import imported, PAIRED\nimport a\n\ndef main():\n    return a.Alive()\n\nmain()\n",
     }
-    assert unread_definitions(sources) == [("a", "Dead"), ("a", "dead"), ("a", "recursive")]
+    assert unread_definitions(sources) == [
+        ("a", "Dead"), ("a", "TYPED"), ("a", "UNREAD"), ("a", "dead"), ("a", "limited"), ("a", "recursive")]
 
 
 def test_no_unread_definitions():
