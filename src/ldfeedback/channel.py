@@ -25,23 +25,21 @@ def check_antennas(nt, nr):
 
 @dataclass(frozen=True)
 class CorrelationModel:
-    """Channel law: dimensions, eigenbases, and the per-entry variance mask."""
+    """Channel law: eigenbases and the Nr x Nt per-entry variance mask, which fixes Nr and Nt."""
 
-    nt: int
-    nr: int
     ut: np.ndarray
     ur: np.ndarray
     vmask: np.ndarray
 
     def __post_init__(self):
+        if self.vmask.ndim != 2:
+            raise PreconditionError(f"vmask must be a 2-D Nr x Nt array, got shape {self.vmask.shape}")
         check_antennas(self.nt, self.nr)
         for name, m in (("ut", self.ut), ("ur", self.ur), ("vmask", self.vmask)):
             if not np.isfinite(m).all():
                 raise PreconditionError(f"{name} entries must be finite")
         check_unitary(self.ut, self.nt, "ut")
         check_unitary(self.ur, self.nr, "ur")
-        if self.vmask.shape != (self.nr, self.nt):
-            raise PreconditionError("vmask must be Nr x Nt")
         if (self.vmask < 0).any():
             raise PreconditionError("vmask entries must be non-negative")
         total = float(self.vmask.sum())
@@ -49,6 +47,14 @@ class CorrelationModel:
             raise PreconditionError(
                 f"vmask sum {total!r} violates the Nt*Nr = {self.nt * self.nr} power normalization"
             )
+
+    @property
+    def nr(self):
+        return self.vmask.shape[0]
+
+    @property
+    def nt(self):
+        return self.vmask.shape[1]
 
     @property
     def identity_bases(self):
@@ -65,7 +71,7 @@ def custom_model(vmask, ut=None, ur=None):
         ut = np.eye(nt, dtype=np.complex128)
     if ur is None:
         ur = np.eye(nr, dtype=np.complex128)
-    return CorrelationModel(nt=nt, nr=nr, ut=np.asarray(ut), ur=np.asarray(ur), vmask=vmask)
+    return CorrelationModel(ut=np.asarray(ut), ur=np.asarray(ur), vmask=vmask)
 
 
 def iid_model(nt, nr):

@@ -45,11 +45,19 @@ def parse_config_text(text, path="<config>"):
     return values
 
 
-def _check_seed(seed, source):
-    """seed, unless it lies outside [0, 2**64), where it would alias the seed it equals mod 2**64."""
-    if not 0 <= seed < KEY_LIMIT:
-        raise ConfigError(f"{source} must be in [0, 2**64), got {seed}")
-    return seed
+def _natural(text):
+    """text as an integer in [0, 2**64) written in ASCII digits only: how every integer input is read.
+
+    Python's int would also take a sign, underscores, spaces and non-ASCII
+    digits; each of these is a ValueError that names the accepted form, and so
+    is a value of 2**64 or more. A seed is a Philox key word, taken mod 2**64
+    (matkit.KEY_LIMIT), so a larger one would alias a smaller seed; no count,
+    size or index the commands read comes near it. 2**64 has 20 digits, so a
+    longer text (leading zeros aside) is rejected before int reads it.
+    """
+    if not (text.isascii() and text.isdigit() and len(text.lstrip("0")) <= 20 and int(text) < KEY_LIMIT):
+        raise ValueError("expected an integer in [0, 2**64) written in ASCII digits 0-9")
+    return int(text)
 
 
 def _numbers(text):
@@ -74,43 +82,40 @@ def _schemes(text):
 # experiment. SimConfig owns the defaults of opt_samples, b, n1, n2 and rank_two_sets;
 # build_experiment defaults model to iid, k to nc and constellation to gaussian
 CONFIG_KEYS = {
-    "model": _preset, "vmask": _numbers, "nt": int, "nr": int,  # the channel law
-    "nc": int, "k": int,  # K symbols over Nc channel uses
-    "snr_db": _numbers, "trials": int, "seed": lambda text: _check_seed(int(text), "key 'seed'"),
+    "model": _preset, "vmask": _numbers, "nt": _natural, "nr": _natural,  # the channel law
+    "nc": _natural, "k": _natural,  # K symbols over Nc channel uses
+    "snr_db": _numbers, "trials": _natural, "seed": _natural,
     "constellation": Constellation, "schemes": _schemes,
-    "opt_samples": int, "b": int, "n1": int, "n2": int, "rank_two_sets": int,  # the fits and the B-bit split
+    # the fits and the B-bit split
+    "opt_samples": _natural, "b": _natural, "n1": _natural, "n2": _natural, "rank_two_sets": _natural,
 }
 REQUIRED_KEYS = ("nt", "nr", "nc", "snr_db", "trials", "schemes")
 
 
-def _parse(values, key):
-    """values[key] read by the key's parser; an unreadable value is a ConfigError naming the key and its text."""
+def _read_as(parser, text, source):
+    """parser(text); a text it cannot read is a ConfigError naming source (a config key, a flag or
+    the environment variable), the text and the parser's reason."""
     try:
-        return CONFIG_KEYS[key](values[key])
-    except ConfigError:  # the seed's range error names its key already
-        raise
+        return parser(text)
     except ValueError as exc:
-        raise ConfigError(f"key {key!r} = {values[key]!r}: {exc}") from exc
+        raise ConfigError(f"{source} = {text!r}: {exc}") from exc
 
 
 def resolve_seed(config_values, cli_seed):
     """Flag beats config beats environment beats the built-in default.
 
-    A set environment value is read and range-checked even when the flag or
-    the config overrides it, so a bad one never passes without a word.
+    cli_seed is the --seed text. A set environment value is read even when
+    the flag or the config overrides it, so a bad one never passes without
+    a word. Each source is read by _natural.
     """
     seed = 1
     env = os.environ.get(SEED_ENV_VAR)
     if env is not None:
-        try:
-            seed = int(env)
-        except ValueError as exc:
-            raise ConfigError(f"{SEED_ENV_VAR} must be an integer, got {env!r}") from exc
-        _check_seed(seed, SEED_ENV_VAR)
+        seed = _read_as(_natural, env, SEED_ENV_VAR)
     if cli_seed is not None:
-        return _check_seed(int(cli_seed), "--seed")
+        return _read_as(_natural, cli_seed, "--seed")
     if "seed" in config_values:
-        return _parse(config_values, "seed")
+        return _read_as(_natural, config_values["seed"], "key 'seed'")
     return seed
 
 
@@ -127,7 +132,7 @@ def build_experiment(values, cli_seed=None):
             raise ConfigError(f"missing required key {key!r}")
     if "vmask" in values and "model" in values:
         raise ConfigError("give either model or vmask, not both")
-    fields = {key: _parse(values, key) for key in values}
+    fields = {key: _read_as(CONFIG_KEYS[key], values[key], f"key {key!r}") for key in values}
     nt, nr = fields.pop("nt"), fields.pop("nr")
     if "vmask" in fields:
         flat = fields.pop("vmask")
@@ -290,7 +295,7 @@ def cmd_verify(args):
         raise ConfigError(f"unknown suite {args.suite!r}; known: all, {', '.join(verify.SUITES)}")
     if args.mutate and args.suite not in ("goc", "all"):
         raise ConfigError(f"--mutate corrupts the goc construction only; suite {args.suite!r} has nothing to mutate")
-    seed = verify.DEFAULT_SEED if args.seed is None else _check_seed(args.seed, "--seed")
+    seed = verify.DEFAULT_SEED if args.seed is None else _read_as(_natural, args.seed, "--seed")
     results = verify.run_suites(names, seed=seed, mutate=args.mutate)
     for r in results:
         print(r.line())
@@ -298,13 +303,14 @@ def cmd_verify(args):
 
 
 def cmd_construct(args):
-    rng = Rng(1 if args.seed is None else _check_seed(args.seed, "--seed"), 0)
+    k, nc, nt, mode = (_read_as(_natural, getattr(args, name), f"--{name}") for name in ("k", "nc", "nt", "mode"))
+    rng = Rng(1 if args.seed is None else _read_as(_natural, args.seed, "--seed"), 0)
     if args.kind == "rank-one":
-        if not 0 <= args.mode < args.nt:
-            raise PreconditionError(f"mode {args.mode} out of range for nt = {args.nt}")
-        u = np.zeros(args.nt, dtype=complex)
-        u[args.mode] = 1.0
-        dset = dispersion.rank_one_set(u, args.k, args.nc)
+        if mode >= nt:
+            raise PreconditionError(f"mode {mode} out of range for nt = {nt}")
+        u = np.zeros(nt, dtype=complex)
+        u[mode] = 1.0
+        dset = dispersion.rank_one_set(u, k, nc)
     else:
         if args.lambdas is None:
             raise PreconditionError("statistical kind needs --lambdas")
@@ -312,9 +318,9 @@ def cmd_construct(args):
             lam = np.array([float(t) for t in args.lambdas.split(",")])
         except ValueError as exc:
             raise ConfigError(f"--lambdas must be comma-separated numbers, got {args.lambdas!r}") from exc
-        if lam.size != args.nt:
-            raise PreconditionError(f"--lambdas needs {args.nt} entries")
-        dset = dispersion.statistical_set(lam, args.k, args.nc, rng)
+        if lam.size != nt:
+            raise PreconditionError(f"--lambdas needs {nt} entries")
+        dset = dispersion.statistical_set(lam, k, nc, rng)
     _write(args.output, dispersion.to_text(dset))
     _, resid = dispersion.check_goc(dset)
     print(f"goc_residual = {resid:.6e}")
@@ -345,24 +351,24 @@ def build_parser():
     p = sub.add_parser("simulate", help="run an experiment config and write a CSV of curves")
     p.add_argument("config")
     p.add_argument("-o", "--output", required=True)
-    p.add_argument("--seed", type=int, default=None, help="override the config/environment seed")
+    p.add_argument("--seed", default=None, help="override the config/environment seed")
     p.set_defaults(fn=cmd_simulate)
 
     p = sub.add_parser("verify", help="run numeric certificates for the library's claims")
     p.add_argument("suite", help="suite name or 'all'")
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", default=None)
     p.add_argument("--mutate", action="store_true",
                    help="negative control: corrupt the goc construction on purpose")
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("construct", help="emit a dispersion set as a text file")
     p.add_argument("--kind", choices=["rank-one", "statistical"], required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--nc", type=int, required=True)
-    p.add_argument("--nt", type=int, required=True)
-    p.add_argument("--mode", type=int, default=0, help="beam direction index for rank-one")
+    p.add_argument("--k", required=True)
+    p.add_argument("--nc", required=True)
+    p.add_argument("--nt", required=True)
+    p.add_argument("--mode", default="0", help="beam direction index for rank-one")
     p.add_argument("--lambdas", default=None, help="comma-separated diagonal for statistical")
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", default=None)
     p.add_argument("-o", "--output", required=True)
     p.set_defaults(fn=cmd_construct)
 

@@ -46,36 +46,35 @@ def check_rank_two(nt):
 
 @dataclass
 class QuantizedCodebook:
-    """A validated B-bit codebook; lambdas holds its N2 power diagonals as one (N2, Nt) array."""
+    """A validated B-bit codebook: N1 unitaries as one (N1, Nt, Nt) array and N2 power diagonals as one (N2, Nt) array.
 
-    b: int
-    n1: int
-    n2: int
-    unitaries: list
+    N1 and N2 are their lengths, 2^B is their product and Nt is the size of the unitaries.
+    """
+
+    unitaries: np.ndarray
     lambdas: np.ndarray
     k: int
     nc: int
-    nt: int
 
     def __post_init__(self):
-        check_split(self.b, self.n1, self.n2)
+        n1, n2 = len(self.unitaries), len(self.lambdas)
+        # B is read off the product, so the split check tests that N1 * N2 is a power of two
+        check_split((n1 * n2).bit_length() - 1, n1, n2)
         check_symbols(self.k, self.nc)
-        if len(self.unitaries) != self.n1 or len(self.lambdas) != self.n2:
-            raise PreconditionError("unitary/diagonal counts must match the split")
-        self.unitaries = [np.asarray(u, dtype=np.complex128) for u in self.unitaries]
-        rows = [np.asarray(l, dtype=float).reshape(-1) for l in self.lambdas]
-        check_unitary(np.stack(self.unitaries), self.nt, "unitaries")
-        budget = self.nt * self.nc / self.k
-        for lam in rows:
-            if lam.size != self.nt:
-                raise PreconditionError("power diagonals must have length Nt")
-            if (lam < 0).any():
-                raise PreconditionError("power diagonals must be non-negative")
-            if lam.sum() > budget + TRACE_TOL:
-                raise PreconditionError(
-                    f"Tr(lambda) = {lam.sum()!r} exceeds the Nt*Nc/K = {budget!r} budget"
-                )
-        self.lambdas = np.stack(rows)
+        self.unitaries = np.asarray(self.unitaries, dtype=np.complex128)
+        if self.unitaries.ndim != 3:
+            raise PreconditionError(f"unitaries must be an (N1, Nt, Nt) stack, got shape {self.unitaries.shape}")
+        nt = self.unitaries.shape[-1]
+        check_unitary(self.unitaries, nt, "unitaries")
+        self.lambdas = np.asarray(self.lambdas, dtype=float)
+        if self.lambdas.shape != (n2, nt):
+            raise PreconditionError(f"power diagonals must be an (N2, Nt) = ({n2}, {nt}) array, "
+                                    f"got shape {self.lambdas.shape}")
+        if (self.lambdas < 0).any():
+            raise PreconditionError("power diagonals must be non-negative")
+        budget, trace = nt * self.nc / self.k, self.lambdas.sum(axis=1).max()
+        if trace > budget + TRACE_TOL:
+            raise PreconditionError(f"Tr(lambda) = {trace!r} exceeds the Nt*Nc/K = {budget!r} budget")
 
 
 def rank_two_lambdas(pair, split, nt, nc, k):
@@ -150,7 +149,7 @@ def trace_mi(traces, rho, k, nt, evaluator):
     return k * evaluator.mi(np.maximum(traces, 0.0) * rho / nt)
 
 
-def select_mi(smat, lambdas, rho, k, nt, evaluator):
+def select_mi(smat, lambdas, rho, k, evaluator):
     """Receiver rule: max over (i, j) of K * I(rho/Nt * Tr(H Q^{i,j} H^H)).
 
     smat (..., N1, Nt) comes from s_matrix and lambdas (..., N2, Nt) holds
@@ -168,19 +167,19 @@ def select_mi(smat, lambdas, rho, k, nt, evaluator):
     every table find it non-decreasing in floating point as well. So the
     values equal the per-codeword maximum (tested exactly on BPSK and PAM4).
     """
-    return trace_mi(codeword_max(smat, lambdas), rho, k, nt, evaluator)
+    return trace_mi(codeword_max(smat, lambdas), rho, k, smat.shape[-1], evaluator)
 
 
-def select_snr(smat, lambdas, k, nt, nc):
+def select_snr(smat, lambdas, k, nc):
     """Receiver rule: max over (i, j) of sum_m alpha[j, m] * s[i, m].
 
     alpha = lambda * K / (Nt*Nc) are the normalized power weights; shapes
     are as in select_mi.
     """
-    return codeword_max(smat, lambdas * (k / (nt * nc)))
+    return codeword_max(smat, lambdas * (k / (smat.shape[-1] * nc)))
 
 
-def delta_snr(smat, lambdas, lam_max, rho, k, nt, nc):
+def delta_snr(smat, lambdas, lam_max, rho, k, nc):
     """Per-symbol received-SNR gap rho*Nc/K * (lam_max - selected weighted power), shape (n,).
 
     smat (n, N1, Nt) and lambdas (N2, Nt) are as in select_snr and lam_max
@@ -188,10 +187,10 @@ def delta_snr(smat, lambdas, lam_max, rho, k, nt, nc):
     selection; non-negative because lam_max dominates every convex
     combination of the per-mode powers.
     """
-    return rho * nc / k * (lam_max - select_snr(smat, lambdas, k, nt, nc))
+    return rho * nc / k * (lam_max - select_snr(smat, lambdas, k, nc))
 
 
-def delta_mi(smat, lambdas, lam_max, rho, k, nt, nc, evaluator):
+def delta_mi(smat, lambdas, lam_max, rho, k, nc, evaluator):
     """Per-symbol mutual-information gap against the perfect-CSI benchmark, shape (n,).
 
     The arguments are as in delta_snr. Uses the mi-rule selection.
@@ -200,4 +199,4 @@ def delta_mi(smat, lambdas, lam_max, rho, k, nt, nc, evaluator):
     every realization (the MMSE never exceeds the unit prior variance).
     """
     best = perfect_csi_mi(lam_max, rho, k, nc, evaluator)
-    return (best - select_mi(smat, lambdas, rho, k, nt, evaluator)) / k
+    return (best - select_mi(smat, lambdas, rho, k, evaluator)) / k

@@ -24,24 +24,32 @@ class DispersionSet:
 
     mats may also be a stack of sets, (..., K, Nt, Nc): every set is
     checked, and total_power and check_goc report per set. One set is the
-    stack of no leading axes.
+    stack of no leading axes. K, Nt and Nc are read off the last three axes.
     """
 
-    nt: int
-    nc: int
-    k: int
     mats: np.ndarray
 
     def __post_init__(self):
         self.mats = np.asarray(self.mats, dtype=np.complex128)
-        if self.k < 1 or self.mats.shape[-3:] != (self.k, self.nt, self.nc):
-            raise PreconditionError(f"dispersion set shape {self.mats.shape} is not (K, Nt, Nc) = "
-                                    f"({self.k}, {self.nt}, {self.nc}) with K >= 1")
+        if self.mats.ndim < 3 or self.k < 1:
+            raise PreconditionError(f"dispersion set shape {self.mats.shape} is not (K, Nt, Nc) with K >= 1")
         if not np.isfinite(self.mats).all():
             raise PreconditionError("dispersion matrices must be finite")
         power = float(np.max(self.total_power()))
         if power > self.nt * self.nc + POWER_TOL:
             raise PreconditionError(f"total power {power!r} exceeds the Nt*Nc = {self.nt * self.nc} budget")
+
+    @property
+    def k(self):
+        return self.mats.shape[-3]
+
+    @property
+    def nt(self):
+        return self.mats.shape[-2]
+
+    @property
+    def nc(self):
+        return self.mats.shape[-1]
 
     def total_power(self):
         """sum_k ||A_k||_F^2, added up in symbol order: a float for one set, else one per set of the stack."""
@@ -141,7 +149,7 @@ def rank_one_set(u, k, nc):
     v = build_v_matrix(k, nc)
     scale = np.sqrt(nt * nc / k)
     mats = scale * (u[..., None, :, None] * v[:, None, :])
-    return _verified(DispersionSet(nt=nt, nc=nc, k=k, mats=mats))
+    return _verified(DispersionSet(mats))
 
 
 def statistical_set(lambda_diag, k, nc, rng):
@@ -174,7 +182,7 @@ def statistical_set(lambda_diag, k, nc, rng):
     cols = haar_unitaries(1, nc, rng)[0, :, : k * r].T.conj().reshape(k, r, nc)
     mats = np.zeros((k, nt, nc), dtype=np.complex128)
     mats[:, modes, :] = np.sqrt(lam[modes])[:, None] * cols
-    return _verified(DispersionSet(nt=nt, nc=nc, k=k, mats=mats))
+    return _verified(DispersionSet(mats))
 
 
 def decoupling_residual(h, dset):

@@ -216,10 +216,6 @@ class MiEvaluator:
         """I(a) without the table: for a discrete alphabet, the quadrature the table is built from."""
         return self._apply(a, _gaussian_mi, lambda x: self._quadrature(x)[0])
 
-    def reference_mmse(self, a):
-        """mmse(a) without the table, as reference_mi."""
-        return self._apply(a, _gaussian_mmse, lambda x: self._quadrature(x)[1])
-
     def _apply(self, a, gaussian, discrete):
         arr = np.asarray(a, dtype=float)
         # min and max propagate NaN, so these two passes reject NaN, inf and negative arguments
@@ -299,15 +295,16 @@ class MiEvaluator:
         return math.log(m) - excess_mean, 1.0 - square_mean
 
 
-def block_mi(h, qsets, rho, nt, evaluator):
+def block_mi(h, qsets, rho, evaluator):
     """Per-block mutual information sum_k I(rho/Nt * Tr(H_n Q_nk H_n^H)) in nats, shape (n,).
 
-    h is an (n, Nr, Nt) stack of channels and qsets an (n, K, Nt, Nt) stack
-    of per-symbol covariances; each distinct covariance is checked to be
-    positive semidefinite. Exact only when the underlying dispersion set
-    satisfies the orthogonality constraint; callers pass covariances of
-    verified sets or codebook covariances.
+    h is an (n, Nr, Nt) stack of channels, which fixes Nt, and qsets an
+    (n, K, Nt, Nt) stack of per-symbol covariances; each distinct covariance
+    is checked to be positive semidefinite. Exact only when the underlying
+    dispersion set satisfies the orthogonality constraint; callers pass
+    covariances of verified sets or codebook covariances.
     """
+    nt = h.shape[-1]
     qsets = np.asarray(qsets, dtype=np.complex128)
     if qsets.ndim != 4 or qsets.shape[-2:] != (nt, nt):
         raise PreconditionError(f"covariance stack shape {qsets.shape} is not (n, K, {nt}, {nt})")

@@ -224,19 +224,20 @@ def draw_ind_column_powers(model, samples, rng):
     return cols
 
 
-def _sample_mean_mi(cols, lam, rho, nt, evaluator):
-    """Sample mean of I(rho/Nt * cols @ lam): the statistical schemes' objective."""
-    return float(np.mean(evaluator.mi(rho / nt * (cols @ lam))))
+def _sample_mean_mi(cols, lam, rho, evaluator):
+    """Sample mean of I(rho/Nt * cols @ lam), Nt the width of cols: the statistical schemes' objective."""
+    return float(np.mean(evaluator.mi(rho / cols.shape[-1] * (cols @ lam))))
 
 
-def optimize_lambda(cols, rho, nt, k, nc, evaluator):
+def optimize_lambda(cols, rho, k, nc, evaluator):
     """Statistical-CSI power allocation by sample-average approximation.
 
     Projected gradient ascent of the sample mean of I(rho/Nt * cols @ lam)
     over non-negative diagonals of trace Nt*Nc/K, where row s of cols holds
-    the squared column norms of Hind for sample s. Gradient components come
-    from the derivative relation dI/da = mmse(a).
+    the squared column norms of Hind for sample s, so cols is Nt wide.
+    Gradient components come from the derivative relation dI/da = mmse(a).
     """
+    nt = cols.shape[-1]
     total = nt * nc / k
 
     def gradient(lam):
@@ -244,7 +245,7 @@ def optimize_lambda(cols, rho, nt, k, nc, evaluator):
         return rho / nt * (evaluator.mmse(a)[:, None] * cols).mean(axis=0)
 
     lam = np.full(nt, total / nt)
-    f_cur = _sample_mean_mi(cols, lam, rho, nt, evaluator)
+    f_cur = _sample_mean_mi(cols, lam, rho, evaluator)
     converged = False
     step = 1.0
     iterations = 0
@@ -258,7 +259,7 @@ def optimize_lambda(cols, rho, nt, k, nc, evaluator):
         accepted = False
         for _ in range(60):
             cand = project_scaled_simplex(lam + step * g, total)
-            f_cand = _sample_mean_mi(cols, cand, rho, nt, evaluator)
+            f_cand = _sample_mean_mi(cols, cand, rho, evaluator)
             gain = float(np.dot(g, cand - lam))
             if f_cand >= f_cur + 1e-4 * gain and f_cand > f_cur:
                 lam, f_cur, accepted = cand, f_cand, True
@@ -300,7 +301,7 @@ def _fit_statistical(config, kept):
     nt, evaluator, cols = config.model.nt, MiEvaluator(config.constellation), _opt_sample(config)
     diags = np.empty((len(config.snr_grid_db), nt))
     for idx, (snr_db, rho) in enumerate(zip(config.snr_grid_db, _rhos(config))):
-        stat = optimize_lambda(cols, rho, nt, config.k, config.nc, evaluator)
+        stat = optimize_lambda(cols, rho, config.k, config.nc, evaluator)
         if not stat.converged:
             warnings.warn(f"statistical power optimizer did not converge at {snr_db} dB after "
                           f"{stat.iterations} iterations; using its best iterate", RuntimeWarning, stacklevel=2)

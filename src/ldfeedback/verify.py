@@ -148,7 +148,7 @@ def suite_thm1(seed=DEFAULT_SEED):
 
     def gap(h):
         qs = _scaled_psd(_psd_normals(4, rng, (len(h), traces.size)), traces)
-        return (block_mi(h, qs, 1.0, 4, _GAUSSIAN) - block_mi(h, _uniform_codeword(qs), 1.0, 4, _GAUSSIAN)).max()
+        return (block_mi(h, qs, 1.0, _GAUSSIAN) - block_mi(h, _uniform_codeword(qs), 1.0, _GAUSSIAN)).max()
 
     return results + _certify("thm1", map(gap, windows(channel.v4_model(), 100)),
                               ("uniform-power-optimal", 1e-9, "100 channels x random splits"))
@@ -165,9 +165,9 @@ def suite_thm2(seed=DEFAULT_SEED):
         best = perfect_csi_mi(np.maximum(lam_max, 0.0), rho, k, nc, _GAUSSIAN)
         qs = _scaled_psd(_psd_normals(4, rng, (len(h) * qsets,)), 4 * nc / k)
         uniform = block_mi(np.repeat(h, qsets, axis=0),
-                           np.broadcast_to(qs[:, None], (qs.shape[0], k, 4, 4)), rho, 4, _GAUSSIAN)
+                           np.broadcast_to(qs[:, None], (qs.shape[0], k, 4, 4)), rho, _GAUSSIAN)
         beams = dispersion.rank_one_set(top, k, nc).covariances()
-        return (uniform - np.repeat(best, qsets)).max(), np.abs(block_mi(h, beams, rho, 4, _GAUSSIAN) - best).max()
+        return (uniform - np.repeat(best, qsets)).max(), np.abs(block_mi(h, beams, rho, _GAUSSIAN) - best).max()
 
     return _certify("thm2", map(margins, windows(channel.iid_model(4, 4), channels, evals_per_trial=qsets)),
                     ("upper-bound", 1e-9, f"{channels} channels x {qsets} uniform-Q sets"),
@@ -205,8 +205,8 @@ def suite_thm4(seed=DEFAULT_SEED):
         u = rng.gen.uniform(size=(len(h), competitors, n2, nt + 1))
         comp = budget * (0.5 + 0.5 * u[..., nt:]) * (u[..., :nt] / u[..., :nt].sum(axis=-1, keepdims=True))
         smat = codebook.s_matrix(h, unitaries)
-        ref = codebook.select_mi(smat, budget * np.eye(nt), rho, k, nt, _GAUSSIAN)
-        return (codebook.select_mi(smat[:, None], comp, rho, k, nt, _GAUSSIAN) - ref[:, None]).max()
+        ref = codebook.select_mi(smat, budget * np.eye(nt), rho, k, _GAUSSIAN)
+        return (codebook.select_mi(smat[:, None], comp, rho, k, _GAUSSIAN) - ref[:, None]).max()
 
     return _certify("thm4", map(gap, windows(channel.iid_model(4, 4), realizations, evals_per_trial=competitors)),
                     ("rank-one-strongly-optimal", 1e-9, f"{realizations} realizations x {competitors} competitors"))
@@ -225,8 +225,8 @@ def suite_thm5(seed=DEFAULT_SEED):
         lamsets = codebook.rank_two_lambdas((u[..., 0] * math.comb(nt, 2)).astype(int), u[..., 1], nt, nc, k)
         smat = codebook.s_matrix(h, unitaries)
         smax = smat.max(axis=(1, 2))
-        comp = codebook.select_snr(smat[:, None], lamsets, k, nt, nc)
-        full_modes = codebook.select_snr(smat, budget * np.eye(nt), k, nt, nc)
+        comp = codebook.select_snr(smat[:, None], lamsets, k, nc)
+        full_modes = codebook.select_snr(smat, budget * np.eye(nt), k, nc)
         return (comp - smax[:, None]).max(), np.abs(full_modes - smax).max()
 
     return _certify("thm5", map(margins, windows(channel.v4_model(), realizations, evals_per_trial=3)),
@@ -248,7 +248,7 @@ def suite_prop2(seed=DEFAULT_SEED):
         z = _psd_normals(4, rng, (len(h), k))
         shares = np.square(z).sum(axis=(-3, -2, -1))
         qs = _scaled_psd(z, shares / shares.sum(axis=-1, keepdims=True) * (4 * nc))
-        return (block_mi(h, qs, rho, 4, _GAUSSIAN) - block_mi(h, _uniform_codeword(qs), rho, 4, _GAUSSIAN)).max()
+        return (block_mi(h, qs, rho, _GAUSSIAN) - block_mi(h, _uniform_codeword(qs), rho, _GAUSSIAN)).max()
 
     return _certify("prop2", map(gap, windows(channel.iid_model(4, 4), realizations)),
                     ("uniform-codeword-dominates", 1e-9, f"{realizations} realizations"))
@@ -298,14 +298,13 @@ def suite_lemma1(seed=DEFAULT_SEED):
     """Per-realization mutual-information gap never exceeds the received-SNR gap."""
     rng, windows = _streams("lemma1", seed)
     nt, nc, k, realizations = 4, 4, 4, 10000
-    cb = codebook.QuantizedCodebook(b=2, n1=4, n2=1, unitaries=haar_unitaries(4, nt, rng),
-                                    lambdas=codebook.random_rank_two_lambdas(1, 1, nt, nc, k, rng)[0],
-                                    k=k, nc=nc, nt=nt)
+    cb = codebook.QuantizedCodebook(unitaries=haar_unitaries(4, nt, rng),
+                                    lambdas=codebook.random_rank_two_lambdas(1, 1, nt, nc, k, rng)[0], k=k, nc=nc)
 
     def gap(h):
         smat, lam_max = codebook.s_matrix(h, cb.unitaries), channel.top_eigenvalues(h)
-        return np.max([(codebook.delta_mi(smat, cb.lambdas, lam_max, rho, k, nt, nc, _GAUSSIAN)
-                        - codebook.delta_snr(smat, cb.lambdas, lam_max, rho, k, nt, nc)).max()
+        return np.max([(codebook.delta_mi(smat, cb.lambdas, lam_max, rho, k, nc, _GAUSSIAN)
+                        - codebook.delta_snr(smat, cb.lambdas, lam_max, rho, k, nc)).max()
                        for rho in (1.0, 10.0)])
 
     return _certify("lemma1", map(gap, windows(channel.v4_model(), realizations)),

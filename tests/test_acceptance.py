@@ -111,7 +111,7 @@ def test_criterion_01_perfect_csi_closed_form():
         covs = np.array([rank_one_set(v, k, nc).covariances() for v in top])
         for snr in GRID:
             rho = 10.0 ** (snr / 10.0)
-            via_set = block_mi(h, covs, rho, nt, ev) / (nc * LN2)
+            via_set = block_mi(h, covs, rho, ev) / (nc * LN2)
             closed = np.log2(1.0 + rho * lam_max)
             positive = closed > 0
             if positive.any():
@@ -203,10 +203,10 @@ def test_criterion_10_eq8_bound():
 def test_criterion_11_statistical_optimizer():
     ev = MiEvaluator(Constellation.gaussian())
     cols_iid = draw_ind_column_powers(iid_model(4, 4), 200_000, Rng(424242, 0))
-    res_iid = optimize_lambda(cols_iid, 10.0, 4, 4, 4, ev)
+    res_iid = optimize_lambda(cols_iid, 10.0, 4, 4, ev)
     dev = float(np.abs(res_iid.diag - 1.0).max())
     cols_v4 = draw_ind_column_powers(v4_model(), 5000, Rng(424242, 1))
-    res_v4 = optimize_lambda(cols_v4, 0.1, 4, 4, 4, ev)
+    res_v4 = optimize_lambda(cols_v4, 0.1, 4, 4, ev)
     share = float(res_v4.diag[2] / res_v4.diag.sum())
     ok = dev <= 1e-2 * 4.0 and share >= 0.9
     _report(11, ok,
@@ -288,7 +288,7 @@ def test_criterion_14_rank_one_maximizes_mean_snr():
                 smat = s_matrix(h, default_unitaries(config))
 
                 def mean_snr(lambdas):
-                    return float(select_snr(smat, lambdas, nt, nt, nt).mean())
+                    return float(select_snr(smat, lambdas, nt, nt).mean())
 
                 rank1 = max(mean_snr(full[list(modes)]) for modes in itertools.combinations(range(nt), n2))
                 rng = Rng(config.seed, STREAM_TOURNAMENT)

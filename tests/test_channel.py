@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -51,15 +52,21 @@ class TestModelValidation:
 
     def test_rejects_non_unitary_basis(self):
         with pytest.raises(PreconditionError, match="ut is not unitary"):
-            CorrelationModel(
-                nt=2, nr=2, ut=np.ones((2, 2), dtype=complex),
-                ur=np.eye(2, dtype=complex), vmask=np.ones((2, 2)),
-            )
+            CorrelationModel(ut=np.ones((2, 2), dtype=complex), ur=np.eye(2, dtype=complex), vmask=np.ones((2, 2)))
         with pytest.raises(PreconditionError, match="ur must be 2 x 2, got shape \\(3, 3\\)"):
-            CorrelationModel(
-                nt=2, nr=2, ut=np.eye(2, dtype=complex),
-                ur=np.eye(3, dtype=complex), vmask=np.ones((2, 2)),
-            )
+            CorrelationModel(ut=np.eye(2, dtype=complex), ur=np.eye(3, dtype=complex), vmask=np.ones((2, 2)))
+
+    def test_dimensions_come_from_the_mask(self):
+        model = CorrelationModel(ut=np.eye(3, dtype=complex), ur=np.eye(2, dtype=complex), vmask=np.ones((2, 3)))
+        assert (model.nr, model.nt) == (2, 3)
+        # a basis sized by anything but the mask is rejected
+        with pytest.raises(PreconditionError, match="ut must be 3 x 3, got shape \\(2, 2\\)"):
+            CorrelationModel(ut=np.eye(2, dtype=complex), ur=np.eye(2, dtype=complex), vmask=np.ones((2, 3)))
+
+    @pytest.mark.parametrize("shape", [(4,), (1, 2, 2)])
+    def test_rejects_mask_not_two_dimensional(self, shape):
+        with pytest.raises(PreconditionError, match=re.escape(f"vmask must be a 2-D Nr x Nt array, got shape {shape}")):
+            CorrelationModel(ut=np.eye(2, dtype=complex), ur=np.eye(2, dtype=complex), vmask=np.ones(shape))
 
     def test_rejects_negative_variance(self):
         # sums to nt*nr = 4 but carries a negative entry

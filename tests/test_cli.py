@@ -1,14 +1,19 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 import tracemalloc
 from dataclasses import MISSING, fields
 from pathlib import Path
+from unittest import mock
 from xml.etree import ElementTree
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ldfeedback import cli, infotheory, simengine, verify
 from ldfeedback.dispersion import DispersionSet
@@ -25,7 +30,7 @@ def read_set(path):
     lines = Path(path).read_text().splitlines()
     nt, nc, k = (int(t) for t in lines[0].split())
     rows = [[complex(t[:-1] + "j") for t in line.split()] for line in lines[1:]]
-    return DispersionSet(nt=nt, nc=nc, k=k, mats=np.reshape(rows, (k, nt, nc)))
+    return DispersionSet(np.reshape(rows, (k, nt, nc)))
 
 
 SMALL_CFG = """
@@ -149,7 +154,7 @@ class TestConfigKeys:
 
 class TestSeedResolution:
     def test_flag_beats_config(self):
-        assert cli.resolve_seed({"seed": "10"}, 99) == 99
+        assert cli.resolve_seed({"seed": "10"}, "99") == 99
 
     def test_config_beats_env(self, monkeypatch):
         monkeypatch.setenv(cli.SEED_ENV_VAR, "123")
@@ -167,6 +172,11 @@ class TestSeedResolution:
 # the smallest experiment that draws channels from its seed
 TINY_CFG = "nt = 2\nnr = 2\nnc = 2\nsnr_db = 0\ntrials = 2\nschemes = perfect\n"
 SEED_LABELS = {"flag": "--seed", "config": "key 'seed'", "env": cli.SEED_ENV_VAR}
+
+
+def not_natural(source, text):
+    """The message of an integer input, named by source, whose text is not ASCII digits below 2**64."""
+    return f"{source} = {text!r}: expected an integer in [0, 2**64) written in ASCII digits 0-9"
 
 
 @pytest.mark.parametrize("source", list(SEED_LABELS))
@@ -194,14 +204,14 @@ class TestSimulateSeedRange:
     def test_outside_range_exit_2(self, tmp_path, monkeypatch, capsys, source, seed):
         code, out = self.simulate(tmp_path, monkeypatch, source, seed)
         assert code == 2
-        assert f"{SEED_LABELS[source]} must be in [0, 2**64), got {seed}" in capsys.readouterr().err
+        assert capsys.readouterr().err == f"error: {not_natural(SEED_LABELS[source], str(seed))}\n"
         assert not out.exists()
 
 
 @pytest.mark.parametrize("override", ["config", "flag"])
 @pytest.mark.parametrize("env, message", [
-    ("abc", "LDFEEDBACK_SEED must be an integer, got 'abc'"),
-    ("-3", "LDFEEDBACK_SEED must be in [0, 2**64), got -3"),
+    ("abc", not_natural("LDFEEDBACK_SEED", "abc")),
+    ("-3", not_natural("LDFEEDBACK_SEED", "-3")),
 ], ids=["not-an-integer", "negative"])
 def test_bad_env_seed_exit_2_when_overridden(tmp_path, monkeypatch, capsys, override, env, message):
     # a set LDFEEDBACK_SEED is read and range-checked even when the config's seed or --seed wins
@@ -228,8 +238,113 @@ class TestSeedRangeOtherCommands:
         assert cli.main(["verify", "thm3", "--seed", str(seed)]) == 2
         assert cli.main([*self.CONSTRUCT, "--seed", str(seed), "-o", str(out)]) == 2
         captured = capsys.readouterr()
-        assert captured.err.count(f"--seed must be in [0, 2**64), got {seed}") == 2
+        assert captured.err == f"error: {not_natural('--seed', str(seed))}\n" * 2
         assert captured.out == "" and not out.exists()
+
+
+# Python's int reads each of these (as 2, 10, 4 and -1); no integer input does
+MALFORMED_INTEGERS = ["\u0662", "1_0", "+4", "-1"]
+INTEGER_KEYS = ("nt", "nr", "nc", "k", "trials", "seed", "opt_samples", "b", "n1", "n2", "rank_two_sets")
+
+
+class TestMalformedIntegers:
+    """Every integer a config, the environment or a flag gives is ASCII digits only, else exit 2."""
+
+    def test_every_integer_key_is_read_as_ascii_digits(self):
+        assert {key for key, parser in cli.CONFIG_KEYS.items() if parser is cli._natural} == set(INTEGER_KEYS)
+
+    @pytest.mark.parametrize("text", MALFORMED_INTEGERS)
+    @pytest.mark.parametrize("key", INTEGER_KEYS)
+    def test_config_key(self, tmp_path, monkeypatch, capsys, key, text):
+        monkeypatch.delenv(cli.SEED_ENV_VAR, raising=False)
+        lines = [line for line in TINY_CFG.splitlines() if not line.startswith(f"{key} =")]
+        cfg = write(tmp_path, "exp.cfg", "\n".join([*lines, f"{key} = {text}"]) + "\n")
+        out = tmp_path / "x.csv"
+        assert cli.main(["simulate", cfg, "-o", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {not_natural(f'key {key!r}', text)}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("text", MALFORMED_INTEGERS)
+    def test_seed_environment_variable(self, tmp_path, monkeypatch, capsys, text):
+        monkeypatch.setenv(cli.SEED_ENV_VAR, text)
+        out = tmp_path / "x.csv"
+        assert cli.main(["simulate", write(tmp_path, "exp.cfg", TINY_CFG), "-o", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {not_natural(cli.SEED_ENV_VAR, text)}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("text", MALFORMED_INTEGERS)
+    @pytest.mark.parametrize("command, flag", [
+        ("simulate", "--seed"), ("verify", "--seed"), ("construct", "--seed"),
+        ("construct", "--k"), ("construct", "--nc"), ("construct", "--nt"), ("construct", "--mode"),
+    ])
+    def test_flag(self, tmp_path, monkeypatch, capsys, command, flag, text):
+        monkeypatch.delenv(cli.SEED_ENV_VAR, raising=False)
+        out = tmp_path / "out.txt"
+        argv = {
+            "simulate": ["simulate", write(tmp_path, "exp.cfg", TINY_CFG), "-o", str(out)],
+            "verify": ["verify", "thm3"],
+            "construct": ["construct", "--kind", "rank-one", "--k", "2", "--nc", "2", "--nt", "2", "-o", str(out)],
+        }[command]
+        assert cli.main([*argv, f"{flag}={text}"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {not_natural(flag, text)}\n"
+        assert captured.out == "" and not out.exists()
+
+
+# values for every simulate config key, none of them a size above 4: ones that parse,
+# and adversarial ones (boundary integers, empty, non-finite, non-ASCII digits -- an
+# Arabic-Indic two --, underscores, signs, unknown names and repeated scheme labels)
+ADVERSARIAL_NUMBERS = ["-1", "0", "", "nan", "inf", "\u0662", "1_0", "+4"]
+PLAIN_VALUES = {
+    **{key: ["2", "1", "4"] for key in INTEGER_KEYS},
+    "model": ["iid", "v4"], "vmask": ["1,1,1,1", "2,0,0,2"], "snr_db": ["0", "-1,0,4"],
+    "constellation": ["gaussian", "bpsk", "pam4", "PAM2"],
+}
+ADVERSARIAL_VALUES = {
+    **{key: ADVERSARIAL_NUMBERS for key in INTEGER_KEYS},
+    "model": ["", "x"], "vmask": ["", "1,1,1", "nan,1,1,1", "\u0662,1,1,1", "-1,1,1,3"],
+    "snr_db": ["", "0,0", "4,-1", "nan", "inf", "1_0", "+4,\u0662"],
+    "constellation": ["", "pam\u0662", "pam1_6", "pam +4", "x"],
+}
+
+
+@st.composite
+def config_texts(draw):
+    """A simulate config text from CONFIG_KEYS: at most two keys are bad, given an adversarial value or,
+    if required, left out; the others get values that parse, model or vmask but not both, and each
+    optional one is there or not."""
+    bad = draw(st.sets(st.sampled_from(list(cli.CONFIG_KEYS)), max_size=2))
+    lines = []
+    for key in cli.CONFIG_KEYS:
+        if key in cli.REQUIRED_KEYS:
+            if key in bad and draw(st.booleans()):
+                continue
+        elif not draw(st.booleans()) or key == "vmask" and lines[:1] == ["model"] and not {"model", "vmask"} & bad:
+            continue
+        if key == "schemes":
+            labels = draw(st.lists(st.sampled_from(simengine.SCHEMES), min_size=1, max_size=5, unique=key not in bad))
+            value = ",".join(labels + (draw(st.sampled_from([[], [""], ["x"]])) if key in bad else []))
+        else:
+            value = draw(st.sampled_from((ADVERSARIAL_VALUES if key in bad else PLAIN_VALUES)[key]))
+        lines += [key, " = ", value, "\n"]
+    return "".join(lines)
+
+
+@given(text=config_texts())
+@settings(max_examples=150, deadline=None)
+def test_any_config_runs_or_exits_2_or_3(text):
+    # a config runs, or is rejected with exit 2 (bad input) or 3 (infeasible), and no
+    # exception escapes the CLI; no size above 4 is accepted, so every run is small
+    stderr = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.dict(os.environ), contextlib.redirect_stderr(stderr):
+        os.environ.pop(cli.SEED_ENV_VAR, None)
+        cfg = Path(tmp) / "exp.cfg"
+        cfg.write_text(text, encoding="utf-8")
+        code = cli.main(["simulate", str(cfg), "-o", str(Path(tmp) / "out.csv")])
+        assert (Path(tmp) / "out.csv").exists() == (code == 0)
+    assert code in (0, 2, 3)
+    assert "Traceback" not in stderr.getvalue()
+    assert (stderr.getvalue() == "") == (code == 0)
 
 
 class TestSimulate:
@@ -292,7 +407,8 @@ class TestSimulate:
         ("model = iid", "vmask = inf,1,1,1", "vmask"),
         ("schemes = perfect,", "schemes = perfect,perfect,", "repeated scheme 'perfect'"),
         ("model = iid", "model = bogus\nvmask = 1,1,1,1", "not both"),
-        ("model = iid\nnt = 2\nnr = 2", "vmask = 1,1,1,1\nnt = -2\nnr = -2", "antenna counts must be >= 1"),
+        ("model = iid\nnt = 2\nnr = 2", "vmask = 1,1,1,1\nnt = -2\nnr = -2", not_natural("key 'nt'", "-2")),
+        ("model = iid\nnt = 2\nnr = 2", "vmask = 1,1,1,1\nnt = 0\nnr = 0", "antenna counts must be >= 1"),
         # 2^20000 has more digits than str() formats by default: the split check tests bits, never 2^B
         ("b = 2\n", "b = 20000\n", "n1 = 4, n2 = 1: n1*n2 must equal 2^B for B = 20000"),
         # a value its key's parser cannot read: the message names the key and the text
@@ -301,7 +417,8 @@ class TestSimulate:
         ("trials = 1", "trials = 1.5", "key 'trials' = '1.5': "),
         ("snr_db = 0,10,20", "snr_db = 0,x", "key 'snr_db' = '0,x': "),
     ], ids=["k-0", "nc-0", "snr-nan", "snr-inf", "snr-minus-inf", "snr-4000", "snr-3080", "vmask-nan",
-            "vmask-inf", "repeated-scheme", "model-and-vmask", "vmask-negative-antennas", "b-20000",
+            "vmask-inf", "repeated-scheme", "model-and-vmask", "vmask-negative-antennas", "vmask-zero-antennas",
+            "b-20000",
             "constellation-pam", "constellation-pamx", "trials-1.5", "snr-not-a-number"])
     def test_bad_value_exit_2(self, tmp_path, capsys, line, bad, message):
         text = SMALL_CFG.replace("trials = 20", "trials = 1")
@@ -313,7 +430,7 @@ class TestSimulate:
 
     @pytest.mark.parametrize("seed, message", [
         ("abc", "key 'seed' = 'abc': "),
-        ("-5", "key 'seed' must be in [0, 2**64), got -5"),
+        ("-5", not_natural("key 'seed'", "-5")),
     ], ids=["not-an-integer", "negative"])
     def test_config_seed_checked_under_flag(self, tmp_path, capsys, seed, message):
         # --seed overrides the config's seed, but the file's value is still read and range-checked
@@ -505,11 +622,12 @@ class TestConstruct:
 
     @pytest.mark.parametrize("args, message", [
         (["--kind", "rank-one", "--k", "2", "--nt", "2", "--nc", "0"], "must both be >= 1"),
-        (["--kind", "rank-one", "--k", "2", "--nt", "2", "--nc", "-1"], "must both be >= 1"),
+        (["--kind", "rank-one", "--k", "2", "--nt", "2", "--nc", "-1"], not_natural("--nc", "-1")),
         (["--kind", "statistical", "--k", "0", "--nc", "2", "--nt", "4", "--lambdas", "1,1,0,0"],
          "must both be >= 1"),
-        (["--kind", "rank-one", "--k", "2", "--nc", "2", "--nt", "-1"], "out of range for nt = -1"),
-    ], ids=["rank-one-nc-0", "rank-one-nc-minus-1", "statistical-k-0", "rank-one-nt-minus-1"])
+        (["--kind", "rank-one", "--k", "2", "--nc", "2", "--nt", "-1"], not_natural("--nt", "-1")),
+        (["--kind", "rank-one", "--k", "2", "--nc", "2", "--nt", "0"], "mode 0 out of range for nt = 0"),
+    ], ids=["rank-one-nc-0", "rank-one-nc-minus-1", "statistical-k-0", "rank-one-nt-minus-1", "rank-one-nt-0"])
     def test_bad_sizes_exit_2(self, tmp_path, capsys, args, message):
         out = tmp_path / "set.txt"
         assert cli.main(["construct", *args, "-o", str(out)]) == 2

@@ -45,59 +45,71 @@ def codebook_with_eigenbasis(h, nt=4, nc=4, k=4, extra=3, seed=99):
     unitaries = [vectors, *haar_unitaries(extra, nt, rng)]
     lam = np.zeros(nt)
     lam[0] = nt * nc / k
-    return QuantizedCodebook(b=2, n1=1 + extra, n2=1, unitaries=unitaries, lambdas=[lam],
-                             k=k, nc=nc, nt=nt)
+    return QuantizedCodebook(unitaries=unitaries, lambdas=[lam],
+                             k=k, nc=nc)
 
 
 def mi_rule(cb, h, rho, ev):
     """MI-rule selected values of a codebook on every trial of a channel stack."""
-    return select_mi(s_matrix(h, cb.unitaries), cb.lambdas, rho, cb.k, cb.nt, ev)
+    return select_mi(s_matrix(h, cb.unitaries), cb.lambdas, rho, cb.k, ev)
 
 
 def snr_rule(cb, h):
     """SNR-rule selected values of a codebook on every trial of a channel stack."""
-    return select_snr(s_matrix(h, cb.unitaries), cb.lambdas, cb.k, cb.nt, cb.nc)
+    return select_snr(s_matrix(h, cb.unitaries), cb.lambdas, cb.k, cb.nc)
 
 
 def snr_gap(cb, h, rho):
     """delta_snr of a codebook on every trial of a channel stack."""
-    return delta_snr(s_matrix(h, cb.unitaries), cb.lambdas, top_eigenvalues(h), rho, cb.k, cb.nt, cb.nc)
+    return delta_snr(s_matrix(h, cb.unitaries), cb.lambdas, top_eigenvalues(h), rho, cb.k, cb.nc)
 
 
 def mi_gap(cb, h, rho, ev):
     """delta_mi of a codebook on every trial of a channel stack."""
-    return delta_mi(s_matrix(h, cb.unitaries), cb.lambdas, top_eigenvalues(h), rho, cb.k, cb.nt, cb.nc, ev)
+    return delta_mi(s_matrix(h, cb.unitaries), cb.lambdas, top_eigenvalues(h), rho, cb.k, cb.nc, ev)
 
 
 class TestRvqCodebook:
     """Random-vector-quantization codebooks: Haar i.i.d. unitaries with given diagonals."""
 
     def test_single_mode_split(self):
-        cb = QuantizedCodebook(b=2, n1=4, n2=1, unitaries=haar_unitaries(4, 4, Rng(1, 0)),
-                               lambdas=mode_diagonals([0]), k=4, nc=4, nt=4)
+        cb = QuantizedCodebook(unitaries=haar_unitaries(4, 4, Rng(1, 0)),
+                               lambdas=mode_diagonals([0]), k=4, nc=4)
         assert len(cb.unitaries) == 4 and len(cb.lambdas) == 1
         assert np.array_equal(cb.lambdas, [[4.0, 0.0, 0.0, 0.0]])
 
     def test_two_by_two_split(self):
-        cb = QuantizedCodebook(b=2, n1=2, n2=2, unitaries=haar_unitaries(2, 4, Rng(1, 1)),
-                               lambdas=mode_diagonals([0, 2]), k=4, nc=4, nt=4)
-        assert cb.n1 * cb.n2 == 4
+        cb = QuantizedCodebook(unitaries=haar_unitaries(2, 4, Rng(1, 1)),
+                               lambdas=mode_diagonals([0, 2]), k=4, nc=4)
+        assert len(cb.unitaries) * len(cb.lambdas) == 4
         assert np.array_equal(cb.lambdas[1], [0.0, 0.0, 4.0, 0.0])
 
     def test_all_mode_set(self):
-        cb = QuantizedCodebook(b=4, n1=4, n2=4, unitaries=haar_unitaries(4, 4, Rng(1, 2)),
-                               lambdas=mode_diagonals(range(4)), k=4, nc=4, nt=4)
+        cb = QuantizedCodebook(unitaries=haar_unitaries(4, 4, Rng(1, 2)),
+                               lambdas=mode_diagonals(range(4)), k=4, nc=4)
         assert np.allclose(cb.lambdas, 4.0 * np.eye(4))
 
     def test_rejects_split_mismatch(self):
-        with pytest.raises(PreconditionError):
-            QuantizedCodebook(b=2, n1=3, n2=1, unitaries=haar_unitaries(3, 4, Rng(1, 3)),
-                              lambdas=mode_diagonals([0]), k=4, nc=4, nt=4)
+        # 3 unitaries times 1 diagonal is no 2^B split
+        with pytest.raises(PreconditionError, match=r"n1 = 3, n2 = 1: n1\*n2 must equal 2\^B for B = 1"):
+            QuantizedCodebook(unitaries=haar_unitaries(3, 4, Rng(1, 3)),
+                              lambdas=mode_diagonals([0]), k=4, nc=4)
+
+    @pytest.mark.parametrize("unitaries, lambdas, message", [
+        (np.eye(4), mode_diagonals([0]), r"unitaries must be an \(N1, Nt, Nt\) stack, got shape \(4, 4\)"),
+        (np.ones((2, 4, 3)), mode_diagonals([0]), r"unitaries must be 3 x 3, got shape \(2, 4, 3\)"),
+        (haar_unitaries(2, 4, Rng(1, 5)), mode_diagonals([0, 1], nt=3),
+         r"power diagonals must be an \(N2, Nt\) = \(2, 4\) array, got shape \(2, 3\)"),
+    ], ids=["one-matrix", "not-square", "diagonal-length"])
+    def test_rejects_arrays_of_other_shapes(self, unitaries, lambdas, message):
+        # N1, N2 and Nt are read off the arrays, which must agree with each other
+        with pytest.raises(PreconditionError, match=message):
+            QuantizedCodebook(unitaries=unitaries, lambdas=lambdas, k=4, nc=4)
 
     def test_rejects_trace_violation(self):
         with pytest.raises(PreconditionError):
-            QuantizedCodebook(b=2, n1=4, n2=1, unitaries=haar_unitaries(4, 4, Rng(1, 4)),
-                              lambdas=[np.full(4, 2.0)], k=4, nc=4, nt=4)
+            QuantizedCodebook(unitaries=haar_unitaries(4, 4, Rng(1, 4)),
+                              lambdas=[np.full(4, 2.0)], k=4, nc=4)
 
 
 def rank_two_lambdas_by_uniform(count, n2, nt, nc, k, rng):
@@ -226,28 +238,28 @@ class TestSelectMi:
             assert value[0] == pytest.approx(expect, rel=1e-12)
 
     def test_zero_snr_tie_break(self):
-        cb = QuantizedCodebook(b=2, n1=2, n2=2, unitaries=haar_unitaries(2, 4, Rng(4, 0)),
-                               lambdas=mode_diagonals([0, 1]), k=4, nc=4, nt=4)
+        cb = QuantizedCodebook(unitaries=haar_unitaries(2, 4, Rng(4, 0)),
+                               lambdas=mode_diagonals([0, 1]), k=4, nc=4)
         assert mi_rule(cb, realization(0), 0.0, gaussian_eval())[0] == 0.0
 
     def test_argmax_against_recomputation(self):
         ev = gaussian_eval()
         stack = realization(4)
         h = stack[0]
-        cb = QuantizedCodebook(b=2, n1=2, n2=2, unitaries=haar_unitaries(2, 4, Rng(4, 1)),
-                               lambdas=mode_diagonals([1, 3]), k=4, nc=4, nt=4)
+        cb = QuantizedCodebook(unitaries=haar_unitaries(2, 4, Rng(4, 1)),
+                               lambdas=mode_diagonals([1, 3]), k=4, nc=4)
         value = mi_rule(cb, stack, 1.5, ev)[0]
         for u in cb.unitaries:
             for lam in cb.lambdas:
                 q = (u * lam) @ u.conj().T
-                val = cb.k * ev.mi(1.5 / cb.nt * np.einsum("ij,jk,ik->", h, q, h.conj()).real)
+                val = cb.k * ev.mi(1.5 / 4 * np.einsum("ij,jk,ik->", h, q, h.conj()).real)
                 assert value >= val - 1e-12
 
     def test_determinism(self):
         ev = gaussian_eval()
         h = realization(5)
-        cb = QuantizedCodebook(b=2, n1=4, n2=1, unitaries=haar_unitaries(4, 4, Rng(4, 2)),
-                               lambdas=mode_diagonals([2]), k=4, nc=4, nt=4)
+        cb = QuantizedCodebook(unitaries=haar_unitaries(4, 4, Rng(4, 2)),
+                               lambdas=mode_diagonals([2]), k=4, nc=4)
         assert np.array_equal(mi_rule(cb, h, 2.0, ev), mi_rule(cb, h, 2.0, ev))
 
 
@@ -291,7 +303,7 @@ class TestTraceSelection:
         smat, lambdas = self._inputs(per_trial)
         saturated_rows = 0
         for rho in TRACE_RHOS:
-            values = select_mi(smat, lambdas, rho, 4, 4, ev)
+            values = select_mi(smat, lambdas, rho, 4, ev)
             assert values.shape == np.broadcast_shapes(smat.shape[:-2], lambdas.shape[:-2])
             want, args = mi_rule_definition(smat, lambdas, rho, 4, 4, ev)
             if name != "gaussian":
@@ -346,19 +358,19 @@ class TestCodewordMaximum:
         smat, lambdas = inputs
         nt = smat.shape[-1]
         want = trace_max_reference(smat, lambdas * (k / (nt * nc)))
-        assert select_snr(smat, lambdas, k, nt, nc).tobytes() == want.tobytes()
+        assert select_snr(smat, lambdas, k, nc).tobytes() == want.tobytes()
         ev = gaussian_eval()
         clipped = np.maximum(trace_max_reference(smat, lambdas), 0.0)
         for rho in TRACE_RHOS:
             want = k * ev.mi(clipped * rho / nt)
-            assert select_mi(smat, lambdas, rho, k, nt, ev).tobytes() == want.tobytes()
+            assert select_mi(smat, lambdas, rho, k, ev).tobytes() == want.tobytes()
 
 
 class TestSelectSnr:
     def test_rank_one_codebook_reduces_to_best_mode_power(self):
         h = realization(6)
-        cb = QuantizedCodebook(b=3, n1=2, n2=4, unitaries=haar_unitaries(2, 4, Rng(5, 0)),
-                               lambdas=mode_diagonals(range(4)), k=4, nc=4, nt=4)
+        cb = QuantizedCodebook(unitaries=haar_unitaries(2, 4, Rng(5, 0)),
+                               lambdas=mode_diagonals(range(4)), k=4, nc=4)
         value = snr_rule(cb, h)[0]
         smax = s_matrix(h, cb.unitaries).max()
         assert value == pytest.approx(smax, abs=1e-12)
@@ -369,17 +381,17 @@ class TestSelectSnr:
         for stream in range(200):
             h = realization(stream, seed=551)
             lamsets = random_rank_two_lambdas(1, 2, 4, 4, 4, rng)[0]
-            cb = QuantizedCodebook(b=2, n1=2, n2=2, unitaries=haar_unitaries(2, 4, rng),
-                                   lambdas=lamsets, k=4, nc=4, nt=4)
+            cb = QuantizedCodebook(unitaries=haar_unitaries(2, 4, rng),
+                                   lambdas=lamsets, k=4, nc=4)
             # Tr(H Q H^H) = Nt*Nc/K times the snr-rule objective, so both rules pick the same value
             expect = cb.k * ev.mi(1.3 * cb.nc / cb.k * snr_rule(cb, h)[0])
             assert mi_rule(cb, h, 1.3, ev)[0] == pytest.approx(expect, rel=1e-12)
 
     def test_zero_channel_tie_break(self):
-        cb = QuantizedCodebook(b=2, n1=4, n2=1, unitaries=haar_unitaries(4, 4, Rng(5, 2)),
-                               lambdas=mode_diagonals([0]), k=4, nc=4, nt=4)
+        cb = QuantizedCodebook(unitaries=haar_unitaries(4, 4, Rng(5, 2)),
+                               lambdas=mode_diagonals([0]), k=4, nc=4)
         smat = s_matrix(np.zeros((1, 4, 4), dtype=complex), cb.unitaries)
-        assert select_snr(smat, cb.lambdas, cb.k, cb.nt, cb.nc)[0] == 0.0
+        assert select_snr(smat, cb.lambdas, cb.k, cb.nc)[0] == 0.0
 
 
 class TestGaps:
@@ -391,8 +403,8 @@ class TestGaps:
         assert abs(mi_gap(cb, h, 2.0, ev)[0]) <= 1e-9
 
     def test_zero_snr_zero_mi_gap(self):
-        cb = QuantizedCodebook(b=2, n1=4, n2=1, unitaries=haar_unitaries(4, 4, Rng(6, 0)),
-                               lambdas=mode_diagonals([1]), k=4, nc=4, nt=4)
+        cb = QuantizedCodebook(unitaries=haar_unitaries(4, 4, Rng(6, 0)),
+                               lambdas=mode_diagonals([1]), k=4, nc=4)
         assert mi_gap(cb, realization(8), 0.0, gaussian_eval())[0] == 0.0
 
     def test_snr_gap_nonnegative(self):
@@ -400,8 +412,8 @@ class TestGaps:
         for stream in range(100):
             h = realization(stream, seed=661)
             lambdas = mode_diagonals([int(rng.gen.integers(4))])
-            cb = QuantizedCodebook(b=2, n1=4, n2=1, unitaries=haar_unitaries(4, 4, rng),
-                                   lambdas=lambdas, k=4, nc=4, nt=4)
+            cb = QuantizedCodebook(unitaries=haar_unitaries(4, 4, rng),
+                                   lambdas=lambdas, k=4, nc=4)
             assert snr_gap(cb, h, 1.0)[0] >= -1e-12
 
     def test_mi_gap_below_snr_gap(self):
@@ -411,8 +423,8 @@ class TestGaps:
         rng = Rng(6, 2)
         unitaries = haar_unitaries(4, 4, rng)
         lambdas = random_rank_two_lambdas(1, 1, 4, 4, 4, rng)[0]
-        cb = QuantizedCodebook(b=2, n1=4, n2=1, unitaries=unitaries, lambdas=lambdas,
-                               k=4, nc=4, nt=4)
+        cb = QuantizedCodebook(unitaries=unitaries, lambdas=lambdas,
+                               k=4, nc=4)
         h, _ = draw_trials(v4_model(), 1000, 662)
         for rho in (1.0, 10.0):
             assert (mi_gap(cb, h, rho, ev) <= snr_gap(cb, h, rho) + 1e-12).all()
@@ -424,15 +436,15 @@ class TestRankOneStrongOptimality:
         nt, nc, k = 4, 4, 4
         rng = Rng(7, 0)
         unitaries = haar_unitaries(4, 4, rng)
-        rank_one = QuantizedCodebook(b=4, n1=4, n2=4, unitaries=unitaries,
-                                     lambdas=mode_diagonals(range(nt)), k=k, nc=nc, nt=nt)
+        rank_one = QuantizedCodebook(unitaries=unitaries,
+                                     lambdas=mode_diagonals(range(nt)), k=k, nc=nc)
         h, _ = draw_trials(iid_model(4, 4), 100, 771)
         ref = mi_rule(rank_one, h, 2.0, ev)
         smat = s_matrix(h, unitaries)
         for _ in range(5):
             w = rng.gen.uniform(size=(len(h), 4, nt))
             w /= w.sum(axis=-1, keepdims=True)
-            got = select_mi(smat, 4.0 * w, 2.0, k, nt, ev)
+            got = select_mi(smat, 4.0 * w, 2.0, k, ev)
             assert (got <= ref + 1e-9).all()
 
 
@@ -451,7 +463,7 @@ class TestProp2CodebookLevel:
                 q = a @ a.conj().T
                 qs[t, idx] = q * (tr / q.trace().real)
         qhat = np.broadcast_to(qs.mean(axis=1, keepdims=True), qs.shape)
-        assert (block_mi(h, qs, 1.0, 4, ev) <= block_mi(h, qhat, 1.0, 4, ev) + 1e-9).all()
+        assert (block_mi(h, qs, 1.0, ev) <= block_mi(h, qhat, 1.0, ev) + 1e-9).all()
 
 
 def prop3_gap_meshgrid(a, y):

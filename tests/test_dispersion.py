@@ -27,7 +27,7 @@ def read_set(text):
     lines = text.splitlines()
     nt, nc, k = (int(t) for t in lines[0].split())
     rows = [[complex(t[:-1] + "j") for t in line.split()] for line in lines[1:]]
-    return DispersionSet(nt=nt, nc=nc, k=k, mats=np.reshape(rows, (k, nt, nc)))
+    return DispersionSet(np.reshape(rows, (k, nt, nc)))
 
 
 def random_channel(nt, nr, stream, seed=77):
@@ -40,9 +40,9 @@ def random_channels(nt, nr, streams, seed=77):
     return np.concatenate([random_channel(nt, nr, stream, seed) for stream in streams])
 
 
-def one_block_mi(h, qs, rho, nt, ev):
+def one_block_mi(h, qs, rho, ev):
     """block_mi of one channel, evaluated as the n = 1 stack."""
-    return block_mi(h, np.asarray(qs)[None], rho, nt, ev)[0]
+    return block_mi(h, np.asarray(qs)[None], rho, ev)[0]
 
 
 def pairwise_check_goc(dset):
@@ -90,7 +90,7 @@ def seeded_sets(kind, count, seed=2024):
         if kind == "complex":
             mats = mats + 1j * gen.standard_normal((k, nt, nc))
         share = gen.uniform(0.1, 1.0) * nt * nc / np.vdot(mats, mats).real
-        sets.append(DispersionSet(nt=nt, nc=nc, k=k, mats=mats * np.sqrt(share)))
+        sets.append(DispersionSet(mats * np.sqrt(share)))
     return sets
 
 
@@ -113,20 +113,23 @@ class TestStackedMatchesPairwise:
 
 
 class TestDispersionSetChecks:
-    @pytest.mark.parametrize("k, mats, message", [
-        (3, np.zeros((2, 2, 2)), r"shape \(2, 2, 2\) is not \(K, Nt, Nc\) = \(3, 2, 2\) with K >= 1"),
-        (2, np.zeros((2, 2, 3)), r"shape \(2, 2, 3\) is not \(K, Nt, Nc\) = \(2, 2, 2\) with K >= 1"),
-        (0, np.zeros((0, 2, 2)), r"shape \(0, 2, 2\) is not \(K, Nt, Nc\) = \(0, 2, 2\) with K >= 1"),
-        (2, np.where(np.arange(8).reshape(2, 2, 2) == 5, np.nan, 0.0), "dispersion matrices must be finite"),
-    ], ids=["wrong-k", "wrong-nt-nc", "no-symbols", "nan-entry"])
-    def test_rejects(self, k, mats, message):
+    @pytest.mark.parametrize("mats, message", [
+        (np.zeros((2, 2)), r"shape \(2, 2\) is not \(K, Nt, Nc\) with K >= 1"),
+        (np.zeros((0, 2, 2)), r"shape \(0, 2, 2\) is not \(K, Nt, Nc\) with K >= 1"),
+        (np.where(np.arange(8).reshape(2, 2, 2) == 5, np.nan, 0.0), "dispersion matrices must be finite"),
+    ], ids=["too-few-axes", "no-symbols", "nan-entry"])
+    def test_rejects(self, mats, message):
         with pytest.raises(PreconditionError, match=message):
-            DispersionSet(nt=2, nc=2, k=k, mats=mats)
+            DispersionSet(mats)
+
+    def test_dimensions_come_from_the_last_three_axes(self):
+        dset = DispersionSet(np.zeros((5, 3, 2, 4)))
+        assert (dset.k, dset.nt, dset.nc) == (3, 2, 4)
 
 
 class TestCheckGoc:
     def test_single_matrix_vacuous(self):
-        dset = DispersionSet(nt=2, nc=2, k=1, mats=[np.eye(2)])
+        dset = DispersionSet([np.eye(2)])
         ok, worst = check_goc(dset)
         assert ok and worst == 0.0
 
@@ -134,23 +137,23 @@ class TestCheckGoc:
         # A1 A2^H + A2 A1^H = 0 by direct arithmetic
         a1 = np.array([[1.0, 0.0], [0.0, 1.0]])
         a2 = np.array([[0.0, 1.0], [-1.0, 0.0]])
-        ok, worst = check_goc(DispersionSet(nt=2, nc=2, k=2, mats=[a1, a2]))
+        ok, worst = check_goc(DispersionSet([a1, a2]))
         assert ok and worst == 0.0
 
     def test_stack_reports_each_set(self):
         # one Alamouti set and one duplicated identity: each reports as it does alone
         a1, a2 = np.eye(2), np.array([[0.0, 1.0], [-1.0, 0.0]])
-        ok, worst = check_goc(DispersionSet(nt=2, nc=2, k=2, mats=[[a1, a2], [a1, a1]]))
+        ok, worst = check_goc(DispersionSet([[a1, a2], [a1, a1]]))
         assert ok.tolist() == [True, False]
-        assert worst.tolist() == [0.0, check_goc(DispersionSet(nt=2, nc=2, k=2, mats=[a1, a1]))[1]]
+        assert worst.tolist() == [0.0, check_goc(DispersionSet([a1, a1]))[1]]
 
     def test_stack_power_checked_set_by_set(self):
         # the first set spends the whole Nt*Nc = 4, the second 10
         with pytest.raises(PreconditionError, match="total power 10.0 exceeds"):
-            DispersionSet(nt=2, nc=2, k=2, mats=[[np.eye(2), np.eye(2)], [2 * np.eye(2), np.eye(2)]])
+            DispersionSet([[np.eye(2), np.eye(2)], [2 * np.eye(2), np.eye(2)]])
 
     def test_duplicated_identity_violates(self):
-        ok, worst = check_goc(DispersionSet(nt=2, nc=2, k=2, mats=[np.eye(2), np.eye(2)]))
+        ok, worst = check_goc(DispersionSet([np.eye(2), np.eye(2)]))
         assert not ok
         assert abs(worst - 2 * math.sqrt(2)) <= 1e-12  # ||2 I||_F
 
@@ -162,7 +165,7 @@ class TestCheckSymbols:
         "perfect_csi_mi": lambda k, nc: perfect_csi_mi(
             np.ones(3), 1.0, k, nc, MiEvaluator(Constellation.gaussian())),
         "QuantizedCodebook": lambda k, nc: QuantizedCodebook(
-            b=0, n1=1, n2=1, unitaries=[np.eye(2)], lambdas=[[1.0, 0.0]], k=k, nc=nc, nt=2),
+            unitaries=[np.eye(2)], lambdas=[[1.0, 0.0]], k=k, nc=nc),
         "random_rank_two_lambdas": lambda k, nc: random_rank_two_lambdas(1, 1, 2, nc, k, Rng(0, 0)),
     }
 
@@ -275,7 +278,7 @@ class TestRankOneSet:
         dset = rank_one_set(u, k=2 * nc, nc=nc)
         for stream in range(10):
             h = random_channel(nt, 3, stream)
-            via_set = one_block_mi(h, dset.covariances(), rho, nt, ev)
+            via_set = one_block_mi(h, dset.covariances(), rho, ev)
             gain = float(np.linalg.norm(h[0] @ u) ** 2)
             assert abs(via_set - nc * math.log(1.0 + rho * gain)) <= 1e-9
 
@@ -320,8 +323,8 @@ class TestStatisticalSet:
             assert np.linalg.norm(q_stat - q_beam) <= 1e-10
         for stream in range(5):
             h = random_channel(nt, nt, stream)
-            a = one_block_mi(h, stat.covariances(), 2.0, nt, ev)
-            b = one_block_mi(h, beam.covariances(), 2.0, nt, ev)
+            a = one_block_mi(h, stat.covariances(), 2.0, ev)
+            b = one_block_mi(h, beam.covariances(), 2.0, ev)
             assert abs(a - b) <= 1e-9
 
 
@@ -333,11 +336,11 @@ class TestDecoupling:
 
     def test_violating_set_has_positive_residual(self):
         a = np.eye(2) / math.sqrt(2)
-        dset = DispersionSet(nt=2, nc=2, k=2, mats=[a, a])
+        dset = DispersionSet([a, a])
         assert decoupling_residual(random_channel(2, 2, 0), dset)[0] > 1e-3
 
     def test_single_symbol_zero_by_convention(self):
-        dset = DispersionSet(nt=2, nc=2, k=1, mats=[np.eye(2)])
+        dset = DispersionSet([np.eye(2)])
         assert decoupling_residual(random_channels(2, 2, range(3)), dset).tolist() == [0.0] * 3
 
     @pytest.mark.parametrize("kind", ["rank-one", "mutated", "single-symbol"])
@@ -346,14 +349,14 @@ class TestDecoupling:
         u = np.array([1.0, 1j, -1.0, 0.5]) / np.linalg.norm([1.0, 1j, -1.0, 0.5])
         dset = rank_one_set(u, k=1 if kind == "single-symbol" else 8, nc=4)
         if kind == "mutated":
-            dset = DispersionSet(nt=4, nc=4, k=8, mats=dset.mats[[0, 0, *range(2, 8)]])
+            dset = DispersionSet(dset.mats[[0, 0, *range(2, 8)]])
         h = random_channels(4, 4, range(100), seed=78)
         want = np.array([pairwise_decoupling_residual(x, dset) for x in h])
         assert decoupling_residual(h, dset).tobytes() == want.tobytes()
         assert (want > 1e-3).any() == (kind == "mutated")
 
     def test_dimension_mismatch(self):
-        dset = DispersionSet(nt=3, nc=2, k=1, mats=[np.zeros((3, 2))])
+        dset = DispersionSet([np.zeros((3, 2))])
         with pytest.raises(PreconditionError):
             decoupling_residual(random_channel(2, 2, 2), dset)
 
@@ -371,4 +374,4 @@ class TestTextFormat:
 
 def test_power_budget_enforced():
     with pytest.raises(PreconditionError):
-        DispersionSet(nt=2, nc=2, k=2, mats=[np.eye(2) * 2, np.eye(2)])
+        DispersionSet([np.eye(2) * 2, np.eye(2)])

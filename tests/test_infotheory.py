@@ -89,6 +89,11 @@ def make_eval(kind):
     return MiEvaluator(Constellation(kind))
 
 
+def reference_mmse(ev, a):
+    """mmse(a) without the table, as MiEvaluator.reference_mi: the quadrature for a discrete alphabet."""
+    return ev._apply(a, infotheory._gaussian_mmse, lambda x: ev._quadrature(x)[1])
+
+
 def full_quadrature(a, points):
     """Slow reference for the fast quadrature: all 256 Gauss-Hermite nodes, all M components.
 
@@ -332,7 +337,7 @@ class TestTable:
         ev = make_eval(kind)
         a = np.exp(Rng(15, 0).gen.uniform(math.log(1e-8), math.log(1e4), 20_000))
         assert np.abs(ev.mi(a) - ev.reference_mi(a)).max() <= 5e-10
-        assert np.abs(ev.mmse(a) - ev.reference_mmse(a)).max() <= 1e-7
+        assert np.abs(ev.mmse(a) - reference_mmse(ev, a)).max() <= 1e-7
 
     @pytest.mark.parametrize("kind,a", sorted(ORACLE_WORST))
     def test_quadrature_against_oracle_at_its_worst(self, kind, a):
@@ -340,7 +345,7 @@ class TestTable:
         ev = make_eval(kind)
         want_mi, want_mmse = ORACLE_WORST[(kind, a)]
         assert abs(ev.reference_mi(a) - want_mi) <= 1e-9
-        assert abs(ev.reference_mmse(a) - want_mmse) <= 5e-8
+        assert abs(reference_mmse(ev, a) - want_mmse) <= 5e-8
 
     @pytest.mark.parametrize("kind", TABLE_KINDS)
     def test_knots_hold_the_quadrature_values(self, kind):
@@ -352,14 +357,14 @@ class TestTable:
         projected = np.minimum(np.maximum.accumulate(quad), table.ln_m)
         assert np.abs(projected - quad).max() <= 2 * np.spacing(table.ln_m)
         assert np.array_equal(ev.mi(table.knots), projected)
-        assert np.array_equal(ev.mmse(table.knots), np.maximum(ev.reference_mmse(table.knots), 0.0))
+        assert np.array_equal(ev.mmse(table.knots), np.maximum(reference_mmse(ev, table.knots), 0.0))
 
     def test_pam8_mmse_never_negative(self):
         # the quadrature's 1 - E[E[x | y]^2] reads -2.2e-16 at saturated PAM8 knots;
         # the table stores 0 there, so neither those knots nor the intervals they start go negative
         ev = make_eval("pam8")
         knots = ev._table().knots
-        assert (ev.reference_mmse(knots) < 0).any()
+        assert (reference_mmse(ev, knots) < 0).any()
         assert (ev.mmse(knots) >= 0).all()
         assert (ev.mmse(np.linspace(0.6 * knots[-1], knots[-1], 100_000)) >= 0).all()
 
@@ -401,7 +406,7 @@ class TestTable:
         knots = ev._table().knots
         want_mi, want_mmse = full_quadrature(knots, ev.constellation.points)
         assert np.abs(ev.reference_mi(knots) - want_mi).max() <= 1e-13
-        assert np.abs(ev.reference_mmse(knots) - want_mmse).max() <= 1e-13
+        assert np.abs(reference_mmse(ev, knots) - want_mmse).max() <= 1e-13
 
     @pytest.mark.parametrize("kind", TABLE_KINDS)
     def test_zero_and_continuity_at_the_grid_ends(self, kind):
@@ -483,14 +488,14 @@ class TestTable:
                                               Rng(config.seed, STREAM_TOURNAMENT))
             ev = MiEvaluator(config.constellation)
             every = [_curve_point(snr, f"quantized-rank2-{idx:02d}",
-                                  select_mi(smat, lambdas, rho, config.k, 2, ev) / (config.nc * LN2))
+                                  select_mi(smat, lambdas, rho, config.k, ev) / (config.nc * LN2))
                      for idx, lambdas in enumerate(lamsets)
                      for snr, rho in zip(config.snr_grid_db, _rhos(config))]
             return run(config) + best + every
 
         tabled = points()
         monkeypatch.setattr(MiEvaluator, "mi", MiEvaluator.reference_mi)
-        monkeypatch.setattr(MiEvaluator, "mmse", MiEvaluator.reference_mmse)
+        monkeypatch.setattr(MiEvaluator, "mmse", reference_mmse)
         quadrature = points()
         assert len(tabled) == len(quadrature) == 6 + 2 + 6
         for got, want in zip(tabled, quadrature):
@@ -504,9 +509,9 @@ def iid_channel(nt, nr, seed, stream):
     return sample(iid_model(nt, nr), Rng(seed, stream))[0]
 
 
-def one_block_mi(h, qs, rho, nt, ev):
+def one_block_mi(h, qs, rho, ev):
     """block_mi of one channel, evaluated as the n = 1 stack."""
-    return block_mi(h, np.asarray(qs)[None], rho, nt, ev)[0]
+    return block_mi(h, np.asarray(qs)[None], rho, ev)[0]
 
 
 def gram_eig(h):
@@ -522,7 +527,7 @@ class TestBlockMi:
     def test_zero_covariances(self):
         ev = make_eval("gaussian")
         h = iid_channel(2, 2, 1, 0)
-        assert one_block_mi(h, [np.zeros((2, 2))] * 3, 2.0, 2, ev) == 0.0
+        assert one_block_mi(h, [np.zeros((2, 2))] * 3, 2.0, ev) == 0.0
 
     def test_top_eigenvector_single_symbol(self):
         ev = make_eval("gaussian")
@@ -530,7 +535,7 @@ class TestBlockMi:
         lam, u = gram_eig(h)
         nc = 4
         q = (4.0 * nc) * np.outer(u, u.conj())
-        got = one_block_mi(h, [q], 2.0, 4, ev)
+        got = one_block_mi(h, [q], 2.0, ev)
         assert got == pytest.approx(ev.mi(2.0 * nc * lam), rel=1e-12)
 
     def test_concavity_uniform_beats_split(self):
@@ -544,13 +549,20 @@ class TestBlockMi:
                 q = a @ a.conj().T
                 qs.append(q * (tr / q.trace().real))
             qhat = sum(qs) / len(qs)
-            assert one_block_mi(h, qs, 1.0, 4, ev) <= one_block_mi(h, [qhat] * 4, 1.0, 4, ev) + 1e-9
+            assert one_block_mi(h, qs, 1.0, ev) <= one_block_mi(h, [qhat] * 4, 1.0, ev) + 1e-9
 
     def test_rejects_indefinite_covariance(self):
         ev = make_eval("gaussian")
         h = iid_channel(2, 2, 5, 0)
         with pytest.raises(PreconditionError):
-            one_block_mi(h, [np.diag([1.0, -0.5])], 1.0, 2, ev)
+            one_block_mi(h, [np.diag([1.0, -0.5])], 1.0, ev)
+
+    def test_rejects_covariances_not_sized_by_the_channel(self):
+        # Nt is read off h, and the covariance stack must be (n, K, Nt, Nt)
+        ev = make_eval("gaussian")
+        h = iid_channel(2, 2, 5, 0)
+        with pytest.raises(PreconditionError, match=r"shape \(1, 1, 3, 3\) is not \(n, K, 2, 2\)"):
+            block_mi(h, np.eye(3)[None, None], 1.0, ev)
 
     def test_rejects_indefinite_covariance_in_a_broadcast_stack(self):
         # the indefinite matrix is the second channel's, repeated over K = 3 symbols
@@ -558,9 +570,9 @@ class TestBlockMi:
         h = np.concatenate([iid_channel(2, 2, 5, stream) for stream in range(3)])
         covs = np.stack([np.eye(2), np.diag([1.0, -0.5]), np.eye(2)]).astype(complex)
         with pytest.raises(PreconditionError, match="covariance has eigenvalue -5.000e-01"):
-            block_mi(h, np.broadcast_to(covs[:, None], (3, 3, 2, 2)), 1.0, 2, ev)
+            block_mi(h, np.broadcast_to(covs[:, None], (3, 3, 2, 2)), 1.0, ev)
         with pytest.raises(PreconditionError, match="covariance has eigenvalue -5.000e-01"):
-            block_mi(h, np.broadcast_to(covs[1:2], (3, 3, 2, 2)), 1.0, 2, ev)
+            block_mi(h, np.broadcast_to(covs[1:2], (3, 3, 2, 2)), 1.0, ev)
 
     def test_psd_check_factors_each_distinct_matrix_once(self, monkeypatch):
         # stacks broadcast over the symbols and over the channels: the check
@@ -580,10 +592,10 @@ class TestBlockMi:
             return eigvalsh(m)
 
         monkeypatch.setattr(np.linalg, "eigvalsh", recorded)
-        got = [block_mi(h, qsets, 1.5, 3, ev) for qsets in stacks]
+        got = [block_mi(h, qsets, 1.5, ev) for qsets in stacks]
         assert shapes == [(4, 1, 3, 3), (1, 4, 3, 3)]
         for values, qsets in zip(got, stacks):
-            assert np.array_equal(values, block_mi(h, np.ascontiguousarray(qsets), 1.5, 3, ev))
+            assert np.array_equal(values, block_mi(h, np.ascontiguousarray(qsets), 1.5, ev))
         assert shapes[2:] == [(4, 5, 3, 3), (4, 4, 3, 3)]
 
     def test_stack_rows_match_single_realizations(self):
@@ -594,10 +606,10 @@ class TestBlockMi:
         for _ in hs:
             a = rng.gen.standard_normal((2, 3, 3)) + 1j * rng.gen.standard_normal((2, 3, 3))
             qsets.append(a @ np.swapaxes(a.conj(), -1, -2))
-        rows = block_mi(np.concatenate(hs), np.stack(qsets), 1.5, 3, ev)
+        rows = block_mi(np.concatenate(hs), np.stack(qsets), 1.5, ev)
         assert rows.shape == (5,)
         for row, h, qs in zip(rows, hs, qsets):
-            assert row == one_block_mi(h, qs, 1.5, 3, ev)
+            assert row == one_block_mi(h, qs, 1.5, ev)
 
 
 class TestPerfectCsiMi:
@@ -643,7 +655,7 @@ def test_eq8_bound_random_covariances():
             a = rng.gen.standard_normal((4, 4)) + 1j * rng.gen.standard_normal((4, 4))
             q = a @ a.conj().T
             q *= (4 * nc / k) / q.trace().real
-            assert one_block_mi(h, [q] * k, 2.0, 4, ev) <= best + 1e-9
+            assert one_block_mi(h, [q] * k, 2.0, ev) <= best + 1e-9
 
 
 def test_beamforming_set_achieves_benchmark():
@@ -653,5 +665,5 @@ def test_beamforming_set_achieves_benchmark():
         h = iid_channel(4, 4, 12, stream)
         lam, u = gram_eig(h)
         dset = rank_one_set(u, k, nc)
-        got = one_block_mi(h, dset.covariances(), 2.0, 4, ev)
+        got = one_block_mi(h, dset.covariances(), 2.0, ev)
         assert got == pytest.approx(perfect_csi_mi(lam, 2.0, k, nc, ev), abs=1e-9)

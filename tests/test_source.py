@@ -90,13 +90,24 @@ def defined_names(stmt):
 
 def unread_definitions(sources):
     """Sorted (module, name) of the public top-level functions, classes and assigned names in
-    {module: source} that no top-level statement but their own definition reads."""
+    {module: source} that no top-level statement but their own definition reads, and
+    (module, "Class.name") of the public methods and properties that nothing but their own
+    definition reads.
+
+    A class is read as its header and each member of its body apart, so a property that
+    another method of its class reads is read. A method or property counts as read by an
+    attribute of its name on any object, anywhere but in its own body.
+    """
     statements = [(module, stmt) for module, source in sources.items() for stmt in ast.parse(source).body]
-    reads = [(stmt, read_names(stmt)) for _, stmt in statements]
-    return sorted(
-        (module, name) for module, stmt in statements for name in defined_names(stmt)
-        if not any(name in names for other, names in reads if other is not stmt)
-    )
+    parts = [(stmt, part) for _, stmt in statements for part in (
+        [*stmt.decorator_list, *stmt.bases, *stmt.body] if isinstance(stmt, ast.ClassDef) else [stmt])]
+    reads = [(stmt, part, read_names(part)) for stmt, part in parts]
+    top = [(module, name) for module, stmt in statements for name in defined_names(stmt)
+           if not any(name in names for other, _, names in reads if other is not stmt)]
+    members = [(module, f"{stmt.name}.{member.name}") for module, stmt in statements if isinstance(stmt, ast.ClassDef)
+               for member in stmt.body if isinstance(member, ast.FunctionDef) and not member.name.startswith("_")
+               and not any(member.name in names for _, part, names in reads if part is not member)]
+    return sorted(top + members)
 
 
 def test_unread_definitions_are_found():
@@ -105,10 +116,18 @@ def test_unread_definitions_are_found():
              "def _private():\n    pass\n\nclass Dead:\n    pass\n\ndef dead():\n    pass\n\n"
              "LIMIT = 4\nUNREAD, PAIRED = 1, 2\n_HIDDEN = 3\n__version__ = \"1\"\nTYPED: int = 5\n"
              "def limited():\n    return LIMIT\n",
-        "b": "from .a import imported, PAIRED\nimport a\n\ndef main():\n    return a.Alive()\n\nmain()\n",
+        "b": "from .a import imported, PAIRED\nimport a\nfrom .c import Shape\n\ndef main():\n"
+             "    return a.Alive(), Shape(2).area()\n\nmain()\n",
+        # methods and properties: read by another member of their class or from outside it, or not at all
+        "c": "class Shape:\n    size: int\n\n    def __post_init__(self):\n        self.check(self.side)\n\n"
+             "    @property\n    def side(self):\n        return self.size\n\n    @property\n    def spare(self):\n"
+             "        return self.size\n\n    def check(self, n):\n        return n\n\n"
+             "    def again(self, n):\n        return self.again(n - 1)\n\n    def _hidden(self):\n        pass\n\n"
+             "    def area(self):\n        return self.side ** 2\n\n    def scale(self):\n        pass\n",
     }
     assert unread_definitions(sources) == [
-        ("a", "Dead"), ("a", "TYPED"), ("a", "UNREAD"), ("a", "dead"), ("a", "limited"), ("a", "recursive")]
+        ("a", "Dead"), ("a", "TYPED"), ("a", "UNREAD"), ("a", "dead"), ("a", "limited"), ("a", "recursive"),
+        ("c", "Shape.again"), ("c", "Shape.scale"), ("c", "Shape.spare")]
 
 
 def test_no_unread_definitions():

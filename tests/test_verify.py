@@ -98,7 +98,7 @@ def nan_in_the_bpsk_mi(monkeypatch):
 def snr_weights_unnormalized(monkeypatch):
     # the snr rule weighs the mode powers by lambda itself, without the
     # alpha = lambda * K / (Nt * Nc) normalization
-    monkeypatch.setattr(codebook, "select_snr", lambda smat, lambdas, k, nt, nc: codebook.codeword_max(smat, lambdas))
+    monkeypatch.setattr(codebook, "select_snr", lambda smat, lambdas, k, nc: codebook.codeword_max(smat, lambdas))
 
 
 def shrunk_unitary(monkeypatch):
