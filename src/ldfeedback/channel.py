@@ -66,7 +66,8 @@ class CorrelationModel:
 def custom_model(vmask, ut=None, ur=None):
     """Model from an explicit variance mask (identity eigenbases by default)."""
     vmask = np.asarray(vmask, dtype=float)
-    nr, nt = vmask.shape
+    # sizes for the identity defaults only: CorrelationModel rejects a mask that is not 2-D
+    nr, nt = np.atleast_2d(vmask).shape[-2:]
     if ut is None:
         ut = np.eye(nt, dtype=np.complex128)
     if ur is None:

@@ -8,6 +8,7 @@ Exit codes: 0 success, 1 failed verification, 2 usage/config error,
 
 import argparse
 import os
+import re
 import sys
 
 import numpy as np
@@ -19,7 +20,6 @@ from .infotheory import Constellation
 from .matkit import KEY_LIMIT, Rng
 
 SEED_ENV_VAR = "LDFEEDBACK_SEED"
-CSV_HEADER = "snr_db,scheme,mi_bits_per_use,stderr,trials"
 
 
 def _fmt(x):
@@ -60,8 +60,28 @@ def _natural(text):
     return int(text)
 
 
-def _numbers(text):
-    return [float(t) for t in text.split(",") if t.strip()]
+# an optional '-', ASCII digits with at most one '.', an optional exponent; [0-9], as \d
+# would also match non-ASCII digits
+_REAL_FORM = re.compile(r"-?([0-9]+\.?[0-9]*|\.[0-9]+)([eE][-+]?[0-9]+)?")
+
+
+def _real(text):
+    """text as a finite float written in ASCII digits only: how every real input is read.
+
+    Python's float would also take a leading '+', underscores, spaces,
+    non-ASCII digits, nan and inf; each of these is a ValueError that names the
+    accepted form, and so is a value that overflows to infinity, such as 1e999.
+    """
+    if not (_REAL_FORM.fullmatch(text) and np.isfinite(float(text))):
+        raise ValueError("expected a finite real: an optional '-', ASCII digits 0-9 with at most one '.', "
+                         "and an optional exponent e or E with an optional sign")
+    return float(text)
+
+
+def _reals(text):
+    """A comma-separated list, each piece read by _real once the spaces around it are stripped, so an
+    empty piece is malformed: how every list of reals is read."""
+    return [_real(piece.strip()) for piece in text.split(",")]
 
 
 def _preset(text):
@@ -82,9 +102,9 @@ def _schemes(text):
 # experiment. SimConfig owns the defaults of opt_samples, b, n1, n2 and rank_two_sets;
 # build_experiment defaults model to iid, k to nc and constellation to gaussian
 CONFIG_KEYS = {
-    "model": _preset, "vmask": _numbers, "nt": _natural, "nr": _natural,  # the channel law
+    "model": _preset, "vmask": _reals, "nt": _natural, "nr": _natural,  # the channel law
     "nc": _natural, "k": _natural,  # K symbols over Nc channel uses
-    "snr_db": _numbers, "trials": _natural, "seed": _natural,
+    "snr_db": _reals, "trials": _natural, "seed": _natural,
     "constellation": Constellation, "schemes": _schemes,
     # the fits and the B-bit split
     "opt_samples": _natural, "b": _natural, "n1": _natural, "n2": _natural, "rank_two_sets": _natural,
@@ -93,8 +113,8 @@ REQUIRED_KEYS = ("nt", "nr", "nc", "snr_db", "trials", "schemes")
 
 
 def _read_as(parser, text, source):
-    """parser(text); a text it cannot read is a ConfigError naming source (a config key, a flag or
-    the environment variable), the text and the parser's reason."""
+    """parser(text); a text it cannot read is a ConfigError naming source (a config key, a flag, the
+    environment variable or a CSV field), the text and the parser's reason."""
     try:
         return parser(text)
     except ValueError as exc:
@@ -160,6 +180,11 @@ def curves_to_csv(curves):
     return "\n".join(lines) + "\n"
 
 
+# the columns of a simulate CSV and the reader of each field
+CSV_FIELDS = {"snr_db": _real, "scheme": str, "mi_bits_per_use": _real, "stderr": _real, "trials": _natural}
+CSV_HEADER = ",".join(CSV_FIELDS)
+
+
 def parse_csv(text):
     lines = text.splitlines()
     if not lines or lines[0] != CSV_HEADER:
@@ -171,13 +196,8 @@ def parse_csv(text):
         parts = line.split(",")
         if len(parts) != 5:
             raise ConfigError(f"line {lineno}: expected 5 fields, got {len(parts)}")
-        try:
-            row = (float(parts[0]), parts[1], float(parts[2]), float(parts[3]), int(parts[4]))
-        except ValueError as exc:
-            raise ConfigError(f"line {lineno}: bad field: {exc}") from exc
-        if not np.isfinite([row[0], row[2], row[3]]).all():
-            raise ConfigError(f"line {lineno}: snr_db, mi_bits_per_use and stderr must be finite")
-        rows.append(row)
+        rows.append(tuple(_read_as(parser, field, f"line {lineno} field {name!r}")
+                          for (name, parser), field in zip(CSV_FIELDS.items(), parts)))
     if not rows:
         raise ConfigError("CSV has no data rows")
     return rows
@@ -314,10 +334,7 @@ def cmd_construct(args):
     else:
         if args.lambdas is None:
             raise PreconditionError("statistical kind needs --lambdas")
-        try:
-            lam = np.array([float(t) for t in args.lambdas.split(",")])
-        except ValueError as exc:
-            raise ConfigError(f"--lambdas must be comma-separated numbers, got {args.lambdas!r}") from exc
+        lam = np.array(_read_as(_reals, args.lambdas, "--lambdas"))
         if lam.size != nt:
             raise PreconditionError(f"--lambdas needs {nt} entries")
         dset = dispersion.statistical_set(lam, k, nc, rng)
@@ -329,17 +346,13 @@ def cmd_construct(args):
 
 
 def cmd_plot(args):
-    for name in ("xmin", "xmax", "ymin", "ymax"):
-        value = getattr(args, name)
-        if value is not None and not np.isfinite(value):
-            raise ConfigError(f"--{name} must be finite, got {value}")
+    bounds = {name: _read_as(_real, getattr(args, name), f"--{name}")
+              for name in ("xmin", "xmax", "ymin", "ymax") if getattr(args, name) is not None}
     for axis in "xy":
-        lo, hi = getattr(args, f"{axis}min"), getattr(args, f"{axis}max")
+        lo, hi = bounds.get(f"{axis}min"), bounds.get(f"{axis}max")
         if lo is not None and hi is not None and lo >= hi:
             raise ConfigError(f"--{axis}min {lo:g} must be below --{axis}max {hi:g}")
-    rows = parse_csv(_read(args.csv))
-    svg = render_svg(rows, xmin=args.xmin, xmax=args.xmax, ymin=args.ymin, ymax=args.ymax)
-    _write(args.output, svg)
+    _write(args.output, render_svg(parse_csv(_read(args.csv)), **bounds))
     return 0
 
 
@@ -375,10 +388,10 @@ def build_parser():
     p = sub.add_parser("plot", help="render a simulate CSV as an SVG line chart")
     p.add_argument("csv")
     p.add_argument("-o", "--output", required=True)
-    p.add_argument("--xmin", type=float, default=None)
-    p.add_argument("--xmax", type=float, default=None)
-    p.add_argument("--ymin", type=float, default=None)
-    p.add_argument("--ymax", type=float, default=None)
+    p.add_argument("--xmin", default=None)
+    p.add_argument("--xmax", default=None)
+    p.add_argument("--ymin", default=None)
+    p.add_argument("--ymax", default=None)
     p.set_defaults(fn=cmd_plot)
     return parser
 

@@ -68,6 +68,12 @@ class TestModelValidation:
         with pytest.raises(PreconditionError, match=re.escape(f"vmask must be a 2-D Nr x Nt array, got shape {shape}")):
             CorrelationModel(ut=np.eye(2, dtype=complex), ur=np.eye(2, dtype=complex), vmask=np.ones(shape))
 
+    @pytest.mark.parametrize("shape", [(), (4,), (1, 2, 2)], ids=["0-D", "1-D", "3-D"])
+    def test_custom_model_rejects_mask_not_two_dimensional(self, shape):
+        # custom_model sizes its identity bases before the model sees the mask, and must not fail there
+        with pytest.raises(PreconditionError, match=re.escape(f"vmask must be a 2-D Nr x Nt array, got shape {shape}")):
+            custom_model(np.full(shape, 4.0 / max(1, math.prod(shape))))
+
     def test_rejects_negative_variance(self):
         # sums to nt*nr = 4 but carries a negative entry
         with pytest.raises(PreconditionError):

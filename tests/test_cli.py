@@ -179,6 +179,12 @@ def not_natural(source, text):
     return f"{source} = {text!r}: expected an integer in [0, 2**64) written in ASCII digits 0-9"
 
 
+def not_real(source, text):
+    """The message of a real input, named by source, whose text is not a finite real in the accepted form."""
+    return (f"{source} = {text!r}: expected a finite real: an optional '-', ASCII digits 0-9 with at most "
+            "one '.', and an optional exponent e or E with an optional sign")
+
+
 @pytest.mark.parametrize("source", list(SEED_LABELS))
 class TestSimulateSeedRange:
     """A seed outside [0, 2**64) would alias the seed it equals mod 2**64, so it exits 2."""
@@ -291,19 +297,100 @@ class TestMalformedIntegers:
         assert captured.out == "" and not out.exists()
 
 
+# Python's float reads the first six of these (as 2, 10, 4, nan, inf and inf); no real input
+# does, nor an empty text or list piece
+MALFORMED_REALS = ["\u0662", "1_0", "+4", "nan", "inf", "1e999", ""]
+CONSTRUCT_STATISTICAL = ["construct", "--kind", "statistical", "--k", "2", "--nc", "8", "--nt", "4"]
+
+
+class TestMalformedReals:
+    """Every real a config, a flag or a CSV field gives is read by one rule, else exit 2; in a list,
+    the malformed piece comes last (snr_db), inside (vmask) or first (--lambdas)."""
+
+    def test_every_real_key_is_read_as_a_list_of_reals(self):
+        assert {key for key, parser in cli.CONFIG_KEYS.items() if parser is cli._reals} == {"snr_db", "vmask"}
+
+    @pytest.mark.parametrize("text", MALFORMED_REALS)
+    @pytest.mark.parametrize("key, template", [("snr_db", "0,{}"), ("vmask", "1,{},1,1")])
+    def test_config_key(self, tmp_path, capsys, key, template, text):
+        value = template.format(text)
+        cfg = TINY_CFG.replace("snr_db = 0\n", f"snr_db = {value}\n") if key == "snr_db" else f"{TINY_CFG}vmask = {value}\n"
+        out = tmp_path / "x.csv"
+        assert cli.main(["simulate", write(tmp_path, "exp.cfg", cfg), "-o", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {not_real(f'key {key!r}', value)}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("text", MALFORMED_REALS)
+    def test_lambdas(self, tmp_path, capsys, text):
+        value, out = f"{text},6,0,0", tmp_path / "set.txt"
+        assert cli.main([*CONSTRUCT_STATISTICAL, "--lambdas", value, "-o", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {not_real('--lambdas', value)}\n"
+        assert captured.out == "" and not out.exists()
+
+    @pytest.mark.parametrize("text", MALFORMED_REALS)
+    @pytest.mark.parametrize("flag", ["--xmin", "--xmax", "--ymin", "--ymax"])
+    def test_plot_bound(self, tmp_path, capsys, flag, text):
+        out = tmp_path / "x.svg"
+        assert cli.main(["plot", write(tmp_path, "c.csv", TestPlot.CSV), "-o", str(out), f"{flag}={text}"]) == 2
+        assert capsys.readouterr().err == f"error: {not_real(flag, text)}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("field, column, text, message", [
+        *((name, column, text, not_real) for name, column in (("snr_db", 0), ("mi_bits_per_use", 2), ("stderr", 3))
+          for text in MALFORMED_REALS),
+        *(("trials", 4, text, not_natural) for text in [*MALFORMED_INTEGERS, "", "1.5", "-5", "+7"]),
+    ])
+    def test_csv_field(self, tmp_path, capsys, field, column, text, message):
+        lines = TestPlot.CSV.splitlines()
+        parts = lines[3].split(",")
+        parts[column] = text
+        lines[3] = ",".join(parts)
+        out = tmp_path / "x.svg"
+        assert cli.main(["plot", write(tmp_path, "c.csv", "\n".join(lines) + "\n"), "-o", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {message(f'line 4 field {field!r}', text)}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("text", ["0", "-0", "7", "007", "1.", ".5", "-2.5", "1e1", "1E-5", "-2.5e+3", "1.5e308"])
+    def test_accepted_forms_read_as_float_does(self, text):
+        assert cli._real(text) == float(text)
+
+    @pytest.mark.parametrize("text", [".", "-", "e5", "1e", "1e+", "--1", "1..2", "1.2.3", " 1", "1 ", "1,0",
+                                      "0x10", "1e1.5", "Infinity", "-nan", "\u0661.5", "1\n"])
+    def test_other_forms_refused(self, text):
+        with pytest.raises(ValueError, match="expected a finite real"):
+            cli._real(text)
+
+    def test_plain_forms_run(self, tmp_path, capsys):
+        # a negative, a leading '.', an exponent, spaces around list pieces, and a
+        # negative bound given as its own argument all parse
+        cfg = write(tmp_path, "exp.cfg", TINY_CFG.replace("snr_db = 0", "snr_db = -2.5, 1e1")
+                    + "vmask = .5,1.5 ,1,1\n")
+        out_csv, out_svg, out_set = tmp_path / "x.csv", tmp_path / "x.svg", tmp_path / "set.txt"
+        assert cli.main(["simulate", cfg, "-o", str(out_csv)]) == 0
+        assert [row[0] for row in cli.parse_csv(out_csv.read_text())] == [-2.5, 10.0]
+        assert cli.main(["plot", str(out_csv), "-o", str(out_svg), "--xmin", "-5", "--xmax", "1e1",
+                         "--ymin", "-.5"]) == 0
+        assert cli.main([*CONSTRUCT_STATISTICAL, "--lambdas", "15.5,.5,0e0,0", "-o", str(out_set)]) == 0
+        assert "total_power = 32\n" in capsys.readouterr().out
+        assert out_svg.exists() and out_set.exists()
+
+
 # values for every simulate config key, none of them a size above 4: ones that parse,
 # and adversarial ones (boundary integers, empty, non-finite, non-ASCII digits -- an
 # Arabic-Indic two --, underscores, signs, unknown names and repeated scheme labels)
 ADVERSARIAL_NUMBERS = ["-1", "0", "", "nan", "inf", "\u0662", "1_0", "+4"]
 PLAIN_VALUES = {
     **{key: ["2", "1", "4"] for key in INTEGER_KEYS},
-    "model": ["iid", "v4"], "vmask": ["1,1,1,1", "2,0,0,2"], "snr_db": ["0", "-1,0,4"],
+    "model": ["iid", "v4"], "vmask": ["1,1,1,1", "2,0,0,2", ".5,1.5, 1 ,1", "2e0,0,0,2."],
+    "snr_db": ["0", "-1,0,4", "-2.5,1e1", ".5"],
     "constellation": ["gaussian", "bpsk", "pam4", "PAM2"],
 }
 ADVERSARIAL_VALUES = {
     **{key: ADVERSARIAL_NUMBERS for key in INTEGER_KEYS},
-    "model": ["", "x"], "vmask": ["", "1,1,1", "nan,1,1,1", "\u0662,1,1,1", "-1,1,1,3"],
-    "snr_db": ["", "0,0", "4,-1", "nan", "inf", "1_0", "+4,\u0662"],
+    "model": ["", "x"], "vmask": ["", "1,1,1", "nan,1,1,1", "\u0662,1,1,1", "-1,1,1,3", "1,,1,1,1", "1,1,1,1,",
+                                  "1e999,1,1,1", "0x1,1,1,1"],
+    "snr_db": ["", "0,0", "4,-1", "nan", "inf", "1_0", "+4,\u0662", "1e999", "0x10", "1,,2", "2,", "+1"],
     "constellation": ["", "pam\u0662", "pam1_6", "pam +4", "x"],
 }
 
@@ -342,6 +429,58 @@ def test_any_config_runs_or_exits_2_or_3(text):
         cfg.write_text(text, encoding="utf-8")
         code = cli.main(["simulate", str(cfg), "-o", str(Path(tmp) / "out.csv")])
         assert (Path(tmp) / "out.csv").exists() == (code == 0)
+    assert code in (0, 2, 3)
+    assert "Traceback" not in stderr.getvalue()
+    assert (stderr.getvalue() == "") == (code == 0)
+
+
+# values for construct's and plot's number flags and the plot CSV's fields, none of them a
+# size above 4: ones that parse, and the adversarial numbers with an overflow, hex, an empty
+# list piece and a leading '.'
+ADVERSARIAL_FLAG_VALUES = [*ADVERSARIAL_NUMBERS, "1e999", "0x10", "1,,2", ".5"]
+PLOT_CSV = "snr_db,scheme,mi_bits_per_use,stderr,trials\n0,a,1.0,0.01,10\n10,a,2.0,0.01,10\n0,b,0.5,0.01,10\n"
+
+
+@st.composite
+def command_argvs(draw):
+    """(argv, CSV text) of a construct or a plot command: construct draws --k, --nc, --nt, --mode and
+    --lambdas, plot its four bounds and one to three mutated fields of PLOT_CSV; each value is plain,
+    or adversarial one time in four, and a flag that is not required may be left out."""
+    def value(plain):
+        return draw(st.sampled_from(ADVERSARIAL_FLAG_VALUES if draw(st.integers(0, 3)) == 0 else plain))
+
+    if draw(st.booleans()):
+        argv = ["construct", "--kind", draw(st.sampled_from(["rank-one", "statistical"]))]
+        argv += [f"--{name}={value(['1', '2', '4'])}" for name in ("k", "nc", "nt")]
+        argv += [f"--mode={value(['0', '1', '3'])}"] if draw(st.booleans()) else []
+        # diagonals of 1, 2 and 4 entries whose traces meet the budget Nt*Nc/K of some sizes above
+        lambdas = ["1", "2", "4", "4,0", "2,2", "8,0", "1,1,1,1", "2.5,1.5,0,0", "4,4,4,4", "16,0,0,0", "-1,5,0,0"]
+        argv += [f"--lambdas={value(lambdas)}"] if draw(st.integers(0, 3)) else []
+        return argv, None
+    argv = ["plot"] + [f"--{name}={value(['-5', '0', '1.5', '10', '1e1'])}" for name in ("xmin", "xmax", "ymin", "ymax")
+                       if draw(st.booleans())]
+    rows = [line.split(",") for line in PLOT_CSV.splitlines()]
+    for _ in range(draw(st.integers(1, 3))):
+        row, column = draw(st.integers(1, len(rows) - 1)), draw(st.integers(0, 4))
+        rows[row][column] = value(["-1", "7", rows[row][column]])
+    return argv, "".join(",".join(row) + "\n" for row in rows)
+
+
+@given(case=command_argvs())
+@settings(max_examples=150, deadline=None)
+def test_any_construct_or_plot_argv_runs_or_exits_2_or_3(case):
+    # as for simulate configs: the command runs, or exits 2 or 3 with a message, no exception
+    # escapes, and the output file is written exactly when it runs
+    argv, csv_text = case
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with (tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(stdout),
+          contextlib.redirect_stderr(stderr)):
+        out = Path(tmp) / "out"
+        if csv_text is not None:
+            (Path(tmp) / "in.csv").write_text(csv_text, encoding="utf-8")
+            argv = [argv[0], str(Path(tmp) / "in.csv"), *argv[1:]]
+        code = cli.main([*argv, "-o", str(out)])
+        assert out.exists() == (code == 0)
     assert code in (0, 2, 3)
     assert "Traceback" not in stderr.getvalue()
     assert (stderr.getvalue() == "") == (code == 0)
@@ -398,13 +537,13 @@ class TestSimulate:
     @pytest.mark.parametrize("line,bad,message", [
         ("k = 2", "k = 0", "K = 0"),
         ("nc = 2", "nc = 0", "Nc = 0"),
-        ("snr_db = 0,10,20", "snr_db = 0,nan,20", "snr grid"),
-        ("snr_db = 0,10,20", "snr_db = 0,10,inf", "snr grid"),
-        ("snr_db = 0,10,20", "snr_db = -inf,0", "snr grid"),
+        ("snr_db = 0,10,20", "snr_db = 0,nan,20", not_real("key 'snr_db'", "0,nan,20")),
+        ("snr_db = 0,10,20", "snr_db = 0,10,inf", not_real("key 'snr_db'", "0,10,inf")),
+        ("snr_db = 0,10,20", "snr_db = -inf,0", not_real("key 'snr_db'", "-inf,0")),
         ("snr_db = 0,10,20", "snr_db = 0,4000", "snr_db = 4000.0 is outside"),
         ("snr_db = 0,10,20", "snr_db = 0,3080", "snr_db = 3080.0 is outside"),
-        ("model = iid", "vmask = nan,1,1,1", "vmask"),
-        ("model = iid", "vmask = inf,1,1,1", "vmask"),
+        ("model = iid", "vmask = nan,1,1,1", not_real("key 'vmask'", "nan,1,1,1")),
+        ("model = iid", "vmask = inf,1,1,1", not_real("key 'vmask'", "inf,1,1,1")),
         ("schemes = perfect,", "schemes = perfect,perfect,", "repeated scheme 'perfect'"),
         ("model = iid", "model = bogus\nvmask = 1,1,1,1", "not both"),
         ("model = iid\nnt = 2\nnr = 2", "vmask = 1,1,1,1\nnt = -2\nnr = -2", not_natural("key 'nt'", "-2")),
@@ -609,8 +748,8 @@ class TestConstruct:
         assert dset.k == 2
 
     @pytest.mark.parametrize("lambdas, message", [
-        ("10,x,0,0", "--lambdas"),
-        ("nan,16,0,0", "finite"),
+        ("10,x,0,0", not_real("--lambdas", "10,x,0,0")),
+        ("nan,16,0,0", not_real("--lambdas", "nan,16,0,0")),
     ], ids=["not-a-number", "nan"])
     def test_bad_lambdas_exit_2(self, tmp_path, capsys, lambdas, message):
         out = tmp_path / "set.txt"
@@ -826,13 +965,13 @@ class TestPlot:
         assert cli.main(["plot", csv, "-o", str(tmp_path / "x.svg")]) == 2
 
     @pytest.mark.parametrize("csv_text, flags, message", [
-        (CSV.replace("0,alpha,1.0", "0,alpha,nan"), [], "line 2: snr_db, mi_bits_per_use and stderr"),
-        (CSV.replace("10,beta", "inf,beta"), [], "line 6: snr_db, mi_bits_per_use and stderr"),
-        (CSV.replace("2.5,0.01", "2.5,-inf"), [], "line 7: snr_db, mi_bits_per_use and stderr"),
-        (CSV, ["--ymin", "nan"], "--ymin must be finite"),
-        (CSV, ["--xmax", "inf"], "--xmax must be finite"),
-        (CSV, ["--xmin=-inf"], "--xmin must be finite"),
-        (CSV, ["--ymax", "nan"], "--ymax must be finite"),
+        (CSV.replace("0,alpha,1.0", "0,alpha,nan"), [], not_real("line 2 field 'mi_bits_per_use'", "nan")),
+        (CSV.replace("10,beta", "inf,beta"), [], not_real("line 6 field 'snr_db'", "inf")),
+        (CSV.replace("2.5,0.01", "2.5,-inf"), [], not_real("line 7 field 'stderr'", "-inf")),
+        (CSV, ["--ymin", "nan"], not_real("--ymin", "nan")),
+        (CSV, ["--xmax", "inf"], not_real("--xmax", "inf")),
+        (CSV, ["--xmin=-inf"], not_real("--xmin", "-inf")),
+        (CSV, ["--ymax", "nan"], not_real("--ymax", "nan")),
         (CSV, ["--ymin", "5", "--ymax", "1"], "--ymin 5 must be below --ymax 1"),
         (CSV, ["--ymin", "2", "--ymax", "2"], "--ymin 2 must be below --ymax 2"),
         (CSV, ["--xmin", "2", "--xmax", "0"], "--xmin 2 must be below --xmax 0"),

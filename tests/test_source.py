@@ -298,3 +298,31 @@ def test_one_scoring_loop():
     for name in ("codeword_max", "trace_mi"):
         assert name_reads(sources, name) == [("simengine", "_codebook_means"), ("simengine", "_score_codebooks")]
     assert name_reads(sources, "_sample_mean_mi") == [("simengine", "optimize_lambda")]
+
+
+def number_conversions(source):
+    """Sorted (owner, call) of every float(...) or int(...) call in source, and (owner, "type=") of
+    every add_argument call that passes type=, so that argparse converts a value."""
+    return sorted({
+        (owner, sub.func.id if isinstance(sub.func, ast.Name) else "type=")
+        for owner, node in top_level_owners(ast.parse(source)) for sub in ast.walk(node)
+        if isinstance(sub, ast.Call) and (
+            isinstance(sub.func, ast.Name) and sub.func.id in ("float", "int")
+            or isinstance(sub.func, ast.Attribute) and sub.func.attr == "add_argument"
+            and any(kw.arg == "type" for kw in sub.keywords))
+    })
+
+
+def test_number_conversions_are_found():
+    source = ('def read(t):\n    return [float(x) for x in t]\n\nN = int("4")\n\n'
+              'def build(p):\n    p.add_argument("--x", type=float)\n    p.add_argument("--y", default="1")\n\n'
+              'def other(t):\n    return t.int(3) + np.float64(t)\n')
+    assert number_conversions(source) == [("<module>", "int"), ("build", "type="), ("read", "float")]
+
+
+def test_one_reader_per_number_kind():
+    # every number a command reads is converted by cli._natural (integers) or cli._real (reals),
+    # and argparse passes every value on as text; _fmt's float formats output, and main's int
+    # reads argparse's own exit code
+    allowed = [("_fmt", "float"), ("_natural", "int"), ("_real", "float"), ("main", "int")]
+    assert number_conversions((SRC / "cli.py").read_text()) == allowed
